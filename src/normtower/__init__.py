@@ -39,16 +39,15 @@ from .lattice import (
     cyclicity_check,
     galois_span,
     maximal_ideal_lattice,
-    norm_subgroup,
     uniformizer_generates_quotient,
 )
 from .localpoints import InsufficientDegree, LocalPoint, local_point_direct, local_point_log
 from .padic import PrecisionExhausted, ZpContext, teichmuller
 from .points import epsilon_log, point_log, verify_trace_relations
 from .series import TruncSeries
-from .snf import SnfResult, smith_normal_form, snf
-from .tower import TowerDesc, TowerElt, build_tower, check_g_iterate, galois_act, trace, uniformizer
-from .unramified import FieldDesc, UnramifiedElt, build_unramified, frobenius, valuation
+from .snf import SnfResult, smith_normal_form
+from .tower import TowerDesc, TowerElt, build_tower, check_g_iterate, uniformizer
+from .unramified import FieldDesc, build_unramified
 
 __all__ = [
     "CurveParams", "assert_supersingular", "curve_from_preset", "formal_exp",
@@ -60,12 +59,11 @@ __all__ = [
     "freeness_test", "kernel_freeness_property", "module_report",
     "present_minus", "present_plus", "supplementary_structure_check",
     "Lattice", "check_exact_sequence", "cyclicity_check", "galois_span",
-    "maximal_ideal_lattice", "norm_subgroup", "uniformizer_generates_quotient",
+    "maximal_ideal_lattice", "uniformizer_generates_quotient",
     "InsufficientDegree", "LocalPoint", "local_point_direct", "local_point_log",
     "PrecisionExhausted", "ZpContext", "teichmuller",
     "epsilon_log", "point_log", "verify_trace_relations",
-    "TruncSeries", "SnfResult", "smith_normal_form", "snf",
-    "TowerDesc", "TowerElt", "build_tower", "check_g_iterate", "galois_act",
-    "trace", "uniformizer",
-    "FieldDesc", "UnramifiedElt", "build_unramified", "frobenius", "valuation",
+    "TruncSeries", "SnfResult", "smith_normal_form",
+    "TowerDesc", "TowerElt", "build_tower", "check_g_iterate", "uniformizer",
+    "FieldDesc", "build_unramified",
 ]

@@ -3,9 +3,9 @@
   normtower verify --config cfg.json [--checks trace,ranks,...] [--seed S] [--out DIR]
   normtower table --report DIR/report.json --format csv|json|md
 
-Exit codes: 0 all checks pass, 1 check failure, 2 config error, 3 precision
-exhausted. Emitted tables are byte-stable for equal config and seed (run
-times are kept in the report file only, never in the tables).
+Exit codes: 0 all checks pass, 1 check failure, 2 config or report error,
+3 precision exhausted. Emitted tables are byte-stable for equal config and
+seed (run times are kept in the report file only, never in the tables).
 """
 
 from __future__ import annotations
@@ -356,24 +356,30 @@ def _check_series(cfg: CampaignConfig) -> list[Record]:
 # report emission
 # ---------------------------------------------------------------------------
 
-def emit_tables(records: list[Record], out_dir: Path, fmt: str = "both") -> dict[str, Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    if fmt in ("csv", "both"):
+def render_table(records: list[Record], fmt: str) -> str:
+    """The table as csv, json or md text, exactly as written to table.<fmt>."""
+    if fmt == "md":
+        return emit_markdown(records)
+    if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(CSV_COLUMNS)
-        for r in records:
-            w.writerow(r.row())
-        paths["csv"] = out_dir / "table.csv"
-        paths["csv"].write_text(buf.getvalue())
-    if fmt in ("json", "both"):
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "rows": [dict(zip(CSV_COLUMNS, r.row())) for r in records],
-        }
-        paths["json"] = out_dir / "table.json"
-        paths["json"].write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        w.writerows(r.row() for r in records)
+        return buf.getvalue()
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "rows": [dict(zip(CSV_COLUMNS, r.row())) for r in records],
+    }
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def emit_tables(records: list[Record], out_dir: Path, fmt: str = "both") -> dict[str, Path]:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for kind in ("csv", "json"):
+        if fmt in (kind, "both"):
+            paths[kind] = out_dir / f"table.{kind}"
+            paths[kind].write_text(render_table(records, kind))
     return paths
 
 
@@ -438,20 +444,13 @@ def cmd_table(args) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    records = [Record(**{k: v for k, v in rec.items()}) for rec in doc["records"]]
-    if args.format == "md":
-        print(emit_markdown(records), end="")
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        for r in records:
-            w.writerow(r.row())
-        print(buf.getvalue(), end="")
-    else:
-        doc = {"schema_version": SCHEMA_VERSION,
-               "rows": [dict(zip(CSV_COLUMNS, r.row())) for r in records]}
-        print(json.dumps(doc, sort_keys=True, indent=1))
+    try:
+        records = [Record(**rec) for rec in doc["records"]]
+    except (KeyError, TypeError) as e:
+        print(f"report error: {args.report} has no well-formed records list ({e!r})",
+              file=sys.stderr)
+        return 2
+    print(render_table(records, args.format), end="")
     return 0
 
 

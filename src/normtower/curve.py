@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .padic import ZpContext, floor_log, is_prime, val_int
+from .padic import ZpContext, is_prime, val_int
+from .polyarith import mul, truncate
 from .series import TruncSeries
 from .unramified import FieldDesc
 
@@ -88,18 +89,18 @@ def assert_supersingular(curve: CurveParams) -> int:
 # ---------------------------------------------------------------------------
 
 def _zmul(a: list[int], b: list[int], D: int) -> list[int]:
-    out = [0] * (D + 1)
-    for i, x in enumerate(a):
-        if x and i <= D:
-            for j, y in enumerate(b):
-                if y and i + j <= D:
-                    out[i + j] += x * y
-    return out
+    return truncate(mul(a, b), D + 1)
 
 
-def _zadd(a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+def _zinv(u: list[int], D: int) -> list[int]:
+    """1/u through degree D for an integer series with constant term 1, by
+    Newton steps g <- g (2 - u g), each doubling the correct degree."""
+    g, good = [1], 1
+    while good <= D:
+        ug = _zmul(u, g, D)
+        g = _zmul(g, [2 - ug[0]] + [-c for c in ug[1:]], D)
+        good *= 2
+    return truncate(g, D + 1)
 
 
 @lru_cache(maxsize=None)
@@ -139,16 +140,7 @@ def w_expansion(curve: CurveParams, D: int) -> tuple[int, ...]:
 def _unit_series_data(curve: CurveParams, D: int) -> tuple[list[int], list[int]]:
     """(U, U') with U = (w/t^3)^{-1} as exact-integer series through degree D."""
     w = w_expansion(curve, D + 3)
-    u = list(w[3: D + 4])  # w / t^3, constant term 1
-    # integer series inverse of a unit with constant term 1
-    U = [0] * (D + 1)
-    U[0] = 1
-    for j in range(1, D + 1):
-        s = 0
-        for i in range(1, j + 1):
-            if i < len(u):
-                s += u[i] * U[j - i]
-        U[j] = -s
+    U = _zinv(w[3: D + 4], D)  # w / t^3 has constant term 1
     Uprime = [(j + 1) * U[j + 1] for j in range(D)] + [0]
     return U, Uprime
 
@@ -339,19 +331,8 @@ def inversion_series(curve: CurveParams, D: int) -> tuple[int, ...]:
     for j in range(D + 1):
         den[j] = U[j] - curve.a1 * (U[j - 1] if j >= 1 else 0) \
             - (curve.a3 if j == 3 else 0)
-    # invert den (constant 1), multiply by -t U
-    inv = [0] * (D + 1)
-    inv[0] = 1
-    for j in range(1, D + 1):
-        inv[j] = -sum(den[i] * inv[j - i] for i in range(1, j + 1))
     tU = [0] + [-U[j] for j in range(D)]
-    out = [0] * (D + 1)
-    for i, x in enumerate(tU):
-        if x:
-            for j, y in enumerate(inv):
-                if i + j <= D:
-                    out[i + j] += x * y
-    return tuple(out)
+    return tuple(_zmul(tU, _zinv(den, D), D))
 
 
 @lru_cache(maxsize=None)

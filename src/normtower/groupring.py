@@ -3,7 +3,7 @@ cyclotomic polynomial families omega_n / omega_n^{+-}, the alternating
 p-power sums q_n, and character idempotents for the tame quotient.
 
 Group-ring elements are coefficient tuples indexed by powers of F (the
-Frobenius); multiplication is cyclic convolution of length d.
+Frobenius); a product is a polyarith product folded mod F^d - 1.
 Integer polynomials (omega family) are plain coefficient lists over Z,
 lowest degree first - those identities are exact, no precision involved.
 """
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .padic import ZpContext, val_int
+from .padic import ZpContext
+from .polyarith import fold_cyclic, mul, xgcd_fp
 from .snf import kernel_basis, quotient_invariants, smith_normal_form, span_contains_all
 
 
@@ -57,13 +58,7 @@ class GroupRing:
         return tuple((c * x) % self.q for x in a)
 
     def mul(self, a, b):
-        d, q = self.d, self.q
-        out = [0] * d
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[(i + j) % d] = (out[(i + j) % d] + ai * bj) % q
-        return tuple(out)
+        return tuple(x % self.q for x in fold_cyclic(mul(a, b), self.d))
 
     def is_zero(self, a) -> bool:
         return all(x % self.q == 0 for x in a)
@@ -96,76 +91,17 @@ def alternating_annihilator_generator(ring: GroupRing) -> tuple[int, ...]:
 
 def is_unit(ring: GroupRing, a) -> tuple[bool, tuple[int, ...] | None]:
     """Unit test in Z_p[F]/(F^d - 1): unit iff unit mod p; Newton-lift the inverse."""
-    p, d, q = ring.p, ring.d, ring.q
-    amodp = [x % p for x in a]
-    cyc = [-1 % p] + [0] * (d - 1) + [1]  # F^d - 1
-    g, u = _poly_xgcd_fp(amodp, cyc, p)
+    d = ring.d
+    g, u, _ = xgcd_fp(a, [-1] + [0] * (d - 1) + [1], ring.p)  # gcd with F^d - 1 over F_p
     if len(g) != 1:
         return False, None
-    ginv = pow(g[0], -1, p)
-    inv = tuple((c * ginv) % p for c in (u + [0] * d)[:d])
-    x = inv
+    x = tuple((u + [0] * d)[:d])
     # Newton: x <- x(2 - a x)
     for _ in range(ring.N.bit_length() + 1):
         ax = ring.mul(a, x)
         x = ring.mul(x, ring.sub(ring.scalar(2, ring.one()), ax))
     assert ring.mul(a, x) == ring.one(), "unit inversion failed to converge"
     return True, x
-
-
-def _poly_xgcd_fp(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
-    """(gcd, u) with u*a = gcd (mod m) over F_p."""
-
-    def trim(u):
-        u = [x % p for x in u]
-        while u and u[-1] == 0:
-            u.pop()
-        return u
-
-    r0, r1 = trim(m), trim(a)
-    s0, s1 = [0], [1]
-    while r1:
-        # divide r0 by r1
-        rem = list(r0)
-        quo = [0] * max(1, len(rem) - len(r1) + 1)
-        inv = pow(r1[-1], -1, p)
-        while len(rem) >= len(r1) and any(rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            c = rem[-1] * inv % p
-            shift = len(rem) - len(r1)
-            quo[shift] = c
-            for i, x in enumerate(r1):
-                rem[shift + i] = (rem[shift + i] - c * x) % p
-            rem = trim(rem)
-            if not rem:
-                break
-        new_s = _polsub_fp(s0, _polmul_fp(quo, s1, p), p)
-        r0, r1 = r1, trim(rem)
-        s0, s1 = s1, new_s
-    return r0 if r0 else [0], s0
-
-
-def _polmul_fp(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _polsub_fp(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    out = [(x - y) % p for x, y in zip(a, b)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def annihilator(ring: GroupRing, a) -> tuple[np.ndarray, int]:
@@ -197,12 +133,7 @@ def annihilator_matches_closed_form(ring: GroupRing) -> bool:
 # ---------------------------------------------------------------------------
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+    return mul(a, b)
 
 
 def poly_trim(a: list[int]) -> list[int]:
@@ -362,33 +293,21 @@ def idempotents(p: int, N: int) -> list[CharIdempotent]:
             coeffs[(p - 1 - k) % (p - 1)] = (coeffs[(p - 1 - k) % (p - 1)] + chi_val) % q
         out.append(CharIdempotent(j=j, p=p, N=N,
                                   coeffs=tuple(c * inv_pm1 % q for c in coeffs)))
-    _check_idempotents(out, p, q)
+    _check_idempotents(out, GroupRing(p - 1, p, N))
     return out
 
 
-def _conv_delta(a, b, p, q):
-    n = p - 1
-    out = [0] * n
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[(i + j) % n] = (out[(i + j) % n] + x * y) % q
-    return tuple(out)
-
-
-def _check_idempotents(eps: list[CharIdempotent], p: int, q: int) -> None:
-    n = p - 1
-    total = [0] * n
+def _check_idempotents(eps: list[CharIdempotent], ring: GroupRing) -> None:
+    """Orthogonality and completeness in Z_p[Delta], Delta cyclic of order p - 1."""
+    total = ring.zero()
     for e in eps:
-        sq = _conv_delta(e.coeffs, e.coeffs, p, q)
-        assert sq == e.coeffs, "idempotent not idempotent"
-        total = [(x + y) % q for x, y in zip(total, e.coeffs)]
-    assert tuple(total) == (1,) + (0,) * (n - 1), "idempotents do not sum to 1"
+        assert ring.mul(e.coeffs, e.coeffs) == e.coeffs, "idempotent not idempotent"
+        total = ring.add(total, e.coeffs)
+    assert total == ring.one(), "idempotents do not sum to 1"
     for a in eps:
         for b in eps:
             if a.j != b.j:
-                prod = _conv_delta(a.coeffs, b.coeffs, p, q)
-                assert all(x % q == 0 for x in prod), "idempotents not orthogonal"
+                assert ring.is_zero(ring.mul(a.coeffs, b.coeffs)), "idempotents not orthogonal"
 
 
 def delta_of(d: int, chi_trivial: bool) -> int:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .groupring import GroupRing, omega_family, phi_plus_phi_inv, q_values
 from .padic import PrecisionExhausted
+from .polyarith import fold_cyclic, mul_vec, rem_monic
 from .snf import (
     as_matrix,
     kernel_basis,
@@ -68,14 +69,6 @@ def grp_trim(f: tuple) -> tuple:
     dg = grp_deg(f)
     return f[: dg + 1] if dg >= 0 else (f[0][:0] + (0,) * len(f[0]),)
 
-def _gr_mul(a, b, d):
-    out = [0] * d
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[(i + j) % d] += x * y
-    return tuple(out)
-
 def _gr_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -99,37 +92,18 @@ def grp_neg(f):
 
 def grp_mul(f, g):
     d = len(f[0])
-    out = [(0,) * d for _ in range(len(f) + len(g) - 1)]
-    for i, a in enumerate(f):
-        if any(a):
-            for j, b in enumerate(g):
-                if any(b):
-                    out[i + j] = _gr_add(out[i + j], _gr_mul(a, b, d))
-    return tuple(out)
-
-def grp_scale_gr(c, f, d):
-    return tuple(_gr_mul(c, a, d) for a in f)
-
-def grp_frob_shift(f, k, d):
-    """Multiply every coefficient by F^k."""
-    return tuple(_gr_rot(a, k, d) for a in f)
+    return tuple(tuple(fold_cyclic(c, d)) for c in mul_vec(f, g, d))
 
 def grp_reduce(f, cap):
-    """Remainder of f modulo a monic scalar-lead cap polynomial."""
+    """Remainder of f modulo a monic cap polynomial with scalar coefficients,
+    one F-component at a time."""
     d = len(f[0])
     B = grp_deg(cap)
-    assert B >= 0 and cap[B] == (1,) + (0,) * (d - 1), "cap must be monic with scalar lead"
+    assert B >= 0 and not any(any(c[1:]) for c in cap), "cap must have scalar coefficients"
     if B == 0:
         return ((0,) * d,)
-    work = list(f)
-    for j in range(len(work) - 1, B - 1, -1):
-        lead = work[j]
-        if any(lead):
-            work[j] = (0,) * d
-            for i in range(B):
-                work[j - B + i] = _gr_add(work[j - B + i], _gr_neg(_gr_mul(lead, cap[i], d)))
-    out = tuple(work[:B])
-    return out + ((0,) * d,) * (B - len(out))
+    m = [c[0] for c in cap[: B + 1]]
+    return tuple(zip(*(rem_monic([c[a] for c in f], m) for a in range(d))))
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,6 @@ class Lattice:
     def divisor_valuations(self) -> list[int]:
         return smith_normal_form(self.mat, self.p, self.N).divisors
 
-    def contains(self, other: "Lattice") -> bool:
-        a, b = _common_den(self, other)
-        return span_contains_all(a.mat, b.mat, self.p, self.N)
-
     def equals(self, other: "Lattice") -> bool:
         a, b = _common_den(self, other)
         return spans_equal(a.mat, b.mat, self.p, self.N)
@@ -150,10 +146,6 @@ def plusminus_lattice(t: TowerDesc, n: int, sign: str, chi=None) -> Lattice:
     assert n >= 0
     gens = [plusminus_point_log(t, n, sign), plusminus_point_log(t, 0, "-")]
     return galois_span(t, gens, n, chi)
-
-
-def norm_subgroup(t: TowerDesc, n: int, sign: str, chi=None) -> Lattice:
-    return plusminus_lattice(t, n, sign, chi)
 
 
 def expected_norm_rank(p: int, d: int, n: int, trivial_chi: bool | None) -> int:

@@ -87,14 +87,6 @@ class ZpContext:
     def val(self, a: int) -> int:
         return val_int(a % self.q, self.p, self.N)
 
-    def unit_part(self, a: int) -> tuple[int, int]:
-        """a = p^e * u with u a unit (or (N, 0) for zero at precision)."""
-        a %= self.q
-        if a == 0:
-            return self.N, 0
-        e = self.val(a)
-        return e, (a // self.p**e) % self.q
-
     def inv(self, a: int) -> int:
         """Inverse of a unit mod p^N (Hensel lift of the mod-p inverse)."""
         a %= self.q

@@ -1,0 +1,160 @@
+"""Exact coefficient arithmetic: polynomial products over Z by Kronecker
+substitution, the reduction rules the rings of normtower need, and one
+extended gcd over F_p.
+
+A polynomial is a sequence of ints, lowest degree first. `mul` evaluates
+both factors at 2^k for a slot width k wide enough to hold every product
+coefficient, multiplies the two big ints once, and reads the coefficients
+back out of the slots (Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symb. Comput. 2009). Slots are whole
+bytes, so packing and unpacking go through int.to_bytes / int.from_bytes in
+linear time. Coefficients are signed: a factor is packed with every slot
+biased by half its range and the biases are taken off as one integer, and
+the product's slots are read back as balanced digits. The longer factor is
+cut into blocks as long as the shorter one, which bounds the size of the
+transient big ints.
+
+`mul_vec` multiplies polynomials whose coefficients are themselves
+length-d coefficient vectors (elements of O_k, of Z[F]/(F^d - 1), ...): each
+vector is laid out in 2d - 1 slots, so the inner products cannot overlap,
+and the result holds the unreduced inner products. The callers then apply
+their ring's reduction rule: `rem_monic` (a monic modulus), `fold_cyclic`
+(x^d - 1), `fold` (a table of rewrites of high powers, such as the
+cyclotomic relation of the tower) and `truncate` (series precision).
+"""
+
+from __future__ import annotations
+
+
+def _pack(a, s: int, half: int) -> int:
+    """sum a_i 2^(8 s i), for |a_i| < half = 2^(8s-1): each slot is packed
+    biased by half, and the biases are taken off again as one integer."""
+    raw = b"".join((x + half).to_bytes(s, "little") for x in a)
+    bias = int.from_bytes((b"\x00" * (s - 1) + b"\x80") * len(a), "little")
+    return int.from_bytes(raw, "little") - bias
+
+
+def mul(a, b) -> list[int]:
+    """The product of two polynomials over Z."""
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(b)
+    out = [0] * (len(a) + n - 1)
+    bound = max(map(abs, a)) * max(map(abs, b)) * n
+    if not bound:
+        return out
+    s = (bound.bit_length() + 8) // 8  # bytes per slot, so that bound < 2^(8s-1)
+    half, base = 1 << (8 * s - 1), 1 << (8 * s)
+    packed_b = _pack(b, s, half)
+    for j in range(0, len(a), n):
+        block = a[j:j + n]
+        m = len(block) + n - 1
+        # the product's slots hold signed values, so read them as balanced
+        # digits: a slot at or above half borrows one from the next slot
+        raw = memoryview((_pack(block, s, half) * packed_b).to_bytes(m * s, "little", signed=True))
+        borrow = 0
+        for i, k in enumerate(range(0, m * s, s), j):
+            c = int.from_bytes(raw[k:k + s], "little") + borrow
+            borrow = c >= half
+            out[i] += c - base if borrow else c
+    return out
+
+
+def mul_vec(a, b, d: int) -> list[list[int]]:
+    """The product of polynomials with length-d vector coefficients; entry e
+    of the result is the unreduced length-(2d - 1) product of the inner
+    polynomials summed over i + j = e."""
+    if not a or not b:
+        return []
+    w = 2 * d - 1
+    pad = [0] * (d - 1)
+
+    def spread(rows):
+        flat = []
+        for r in rows:
+            flat += r
+            flat += pad
+        return flat
+
+    c = mul(spread(a), spread(b))
+    return [c[i:i + w] for i in range(0, (len(a) + len(b) - 1) * w, w)]
+
+
+def divmod_monic(a, m) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by the monic m over Z; the remainder has
+    exactly deg(m) coefficients."""
+    n = len(m) - 1
+    assert n >= 0 and m[n] == 1, "modulus must be monic"
+    r = list(a)
+    quo = [0] * max(len(r) - n, 0)
+    terms = [(i, c) for i, c in enumerate(m[:n]) if c]
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r[k]
+        if c:
+            quo[k - n] = c
+            for i, mi in terms:
+                r[k - n + i] -= c * mi
+    return quo, truncate(r, n)
+
+
+def rem_monic(a, m) -> list[int]:
+    """a mod the monic m over Z, with exactly deg(m) coefficients."""
+    return divmod_monic(a, m)[1]
+
+
+def fold_cyclic(a, d: int) -> list[int]:
+    """a mod x^d - 1."""
+    out = truncate(a, d)
+    for i in range(d, len(a)):
+        out[i % d] += a[i]
+    return out
+
+
+def fold(a, n: int, rewrite) -> list[int]:
+    """a reduced below degree n, where rewrite(e) = ((i, c), ...) with i < n
+    expresses x^e = sum c x^i for every e >= n."""
+    out = truncate(a, n)
+    for e in range(n, len(a)):
+        c = a[e]
+        if c:
+            for i, s in rewrite(e):
+                out[i] += s * c
+    return out
+
+
+def truncate(a, n: int) -> list[int]:
+    """The first n coefficients of a, padded with zeros."""
+    out = list(a[:n])
+    out += [0] * (n - len(out))
+    return out
+
+
+def xgcd_fp(a, b, p: int) -> tuple[list[int], list[int], list[int]]:
+    """(g, s, t) over F_p with s a + t b = g, g the monic gcd of a and b;
+    all three are [] when a and b both vanish mod p."""
+
+    def trim(u):
+        u = [x % p for x in u]
+        while u and not u[-1]:
+            u.pop()
+        return u
+
+    def sub(u, v):
+        n = max(len(u), len(v))
+        return trim([x - y for x, y in zip(truncate(u, n), truncate(v, n))])
+
+    r0, s0, t0 = trim(a), [1], []
+    r1, s1, t1 = trim(b), [], [1]
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        quo, rem = divmod_monic(r0, [x * inv % p for x in r1])
+        quo = [x * inv % p for x in quo]
+        r0, r1 = r1, trim(rem)
+        s0, s1 = s1, sub(s0, mul(quo, s1))
+        t0, t1 = t1, sub(t0, mul(quo, t1))
+    if not r0:
+        return [], [], []
+    inv = pow(r0[-1], -1, p)
+    return tuple(trim([x * inv for x in u]) for u in (r0, s0, t0))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .padic import val_int
+from .polyarith import mul_vec
 from .unramified import FieldDesc
 
 
@@ -95,14 +95,6 @@ class TruncSeries:
                 break
         return x
 
-    def min_coeff_val(self) -> int:
-        """min over coefficients of p-valuation, capped at prec (integral side)."""
-        best = self.prec
-        for c in self.coeffs:
-            v = self.field.val(c, cap=self.prec)
-            best = min(best, v)
-        return best
-
     def coeff_val(self, j: int) -> float:
         """p-valuation of the j-th (true, de-denominated) coefficient."""
         if j > self.deg:
@@ -111,9 +103,6 @@ class TruncSeries:
         if v >= self.prec:
             return math.inf
         return v - self.den
-
-    def is_integral(self) -> bool:
-        return self.canonical().den == 0
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -137,14 +126,9 @@ class TruncSeries:
         deg = min(self.deg, other.deg)
         prec = min(self.prec, other.prec)
         q = self.field.p**prec
-        fz = self.field.zero()
-        out = [fz] * (deg + 1)
-        for i, ci in enumerate(self.coeffs[: deg + 1]):
-            if any(ci):
-                for j, cj in enumerate(other.coeffs[: deg + 1 - i]):
-                    if any(cj):
-                        out[i + j] = self.field.add(out[i + j], self.field.mul(ci, cj, q), q)
-        return TruncSeries(self.field, tuple(out), self.den + other.den, prec)
+        conv = mul_vec(self.coeffs[: deg + 1], other.coeffs[: deg + 1], self.field.d)
+        out = tuple(self.field.reduce(c, q) for c in conv[: deg + 1])
+        return TruncSeries(self.field, out, self.den + other.den, prec)
 
     def scale_int(self, c: int) -> "TruncSeries":
         q = self._q()
@@ -191,19 +175,18 @@ class TruncSeries:
         return acc
 
     def inverse_unit(self) -> "TruncSeries":
-        """1/self for a series with unit constant term (integral, den folded in)."""
+        """1/self for a series with unit constant term (integral, den folded in),
+        by Newton steps g <- g (2 - self g), each doubling the correct degree."""
         assert self.den == 0, "invert the canonical integral series"
         q = self._q()
-        c0inv = self.field.inv(self.coeffs[0], q)
-        out = [self.field.zero() for _ in range(self.deg + 1)]
-        out[0] = c0inv
-        for j in range(1, self.deg + 1):
-            s = self.field.zero()
-            for i in range(1, j + 1):
-                if i <= self.deg and any(self.coeffs[i]):
-                    s = self.field.add(s, self.field.mul(self.coeffs[i], out[j - i], q), q)
-            out[j] = self.field.neg(self.field.mul(c0inv, s, q), q)
-        return TruncSeries(self.field, tuple(out), 0, self.prec)
+        rest = (self.field.zero(),) * self.deg
+        g = TruncSeries(self.field, (self.field.inv(self.coeffs[0], q),) + rest, 0, self.prec)
+        two = TruncSeries(self.field, (self.field.from_int(2, q),) + rest, 0, self.prec)
+        good = 1
+        while good <= self.deg:
+            g = g * (two - self * g)
+            good *= 2
+        return g
 
     def reversion(self) -> "TruncSeries":
         """Compositional inverse of a series c1 X + O(X^2) with c1 a unit.

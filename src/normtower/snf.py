@@ -150,17 +150,6 @@ def smith_normal_form(A, p: int, N: int, margin: int = DEFAULT_MARGIN) -> SnfRes
                      margin=margin, _diag=A)
 
 
-def snf(A, p: int, N: int, margin: int = DEFAULT_MARGIN) -> SnfResult:
-    return smith_normal_form(A, p, N, margin)
-
-
-def rank_at_margin(A, p: int, N: int, margin: int = DEFAULT_MARGIN, strict: bool = False) -> int:
-    r = smith_normal_form(A, p, N, margin)
-    if strict and r.ambiguous():
-        raise PrecisionExhausted("SNF divisor inside precision margin; rerun at higher N")
-    return r.rank()
-
-
 def kernel_basis(A, p: int, N: int, margin: int = DEFAULT_MARGIN,
                  tolerant: bool = False) -> np.ndarray:
     """Columns spanning the Z_p-kernel of A (margin-aware).
@@ -211,10 +200,6 @@ def solve(A, b, p: int, N: int, margin: int = DEFAULT_MARGIN):
             return None
     x = (res.V @ z) % q
     return x
-
-
-def contains(A, b, p: int, N: int, margin: int = DEFAULT_MARGIN) -> bool:
-    return solve(A, b, p, N, margin) is not None
 
 
 def span_contains_all(A, B, p: int, N: int, margin: int = DEFAULT_MARGIN) -> bool:

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .polyarith import fold, mul_vec
 from .snf import _dtype_for
 from .unramified import FieldDesc, build_unramified
 
@@ -175,27 +176,13 @@ class TowerElt:
         assert self.level == other.level
         n = self.level
         t = self.tower
-        L = t.level_dim(n)
         prec = min(self.prec, other.prec)
-        q = self.p**prec
-        fa, fb = self.coords, other.coords
-        conv = [t.field.zero() for _ in range(2 * L - 1)]
-        for i in range(L):
-            ai = tuple(int(x) for x in fa[i])
-            if any(ai):
-                for j in range(L):
-                    bj = tuple(int(x) for x in fb[j])
-                    if any(bj):
-                        prod = t.field.mul(ai, bj, q)
-                        cur = conv[i + j]
-                        conv[i + j] = tuple((x + y) % q for x, y in zip(cur, prod))
-        out = np.zeros((L, t.d), dtype=object)
-        for e in range(2 * L - 1):
-            ce = conv[e]
-            if any(ce):
-                for idx, sgn in t._reduce_exp(n, e):
-                    for jj in range(t.d):
-                        out[idx, jj] = (out[idx, jj] + sgn * ce[jj]) % q
+        conv = mul_vec(self.coords.tolist(), other.coords.tolist(), t.d)
+        # eta-powers past the basis via Phi_{p^(n+1)}, one zeta-power at a time,
+        # then zeta-powers past the basis via zeta's modulus, one eta-power at a time
+        L = t.level_dim(n)
+        cols = [fold(c, L, lambda e: t._reduce_exp(n, e)) for c in zip(*conv)]
+        out = np.array([t.field.reduce(row, self.p**prec) for row in zip(*cols)], dtype=object)
         return TowerElt(t, n, out, self.den + other.den, prec)
 
     def scale_int(self, c: int) -> "TowerElt":
@@ -410,24 +397,8 @@ def check_g_iterate(t: TowerDesc, n: int, m: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Galois group enumeration and group-ring action helpers
+# group-ring action helpers
 # ---------------------------------------------------------------------------
-
-def galois_group(t: TowerDesc, n: int) -> list[tuple[int, int]]:
-    """All (u, f) for Gal(k_n / Q_p): f Frobenius power, u cyclotomic exponent."""
-    if n == -1:
-        return [(1, f) for f in range(t.d)]
-    pmod = t.p ** (n + 1)
-    return [(u, f) for f in range(t.d) for u in range(1, pmod) if u % t.p != 0]
-
-
-def galois_act(u: int, f: int, x: TowerElt) -> TowerElt:
-    return x.galois(u, f)
-
-
-def trace(x: TowerElt, m: int) -> TowerElt:
-    return x.trace_to(m)
-
 
 def apply_phi_plus_phi_inv(x: TowerElt) -> TowerElt:
     """(phi + phi^-1) acting coefficientwise (x at any level)."""

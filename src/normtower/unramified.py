@@ -5,17 +5,18 @@ residue field, normalized so that zeta^(p^d - 1) = 1 holds exactly mod p^N.
 Frobenius is then literally zeta -> zeta^p, a ring automorphism of order d.
 
 Elements are coordinate tuples of length d in the basis 1, zeta, ..., zeta^(d-1);
-the thin UnramifiedElt wrapper provides operators, while FieldDesc methods work
-on raw tuples (used by the series and tower layers).
+FieldDesc methods work on these raw tuples (the series and tower layers call
+them directly). Products go through the polyarith kernel and are reduced by
+the monic minimal polynomial of zeta.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .padic import ZpContext, factorize, is_prime, val_int
+from .polyarith import mul, rem_monic, xgcd_fp
 
 
 # ---------------------------------------------------------------------------
@@ -23,22 +24,7 @@ from .padic import ZpContext, factorize, is_prime, val_int
 # ---------------------------------------------------------------------------
 
 def _polymul_mod(a: list[int], b: list[int], modulus: list[int], q: int) -> list[int]:
-    d = len(modulus) - 1
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                conv[i + j] = (conv[i + j] + ai * bj) % q
-    # reduce by the monic modulus
-    for k in range(len(conv) - 1, d - 1, -1):
-        c = conv[k]
-        if c:
-            conv[k] = 0
-            for i in range(d):
-                conv[k - d + i] = (conv[k - d + i] - c * modulus[i]) % q
-    out = conv[:d]
-    out += [0] * (d - len(out))
-    return out
+    return [c % q for c in rem_monic(mul(a, b), modulus)]
 
 
 def _polypow_mod(a: list[int], e: int, modulus: list[int], q: int) -> list[int]:
@@ -51,30 +37,6 @@ def _polypow_mod(a: list[int], e: int, modulus: list[int], q: int) -> list[int]:
         base = _polymul_mod(base, base, modulus, q)
         e >>= 1
     return out
-
-
-def _poly_gcd_fp(a: list[int], b: list[int], p: int) -> list[int]:
-    a = [x % p for x in a]
-    b = [x % p for x in b]
-
-    def trim(u):
-        while u and u[-1] == 0:
-            u.pop()
-        return u
-
-    a, b = trim(a), trim(b)
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            c = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for i, bi in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * bi) % p
-            a = trim(a)
-            if not a:
-                break
-        a, b = b, a
-    return a
 
 
 def _is_irreducible_fp(h: list[int], p: int) -> bool:
@@ -91,8 +53,7 @@ def _is_irreducible_fp(h: list[int], p: int) -> bool:
     for ell in factorize(d):
         e = d // ell
         diff = [(powers[e][i] - xpoly[i]) % p for i in range(d)]
-        g = _poly_gcd_fp(diff, h, p)
-        if len(g) - 1 > 0:
+        if len(xgcd_fp(diff, h, p)[0]) > 1:
             return False
     return True
 
@@ -156,7 +117,6 @@ class FieldDesc:
     """Unramified degree-d extension of Z_p at working precision N.
 
     modulus: monic minimal polynomial of zeta (length d+1).
-    red_rows: coordinates of zeta^(d+k) for k = 0..d-2 in the power basis.
     frob_cols[k]: columns of the matrix of Frobenius^k (image of each basis power).
     """
 
@@ -164,7 +124,6 @@ class FieldDesc:
     d: int
     N: int
     modulus: tuple[int, ...]
-    red_rows: tuple[tuple[int, ...], ...]
     frob_cols: tuple[tuple[tuple[int, ...], ...], ...]
     q: int
 
@@ -202,22 +161,14 @@ class FieldDesc:
 
     def mul(self, a, b, q: int | None = None):
         q = q or self.q
-        d = self.d
-        if d == 1:
+        if self.d == 1:
             return ((a[0] * b[0]) % q,)
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        out = [c % q for c in conv[:d]]
-        for k in range(d - 1):
-            c = conv[d + k] % q
-            if c:
-                row = self.red_rows[k]
-                for i in range(d):
-                    out[i] = (out[i] + c * row[i]) % q
-        return tuple(out)
+        return self.reduce(mul(a, b), q)
+
+    def reduce(self, c, q: int | None = None):
+        """Coordinates of sum c_i zeta^i (any length) mod the minimal polynomial and q."""
+        q = q or self.q
+        return tuple(x % q for x in rem_monic(c, self.modulus))
 
     def pow(self, a, e: int, q: int | None = None):
         q = q or self.q
@@ -281,76 +232,6 @@ class FieldDesc:
         return tuple(x // pk for x in a)
 
 
-class UnramifiedElt:
-    """Convenience wrapper: an element of O_k with operator overloads."""
-
-    __slots__ = ("coords", "field")
-
-    def __init__(self, coords, field: FieldDesc):
-        self.coords = tuple(c % field.q for c in coords)
-        self.field = field
-
-    def __add__(self, other):
-        return UnramifiedElt(self.field.add(self.coords, _c(other, self.field)), self.field)
-
-    def __sub__(self, other):
-        return UnramifiedElt(self.field.sub(self.coords, _c(other, self.field)), self.field)
-
-    def __mul__(self, other):
-        return UnramifiedElt(self.field.mul(self.coords, _c(other, self.field)), self.field)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return UnramifiedElt(self.field.sub(_c(other, self.field), self.coords), self.field)
-
-    def __neg__(self):
-        return UnramifiedElt(self.field.neg(self.coords), self.field)
-
-    def __pow__(self, e: int):
-        return UnramifiedElt(self.field.pow(self.coords, e), self.field)
-
-    def __eq__(self, other):
-        if isinstance(other, UnramifiedElt):
-            return self.coords == other.coords
-        return self.coords == _c(other, self.field)
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return f"UnramifiedElt{self.coords}"
-
-    def frobenius(self, k: int = 1) -> "UnramifiedElt":
-        return UnramifiedElt(self.field.frob(self.coords, k), self.field)
-
-    def valuation(self):
-        """p-adic valuation; math.inf when zero at this precision."""
-        if self.field.is_zero(self.coords):
-            return math.inf
-        return self.field.val(self.coords)
-
-    def inverse(self) -> "UnramifiedElt":
-        return UnramifiedElt(self.field.inv(self.coords), self.field)
-
-
-def _c(x, field: FieldDesc):
-    if isinstance(x, UnramifiedElt):
-        return x.coords
-    if isinstance(x, int):
-        return field.from_int(x)
-    return tuple(x)
-
-
-def frobenius(x: UnramifiedElt, power: int = 1) -> UnramifiedElt:
-    return x.frobenius(power)
-
-
-def valuation(x: UnramifiedElt):
-    return x.valuation()
-
-
 @lru_cache(maxsize=None)
 def build_unramified(p: int, d: int, N: int) -> FieldDesc:
     """Construct O_k = Z_p[zeta] with zeta a Teichmuller generator, exact mod p^N.
@@ -373,7 +254,6 @@ def build_unramified(p: int, d: int, N: int) -> FieldDesc:
         fd = FieldDesc(
             p=p, d=1, N=N, q=q,
             modulus=((-zeta0) % q, 1),
-            red_rows=(),
             frob_cols=(((1,),),),
         )
         _check_field(fd)
@@ -393,7 +273,7 @@ def build_unramified(p: int, d: int, N: int) -> FieldDesc:
 
     # powers of zeta in the x-basis, then change basis so that zeta is the generator
     pows = [[1] + [0] * (d - 1)]
-    for _ in range(2 * d - 1):
+    for _ in range(d):
         pows.append(_polymul_mod(pows[-1], zeta_x, lift, q))
     C = [[pows[j][i] for j in range(d)] for i in range(d)]  # columns zeta^j
     Cinv = _mat_inv_modq(C, p, q)
@@ -401,7 +281,6 @@ def build_unramified(p: int, d: int, N: int) -> FieldDesc:
     def to_zeta_basis(vec_x: list[int]) -> tuple[int, ...]:
         return tuple(sum(Cinv[i][j] * vec_x[j] for j in range(d)) % q for i in range(d))
 
-    red_rows = tuple(to_zeta_basis(pows[d + k]) for k in range(d - 1))
     zd = to_zeta_basis(pows[d])
     modulus = tuple((-zd[i]) % q for i in range(d)) + (1,)
 
@@ -414,8 +293,7 @@ def build_unramified(p: int, d: int, N: int) -> FieldDesc:
             img_x = [1] + [0] * (d - 1) if i == 0 else _polypow_mod(zeta_x, e, lift, q)
             cols.append(to_zeta_basis(img_x))
         frob_all.append(tuple(cols))
-    fd = FieldDesc(p=p, d=d, N=N, q=q, modulus=modulus,
-                   red_rows=red_rows, frob_cols=tuple(frob_all))
+    fd = FieldDesc(p=p, d=d, N=N, q=q, modulus=modulus, frob_cols=tuple(frob_all))
     _check_field(fd)
     return fd
 

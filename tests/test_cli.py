@@ -83,6 +83,29 @@ def test_table_formats(tmp_path, capsys):
     assert doc["schema_version"] == 1
 
 
+def test_table_reprints_the_emitted_tables_byte_for_byte(tmp_path, capsysbinary):
+    out = tmp_path / "rep"
+    cfg = write_cfg(tmp_path, {**BASE, "checks": ["trace", "torsion"]})
+    main(["verify", "--config", str(cfg), "--out", str(out)])
+    capsysbinary.readouterr()
+    for fmt in ("csv", "json"):
+        assert main(["table", "--report", str(out / "report.json"), "--format", fmt]) == 0
+        assert capsysbinary.readouterr().out == (out / f"table.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("doc", [
+    {"schema_version": 1},
+    {"schema_version": 1, "records": [{"p": 3}]},
+    {"schema_version": 1, "records": [7]},
+    [],
+])
+def test_table_rejects_malformed_report(tmp_path, capsys, doc):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc))
+    assert main(["table", "--report", str(report), "--format", "csv"]) == 2
+    assert "report error" in capsys.readouterr().err
+
+
 def test_report_json_structure(tmp_path):
     out = tmp_path / "rep"
     cfg = write_cfg(tmp_path, {**BASE})

@@ -1,0 +1,251 @@
+"""Differential tests: the Kronecker kernel and every product routed through
+it against schoolbook references kept in this file."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from normtower.groupring import GroupRing
+from normtower.lambda_modules import grp_mul, grp_reduce
+from normtower.polyarith import (
+    divmod_monic,
+    fold,
+    fold_cyclic,
+    mul,
+    mul_vec,
+    rem_monic,
+    truncate,
+    xgcd_fp,
+)
+from normtower.series import TruncSeries
+from normtower.tower import TowerElt, build_tower
+from normtower.unramified import build_unramified
+
+# -- schoolbook references ----------------------------------------------------
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def ref_rem(a, m):
+    """Long division by a monic m over Z; remainder with deg(m) coefficients."""
+    n = len(m) - 1
+    r = list(a) + [0] * max(n - len(a), 0)
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r[k]
+        for i in range(n + 1):
+            r[k - n + i] -= c * m[i]
+    return r[:n]
+
+
+def ref_cyclic(a, b, d):
+    out = [0] * d
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % d] += x * y
+    return out
+
+
+def ref_field_mul(fd, a, b, q):
+    return tuple(x % q for x in ref_rem(ref_mul(list(a), list(b)), fd.modulus))
+
+
+def phi_coeffs(p, n):
+    """Phi_{p^(n+1)}(x) = sum_{i<p} x^(i p^n)."""
+    c = [0] * ((p - 1) * p**n + 1)
+    for i in range(p):
+        c[i * p**n] = 1
+    return c
+
+
+ints = st.integers(-(2**70), 2**70)
+polys = st.lists(ints, max_size=10)
+
+# -- the kernel ---------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=200)
+@given(polys, polys)
+def test_mul_matches_schoolbook_on_signed_inputs(a, b):
+    assert mul(a, b) == ref_mul(a, b)
+
+
+def test_mul_edge_cases():
+    assert mul([], [1, 2]) == [] and mul([3], []) == []
+    assert mul([0, 0], [0, 0, 0]) == [0, 0, 0, 0]
+    assert mul([-5], [7]) == [-35]
+    assert mul([1], [0, -1, 2]) == [0, -1, 2]
+    half = 1 << 63   # a coefficient that fills a slot to its sign bit
+    assert mul([half - 1, -(half - 1)], [1, 1]) == [half - 1, 0, -(half - 1)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.integers(-(2**3000), 2**3000), min_size=1, max_size=6),
+       st.lists(st.integers(-(2**3000), 2**3000), min_size=1, max_size=6))
+def test_mul_with_3000_bit_coefficients(a, b):
+    assert mul(a, b) == ref_mul(a, b)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(ints, min_size=1, max_size=4), st.lists(ints, min_size=5, max_size=40))
+def test_mul_blocked_path_for_unequal_lengths(a, b):
+    assert mul(a, b) == ref_mul(a, b)
+    assert mul(b, a) == ref_mul(a, b)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 4), st.data())
+def test_mul_vec_matches_schoolbook(d, data):
+    rows = st.lists(st.lists(ints, min_size=d, max_size=d), max_size=6)
+    a, b = data.draw(rows), data.draw(rows)
+    expect = [[0] * (2 * d - 1) for _ in range(len(a) + len(b) - 1 if a and b else 0)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            for k, c in enumerate(ref_mul(x, y)):
+                expect[i + j][k] += c
+    assert mul_vec(a, b, d) == expect
+
+
+@settings(deadline=None, max_examples=150)
+@given(polys, st.lists(ints, max_size=5))
+def test_monic_reduction(a, low):
+    m = low + [1]
+    quo, rem = divmod_monic(a, m)
+    assert rem == ref_rem(a, m) == rem_monic(a, m)
+    assert len(rem) == len(m) - 1
+    back = ref_mul(quo, m) + [0] * len(a)
+    assert [x + y for x, y in zip(back, truncate(rem, len(back)))][: len(a)] == truncate(a, len(a))
+
+
+@settings(deadline=None, max_examples=100)
+@given(polys, st.integers(1, 6))
+def test_cyclic_fold(a, d):
+    assert fold_cyclic(a, d) == ref_rem(a, [-1] + [0] * (d - 1) + [1])
+
+
+@pytest.mark.parametrize("p,n", [(3, 0), (3, 2), (5, 1)])
+def test_fold_by_the_tower_rewrite_table_is_reduction_mod_phi(p, n):
+    t = build_tower(p, 1, n, 4)
+    L = t.level_dim(n)
+    rng = np.random.default_rng(p + n)
+    for _ in range(5):
+        a = [int(x) for x in rng.integers(-50, 50, size=2 * L - 1)]
+        assert fold(a, L, lambda e: t._reduce_exp(n, e)) == ref_rem(a, phi_coeffs(p, n))
+
+
+def test_truncate_cuts_and_pads():
+    assert truncate([1, 2, 3], 2) == [1, 2]
+    assert truncate((1,), 3) == [1, 0, 0]
+    assert truncate([], 0) == []
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([3, 5, 7]), st.lists(st.integers(0, 6), max_size=8),
+       st.lists(st.integers(0, 6), max_size=8))
+def test_xgcd_bezout_identity(p, a, b):
+    g, s, t = xgcd_fp(a, b, p)
+    if not any(x % p for x in a + b):
+        assert (g, s, t) == ([], [], [])
+        return
+    assert g[-1] == 1
+    sa, tb = ref_mul(s, a), ref_mul(t, b)
+    n = max(len(sa), len(tb), len(g))
+    combo = [(x + y) % p for x, y in zip(truncate(sa, n), truncate(tb, n))]
+    assert combo == truncate(g, n)
+    for f in (a, b):   # g divides both
+        assert not any(x % p for x in ref_rem(f, g))
+
+
+# -- the rewritten ring products ----------------------------------------------
+
+FIELDS = [(p, d) for p in (3, 5) for d in (1, 2, 4)]
+
+
+def coords(data, n, q):
+    return tuple(data.draw(st.integers(0, q - 1)) for _ in range(n))
+
+
+@pytest.mark.parametrize("p,d", FIELDS)
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_field_mul(p, d, data):
+    fd = build_unramified(p, d, 6)
+    a, b = coords(data, d, fd.q), coords(data, d, fd.q)
+    q = p ** data.draw(st.integers(1, 6))
+    assert fd.mul(a, b, q) == ref_field_mul(fd, a, b, q)
+
+
+@pytest.mark.parametrize("p,d", FIELDS)
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_tower_mul(p, d, data):
+    n = 1 if p == 3 else 0
+    t = build_tower(p, d, n, 5)
+    L, q = t.level_dim(n), t.q
+    a = [coords(data, d, q) for _ in range(L)]
+    b = [coords(data, d, q) for _ in range(L)]
+    conv = [[0] * (2 * d - 1) for _ in range(2 * L - 1)]
+    for i in range(L):
+        for j in range(L):
+            for k, c in enumerate(ref_mul(a[i], b[j])):
+                conv[i + j][k] += c
+    rows = [ref_rem(r, t.field.modulus) for r in conv]
+    cols = [ref_rem(list(c), phi_coeffs(p, n)) for c in zip(*rows)]
+    expect = [[x % q for x in r] for r in zip(*cols)]
+    got = TowerElt(t, n, np.array(a, dtype=object)) * TowerElt(t, n, np.array(b, dtype=object))
+    assert got.coords.tolist() == expect
+
+
+@pytest.mark.parametrize("p,d", FIELDS)
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_series_mul(p, d, data):
+    fd = build_unramified(p, d, 8)
+    deg_a, deg_b = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    pa, pb = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    a = TruncSeries(fd, tuple(coords(data, d, p**pa) for _ in range(deg_a + 1)), 1, pa)
+    b = TruncSeries(fd, tuple(coords(data, d, p**pb) for _ in range(deg_b + 1)), 2, pb)
+    deg, q = min(deg_a, deg_b), p ** min(pa, pb)
+    expect = [fd.zero()] * (deg + 1)
+    for i in range(deg + 1):
+        for j in range(deg + 1 - i):
+            prod = ref_field_mul(fd, a.coeffs[i], b.coeffs[j], q)
+            expect[i + j] = tuple((x + y) % q for x, y in zip(expect[i + j], prod))
+    got = a * b
+    assert got.coeffs == tuple(expect)
+    assert (got.den, got.prec) == (3, min(pa, pb))
+
+
+@pytest.mark.parametrize("p,d", FIELDS)
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_group_ring_mul(p, d, data):
+    ring = GroupRing(d, p, 5)
+    a, b = coords(data, d, ring.q), coords(data, d, ring.q)
+    assert ring.mul(a, b) == tuple(x % ring.q for x in ref_cyclic(a, b, d))
+
+
+@pytest.mark.parametrize("p,d", FIELDS)
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_grp_mul_and_reduce(p, d, data):
+    elt = st.tuples(*[st.integers(-p, p)] * d)
+    f = tuple(data.draw(st.lists(elt, min_size=1, max_size=6)))
+    g = tuple(data.draw(st.lists(elt, min_size=1, max_size=6)))
+    expect = [[0] * d for _ in range(len(f) + len(g) - 1)]
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            expect[i + j] = [u + v for u, v in zip(expect[i + j], ref_cyclic(x, y, d))]
+    assert grp_mul(f, g) == tuple(map(tuple, expect))
+    cap_ints = data.draw(st.lists(st.integers(-p, p), max_size=4)) + [1]
+    cap = tuple((c,) + (0,) * (d - 1) for c in cap_ints)
+    comps = [ref_rem([c[k] for c in f], cap_ints) for k in range(d)]
+    expect_red = tuple(zip(*comps)) if len(cap_ints) > 1 else ((0,) * d,)
+    assert grp_reduce(f, cap) == expect_red
