@@ -45,7 +45,7 @@ from .localpoints import InsufficientDegree, LocalPoint, local_point_direct, loc
 from .padic import PrecisionExhausted, ZpContext, teichmuller
 from .points import epsilon_log, point_log, verify_trace_relations
 from .series import TruncSeries
-from .snf import SnfResult, smith_normal_form
+from .snf import SnfResult, smith_divisors, smith_normal_form
 from .tower import TowerDesc, TowerElt, build_tower, check_g_iterate, uniformizer
 from .unramified import FieldDesc, build_unramified
 
@@ -63,7 +63,7 @@ __all__ = [
     "InsufficientDegree", "LocalPoint", "local_point_direct", "local_point_log",
     "PrecisionExhausted", "ZpContext", "teichmuller",
     "epsilon_log", "point_log", "verify_trace_relations",
-    "TruncSeries", "SnfResult", "smith_normal_form",
+    "TruncSeries", "SnfResult", "smith_divisors", "smith_normal_form",
     "TowerDesc", "TowerElt", "build_tower", "check_g_iterate", "uniformizer",
     "FieldDesc", "build_unramified",
 ]

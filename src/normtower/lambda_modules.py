@@ -26,10 +26,13 @@ from .groupring import GroupRing, omega_family, phi_plus_phi_inv, q_values
 from .padic import PrecisionExhausted
 from .polyarith import fold_cyclic, mul_vec, rem_monic
 from .snf import (
+    DEFAULT_MARGIN,
+    PRECISION_BUMP,
     as_matrix,
     kernel_basis,
     quotient_invariants,
-    smith_normal_form,
+    smith_divisors,
+    smith_normal_form,  # noqa: F401  (perfbench's tracer test looks it up here)
     span_canonical,
     stack_cols,
 )
@@ -320,8 +323,8 @@ def flatten(pres: Presentation, N: int) -> FlatModule:
     Wc = span_canonical(W, p, N)
     # closure certificate: one more X- and F-batch must not grow the span
     grown = stack_cols(Wc, (X @ Wc) % q, (F @ Wc) % q)
-    s1 = smith_normal_form(Wc, p, N)
-    s2 = smith_normal_form(grown, p, N)
+    s1 = smith_divisors(Wc, p, N)
+    s2 = smith_divisors(grown, p, N)
     if sorted(e for e in s1.divisors if e < N) != sorted(e for e in s2.divisors if e < N):
         raise ArithmeticError("relation span not closed within the translate bound")
     fm.relmat = Wc
@@ -333,18 +336,19 @@ def module_report(pres: Presentation, N: int, tolerant: bool = False) -> dict:
     fm = flatten(pres, N)
     if fm.dim == 0:
         return {"rank": 0, "torsion": [], "dim": 0, "ambiguous": False}
-    rank, torsion, res = quotient_invariants(fm.dim, fm.relmat, fm.p, N)
-    if res.ambiguous() and not tolerant:
+    rank, torsion, ambiguous = quotient_invariants(fm.dim, fm.relmat, fm.p, N)
+    if ambiguous and not tolerant:
         raise PrecisionExhausted("module invariants inside precision margin")
     return {"rank": rank, "torsion": torsion, "dim": fm.dim,
-            "ambiguous": res.ambiguous()}
+            "ambiguous": ambiguous}
 
 
 # ---------------------------------------------------------------------------
 # X-kernel invariants and the freeness / finite-submodule predicates
 # ---------------------------------------------------------------------------
 
-def _drop_null_columns(M: np.ndarray, p: int, N: int, margin: int = 2) -> np.ndarray:
+def _drop_null_columns(M: np.ndarray, p: int, N: int,
+                       margin: int = DEFAULT_MARGIN) -> np.ndarray:
     """Drop columns that are zero at precision (content >= N - margin): they
     generate or impose nothing resolvable at the margin."""
     if M.size == 0:
@@ -368,8 +372,8 @@ def _subquotient_structure(K: np.ndarray, R: np.ndarray, p: int, N: int,
     stacked = stack_cols(K, R) if R.size else K
     ker = kernel_basis(stacked, p, N, tolerant=tolerant)
     C = ker[:t] if ker.size else np.zeros((t, 0), dtype=object)
-    rank, torsion, res = quotient_invariants(t, as_matrix(C, p**N), p, N)
-    if res.ambiguous() and not tolerant:
+    rank, torsion, ambiguous = quotient_invariants(t, as_matrix(C, p**N), p, N)
+    if ambiguous and not tolerant:
         raise PrecisionExhausted("subquotient structure inside precision margin")
     return rank, torsion
 
@@ -440,19 +444,19 @@ def freeness_test(pres: Presentation, N: int, ladder: int = 3) -> dict:
     Z_p-free.
 
     Margin-ambiguous internals are clamped tolerantly and the whole answer is
-    certified by agreement at two working precisions (N, N+4); disagreement
-    bumps the pair and retries."""
+    certified by agreement at two working precisions (N, N + PRECISION_BUMP);
+    disagreement bumps the pair and retries."""
     last = None
     for k in range(ladder):
-        N0 = N + 4 * k
+        N0 = N + PRECISION_BUMP * k
         try:
             a = _freeness_once(pres, N0)
-            b = _freeness_once(pres, N0 + 4)
+            b = _freeness_once(pres, N0 + PRECISION_BUMP)
         except PrecisionExhausted as e:
             last = e
             continue
         if a == b:
-            return {**a, "certified_at": (N0, N0 + 4)}
+            return {**a, "certified_at": (N0, N0 + PRECISION_BUMP)}
         last = PrecisionExhausted(f"freeness predicates unstable at N={N0}: {a} vs {b}")
     raise last or PrecisionExhausted("freeness ladder exhausted")
 
@@ -696,7 +700,7 @@ def _kernel_instance(rng, p, d, N, deg_bound) -> dict:
                 rot.extend(_gr_rot(comp[0], a, d))
             cols.append(np.array(rot, dtype=object) % q)
     img = as_matrix(np.array(cols, dtype=object).T, q)
-    res = smith_normal_form(img, p, N)
+    res = smith_divisors(img, p, N)
     if res.ambiguous():
         raise PrecisionExhausted("kernel image rank inside precision margin")
     rio = res.rank()
@@ -750,7 +754,7 @@ def kernel_freeness_property(trials: int, seed: int, p: int = 3, d_max: int = 2,
         # window torsion and random coefficient content have N-independent
         # divisors, so raising the precision always clears the margin band
         last = None
-        for Nx in (N, N + 4, N + 8, N + 12):
+        for Nx in (N + PRECISION_BUMP * k for k in range(4)):
             try:
                 return maker(Nx)
             except PrecisionExhausted as e:

@@ -4,7 +4,8 @@ sequence, cyclicity, and the maximal-ideal generation lemma.
 
 A Lattice is a coordinate matrix (ambient dimension x generators) at a common
 denominator exponent; ranks come from Smith normal form with the precision
-margin, and any ambiguous decision is retried once at N + 4 before giving up.
+margin, and any ambiguous decision is retried once at N + PRECISION_BUMP
+before giving up.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .snf import (
     PRECISION_BUMP,
     as_matrix,
     kernel_basis,
-    smith_normal_form,
+    smith_divisors,
+    smith_normal_form,  # noqa: F401  (perfbench's tracer test looks it up here)
     span_contains_all,
     spans_equal,
     stack_cols,
@@ -45,13 +47,13 @@ class Lattice:
         return self.tower.N
 
     def rank(self, strict: bool = True) -> int:
-        res = smith_normal_form(self.mat, self.p, self.N)
+        res = smith_divisors(self.mat, self.p, self.N)
         if strict and res.ambiguous():
             raise PrecisionExhausted("lattice rank inside precision margin")
         return res.rank()
 
     def divisor_valuations(self) -> list[int]:
-        return smith_normal_form(self.mat, self.p, self.N).divisors
+        return smith_divisors(self.mat, self.p, self.N).divisors
 
     def equals(self, other: "Lattice") -> bool:
         a, b = _common_den(self, other)
@@ -307,7 +309,7 @@ def log_image_vs_maximal_ideal(t: TowerDesc, n: int) -> dict:
 def with_precision_retry(p: int, d: int, n_max: int, N: int,
                          fn: Callable[[TowerDesc], object]):
     """Run fn on a tower at N; on a margin-ambiguous decision rerun once at
-    N + 4 (stabilization discipline)."""
+    N + PRECISION_BUMP (stabilization discipline)."""
     try:
         return fn(build_tower(p, d, n_max, N))
     except PrecisionExhausted:

@@ -1,13 +1,29 @@
 """Smith normal form and linear algebra over Z_p at precision p^N.
 
 Z_p at finite precision is the local ring Z/p^N: every matrix is equivalent
-to diag(p^e1, ..., p^er, 0, ...) with e1 <= e2 <= ... (pivoting on the entry
-of minimal valuation, normalizing its unit part). A diagonal valuation e is
-only meaningful while e < N - margin; anything in [N - margin, N) is an
+to diag(p^e1, ..., p^er, 0, ...) with e1 <= e2 <= ... . A diagonal valuation
+e is only meaningful while e < N - margin; anything in [N - margin, N) is an
 ambiguous "zero at precision" and callers re-run at higher precision.
 
-Matrices are numpy arrays, dtype int64 when p^N is small enough that products
-cannot overflow, otherwise dtype object (exact Python ints).
+One elimination core, `_eliminate`, computes the form in place. Each pivot is
+the first entry, in row-major order, of minimal valuation e in the trailing
+block; its unit part is normalized away and the rows below it are cleared.
+Elementary operations never lower the minimal valuation of the trailing
+block, so the pivot search is incremental: e is kept from one pivot to the
+next, the pivot is the first entry not divisible by p^(e+1), and e is raised
+only when there is none. After the rows below the pivot are cleared, the
+column operations can change only the pivot row, so they reduce to setting
+it to zero.
+
+The core has two entries:
+- `smith_normal_form` records the row operations in U and the column
+  operations in V, for callers that solve, test membership or take kernels;
+- `smith_divisors` builds neither and makes no column operations, for
+  callers that read only ranks and divisors; its result has U = V = None.
+
+Matrices are numpy arrays, dtype int64 when p^N and the matrix dimension are
+small enough that no product of two reduced matrices can overflow, otherwise
+dtype object (exact Python ints).
 """
 
 from __future__ import annotations
@@ -20,44 +36,34 @@ from .padic import PrecisionExhausted
 
 DEFAULT_MARGIN = 2
 PRECISION_BUMP = 4
-_INT64_SAFE = 1 << 25  # (p^N)^2 * dim stays well inside int64
+_INT64_SAFE = 1 << 25  # int64 only below this p^N, whatever the dimension
 
 
-def _dtype_for(q: int):
-    return np.int64 if q < _INT64_SAFE else object
+def _dtype_for(q: int, dim: int):
+    """int64 when a product of two matrices reduced mod q, with inner
+    dimension dim, stays exact: dim * (q - 1)^2 < 2^63."""
+    if q < _INT64_SAFE and dim * (q - 1) ** 2 < 1 << 63:
+        return np.int64
+    return object
 
 
 def as_matrix(rows, q: int) -> np.ndarray:
-    A = np.array(rows, dtype=_dtype_for(q))
+    A = np.array(rows, dtype=_dtype_for(q, max(np.shape(rows), default=0)))
     if A.ndim == 1:
         A = A.reshape(1, -1)
     return A % q
 
 
-def _val_array(A: np.ndarray, p: int, N: int) -> np.ndarray:
-    """Entrywise p-adic valuation, capped at N."""
-    v = np.full(A.shape, N, dtype=np.int64)
-    rem = A.copy()
-    mask = rem != 0
-    v[mask] = 0
-    e = 0
-    while e < N and mask.any():
-        mask = mask & (rem % p == 0)
-        rem = np.where(mask, rem // p, rem)
-        v[mask] += 1
-        e += 1
-    return v
-
-
 @dataclass
 class SnfResult:
-    """U @ A @ V = diag(p^e_i) mod p^N, U and V unimodular."""
+    """U @ A @ V = diag(p^e_i) mod p^N, U and V unimodular (None when only
+    the divisors were computed)."""
 
     p: int
     N: int
     divisors: list[int]          # valuations e_1 <= ... <= e_min(m,n); N means zero
-    U: np.ndarray
-    V: np.ndarray
+    U: np.ndarray | None
+    V: np.ndarray | None
     shape: tuple[int, int]
     margin: int = DEFAULT_MARGIN
     _diag: np.ndarray | None = field(default=None, repr=False)
@@ -102,52 +108,73 @@ def _det_is_unit(M: np.ndarray, p: int) -> bool:
     return True
 
 
-def smith_normal_form(A, p: int, N: int, margin: int = DEFAULT_MARGIN) -> SnfResult:
+def _eliminate(A: np.ndarray, p: int, N: int,
+               U: np.ndarray | None = None, V: np.ndarray | None = None) -> list[int]:
+    """Reduce A (m x n, entries in [0, p^N)) in place; return its divisor
+    valuations, N meaning zero at precision.
+
+    Row operations are applied to U and column operations to V when given.
+    Without V the column operations are skipped: they would change only the
+    pivot row, which no later pivot reads, so A is left diagonal only when V
+    is given."""
     q = p**N
-    A = as_matrix(A, q)
     m, n = A.shape
-    dt = _dtype_for(q)
-    U = np.eye(m, dtype=dt) if dt is np.int64 else np.eye(m, dtype=np.int64).astype(object)
-    V = np.eye(n, dtype=dt) if dt is np.int64 else np.eye(n, dtype=np.int64).astype(object)
     divisors: list[int] = []
+    e, pe = 0, 1
     for s in range(min(m, n)):
-        sub = A[s:, s:]
-        if not (sub % q).any():
+        while e < N:
+            hit = (A[s:, s:] % (pe * p)).ravel() != 0
+            k = int(hit.argmax())
+            if hit[k]:
+                break
+            e, pe = e + 1, pe * p
+        else:  # the trailing block is zero at precision
             break
-        vals = _val_array(sub % q, p, N)
-        e = int(vals.min())
-        if e >= N:
-            break
-        i, j = map(int, np.argwhere(vals == e)[0])
-        i += s
-        j += s
+        i, j = divmod(k, n - s)
+        i, j = i + s, j + s
         if i != s:
-            A[[s, i]] = A[[i, s]]
-            U[[s, i]] = U[[i, s]]
+            A[[s, i], s:] = A[[i, s], s:]
+            if U is not None:
+                U[[s, i]] = U[[i, s]]
         if j != s:
-            A[:, [s, j]] = A[:, [j, s]]
-            V[:, [s, j]] = V[:, [j, s]]
-        pe = p**e
-        unit = int(A[s, s]) // pe
-        uinv = pow(unit % q, -1, q)
-        A[s] = A[s] * uinv % q
-        U[s] = U[s] * uinv % q
+            A[s:, [s, j]] = A[s:, [j, s]]
+            if V is not None:
+                V[:, [s, j]] = V[:, [j, s]]
+        uinv = pow(int(A[s, s]) // pe, -1, q)
+        A[s, s:] = A[s, s:] * uinv % q
+        if U is not None:
+            U[s] = U[s] * uinv % q
         # entries below/right share valuation >= e, so they divide exactly
-        col = A[s + 1:, s]
-        if col.any():
-            c = col // pe
-            A[s + 1:] = (A[s + 1:] - np.outer(c, A[s])) % q
-            U[s + 1:] = (U[s + 1:] - np.outer(c, U[s])) % q
-        row = A[s, s + 1:]
-        if row.any():
-            c = row // pe
-            A[:, s + 1:] = (A[:, s + 1:] - np.outer(A[:, s], c)) % q
-            V[:, s + 1:] = (V[:, s + 1:] - np.outer(V[:, s], c)) % q
+        c = A[s + 1:, s] // pe
+        if c.any():
+            A[s + 1:, s:] = (A[s + 1:, s:] - np.outer(c, A[s, s:])) % q
+            if U is not None:
+                U[s + 1:] = (U[s + 1:] - np.outer(c, U[s])) % q
+        if V is not None:
+            c = A[s, s + 1:] // pe
+            if c.any():
+                V[:, s + 1:] = (V[:, s + 1:] - np.outer(V[:, s], c)) % q
+                A[s, s + 1:] = 0
         divisors.append(e)
-    while len(divisors) < min(m, n):
-        divisors.append(N)
+    return divisors + [N] * (min(m, n) - len(divisors))
+
+
+def smith_normal_form(A, p: int, N: int, margin: int = DEFAULT_MARGIN) -> SnfResult:
+    """Divisors with the transforms: U @ A @ V = diag(p^e_i) mod p^N."""
+    A = as_matrix(A, p**N)
+    m, n = A.shape
+    U = np.eye(m, dtype=np.int64).astype(A.dtype)
+    V = np.eye(n, dtype=np.int64).astype(A.dtype)
+    divisors = _eliminate(A, p, N, U, V)
     return SnfResult(p=p, N=N, divisors=divisors, U=U, V=V, shape=(m, n),
                      margin=margin, _diag=A)
+
+
+def smith_divisors(A, p: int, N: int, margin: int = DEFAULT_MARGIN) -> SnfResult:
+    """Divisors only, for callers that read ranks and torsion: U = V = None."""
+    A = as_matrix(A, p**N)
+    return SnfResult(p=p, N=N, divisors=_eliminate(A, p, N), U=None, V=None,
+                     shape=A.shape, margin=margin)
 
 
 def kernel_basis(A, p: int, N: int, margin: int = DEFAULT_MARGIN,
@@ -246,15 +273,13 @@ def span_canonical(A, p: int, N: int, margin: int = DEFAULT_MARGIN) -> np.ndarra
 
 
 def quotient_invariants(D_ambient: int, W, p: int, N: int,
-                        margin: int = DEFAULT_MARGIN) -> tuple[int, list[int], SnfResult]:
-    """(free rank, torsion divisor valuations) of Z_p^D / column-span(W)."""
+                        margin: int = DEFAULT_MARGIN) -> tuple[int, list[int], bool]:
+    """(free rank, torsion divisor valuations, ambiguous) of
+    Z_p^D / column-span(W)."""
     if W.shape[1] == 0:
-        return D_ambient, [], smith_normal_form(np.zeros((D_ambient, 1), dtype=np.int64), p, N, margin)
-    res = smith_normal_form(W, p, N, margin)
-    finite = [e for e in res.divisors if e < N - margin]
-    rank = D_ambient - len(finite)
-    torsion = sorted(e for e in finite if e > 0)
-    return rank, torsion, res
+        return D_ambient, [], False
+    res = smith_divisors(W, p, N, margin)
+    return D_ambient - res.rank(), res.torsion(), res.ambiguous()
 
 
 def stack_cols(*mats) -> np.ndarray:

@@ -93,7 +93,7 @@ class TowerDesc:
         k %= self.d
         cols = self.field.frob_cols[k]
         M = np.array([[cols[i][j] for i in range(self.d)] for j in range(self.d)],
-                     dtype=_dtype_for(self.q))
+                     dtype=_dtype_for(self.q, self.d))
         return M  # M[j, i] = j-th coord of frob(e_i); apply as coords @ M.T
 
     def gamma_exponent(self, n: int) -> int:

@@ -20,6 +20,7 @@ from normtower.lambda_modules import (
     rank_lambda,
     supplementary_structure_check,
 )
+from normtower.padic import PrecisionExhausted
 
 N = 8
 
@@ -79,6 +80,21 @@ def test_coinvariants_monotone_and_trivial_case():
 def test_module_report_requires_caps():
     with pytest.raises(NotZpFinite):
         module_report(free_presentation(3, 1, 1), N)
+
+
+@pytest.mark.parametrize("k,raises", [(N - 3, False), (N - 2, True), (N - 1, True)])
+def test_module_report_margin(k, raises):
+    """Z_p / p^k killed by X: a divisor inside the margin [N - 2, N) raises."""
+    pres = Presentation(p=3, d=1, gens=1,
+                        rels=((grp_from_intpoly(1, [3**k]),), (grp_X(1),)),
+                        caps=((0, grp_X(1)),))
+    if raises:
+        with pytest.raises(PrecisionExhausted):
+            module_report(pres, N)
+        assert module_report(pres, N, tolerant=True)["ambiguous"]
+    else:
+        assert module_report(pres, N) == {"rank": 0, "torsion": [k], "dim": 1,
+                                          "ambiguous": False}
 
 
 def test_zero_module():

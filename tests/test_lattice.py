@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from normtower.groupring import idempotents
 from normtower.lattice import (
+    Lattice,
     check_exact_sequence,
     curve_group_lattice,
     cyclicity_check,
@@ -17,7 +19,9 @@ from normtower.lattice import (
     uniformizer_generates_quotient,
     with_precision_retry,
 )
+from normtower.padic import PrecisionExhausted
 from normtower.points import point_log
+from normtower.snf import smith_normal_form
 from normtower.tower import build_tower
 
 
@@ -137,3 +141,36 @@ def test_p5_rank_table(tower_5_2):
         for chi, triv in ((None, None), (eps5[0], True), (eps5[2], False)):
             got = norm_subgroup_lattice(t, n, chi).rank()
             assert got == expected_norm_rank(5, 2, n, triv)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_divisors_only_rank_matches_transforms(d, monkeypatch):
+    """On the lattices check_exact_sequence builds, the divisors-only rank and
+    divisors equal those of the SNF with transforms."""
+    seen = []
+    rank = Lattice.rank
+
+    def spy(self, strict=True):
+        seen.append(self)
+        return rank(self, strict)
+
+    monkeypatch.setattr(Lattice, "rank", spy)
+    t = build_tower(3, d, 2, 6)
+    for n in (0, 1, 2):
+        assert check_exact_sequence(t, n)["ok"]
+    assert len(seen) == 12
+    for lat in seen:
+        res = smith_normal_form(lat.mat, lat.p, lat.N)
+        assert rank(lat) == res.rank()
+        assert lat.divisor_valuations() == res.divisors
+
+
+def test_lattice_rank_margin_raises():
+    t = build_tower(3, 1, 0, 5)
+    dim = t.level_dim(0) * t.d
+    mat = np.zeros((dim, 2), dtype=np.int64)
+    mat[0, 0], mat[1, 1] = 1, 3 ** (t.N - 1)  # divisor at N - 1
+    lat = Lattice(t, 0, 0, mat)
+    with pytest.raises(PrecisionExhausted):
+        lat.rank(strict=True)
+    assert lat.rank(strict=False) == 1

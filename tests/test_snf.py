@@ -1,10 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from normtower import snf
 from normtower.padic import PrecisionExhausted
 from normtower.snf import (
+    DEFAULT_MARGIN,
+    SnfResult,
+    _dtype_for,
+    as_matrix,
     kernel_basis,
+    quotient_invariants,
+    smith_divisors,
     smith_normal_form,
     solve,
     span_canonical,
@@ -103,3 +112,183 @@ def test_margin_raises():
     # divisor at N-1 is inside the default margin
     with pytest.raises(PrecisionExhausted):
         kernel_basis([[3**4, 0], [0, 1]], 3, 5)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the one elimination core against the previous loop
+# ---------------------------------------------------------------------------
+
+def _reference_val_array(A: np.ndarray, p: int, N: int) -> np.ndarray:
+    """Entrywise p-adic valuation, capped at N."""
+    v = np.full(A.shape, N, dtype=np.int64)
+    rem = A.copy()
+    mask = rem != 0
+    v[mask] = 0
+    e = 0
+    while e < N and mask.any():
+        mask = mask & (rem % p == 0)
+        rem = np.where(mask, rem // p, rem)
+        v[mask] += 1
+        e += 1
+    return v
+
+
+def _reference_snf(A, p: int, N: int, dt, margin: int = DEFAULT_MARGIN) -> SnfResult:
+    """The SNF loop that `_eliminate` replaced, which rescanned the valuation
+    of the whole trailing block at every pivot. Verbatim, except that the
+    dtype is an argument so that both dtypes can be driven at small N."""
+    q = p**N
+    A = np.array(A, dtype=dt)
+    if A.ndim == 1:
+        A = A.reshape(1, -1)
+    A = A % q
+    m, n = A.shape
+    U = np.eye(m, dtype=dt) if dt is np.int64 else np.eye(m, dtype=np.int64).astype(object)
+    V = np.eye(n, dtype=dt) if dt is np.int64 else np.eye(n, dtype=np.int64).astype(object)
+    divisors: list[int] = []
+    for s in range(min(m, n)):
+        sub = A[s:, s:]
+        if not (sub % q).any():
+            break
+        vals = _reference_val_array(sub % q, p, N)
+        e = int(vals.min())
+        if e >= N:
+            break
+        i, j = map(int, np.argwhere(vals == e)[0])
+        i += s
+        j += s
+        if i != s:
+            A[[s, i]] = A[[i, s]]
+            U[[s, i]] = U[[i, s]]
+        if j != s:
+            A[:, [s, j]] = A[:, [j, s]]
+            V[:, [s, j]] = V[:, [j, s]]
+        pe = p**e
+        unit = int(A[s, s]) // pe
+        uinv = pow(unit % q, -1, q)
+        A[s] = A[s] * uinv % q
+        U[s] = U[s] * uinv % q
+        # entries below/right share valuation >= e, so they divide exactly
+        col = A[s + 1:, s]
+        if col.any():
+            c = col // pe
+            A[s + 1:] = (A[s + 1:] - np.outer(c, A[s])) % q
+            U[s + 1:] = (U[s + 1:] - np.outer(c, U[s])) % q
+        row = A[s, s + 1:]
+        if row.any():
+            c = row // pe
+            A[:, s + 1:] = (A[:, s + 1:] - np.outer(A[:, s], c)) % q
+            V[:, s + 1:] = (V[:, s + 1:] - np.outer(V[:, s], c)) % q
+        divisors.append(e)
+    while len(divisors) < min(m, n):
+        divisors.append(N)
+    return SnfResult(p=p, N=N, divisors=divisors, U=U, V=V, shape=(m, n),
+                     margin=margin, _diag=A)
+
+
+@st.composite
+def snf_case(draw, N_values=st.integers(1, 8)):
+    """(p, N, A): random, edge-shaped, rank-deficient and margin-edge matrices."""
+    p = draw(st.sampled_from([3, 5]))
+    N = draw(N_values)
+    q = p**N
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "no_cols", "row", "col", "deficient", "margin_edge"]))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if kind == "no_cols":
+        n = 0
+    elif kind == "row":
+        m = 1
+    elif kind == "col":
+        n = 1
+    def draw_ints(lo, hi, size):  # exact Python ints, so products cannot wrap
+        return rng.integers(lo, hi, size=size).astype(object)
+
+    A = draw_ints(0, q, (m, n))
+    if kind == "random":
+        # mix in entries of every valuation so that pivots skip valuations
+        A = A * p ** draw_ints(0, N + 1, (m, n))
+    elif kind == "deficient":
+        r = draw(st.integers(0, min(m, n) - 1)) if min(m, n) > 1 else 0
+        A = draw_ints(0, q, (m, r)) @ draw_ints(0, q, (r, n))
+    elif kind == "margin_edge":
+        k = max(draw(st.sampled_from([N - DEFAULT_MARGIN - 1, N - DEFAULT_MARGIN, N - 1])), 0)
+        units = draw_ints(1, q, (m, n))
+        units[units % p == 0] -= 1
+        A = p**k * units * draw_ints(0, 2, (m, n))
+        A[0, 0] = p**k * units[0, 0]
+    return p, N, (A % q).astype(np.int64)
+
+
+def _check_against_reference(p, N, A, dt):
+    q = p**N
+    ref = _reference_snf(A, p, N, dt)
+    div = smith_divisors(A, p, N)
+    assert div.divisors == ref.divisors
+    assert div.U is None and div.V is None
+    assert (div.rank(), div.ambiguous(), div.torsion()) == \
+        (ref.rank(), ref.ambiguous(), ref.torsion())
+    res = smith_normal_form(A, p, N)
+    assert res.divisors == ref.divisors
+    for got, want in ((res.U, ref.U), (res.V, ref.V), (res._diag, ref._diag)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert res.certify()
+    m, n = res.shape
+    D = np.zeros((m, n), dtype=object)
+    for i, e in enumerate(res.divisors):
+        if e < N:
+            D[i, i] = p**e
+    UAV = (res.U.astype(object) @ np.asarray(A, dtype=object) @ res.V.astype(object)) % q
+    assert np.array_equal(UAV, D)
+
+
+@settings(deadline=None, max_examples=300)
+@given(snf_case(), st.sampled_from([np.int64, object]))
+def test_core_matches_reference(case, dt):
+    p, N, A = case
+    with mock.patch.object(snf, "_dtype_for", lambda q, dim: dt):
+        _check_against_reference(p, N, A, dt)
+
+
+@settings(deadline=None, max_examples=40)
+@given(snf_case(N_values=st.just(16)))
+def test_core_matches_reference_object_precision(case):
+    # 3^16 and 5^16 are past the int64 entry bound, so the entries pick object
+    p, N, A = case
+    assert _dtype_for(p**N, 1) is object
+    _check_against_reference(p, N, A, object)
+
+
+def test_quotient_invariants_empty_relations():
+    assert quotient_invariants(5, np.zeros((5, 0), dtype=np.int64), 3, 6) == (5, [], False)
+
+
+def test_quotient_invariants():
+    W = np.array([[3, 0, 0], [0, 3**3, 0], [0, 0, 3**5], [0, 0, 0]])
+    # 3^5 sits inside the margin at N = 6: ambiguous, counted as zero
+    assert quotient_invariants(4, W, 3, 6) == (2, [1, 3], True)
+
+
+# ---------------------------------------------------------------------------
+# the dimension-aware int64 guard
+# ---------------------------------------------------------------------------
+
+def test_dtype_guard_at_the_dimension_boundary():
+    p, N = 3, 15
+    q = p**N
+    assert q < 1 << 25  # the entries alone would allow int64
+    dim = -(-(1 << 63) // (q - 1) ** 2)  # least dim with dim * (q-1)^2 >= 2^63
+    assert _dtype_for(q, dim - 1) is np.int64
+    assert _dtype_for(q, dim) is object
+    exact = dim * (q - 1) ** 2
+    row = as_matrix([q - 1] * dim, q)
+    assert row.dtype == object and row.shape == (1, dim)
+    assert int((row @ row.T)[0, 0]) == exact
+    # the same product in int64 wraps around
+    wrapped = row.astype(np.int64)
+    with np.errstate(over="ignore"):
+        assert int((wrapped @ wrapped.T)[0, 0]) != exact
+    below = as_matrix([q - 1] * (dim - 1), q)
+    assert below.dtype == np.int64
+    assert int((below @ below.T)[0, 0]) == (dim - 1) * (q - 1) ** 2
