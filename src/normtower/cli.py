@@ -16,11 +16,11 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .curve import CurveParams, assert_supersingular, curve_from_preset
-from .groupring import GroupRing, annihilator, delta_of, idempotents, is_unit, phi_plus_phi_inv, q_values
+from .curve import CurveParams, curve_from_preset
+from .groupring import idempotents
 from .lambda_modules import (
     closed_form_coinvariant_torsion,
     coinvariant_rank_law,
@@ -42,6 +42,7 @@ from .lattice import (
 )
 from .padic import PrecisionExhausted
 from .points import verify_trace_relations
+from .snf import HARNESS_PRECISION, MODULE_PRECISION
 from .tower import build_tower
 
 SCHEMA_VERSION = 1
@@ -259,7 +260,7 @@ def _check_cyclicity(cfg: CampaignConfig) -> list[Record]:
 
 def _check_torsion(cfg: CampaignConfig) -> list[Record]:
     out = []
-    N = max(cfg.precision, 8)
+    N = max(cfg.precision, MODULE_PRECISION)
     for p in cfg.p_list:
         for d in cfg.d_list:
             for n in range(0, min(cfg.n_max, 2) + 1):
@@ -283,7 +284,7 @@ def _check_torsion(cfg: CampaignConfig) -> list[Record]:
 
 def _check_lambda(cfg: CampaignConfig) -> list[Record]:
     out = []
-    N = max(cfg.precision, 8)
+    N = max(cfg.precision, MODULE_PRECISION)
     for p in cfg.p_list:
         for d in cfg.d_list:
             for sign in "+-":
@@ -306,7 +307,8 @@ def _check_lambda(cfg: CampaignConfig) -> list[Record]:
                 residual_val="-", ok=rep["ok"],
                 rule="free rank d plus delta X-killed lines", runtime=time.time() - t0))
         t0 = time.time()
-        kf = kernel_freeness_property(cfg.lambda_trials, seed=cfg.seed, p=p, N=max(N, 10))
+        kf = kernel_freeness_property(cfg.lambda_trials, seed=cfg.seed, p=p,
+                                      N=max(N, HARNESS_PRECISION))
         out.append(Record(
             p=p, d=0, n="-", chi="-", sign="-", check="kernel_freeness",
             expected="0 counterexamples",
@@ -373,13 +375,11 @@ def render_table(records: list[Record], fmt: str) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def emit_tables(records: list[Record], out_dir: Path, fmt: str = "both") -> dict[str, Path]:
+def emit_tables(records: list[Record], out_dir: Path) -> dict[str, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for kind in ("csv", "json"):
-        if fmt in (kind, "both"):
-            paths[kind] = out_dir / f"table.{kind}"
-            paths[kind].write_text(render_table(records, kind))
+    paths = {kind: out_dir / f"table.{kind}" for kind in ("csv", "json")}
+    for kind, path in paths.items():
+        path.write_text(render_table(records, kind))
     return paths
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .padic import ZpContext
+from .padic import ZpContext, factorize
 from .polyarith import fold_cyclic, mul, xgcd_fp
 from .snf import kernel_basis, span_contains_all
 
@@ -258,24 +258,10 @@ class CharIdempotent:
 def delta_generator(p: int) -> int:
     """Smallest primitive root mod p (generator of the tame quotient)."""
     for g in range(2, p):
-        ok = all(pow(g, (p - 1) // ell, p) != 1 for ell in _prime_divisors(p - 1))
+        ok = all(pow(g, (p - 1) // ell, p) != 1 for ell in factorize(p - 1))
         if ok:
             return g
     raise RuntimeError("no primitive root found")
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def idempotents(p: int, N: int) -> list[CharIdempotent]:

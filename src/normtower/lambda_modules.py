@@ -13,12 +13,15 @@ Invariants of the X-kernel use X-power truncations: the image of
 ker(X on M/X^(W+1) M) inside M/X^W M equals the image of ker(X on M) once W
 passes the X-torsion exponent, and the map from ker(X on M) is injective
 there; agreement across two consecutive W certifies the answer.
+
+Precision follows the policy stated in `snf`: strict decisions raise inside
+the margin, tolerant ones are certified by agreement on the precision ladder.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,14 +29,14 @@ from .groupring import GroupRing, omega_family, phi_plus_phi_inv, q_values
 from .padic import PrecisionExhausted
 from .polyarith import fold_cyclic, mul_vec, rem_monic
 from .snf import (
-    DEFAULT_MARGIN,
-    PRECISION_BUMP,
+    MARGIN,
     as_matrix,
+    at_rising_precision,
     kernel_basis,
+    precision_ladder,
     quotient_invariants,
     smith_divisors,
-    smith_normal_form,  # noqa: F401  (perfbench's tracer test looks it up here)
-    span_canonical,
+    smith_normal_form,
     stack_cols,
 )
 
@@ -320,12 +323,15 @@ def flatten(pres: Presentation, N: int) -> FlatModule:
             nxt.append((X @ v) % q)
         cur = nxt
     W = as_matrix(np.array(cols, dtype=object).T, q)
-    Wc = span_canonical(W, p, N)
+    # a small generating set of the same span: the columns of W V with a
+    # divisor below N (U W V = diag(p^e), V unimodular); their divisors are
+    # the finite divisors of W
+    res = smith_normal_form(W, p, N)
+    finite = [e for e in res.divisors if e < N]
+    Wc = (W @ res.V[:, :len(finite)]) % q
     # closure certificate: one more X- and F-batch must not grow the span
     grown = stack_cols(Wc, (X @ Wc) % q, (F @ Wc) % q)
-    s1 = smith_divisors(Wc, p, N)
-    s2 = smith_divisors(grown, p, N)
-    if sorted(e for e in s1.divisors if e < N) != sorted(e for e in s2.divisors if e < N):
+    if finite != [e for e in smith_divisors(grown, p, N).divisors if e < N]:
         raise ArithmeticError("relation span not closed within the translate bound")
     fm.relmat = Wc
     return fm
@@ -347,13 +353,12 @@ def module_report(pres: Presentation, N: int, tolerant: bool = False) -> dict:
 # X-kernel invariants and the freeness / finite-submodule predicates
 # ---------------------------------------------------------------------------
 
-def _drop_null_columns(M: np.ndarray, p: int, N: int,
-                       margin: int = DEFAULT_MARGIN) -> np.ndarray:
-    """Drop columns that are zero at precision (content >= N - margin): they
+def _drop_null_columns(M: np.ndarray, p: int, N: int) -> np.ndarray:
+    """Drop columns that are zero at precision (content >= N - MARGIN): they
     generate or impose nothing resolvable at the margin."""
     if M.size == 0:
         return M
-    cut = p ** (N - margin)
+    cut = p ** (N - MARGIN)
     keep = [j for j in range(M.shape[1]) if (M[:, j] % cut).any()]
     return M[:, keep] if keep else M[:, :0]
 
@@ -392,32 +397,38 @@ def _truncation_map(fm_hi: FlatModule, fm_lo: FlatModule) -> np.ndarray:
     return T
 
 
-def invariant_structure(pres: Presentation, N: int, W: int | None = None,
-                        max_growth: int = 4, tolerant: bool = False) -> tuple[int, list[int]]:
-    """(rank, torsion) of ker(X on M), via stabilized X-power truncations."""
+_WINDOWS = 4  # truncation windows W0, ..., W0 + 3 tried for agreement
+
+
+def invariant_structure(pres: Presentation, N: int,
+                        tolerant: bool = False) -> tuple[int, list[int]]:
+    """(rank, torsion) of ker(X on M), via stabilized X-power truncations:
+    the answer from windows (W, W + 1) must agree with the one from
+    (W - 1, W). Each window is flattened once and carried to the next pair."""
     caps = pres.cap_map()
     native = [grp_deg(c) for c in caps.values()]
     reldeg = max((grp_deg(c) for r in pres.rels for c in r), default=0)
     # keep W small and independent of N: the truncation-window torsion has
     # divisors bounded in terms of W and the relation data alone, so a margin
     # collision is escaped by raising N (the caller's retry), never by W
-    W0 = W if W is not None else max(native + [reldeg, 2]) + 2
-    prev = None
-    for _ in range(max_growth):
-        cur = _invariant_structure_at(pres, N, W0, tolerant)
-        if prev is not None and cur == prev:
-            return cur
-        prev = cur
-        W0 += 1
-    raise PrecisionExhausted(f"X-kernel invariants did not stabilize by W={W0}")
-
-
-def _invariant_structure_at(pres: Presentation, N: int, W: int,
-                            tolerant: bool = False) -> tuple[int, list[int]]:
-    p = pres.p
-    q = p**N
+    W = max(native + [reldeg, 2]) + 2
     lo = flatten(x_truncated(pres, W), N)
-    hi = flatten(x_truncated(pres, W + 1), N)
+    prev = None
+    for _ in range(_WINDOWS):
+        W += 1
+        hi = flatten(x_truncated(pres, W), N)
+        cur = _invariant_structure_at(lo, hi, tolerant)
+        if cur == prev:
+            return cur
+        prev, lo = cur, hi
+    raise PrecisionExhausted(f"X-kernel invariants did not stabilize by W={W}")
+
+
+def _invariant_structure_at(lo: FlatModule, hi: FlatModule,
+                            tolerant: bool) -> tuple[int, list[int]]:
+    """(rank, torsion) of the image of ker(X on M/X^(W+1) M) in M/X^W M, for
+    the flat models hi of M/X^(W+1) M and lo of M/X^W M."""
+    p, N, q = hi.p, hi.N, hi.q
     if hi.dim == 0:
         return 0, []
     # preimage of the relation span under X, inside the high model
@@ -438,27 +449,29 @@ def coinvariant_structure(pres: Presentation, N: int,
     return rep["rank"], rep["torsion"]
 
 
-def freeness_test(pres: Presentation, N: int, ladder: int = 3) -> dict:
+def freeness_test(pres: Presentation, N: int) -> dict:
     """The two equivalent-conditions predicates: M free iff ker(X) = 0 and
     M/XM is Z_p-free; M has no nontrivial finite submodule iff ker(X) is
     Z_p-free.
 
-    Margin-ambiguous internals are clamped tolerantly and the whole answer is
-    certified by agreement at two working precisions (N, N + PRECISION_BUMP);
-    disagreement bumps the pair and retries."""
-    last = None
-    for k in range(ladder):
-        N0 = N + PRECISION_BUMP * k
+    Margin-ambiguous internals are clamped tolerantly; the ladder from N is
+    walked one rung at a time, and the answer is certified at the first two
+    consecutive rungs that agree, as `certified_at`."""
+    last = PrecisionExhausted("freeness ladder exhausted")
+    prev = None
+    for Nk in precision_ladder(N):
         try:
-            a = _freeness_once(pres, N0)
-            b = _freeness_once(pres, N0 + PRECISION_BUMP)
+            cur = _freeness_once(pres, Nk)
         except PrecisionExhausted as e:
-            last = e
+            last, prev = e, None
             continue
-        if a == b:
-            return {**a, "certified_at": (N0, N0 + PRECISION_BUMP)}
-        last = PrecisionExhausted(f"freeness predicates unstable at N={N0}: {a} vs {b}")
-    raise last or PrecisionExhausted("freeness ladder exhausted")
+        if prev is not None:
+            if cur == prev[1]:
+                return {**cur, "certified_at": (prev[0], Nk)}
+            last = PrecisionExhausted(
+                f"freeness predicates unstable at N={prev[0]}: {prev[1]} vs {cur}")
+        prev = (Nk, cur)
+    raise last
 
 
 def _freeness_once(pres: Presentation, N: int) -> dict:
@@ -472,13 +485,13 @@ def _freeness_once(pres: Presentation, N: int) -> dict:
     }
 
 
-def rank_lambda(pres: Presentation, N: int, n0: int = 1) -> int:
-    """Lambda-rank from the coinvariant rank slope between two levels."""
+def rank_lambda(pres: Presentation, N: int) -> int:
+    """Lambda-rank from the coinvariant rank slope between levels 1 and 2."""
     p = pres.p
-    r0 = module_report(coinvariants(pres, n0), N)["rank"]
-    r1 = module_report(coinvariants(pres, n0 + 1), N)["rank"]
+    r0 = module_report(coinvariants(pres, 1), N)["rank"]
+    r1 = module_report(coinvariants(pres, 2), N)["rank"]
     num = r1 - r0
-    den = p ** (n0 + 1) - p**n0
+    den = p**2 - p
     if num % den:
         raise ArithmeticError(f"coinvariant ranks {r0}, {r1} have non-integral slope")
     return num // den
@@ -642,16 +655,19 @@ def _random_unimodular(rng, n, d, p, ops: int, max_deg: int = 2):
     return tuple(map(tuple, U)), tuple(map(tuple, Uinv))
 
 
+_MAX_FREE = 2     # free rank of a random safe module: 1 or 2
+_D_MAX = 2        # group-ring degree d of a harness instance: 1 or 2
+_DEG_BOUND = 6    # X-degree budget of the random maps
 _SAFE_TORSION_POLYS = {
     3: [[0, 1], [0, 0, 1], [-3, 1], [3, 3, 1]],
     5: [[0, 1], [0, 0, 1], [-5, 1]],
 }
 
 
-def _random_safe_module(rng, p, d, max_free: int = 2):
+def _random_safe_module(rng, p, d):
     """A presentation with no nontrivial finite submodule (filtered by
     freeness_test), with known free rank: free part (+) Z_p-free torsion blocks."""
-    s = rng.randrange(1, max_free + 1)
+    s = rng.randrange(1, _MAX_FREE + 1)
     pres = free_presentation(p, d, s)
     for _ in range(rng.randrange(3)):
         f = rng.choice(_SAFE_TORSION_POLYS[p])
@@ -739,49 +755,40 @@ def _cokernel_instance(rng, p, d, N, deg_bound) -> dict:
             "rank": got_rank, "pres": None if rep["no_finite_submodule"] else coker}
 
 
-def kernel_freeness_property(trials: int, seed: int, p: int = 3, d_max: int = 2,
-                             N: int = 8, deg_bound: int = 6) -> dict:
+def kernel_freeness_property(trials: int, seed: int, N: int, p: int = 3) -> dict:
     """Randomized harness: kernels of surjections onto safe modules come out
     free of the predicted rank, and cokernels of injections of free modules
     into safe modules carry no finite submodule. Counterexamples are returned
-    with their full data (none are expected)."""
+    with their full data (none are expected).
+
+    Window torsion and random coefficient content have N-independent
+    divisors, so a margin collision is cleared by rerunning the instance up
+    the precision ladder."""
     rng = random.Random(seed)
     counterexamples = []
     ran = 0
     half = trials // 2
-
-    def run(maker):
-        # window torsion and random coefficient content have N-independent
-        # divisors, so raising the precision always clears the margin band
-        last = None
-        for Nx in (N + PRECISION_BUMP * k for k in range(4)):
-            try:
-                return maker(Nx)
-            except PrecisionExhausted as e:
-                last = e
-        raise last
-
     while ran < half:
-        d = rng.randrange(1, d_max + 1)
+        d = rng.randrange(1, _D_MAX + 1)
         state = rng.getstate()
 
         def mk(Nx):
             rng.setstate(state)
-            return _kernel_instance(rng, p, d, Nx, deg_bound)
+            return _kernel_instance(rng, p, d, Nx, _DEG_BOUND)
 
-        inst = run(mk)
+        inst = at_rising_precision(mk, N)
         ran += 1
         if not inst["ok"]:
             counterexamples.append(inst)
     while ran < trials:
-        d = rng.randrange(1, d_max + 1)
+        d = rng.randrange(1, _D_MAX + 1)
         state = rng.getstate()
 
         def mk(Nx):
             rng.setstate(state)
-            return _cokernel_instance(rng, p, d, Nx, deg_bound)
+            return _cokernel_instance(rng, p, d, Nx, _DEG_BOUND)
 
-        inst = run(mk)
+        inst = at_rising_precision(mk, N)
         if inst["ok"] is None:
             continue
         ran += 1

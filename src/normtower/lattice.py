@@ -4,8 +4,8 @@ sequence, cyclicity, and the maximal-ideal generation lemma.
 
 A Lattice is a coordinate matrix (ambient dimension x generators) at a common
 denominator exponent; ranks come from Smith normal form with the precision
-margin, and any ambiguous decision is retried once at N + PRECISION_BUMP
-before giving up.
+margin, and an ambiguous decision is rerun up the precision ladder of
+`snf.at_rising_precision` before giving up.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .groupring import CharIdempotent, delta_generator, q_values
 from .padic import PrecisionExhausted
 from .points import point_log, plusminus_point_log
 from .snf import (
-    PRECISION_BUMP,
     as_matrix,
+    at_rising_precision,
     kernel_basis,
     smith_divisors,
     smith_normal_form,  # noqa: F401  (perfbench's tracer test looks it up here)
@@ -46,9 +46,9 @@ class Lattice:
     def N(self) -> int:
         return self.tower.N
 
-    def rank(self, strict: bool = True) -> int:
+    def rank(self) -> int:
         res = smith_divisors(self.mat, self.p, self.N)
-        if strict and res.ambiguous():
+        if res.ambiguous():
             raise PrecisionExhausted("lattice rank inside precision margin")
         return res.rank()
 
@@ -234,8 +234,7 @@ def check_exact_sequence(t: TowerDesc, n: int, chi=None) -> dict:
     assert n >= 0
     Cn = norm_subgroup_lattice(t, n, chi)
     Cn1 = norm_subgroup_lattice(t, n - 1, chi)
-    Cn1_at_n = lattice_from_elements(t, n, _embedded_columns(t, Cn1, n)) \
-        if n - 1 < n else Cn1
+    Cn1_at_n = lattice_from_elements(t, n, _embedded_columns(t, Cn1, n))
     base = galois_span(t, [point_log(t, -1)], n, chi)
     full = curve_group_lattice(t, n, chi)
 
@@ -308,9 +307,6 @@ def log_image_vs_maximal_ideal(t: TowerDesc, n: int) -> dict:
 
 def with_precision_retry(p: int, d: int, n_max: int, N: int,
                          fn: Callable[[TowerDesc], object]):
-    """Run fn on a tower at N; on a margin-ambiguous decision rerun once at
-    N + PRECISION_BUMP (stabilization discipline)."""
-    try:
-        return fn(build_tower(p, d, n_max, N))
-    except PrecisionExhausted:
-        return fn(build_tower(p, d, n_max, N + PRECISION_BUMP))
+    """fn on a tower at the first rung of the precision ladder from N whose
+    decisions all fall outside the margin."""
+    return at_rising_precision(lambda Nk: fn(build_tower(p, d, n_max, Nk)), N)

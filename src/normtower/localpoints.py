@@ -16,11 +16,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .honda import SeriesBundle, series_bundle
+import numpy as np
+
+from .honda import SeriesBundle
 from .padic import PrecisionExhausted
 from .points import epsilon_log, point_log
 from .series import TruncSeries
-from .tower import TowerDesc, TowerElt, tower_zero, uniformizer
+from .tower import TowerDesc, TowerElt, tower_scalar, tower_zero, uniformizer
 
 
 class InsufficientDegree(ValueError):
@@ -37,16 +39,9 @@ def eval_series_at_tower(s: TruncSeries, x: TowerElt, vmin: Fraction) -> tuple[T
     for j in range(s.deg, -1, -1):
         acc = acc * x
         if any(s.coeffs[j]):
-            acc = acc + tower_scalar_at(t, x.level, s.coeffs[j], prec=acc.prec)
+            acc = acc + tower_scalar(t, x.level, s.coeffs[j], prec=acc.prec)
     tail_floor = math.floor((s.deg + 1) * vmin) - s.den
     return acc.div_p(s.den) if s.den else acc, tail_floor
-
-
-def tower_scalar_at(t: TowerDesc, level: int, coeff, prec: int) -> TowerElt:
-    import numpy as np
-    c = np.zeros((t.level_dim(level), t.d), dtype=object)
-    c[0] = tuple(coeff)
-    return TowerElt(t, level, c, 0, prec)
 
 
 def solve_log_preimage(hl_series: TruncSeries, field, target_elt, target_floor: int):
@@ -179,7 +174,6 @@ def torsion_probe(bundle: SeriesBundle, n: int, trials: int, seed: int) -> dict:
     pi = uniformizer(tower, n) if n >= 0 else None
     found_torsion = []
     for k in range(trials):
-        import numpy as np
         c = np.array([[rng.randrange(p**2) for _ in range(field.d)]
                       for _ in range(tower.level_dim(max(n, 0)))], dtype=object)
         rand = TowerElt(tower, max(n, 0), c, 0, field.N)

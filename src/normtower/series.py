@@ -42,9 +42,9 @@ class TruncSeries:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def from_int_coeffs(field: FieldDesc, ints, prec: int, den: int = 0) -> "TruncSeries":
+    def from_int_coeffs(field: FieldDesc, ints, prec: int) -> "TruncSeries":
         q = field.p**prec
-        return TruncSeries(field, tuple(field.from_int(c, q) for c in ints), den, prec)
+        return TruncSeries(field, tuple(field.from_int(c, q) for c in ints), 0, prec)
 
     @staticmethod
     def zero(field: FieldDesc, deg: int, prec: int) -> "TruncSeries":
@@ -226,8 +226,8 @@ class TruncSeries:
             good = good2
         return E.truncate(deg)
 
-    def evaluate_field(self, x, x_val_num: int, x_val_den: int = 1):
-        """Evaluate at an O_k element x with v_p(x) >= x_val_num/x_val_den >= something > 0.
+    def evaluate_field(self, x, x_val: int):
+        """Evaluate at an O_k element x with v_p(x) >= x_val > 0.
 
         Returns (value coords, den, effective precision), where the truncation
         tail contributes valuation >= (deg+1) * v(x) - den.
@@ -237,6 +237,6 @@ class TruncSeries:
         for j in range(self.deg, -1, -1):
             acc = self.field.mul(acc, x, q)
             acc = self.field.add(acc, self.coeffs[j], q)
-        tail = (self.deg + 1) * x_val_num // x_val_den - self.den
+        tail = (self.deg + 1) * x_val - self.den
         eff = min(self.prec - self.den, tail)
         return acc, self.den, eff

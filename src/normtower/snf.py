@@ -1,9 +1,18 @@
 """Smith normal form and linear algebra over Z_p at precision p^N.
 
 Z_p at finite precision is the local ring Z/p^N: every matrix is equivalent
-to diag(p^e1, ..., p^er, 0, ...) with e1 <= e2 <= ... . A diagonal valuation
-e is only meaningful while e < N - margin; anything in [N - margin, N) is an
-ambiguous "zero at precision" and callers re-run at higher precision.
+to diag(p^e1, ..., p^er, 0, ...) with e1 <= e2 <= ... .
+
+Precision policy (stated here once, for the whole package). Every decision
+made at finite precision is one of two kinds. A strict decision reads SNF
+divisors outside the margin: e < N - MARGIN is nonzero, e = N is zero at
+precision, and a divisor in [N - MARGIN, N) raises PrecisionExhausted; it
+is rerun at the next rung of the ladder N, N + PRECISION_BUMP, ... of
+PRECISION_RUNGS rungs (`at_rising_precision`), and the last rung's error is
+final. A tolerant decision clamps margin divisors to zero at precision and is
+certified only when it agrees at two consecutive rungs of the same ladder.
+Module checks work at no less than MODULE_PRECISION, the randomized harness
+at no less than HARNESS_PRECISION.
 
 One elimination core, `_eliminate`, computes the form in place. Each pivot is
 the first entry, in row-major order, of minimal valuation e in the trailing
@@ -17,7 +26,8 @@ it to zero.
 
 The core has two entries:
 - `smith_normal_form` records the row operations in U and the column
-  operations in V, for callers that solve, test membership or take kernels;
+  operations in V, for callers that test membership, take kernels or build
+  a basis of a span;
 - `smith_divisors` builds neither and makes no column operations, for
   callers that read only ranks and divisors; its result has U = V = None.
 
@@ -29,14 +39,34 @@ dtype object (exact Python ints).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .padic import PrecisionExhausted
 
-DEFAULT_MARGIN = 2
+MARGIN = 2
 PRECISION_BUMP = 4
+PRECISION_RUNGS = 4
+MODULE_PRECISION = 8
+HARNESS_PRECISION = 10
 _INT64_SAFE = 1 << 25  # int64 only below this p^N, whatever the dimension
+
+
+def precision_ladder(N: int) -> range:
+    """The working precisions N, N + PRECISION_BUMP, ... (PRECISION_RUNGS of them)."""
+    return range(N, N + PRECISION_BUMP * PRECISION_RUNGS, PRECISION_BUMP)
+
+
+def at_rising_precision(fn: Callable[[int], object], N: int):
+    """fn at the first rung of the ladder from N that does not raise
+    PrecisionExhausted; the last rung's error if every rung raises."""
+    for Nk in precision_ladder(N):
+        try:
+            return fn(Nk)
+        except PrecisionExhausted as e:
+            last = e
+    raise last
 
 
 def _dtype_for(q: int, dim: int):
@@ -65,7 +95,6 @@ class SnfResult:
     U: np.ndarray | None
     V: np.ndarray | None
     shape: tuple[int, int]
-    margin: int = DEFAULT_MARGIN
     _diag: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -73,14 +102,14 @@ class SnfResult:
         return self.p**self.N
 
     def rank(self) -> int:
-        return sum(1 for e in self.divisors if e < self.N - self.margin)
+        return sum(1 for e in self.divisors if e < self.N - MARGIN)
 
     def ambiguous(self) -> bool:
-        return any(self.N - self.margin <= e < self.N for e in self.divisors)
+        return any(self.N - MARGIN <= e < self.N for e in self.divisors)
 
     def torsion(self) -> list[int]:
-        """Nontrivial finite elementary-divisor valuations (0 < e < N - margin)."""
-        return sorted(e for e in self.divisors if 0 < e < self.N - self.margin)
+        """Nontrivial finite elementary-divisor valuations (0 < e < N - MARGIN)."""
+        return sorted(e for e in self.divisors if 0 < e < self.N - MARGIN)
 
     def certify(self) -> bool:
         """Unimodularity witness: both transform determinants are p-adic units."""
@@ -159,90 +188,55 @@ def _eliminate(A: np.ndarray, p: int, N: int,
     return divisors + [N] * (min(m, n) - len(divisors))
 
 
-def smith_normal_form(A, p: int, N: int, margin: int = DEFAULT_MARGIN) -> SnfResult:
+def smith_normal_form(A, p: int, N: int) -> SnfResult:
     """Divisors with the transforms: U @ A @ V = diag(p^e_i) mod p^N."""
     A = as_matrix(A, p**N)
     m, n = A.shape
     U = np.eye(m, dtype=np.int64).astype(A.dtype)
     V = np.eye(n, dtype=np.int64).astype(A.dtype)
     divisors = _eliminate(A, p, N, U, V)
-    return SnfResult(p=p, N=N, divisors=divisors, U=U, V=V, shape=(m, n),
-                     margin=margin, _diag=A)
+    return SnfResult(p=p, N=N, divisors=divisors, U=U, V=V, shape=(m, n), _diag=A)
 
 
-def smith_divisors(A, p: int, N: int, margin: int = DEFAULT_MARGIN) -> SnfResult:
+def smith_divisors(A, p: int, N: int) -> SnfResult:
     """Divisors only, for callers that read ranks and torsion: U = V = None."""
     A = as_matrix(A, p**N)
     return SnfResult(p=p, N=N, divisors=_eliminate(A, p, N), U=None, V=None,
-                     shape=A.shape, margin=margin)
+                     shape=A.shape)
 
 
-def kernel_basis(A, p: int, N: int, margin: int = DEFAULT_MARGIN,
-                 tolerant: bool = False) -> np.ndarray:
+def kernel_basis(A, p: int, N: int, tolerant: bool = False) -> np.ndarray:
     """Columns spanning the Z_p-kernel of A (margin-aware).
 
-    Diagonal valuations below N - margin are genuinely nonzero, so over the
+    Diagonal valuations below N - MARGIN are genuinely nonzero, so over the
     domain Z_p they contribute nothing to the kernel; columns of V past the
-    rank are exact kernel vectors mod p^N. A divisor inside [N - margin, N)
+    rank are exact kernel vectors mod p^N. A divisor inside [N - MARGIN, N)
     is an ambiguous decision: strict mode raises, tolerant mode clamps it to
     zero-at-precision (callers then certify by agreement across two N)."""
-    res = smith_normal_form(A, p, N, margin)
+    res = smith_normal_form(A, p, N)
     if res.ambiguous() and not tolerant:
         raise PrecisionExhausted("kernel decision inside precision margin")
     cols = [j for j in range(res.shape[1])
-            if j >= len(res.divisors) or res.divisors[j] >= res.N - res.margin]
+            if j >= len(res.divisors) or res.divisors[j] >= N - MARGIN]
     if not cols:
         return np.zeros((res.shape[1], 0), dtype=res.V.dtype)
     return res.V[:, cols]
 
 
-def solve(A, b, p: int, N: int, margin: int = DEFAULT_MARGIN):
-    """One solution x of A x = b mod p^N, or None if provably unsolvable.
-
-    Raises PrecisionExhausted when solvability is decided by an entry within
-    the margin of p^N.
-    """
-    q = p**N
-    res = smith_normal_form(A, p, N, margin)
-    b = np.array(b, dtype=res.U.dtype).reshape(-1) % q
-    y = (res.U @ b) % q
-    m, n = res.shape
-    z = np.zeros(n, dtype=res.U.dtype)
-    for i in range(m):
-        yi = int(y[i])
-        e = res.divisors[i] if i < len(res.divisors) else N
-        if e >= N - margin:
-            # this row is zero at precision: need y_i = 0 at precision too
-            if yi % q == 0:
-                continue
-            if yi % p ** max(N - margin, 1) == 0:
-                raise PrecisionExhausted("solvability decided inside margin")
-            return None
-        pe = p**e
-        if yi % pe:
-            return None
-        if i < n:
-            z[i] = (yi // pe) % q
-        elif yi % q:
-            return None
-    x = (res.V @ z) % q
-    return x
-
-
-def span_contains_all(A, B, p: int, N: int, margin: int = DEFAULT_MARGIN) -> bool:
+def span_contains_all(A, B, p: int, N: int) -> bool:
     """Every column of B lies in the column span of A (mod p^N, margin-aware)."""
     q = p**N
-    res = smith_normal_form(A, p, N, margin)
+    res = smith_normal_form(A, p, N)
     B = as_matrix(B, q)
     Y = (res.U @ B) % q
     m, n = res.shape
     for i in range(m):
         e = res.divisors[i] if i < len(res.divisors) else N
         row = Y[i] % q
-        if e >= N - margin:
+        if e >= N - MARGIN:
             bad = row % q != 0
             if bad.any():
-                if ((row[bad] % p ** max(N - margin, 1)) == 0).any():
+                if ((row[bad] % p ** max(N - MARGIN, 1)) == 0).any():
                     raise PrecisionExhausted("membership decided inside margin")
                 return False
         else:
@@ -251,34 +245,17 @@ def span_contains_all(A, B, p: int, N: int, margin: int = DEFAULT_MARGIN) -> boo
     return True
 
 
-def spans_equal(A, B, p: int, N: int, margin: int = DEFAULT_MARGIN) -> bool:
+def spans_equal(A, B, p: int, N: int) -> bool:
     """Lattice equality as mutual membership of generators."""
-    return (span_contains_all(A, B, p, N, margin)
-            and span_contains_all(B, A, p, N, margin))
+    return span_contains_all(A, B, p, N) and span_contains_all(B, A, p, N)
 
 
-def span_canonical(A, p: int, N: int, margin: int = DEFAULT_MARGIN) -> np.ndarray:
-    """A small generating set with the same column span: p^{e_i} * (U^{-1} e_i).
-
-    Since U A V = D and V is unimodular, the span of A's columns equals the
-    span of U^{-1} D = A V, which has at most rank-many nonzero columns.
-    """
-    q = p**N
-    res = smith_normal_form(A, p, N, margin)
-    AV = (as_matrix(A, q) @ res.V) % q
-    keep = [j for j, e in enumerate(res.divisors) if e < N]
-    if not keep:
-        return np.zeros((res.shape[0], 0), dtype=AV.dtype)
-    return AV[:, keep]
-
-
-def quotient_invariants(D_ambient: int, W, p: int, N: int,
-                        margin: int = DEFAULT_MARGIN) -> tuple[int, list[int], bool]:
+def quotient_invariants(D_ambient: int, W, p: int, N: int) -> tuple[int, list[int], bool]:
     """(free rank, torsion divisor valuations, ambiguous) of
     Z_p^D / column-span(W)."""
     if W.shape[1] == 0:
         return D_ambient, [], False
-    res = smith_divisors(W, p, N, margin)
+    res = smith_divisors(W, p, N)
     return D_ambient - res.rank(), res.torsion(), res.ambiguous()
 
 

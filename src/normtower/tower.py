@@ -14,7 +14,7 @@ valuation against that floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -337,11 +337,11 @@ def tower_eta(t: TowerDesc, n: int) -> TowerElt:
     return TowerElt(t, n, c, 0, t.N)
 
 
-def tower_scalar(t: TowerDesc, n: int, a, den: int = 0) -> TowerElt:
+def tower_scalar(t: TowerDesc, n: int, a, prec: int | None = None) -> TowerElt:
     """An O_k scalar viewed at level n."""
     c = np.zeros((t.level_dim(n), t.d), dtype=object)
     c[0] = tuple(a)
-    return TowerElt(t, n, c, den, t.N)
+    return TowerElt(t, n, c, 0, prec if prec is not None else t.N)
 
 
 def zeta_power_root(t: TowerDesc, n: int, j: int) -> TowerElt:

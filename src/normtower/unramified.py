@@ -129,7 +129,7 @@ class FieldDesc:
 
     # -- raw tuple arithmetic ------------------------------------------------
 
-    def zero(self, q: int | None = None) -> tuple[int, ...]:
+    def zero(self) -> tuple[int, ...]:
         return (0,) * self.d
 
     def one(self, q: int | None = None) -> tuple[int, ...]:
@@ -138,9 +138,9 @@ class FieldDesc:
     def from_int(self, c: int, q: int | None = None) -> tuple[int, ...]:
         return (c % (q or self.q),) + (0,) * (self.d - 1)
 
-    def zeta(self, q: int | None = None) -> tuple[int, ...]:
+    def zeta(self) -> tuple[int, ...]:
         if self.d == 1:
-            return (self.modulus[0] and (-self.modulus[0]) % (q or self.q),)
+            return (self.modulus[0] and (-self.modulus[0]) % self.q,)
         return (0, 1) + (0,) * (self.d - 2)
 
     def add(self, a, b, q: int | None = None):
@@ -170,14 +170,13 @@ class FieldDesc:
         q = q or self.q
         return tuple(x % q for x in rem_monic(c, self.modulus))
 
-    def pow(self, a, e: int, q: int | None = None):
-        q = q or self.q
-        out = self.one(q)
+    def pow(self, a, e: int):
+        out = self.one()
         base = a
         while e:
             if e & 1:
-                out = self.mul(out, base, q)
-            base = self.mul(base, base, q)
+                out = self.mul(out, base)
+            base = self.mul(base, base)
             e >>= 1
         return out
 

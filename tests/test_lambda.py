@@ -1,5 +1,6 @@
 import pytest
 
+from normtower import lambda_modules
 from normtower.groupring import q_values
 from normtower.lambda_modules import (
     NotZpFinite,
@@ -8,10 +9,12 @@ from normtower.lambda_modules import (
     coinvariant_rank_law,
     coinvariants,
     direct_sum,
+    flatten,
     free_presentation,
     freeness_test,
     grp_X,
     grp_from_intpoly,
+    invariant_structure,
     kernel_freeness_property,
     module_report,
     present_minus,
@@ -19,8 +22,10 @@ from normtower.lambda_modules import (
     quotient_presentation,
     rank_lambda,
     supplementary_structure_check,
+    x_truncated,
 )
 from normtower.padic import PrecisionExhausted
+from normtower.snf import PRECISION_BUMP, smith_divisors
 
 N = 8
 
@@ -164,6 +169,64 @@ def test_freeness_over_group_ring():
     rep = freeness_test(quotient_presentation(3, 2, [[0, 1]]), N)
     assert not rep["is_free"] and rep["no_finite_submodule"]
     assert rep["invariants"] == (2, [])
+
+
+def test_freeness_certified_on_agreeing_rungs(monkeypatch):
+    """Each rung is computed once: an unstable first rung costs one extra
+    computation, and the certificate names the two rungs that agreed."""
+    seen = []
+
+    def once(pres, Nk):
+        seen.append(Nk)
+        return {"answer": Nk == N}  # disagrees at N, agrees from N + BUMP on
+
+    monkeypatch.setattr(lambda_modules, "_freeness_once", once)
+    rep = freeness_test(free_presentation(3, 1, 1), N)
+    assert rep["certified_at"] == (N + PRECISION_BUMP, N + 2 * PRECISION_BUMP)
+    assert seen == [N, N + PRECISION_BUMP, N + 2 * PRECISION_BUMP]
+
+
+def test_invariant_windows_flattened_once(monkeypatch):
+    """Stabilizing at the second window pair flattens three windows, not four."""
+    calls = []
+
+    def spy(pres, Nx):
+        calls.append(pres)
+        return flatten(pres, Nx)
+
+    monkeypatch.setattr(lambda_modules, "flatten", spy)
+    assert invariant_structure(L([[0, 1]]), N) == (1, [])
+    assert len(calls) == 3
+    assert len(set(calls)) == 3
+
+
+SPAN_CASES = [c[:2] for c in FREENESS_CASES] + [
+    ("plus d=4 n=2", lambda: present_plus(3, 4, 2, True)),
+    ("minus d=2 n=1", lambda: present_minus(3, 2, 1, False)),
+    ("plus d=2 m=3 over n=1", lambda: coinvariants(present_plus(3, 2, 3, True), 1)),
+]
+
+
+@pytest.mark.parametrize("name,builder", SPAN_CASES, ids=[c[0] for c in SPAN_CASES])
+def test_relmat_divisors_are_those_of_the_span(name, builder, monkeypatch):
+    """The relation basis flatten keeps has, as its finite divisors, exactly
+    the finite divisors of the full translate matrix W."""
+    snfs = []
+    snf_of = lambda_modules.smith_normal_form
+
+    def spy(A, p, Nx):
+        res = snf_of(A, p, Nx)
+        snfs.append(res)
+        return res
+
+    monkeypatch.setattr(lambda_modules, "smith_normal_form", spy)
+    for pres in (x_truncated(builder(), 4), coinvariants(builder(), 1)):
+        snfs.clear()
+        fm = flatten(pres, N)
+        assert len(snfs) <= 1  # none when no relation survives the caps
+        want = [e for res in snfs for e in res.divisors if e < N]
+        assert [e for e in smith_divisors(fm.relmat, 3, N).divisors if e < N] == want
+        assert fm.relmat.shape[1] == len(want)
 
 
 def test_rank_lambda():

@@ -21,7 +21,7 @@ from normtower.lattice import (
 )
 from normtower.padic import PrecisionExhausted
 from normtower.points import point_log
-from normtower.snf import smith_normal_form
+from normtower.snf import PRECISION_BUMP, PRECISION_RUNGS, smith_normal_form
 from normtower.tower import build_tower
 
 
@@ -150,9 +150,9 @@ def test_divisors_only_rank_matches_transforms(d, monkeypatch):
     seen = []
     rank = Lattice.rank
 
-    def spy(self, strict=True):
+    def spy(self):
         seen.append(self)
-        return rank(self, strict)
+        return rank(self)
 
     monkeypatch.setattr(Lattice, "rank", spy)
     t = build_tower(3, d, 2, 6)
@@ -172,5 +172,30 @@ def test_lattice_rank_margin_raises():
     mat[0, 0], mat[1, 1] = 1, 3 ** (t.N - 1)  # divisor at N - 1
     lat = Lattice(t, 0, 0, mat)
     with pytest.raises(PrecisionExhausted):
-        lat.rank(strict=True)
-    assert lat.rank(strict=False) == 1
+        lat.rank()
+
+
+def test_retry_climbs_the_ladder():
+    """Two ambiguous rungs are passed over; the third rung's value is returned."""
+    seen = []
+
+    def fn(tw):
+        seen.append(tw.N)
+        if len(seen) < 3:
+            raise PrecisionExhausted(f"ambiguous at N={tw.N}")
+        return tw.N
+
+    assert with_precision_retry(3, 1, 0, 5, fn) == 5 + 2 * PRECISION_BUMP
+    assert seen == [5, 5 + PRECISION_BUMP, 5 + 2 * PRECISION_BUMP]
+
+
+def test_retry_gives_up_after_the_last_rung():
+    seen = []
+
+    def fn(tw):
+        seen.append(tw.N)
+        raise PrecisionExhausted(f"ambiguous at N={tw.N}")
+
+    with pytest.raises(PrecisionExhausted, match=f"N={5 + (PRECISION_RUNGS - 1) * PRECISION_BUMP}"):
+        with_precision_retry(3, 1, 0, 5, fn)
+    assert len(seen) == PRECISION_RUNGS
