@@ -42,7 +42,7 @@ from .lattice import (
     uniformizer_generates_quotient,
 )
 from .localpoints import InsufficientDegree, LocalPoint, local_point_direct, local_point_log
-from .padic import PrecisionExhausted, ZpContext, teichmuller
+from .padic import PrecisionExhausted, ZpContext
 from .points import epsilon_log, point_log, verify_trace_relations
 from .series import TruncSeries
 from .snf import SnfResult, smith_divisors, smith_normal_form
@@ -61,7 +61,7 @@ __all__ = [
     "Lattice", "check_exact_sequence", "cyclicity_check", "galois_span",
     "maximal_ideal_lattice", "uniformizer_generates_quotient",
     "InsufficientDegree", "LocalPoint", "local_point_direct", "local_point_log",
-    "PrecisionExhausted", "ZpContext", "teichmuller",
+    "PrecisionExhausted", "ZpContext",
     "epsilon_log", "point_log", "verify_trace_relations",
     "TruncSeries", "SnfResult", "smith_divisors", "smith_normal_form",
     "TowerDesc", "TowerElt", "build_tower", "check_g_iterate", "uniformizer",

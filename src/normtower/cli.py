@@ -15,10 +15,12 @@ import csv
 import io
 import json
 import sys
-import time
 from dataclasses import asdict, dataclass
+from itertools import product
 from pathlib import Path
+from time import perf_counter
 
+from . import honda
 from .curve import CurveParams, curve_from_preset
 from .groupring import idempotents
 from .lambda_modules import (
@@ -42,11 +44,11 @@ from .lattice import (
 )
 from .padic import PrecisionExhausted
 from .points import verify_trace_relations
+from .series import TruncSeries
 from .snf import HARNESS_PRECISION, MODULE_PRECISION
 from .tower import build_tower
 
 SCHEMA_VERSION = 1
-ALL_CHECKS = ("trace", "ranks", "cyclicity", "torsion", "lambda", "series")
 CSV_COLUMNS = ("p", "d", "n", "chi", "sign", "check", "expected", "measured",
                "residual_val", "pass")
 
@@ -112,13 +114,13 @@ class Record:
     p: int
     d: int
     n: int | str
-    chi: str
-    sign: str
     check: str
     expected: str
     measured: str
-    residual_val: str
     ok: bool
+    chi: str = "-"
+    sign: str = "-"
+    residual_val: str = "-"
     rule: str = ""
     runtime: float = 0.0
 
@@ -128,213 +130,152 @@ class Record:
                 "true" if self.ok else "false"]
 
 
-def _chi_variants(p: int, N: int):
-    eps = idempotents(p, N)
-    out = [("full", None)]
-    out.append(("triv", eps[0]))
-    if len(eps) > 1:
-        out.append(("nontriv", eps[1]))
-    return out
-
-
 def run_campaign(cfg: CampaignConfig) -> list[Record]:
+    """The a_p gate, then each configured check in order; nothing runs behind
+    a failed gate record. Checks yield untimed records: each record's runtime
+    is the perf_counter time since the previous record (the first one's since
+    the campaign started), so every second up to the last record is charged
+    to exactly one record."""
     records: list[Record] = []
-
-    def add(rec: Record):
-        records.append(rec)
-
-    # the standing hypothesis gate runs for every (p, curve) pair up front
-    for p in cfg.p_list:
-        t0 = time.time()
-        curve = cfg.curves[p]
-        count = curve.count_points()
-        ok = curve.ap() == 0
-        add(Record(p=p, d=0, n="-", chi="-", sign="-", check="ap_gate",
-                   expected="0", measured=str(curve.ap()),
-                   residual_val="-", ok=ok,
-                   rule=f"p + 1 - #E(F_p) with #E(F_p) = {count}",
-                   runtime=time.time() - t0))
-        if not ok:
-            return records
-
-    for check in cfg.checks:
-        fn = globals()[f"_check_{check}"]
-        records.extend(fn(cfg))
+    last = perf_counter()
+    for check in ("ap_gate", *cfg.checks):
+        for rec in CHECKS[check](cfg):
+            now = perf_counter()
+            rec.runtime, last = now - last, now
+            records.append(rec)
+            if check == "ap_gate" and not rec.ok:
+                return records
     return records
 
 
-def _check_trace(cfg: CampaignConfig) -> list[Record]:
-    out = []
+def _check_ap_gate(cfg: CampaignConfig):
+    """The standing hypothesis a_p = 0, for every (p, curve) pair."""
+    for p in cfg.p_list:
+        curve = cfg.curves[p]
+        count = curve.count_points()
+        ap = curve.ap()
+        yield Record(p=p, d=0, n="-", check="ap_gate", expected="0",
+                     measured=str(ap), ok=ap == 0,
+                     rule=f"p + 1 - #E(F_p) with #E(F_p) = {count}")
+
+
+def _check_trace(cfg: CampaignConfig):
     for p in cfg.p_list:
         for d in cfg.d_list:
-            t0 = time.time()
             tower = build_tower(p, d, cfg.n_max, cfg.precision)
             for rec in verify_trace_relations(tower):
-                out.append(Record(
-                    p=p, d=d, n=rec.n, chi="-", sign="-", check="trace",
-                    expected=f">= {rec.floor}",
-                    measured=str(rec.residual_valuation),
-                    residual_val=str(rec.residual_valuation),
-                    ok=rec.ok, rule=rec.relation, runtime=time.time() - t0))
-                t0 = time.time()
-    return out
+                yield Record(p=p, d=d, n=rec.n, check="trace",
+                             expected=f">= {rec.floor}",
+                             measured=str(rec.residual_valuation),
+                             residual_val=str(rec.residual_valuation),
+                             ok=rec.ok, rule=rec.relation)
 
 
-def _check_ranks(cfg: CampaignConfig) -> list[Record]:
-    out = []
+def _chi_variants(p: int, N: int):
+    eps = idempotents(p, N)
+    return [("full", None), ("triv", eps[0])] + [("nontriv", e) for e in eps[1:2]]
+
+
+def _check_ranks(cfg: CampaignConfig):
     for p in cfg.p_list:
         chis = _chi_variants(p, cfg.precision)
         for d in cfg.d_list:
             for n in range(-1, cfg.n_max + 1):
                 for label, chi in chis:
-                    t0 = time.time()
-                    triv = None if chi is None else chi.trivial
-                    exp = expected_norm_rank(p, d, n, triv)
-
-                    def rank_norm(tw, n=n, chi=chi):
-                        return norm_subgroup_lattice(tw, n, chi).rank()
-
-                    got = with_precision_retry(p, d, max(n, 0), cfg.precision, rank_norm)
-                    out.append(Record(
-                        p=p, d=d, n=n, chi=label, sign="norm", check="rank",
-                        expected=str(exp), measured=str(got), residual_val="-",
-                        ok=got == exp,
-                        rule="d(q_n+1) if n odd, trivial chi; d q_n otherwise",
-                        runtime=time.time() - t0))
+                    exp = expected_norm_rank(p, d, n, None if chi is None else chi.trivial)
+                    got = with_precision_retry(
+                        p, d, max(n, 0), cfg.precision,
+                        lambda tw: norm_subgroup_lattice(tw, n, chi).rank())
+                    yield Record(p=p, d=d, n=n, chi=label, sign="norm", check="rank",
+                                 expected=str(exp), measured=str(got), ok=got == exp,
+                                 rule="d(q_n+1) if n odd, trivial chi; d q_n otherwise")
                 if n < 0:
                     continue
                 for sign in "+-":
                     for label, chi in chis:
-                        t0 = time.time()
-                        triv = None if chi is None else chi.trivial
-                        exp = expected_plusminus_rank(p, d, n, sign, triv)
-
-                        def rank_pm(tw, n=n, sign=sign, chi=chi):
-                            return plusminus_lattice(tw, n, sign, chi).rank()
-
-                        got = with_precision_retry(p, d, n, cfg.precision, rank_pm)
-                        out.append(Record(
-                            p=p, d=d, n=n, chi=label, sign=sign, check="rank",
-                            expected=str(exp), measured=str(got), residual_val="-",
-                            ok=got == exp,
-                            rule="d q_n^+ / d q_n^- (+d for trivial chi)",
-                            runtime=time.time() - t0))
-                t0 = time.time()
-
-                def exact_seq(tw, n=n):
-                    return check_exact_sequence(tw, n, None)
-
-                rep = with_precision_retry(p, d, n, cfg.precision, exact_seq)
-                out.append(Record(
+                        exp = expected_plusminus_rank(p, d, n, sign,
+                                                      None if chi is None else chi.trivial)
+                        got = with_precision_retry(
+                            p, d, n, cfg.precision,
+                            lambda tw: plusminus_lattice(tw, n, sign, chi).rank())
+                        yield Record(p=p, d=d, n=n, chi=label, sign=sign, check="rank",
+                                     expected=str(exp), measured=str(got), ok=got == exp,
+                                     rule="d q_n^+ / d q_n^- (+d for trivial chi)")
+                rep = with_precision_retry(p, d, n, cfg.precision,
+                                           lambda tw: check_exact_sequence(tw, n, None))
+                yield Record(
                     p=p, d=d, n=n, chi="full", sign="norm", check="exact_sequence",
                     expected="split ranks", measured=json.dumps(
                         {k: rep[k] for k in ("rank_Cn", "rank_Cn_lower",
                                              "rank_intersection", "rank_sum")},
                         sort_keys=True),
-                    residual_val="-", ok=rep["ok"],
-                    rule="intersection = level -1 lattice; sum = full lattice; rank additivity",
-                    runtime=time.time() - t0))
-    return out
+                    ok=rep["ok"],
+                    rule="intersection = level -1 lattice; sum = full lattice; rank additivity")
 
 
-def _check_cyclicity(cfg: CampaignConfig) -> list[Record]:
-    out = []
+def _check_cyclicity(cfg: CampaignConfig):
     for p in cfg.p_list:
         for d in cfg.d_list:
             for n in range(0, cfg.n_max + 1):
-                t0 = time.time()
-
-                def cyc(tw, n=n):
-                    return cyclicity_check(tw, n)
-
-                rep = with_precision_retry(p, d, n, cfg.precision, cyc)
-                out.append(Record(
-                    p=p, d=d, n=n, chi="-", sign="norm", check="cyclicity",
-                    expected=str(rep["expected_cyclic"]),
-                    measured=str(rep["cyclic"]), residual_val="-",
-                    ok=rep["ok"],
-                    rule="not cyclic iff d = 0 (mod 4) and n even",
-                    runtime=time.time() - t0))
-    return out
+                rep = with_precision_retry(p, d, n, cfg.precision,
+                                           lambda tw: cyclicity_check(tw, n))
+                yield Record(p=p, d=d, n=n, sign="norm", check="cyclicity",
+                             expected=str(rep["expected_cyclic"]),
+                             measured=str(rep["cyclic"]), ok=rep["ok"],
+                             rule="not cyclic iff d = 0 (mod 4) and n even")
 
 
-def _check_torsion(cfg: CampaignConfig) -> list[Record]:
-    out = []
+_CHARACTERS = ((True, "triv"), (False, "nontriv"))
+
+
+def _check_torsion(cfg: CampaignConfig):
+    N = max(cfg.precision, MODULE_PRECISION)
+    for p, d, n, gap, sign, (triv, label) in product(
+            cfg.p_list, cfg.d_list, range(0, min(cfg.n_max, 2) + 1), (2, 4), "+-",
+            _CHARACTERS):
+        m = n + gap
+        present = present_plus if sign == "+" else present_minus
+        rep = module_report(coinvariants(present(p, d, m, triv), n), N)
+        cf = sorted(closed_form_coinvariant_torsion(p, d, m, n, sign, triv))
+        yield Record(p=p, d=d, n=n, chi=label, sign=sign, check="torsion",
+                     expected=str(cf), measured=str(rep["torsion"]),
+                     ok=rep["torsion"] == cf,
+                     rule=f"m={m}: cyclotomic factors above level n collapse to p")
+
+
+def _check_lambda(cfg: CampaignConfig):
     N = max(cfg.precision, MODULE_PRECISION)
     for p in cfg.p_list:
         for d in cfg.d_list:
-            for n in range(0, min(cfg.n_max, 2) + 1):
-                for gap in (2, 4):
-                    m = n + gap
-                    for sign in "+-":
-                        for triv, label in ((True, "triv"), (False, "nontriv")):
-                            t0 = time.time()
-                            present = present_plus if sign == "+" else present_minus
-                            rep = module_report(coinvariants(present(p, d, m, triv), n), N)
-                            cf = sorted(closed_form_coinvariant_torsion(p, d, m, n, sign, triv))
-                            ok = rep["torsion"] == cf
-                            out.append(Record(
-                                p=p, d=d, n=n, chi=label, sign=sign, check="torsion",
-                                expected=str(cf), measured=str(rep["torsion"]),
-                                residual_val="-", ok=ok,
-                                rule=f"m={m}: cyclotomic factors above level n collapse to p",
-                                runtime=time.time() - t0))
-    return out
-
-
-def _check_lambda(cfg: CampaignConfig) -> list[Record]:
-    out = []
-    N = max(cfg.precision, MODULE_PRECISION)
-    for p in cfg.p_list:
-        for d in cfg.d_list:
-            for sign in "+-":
-                for triv, label in ((True, "triv"), (False, "nontriv")):
-                    for n in range(0, min(cfg.n_max, 2) + 1):
-                        t0 = time.time()
-                        rep = coinvariant_rank_law(p, d, n, triv, sign, N)
-                        out.append(Record(
-                            p=p, d=d, n=n, chi=label, sign=sign,
-                            check="coinvariant_rank",
-                            expected=str(rep["expected"]), measured=str(rep["total"]),
-                            residual_val="-", ok=rep["ok"],
-                            rule="d p^n + delta (plus) / d p^n (minus)",
-                            runtime=time.time() - t0))
-            t0 = time.time()
+            for sign, (triv, label), n in product("+-", _CHARACTERS,
+                                                  range(0, min(cfg.n_max, 2) + 1)):
+                rep = coinvariant_rank_law(p, d, n, triv, sign, N)
+                yield Record(p=p, d=d, n=n, chi=label, sign=sign,
+                             check="coinvariant_rank",
+                             expected=str(rep["expected"]), measured=str(rep["total"]),
+                             ok=rep["ok"], rule="d p^n + delta (plus) / d p^n (minus)")
             rep = supplementary_structure_check(d, True, p, N, "+")
-            out.append(Record(
-                p=p, d=d, n="0-2", chi="triv", sign="+", check="structure_candidate",
-                expected="consistent at all tested levels", measured=str(rep["ok"]),
-                residual_val="-", ok=rep["ok"],
-                rule="free rank d plus delta X-killed lines", runtime=time.time() - t0))
-        t0 = time.time()
+            yield Record(p=p, d=d, n="0-2", chi="triv", sign="+", check="structure_candidate",
+                         expected="consistent at all tested levels", measured=str(rep["ok"]),
+                         ok=rep["ok"], rule="free rank d plus delta X-killed lines")
         kf = kernel_freeness_property(cfg.lambda_trials, seed=cfg.seed, p=p,
                                       N=max(N, HARNESS_PRECISION))
-        out.append(Record(
-            p=p, d=0, n="-", chi="-", sign="-", check="kernel_freeness",
-            expected="0 counterexamples",
-            measured=f"{len(kf['counterexamples'])} of {kf['trials']}",
-            residual_val="-", ok=kf["ok"],
-            rule="kernels of surjections free; cokernels of injections submodule-free",
-            runtime=time.time() - t0))
-    return out
+        yield Record(
+            p=p, d=0, n="-", check="kernel_freeness", expected="0 counterexamples",
+            measured=f"{len(kf['counterexamples'])} of {kf['trials']}", ok=kf["ok"],
+            rule="kernels of surjections free; cokernels of injections submodule-free")
 
 
-def _check_series(cfg: CampaignConfig) -> list[Record]:
-    from .honda import series_bundle
-    from .series import TruncSeries
-
-    out = []
+def _check_series(cfg: CampaignConfig):
     D = 30
     for p in cfg.p_list:
         curve = cfg.curves[p]
         for d in sorted(set(cfg.d_list))[:2]:
-            t0 = time.time()
             try:
-                b = series_bundle(curve, d, 0, D, cfg.precision)
+                b = honda.series_bundle(curve, d, 0, D, cfg.precision)
             except PrecisionExhausted as e:
-                out.append(Record(p=p, d=d, n=0, chi="-", sign="-", check="series",
-                                  expected="integral isomorphism", measured=str(e),
-                                  residual_val="-", ok=False, rule="series bundle"))
+                yield Record(p=p, d=d, n=0, check="series", expected="integral isomorphism",
+                             measured=str(e), ok=False, rule="series bundle")
                 continue
             comp = b.curve_exp.compose(b.curve_log).canonical()
             ident = TruncSeries.identity(b.field, comp.deg, comp.prec)
@@ -342,16 +283,22 @@ def _check_series(cfg: CampaignConfig) -> list[Record]:
             rep = b.report
             ok = (idok and rep["forward_integral"] and rep["backward_integral"]
                   and rep["roundtrip_identity"])
-            out.append(Record(
-                p=p, d=d, n=0, chi="-", sign="-", check="series",
+            yield Record(
+                p=p, d=d, n=0, check="series",
                 expected="exp(log)=id; congruence; integral composites",
                 measured=json.dumps({"exp_log_identity": idok, **{
                     k: rep[k] for k in ("forward_integral", "backward_integral",
                                         "roundtrip_identity")}}, sort_keys=True),
                 residual_val=str(min(rep["forward_eff_prec"], rep["backward_eff_prec"])),
-                ok=ok, rule="height-two isomorphism integrality",
-                runtime=time.time() - t0))
-    return out
+                ok=ok, rule="height-two isomorphism integrality")
+
+
+# every check by name; the gate always runs first, and "all" runs the rest in
+# this order
+CHECKS = {"ap_gate": _check_ap_gate, "trace": _check_trace, "ranks": _check_ranks,
+          "cyclicity": _check_cyclicity, "torsion": _check_torsion,
+          "lambda": _check_lambda, "series": _check_series}
+ALL_CHECKS = tuple(c for c in CHECKS if c != "ap_gate")
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +308,9 @@ def _check_series(cfg: CampaignConfig) -> list[Record]:
 def render_table(records: list[Record], fmt: str) -> str:
     """The table as csv, json or md text, exactly as written to table.<fmt>."""
     if fmt == "md":
-        return emit_markdown(records)
+        lines = ["| " + " | ".join(CSV_COLUMNS) + " |", "|" + "---|" * len(CSV_COLUMNS)]
+        lines += ["| " + " | ".join(r.row()) + " |" for r in records]
+        return "\n".join(lines) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -381,14 +330,6 @@ def emit_tables(records: list[Record], out_dir: Path) -> dict[str, Path]:
     for kind, path in paths.items():
         path.write_text(render_table(records, kind))
     return paths
-
-
-def emit_markdown(records: list[Record]) -> str:
-    lines = ["| " + " | ".join(CSV_COLUMNS) + " |",
-             "|" + "---|" * len(CSV_COLUMNS)]
-    for r in records:
-        lines.append("| " + " | ".join(r.row()) + " |")
-    return "\n".join(lines) + "\n"
 
 
 def write_report(records: list[Record], cfg: CampaignConfig, out_dir: Path) -> Path:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .groupring import GroupRing, omega_family, phi_plus_phi_inv, q_values
+from .groupring import GroupRing, delta_of, omega_family, phi_plus_phi_inv, q_values
 from .padic import PrecisionExhausted
 from .polyarith import fold_cyclic, mul_vec, rem_monic
 from .snf import (
@@ -192,29 +192,24 @@ def present_minus(p: int, d: int, n: int, trivial_chi: bool) -> Presentation:
 
 def coinvariants(pres: Presentation, n: int) -> Presentation:
     """Quotient by omega_n: append omega_n * e_i (monic caps for everything)."""
-    fam = omega_family(pres.p, n)
-    w = grp_from_intpoly(pres.d, fam.omega)
-    z = grp_zero(pres.d)
-    extra = []
-    caps = pres.cap_map()
-    for i in range(pres.gens):
-        extra.append(tuple(w if j == i else z for j in range(pres.gens)))
-        if i not in caps or grp_deg(caps[i]) > grp_deg(w):
-            caps[i] = w
-    return Presentation(p=pres.p, d=pres.d, gens=pres.gens,
-                        rels=pres.rels + tuple(extra), caps=tuple(caps.items()))
+    return _quotient_by(pres, grp_from_intpoly(pres.d, omega_family(pres.p, n).omega))
 
 
 def x_truncated(pres: Presentation, W: int) -> Presentation:
     """Quotient by X^W: the finite-level model used for X-kernel invariants."""
-    xw = grp_X(pres.d, W)
+    return _quotient_by(pres, grp_X(pres.d, W))
+
+
+def _quotient_by(pres: Presentation, f: tuple) -> Presentation:
+    """M / f M for a monic scalar polynomial f: the relation f * e_i for each
+    generator, and f caps every generator whose cap is missing or longer."""
     z = grp_zero(pres.d)
     extra = []
     caps = pres.cap_map()
     for i in range(pres.gens):
-        extra.append(tuple(xw if j == i else z for j in range(pres.gens)))
-        if i not in caps or grp_deg(caps[i]) > W:
-            caps[i] = xw
+        extra.append(tuple(f if j == i else z for j in range(pres.gens)))
+        if i not in caps or grp_deg(caps[i]) > grp_deg(f):
+            caps[i] = f
     return Presentation(p=pres.p, d=pres.d, gens=pres.gens,
                         rels=pres.rels + tuple(extra), caps=tuple(caps.items()))
 
@@ -506,8 +501,6 @@ def closed_form_coinvariant_torsion(p: int, d: int, m: int, n: int, sign: str,
     """Elementary-divisor valuations of the p-primary torsion of
     present_{sign}(m, chi)/omega_n, from the congruence bookkeeping:
     each cyclotomic factor above level n collapses to p modulo omega_n."""
-    from .groupring import delta_of
-
     assert m >= n
     if sign == "+":
         c = sum(1 for j in range(n + 1, m + 1) if j % 2 == 0)
@@ -527,8 +520,6 @@ def coinvariant_rank_law(p: int, d: int, n: int, trivial_chi: bool, sign: str,
     """Assemble the level-n coinvariant rank of the dual tower module:
     rank of the level-n subgroup plus the stabilized torsion corank, checked
     against d p^n + delta (plus side) or d p^n (minus side)."""
-    from .groupring import delta_of
-
     present = present_plus if sign == "+" else present_minus
     rank_n = module_report(present(p, d, n, trivial_chi), N)["rank"]
     tors = []
@@ -561,8 +552,6 @@ def supplementary_structure_check(d: int, trivial_chi: bool, p: int, N: int,
     coinvariant ranks d p^n + delta at n = 0,1,2, X-torsion of rank delta,
     and free X-coinvariants. Explicitly a finite-level consistency check,
     not a proof at the infinite level."""
-    from .groupring import delta_of
-
     delta = delta_of(d, trivial_chi) if sign == "+" else 0
     cand = free_presentation(p, 1, d)
     for _ in range(delta):
@@ -606,17 +595,7 @@ def _matvec_grp(T, v, d):
 
 
 def _matmul_grp(A, B, d):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = grp_zero(d)
-            for t in range(k):
-                acc = grp_add(acc, grp_mul(A[i][t], B[t][j]))
-            row.append(grp_trim(acc))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(zip(*(_matvec_grp(A, col, d) for col in zip(*B))))
 
 
 def _identity_grp(n, d):
@@ -633,7 +612,7 @@ def _random_poly(rng, d, max_deg, p):
     return grp_trim(tuple(coeffs)) if any(any(c) for c in coeffs) else grp_zero(d)
 
 
-def _random_unimodular(rng, n, d, p, ops: int, max_deg: int = 2):
+def _random_unimodular(rng, n, d, p, ops: int, max_deg: int):
     """U and U^{-1} as GRPoly matrices: product of transvections and sign flips."""
     U = [list(r) for r in _identity_grp(n, d)]
     Uinv = [list(r) for r in _identity_grp(n, d)]
@@ -675,7 +654,7 @@ def _random_safe_module(rng, p, d):
     return pres, s
 
 
-def _kernel_instance(rng, p, d, N, deg_bound) -> dict:
+def _kernel_instance(rng, p, d, N) -> dict:
     """One surjection from a free module onto a safe module, with closed-form
     kernel generators.
 
@@ -690,8 +669,8 @@ def _kernel_instance(rng, p, d, N, deg_bound) -> dict:
     extra = rng.randrange(1, 3)
     r = gN + extra
     U, Uinv = _random_unimodular(rng, gN, d, p, ops=rng.randrange(2, 6),
-                                 max_deg=max(1, deg_bound // 3))
-    Q = tuple(tuple(_random_poly(rng, d, deg_bound // 2, p) for _ in range(extra))
+                                 max_deg=max(1, _DEG_BOUND // 3))
+    Q = tuple(tuple(_random_poly(rng, d, _DEG_BOUND // 2, p) for _ in range(extra))
               for _ in range(gN))
     z = grp_zero(d)
     kgens = []
@@ -728,7 +707,7 @@ def _kernel_instance(rng, p, d, N, deg_bound) -> dict:
             "kgens": kgens if not ok else None}
 
 
-def _cokernel_instance(rng, p, d, N, deg_bound) -> dict:
+def _cokernel_instance(rng, p, d, N) -> dict:
     """One injection of a free module into a safe module; the cokernel must
     have no nontrivial finite submodule. Injectivity is certified by the
     Lambda-rank ledger; non-injective draws are resampled by the caller."""
@@ -737,7 +716,7 @@ def _cokernel_instance(rng, p, d, N, deg_bound) -> dict:
         targetN = direct_sum(targetN, free_presentation(p, d, 1))
         s += 1
     r = rng.randrange(1, s)
-    G = tuple(tuple(_random_poly(rng, d, deg_bound // 2, p) for _ in range(r))
+    G = tuple(tuple(_random_poly(rng, d, _DEG_BOUND // 2, p) for _ in range(r))
               for _ in range(targetN.gens))
     z = grp_zero(d)
     extra_rels = []
@@ -767,32 +746,20 @@ def kernel_freeness_property(trials: int, seed: int, N: int, p: int = 3) -> dict
     rng = random.Random(seed)
     counterexamples = []
     ran = 0
-    half = trials // 2
-    while ran < half:
-        d = rng.randrange(1, _D_MAX + 1)
-        state = rng.getstate()
+    for stop, instance in ((trials // 2, _kernel_instance), (trials, _cokernel_instance)):
+        while ran < stop:
+            d = rng.randrange(1, _D_MAX + 1)
+            state = rng.getstate()
 
-        def mk(Nx):
-            rng.setstate(state)
-            return _kernel_instance(rng, p, d, Nx, _DEG_BOUND)
+            def mk(Nx):
+                rng.setstate(state)
+                return instance(rng, p, d, Nx)
 
-        inst = at_rising_precision(mk, N)
-        ran += 1
-        if not inst["ok"]:
-            counterexamples.append(inst)
-    while ran < trials:
-        d = rng.randrange(1, _D_MAX + 1)
-        state = rng.getstate()
-
-        def mk(Nx):
-            rng.setstate(state)
-            return _cokernel_instance(rng, p, d, Nx, _DEG_BOUND)
-
-        inst = at_rising_precision(mk, N)
-        if inst["ok"] is None:
-            continue
-        ran += 1
-        if not inst["ok"]:
-            counterexamples.append(inst)
+            inst = at_rising_precision(mk, N)
+            if inst["ok"] is None:
+                continue  # a cokernel draw that is not injective: resample
+            ran += 1
+            if not inst["ok"]:
+                counterexamples.append(inst)
     return {"trials": ran, "counterexamples": counterexamples,
             "ok": not counterexamples}

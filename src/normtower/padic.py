@@ -72,21 +72,6 @@ class ZpContext:
             raise ValueError("precision exponent must be >= 1")
         object.__setattr__(self, "q", self.p**self.N)
 
-    def red(self, a: int) -> int:
-        return a % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def val(self, a: int) -> int:
-        return val_int(a % self.q, self.p, self.N)
-
     def inv(self, a: int) -> int:
         """Inverse of a unit mod p^N (Hensel lift of the mod-p inverse)."""
         a %= self.q
@@ -113,10 +98,6 @@ class ZpContext:
             x = nx
         assert pow(x, self.p, self.q) == x, "Teichmuller iteration did not stabilize"
         return x
-
-
-def teichmuller(a: int, p: int, N: int) -> int:
-    return ZpContext(p, N).teichmuller(a)
 
 
 def floor_log(x: int, base: int) -> int:

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from normtower.cli import CampaignConfig, ConfigError, emit_markdown, main
+from normtower import cli, honda
+from normtower.cli import CampaignConfig, ConfigError, main
+from normtower.padic import PrecisionExhausted
 
 
 def write_cfg(tmp_path: Path, doc: dict) -> Path:
@@ -128,3 +130,59 @@ def test_ap_gate_blocks_bad_curve(tmp_path):
     assert doc["records"][0]["check"] == "ap_gate"
     assert doc["records"][0]["ok"] is False
     assert len(doc["records"]) == 1  # nothing runs behind a failed gate
+
+
+class FakeClock:
+    """A perf_counter stand-in that moves only when a test advances it."""
+
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def failing_bundle(clock: FakeClock, seconds: float):
+    def bundle(curve, d, n, D, target):
+        clock.now += seconds
+        raise PrecisionExhausted(f"no integral bundle at d={d}")
+    return bundle
+
+
+def test_series_failure_record_is_charged_its_bundle_time(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(cli, "perf_counter", clock)
+    monkeypatch.setattr(honda, "series_bundle", failing_bundle(clock, 7.5))
+    cfg = CampaignConfig.from_json({**BASE, "d": [1, 2], "checks": ["series"]})
+    records = cli.run_campaign(cfg)
+    assert [r.check for r in records] == ["ap_gate", "series", "series"]
+    assert [r.ok for r in records] == [True, False, False]
+    assert records[1].measured == "no integral bundle at d=1"
+    assert [r.runtime for r in records] == [0.0, 7.5, 7.5]
+
+
+def test_record_runtimes_sum_to_the_campaign_clock(monkeypatch):
+    clock = FakeClock()
+    build_tower = cli.build_tower
+
+    def slow_build_tower(*args):
+        clock.now += 2.0
+        return build_tower(*args)
+
+    monkeypatch.setattr(cli, "perf_counter", clock)
+    monkeypatch.setattr(cli, "build_tower", slow_build_tower)
+    monkeypatch.setattr(honda, "series_bundle", failing_bundle(clock, 7.5))
+    cfg = CampaignConfig.from_json({**BASE, "d": [1, 2], "checks": ["trace", "series"]})
+    start = clock()
+    records = cli.run_campaign(cfg)
+    assert {r.check for r in records} == {"ap_gate", "trace", "series"}
+    assert clock() - start == 2 * 2.0 + 2 * 7.5
+    assert sum(r.runtime for r in records) == clock() - start
+    # the tower is built before the first trace record of each d, and charged to it
+    first_trace = [next(r for r in records if r.check == "trace" and r.d == d) for d in (1, 2)]
+    assert [r.runtime for r in first_trace] == [2.0, 2.0]
+
+
+def test_every_check_runs_through_the_runner():
+    assert cli.ALL_CHECKS == ("trace", "ranks", "cyclicity", "torsion", "lambda", "series")
+    assert set(cli.CHECKS) == {"ap_gate", *cli.ALL_CHECKS}

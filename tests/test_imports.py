@@ -1,8 +1,11 @@
-"""Lint: every name a module imports is read somewhere in that module.
+"""Lints over the modules under src/normtower, each parsed with ast.
 
-Each module under src/normtower (except the re-exporting __init__.py) is
-parsed with ast. An imported name that never appears in a load context fails
-the test, unless its import line carries `# noqa: F401`.
+- Every name a module imports is read somewhere in that module (the
+  re-exporting __init__.py is exempt). An imported name that never appears in
+  a load context fails, unless its import line carries `# noqa: F401`.
+- Every private module-level name (a leading underscore, not a dunder) is read
+  somewhere under src/normtower, as a name or as an attribute. A name reached
+  only through a string lookup fails.
 """
 
 import ast
@@ -12,6 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "normtower"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -39,3 +43,48 @@ def test_detects_an_unused_import():
     src = ("import math\nfrom os import path, sep\n"
            "from sys import argv  # noqa: F401\nprint(path, math.pi)\n")
     assert unused_imports(src) == [(2, "sep")]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unread_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) for each private module-level name that no module reads."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for tgt in targets for t in ast.walk(tgt)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [(module, n) for n in names if _is_private(n) and n not in read]
+    return sorted(unread)
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_private_names_are_read(module):
+    assert [n for m, n in unread_private_names(SOURCES) if m == module] == []
+
+
+def test_detects_an_unread_private_name():
+    sources = {
+        "a.py": ("_LIMIT = 3\n_A, _B = 1, 2\n__all__ = []\n"
+                 "def _helper():\n    return _LIMIT\n"
+                 "def _check_x():\n    pass\n"
+                 "def run(name):\n    return globals()[f'_check_{name}']()\n"),
+        "b.py": "from . import a\nprint(a._helper(), a._A)\n",
+    }
+    assert unread_private_names(sources) == [("a.py", "_B"), ("a.py", "_check_x")]

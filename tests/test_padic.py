@@ -1,9 +1,7 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
-from normtower.padic import ZpContext, teichmuller, val_int
+from normtower.padic import ZpContext, val_int
 
 
 def test_context_rejects_bad_primes():
@@ -16,33 +14,24 @@ def test_context_rejects_bad_primes():
 
 
 def test_teichmuller_examples():
-    assert teichmuller(1, 5, 2) == 1
-    assert teichmuller(2, 5, 2) == 7          # 7^4 = 2401 = 1 mod 25
+    assert ZpContext(5, 2).teichmuller(1) == 1
+    assert ZpContext(5, 2).teichmuller(2) == 7          # 7^4 = 2401 = 1 mod 25
     assert pow(7, 4, 25) == 1
-    assert teichmuller(6, 7, 3) == 7**3 - 1   # -1 lifts itself
+    assert ZpContext(7, 3).teichmuller(6) == 7**3 - 1   # -1 lifts itself
 
 
 def test_teichmuller_rejects_nonunit():
     with pytest.raises(ZeroDivisionError):
-        teichmuller(10, 5, 3)
+        ZpContext(5, 3).teichmuller(10)
 
 
 @given(st.sampled_from([3, 5, 7]), st.integers(1, 6), st.integers(1, 10**6))
 def test_teichmuller_is_root_of_unity(p, N, a):
     if a % p == 0:
         a += 1
-    x = teichmuller(a, p, N)
+    x = ZpContext(p, N).teichmuller(a)
     assert x % p == a % p
     assert pow(x, p - 1, p**N) == 1
-
-
-@given(st.sampled_from([3, 5]), st.integers(2, 8),
-       st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 10**9))
-def test_ring_axioms_mod_pN(p, N, a, b, c):
-    zp = ZpContext(p, N)
-    assert zp.mul(a, zp.add(b, c)) == zp.add(zp.mul(a, b), zp.mul(a, c))
-    assert zp.mul(zp.mul(a, b), c) == zp.mul(a, zp.mul(b, c))
-    assert zp.sub(a, a) == 0
 
 
 @given(st.sampled_from([3, 5, 7]), st.integers(1, 8), st.integers(1, 10**9))
@@ -50,7 +39,7 @@ def test_inverse_of_units(p, N, a):
     if a % p == 0:
         a += 1
     zp = ZpContext(p, N)
-    assert zp.mul(a, zp.inv(a)) == 1
+    assert a * zp.inv(a) % p**N == 1
 
 
 def test_valuation_cap():
