@@ -3,7 +3,6 @@ cyclotomic towers of unramified p-adic fields, verified at finite precision."""
 
 from .curve import (
     CurveParams,
-    assert_supersingular,
     curve_from_preset,
     formal_exp,
     formal_group_law,
@@ -41,7 +40,7 @@ from .lattice import (
     maximal_ideal_lattice,
     uniformizer_generates_quotient,
 )
-from .localpoints import InsufficientDegree, LocalPoint, local_point_direct, local_point_log
+from .localpoints import InsufficientDegree, LocalPoint, local_point_direct
 from .padic import PrecisionExhausted, ZpContext
 from .points import epsilon_log, point_log, verify_trace_relations
 from .series import TruncSeries
@@ -50,7 +49,7 @@ from .tower import TowerDesc, TowerElt, build_tower, check_g_iterate, uniformize
 from .unramified import FieldDesc, build_unramified
 
 __all__ = [
-    "CurveParams", "assert_supersingular", "curve_from_preset", "formal_exp",
+    "CurveParams", "curve_from_preset", "formal_exp",
     "formal_group_law", "formal_log", "multiplication_by_p_series",
     "GroupRing", "annihilator", "delta_of", "idempotents", "is_unit",
     "omega_family", "phi_plus_phi_inv", "q_values",
@@ -60,7 +59,7 @@ __all__ = [
     "present_minus", "present_plus", "supplementary_structure_check",
     "Lattice", "check_exact_sequence", "cyclicity_check", "galois_span",
     "maximal_ideal_lattice", "uniformizer_generates_quotient",
-    "InsufficientDegree", "LocalPoint", "local_point_direct", "local_point_log",
+    "InsufficientDegree", "LocalPoint", "local_point_direct",
     "PrecisionExhausted", "ZpContext",
     "epsilon_log", "point_log", "verify_trace_relations",
     "TruncSeries", "SnfResult", "smith_divisors", "smith_normal_form",

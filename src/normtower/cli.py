@@ -79,6 +79,11 @@ class CampaignConfig:
                 raise ConfigError("empty p or d list")
             n_max = int(doc.get("n_max", 2))
             precision = int(doc.get("precision", 6))
+            lambda_trials = int(doc.get("lambda_trials", 40))
+            for name, value, low in (("precision", precision, 1), ("d", min(d_list), 1),
+                                     ("n_max", n_max, 0), ("lambda_trials", lambda_trials, 1)):
+                if value < low:
+                    raise ConfigError(f"{name} must be >= {low}, got {value}")
             curves = {}
             spec = doc.get("curve", "ss3")
             for p in p_list:
@@ -101,7 +106,7 @@ class CampaignConfig:
                 curves=curves, checks=checks,
                 seed=int(seed_override if seed_override is not None else doc.get("seed", 0)),
                 out=str(out_override or doc.get("out", "reports")),
-                lambda_trials=int(doc.get("lambda_trials", 40)),
+                lambda_trials=lambda_trials,
             )
         except ConfigError:
             raise
@@ -383,7 +388,7 @@ def cmd_table(args) -> int:
     try:
         doc = json.loads(Path(args.report).read_text())
     except (OSError, json.JSONDecodeError) as e:
-        print(f"config error: {e}", file=sys.stderr)
+        print(f"report error: {e}", file=sys.stderr)
         return 2
     try:
         records = [Record(**rec) for rec in doc["records"]]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .padic import ZpContext, is_prime, val_int
-from .polyarith import mul, truncate
+from .polyarith import mul, mul_vec, truncate
 from .series import TruncSeries
 from .unramified import FieldDesc
 
@@ -76,14 +76,6 @@ def curve_from_preset(name: str, p: int) -> CurveParams:
     return CurveParams(p=p, **CURVE_PRESETS[name])
 
 
-def assert_supersingular(curve: CurveParams) -> int:
-    """The standing hypothesis: trace of Frobenius vanishes. Returns #E(F_p)."""
-    n = curve.count_points()
-    if curve.p + 1 - n != 0:
-        raise ValueError(f"a_p = {curve.p + 1 - n} != 0 for p = {curve.p}")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # w-expansion and univariate unit series (exact integers)
 # ---------------------------------------------------------------------------
@@ -92,15 +84,17 @@ def _zmul(a: list[int], b: list[int], D: int) -> list[int]:
     return truncate(mul(a, b), D + 1)
 
 
-def _zinv(u: list[int], D: int) -> list[int]:
+def _zinv(u: list[int], D: int, times=_zmul) -> list[int]:
     """1/u through degree D for an integer series with constant term 1, by
-    Newton steps g <- g (2 - u g), each doubling the correct degree."""
+    Newton steps g <- g (2 - u g), each doubling the correct degree; times is
+    the product truncated at degree D (univariate, or `_bmul` for bivariate
+    series)."""
     g, good = [1], 1
     while good <= D:
-        ug = _zmul(u, g, D)
-        g = _zmul(g, [2 - ug[0]] + [-c for c in ug[1:]], D)
+        ug = times(u, g, D)
+        g = times(g, [2 - ug[0]] + [-c for c in ug[1:]], D)
         good *= 2
-    return truncate(g, D + 1)
+    return g
 
 
 @lru_cache(maxsize=None)
@@ -202,128 +196,8 @@ def multiplication_by_p_series(curve: CurveParams, field: FieldDesc, D: int, tar
 
 
 # ---------------------------------------------------------------------------
-# exact bivariate/trivariate polynomial helpers and the chord group law
+# the chord group law, exact over Z
 # ---------------------------------------------------------------------------
-
-class MPoly:
-    """Sparse exact-integer multivariate polynomial truncated at total degree."""
-
-    __slots__ = ("nvars", "cap", "c")
-
-    def __init__(self, nvars: int, cap: int, c: dict | None = None):
-        self.nvars = nvars
-        self.cap = cap
-        self.c = {k: v for k, v in (c or {}).items() if v and sum(k) <= cap}
-
-    @staticmethod
-    def const(nvars: int, cap: int, v: int) -> "MPoly":
-        return MPoly(nvars, cap, {(0,) * nvars: v})
-
-    @staticmethod
-    def var(nvars: int, cap: int, i: int) -> "MPoly":
-        k = tuple(int(j == i) for j in range(nvars))
-        return MPoly(nvars, cap, {k: 1})
-
-    def __add__(self, o):
-        out = dict(self.c)
-        for k, v in o.c.items():
-            out[k] = out.get(k, 0) + v
-        return MPoly(self.nvars, min(self.cap, o.cap), out)
-
-    def __sub__(self, o):
-        out = dict(self.c)
-        for k, v in o.c.items():
-            out[k] = out.get(k, 0) - v
-        return MPoly(self.nvars, min(self.cap, o.cap), out)
-
-    def __neg__(self):
-        return MPoly(self.nvars, self.cap, {k: -v for k, v in self.c.items()})
-
-    def __mul__(self, o):
-        if isinstance(o, int):
-            return MPoly(self.nvars, self.cap, {k: v * o for k, v in self.c.items()})
-        cap = min(self.cap, o.cap)
-        out: dict = {}
-        for k1, v1 in self.c.items():
-            s1 = sum(k1)
-            for k2, v2 in o.c.items():
-                if s1 + sum(k2) <= cap:
-                    k = tuple(a + b for a, b in zip(k1, k2))
-                    out[k] = out.get(k, 0) + v1 * v2
-        return MPoly(self.nvars, cap, out)
-
-    __rmul__ = __mul__
-
-    def inverse_unit(self) -> "MPoly":
-        c0 = self.c.get((0,) * self.nvars, 0)
-        assert c0 in (1, -1), "exact inversion needs constant term +-1"
-        rest = MPoly(self.nvars, self.cap, {k: v for k, v in self.c.items() if sum(k) > 0})
-        inv = MPoly.const(self.nvars, self.cap, c0)
-        term = MPoly.const(self.nvars, self.cap, c0)
-        for _ in range(self.cap):
-            term = (term * rest) * (-c0)
-            if not term.c:
-                break
-            inv = inv + c0 * term
-        return inv
-
-    def evaluate(self, args: list["MPoly"]) -> "MPoly":
-        """Substitute args[i] for variable i (args share nvars/cap)."""
-        cap = args[0].cap
-        nv = args[0].nvars
-        out = MPoly(nv, cap)
-        pows = []
-        for a in args:
-            row = [MPoly.const(nv, cap, 1)]
-            for _ in range(self.cap):
-                row.append(row[-1] * a)
-            pows.append(row)
-        for k, v in self.c.items():
-            term = MPoly.const(nv, cap, v)
-            for i, e in enumerate(k):
-                if e:
-                    term = term * pows[i][e]
-            out = out + term
-        return out
-
-    def coeff(self, k: tuple[int, ...]) -> int:
-        return self.c.get(k, 0)
-
-    def __eq__(self, o):
-        return isinstance(o, MPoly) and self.c == o.c
-
-    def __repr__(self):
-        return f"MPoly({self.c})"
-
-
-def _univariate_in(coeffs, nvars: int, cap: int, var: int) -> MPoly:
-    out: dict = {}
-    for j, c in enumerate(coeffs):
-        if c and j <= cap:
-            k = tuple(j if i == var else 0 for i in range(nvars))
-            out[k] = c
-    return MPoly(nvars, cap, out)
-
-
-def _divide_by_t2_minus_t1(f: MPoly) -> MPoly:
-    """Exact division of a bivariate polynomial vanishing on t1 = t2."""
-    cap = f.cap
-    out: dict = {}
-    rem = dict(f.c)
-    # arrange as polynomial in t2: divide by (t2 - t1) top down
-    maxd2 = max((k[1] for k in rem), default=0)
-    for d2 in range(maxd2, 0, -1):
-        for k in [k for k in list(rem) if k[1] == d2]:
-            v = rem.pop(k)
-            if not v:
-                continue
-            qk = (k[0], d2 - 1)
-            out[qk] = out.get(qk, 0) + v
-            lk = (k[0] + 1, d2 - 1)
-            rem[lk] = rem.get(lk, 0) + v
-    assert all(v == 0 for v in rem.values()), "polynomial not divisible by t2 - t1"
-    return MPoly(2, cap, out)
-
 
 def inversion_series(curve: CurveParams, D: int) -> tuple[int, ...]:
     """i(t) = parameter of the group inverse: -t U (U - a1 t U - a3 t^3)^{-1}, exact."""
@@ -336,30 +210,48 @@ def inversion_series(curve: CurveParams, D: int) -> tuple[int, ...]:
     return tuple(_zmul(tU, _zinv(den, D), D))
 
 
+def _bmul(a: list[int], b: list[int], D: int) -> list[int]:
+    """Product of bivariate series through total degree D. A series is its
+    t1-rows of t2-coefficients, each row D + 1 long, laid end to end, so the
+    constant term comes first (as for a univariate series)."""
+    n = D + 1
+
+    def rows(s):
+        return [truncate(s[k:k + n], n) for k in range(0, n * n, n)]
+
+    prod = mul_vec(rows(a), rows(b), n)
+    return [c if i + j <= D else 0 for i, r in enumerate(prod[:n]) for j, c in enumerate(r[:n])]
+
+
 @lru_cache(maxsize=None)
-def formal_group_law(curve: CurveParams, D: int) -> MPoly:
-    """F(t1, t2) over Z, exact through total degree D, by the chord construction."""
+def formal_group_law(curve: CurveParams, D: int) -> tuple[tuple[int, ...], ...]:
+    """F(t1, t2) over Z, exact through total degree D, by the chord
+    construction: F[i][j] is the coefficient of t1^i t2^j (0 when i + j > D)."""
     if D < 2:
         raise ValueError("need degree >= 2")
-    w = w_expansion(curve, D + 3)
-    w1 = _univariate_in(w, 2, D + 3, 0)
-    w2 = _univariate_in(w, 2, D + 3, 1)
-    t1 = MPoly.var(2, D + 3, 0)
-    t2 = MPoly.var(2, D + 3, 1)
-    m = _divide_by_t2_minus_t1(w2 - w1)
-    c = w1 - m * t1
+    n = D + 1
+    w = w_expansion(curve, D + 1)
+    t1, t2, w1 = [0] * (n * n), [0] * (n * n), [0] * (n * n)
+    t1[n] = t2[1] = 1
+    for k in range(D + 1):
+        w1[k * n] = w[k]
+    # the chord w = m t + c: m = (w(t2) - w(t1)) / (t2 - t1)
+    m = [0] * (n * n)
+    for k in range(1, D + 2):
+        for i in range(k):
+            m[i * n + k - 1 - i] += w[k]
+    c = [x - y for x, y in zip(w1, _bmul(t1, m, D))]
+    mm, mc = _bmul(m, m, D), _bmul(m, c, D)
+    mmm, mmc = _bmul(mm, m, D), _bmul(mm, c, D)
     a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    A = MPoly.const(2, D + 3, 1) + a2 * m + a4 * (m * m) + a6 * (m * m * m)
-    B = a1 * m + a2 * c + a3 * (m * m) + 2 * a4 * (m * c) + 3 * a6 * (m * m * c)
-    t3 = -t1 - t2 - B * A.inverse_unit()
-    inv = inversion_series(curve, D)
-    # compose: i(t3)
-    out = MPoly(2, D)
-    t3c = MPoly(2, D, t3.c)
-    pows = [MPoly.const(2, D, 1)]
-    for _ in range(D):
-        pows.append(pows[-1] * t3c)
-    for j, cj in enumerate(inv):
-        if cj and j <= D:
-            out = out + cj * pows[j]
-    return out
+    A = [a2 * x + a4 * y + a6 * z for x, y, z in zip(m, mm, mmm)]
+    A[0] += 1
+    B = [a1 * x + a2 * y + a3 * z + 2 * a4 * u + 3 * a6 * v
+         for x, y, z, u, v in zip(m, c, mm, mc, mmc)]
+    # the third point on the chord, t3 = -t1 - t2 - B / A; then F = i(t3) by Horner
+    t3 = [-x - y - z for x, y, z in zip(t1, t2, _bmul(B, _zinv(A, D, _bmul), D))]
+    F = [0] * (n * n)
+    for cj in reversed(inversion_series(curve, D)):
+        F = _bmul(F, t3, D)
+        F[0] += cj
+    return tuple(tuple(F[i * n:(i + 1) * n]) for i in range(n))

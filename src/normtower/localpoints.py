@@ -81,14 +81,6 @@ class LocalPoint:
     report: dict
 
 
-def local_point_log(t: TowerDesc, n: int) -> LocalPoint:
-    """Closed-form logarithm of the canonical point (exact at precision)."""
-    lg = point_log(t, n)
-    return LocalPoint(level=n, log_value=lg, param_value=None,
-                      effective_prec=lg.effective_prec,
-                      report={"route": "closed-form", "den": lg.den})
-
-
 def local_point_direct(bundle: SeriesBundle, n: int, target: int) -> LocalPoint:
     """Construct the point by series: preimage of epsilon under the twisted log,
     group-law sum with pi_n, then the integral isomorphism to the curve group.

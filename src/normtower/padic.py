@@ -8,7 +8,6 @@ element whose residue vanishes is "zero at precision N", not exact zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -73,17 +72,11 @@ class ZpContext:
         object.__setattr__(self, "q", self.p**self.N)
 
     def inv(self, a: int) -> int:
-        """Inverse of a unit mod p^N (Hensel lift of the mod-p inverse)."""
+        """Inverse of a unit mod p^N."""
         a %= self.q
         if a % self.p == 0:
             raise ZeroDivisionError(f"{a} is not a unit mod {self.p}^{self.N}")
-        x = pow(a % self.p, -1, self.p)
-        k = 1
-        while k < self.N:
-            k *= 2
-            m = self.p ** min(k, self.N)
-            x = x * (2 - a * x) % m
-        return x % self.q
+        return pow(a, -1, self.q)
 
     def teichmuller(self, a: int) -> int:
         """The unique x = a (mod p) with x^(p-1) = 1 (mod p^N)."""
@@ -101,6 +94,8 @@ class ZpContext:
 
 
 def floor_log(x: int, base: int) -> int:
-    if x < 1:
-        return 0
-    return int(math.log(x) / math.log(base) + 1e-9)
+    """The largest k with base^k <= x (0 when x < base), in exact integers."""
+    k, power = 0, base
+    while power <= x:
+        k, power = k + 1, power * base
+    return k

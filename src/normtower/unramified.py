@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from .padic import ZpContext, factorize, is_prime, val_int
 from .polyarith import mul, rem_monic, xgcd_fp
+from .snf import smith_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -90,22 +91,14 @@ def _find_primitive_poly(p: int, d: int) -> list[int]:
     raise RuntimeError(f"no primitive polynomial found for p={p}, d={d}")  # unreachable
 
 
-def _mat_inv_modq(M: list[list[int]], p: int, q: int) -> list[list[int]]:
-    """Inverse of a matrix that is invertible mod p, by Gaussian elimination mod q."""
-    n = len(M)
-    A = [[x % q for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] % p != 0), None)
-        if piv is None:
-            raise ValueError("matrix not invertible mod p")
-        A[col], A[piv] = A[piv], A[col]
-        inv = pow(A[col][col], -1, q)  # unit mod p => invertible mod q
-        A[col] = [x * inv % q for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                c = A[r][col]
-                A[r] = [(x - c * y) % q for x, y in zip(A[r], A[col])]
-    return [row[n:] for row in A]
+def _inverse_mod(M: list[list[int]], p: int, N: int) -> list[list[int]]:
+    """Inverse mod p^N of a square matrix through the SNF core: U M V = 1
+    when every divisor is 0, and then M^-1 = V U. ZeroDivisionError when M
+    is not invertible mod p."""
+    res = smith_normal_form(M, p, N)
+    if any(res.divisors):
+        raise ZeroDivisionError("matrix not invertible mod p")
+    return [[int(x) for x in row] for row in (res.V @ res.U) % p**N]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +197,8 @@ class FieldDesc:
         return all(x % self.q == 0 for x in a)
 
     def inv(self, a, q: int | None = None):
-        """Inverse of a unit (Newton lift of the mod-p inverse via linear solve)."""
+        """Inverse of a unit: the first column of the inverse of the matrix
+        of multiplication by a. ZeroDivisionError for a non-unit."""
         q = q or self.q
         d = self.d
         if d == 1:
@@ -218,11 +212,8 @@ class FieldDesc:
             ei = tuple(int(j == i) for j in range(d))
             cols.append(self.mul(a, ei, q))
         M = [[cols[j][i] for j in range(d)] for i in range(d)]
-        try:
-            Minv = _mat_inv_modq(M, self.p, q)
-        except ValueError:
-            raise ZeroDivisionError("not a unit") from None
-        return tuple(Minv[i][0] % q for i in range(d))
+        Minv = _inverse_mod(M, self.p, val_int(q, self.p, q.bit_length()))
+        return tuple(Minv[i][0] for i in range(d))
 
     def divp_exact(self, a, k: int):
         pk = self.p**k
@@ -275,7 +266,7 @@ def build_unramified(p: int, d: int, N: int) -> FieldDesc:
     for _ in range(d):
         pows.append(_polymul_mod(pows[-1], zeta_x, lift, q))
     C = [[pows[j][i] for j in range(d)] for i in range(d)]  # columns zeta^j
-    Cinv = _mat_inv_modq(C, p, q)
+    Cinv = _inverse_mod(C, p, N)
 
     def to_zeta_basis(vec_x: list[int]) -> tuple[int, ...]:
         return tuple(sum(Cinv[i][j] * vec_x[j] for j in range(d)) % q for i in range(d))

@@ -37,6 +37,23 @@ def test_config_rejects_empty_d():
         CampaignConfig.from_json({**BASE, "d": []})
 
 
+@pytest.mark.parametrize("override", [
+    {"precision": 0},
+    {"d": [0]},
+    {"d": [1, -2]},
+    {"n_max": -3},
+    {"n_max": -3, "checks": ["ranks"]},
+    {"lambda_trials": 0},
+])
+def test_config_rejects_out_of_range_values(tmp_path, capsys, override):
+    with pytest.raises(ConfigError):
+        CampaignConfig.from_json({**BASE, **override})
+    cfg = write_cfg(tmp_path, {**BASE, **override, "out": str(tmp_path / "rep")})
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_config_rejects_unknown_check():
     with pytest.raises(ConfigError):
         CampaignConfig.from_json({**BASE, "checks": ["bogus"]})
@@ -100,10 +117,13 @@ def test_table_reprints_the_emitted_tables_byte_for_byte(tmp_path, capsysbinary)
     {"schema_version": 1, "records": [{"p": 3}]},
     {"schema_version": 1, "records": [7]},
     [],
+    None,  # no report file
+    "{not json",
 ])
 def test_table_rejects_malformed_report(tmp_path, capsys, doc):
     report = tmp_path / "report.json"
-    report.write_text(json.dumps(doc))
+    if doc is not None:
+        report.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main(["table", "--report", str(report), "--format", "csv"]) == 2
     assert "report error" in capsys.readouterr().err
 

@@ -6,7 +6,6 @@ from normtower.localpoints import (
     InsufficientDegree,
     eval_series_at_tower,
     local_point_direct,
-    local_point_log,
 )
 from normtower.points import point_log
 from normtower.tower import TowerDesc, build_tower
@@ -18,14 +17,6 @@ SS3 = curve_from_preset("ss3", 3)
 @pytest.fixture(scope="module")
 def bundle_n0():
     return series_bundle(SS3, 1, 0, 40, 4)
-
-
-def test_closed_form_point(tower_3_2):
-    lp = local_point_log(tower_3_2, 2)
-    assert lp.level == 2
-    assert lp.param_value is None
-    assert lp.effective_prec == tower_3_2.N - 1
-    assert (lp.log_value - point_log(tower_3_2, 2)).is_zero()
 
 
 def test_direct_point_matches_closed_form(bundle_n0):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from normtower.padic import ZpContext, val_int
+from normtower.padic import ZpContext, floor_log, val_int
 
 
 def test_context_rejects_bad_primes():
@@ -11,6 +11,15 @@ def test_context_rejects_bad_primes():
         ZpContext(9, 4)
     with pytest.raises(ValueError):
         ZpContext(5, 0)
+
+
+@pytest.mark.parametrize("b", [3, 5, 7])
+def test_floor_log_is_exact(b):
+    assert floor_log(0, b) == floor_log(1, b) == floor_log(b - 1, b) == 0
+    for k in range(1, 61):
+        assert floor_log(b**k, b) == k
+        assert floor_log(b**k - 1, b) == k - 1
+        assert floor_log(b**k + 1, b) == k
 
 
 def test_teichmuller_examples():

@@ -1,7 +1,26 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normtower.unramified import build_unramified
+from normtower import unramified
+from normtower.unramified import _inverse_mod, build_unramified
+
+
+def _mat_inv_modq(M: list[list[int]], p: int, q: int) -> list[list[int]]:
+    """Inverse of a matrix that is invertible mod p, by Gaussian elimination mod q."""
+    n = len(M)
+    A = [[x % q for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if A[r][col] % p != 0), None)
+        if piv is None:
+            raise ValueError("matrix not invertible mod p")
+        A[col], A[piv] = A[piv], A[col]
+        inv = pow(A[col][col], -1, q)  # unit mod p => invertible mod q
+        A[col] = [x * inv % q for x in A[col]]
+        for r in range(n):
+            if r != col and A[r][col]:
+                c = A[r][col]
+                A[r] = [(x - c * y) % q for x, y in zip(A[r], A[col])]
+    return [row[n:] for row in A]
 
 
 def test_build_trivial_extension():
@@ -85,3 +104,65 @@ def test_valuation_multiplicative_below_precision(data):
     vx, vy = fd.val(x), fd.val(y)
     if vx + vy < fd.N:
         assert fd.val(fd.mul(x, y)) == vx + vy
+
+
+# The SNF-route inverses against the Gauss-Jordan elimination they replaced
+# (`_mat_inv_modq` above, kept verbatim as the reference).
+
+@st.composite
+def square_matrices(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    N = draw(st.sampled_from([1, 2, 4, 13, 40, 200]))
+    d = draw(st.integers(1, 6))
+    small = draw(st.booleans())  # entries mod p make singular matrices common
+    hi = p - 1 if small else p**N - 1
+    M = [[draw(st.integers(0, hi)) for _ in range(d)] for _ in range(d)]
+    return p, N, M
+
+
+@settings(deadline=None, max_examples=150)
+@given(square_matrices())
+def test_snf_inverse_matches_gauss_jordan(data):
+    p, N, M = data
+    try:
+        ref = _mat_inv_modq(M, p, p**N)
+    except ValueError:
+        with pytest.raises(ZeroDivisionError):
+            _inverse_mod(M, p, N)
+        return
+    assert _inverse_mod(M, p, N) == ref
+
+
+@st.composite
+def field_elements_at_precision(draw):
+    p, d = draw(st.sampled_from([(3, 2), (3, 4), (5, 2), (5, 3), (7, 2)]))
+    fd = build_unramified(p, d, 12)
+    k = draw(st.integers(1, 12))
+    small = draw(st.booleans())
+    hi = p - 1 if small else fd.q - 1
+    return fd, tuple(draw(st.integers(0, hi)) for _ in range(d)), p**k
+
+
+@settings(deadline=None, max_examples=150)
+@given(field_elements_at_precision())
+def test_field_inverse_matches_gauss_jordan(data):
+    fd, a, q = data
+    cols = [fd.mul(a, tuple(int(j == i) for j in range(fd.d)), q) for i in range(fd.d)]
+    try:
+        ref = _mat_inv_modq([[cols[j][i] for j in range(fd.d)] for i in range(fd.d)], fd.p, q)
+    except ValueError:
+        with pytest.raises(ZeroDivisionError):
+            fd.inv(a, q)
+        return
+    inv = fd.inv(a, q)
+    assert inv == tuple(row[0] for row in ref)
+    assert fd.mul(a, inv, q) == fd.one(q)
+
+
+@pytest.mark.parametrize("p, d, N", [(3, 2, 4), (3, 4, 60), (3, 6, 8), (5, 3, 10), (7, 2, 200)])
+def test_basis_change_matches_gauss_jordan(monkeypatch, p, d, N):
+    fd = build_unramified.__wrapped__(p, d, N)
+    monkeypatch.setattr(unramified, "_inverse_mod",
+                        lambda M, p, N: _mat_inv_modq(M, p, p**N))
+    ref = build_unramified.__wrapped__(p, d, N)
+    assert (fd.modulus, fd.frob_cols) == (ref.modulus, ref.frob_cols)
