@@ -11,6 +11,7 @@ lowest degree first - those identities are exact, no precision involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -145,10 +146,16 @@ def poly_trim(a: list[int]) -> list[int]:
 
 
 def one_plus_x_pow(e: int) -> list[int]:
-    """(1 + X)^e as integer coefficients."""
-    from math import comb
-
-    return [comb(e, k) for k in range(e + 1)]
+    """(1 + X)^e as integer coefficients, by C(e, j+1) = C(e, j)(e - j)/(j + 1)
+    (each step is an exact integer division) and the symmetry C(e, j) = C(e, e - j)."""
+    if e < 0:
+        raise ValueError("e >= 0")
+    row = [1] * (e + 1)
+    c = 1
+    for j in range(e // 2):
+        c = c * (e - j) // (j + 1)
+        row[j + 1] = row[e - j - 1] = c
+    return row
 
 
 def omega_n(p: int, n: int) -> list[int]:
@@ -162,11 +169,12 @@ def cyclotomic_phi(p: int, m: int) -> list[int]:
     """Phi_m(1+X) = sum_{i<p} (1+X)^(i p^(m-1)), the p^m-th cyclotomic polynomial at 1+X."""
     if m < 1:
         raise ValueError("m >= 1")
-    acc = [0]
+    s = p ** (m - 1)
+    acc = [0] * ((p - 1) * s + 1)
     for i in range(p):
-        term = one_plus_x_pow(i * p ** (m - 1))
-        acc = [x + y for x, y in zip(acc + [0] * len(term), term + [0] * len(acc))]
-    return poly_trim(acc)
+        row = one_plus_x_pow(i * s)
+        acc[:len(row)] = [x + y for x, y in zip(acc, row)]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -183,30 +191,37 @@ class OmegaFamily:
 
 def omega_family(p: int, n: int) -> OmegaFamily:
     """omega_n and its plus/minus factorizations; the identity
-    omega_n = omega-tilde_n^(-/+) * omega_n^(+/-) is asserted exactly over Z."""
+    omega_n = omega-tilde_n^(-/+) * omega_n^(+/-) is asserted exactly over Z.
+
+    Each (p, n) is built once per process and the same frozen family is
+    returned to every caller."""
     if n < 0:
         raise ValueError("n >= 0")
-    phis = [cyclotomic_phi(p, m) for m in range(1, n + 1)]
-    tp, tm = [1], [1]
-    for m in range(1, n + 1):
-        if m % 2 == 0:
-            tp = poly_mul(tp, phis[m - 1])
+    return _omega_family(p, n)
+
+
+@cache
+def _omega_family(p: int, n: int) -> OmegaFamily:
+    """Level n from level n - 1: one more Phi_n(1+X), multiplied into
+    omega-tilde^+ for even n and omega-tilde^- for odd n; omega_n^(+/-) is
+    X * omega-tilde_n^(+/-)."""
+    if n == 0:
+        phis, tp, tm = (), (1,), (1,)
+    else:
+        prev = _omega_family(p, n - 1)
+        phi = tuple(cyclotomic_phi(p, n))
+        phis, tp, tm = prev.phis + (phi,), prev.omega_tilde_plus, prev.omega_tilde_minus
+        if n % 2 == 0:
+            tp = tuple(poly_mul(tp, phi))
         else:
-            tm = poly_mul(tm, phis[m - 1])
-    op = poly_trim(poly_mul([0, 1], tp))
-    om = poly_trim(poly_mul([0, 1], tm))
+            tm = tuple(poly_mul(tm, phi))
+    op, om = (0,) + tp, (0,) + tm
     w = omega_n(p, n)
     assert poly_trim(poly_mul(tm, op)) == poly_trim(w), "omega_n != tilde_minus * plus"
     assert poly_trim(poly_mul(tp, om)) == poly_trim(w), "omega_n != tilde_plus * minus"
-    return OmegaFamily(
-        p=p, n=n,
-        omega=tuple(w),
-        phis=tuple(tuple(f) for f in phis),
-        omega_tilde_plus=tuple(poly_trim(tp)),
-        omega_tilde_minus=tuple(poly_trim(tm)),
-        omega_plus=tuple(op),
-        omega_minus=tuple(om),
-    )
+    return OmegaFamily(p=p, n=n, omega=tuple(w), phis=phis,
+                       omega_tilde_plus=tp, omega_tilde_minus=tm,
+                       omega_plus=op, omega_minus=om)
 
 
 def q_values(p: int, n: int) -> tuple[int, int, int]:

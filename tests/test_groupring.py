@@ -1,8 +1,13 @@
+from dataclasses import fields
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from normtower import groupring
 from normtower.groupring import (
     GroupRing,
+    OmegaFamily,
     annihilator,
     annihilator_matches_closed_form,
     cyclotomic_phi,
@@ -10,10 +15,69 @@ from normtower.groupring import (
     idempotents,
     is_unit,
     omega_family,
+    one_plus_x_pow,
     phi_plus_phi_inv,
+    poly_mul,
     poly_trim,
     q_values,
 )
+
+
+# The from-scratch construction that the memoised, level-by-level build
+# replaced, kept verbatim (names prefixed) as the reference. tests/test_lambda.py
+# builds presentations with it too.
+
+def reference_one_plus_x_pow(e: int) -> list[int]:
+    """(1 + X)^e as integer coefficients."""
+    from math import comb
+
+    return [comb(e, k) for k in range(e + 1)]
+
+
+def reference_omega_n(p: int, n: int) -> list[int]:
+    """(1+X)^(p^n) - 1."""
+    out = reference_one_plus_x_pow(p**n)
+    out[0] -= 1
+    return out
+
+
+def reference_cyclotomic_phi(p: int, m: int) -> list[int]:
+    """Phi_m(1+X) = sum_{i<p} (1+X)^(i p^(m-1)), the p^m-th cyclotomic polynomial at 1+X."""
+    if m < 1:
+        raise ValueError("m >= 1")
+    acc = [0]
+    for i in range(p):
+        term = reference_one_plus_x_pow(i * p ** (m - 1))
+        acc = [x + y for x, y in zip(acc + [0] * len(term), term + [0] * len(acc))]
+    return poly_trim(acc)
+
+
+def reference_omega_family(p: int, n: int) -> OmegaFamily:
+    """omega_n and its plus/minus factorizations; the identity
+    omega_n = omega-tilde_n^(-/+) * omega_n^(+/-) is asserted exactly over Z."""
+    if n < 0:
+        raise ValueError("n >= 0")
+    phis = [reference_cyclotomic_phi(p, m) for m in range(1, n + 1)]
+    tp, tm = [1], [1]
+    for m in range(1, n + 1):
+        if m % 2 == 0:
+            tp = poly_mul(tp, phis[m - 1])
+        else:
+            tm = poly_mul(tm, phis[m - 1])
+    op = poly_trim(poly_mul([0, 1], tp))
+    om = poly_trim(poly_mul([0, 1], tm))
+    w = reference_omega_n(p, n)
+    assert poly_trim(poly_mul(tm, op)) == poly_trim(w), "omega_n != tilde_minus * plus"
+    assert poly_trim(poly_mul(tp, om)) == poly_trim(w), "omega_n != tilde_plus * minus"
+    return OmegaFamily(
+        p=p, n=n,
+        omega=tuple(w),
+        phis=tuple(tuple(f) for f in phis),
+        omega_tilde_plus=tuple(poly_trim(tp)),
+        omega_tilde_minus=tuple(poly_trim(tm)),
+        omega_plus=tuple(op),
+        omega_minus=tuple(om),
+    )
 
 
 def test_phi_plus_inv_small_d():
@@ -69,8 +133,9 @@ def test_omega_family_p3():
 
 @pytest.mark.parametrize("p,n_top", [(3, 6), (5, 4), (7, 3)])
 def test_omega_degree_matches_q(p, n_top):
-    # runtime-bounded grid: the factorization identity is asserted inside
-    # omega_family by an exact polynomial product, quadratic in p^n
+    # runtime-bounded grid: each level asserts its factorization identities by
+    # exact products of degree about p^n whose coefficients have about p^n bits
+    # (binomials C(p^n, k)), so the top level costs most; (5, 5) takes seconds
     for n in range(0, n_top + 1):
         fam = omega_family(p, n)
         _, qp, qm = q_values(p, n)
@@ -124,3 +189,50 @@ def test_group_ring_commutative_associative(p, d, a_raw, b_raw):
     assert ring.mul(a, b) == ring.mul(b, a)
     c = ring.F(1)
     assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
+
+
+def test_out_of_range_arguments_raise():
+    with pytest.raises(ValueError):
+        one_plus_x_pow(-1)
+    with pytest.raises(ValueError):
+        cyclotomic_phi(3, 0)
+    with pytest.raises(ValueError):
+        omega_family(3, -1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 500))
+def test_binomial_rows_match_comb(e):
+    assert one_plus_x_pow(e) == [comb(e, k) for k in range(e + 1)]
+
+
+@pytest.mark.parametrize("p,n_top", [(3, 6), (5, 4), (7, 3), (11, 2)])
+def test_omega_family_matches_reference(p, n_top):
+    for n in range(n_top + 1):
+        fam, ref = omega_family(p, n), reference_omega_family(p, n)
+        for f in fields(OmegaFamily):
+            assert getattr(fam, f.name) == getattr(ref, f.name), (p, n, f.name)
+
+
+def test_omega_family_is_built_once_level_by_level(monkeypatch):
+    products = []
+
+    def counting_mul(a, b):
+        products.append((len(a), len(b)))
+        return poly_mul(a, b)
+
+    groupring._omega_family.cache_clear()
+    monkeypatch.setattr(groupring, "poly_mul", counting_mul)
+    fam = omega_family(5, 3)
+    # levels 0..3: two identity products each, plus one tilde product per level >= 1
+    assert len(products) == 4 * 2 + 3
+    products.clear()
+    assert omega_family(5, 3) is fam and products == []
+    top = omega_family(5, 4)
+    # one level: Phi_4(1+X) into omega-tilde^+, then the two identity products
+    assert len(products) == 3
+    assert top.phis[:3] == fam.phis and top.omega_tilde_minus == fam.omega_tilde_minus
+    for f in fields(OmegaFamily):
+        value = getattr(top, f.name)
+        assert isinstance(value, tuple) or f.name in ("p", "n")
+    assert all(isinstance(phi, tuple) for phi in top.phis)

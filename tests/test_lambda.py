@@ -1,4 +1,7 @@
+from functools import cache
+
 import pytest
+from test_groupring import reference_omega_family
 
 from normtower import lambda_modules
 from normtower.groupring import q_values
@@ -295,3 +298,25 @@ def test_quotient_rank_bookkeeping():
         assert rank_lambda(ambient, N) == 2 * d
         # subtracting the local-condition rank d leaves d
         assert rank_lambda(ambient, N) - d * 1 == d
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_presentations_match_the_reference_family(p, monkeypatch):
+    """present_plus, present_minus and their coinvariants are the same
+    presentations whether the omega families come from the memoised build or
+    from the from-scratch reference (cached here, so each (p, n) runs once)."""
+    def build():
+        out = {}
+        for d in (1, 2, 4):
+            for n in range(4):
+                for trivial in (True, False):
+                    for present in (present_plus, present_minus):
+                        pres = present(p, d, n + 2, trivial)
+                        out[present.__name__, d, n, trivial] = (pres, coinvariants(pres, n))
+        return out
+
+    new = build()
+    monkeypatch.setattr(lambda_modules, "omega_family", cache(reference_omega_family))
+    ref = build()
+    for key in new:
+        assert new[key] == ref[key], key
