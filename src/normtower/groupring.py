@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .padic import ZpContext, factorize
+from .padic import ZpContext, primitive_root
 from .polyarith import fold_cyclic, mul, xgcd_fp
 from .snf import kernel_basis, span_contains_all
 
@@ -72,12 +72,7 @@ class GroupRing:
 
 def phi_plus_phi_inv(ring: GroupRing) -> tuple[int, ...]:
     """F + F^(d-1); the element 2 when d = 1, 2F when d = 2."""
-    d = ring.d
-    if d == 1:
-        return ring.from_int(2)
-    if d == 2:
-        return ring.scalar(2, ring.F(1))
-    return ring.add(ring.F(1), ring.F(d - 1))
+    return ring.add(ring.F(1), ring.F(-1))
 
 
 def alternating_annihilator_generator(ring: GroupRing) -> tuple[int, ...]:
@@ -191,7 +186,8 @@ class OmegaFamily:
 
 def omega_family(p: int, n: int) -> OmegaFamily:
     """omega_n and its plus/minus factorizations; the identity
-    omega_n = omega-tilde_n^(-/+) * omega_n^(+/-) is asserted exactly over Z.
+    omega_n = omega-tilde_n^- * omega_n^+ is asserted exactly over Z, and the
+    degrees deg omega_n^+ = q_n^+, deg omega_n^- = q_n^- + 1 independently.
 
     Each (p, n) is built once per process and the same frozen family is
     returned to every caller."""
@@ -218,7 +214,9 @@ def _omega_family(p: int, n: int) -> OmegaFamily:
     op, om = (0,) + tp, (0,) + tm
     w = omega_n(p, n)
     assert poly_trim(poly_mul(tm, op)) == poly_trim(w), "omega_n != tilde_minus * plus"
-    assert poly_trim(poly_mul(tp, om)) == poly_trim(w), "omega_n != tilde_plus * minus"
+    _, qp, qm = q_values(p, n)
+    assert (len(poly_trim(op)) - 1, len(poly_trim(om)) - 1) == (qp, qm + 1), \
+        "deg omega_n^+ != q_n^+ or deg omega_n^- != q_n^- + 1"
     return OmegaFamily(p=p, n=n, omega=tuple(w), phis=phis,
                        omega_tilde_plus=tp, omega_tilde_minus=tm,
                        omega_plus=op, omega_minus=om)
@@ -270,21 +268,11 @@ class CharIdempotent:
         return self.j == 0
 
 
-def delta_generator(p: int) -> int:
-    """Smallest primitive root mod p (generator of the tame quotient)."""
-    for g in range(2, p):
-        ok = all(pow(g, (p - 1) // ell, p) != 1 for ell in factorize(p - 1))
-        if ok:
-            return g
-    raise RuntimeError("no primitive root found")
-
-
 def idempotents(p: int, N: int) -> list[CharIdempotent]:
     """All p-1 character idempotents; orthogonality and completeness verified."""
     zp = ZpContext(p, N)
     q = zp.q
-    g = delta_generator(p)
-    tg = zp.teichmuller(g)  # chi_1(generator)
+    tg = zp.teichmuller(primitive_root(p))  # chi_1(generator)
     inv_pm1 = zp.inv((p - 1) % q)
     out = []
     for j in range(p - 1):

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .groupring import CharIdempotent, delta_generator, q_values
+from .groupring import CharIdempotent, q_values
 from .padic import PrecisionExhausted
 from .points import point_log, plusminus_point_log
 from .snf import (
@@ -59,6 +59,14 @@ class Lattice:
         a, b = _common_den(self, other)
         return spans_equal(a.mat, b.mat, self.p, self.N)
 
+    def embed(self, n: int) -> "Lattice":
+        """The same lattice inside k_n, through k_level -> k_n."""
+        t = self.tower
+        rows = (t.embed_index(self.level, n)[:, None] * t.d + np.arange(t.d)).reshape(-1)
+        mat = np.zeros((t.ambient_dim(n), self.mat.shape[1]), dtype=object)
+        mat[rows] = self.mat
+        return Lattice(t, n, self.den, as_matrix(mat, t.q))
+
 
 def _common_den(a: Lattice, b: Lattice) -> tuple[Lattice, Lattice]:
     assert a.level == b.level and a.tower is b.tower
@@ -81,12 +89,9 @@ def lattice_from_elements(t: TowerDesc, level: int, elems: list[TowerElt]) -> La
 # ---------------------------------------------------------------------------
 
 def apply_idempotent(x: TowerElt, eps: CharIdempotent) -> TowerElt:
-    """eps_chi * x: the tame group enumerated as powers of the fixed generator."""
-    t = x.tower
-    g = delta_generator(t.p)
+    """eps_chi * x, eps.coeffs[k] weighting the k-th tame unit of the tower."""
     out = None
-    for k, coeff in enumerate(eps.coeffs):
-        u = t.delta_exponent(x.level, pow(g, k, t.p)) if x.level >= 0 else 1
+    for u, coeff in zip(x.tower.tame_units(x.level), eps.coeffs):
         term = x.galois(u, 0).scale_int(coeff)
         out = term if out is None else out + term
     return out
@@ -96,21 +101,9 @@ def galois_orbit(x: TowerElt, n: int, include_tame: bool) -> list[TowerElt]:
     """sigma(x) for sigma over Frobenius x wild (x tame, optionally) parts of
     the level-n Galois group."""
     t = x.tower
-    if x.level < n:
-        x = x.embed(n)
-    gamma_u = t.gamma_exponent(n)
-    g = delta_generator(t.p)
-    tame_us = [t.delta_exponent(n, pow(g, k, t.p)) for k in range(t.p - 1)] \
-        if (include_tame and n >= 0) else [1]
-    out = []
-    wild_count = t.p**n if n >= 0 else 1
-    for tu in tame_us:
-        y = x.galois(tu, 0) if n >= 0 else x
-        for _ in range(wild_count):
-            for a in range(t.d):
-                out.append(y.galois(1, a) if a else y)
-            y = y.galois(gamma_u, 0)
-    return out
+    units = t.galois_units(n, -1 if include_tame else min(n, 0))
+    y = x.embed(n)
+    return [y.galois(u, a) for u in units for a in range(t.d)]
 
 
 def galois_span(t: TowerDesc, gens: list[TowerElt], n: int,
@@ -118,7 +111,7 @@ def galois_span(t: TowerDesc, gens: list[TowerElt], n: int,
     """Z_p-span of the G_n-orbit of the generators (chi-projected when given)."""
     elems: list[TowerElt] = []
     for gen in gens:
-        y = gen.embed(n) if gen.level < n else gen
+        y = gen.embed(n)
         if chi is not None:
             y = apply_idempotent(y, chi)
         elems.extend(galois_orbit(y, n, include_tame=(chi is None)))
@@ -205,21 +198,8 @@ def uniformizer_generates_quotient(t: TowerDesc, n: int) -> bool:
 
     assert n >= 0
     orbit = galois_span(t, [uniformizer(t, n)], n, None)
-    lower = maximal_ideal_lattice(t, n - 1)
-    lower_emb = lattice_from_elements(t, n, _embedded_columns(t, lower, n))
-    target = maximal_ideal_lattice(t, n)
-    return _stack(orbit, lower_emb).equals(target)
-
-
-def _embedded_columns(t: TowerDesc, lat: Lattice, n: int) -> list[TowerElt]:
-    out = []
-    Lsrc = t.level_dim(lat.level)
-    for j in range(lat.mat.shape[1]):
-        col = lat.mat[:, j]
-        coords = np.array(col, dtype=object).reshape(Lsrc, t.d)
-        elem = TowerElt(t, lat.level, coords, lat.den, t.N)
-        out.append(elem.embed(n))
-    return out
+    lower = maximal_ideal_lattice(t, n - 1).embed(n)
+    return _stack(orbit, lower).equals(maximal_ideal_lattice(t, n))
 
 
 def _stack(a: Lattice, b: Lattice) -> Lattice:
@@ -233,18 +213,17 @@ def check_exact_sequence(t: TowerDesc, n: int, chi=None) -> dict:
     and rank additivity."""
     assert n >= 0
     Cn = norm_subgroup_lattice(t, n, chi)
-    Cn1 = norm_subgroup_lattice(t, n - 1, chi)
-    Cn1_at_n = lattice_from_elements(t, n, _embedded_columns(t, Cn1, n))
+    Cn1_at_n = norm_subgroup_lattice(t, n - 1, chi).embed(n)
     base = galois_span(t, [point_log(t, -1)], n, chi)
     full = curve_group_lattice(t, n, chi)
 
     A, B = _common_den(Cn, Cn1_at_n)
     ker = kernel_basis(stack_cols(A.mat, (-B.mat) % t.q), t.p, t.N)
     na = A.mat.shape[1]
-    inter_cols = (A.mat.astype(object) @ ker[:na].astype(object)) % t.q
+    inter_cols = (A.mat @ ker[:na]) % t.q
     inter = Lattice(t, n, A.den, as_matrix(inter_cols, t.q))
 
-    summ = _stack(Cn, Cn1_at_n)
+    summ = Lattice(t, n, A.den, stack_cols(A.mat, B.mat))
     rank_Cn, rank_Cn1 = Cn.rank(), Cn1_at_n.rank()
     rank_inter, rank_sum = inter.rank(), summ.rank()
     ok_inter = inter.equals(base) if inter.mat.shape[1] else base.rank() == 0
@@ -281,9 +260,8 @@ def generation_check(t: TowerDesc, n: int) -> bool:
     the third requisition on the point system."""
     assert n >= 0
     top = galois_span(t, [point_log(t, n)], n, None)
-    lower = curve_group_lattice(t, n - 1, None)
-    lower_at_n = lattice_from_elements(t, n, _embedded_columns(t, lower, n))
-    return _stack(top, lower_at_n).equals(curve_group_lattice(t, n, None))
+    lower = curve_group_lattice(t, n - 1, None).embed(n)
+    return _stack(top, lower).equals(curve_group_lattice(t, n, None))
 
 
 def log_image_vs_maximal_ideal(t: TowerDesc, n: int) -> dict:

@@ -44,6 +44,12 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def primitive_root(p: int) -> int:
+    """The smallest primitive root mod the prime p."""
+    return next(g for g in range(2, p)
+                if all(pow(g, (p - 1) // ell, p) != 1 for ell in factorize(p - 1)))
+
+
 def val_int(a: int, p: int, cap: int) -> int:
     """p-adic valuation of the residue a, capped at `cap` (0 -> cap)."""
     a = abs(a)

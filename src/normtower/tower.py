@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .padic import ZpContext, primitive_root
 from .polyarith import fold, mul_vec
 from .snf import _dtype_for
 from .unramified import FieldDesc, build_unramified
@@ -96,22 +97,38 @@ class TowerDesc:
                      dtype=_dtype_for(self.q, self.d))
         return M  # M[j, i] = j-th coord of frob(e_i); apply as coords @ M.T
 
-    def gamma_exponent(self, n: int) -> int:
-        """Action of the fixed topological generator of the wild quotient: eta -> eta^(1+p)."""
-        return (1 + self.p) % self.p ** (n + 1) if n >= 0 else 1
+    @lru_cache(maxsize=None)
+    def tame_units(self, n: int) -> tuple[int, ...]:
+        """The tame exponents at level n: the Teichmuller lifts mod p^(n+1) of
+        g^k, k < p - 1, for g the smallest primitive root mod p. Delta acts
+        trivially on k_(-1), so there every one of them is 1."""
+        if n == -1:
+            return (1,) * (self.p - 1)
+        zp = ZpContext(self.p, n + 1)
+        g = primitive_root(self.p)
+        return tuple(zp.teichmuller(pow(g, k, self.p)) for k in range(self.p - 1))
 
     @lru_cache(maxsize=None)
-    def delta_exponent(self, n: int, a: int) -> int:
-        """Tame lift: the order-(p-1) unit congruent to a mod p, mod p^(n+1)."""
+    def galois_units(self, n: int, m: int) -> tuple[int, ...]:
+        """The exponents u (eta -> eta^u) of Gal(k_n/k_m), -1 <= m <= n: each
+        tame unit (only when m = -1) times the powers of the wild generator
+        (1+p)^(p^max(m,0)), tame outer and wild inner."""
+        assert -1 <= m <= n
+        if n == -1:
+            return (1,)
         mod = self.p ** (n + 1)
-        x = a % mod
-        for _ in range(n + 3):
-            nx = pow(x, self.p, mod)
-            if nx == x:
-                break
-            x = nx
-        assert pow(x, self.p - 1, mod) == 1 % mod
-        return x
+        tame = self.tame_units(n) if m == -1 else (1,)
+        gamma = pow(1 + self.p, self.p ** max(m, 0), mod)
+        wild = [pow(gamma, i, mod) for i in range(self.p ** (n - max(m, 0)))]
+        return tuple(tu * w % mod for tu in tame for w in wild)
+
+    @lru_cache(maxsize=None)
+    def embed_index(self, m: int, n: int) -> np.ndarray:
+        """The rows of k_n that k_m lands on: eta_m^j = eta_n^(j p^(n-m))."""
+        assert -1 <= m <= n
+        idx = np.arange(self.level_dim(m)) * self.p ** (n - m)
+        idx.setflags(write=False)
+        return idx
 
 
 def build_tower(p: int, d: int, n_max: int, N: int) -> TowerDesc:
@@ -247,50 +264,30 @@ class TowerElt:
     # -- level moves ------------------------------------------------------------
 
     def embed(self, n: int) -> "TowerElt":
-        """Inclusion k_level -> k_n (index j -> j * p^(n - level))."""
+        """Inclusion k_level -> k_n."""
         t = self.tower
-        m = self.level
-        assert n >= m
-        if n == m:
+        if n == self.level:
             return self
         out = np.zeros((t.level_dim(n), t.d), dtype=object)
-        step = t.p ** (n - m) if m >= 0 else 1
-        src = self.coords
-        for j in range(src.shape[0]):
-            out[j * step] = src[j]
+        out[t.embed_index(self.level, n)] = self.coords
         return TowerElt(t, n, out, self.den, self.prec)
 
     def trace_to(self, m: int) -> "TowerElt":
         """Sum over Gal(k_level / k_m); lands exactly in k_m."""
         t = self.tower
         n = self.level
-        assert -1 <= m <= n
         if m == n:
             return self
-        pmod = t.p ** (n + 1)
-        if m == -1:
-            units = [u for u in range(1, pmod) if u % t.p != 0]
-        else:
-            units = [(1 + t.p ** (m + 1) * k) % pmod for k in range(t.p ** (n - m))]
         q = self._qq()
         acc = np.zeros_like(self.coords, dtype=object)
-        for u in units:
+        for u in t.galois_units(n, m):
             acc = (acc + self.galois(u).coords) % q
-        # extract k_m coordinates: support must sit on the p^(n-m) grid
-        step = t.p ** (n - m) if m >= 0 else None
-        Lm = t.level_dim(m)
-        out = np.zeros((Lm, t.d), dtype=object)
-        if m == -1:
-            out[0] = acc[0]
-            mask = np.ones(acc.shape[0], dtype=bool)
-            mask[0] = False
-        else:
-            idx = np.arange(Lm) * step
-            out[:] = acc[idx]
-            mask = np.ones(acc.shape[0], dtype=bool)
-            mask[idx] = False
-        assert not (acc[mask] % q).any(), "trace image has off-grid coordinates"
-        return TowerElt(t, m, out, self.den, self.prec)
+        # the support must sit on the rows that k_m lands on
+        idx = t.embed_index(m, n)
+        off_grid = np.ones(acc.shape[0], dtype=bool)
+        off_grid[idx] = False
+        assert not (acc[off_grid] % q).any(), "trace image has off-grid coordinates"
+        return TowerElt(t, m, acc[idx], self.den, self.prec)
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -344,18 +341,6 @@ def tower_scalar(t: TowerDesc, n: int, a, prec: int | None = None) -> TowerElt:
     return TowerElt(t, n, c, 0, prec if prec is not None else t.N)
 
 
-def zeta_power_root(t: TowerDesc, n: int, j: int) -> TowerElt:
-    """zeta_{p^j} at level n (needs j <= n + 1); exact: eta^(p^(n+1-j))."""
-    assert 0 <= j <= n + 1
-    if j == 0:
-        return tower_one(t, n)
-    e = t.p ** (n + 1 - j)
-    c = np.zeros((t.level_dim(n), t.d), dtype=object)
-    for idx, sgn in t._reduce_exp(n, e):
-        c[idx] = t.field.scalar(sgn, t.field.one())
-    return TowerElt(t, n, c, 0, t.N)
-
-
 # ---------------------------------------------------------------------------
 # the canonical uniformizers and their iterate identity
 # ---------------------------------------------------------------------------
@@ -382,9 +367,7 @@ def check_g_iterate(t: TowerDesc, n: int, m: int) -> dict:
     z_elt = tower_scalar(t, max(n, -1), zt)
     lhs = (pin + z_elt).power(t.p**m) - tower_scalar(t, max(n, -1), t.field.pow(zt, t.p**m))
     target_level = max(n, -1)
-    rhs = uniformizer(t, n - m)
-    if rhs.level < target_level:
-        rhs = rhs.embed(target_level)
+    rhs = uniformizer(t, n - m).embed(target_level)
     diff = lhs - rhs
     resid = diff.residual_valuation()
     floor = diff.effective_prec

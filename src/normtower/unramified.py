@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .padic import ZpContext, factorize, is_prime, val_int
+from .padic import ZpContext, factorize, is_prime, primitive_root, val_int
 from .polyarith import mul, rem_monic, xgcd_fp
 from .snf import smith_normal_form
 
@@ -239,8 +239,7 @@ def build_unramified(p: int, d: int, N: int) -> FieldDesc:
     zp = ZpContext(p, N)
 
     if d == 1:
-        g = next(a for a in range(2, p) if _element_order_is([(-a) % p, 1], p, p - 1))
-        zeta0 = zp.teichmuller(g)
+        zeta0 = zp.teichmuller(primitive_root(p))
         fd = FieldDesc(
             p=p, d=1, N=N, q=q,
             modulus=((-zeta0) % q, 1),

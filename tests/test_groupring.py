@@ -224,13 +224,13 @@ def test_omega_family_is_built_once_level_by_level(monkeypatch):
     groupring._omega_family.cache_clear()
     monkeypatch.setattr(groupring, "poly_mul", counting_mul)
     fam = omega_family(5, 3)
-    # levels 0..3: two identity products each, plus one tilde product per level >= 1
-    assert len(products) == 4 * 2 + 3
+    # levels 0..3: one identity product each, plus one tilde product per level >= 1
+    assert len(products) == 4 + 3
     products.clear()
     assert omega_family(5, 3) is fam and products == []
     top = omega_family(5, 4)
-    # one level: Phi_4(1+X) into omega-tilde^+, then the two identity products
-    assert len(products) == 3
+    # one level: Phi_4(1+X) into omega-tilde^+, then the identity product
+    assert len(products) == 2
     assert top.phis[:3] == fam.phis and top.omega_tilde_minus == fam.omega_tilde_minus
     for f in fields(OmegaFamily):
         value = getattr(top, f.name)

@@ -6,6 +6,10 @@
 - Every private module-level name (a leading underscore, not a dunder) is read
   somewhere under src/normtower, as a name or as an attribute. A name reached
   only through a string lookup fails.
+- Every public module-level function or class is read somewhere under
+  src/normtower or exported from normtower.__all__. UNREAD_VERIFIERS lists the
+  verifiers that only tests, scripts or perfbench reach: each is to be
+  promoted into the campaign or deleted.
 """
 
 import ast
@@ -49,9 +53,7 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def unread_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """(module, name) for each private module-level name that no module reads."""
-    trees = {module: ast.parse(src) for module, src in sources.items()}
+def _read_names(trees) -> set[str]:
     read = set()
     for tree in trees.values():
         for n in ast.walk(tree):
@@ -59,6 +61,13 @@ def unread_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
                 read.add(n.id)
             elif isinstance(n, ast.Attribute):
                 read.add(n.attr)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) for each private module-level name that no module reads."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    read = _read_names(trees)
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -88,3 +97,49 @@ def test_detects_an_unread_private_name():
         "b.py": "from . import a\nprint(a._helper(), a._A)\n",
     }
     assert unread_private_names(sources) == [("a.py", "_B"), ("a.py", "_check_x")]
+
+
+UNREAD_VERIFIERS = {
+    "annihilator_matches_closed_form",
+    "generation_check",
+    "log_image_vs_maximal_ideal",
+    "point_log_congruent_to_uniformizer",
+    "torsion_probe",
+}
+
+
+def _exported(sources: dict[str, str]) -> set[str]:
+    for node in ast.parse(sources.get("__init__.py", "")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unread_public_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) for each public module-level function or class that no
+    module reads and __all__ does not export."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    reached = _read_names(trees) | _exported(sources)
+    return sorted((module, node.name) for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in reached)
+
+
+def test_public_names_are_read_or_exported():
+    unread = unread_public_names(SOURCES)
+    assert [(m, n) for m, n in unread if n not in UNREAD_VERIFIERS] == []
+    # an allowlisted verifier that is now read or exported leaves the list
+    assert sorted(n for _, n in unread) == sorted(UNREAD_VERIFIERS)
+
+
+def test_detects_an_unread_public_name():
+    sources = {
+        "__init__.py": "from .a import run\n__all__ = ['run']\n",
+        "a.py": ("class Shape:\n    pass\n"
+                 "def area(s):\n    return 0\n"
+                 "def run():\n    return area(Shape())\n"
+                 "def orphan():\n    pass\n"),
+        "b.py": "from . import a\nclass Helper:\n    pass\nprint(a.orphan)\n",
+    }
+    assert unread_public_names(sources) == [("b.py", "Helper")]

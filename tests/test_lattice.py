@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from test_tower import (
+    reference_delta_exponent,
+    reference_delta_generator,
+    reference_gamma_exponent,
+)
 
 from normtower.groupring import idempotents
 from normtower.lattice import (
@@ -9,6 +14,7 @@ from normtower.lattice import (
     cyclicity_check,
     expected_norm_rank,
     expected_plusminus_rank,
+    galois_orbit,
     galois_span,
     generation_check,
     lattice_from_elements,
@@ -21,8 +27,8 @@ from normtower.lattice import (
 )
 from normtower.padic import PrecisionExhausted
 from normtower.points import point_log
-from normtower.snf import PRECISION_BUMP, PRECISION_RUNGS, smith_normal_form
-from normtower.tower import build_tower
+from normtower.snf import PRECISION_BUMP, PRECISION_RUNGS, as_matrix, smith_normal_form
+from normtower.tower import TowerElt, build_tower
 
 
 EPS3 = idempotents(3, 6)
@@ -62,9 +68,7 @@ def test_plusminus_odd_level_collapse(tower_3_2):
     a = plusminus_lattice(t, 0, "+", None)
     b = plusminus_lattice(t, 1, "+", None)
     b_cols = b.mat
-    from normtower.lattice import _embedded_columns
-
-    a_at_1 = lattice_from_elements(t, 1, _embedded_columns(t, a, 1))
+    a_at_1 = a.embed(1)
     assert a_at_1.equals(b)
 
 
@@ -199,3 +203,89 @@ def test_retry_gives_up_after_the_last_rung():
     with pytest.raises(PrecisionExhausted, match=f"N={5 + (PRECISION_RUNGS - 1) * PRECISION_BUMP}"):
         with_precision_retry(3, 1, 0, 5, fn)
     assert len(seen) == PRECISION_RUNGS
+
+
+# The Galois orbit and the lattice embedding that TowerDesc.galois_units and
+# Lattice.embed replaced, kept verbatim (names prefixed; the TowerDesc methods
+# they called are the reference functions of tests/test_tower.py).
+
+def reference_galois_orbit(x: TowerElt, n: int, include_tame: bool) -> list[TowerElt]:
+    """sigma(x) for sigma over Frobenius x wild (x tame, optionally) parts of
+    the level-n Galois group."""
+    t = x.tower
+    if x.level < n:
+        x = x.embed(n)
+    gamma_u = reference_gamma_exponent(t, n)
+    g = reference_delta_generator(t.p)
+    tame_us = [reference_delta_exponent(t, n, pow(g, k, t.p)) for k in range(t.p - 1)] \
+        if (include_tame and n >= 0) else [1]
+    out = []
+    wild_count = t.p**n if n >= 0 else 1
+    for tu in tame_us:
+        y = x.galois(tu, 0) if n >= 0 else x
+        for _ in range(wild_count):
+            for a in range(t.d):
+                out.append(y.galois(1, a) if a else y)
+            y = y.galois(gamma_u, 0)
+    return out
+
+
+def reference_embedded_columns(t, lat: Lattice, n: int) -> list[TowerElt]:
+    out = []
+    Lsrc = t.level_dim(lat.level)
+    for j in range(lat.mat.shape[1]):
+        col = lat.mat[:, j]
+        coords = np.array(col, dtype=object).reshape(Lsrc, t.d)
+        elem = TowerElt(t, lat.level, coords, lat.den, t.N)
+        out.append(elem.embed(n))
+    return out
+
+
+def _same_matrix(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+
+
+ORBIT_GRID = [(3, 1, 6, 3), (3, 2, 6, 3), (3, 4, 6, 3), (5, 2, 4, 1)]
+
+
+@pytest.mark.parametrize("p,d,N,nmax", ORBIT_GRID)
+def test_galois_orbit_matches_reference(p, d, N, nmax):
+    t = build_tower(p, d, nmax, N)
+    for n in range(-1, nmax + 1):
+        for x in (point_log(t, n), point_log(t, -1)):
+            for tame in (True, False):
+                got = galois_orbit(x, n, tame)
+                want = reference_galois_orbit(x, n, tame)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert (a.level, a.den, a.prec) == (b.level, b.den, b.prec)
+                    assert _same_matrix(a.coords, b.coords)
+            if n >= 0:
+                span = galois_span(t, [x], n, None)
+                ref = lattice_from_elements(t, n, reference_galois_orbit(x, n, True))
+                assert span.den == ref.den and _same_matrix(span.mat, ref.mat)
+
+
+@pytest.mark.parametrize("p,d,N,nmax", ORBIT_GRID)
+def test_lattice_embed_matches_round_trip(p, d, N, nmax):
+    t = build_tower(p, d, nmax, N)
+    for n in range(0, nmax + 1):
+        for lat in (norm_subgroup_lattice(t, n - 1, None), maximal_ideal_lattice(t, n - 1)):
+            for k in range(n, nmax + 1):
+                got = lat.embed(k)
+                want = lattice_from_elements(t, k, reference_embedded_columns(t, lat, k))
+                assert (got.level, got.den) == (want.level, want.den)
+                assert _same_matrix(got.mat, want.mat)
+
+
+@pytest.mark.parametrize("N,dtype", [(6, np.int64), (16, object)])
+def test_lattice_embed_keeps_the_dtype_rule(N, dtype):
+    """A random level-0 lattice on either side of the int64 bound of p^N."""
+    t = build_tower(3, 2, 2, N)
+    rng = np.random.default_rng(N)
+    lat = Lattice(t, 0, 1, as_matrix(rng.integers(0, 2**62, size=(4, 5)).tolist(), t.q))
+    got = lat.embed(2)
+    want = lattice_from_elements(t, 2, reference_embedded_columns(t, lat, 2))
+    assert lat.mat.dtype == got.mat.dtype == dtype
+    assert got.den == want.den and _same_matrix(got.mat, want.mat)
+    assert {type(v) for v in got.mat.reshape(-1)} == {type(v) for v in want.mat.reshape(-1)}

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from normtower.padic import factorize, primitive_root
 from normtower.tower import (
     build_tower,
     check_g_iterate,
@@ -10,6 +11,7 @@ from normtower.tower import (
     tower_zero,
     uniformizer,
 )
+from normtower.unramified import _element_order_is
 
 
 def test_cyclotomic_relation_holds(tower_3_2):
@@ -24,14 +26,13 @@ def test_cyclotomic_relation_holds(tower_3_2):
 
 
 def test_root_system_compatibility(tower_3_2):
-    # zeta_{p^(j+1)}^p = zeta_{p^j} holds exactly by exponent bookkeeping
-    from normtower.tower import zeta_power_root
-
+    # zeta_{p^(j+1)}^p = zeta_{p^j} holds exactly by exponent bookkeeping:
+    # zeta_{p^j} at level n is eta^(p^(n+1-j))
     t = tower_3_2
     for n in (1, 2):
         for j in range(1, n + 1):
-            hi = zeta_power_root(t, n, j + 1)
-            lo = zeta_power_root(t, n, j)
+            hi = tower_eta(t, n).power(t.p ** (n - j))
+            lo = tower_eta(t, n).power(t.p ** (n + 1 - j))
             assert (hi.power(t.p) - lo).is_zero()
 
 
@@ -111,3 +112,111 @@ def test_denominator_tracking(tower_3_2):
     assert y.den == 2  # the uniformizer has unit content, nothing strips
     z = uniformizer(t, 1).scale_int(9).div_p(2).canonical()
     assert z.den == 0
+
+
+# The enumerations of Gal(k_n/k_m), the tame lift and the two primitive-root
+# searches that TowerDesc and padic.primitive_root replaced, kept verbatim
+# (names prefixed) as references. tests/test_lattice.py uses them too.
+
+def reference_delta_generator(p: int) -> int:
+    """Smallest primitive root mod p (generator of the tame quotient)."""
+    for g in range(2, p):
+        ok = all(pow(g, (p - 1) // ell, p) != 1 for ell in factorize(p - 1))
+        if ok:
+            return g
+    raise RuntimeError("no primitive root found")
+
+
+def reference_unramified_generator(p: int) -> int:
+    """The d = 1 generator search of build_unramified."""
+    return next(a for a in range(2, p) if _element_order_is([(-a) % p, 1], p, p - 1))
+
+
+def reference_gamma_exponent(t, n: int) -> int:
+    """Action of the fixed topological generator of the wild quotient: eta -> eta^(1+p)."""
+    return (1 + t.p) % t.p ** (n + 1) if n >= 0 else 1
+
+
+def reference_delta_exponent(t, n: int, a: int) -> int:
+    """Tame lift: the order-(p-1) unit congruent to a mod p, mod p^(n+1)."""
+    mod = t.p ** (n + 1)
+    x = a % mod
+    for _ in range(n + 3):
+        nx = pow(x, t.p, mod)
+        if nx == x:
+            break
+        x = nx
+    assert pow(x, t.p - 1, mod) == 1 % mod
+    return x
+
+
+def reference_trace_units(t, n: int, m: int) -> list[int]:
+    """The unit lists that trace_to summed over."""
+    pmod = t.p ** (n + 1)
+    if m == -1:
+        units = [u for u in range(1, pmod) if u % t.p != 0]
+    else:
+        units = [(1 + t.p ** (m + 1) * k) % pmod for k in range(t.p ** (n - m))]
+    return units
+
+
+GROUP_GRID = [(3, 1, 3), (3, 2, 3), (3, 4, 3), (5, 2, 1), (7, 1, 2)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_primitive_root_matches_both_searches(p):
+    assert primitive_root(p) == reference_delta_generator(p) == reference_unramified_generator(p)
+
+
+@pytest.mark.parametrize("p,d,nmax", GROUP_GRID)
+def test_tame_units_match_the_tame_lift(p, d, nmax):
+    t = build_tower(p, d, nmax, 4)
+    g = reference_delta_generator(p)
+    assert t.tame_units(-1) == (1,) * (p - 1)
+    for n in range(nmax + 1):
+        assert t.tame_units(n) == tuple(
+            reference_delta_exponent(t, n, pow(g, k, p)) for k in range(p - 1))
+
+
+@pytest.mark.parametrize("p,d,nmax", GROUP_GRID)
+def test_galois_units_enumerate_each_group_once(p, d, nmax):
+    t = build_tower(p, d, nmax, 4)
+    assert t.galois_units(-1, -1) == (1,)
+    for n in range(nmax + 1):
+        mod = p ** (n + 1)
+        for m in range(-1, n + 1):
+            units = t.galois_units(n, m)
+            assert sorted(units) == sorted(reference_trace_units(t, n, m))
+            order = (p - 1) * p**n if m == -1 else p ** (n - m)
+            assert len(units) == len(set(units)) == order
+            group = set(units)
+            assert all(u * v % mod in group for u in units for v in units)
+
+
+@pytest.mark.parametrize("p,d,nmax", GROUP_GRID)
+def test_galois_units_order_is_the_orbit_order(p, d, nmax):
+    """Tame outer, wild inner: the order the orbit loops of galois_orbit used."""
+    t = build_tower(p, d, nmax, 4)
+    g = reference_delta_generator(p)
+    for n in range(nmax + 1):
+        mod = p ** (n + 1)
+        gamma = reference_gamma_exponent(t, n)
+        for tame in (True, False):
+            expected = []
+            tame_us = [reference_delta_exponent(t, n, pow(g, k, p)) for k in range(p - 1)] \
+                if tame else [1]
+            for tu in tame_us:
+                u = tu
+                for _ in range(p**n):
+                    expected.append(u % mod)
+                    u = u * gamma
+            assert list(t.galois_units(n, -1 if tame else 0)) == expected
+
+
+def test_embed_index_is_the_p_power_grid(tower_3_2):
+    t = tower_3_2
+    for n in range(-1, 4):
+        for m in range(-1, n + 1):
+            idx = t.embed_index(m, n)
+            assert idx.tolist() == [j * t.p ** (n - m) for j in range(t.level_dim(m))]
+            assert not idx.flags.writeable
