@@ -184,12 +184,10 @@ def formal_exp(curve: CurveParams, field: FieldDesc, D: int, prec: int) -> Trunc
     return formal_log(curve, field, D, prec).reversion()
 
 
-def multiplication_by_p_series(curve: CurveParams, field: FieldDesc, D: int, target: int) -> TruncSeries:
-    """[p](T) = exp(p log T): an integral series (endomorphism over Z_p)."""
-    prec = composition_work_precision(field.p, D, target)
-    lg = formal_log(curve, field, D, prec)
-    ex = formal_exp(curve, field, D, prec)
-    mp = ex.compose(lg.scale_int(curve.p)).canonical()
+def multiplication_by_p_series(lg: TruncSeries, ex: TruncSeries, target: int) -> TruncSeries:
+    """[p](T) = exp(p log T) from a formal log and its exp, both at the
+    precision that certified them: an integral series (endomorphism over Z_p)."""
+    mp = ex.compose(lg.scale_int(lg.p)).canonical()
     assert mp.den == 0, "[p]-series failed integrality"
     assert mp.effective_prec >= target
     return mp

@@ -158,7 +158,7 @@ def torsion_probe(bundle: SeriesBundle, n: int, trials: int, seed: int) -> dict:
 
     field = bundle.field
     p = field.p
-    mp = multiplication_by_p_series(bundle.curve, field, bundle.D, bundle.target)
+    mp = multiplication_by_p_series(bundle.curve_log, bundle.curve_exp, bundle.target)
     tower = TowerDesc(field, max(n, 0))
     e_ram = (p - 1) * p**n if n >= 0 else 1
     vmin = Fraction(1, e_ram)

@@ -26,10 +26,18 @@ it to zero.
 
 The core has two entries:
 - `smith_normal_form` records the row operations in U and the column
-  operations in V, for callers that test membership, take kernels or build
-  a basis of a span;
+  operations in V, for callers that take kernels or build a basis of a span;
 - `smith_divisors` builds neither and makes no column operations, for
   callers that read only ranks and divisors; its result has U = V = None.
+
+Two lattice operations instead carry their operand through the core as a
+passenger in place of a transform, so that neither U nor V is built and no
+transform product is taken:
+- `span_contains_all(A, B)` passes B as U, and the row operations turn it
+  into U @ B;
+- `span_intersection(A, B)` eliminates [A | -B] with [A | 0] as V, and the
+  column operations turn it into A @ V[:na], whose kernel columns span the
+  intersection.
 
 Matrices are numpy arrays, dtype int64 when p^N and the matrix dimension are
 small enough that no product of two reduced matrices can overflow, otherwise
@@ -143,9 +151,11 @@ def _eliminate(A: np.ndarray, p: int, N: int,
     valuations, N meaning zero at precision.
 
     Row operations are applied to U and column operations to V when given.
-    Without V the column operations are skipped: they would change only the
-    pivot row, which no later pivot reads, so A is left diagonal only when V
-    is given."""
+    U may be any matrix with m rows and V any matrix with n columns, with
+    entries in [0, p^N) and A's dtype: U ends as R @ U and V as V @ C, where R
+    and C are the row and column operations. Without V the column operations
+    are skipped: they would change only the pivot row, which no later pivot
+    reads, so A is left diagonal only when V is given."""
     q = p**N
     m, n = A.shape
     divisors: list[int] = []
@@ -205,6 +215,15 @@ def smith_divisors(A, p: int, N: int) -> SnfResult:
                      shape=A.shape)
 
 
+def _kernel_columns(divisors: list[int], n: int, N: int, tolerant: bool) -> list[int]:
+    """The columns past the rank after elimination, margin-aware: strict mode
+    raises on a divisor inside [N - MARGIN, N), tolerant mode clamps it to
+    zero at precision."""
+    if not tolerant and any(N - MARGIN <= e < N for e in divisors):
+        raise PrecisionExhausted("kernel decision inside precision margin")
+    return [j for j in range(n) if j >= len(divisors) or divisors[j] >= N - MARGIN]
+
+
 def kernel_basis(A, p: int, N: int, tolerant: bool = False) -> np.ndarray:
     """Columns spanning the Z_p-kernel of A (margin-aware).
 
@@ -214,27 +233,37 @@ def kernel_basis(A, p: int, N: int, tolerant: bool = False) -> np.ndarray:
     is an ambiguous decision: strict mode raises, tolerant mode clamps it to
     zero-at-precision (callers then certify by agreement across two N)."""
     res = smith_normal_form(A, p, N)
-    if res.ambiguous() and not tolerant:
-        raise PrecisionExhausted("kernel decision inside precision margin")
-    cols = [j for j in range(res.shape[1])
-            if j >= len(res.divisors) or res.divisors[j] >= N - MARGIN]
-    if not cols:
-        return np.zeros((res.shape[1], 0), dtype=res.V.dtype)
-    return res.V[:, cols]
+    return res.V[:, _kernel_columns(res.divisors, res.shape[1], N, tolerant)]
+
+
+def span_intersection(A: np.ndarray, B: np.ndarray, p: int, N: int) -> np.ndarray:
+    """Columns spanning col-span(A) ∩ col-span(B): A x for the kernel vectors
+    (x, y) of [A | -B] (strict margin rule). W = [A | 0] rides along as V, so
+    it ends as A @ V[:na] without V being built."""
+    q = p**N
+    na = A.shape[1]
+    M = as_matrix(stack_cols(A, (-B) % q), q)
+    W = np.zeros_like(M)
+    W[:, :na] = M[:, :na]
+    divisors = _eliminate(M, p, N, V=W)
+    return W[:, _kernel_columns(divisors, M.shape[1], N, tolerant=False)]
 
 
 def span_contains_all(A, B, p: int, N: int) -> bool:
-    """Every column of B lies in the column span of A (mod p^N, margin-aware)."""
+    """Every column of B lies in the column span of A (mod p^N, margin-aware).
+    B rides along as U, so it ends as U @ B without U being built."""
     q = p**N
-    res = smith_normal_form(A, p, N)
-    B = as_matrix(B, q)
-    Y = (res.U @ B) % q
-    m, n = res.shape
+    A = as_matrix(A, q)
+    Y = as_matrix(B, q).astype(A.dtype)
+    m = A.shape[0]
+    if Y.shape[0] != m:
+        raise ValueError(f"B has {Y.shape[0]} rows, A has {m}")
+    divisors = _eliminate(A, p, N, U=Y)
     for i in range(m):
-        e = res.divisors[i] if i < len(res.divisors) else N
-        row = Y[i] % q
+        e = divisors[i] if i < len(divisors) else N
+        row = Y[i]  # reduced mod q by the elimination
         if e >= N - MARGIN:
-            bad = row % q != 0
+            bad = row != 0
             if bad.any():
                 if ((row[bad] % p ** max(N - MARGIN, 1)) == 0).any():
                     raise PrecisionExhausted("membership decided inside margin")

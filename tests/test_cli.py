@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -84,6 +85,22 @@ def test_verify_outputs_are_byte_stable(tmp_path):
     assert main(["verify", "--config", str(cfg), "--out", str(out2), "--seed", "5"]) == 0
     assert (out1 / "table.csv").read_bytes() == (out2 / "table.csv").read_bytes()
     assert (out1 / "table.json").read_bytes() == (out2 / "table.json").read_bytes()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = {"full_grid": "configs/full_grid.json", "p5": "perfbench/configs/p5.json"}
+
+
+@pytest.mark.parametrize("workload", SHIPPED)
+def test_shipped_tables_match_the_reference_digests(tmp_path, workload):
+    """The table contract: verify on a shipped config, at its own seed, emits
+    tables byte-identical to the committed digests of perfbench/reference.json."""
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())[workload]
+    out = tmp_path / workload
+    assert main(["verify", "--config", str(ROOT / SHIPPED[workload]), "--out", str(out)]) == 0
+    for name, digest in reference["digests"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert len(json.loads((out / "table.json").read_text())["rows"]) == reference["records"]
 
 
 def test_table_formats(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_snf import reference_span_intersection
 from test_tower import (
     reference_delta_exponent,
     reference_delta_generator,
@@ -9,6 +10,7 @@ from test_tower import (
 from normtower.groupring import idempotents
 from normtower.lattice import (
     Lattice,
+    _common_den,
     check_exact_sequence,
     curve_group_lattice,
     cyclicity_check,
@@ -27,7 +29,15 @@ from normtower.lattice import (
 )
 from normtower.padic import PrecisionExhausted
 from normtower.points import point_log
-from normtower.snf import PRECISION_BUMP, PRECISION_RUNGS, as_matrix, smith_normal_form
+from normtower.snf import (
+    PRECISION_BUMP,
+    PRECISION_RUNGS,
+    as_matrix,
+    kernel_basis,
+    smith_normal_form,
+    span_intersection,
+    stack_cols,
+)
 from normtower.tower import TowerElt, build_tower
 
 
@@ -289,3 +299,57 @@ def test_lattice_embed_keeps_the_dtype_rule(N, dtype):
     assert lat.mat.dtype == got.mat.dtype == dtype
     assert got.den == want.den and _same_matrix(got.mat, want.mat)
     assert {type(v) for v in got.mat.reshape(-1)} == {type(v) for v in want.mat.reshape(-1)}
+
+
+# The exact-sequence check as it was before `snf.span_intersection`: the
+# intersection came from a kernel basis of [A | -B] with both transforms built
+# (kept verbatim, name prefixed).
+
+def reference_check_exact_sequence(t, n: int, chi=None) -> dict:
+    """0 -> (level -1 group) -> C_n (+) C_(n-1) -> (full level-n group) -> 0,
+    verified as: intersection = the level -1 lattice, sum = the full lattice,
+    and rank additivity."""
+    assert n >= 0
+    Cn = norm_subgroup_lattice(t, n, chi)
+    Cn1_at_n = norm_subgroup_lattice(t, n - 1, chi).embed(n)
+    base = galois_span(t, [point_log(t, -1)], n, chi)
+    full = curve_group_lattice(t, n, chi)
+
+    A, B = _common_den(Cn, Cn1_at_n)
+    ker = kernel_basis(stack_cols(A.mat, (-B.mat) % t.q), t.p, t.N)
+    na = A.mat.shape[1]
+    inter_cols = (A.mat @ ker[:na]) % t.q
+    inter = Lattice(t, n, A.den, as_matrix(inter_cols, t.q))
+
+    summ = Lattice(t, n, A.den, stack_cols(A.mat, B.mat))
+    rank_Cn, rank_Cn1 = Cn.rank(), Cn1_at_n.rank()
+    rank_inter, rank_sum = inter.rank(), summ.rank()
+    ok_inter = inter.equals(base) if inter.mat.shape[1] else base.rank() == 0
+    ok_sum = summ.equals(full)
+    ok_add = rank_Cn + rank_Cn1 == rank_inter + rank_sum
+    return {
+        "n": n,
+        "rank_Cn": rank_Cn,
+        "rank_Cn_lower": rank_Cn1,
+        "rank_intersection": rank_inter,
+        "rank_sum": rank_sum,
+        "intersection_is_base": ok_inter,
+        "sum_is_full": ok_sum,
+        "rank_additivity": ok_add,
+        "ok": ok_inter and ok_sum and ok_add,
+    }
+
+
+@pytest.mark.parametrize("p,d,N,nmax", ORBIT_GRID)
+def test_exact_sequence_matches_reference(p, d, N, nmax):
+    """The same report, and the same intersection matrix (values, dtype,
+    shape, column order), for every level and character."""
+    t = build_tower(p, d, nmax, N)
+    for n in range(0, nmax + 1):
+        for chi in (None, *idempotents(p, N)):
+            assert check_exact_sequence(t, n, chi) == reference_check_exact_sequence(t, n, chi)
+            A, B = _common_den(norm_subgroup_lattice(t, n, chi),
+                               norm_subgroup_lattice(t, n - 1, chi).embed(n))
+            got = as_matrix(span_intersection(A.mat, B.mat, p, N), t.q)
+            want = as_matrix(reference_span_intersection(A.mat, B.mat, p, N), t.q)
+            assert _same_matrix(got, want)

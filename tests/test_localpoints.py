@@ -65,3 +65,20 @@ def test_eval_tail_floor(bundle_n0):
     x = point_log(t, 0)
     val, tail = eval_series_at_tower(bundle_n0.forward, x, Fraction(1, 2))
     assert tail == (bundle_n0.forward.deg + 1) // 2 - bundle_n0.forward.den
+
+
+def test_torsion_probe_uses_the_bundle_precision(monkeypatch):
+    """A start too tight for (n=0, D=40, target=4) makes series_bundle double
+    its working precision once; [p] must come from the bundle's own log and
+    exp at the doubled precision, not from a fresh start."""
+    from normtower import curve
+    from normtower.localpoints import torsion_probe
+
+    start = 4 + 3 * 40 + 16
+    monkeypatch.setattr(curve, "composition_work_precision",
+                        lambda p, D, target: target + 3 * D + 16)
+    b = series_bundle(SS3, 1, 0, 40, 4)
+    assert b.field.N == 2 * start
+    for n in (0, -1):
+        rep = torsion_probe(b, n, trials=3, seed=7)
+        assert rep["ok"], rep

@@ -16,7 +16,9 @@ from normtower.snf import (
     smith_divisors,
     smith_normal_form,
     span_contains_all,
+    span_intersection,
     spans_equal,
+    stack_cols,
 )
 
 
@@ -283,3 +285,137 @@ def test_dtype_guard_at_the_dimension_boundary():
     below = as_matrix([q - 1] * (dim - 1), q)
     assert below.dtype == np.int64
     assert int((below @ below.T)[0, 0]) == (dim - 1) * (q - 1) ** 2
+
+
+# ---------------------------------------------------------------------------
+# differential tests: membership and intersection with the operand carried
+# through the elimination, against the transform products they replaced
+# ---------------------------------------------------------------------------
+
+def reference_span_contains_all(A, B, p: int, N: int) -> bool:
+    """Every column of B lies in the column span of A (mod p^N, margin-aware)."""
+    q = p**N
+    res = smith_normal_form(A, p, N)
+    B = as_matrix(B, q)
+    Y = (res.U @ B) % q
+    m, n = res.shape
+    for i in range(m):
+        e = res.divisors[i] if i < len(res.divisors) else N
+        row = Y[i] % q
+        if e >= N - MARGIN:
+            bad = row % q != 0
+            if bad.any():
+                if ((row[bad] % p ** max(N - MARGIN, 1)) == 0).any():
+                    raise PrecisionExhausted("membership decided inside margin")
+                return False
+        else:
+            if (row % p**e != 0).any():
+                return False
+    return True
+
+
+def reference_span_intersection(A, B, p: int, N: int) -> np.ndarray:
+    """The intersection as `check_exact_sequence` built it: A times the top
+    block of a kernel basis of [A | -B]."""
+    q = p**N
+    ker = kernel_basis(stack_cols(A, (-B) % q), p, N)
+    na = A.shape[1]
+    return (A @ ker[:na]) % q
+
+
+@st.composite
+def operand_pair(draw):
+    """(p, N, A, B) with a common row count: uniform, mixed-valuation,
+    zero-column, in-span, near-miss and margin-edge operands (entries p^k * unit, k in N-3..N-1)."""
+    p = draw(st.sampled_from([3, 5]))
+    N = draw(st.integers(1, 8))
+    q = p**N
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 6))
+    na, nb = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["plain", "random", "in_span", "near_miss", "margin_edge"]))
+
+    def draw_ints(lo, hi, size):  # exact Python ints, so products cannot wrap
+        return rng.integers(lo, hi, size=size).astype(object)
+
+    def units(size):
+        u = draw_ints(1, q, size)
+        u[u % p == 0] -= 1
+        return u
+
+    def margin_edge(size):
+        k = max(draw(st.sampled_from([N - 3, N - 2, N - 1])), 0)
+        return p**k * units(size) * draw_ints(0, 2, size)
+
+    A, B = draw_ints(0, q, (m, na)), draw_ints(0, q, (m, nb))
+    if kind == "random":
+        # mix in entries of every valuation so that pivots skip valuations
+        A = A * p ** draw_ints(0, N + 1, (m, na))
+        B = B * p ** draw_ints(0, N + 1, (m, nb))
+    elif kind == "in_span":
+        B = A @ draw_ints(0, q, (na, nb))
+    elif kind == "near_miss":
+        k = max(draw(st.sampled_from([N - 3, N - 2, N - 1])), 0)
+        B = A @ draw_ints(0, q, (na, nb)) + p**k * units((m, nb))
+    elif kind == "margin_edge":
+        A = margin_edge((m, na))
+        B = margin_edge((m, nb)) if draw(st.booleans()) else A @ draw_ints(0, q, (na, nb))
+    return p, N, (A % q).astype(np.int64), (B % q).astype(np.int64)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the exception class it raised."""
+    try:
+        return fn(*args)
+    except (PrecisionExhausted, ValueError) as e:
+        return type(e)
+
+
+@settings(deadline=None, max_examples=300)
+@given(operand_pair(), st.sampled_from([np.int64, object]))
+def test_membership_matches_reference(case, dt):
+    p, N, A, B = case
+    with mock.patch.object(snf, "_dtype_for", lambda q, dim: dt):
+        for X, Y in ((A, B), (B, A), (A, A)):
+            Xc, Yc = X.copy(), Y.copy()
+            assert _outcome(span_contains_all, X, Y, p, N) == \
+                _outcome(reference_span_contains_all, X, Y, p, N)
+            assert np.array_equal(X, Xc) and np.array_equal(Y, Yc)  # operands untouched
+
+
+@settings(deadline=None, max_examples=300)
+@given(operand_pair(), st.sampled_from([np.int64, object]))
+def test_intersection_matches_reference(case, dt):
+    p, N, A, B = case
+    q = p**N
+    with mock.patch.object(snf, "_dtype_for", lambda q, dim: dt):
+        A, B = as_matrix(A, q), as_matrix(B, q)
+        got = _outcome(span_intersection, A, B, p, N)
+        want = _outcome(reference_span_intersection, A, B, p, N)
+        if isinstance(want, type):
+            assert got is want
+            return
+        got, want = as_matrix(got, q), as_matrix(want, q)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_membership_rejects_mismatched_rows():
+    # B must live in the same ambient space as A: no row of B is ignored
+    with pytest.raises(ValueError):
+        span_contains_all(np.eye(2, dtype=np.int64), np.zeros((3, 1), dtype=np.int64), 3, 6)
+
+
+def test_intersection_is_the_common_span():
+    # span{(1, 0), (0, 3)} meets span{(1, 1)} in span{(3, 3)} over Z_3
+    A = np.array([[1, 0], [0, 3]])
+    B = np.array([[1], [1]])
+    I = span_intersection(A, B, 3, 6)
+    assert I.shape == (2, 1)
+    assert spans_equal(I, np.array([[3], [3]]), 3, 6)
+
+
+def test_intersection_margin_raises():
+    # [A | -B] has a divisor at N - 1, inside the margin
+    with pytest.raises(PrecisionExhausted):
+        span_intersection(np.array([[3**4], [0]]), np.array([[0], [1]]), 3, 5)
