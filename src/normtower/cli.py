@@ -95,9 +95,12 @@ class CampaignConfig:
                     curves[p] = CurveParams(p=p, **{k: int(v) for k, v in spec.items()})
                 else:
                     raise ConfigError(f"bad curve spec {spec!r}")
-            checks = list(checks_override or doc.get("checks", ["all"]))
-            if "all" in checks:
-                checks = list(ALL_CHECKS)
+            checks = checks_override or doc.get("checks", ["all"])
+            if not (isinstance(checks, list) and checks
+                    and all(isinstance(c, str) for c in checks)):
+                raise ConfigError(f"checks must be a non-empty list of check names, "
+                                  f"got {checks!r}")
+            checks = list(ALL_CHECKS) if "all" in checks else list(checks)
             bad = [c for c in checks if c not in ALL_CHECKS]
             if bad:
                 raise ConfigError(f"unknown checks: {bad}")
@@ -330,7 +333,6 @@ def render_table(records: list[Record], fmt: str) -> str:
 
 
 def emit_tables(records: list[Record], out_dir: Path) -> dict[str, Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {kind: out_dir / f"table.{kind}" for kind in ("csv", "json")}
     for kind, path in paths.items():
         path.write_text(render_table(records, kind))
@@ -338,7 +340,6 @@ def emit_tables(records: list[Record], out_dir: Path) -> dict[str, Path]:
 
 
 def write_report(records: list[Record], cfg: CampaignConfig, out_dir: Path) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "config": {
@@ -364,6 +365,8 @@ def cmd_verify(args) -> int:
         cfg = CampaignConfig.from_json(doc, checks_override=checks,
                                        seed_override=args.seed,
                                        out_override=args.out)
+        out_dir = Path(cfg.out)
+        out_dir.mkdir(parents=True, exist_ok=True)  # a bad path fails before the campaign
     except (OSError, json.JSONDecodeError, ConfigError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -372,7 +375,6 @@ def cmd_verify(args) -> int:
     except PrecisionExhausted as e:
         print(f"precision exhausted: {e}", file=sys.stderr)
         return 3
-    out_dir = Path(cfg.out)
     write_report(records, cfg, out_dir)
     emit_tables(records, out_dir)
     n_fail = sum(1 for r in records if not r.ok)

@@ -149,13 +149,17 @@ def formal_log(curve: CurveParams, field: FieldDesc, D: int, prec: int) -> Trunc
     p = field.p
     q = p**prec
     U, Uprime = _unit_series_data(curve, D)
-    num = [(-2 * U[j] + (Uprime[j - 1] if j >= 1 else 0)) % q for j in range(D + 1)]
-    den = [(-2 * U[j] + curve.a1 * (U[j - 1] if j >= 1 else 0)
-            + (curve.a3 if j == 3 else 0)) % q for j in range(D + 1)]
-    num_s = TruncSeries.from_int_coeffs(field, num, prec)
-    den_s = TruncSeries.from_int_coeffs(field, den, prec)
-    P = num_s * den_s.inverse_unit()
-    assert P.coeffs[0] == field.one(q), "invariant differential not normalized"
+    num = [-2 * U[j] + (Uprime[j - 1] if j >= 1 else 0) for j in range(D + 1)]
+    den = [-2 * U[j] + curve.a1 * (U[j - 1] if j >= 1 else 0)
+           + (curve.a3 if j == 3 else 0) for j in range(D + 1)]
+    # den has constant term -2: P = num/den = (num/-2) (den/-2)^-1 mod q
+    scale = pow(-2, -1, q)
+
+    def times(a, b, deg):
+        return [c % q for c in _zmul(a, b, deg)]
+
+    P = times([scale * c % q for c in num], _zinv([scale * c % q for c in den], D, times), D)
+    assert P[0] == 1 % q, "invariant differential not normalized"
     # integrate: coefficient of t^(m+1) is P_m / (m+1)
     den_exp = max(val_int(m + 1, p, prec) for m in range(D)) if D >= 1 else 0
     zp = ZpContext(p, prec)
@@ -163,7 +167,7 @@ def formal_log(curve: CurveParams, field: FieldDesc, D: int, prec: int) -> Trunc
     for m in range(0, D):
         e = val_int(m + 1, p, prec)
         unit = (m + 1) // p**e
-        c = field.scalar(p ** (den_exp - e) * zp.inv(unit), P.coeffs[m], q)
+        c = field.from_int(p ** (den_exp - e) * zp.inv(unit) * P[m], q)
         co[m + 1] = c
     return TruncSeries(field, tuple(co), den_exp, prec).canonical()
 

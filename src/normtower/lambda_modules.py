@@ -32,7 +32,7 @@ from .snf import (
     MARGIN,
     as_matrix,
     at_rising_precision,
-    kernel_basis,
+    kernel_image,
     precision_ladder,
     quotient_invariants,
     smith_divisors,
@@ -370,26 +370,12 @@ def _subquotient_structure(K: np.ndarray, R: np.ndarray, p: int, N: int,
     if t == 0:
         return 0, []
     stacked = stack_cols(K, R) if R.size else K
-    ker = kernel_basis(stacked, p, N, tolerant=tolerant)
-    C = ker[:t] if ker.size else np.zeros((t, 0), dtype=object)
-    rank, torsion, ambiguous = quotient_invariants(t, as_matrix(C, p**N), p, N)
+    # the K-coordinates of the kernel vectors: the top t rows of a kernel basis
+    C = kernel_image(stacked, np.eye(t, stacked.shape[1], dtype=np.int64), p, N, tolerant)
+    rank, torsion, ambiguous = quotient_invariants(t, C, p, N)
     if ambiguous and not tolerant:
         raise PrecisionExhausted("subquotient structure inside precision margin")
     return rank, torsion
-
-
-def _truncation_map(fm_hi: FlatModule, fm_lo: FlatModule) -> np.ndarray:
-    """Projection of flat bases induced by M/X^(W+1) M -> M/X^W M (drop the
-    top X-layers; all other basis vectors coincide)."""
-    T = np.zeros((fm_lo.dim, fm_hi.dim), dtype=object)
-    pres = fm_hi.pres
-    for i in range(pres.gens):
-        B_hi, B_lo = fm_hi.caps_deg[i], fm_lo.caps_deg[i]
-        for a in range(pres.d):
-            for b in range(min(B_hi, B_lo)):
-                T[fm_lo.offsets[i] + a * B_lo + b,
-                  fm_hi.offsets[i] + a * B_hi + b] = 1
-    return T
 
 
 _WINDOWS = 4  # truncation windows W0, ..., W0 + 3 tried for agreement
@@ -426,14 +412,16 @@ def _invariant_structure_at(lo: FlatModule, hi: FlatModule,
     p, N, q = hi.p, hi.N, hi.q
     if hi.dim == 0:
         return 0, []
-    # preimage of the relation span under X, inside the high model
+    # M/X^(W+1) M -> M/X^W M drops the top X-layer of each generator: the
+    # basis vector (i, a, b) of lo is (i, a, b) of hi, as B_lo <= B_hi
+    rows = [hi.offsets[i] + a * hi.caps_deg[i] + b for i in range(hi.pres.gens)
+            for a in range(hi.pres.d) for b in range(lo.caps_deg[i])]
+    # preimage of the relation span under X, inside the high model, taken to lo
     stacked = stack_cols((hi.X % q), hi.relmat) if hi.relmat.size else (hi.X % q)
-    ker = kernel_basis(stacked, p, N, tolerant=tolerant)
-    Kv = ker[: hi.dim] if ker.size else np.zeros((hi.dim, 0), dtype=object)
+    top = np.eye(hi.dim, stacked.shape[1], dtype=np.int64)[rows]
+    K_lo = kernel_image(stacked, top, p, N, tolerant)
     if hi.relmat.size:
-        Kv = stack_cols(Kv, hi.relmat)  # the span of relations always maps in
-    T = _truncation_map(hi, lo)
-    K_lo = as_matrix((T @ Kv) % q, q) if Kv.size else np.zeros((lo.dim, 0), dtype=object)
+        K_lo = stack_cols(K_lo, hi.relmat[rows])  # the span of relations always maps in
     return _subquotient_structure(K_lo, lo.relmat, p, N, tolerant)
 
 

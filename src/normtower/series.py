@@ -42,11 +42,6 @@ class TruncSeries:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def from_int_coeffs(field: FieldDesc, ints, prec: int) -> "TruncSeries":
-        q = field.p**prec
-        return TruncSeries(field, tuple(field.from_int(c, q) for c in ints), 0, prec)
-
-    @staticmethod
     def zero(field: FieldDesc, deg: int, prec: int) -> "TruncSeries":
         return TruncSeries(field, tuple(field.zero() for _ in range(deg + 1)), 0, prec)
 
@@ -173,20 +168,6 @@ class TruncSeries:
                              f.den, f.prec)
             acc = (acc + cj).canonical()
         return acc
-
-    def inverse_unit(self) -> "TruncSeries":
-        """1/self for a series with unit constant term (integral, den folded in),
-        by Newton steps g <- g (2 - self g), each doubling the correct degree."""
-        assert self.den == 0, "invert the canonical integral series"
-        q = self._q()
-        rest = (self.field.zero(),) * self.deg
-        g = TruncSeries(self.field, (self.field.inv(self.coeffs[0], q),) + rest, 0, self.prec)
-        two = TruncSeries(self.field, (self.field.from_int(2, q),) + rest, 0, self.prec)
-        good = 1
-        while good <= self.deg:
-            g = g * (two - self * g)
-            good *= 2
-        return g
 
     def reversion(self) -> "TruncSeries":
         """Compositional inverse of a series c1 X + O(X^2) with c1 a unit.

@@ -30,14 +30,18 @@ The core has two entries:
 - `smith_divisors` builds neither and makes no column operations, for
   callers that read only ranks and divisors; its result has U = V = None.
 
-Two lattice operations instead carry their operand through the core as a
-passenger in place of a transform, so that neither U nor V is built and no
-transform product is taken:
-- `span_contains_all(A, B)` passes B as U, and the row operations turn it
-  into U @ B;
-- `span_intersection(A, B)` eliminates [A | -B] with [A | 0] as V, and the
-  column operations turn it into A @ V[:na], whose kernel columns span the
-  intersection.
+Callers that read only a product with a transform instead carry their
+operand through the core as a passenger in place of that transform, so that
+neither U nor V is built and no transform product is taken:
+- membership rides as U: `span_contains_all(A, B)` passes B as U, and the
+  row operations turn it into U @ B;
+- a block of a kernel rides as V: `kernel_image(A, W)` passes W as V, and the
+  column operations turn it into W @ V, whose kernel columns are W applied to
+  a kernel basis of A. `span_intersection` eliminates [A | -B] with [A | 0]
+  as W; the X-kernel invariants of `lambda_modules` read the top block of a
+  kernel with W = [I_t | 0] (or a row selection of it).
+`kernel_basis` builds both transforms, for callers that read the whole
+kernel.
 
 Matrices are numpy arrays, dtype int64 when p^N and the matrix dimension are
 small enough that no product of two reduced matrices can overflow, otherwise
@@ -236,17 +240,20 @@ def kernel_basis(A, p: int, N: int, tolerant: bool = False) -> np.ndarray:
     return res.V[:, _kernel_columns(res.divisors, res.shape[1], N, tolerant)]
 
 
+def kernel_image(A, W, p: int, N: int, tolerant: bool = False) -> np.ndarray:
+    """W @ kernel_basis(A) mod p^N (same margin rule), for W with A's column
+    count: W rides along as V, so it ends as W @ V without V being built."""
+    q = p**N
+    A = as_matrix(A, q)
+    W = as_matrix(W, q).astype(A.dtype, copy=False)
+    divisors = _eliminate(A, p, N, V=W)
+    return W[:, _kernel_columns(divisors, A.shape[1], N, tolerant)]
+
+
 def span_intersection(A: np.ndarray, B: np.ndarray, p: int, N: int) -> np.ndarray:
     """Columns spanning col-span(A) ∩ col-span(B): A x for the kernel vectors
-    (x, y) of [A | -B] (strict margin rule). W = [A | 0] rides along as V, so
-    it ends as A @ V[:na] without V being built."""
-    q = p**N
-    na = A.shape[1]
-    M = as_matrix(stack_cols(A, (-B) % q), q)
-    W = np.zeros_like(M)
-    W[:, :na] = M[:, :na]
-    divisors = _eliminate(M, p, N, V=W)
-    return W[:, _kernel_columns(divisors, M.shape[1], N, tolerant=False)]
+    (x, y) of [A | -B] (strict margin rule), the kernel image under [A | 0]."""
+    return kernel_image(stack_cols(A, (-B) % p**N), stack_cols(A, np.zeros_like(B)), p, N)
 
 
 def span_contains_all(A, B, p: int, N: int) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .padic import ZpContext, factorize, is_prime, primitive_root, val_int
-from .polyarith import mul, rem_monic, xgcd_fp
+from .polyarith import mul, rem_monic
 from .snf import smith_normal_form
 
 
@@ -40,25 +40,6 @@ def _polypow_mod(a: list[int], e: int, modulus: list[int], q: int) -> list[int]:
     return out
 
 
-def _is_irreducible_fp(h: list[int], p: int) -> bool:
-    """h monic of degree d irreducible over F_p, by x^(p^e) - x gcd tests."""
-    d = len(h) - 1
-    if d == 1:
-        return True
-    xpoly = [0, 1] + [0] * (d - 2)
-    powers = [list(xpoly)]
-    for _ in range(d):
-        powers.append(_polypow_mod(powers[-1], p, h, p))
-    if powers[d] != xpoly:
-        return False
-    for ell in factorize(d):
-        e = d // ell
-        diff = [(powers[e][i] - xpoly[i]) % p for i in range(d)]
-        if len(xgcd_fp(diff, h, p)[0]) > 1:
-            return False
-    return True
-
-
 def _element_order_is(h: list[int], p: int, order: int) -> bool:
     """Does x have multiplicative order `order` in F_p[x]/(h)?"""
     d = len(h) - 1
@@ -73,19 +54,16 @@ def _element_order_is(h: list[int], p: int, order: int) -> bool:
 
 
 def _find_primitive_poly(p: int, d: int) -> list[int]:
-    """Monic degree-d poly over F_p, irreducible, whose root generates F_{p^d}^*."""
+    """The first monic degree-d poly h over F_p (coefficients read as base-p
+    digits, lowest first) whose root x generates F_{p^d}^*.
+
+    No irreducibility test is needed: if x has order p^d - 1 in
+    R = F_p[x]/(h), its powers are p^d - 1 distinct units, so every nonzero
+    element of the p^d-element ring R is a unit, R is a field and h is
+    irreducible."""
     order = p**d - 1
     for code in range(p**d):
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % p)
-            c //= p
-        h = coeffs + [1]
-        if h[0] == 0:
-            continue
-        if not _is_irreducible_fp(h, p):
-            continue
+        h = [code // p**i % p for i in range(d)] + [1]
         if _element_order_is(h, p, order):
             return h
     raise RuntimeError(f"no primitive polynomial found for p={p}, d={d}")  # unreachable
@@ -267,22 +245,15 @@ def build_unramified(p: int, d: int, N: int) -> FieldDesc:
     C = [[pows[j][i] for j in range(d)] for i in range(d)]  # columns zeta^j
     Cinv = _inverse_mod(C, p, N)
 
-    def to_zeta_basis(vec_x: list[int]) -> tuple[int, ...]:
-        return tuple(sum(Cinv[i][j] * vec_x[j] for j in range(d)) % q for i in range(d))
-
-    zd = to_zeta_basis(pows[d])
+    zd = [sum(Cinv[i][j] * pows[d][j] for j in range(d)) % q for i in range(d)]
     modulus = tuple((-zd[i]) % q for i in range(d)) + (1,)
 
-    # Frobenius matrices: phi^k sends zeta^i to zeta^(p^k * i)
-    frob_all = []
-    for k in range(d):
-        cols = []
-        for i in range(d):
-            e = (p**k * i) % (p**d - 1)
-            img_x = [1] + [0] * (d - 1) if i == 0 else _polypow_mod(zeta_x, e, lift, q)
-            cols.append(to_zeta_basis(img_x))
-        frob_all.append(tuple(cols))
-    fd = FieldDesc(p=p, d=d, N=N, q=q, modulus=modulus, frob_cols=tuple(frob_all))
+    # Frobenius matrices: phi^k sends zeta^i to zeta^(p^k * i), a power of x
+    # modulo the minimal polynomial of zeta
+    frob_all = tuple(
+        tuple(tuple(_polypow_mod(x, p**k * i % (p**d - 1), modulus, q)) for i in range(d))
+        for k in range(d))
+    fd = FieldDesc(p=p, d=d, N=N, q=q, modulus=modulus, frob_cols=frob_all)
     _check_field(fd)
     return fd
 

@@ -60,6 +60,34 @@ def test_config_rejects_unknown_check():
         CampaignConfig.from_json({**BASE, "checks": ["bogus"]})
 
 
+@pytest.mark.parametrize("checks", [[], "trace", "all", ["trace", 3], {"trace": 1}, None])
+def test_config_rejects_checks_that_are_not_a_list_of_names(tmp_path, capsys, monkeypatch,
+                                                             checks):
+    with pytest.raises(ConfigError, match="non-empty list of check names"):
+        CampaignConfig.from_json({**BASE, "checks": checks})
+    monkeypatch.setattr(cli, "run_campaign", lambda cfg: pytest.fail("campaign ran"))
+    cfg = write_cfg(tmp_path, {**BASE, "checks": checks, "out": str(tmp_path / "rep")})
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "config error: checks must be a non-empty list" in capsys.readouterr().err
+
+
+def test_verify_rejects_an_output_path_it_cannot_create(tmp_path, capsys, monkeypatch):
+    # the campaign must not run when its results could not be written
+    monkeypatch.setattr(cli, "run_campaign", lambda cfg: pytest.fail("campaign ran"))
+    (tmp_path / "file").write_text("")
+    cfg = write_cfg(tmp_path, {**BASE, "out": str(tmp_path / "file" / "out")})
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_verify_creates_the_output_directory_first(tmp_path, monkeypatch):
+    out = tmp_path / "a" / "b"
+    monkeypatch.setattr(cli, "run_campaign", lambda cfg: [] if out.is_dir() else pytest.fail())
+    cfg = write_cfg(tmp_path, {**BASE, "out": str(out)})
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert (out / "table.csv").is_file()
+
+
 def test_config_curve_map_and_raw_coefficients():
     cfg = CampaignConfig.from_json({**BASE, "p": [3, 5],
                                     "curve": {"3": "ss3", "5": "ss23"}})

@@ -10,6 +10,12 @@
   src/normtower or exported from normtower.__all__. UNREAD_VERIFIERS lists the
   verifiers that only tests, scripts or perfbench reach: each is to be
   promoted into the campaign or deleted.
+- Every public method of a module-level class is read as an attribute
+  somewhere under src/normtower. UNREAD_METHODS lists the methods that only
+  tests reach.
+
+Each allowlist only shrinks: a listed name that becomes read fails until it
+leaves the list.
 """
 
 import ast
@@ -143,3 +149,45 @@ def test_detects_an_unread_public_name():
         "b.py": "from . import a\nclass Helper:\n    pass\nprint(a.orphan)\n",
     }
     assert unread_public_names(sources) == [("b.py", "Helper")]
+
+
+UNREAD_METHODS = {
+    "SnfResult.certify",  # the unimodularity witness the SNF tests check
+}
+
+
+def unread_public_methods(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, Class.method) for each public method of a module-level class
+    that no module reads as an attribute."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)}
+    return sorted((module, f"{cls.name}.{fn.name}")
+                  for module, tree in trees.items() for cls in tree.body
+                  if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not fn.name.startswith("_") and fn.name not in read)
+
+
+def test_public_methods_are_read():
+    unread = unread_public_methods(SOURCES)
+    assert [(m, n) for m, n in unread if n not in UNREAD_METHODS] == []
+    # an allowlisted method that is now read leaves the list
+    assert sorted(n for _, n in unread) == sorted(UNREAD_METHODS)
+
+
+def test_detects_an_unread_public_method():
+    sources = {
+        "a.py": ("class Shape:\n"
+                 "    def area(self):\n        return 0\n"
+                 "    @property\n    def size(self):\n        return self.area()\n"
+                 "    def _helper(self):\n        pass\n"
+                 "    def orphan(self):\n        pass\n"
+                 "def run(s):\n    return s.size\n"),
+        # a bare name is not an attribute read
+        "b.py": ("orphan = 1\nprint(orphan)\n"
+                 "class Helper:\n    def render(self):\n        pass\n"),
+    }
+    assert unread_public_methods(sources) == [("a.py", "Shape.orphan"),
+                                              ("b.py", "Helper.render")]

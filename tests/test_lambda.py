@@ -1,13 +1,21 @@
+import random
 from functools import cache
 
+import numpy as np
 import pytest
+from test_acceptance import _hand_modules
 from test_groupring import reference_omega_family
 
 from normtower import lambda_modules
 from normtower.groupring import q_values
 from normtower.lambda_modules import (
+    FlatModule,
     NotZpFinite,
     Presentation,
+    _drop_null_columns,
+    _invariant_structure_at,
+    _random_safe_module,
+    _subquotient_structure,
     closed_form_coinvariant_torsion,
     coinvariant_rank_law,
     coinvariants,
@@ -16,6 +24,7 @@ from normtower.lambda_modules import (
     free_presentation,
     freeness_test,
     grp_X,
+    grp_deg,
     grp_from_intpoly,
     invariant_structure,
     kernel_freeness_property,
@@ -28,7 +37,14 @@ from normtower.lambda_modules import (
     x_truncated,
 )
 from normtower.padic import PrecisionExhausted
-from normtower.snf import PRECISION_BUMP, smith_divisors
+from normtower.snf import (
+    PRECISION_BUMP,
+    as_matrix,
+    kernel_basis,
+    quotient_invariants,
+    smith_divisors,
+    stack_cols,
+)
 
 N = 8
 
@@ -320,3 +336,100 @@ def test_presentations_match_the_reference_family(p, monkeypatch):
     ref = build()
     for key in new:
         assert new[key] == ref[key], key
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the X-kernel readers with the top kernel block carried
+# through the elimination, against the kernel bases and truncation matrix
+# they replaced (verbatim copies)
+# ---------------------------------------------------------------------------
+
+def reference_subquotient_structure(K: np.ndarray, R: np.ndarray, p: int, N: int,
+                                    tolerant: bool = False) -> tuple[int, list[int]]:
+    K = _drop_null_columns(as_matrix(K, p**N), p, N)
+    R = _drop_null_columns(as_matrix(R, p**N), p, N) if R.size else R
+    t = K.shape[1]
+    if t == 0:
+        return 0, []
+    stacked = stack_cols(K, R) if R.size else K
+    ker = kernel_basis(stacked, p, N, tolerant=tolerant)
+    C = ker[:t] if ker.size else np.zeros((t, 0), dtype=object)
+    rank, torsion, ambiguous = quotient_invariants(t, as_matrix(C, p**N), p, N)
+    if ambiguous and not tolerant:
+        raise PrecisionExhausted("subquotient structure inside precision margin")
+    return rank, torsion
+
+
+def reference_truncation_map(fm_hi: FlatModule, fm_lo: FlatModule) -> np.ndarray:
+    T = np.zeros((fm_lo.dim, fm_hi.dim), dtype=object)
+    pres = fm_hi.pres
+    for i in range(pres.gens):
+        B_hi, B_lo = fm_hi.caps_deg[i], fm_lo.caps_deg[i]
+        for a in range(pres.d):
+            for b in range(min(B_hi, B_lo)):
+                T[fm_lo.offsets[i] + a * B_lo + b,
+                  fm_hi.offsets[i] + a * B_hi + b] = 1
+    return T
+
+
+def reference_invariant_structure_at(lo: FlatModule, hi: FlatModule,
+                                     tolerant: bool) -> tuple[int, list[int]]:
+    p, N, q = hi.p, hi.N, hi.q
+    if hi.dim == 0:
+        return 0, []
+    stacked = stack_cols((hi.X % q), hi.relmat) if hi.relmat.size else (hi.X % q)
+    ker = kernel_basis(stacked, p, N, tolerant=tolerant)
+    Kv = ker[: hi.dim] if ker.size else np.zeros((hi.dim, 0), dtype=object)
+    if hi.relmat.size:
+        Kv = stack_cols(Kv, hi.relmat)
+    T = reference_truncation_map(hi, lo)
+    K_lo = as_matrix((T @ Kv) % q, q) if Kv.size else np.zeros((lo.dim, 0), dtype=object)
+    return reference_subquotient_structure(K_lo, lo.relmat, p, N, tolerant)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+def _window_pairs(pres: Presentation, N: int, pairs: int = 2):
+    """The first flat window pairs (lo, hi) that invariant_structure walks."""
+    native = [grp_deg(c) for c in pres.cap_map().values()]
+    reldeg = max((grp_deg(c) for r in pres.rels for c in r), default=0)
+    W = max(native + [reldeg, 2]) + 2
+    fms = [flatten(x_truncated(pres, W + k), N) for k in range(pairs + 1)]
+    return list(zip(fms, fms[1:]))
+
+
+def _assert_readers_match_reference(pres: Presentation, N: int):
+    for lo, hi in _window_pairs(pres, N):
+        q = hi.q
+        empty = np.zeros((hi.dim, 0), dtype=object)
+        for tolerant in (False, True):
+            assert _outcome(_invariant_structure_at, lo, hi, tolerant) == \
+                _outcome(reference_invariant_structure_at, lo, hi, tolerant)
+            for K, R in ((hi.X % q, hi.relmat), (hi.relmat, empty), (hi.X % q, empty)):
+                assert _outcome(_subquotient_structure, K, R, hi.p, N, tolerant) == \
+                    _outcome(reference_subquotient_structure, K, R, hi.p, N, tolerant)
+
+
+@pytest.mark.parametrize("p,d,n", [(3, 1, 0), (3, 1, 2), (3, 2, 1), (3, 2, 2), (3, 4, 1),
+                                   (3, 4, 2), (5, 1, 1), (5, 2, 0), (5, 2, 1), (5, 4, 1)])
+@pytest.mark.parametrize("Nx", [3, N])
+def test_kernel_readers_match_reference_on_presentations(p, d, n, Nx):
+    for trivial in (True, False):
+        for present in (present_plus, present_minus):
+            _assert_readers_match_reference(present(p, d, n, trivial), Nx)
+
+
+@pytest.mark.parametrize("Nx", [3, N])
+def test_kernel_readers_match_reference_on_hand_and_harness_modules(Nx):
+    modules = [pres for pres, _, _ in _hand_modules()]
+    assert len(modules) == 20
+    rng = random.Random(20260810)
+    modules += [_random_safe_module(rng, p, d)[0] for p in (3, 5) for d in (1, 2)
+                for _ in range(3)]
+    for pres in modules:
+        _assert_readers_match_reference(pres, Nx)

@@ -1,9 +1,13 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
+from normtower import unramified
 from normtower.curve import (
+    CURVE_PRESETS,
     CurveParams,
+    _unit_series_data,
     composition_work_precision,
     curve_from_preset,
     formal_exp,
@@ -12,6 +16,7 @@ from normtower.curve import (
     multiplication_by_p_series,
     w_expansion,
 )
+from normtower.padic import ZpContext, val_int
 from normtower.series import TruncSeries
 from normtower.unramified import build_unramified
 
@@ -173,3 +178,77 @@ def test_multiplication_by_p_supersingular_shape():
     assert mp.coeffs[9][0] % 3 != 0
     for j in range(2, 9):
         assert mp.coeffs[j][0] % 3 == 0
+
+
+# ---------------------------------------------------------------------------
+# differential test: the invariant differential divided on the integer kernel
+# (`_zinv` mod p^prec) against the O_k-series Newton inverse it replaced
+# (verbatim copies)
+# ---------------------------------------------------------------------------
+
+def reference_inverse_unit(self: TruncSeries) -> TruncSeries:
+    assert self.den == 0, "invert the canonical integral series"
+    q = self._q()
+    rest = (self.field.zero(),) * self.deg
+    g = TruncSeries(self.field, (self.field.inv(self.coeffs[0], q),) + rest, 0, self.prec)
+    two = TruncSeries(self.field, (self.field.from_int(2, q),) + rest, 0, self.prec)
+    good = 1
+    while good <= self.deg:
+        g = g * (two - self * g)
+        good *= 2
+    return g
+
+
+def reference_from_int_coeffs(field, ints, prec: int) -> TruncSeries:
+    q = field.p**prec
+    return TruncSeries(field, tuple(field.from_int(c, q) for c in ints), 0, prec)
+
+
+def reference_formal_log(curve, field, D: int, prec: int) -> TruncSeries:
+    p = field.p
+    q = p**prec
+    U, Uprime = _unit_series_data(curve, D)
+    num = [(-2 * U[j] + (Uprime[j - 1] if j >= 1 else 0)) % q for j in range(D + 1)]
+    den = [(-2 * U[j] + curve.a1 * (U[j - 1] if j >= 1 else 0)
+            + (curve.a3 if j == 3 else 0)) % q for j in range(D + 1)]
+    num_s = reference_from_int_coeffs(field, num, prec)
+    den_s = reference_from_int_coeffs(field, den, prec)
+    P = num_s * reference_inverse_unit(den_s)
+    assert P.coeffs[0] == field.one(q), "invariant differential not normalized"
+    den_exp = max(val_int(m + 1, p, prec) for m in range(D)) if D >= 1 else 0
+    zp = ZpContext(p, prec)
+    co = [field.zero() for _ in range(D + 1)]
+    for m in range(0, D):
+        e = val_int(m + 1, p, prec)
+        unit = (m + 1) // p**e
+        c = field.scalar(p ** (den_exp - e) * zp.inv(unit), P.coeffs[m], q)
+        co[m + 1] = c
+    return TruncSeries(field, tuple(co), den_exp, prec).canonical()
+
+
+LOG_CURVES = [(name, p) for name in ("ss3", "ss23") for p in (3, 5, 7, 11, 13)
+              if not (name == "ss23" and p == 3)]  # y^2 = x^3 + 1 is bad at 3
+
+
+def _log_outcome(fn, *args):
+    """(coeffs, den, prec) of the log, or the exception class it raised: a
+    degree m + 1 with v_p(m + 1) above prec has no unit part to invert."""
+    try:
+        lg = fn(*args)
+    except ZeroDivisionError as e:
+        return type(e)
+    return lg.coeffs, lg.den, lg.prec
+
+
+@pytest.mark.parametrize("name, p", LOG_CURVES)
+def test_formal_log_matches_reference(name, p, monkeypatch):
+    # one residue-field search per (p, d), not one per precision
+    monkeypatch.setattr(unramified, "_find_primitive_poly",
+                        cache(unramified._find_primitive_poly))
+    curve = CurveParams(p=p, **CURVE_PRESETS[name])
+    for d in range(1, 7):
+        for prec in (1, 2, 6, 20, 64):
+            field = build_unramified(p, d, prec)
+            for D in (0, 1, 10, 30, 60):
+                assert _log_outcome(formal_log, curve, field, D, prec) == \
+                    _log_outcome(reference_formal_log, curve, field, D, prec)

@@ -12,6 +12,7 @@ from normtower.snf import (
     _dtype_for,
     as_matrix,
     kernel_basis,
+    kernel_image,
     quotient_invariants,
     smith_divisors,
     smith_normal_form,
@@ -398,6 +399,45 @@ def test_intersection_matches_reference(case, dt):
         got, want = as_matrix(got, q), as_matrix(want, q)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def reference_kernel_image(A, W, p: int, N: int, tolerant: bool = False) -> np.ndarray:
+    """The product the kernel-block readers took: W times a kernel basis of A."""
+    q = p**N
+    return (W @ kernel_basis(A, p, N, tolerant=tolerant)) % q
+
+
+@settings(deadline=None, max_examples=300)
+@given(operand_pair(), st.sampled_from([np.int64, object]), st.booleans(),
+       st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_kernel_image_matches_reference(case, dt, tolerant, k, seed):
+    p, N, A, B = case
+    q = p**N
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(snf, "_dtype_for", lambda q, dim: dt):
+        # A itself (zero columns when na = 0), a stacked pair, and A's transpose
+        for M in (A, np.hstack([A, B]), A.T):
+            n = M.shape[1]
+            for W in (rng.integers(0, q, size=(k, n)).astype(object),
+                      np.eye(min(k, n), n, dtype=np.int64)):
+                Mc, Wc = M.copy(), W.copy()
+                got = _outcome(kernel_image, M, W, p, N, tolerant)
+                want = _outcome(reference_kernel_image, M, W, p, N, tolerant)
+                assert np.array_equal(M, Mc) and np.array_equal(W, Wc)  # operands untouched
+                if isinstance(want, type):
+                    assert got is want
+                    continue
+                assert got.dtype == dt and got.shape == want.shape
+                assert np.array_equal(got.astype(object), want.astype(object))
+
+
+def test_kernel_image_margin_rules():
+    # a divisor at N - 1: strict raises, tolerant clamps it into the kernel
+    A = np.array([[3**4, 0], [0, 1]])
+    W = np.array([[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(PrecisionExhausted):
+        kernel_image(A, W, 3, 5)
+    assert kernel_image(A, W, 3, 5, tolerant=True).tolist() == [[1], [0], [1]]
 
 
 def test_membership_rejects_mismatched_rows():

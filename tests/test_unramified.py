@@ -1,8 +1,21 @@
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from normtower import unramified
-from normtower.unramified import _inverse_mod, build_unramified
+from normtower.padic import ZpContext, factorize, primitive_root
+from normtower.polyarith import xgcd_fp
+from normtower.unramified import (
+    FieldDesc,
+    _check_field,
+    _element_order_is,
+    _find_primitive_poly,
+    _inverse_mod,
+    _polymul_mod,
+    _polypow_mod,
+    build_unramified,
+)
 
 
 def _mat_inv_modq(M: list[list[int]], p: int, q: int) -> list[list[int]]:
@@ -166,3 +179,136 @@ def test_basis_change_matches_gauss_jordan(monkeypatch, p, d, N):
                         lambda M, p, N: _mat_inv_modq(M, p, p**N))
     ref = build_unramified.__wrapped__(p, d, N)
     assert (fd.modulus, fd.frob_cols) == (ref.modulus, ref.frob_cols)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the residue field found by the order test alone and the
+# Frobenius columns computed in the zeta basis, against the irreducibility
+# filter and the x-basis round trip they replaced (verbatim copies)
+# ---------------------------------------------------------------------------
+
+def reference_is_irreducible_fp(h: list[int], p: int) -> bool:
+    d = len(h) - 1
+    if d == 1:
+        return True
+    xpoly = [0, 1] + [0] * (d - 2)
+    powers = [list(xpoly)]
+    for _ in range(d):
+        powers.append(_polypow_mod(powers[-1], p, h, p))
+    if powers[d] != xpoly:
+        return False
+    for ell in factorize(d):
+        e = d // ell
+        diff = [(powers[e][i] - xpoly[i]) % p for i in range(d)]
+        if len(xgcd_fp(diff, h, p)[0]) > 1:
+            return False
+    return True
+
+
+def reference_find_primitive_poly(p: int, d: int) -> list[int]:
+    order = p**d - 1
+    for code in range(p**d):
+        coeffs = []
+        c = code
+        for _ in range(d):
+            coeffs.append(c % p)
+            c //= p
+        h = coeffs + [1]
+        if h[0] == 0:
+            continue
+        if not reference_is_irreducible_fp(h, p):
+            continue
+        if _element_order_is(h, p, order):
+            return h
+    raise RuntimeError(f"no primitive polynomial found for p={p}, d={d}")
+
+
+def reference_build_unramified(p: int, d: int, N: int) -> FieldDesc:
+    q = p**N
+    zp = ZpContext(p, N)
+
+    if d == 1:
+        zeta0 = zp.teichmuller(primitive_root(p))
+        fd = FieldDesc(
+            p=p, d=1, N=N, q=q,
+            modulus=((-zeta0) % q, 1),
+            frob_cols=(((1,),),),
+        )
+        _check_field(fd)
+        return fd
+
+    hbar = reference_find_primitive_poly(p, d)
+    lift = [c % q for c in hbar]
+    x = [0, 1] + [0] * (d - 2)
+    zeta_x = x
+    for _ in range(N + 2):
+        nxt = _polypow_mod(zeta_x, p**d, lift, q)
+        if nxt == zeta_x:
+            break
+        zeta_x = nxt
+    assert _polypow_mod(zeta_x, p**d, lift, q) == zeta_x, "Teichmuller lift did not stabilize"
+
+    pows = [[1] + [0] * (d - 1)]
+    for _ in range(d):
+        pows.append(_polymul_mod(pows[-1], zeta_x, lift, q))
+    C = [[pows[j][i] for j in range(d)] for i in range(d)]
+    Cinv = _inverse_mod(C, p, N)
+
+    def to_zeta_basis(vec_x: list[int]) -> tuple[int, ...]:
+        return tuple(sum(Cinv[i][j] * vec_x[j] for j in range(d)) % q for i in range(d))
+
+    zd = to_zeta_basis(pows[d])
+    modulus = tuple((-zd[i]) % q for i in range(d)) + (1,)
+
+    frob_all = []
+    for k in range(d):
+        cols = []
+        for i in range(d):
+            e = (p**k * i) % (p**d - 1)
+            img_x = [1] + [0] * (d - 1) if i == 0 else _polypow_mod(zeta_x, e, lift, q)
+            cols.append(to_zeta_basis(img_x))
+        frob_all.append(tuple(cols))
+    fd = FieldDesc(p=p, d=d, N=N, q=q, modulus=modulus, frob_cols=tuple(frob_all))
+    _check_field(fd)
+    return fd
+
+
+FIELD_GRID = [(p, d) for p in (3, 5, 7, 11, 13) for d in range(1, 7)]
+
+
+@pytest.mark.parametrize("p, d", [(p, d) for p, d in FIELD_GRID if d >= 2])
+def test_primitive_poly_matches_the_irreducibility_filter(p, d):
+    assert _find_primitive_poly(p, d) == reference_find_primitive_poly(p, d)
+
+
+@pytest.mark.parametrize("p, d", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (5, 4)])
+def test_order_test_implies_irreducible(p, d):
+    """Every monic h of degree d passing the order test is irreducible, and
+    there are phi(p^d - 1) / d of them, one per conjugacy class of
+    generators of F_{p^d}^*."""
+    order = p**d - 1
+    passing = []
+    for code in range(p**d):
+        h = [code // p**i % p for i in range(d)] + [1]
+        if _element_order_is(h, p, order):
+            assert reference_is_irreducible_fp(h, p), h
+            passing.append(h)
+    phi = order
+    for ell in factorize(order):
+        phi = phi // ell * (ell - 1)
+    assert len(passing) == phi // d
+
+
+@pytest.mark.parametrize("p, d", FIELD_GRID)
+def test_field_matches_reference_construction(p, d, monkeypatch):
+    # each residue polynomial is searched for once per (p, d): the searches
+    # are compared on their own above
+    monkeypatch.setattr(unramified, "_find_primitive_poly", cache(_find_primitive_poly))
+    monkeypatch.setitem(globals(), "reference_find_primitive_poly",
+                        cache(reference_find_primitive_poly))
+    for N in (1, 2, 6, 20, 64):
+        fd = build_unramified(p, d, N)
+        ref = reference_build_unramified(p, d, N)
+        assert (fd.modulus, fd.frob_cols, fd.q) == (ref.modulus, ref.frob_cols, ref.q)
+        for a in (fd.zeta(), fd.add(fd.one(), fd.scalar(p, fd.zeta()))):  # units
+            assert fd.inv(a) == ref.inv(a)
