@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .padic import ZpContext, primitive_root
-from .polyarith import fold_cyclic, mul, xgcd_fp
+from .polyarith import fold_cyclic, inv_mod, mul
 from .snf import kernel_basis, span_contains_all
 
 
@@ -49,15 +49,6 @@ class GroupRing:
     def add(self, a, b):
         return tuple((x + y) % self.q for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple((x - y) % self.q for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.q for x in a)
-
-    def scalar(self, c: int, a):
-        return tuple((c * x) % self.q for x in a)
-
     def mul(self, a, b):
         return tuple(x % self.q for x in fold_cyclic(mul(a, b), self.d))
 
@@ -86,16 +77,12 @@ def alternating_annihilator_generator(ring: GroupRing) -> tuple[int, ...]:
 
 
 def is_unit(ring: GroupRing, a) -> tuple[bool, tuple[int, ...] | None]:
-    """Unit test in Z_p[F]/(F^d - 1): unit iff unit mod p; Newton-lift the inverse."""
-    d = ring.d
-    g, u, _ = xgcd_fp(a, [-1] + [0] * (d - 1) + [1], ring.p)  # gcd with F^d - 1 over F_p
-    if len(g) != 1:
+    """Unit test in Z_p[F]/(F^d - 1): unit iff unit mod p; the inverse is
+    Newton-lifted (`polyarith.inv_mod`)."""
+    try:
+        x = tuple(inv_mod(a, [-1] + [0] * (ring.d - 1) + [1], ring.p, ring.q))
+    except ZeroDivisionError:
         return False, None
-    x = tuple((u + [0] * d)[:d])
-    # Newton: x <- x(2 - a x)
-    for _ in range(ring.N.bit_length() + 1):
-        ax = ring.mul(a, x)
-        x = ring.mul(x, ring.sub(ring.scalar(2, ring.one()), ax))
     assert ring.mul(a, x) == ring.one(), "unit inversion failed to converge"
     return True, x
 

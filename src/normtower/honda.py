@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .padic import floor_log
+from .curve import composition_work_precision, formal_exp, formal_log
+from .padic import PrecisionExhausted, floor_log
 from .series import TruncSeries
-from .unramified import FieldDesc
+from .unramified import FieldDesc, build_unramified
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,6 @@ class HondaLog:
     @property
     def field(self) -> FieldDesc:
         return self.series.field
-
-
-def _zeta_power(field: FieldDesc, e: int):
-    """zeta^e via exponent arithmetic in the root-of-unity group."""
-    order = field.p**field.d - 1
-    return field.pow(field.zeta(), e % order)
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +63,7 @@ def honda_log(field: FieldDesc, n: int, D: int, tail_target: int) -> HondaLog:
             c = comb(e, j) % q
             if c == 0:
                 continue
-            zpow = _zeta_power(field, twist_exp * (e - j))
+            zpow = field.pow(field.zeta(), twist_exp * (e - j) % order)
             term = field.scalar(sign * scale * c, zpow, q)
             coeffs[j] = field.add(coeffs[j], term, q)
     series = TruncSeries(field, tuple(coeffs), M, prec).canonical()
@@ -153,10 +148,6 @@ def series_bundle(curve, d: int, n: int, D: int, target: int) -> SeriesBundle:
     """Build the full series toolkit at a working precision found adaptively:
     honest interval tracking can be pessimistic, so retry with doubled stored
     digits until every piece clears `target` effective digits."""
-    from .curve import composition_work_precision, formal_exp, formal_log
-    from .padic import PrecisionExhausted
-    from .unramified import build_unramified
-
     p = curve.p
     P = composition_work_precision(p, D, target)
     last = None

@@ -28,7 +28,7 @@ from .snf import (
     spans_equal,
     stack_cols,
 )
-from .tower import TowerDesc, TowerElt, build_tower, tower_eta, tower_one
+from .tower import TowerDesc, TowerElt, build_tower, tower_eta, tower_one, uniformizer
 
 
 @dataclass(frozen=True)
@@ -194,8 +194,6 @@ def maximal_ideal_lattice(t: TowerDesc, n: int) -> Lattice:
 def uniformizer_generates_quotient(t: TowerDesc, n: int) -> bool:
     """m_n / m_(n-1) is generated by the canonical uniformizer as a Galois
     module: span(orbit of pi_n) + m_(n-1) = m_n."""
-    from .tower import uniformizer
-
     assert n >= 0
     orbit = galois_span(t, [uniformizer(t, n)], n, None)
     lower = maximal_ideal_lattice(t, n - 1).embed(n)

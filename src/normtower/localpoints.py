@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .curve import multiplication_by_p_series
 from .honda import SeriesBundle
 from .padic import PrecisionExhausted
 from .points import epsilon_log, point_log
@@ -154,8 +155,6 @@ def local_point_direct(bundle: SeriesBundle, n: int, target: int) -> LocalPoint:
 def torsion_probe(bundle: SeriesBundle, n: int, trials: int, seed: int) -> dict:
     """No p-torsion at the probed level: [p](t) != 0 for random t != 0 in the
     maximal ideal (multiplication by p through the integral composites)."""
-    from .curve import multiplication_by_p_series
-
     field = bundle.field
     p = field.p
     mp = multiplication_by_p_series(bundle.curve_log, bundle.curve_exp, bundle.target)

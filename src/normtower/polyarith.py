@@ -1,6 +1,6 @@
 """Exact coefficient arithmetic: polynomial products over Z by Kronecker
-substitution, the reduction rules the rings of normtower need, and one
-extended gcd over F_p.
+substitution, the reduction rules the rings of normtower need, one extended
+gcd over F_p, and the inverse of a unit of (Z/q)[x]/(m) for a monic m.
 
 A polynomial is a sequence of ints, lowest degree first. `mul` evaluates
 both factors at 2^k for a slot width k wide enough to hold every product
@@ -21,6 +21,11 @@ and the result holds the unreduced inner products. The callers then apply
 their ring's reduction rule: `rem_monic` (a monic modulus), `fold_cyclic`
 (x^d - 1), `fold` (a table of rewrites of high powers, such as the
 cyclotomic relation of the tower) and `truncate` (series precision).
+
+`inv_mod` inverts a unit of (Z/q)[x]/(m), q a power of p: `xgcd_fp` gives
+the inverse mod p, and Newton steps x <- x(2 - a x) lift it, each doubling
+the p-adic precision. It serves both O_k (m the minimal polynomial of zeta)
+and the group ring Z_p[F]/(F^d - 1) (m = x^d - 1).
 """
 
 from __future__ import annotations
@@ -158,3 +163,19 @@ def xgcd_fp(a, b, p: int) -> tuple[list[int], list[int], list[int]]:
         return [], [], []
     inv = pow(r0[-1], -1, p)
     return tuple(trim([x * inv for x in u]) for u in (r0, s0, t0))
+
+
+def inv_mod(a, m, p: int, q: int) -> list[int]:
+    """The inverse of a in (Z/q)[x]/(m), for m monic and q a power of p,
+    reduced mod q with deg(m) coefficients. ZeroDivisionError when a is not
+    a unit, that is when a and m have a nontrivial common factor mod p."""
+    n = len(m) - 1
+    g, x, _ = xgcd_fp(a, m, p)
+    if g != [1]:
+        raise ZeroDivisionError("not a unit")
+    pk = p
+    while pk < q:
+        pk = min(pk * pk, q)
+        ax = rem_monic(mul(a, x), m)
+        x = [c % pk for c in rem_monic(mul(x, [2 - ax[0]] + [-c for c in ax[1:]]), m)]
+    return [c % q for c in truncate(x, n)]

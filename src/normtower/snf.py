@@ -43,6 +43,13 @@ neither U nor V is built and no transform product is taken:
 `kernel_basis` builds both transforms, for callers that read the whole
 kernel.
 
+Who reads the transforms: no program code reads U. V is read by
+`kernel_basis` (its kernel columns, for `groupring.annihilator`) and by the
+relation basis of `lambda_modules.flatten` (W V[:, :r]); `SnfResult.certify`
+reads both, for the tests. No module below the lattices imports this one:
+O_k, the tower and the series layers are built and inverted by the
+polynomial arithmetic of `polyarith`.
+
 Matrices are numpy arrays, dtype int64 when p^N and the matrix dimension are
 small enough that no product of two reduced matrices can overflow, otherwise
 dtype object (exact Python ints).

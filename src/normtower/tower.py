@@ -21,7 +21,6 @@ import numpy as np
 
 from .padic import ZpContext, primitive_root
 from .polyarith import fold, mul_vec
-from .snf import _dtype_for
 from .unramified import FieldDesc, build_unramified
 
 
@@ -94,7 +93,7 @@ class TowerDesc:
         k %= self.d
         cols = self.field.frob_cols[k]
         M = np.array([[cols[i][j] for i in range(self.d)] for j in range(self.d)],
-                     dtype=_dtype_for(self.q, self.d))
+                     dtype=object)
         return M  # M[j, i] = j-th coord of frob(e_i); apply as coords @ M.T
 
     @lru_cache(maxsize=None)
@@ -253,7 +252,7 @@ class TowerElt:
         q = self._qq()
         c = self.coords
         if f % t.d:
-            c = (c @ t.frob_matrix(f).T.astype(object)) % q
+            c = (c @ t.frob_matrix(f).T) % q
         if n == -1:
             return replace(self, coords=c)
         dst, src, cf = t._galois_table(n, u % t.p ** (n + 1))

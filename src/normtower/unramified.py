@@ -4,20 +4,24 @@ The basis generator zeta is a lift of a multiplicative generator of the
 residue field, normalized so that zeta^(p^d - 1) = 1 holds exactly mod p^N.
 Frobenius is then literally zeta -> zeta^p, a ring automorphism of order d.
 
+The minimal polynomial of zeta is the product of X - zeta^(p^k) over its d
+Frobenius conjugates, multiplied out in (Z/p^N)[x]/(lift) for the lift of
+the residue polynomial that zeta was found in.
+
 Elements are coordinate tuples of length d in the basis 1, zeta, ..., zeta^(d-1);
 FieldDesc methods work on these raw tuples (the series and tower layers call
-them directly). Products go through the polyarith kernel and are reduced by
-the monic minimal polynomial of zeta.
+them directly). Everything is polynomial arithmetic modulo the minimal
+polynomial: products and powers go through the polyarith kernel, and
+inverses through its Newton inverse `inv_mod`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .padic import ZpContext, factorize, is_prime, primitive_root, val_int
-from .polyarith import mul, rem_monic
-from .snf import smith_normal_form
+from .polyarith import inv_mod, mul, mul_vec, rem_monic
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +57,8 @@ def _element_order_is(h: list[int], p: int, order: int) -> bool:
     return True
 
 
-def _find_primitive_poly(p: int, d: int) -> list[int]:
+@cache
+def _find_primitive_poly(p: int, d: int) -> tuple[int, ...]:
     """The first monic degree-d poly h over F_p (coefficients read as base-p
     digits, lowest first) whose root x generates F_{p^d}^*.
 
@@ -65,18 +70,8 @@ def _find_primitive_poly(p: int, d: int) -> list[int]:
     for code in range(p**d):
         h = [code // p**i % p for i in range(d)] + [1]
         if _element_order_is(h, p, order):
-            return h
+            return tuple(h)
     raise RuntimeError(f"no primitive polynomial found for p={p}, d={d}")  # unreachable
-
-
-def _inverse_mod(M: list[list[int]], p: int, N: int) -> list[list[int]]:
-    """Inverse mod p^N of a square matrix through the SNF core: U M V = 1
-    when every divisor is 0, and then M^-1 = V U. ZeroDivisionError when M
-    is not invertible mod p."""
-    res = smith_normal_form(M, p, N)
-    if any(res.divisors):
-        raise ZeroDivisionError("matrix not invertible mod p")
-    return [[int(x) for x in row] for row in (res.V @ res.U) % p**N]
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +137,7 @@ class FieldDesc:
         return tuple(x % q for x in rem_monic(c, self.modulus))
 
     def pow(self, a, e: int):
-        out = self.one()
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return tuple(_polypow_mod(a, e, self.modulus, self.q))
 
     def frob(self, a, k: int, q: int | None = None):
         """Frobenius^k, k any integer (reduced mod d)."""
@@ -175,23 +163,9 @@ class FieldDesc:
         return all(x % self.q == 0 for x in a)
 
     def inv(self, a, q: int | None = None):
-        """Inverse of a unit: the first column of the inverse of the matrix
-        of multiplication by a. ZeroDivisionError for a non-unit."""
-        q = q or self.q
-        d = self.d
-        if d == 1:
-            e = val_int(a[0], self.p, self.N)
-            if e > 0:
-                raise ZeroDivisionError("not a unit")
-            return (pow(a[0], -1, q),)
-        # matrix of multiplication by a in the power basis
-        cols = []
-        for i in range(d):
-            ei = tuple(int(j == i) for j in range(d))
-            cols.append(self.mul(a, ei, q))
-        M = [[cols[j][i] for j in range(d)] for i in range(d)]
-        Minv = _inverse_mod(M, self.p, val_int(q, self.p, q.bit_length()))
-        return tuple(Minv[i][0] for i in range(d))
+        """Inverse of a unit (`polyarith.inv_mod`); ZeroDivisionError for a
+        non-unit."""
+        return tuple(inv_mod(a, self.modulus, self.p, q or self.q))
 
     def divp_exact(self, a, k: int):
         pk = self.p**k
@@ -238,15 +212,17 @@ def build_unramified(p: int, d: int, N: int) -> FieldDesc:
         zeta_x = nxt
     assert _polypow_mod(zeta_x, p**d, lift, q) == zeta_x, "Teichmuller lift did not stabilize"
 
-    # powers of zeta in the x-basis, then change basis so that zeta is the generator
-    pows = [[1] + [0] * (d - 1)]
-    for _ in range(d):
-        pows.append(_polymul_mod(pows[-1], zeta_x, lift, q))
-    C = [[pows[j][i] for j in range(d)] for i in range(d)]  # columns zeta^j
-    Cinv = _inverse_mod(C, p, N)
-
-    zd = [sum(Cinv[i][j] * pows[d][j] for j in range(d)) % q for i in range(d)]
-    modulus = tuple((-zd[i]) % q for i in range(d)) + (1,)
+    # the minimal polynomial of zeta: the product of X - zeta^(p^k) over the
+    # d Frobenius conjugates of zeta, computed in (Z/q)[x]/(lift), where its
+    # coefficients are constants
+    one = [1] + [0] * (d - 1)
+    poly = [one]
+    for k in range(d):
+        conj = _polypow_mod(zeta_x, p**k, lift, q)
+        poly = [[c % q for c in rem_monic(v, lift)]
+                for v in mul_vec(poly, [[-c for c in conj], one], d)]
+    assert not any(c for v in poly for c in v[1:]), "minimal polynomial is not over Z/q"
+    modulus = tuple(v[0] for v in poly)
 
     # Frobenius matrices: phi^k sends zeta^i to zeta^(p^k * i), a power of x
     # modulo the minimal polynomial of zeta

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normtower import groupring
+from normtower.polyarith import xgcd_fp
 from normtower.groupring import (
     GroupRing,
     OmegaFamily,
@@ -113,6 +114,59 @@ def test_p_is_not_a_unit():
     ring = GroupRing(d=3, p=3, N=4)
     ok, _ = is_unit(ring, ring.from_int(3))
     assert not ok
+
+
+# The unit test of Z_p[F]/(F^d - 1) before it shared the Newton inverse of
+# polyarith with O_k, kept verbatim as the reference; `GroupRing.sub` and
+# `GroupRing.scalar`, which only it read, are copied next to it.
+
+def _reference_sub(ring, a, b):
+    return tuple((x - y) % ring.q for x, y in zip(a, b))
+
+
+def _reference_scalar(ring, c, a):
+    return tuple((c * x) % ring.q for x in a)
+
+
+def reference_is_unit(ring: GroupRing, a):
+    """Unit test in Z_p[F]/(F^d - 1): unit iff unit mod p; Newton-lift the inverse."""
+    d = ring.d
+    g, u, _ = xgcd_fp(a, [-1] + [0] * (d - 1) + [1], ring.p)  # gcd with F^d - 1 over F_p
+    if len(g) != 1:
+        return False, None
+    x = tuple((u + [0] * d)[:d])
+    # Newton: x <- x(2 - a x)
+    for _ in range(ring.N.bit_length() + 1):
+        ax = ring.mul(a, x)
+        x = ring.mul(x, _reference_sub(ring, _reference_scalar(ring, 2, ring.one()), ax))
+    assert ring.mul(a, x) == ring.one(), "unit inversion failed to converge"
+    return True, x
+
+
+@st.composite
+def group_ring_elements(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    d = draw(st.integers(1, 16))
+    ring = GroupRing(d=d, p=p, N=draw(st.integers(1, 10)))
+    a = tuple(draw(st.integers(0, ring.q - 1)) for _ in range(d))
+    kind = draw(st.sampled_from(["uniform", "small", "times F - 1", "times p", "plus p"]))
+    if kind == "small":  # entries mod p: zero divisors mod p are common
+        a = tuple(x % p for x in a)
+    elif kind == "times F - 1":  # never a unit: F - 1 divides F^d - 1
+        a = ring.mul(a, ring.add(ring.F(1), ring.from_int(-1)))
+    elif kind == "times p":
+        a = ring.mul(a, ring.from_int(p))
+    elif kind == "plus p":  # a unit u plus p times anything is a unit
+        u = ring.F(draw(st.integers(0, d - 1)))
+        a = ring.add(u, ring.mul(a, ring.from_int(p)))
+    return ring, a
+
+
+@settings(deadline=None, max_examples=400)
+@given(group_ring_elements())
+def test_is_unit_matches_reference(data):
+    ring, a = data
+    assert is_unit(ring, a) == reference_is_unit(ring, a)
 
 
 def test_annihilator_of_zero_is_full_ring():

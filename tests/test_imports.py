@@ -14,6 +14,10 @@
   somewhere under src/normtower. UNREAD_METHODS lists the methods that only
   tests reach.
 
+- The modules below the lattices (BELOW_SNF) import nothing from snf, not
+  even inside a function: their arithmetic is polynomial arithmetic, and the
+  Smith normal form belongs to the lattice and module layers above them.
+
 Each allowlist only shrinks: a listed name that becomes read fails until it
 leaves the list.
 """
@@ -191,3 +195,40 @@ def test_detects_an_unread_public_method():
     }
     assert unread_public_methods(sources) == [("a.py", "Shape.orphan"),
                                               ("b.py", "Helper.render")]
+
+
+BELOW_SNF = ["padic.py", "polyarith.py", "unramified.py", "series.py", "tower.py",
+             "points.py", "curve.py", "honda.py", "localpoints.py"]
+
+
+def snf_importers(sources: dict[str, str]) -> list[str]:
+    """The modules that import snf or anything from it, anywhere in the file."""
+    found = []
+    for module, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "snf" for n in names):
+                found.append(module)
+                break
+    return sorted(found)
+
+
+def test_modules_below_the_lattices_do_not_import_snf():
+    assert snf_importers({m: SOURCES[m] for m in BELOW_SNF}) == []
+
+
+def test_detects_an_snf_import():
+    sources = {
+        "a.py": "from .snf import smith_normal_form\n",
+        "b.py": "from . import padic, snf\n",
+        "c.py": "import normtower.snf as s\n",
+        "d.py": "from .padic import val_int\nfrom .snfx import snf_like\nsnf = 1\n",
+        "e.py": "def f():\n    from .snf import MARGIN\n    return MARGIN\n",
+        "f.py": "from normtower.snf import _dtype_for\n",
+    }
+    assert snf_importers(sources) == ["a.py", "b.py", "c.py", "e.py", "f.py"]

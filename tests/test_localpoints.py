@@ -71,11 +71,12 @@ def test_torsion_probe_uses_the_bundle_precision(monkeypatch):
     """A start too tight for (n=0, D=40, target=4) makes series_bundle double
     its working precision once; [p] must come from the bundle's own log and
     exp at the doubled precision, not from a fresh start."""
-    from normtower import curve
+    from normtower import honda
     from normtower.localpoints import torsion_probe
 
     start = 4 + 3 * 40 + 16
-    monkeypatch.setattr(curve, "composition_work_precision",
+    # series_bundle reads the start through honda's own binding of the name
+    monkeypatch.setattr(honda, "composition_work_precision",
                         lambda p, D, target: target + 3 * D + 16)
     b = series_bundle(SS3, 1, 0, 40, 4)
     assert b.field.N == 2 * start

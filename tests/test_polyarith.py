@@ -11,6 +11,7 @@ from normtower.polyarith import (
     divmod_monic,
     fold,
     fold_cyclic,
+    inv_mod,
     mul,
     mul_vec,
     rem_monic,
@@ -161,6 +162,22 @@ def test_xgcd_bezout_identity(p, a, b):
     assert combo == truncate(g, n)
     for f in (a, b):   # g divides both
         assert not any(x % p for x in ref_rem(f, g))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 12), st.lists(st.integers(-50, 50), max_size=7),
+       st.lists(st.integers(-50, 50), min_size=1, max_size=6))
+def test_inverse_mod_a_monic(p, N, a, m):
+    """inv_mod against the definition: a x = 1 in (Z/p^N)[x]/(m) exactly when
+    a is prime to m mod p, and ZeroDivisionError otherwise."""
+    m, q = m + [1], p**N
+    if len(xgcd_fp(a, m, p)[0]) != 1:
+        with pytest.raises(ZeroDivisionError):
+            inv_mod(a, m, p, q)
+        return
+    x = inv_mod(a, m, p, q)
+    assert len(x) == len(m) - 1 and all(0 <= c < q for c in x)
+    assert [c % q for c in ref_rem(ref_mul(a, x), m)] == [1 % q] + [0] * (len(m) - 2)
 
 
 # -- the rewritten ring products ----------------------------------------------

@@ -1,9 +1,7 @@
 from fractions import Fraction
-from functools import cache
 
 import pytest
 
-from normtower import unramified
 from normtower.curve import (
     CURVE_PRESETS,
     CurveParams,
@@ -241,10 +239,7 @@ def _log_outcome(fn, *args):
 
 
 @pytest.mark.parametrize("name, p", LOG_CURVES)
-def test_formal_log_matches_reference(name, p, monkeypatch):
-    # one residue-field search per (p, d), not one per precision
-    monkeypatch.setattr(unramified, "_find_primitive_poly",
-                        cache(unramified._find_primitive_poly))
+def test_formal_log_matches_reference(name, p):
     curve = CurveParams(p=p, **CURVE_PRESETS[name])
     for d in range(1, 7):
         for prec in (1, 2, 6, 20, 64):
