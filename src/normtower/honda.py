@@ -52,6 +52,9 @@ def honda_log(field: FieldDesc, n: int, D: int, tail_target: int) -> HondaLog:
     q = p**prec
     order = p**d - 1
     twist_exp = pow(p, (-(n + 1)) % d, order) if d > 1 else 1  # z = zeta^(p^((-(n+1)) mod d))
+    zpow = [field.one()]
+    for _ in range(order - 1):
+        zpow.append(field.mul(zpow[-1], field.zeta(), q))
     coeffs = [field.zero() for _ in range(D + 1)]
     if D >= 1:
         coeffs[1] = field.from_int(p**M, q)  # m = 0 term: g^(0) = X
@@ -63,8 +66,7 @@ def honda_log(field: FieldDesc, n: int, D: int, tail_target: int) -> HondaLog:
             c = comb(e, j) % q
             if c == 0:
                 continue
-            zpow = field.pow(field.zeta(), twist_exp * (e - j) % order)
-            term = field.scalar(sign * scale * c, zpow, q)
+            term = field.scalar(sign * scale * c, zpow[twist_exp * (e - j) % order], q)
             coeffs[j] = field.add(coeffs[j], term, q)
     series = TruncSeries(field, tuple(coeffs), M, prec).canonical()
     hl = HondaLog(series=series, twist=n + 1, terms=M, tail_floor=M + 1 - lg)

@@ -17,8 +17,10 @@ transient big ints.
 `mul_vec` multiplies polynomials whose coefficients are themselves
 length-d coefficient vectors (elements of O_k, of Z[F]/(F^d - 1), ...): each
 vector is laid out in 2d - 1 slots, so the inner products cannot overlap,
-and the result holds the unreduced inner products. The callers then apply
-their ring's reduction rule: `rem_monic` (a monic modulus), `fold_cyclic`
+and the result holds the unreduced inner products. When one operand is
+nonzero only in rows f + k s, s > 1, just those rows are packed, against
+each class of the other mod s that holds a nonzero row. The callers then
+apply their ring's reduction rule: `rem_monic` (a monic modulus), `fold_cyclic`
 (x^d - 1), `fold` (a table of rewrites of high powers, such as the
 cyclotomic relation of the tower) and `truncate` (series precision).
 
@@ -29,6 +31,8 @@ and the group ring Z_p[F]/(F^d - 1) (m = x^d - 1).
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def _pack(a, s: int, half: int) -> int:
@@ -67,6 +71,18 @@ def mul(a, b) -> list[int]:
     return out
 
 
+def _stride(rows) -> tuple[int, int]:
+    """(f, s): the first nonzero row and the gcd of the gaps between nonzero
+    rows, 0 with at most one of them; the scan stops once s is 1."""
+    nonzero = (i for i, r in enumerate(rows) if any(r))
+    f, s = next(nonzero, -1), 0
+    for i in nonzero:
+        s = gcd(s, i - f)
+        if s == 1:
+            break
+    return f, s
+
+
 def mul_vec(a, b, d: int) -> list[list[int]]:
     """The product of polynomials with length-d vector coefficients; entry e
     of the result is the unreduced length-(2d - 1) product of the inner
@@ -74,6 +90,17 @@ def mul_vec(a, b, d: int) -> list[list[int]]:
     if not a or not b:
         return []
     w = 2 * d - 1
+    (fa, sa), (f, s) = _stride(a), _stride(b)
+    if max(sa, s) > 1:
+        if sa > s:
+            a, b, f, s = b, a, fa, sa
+        # b lives in rows f + k s: pair each class of a mod s with b[f::s]
+        out = [[0] * w for _ in range(len(a) + len(b) - 1)]
+        for r in range(s):
+            if any(map(any, a[r::s])):
+                for k, row in enumerate(mul_vec(a[r::s], b[f::s], d)):
+                    out[r + f + k * s] = row
+        return out
     pad = [0] * (d - 1)
 
     def spread(rows):

@@ -1,15 +1,63 @@
+from math import comb
+
 import pytest
 
 from normtower.curve import curve_from_preset, formal_exp, formal_log
 from normtower.honda import (
+    HondaLog,
     composite_with_curve,
     honda_exp,
     honda_log,
     honda_type_report,
     series_bundle,
 )
+from normtower.padic import floor_log
 from normtower.series import TruncSeries
 from normtower.unramified import build_unramified
+
+
+def reference_honda_log(field, n, D, tail_target):
+    """A verbatim copy of honda_log as it was when it raised zeta to each
+    term's power afresh (without the cache)."""
+    p, d = field.p, field.d
+    lg = floor_log(max(D, 1), p)
+    M = tail_target + lg + 1
+    prec = field.N
+    assert prec >= M + tail_target + 2, "field precision too small for the term count"
+    q = p**prec
+    order = p**d - 1
+    twist_exp = pow(p, (-(n + 1)) % d, order) if d > 1 else 1  # z = zeta^(p^((-(n+1)) mod d))
+    coeffs = [field.zero() for _ in range(D + 1)]
+    if D >= 1:
+        coeffs[1] = field.from_int(p**M, q)  # m = 0 term: g^(0) = X
+    for m in range(1, M + 1):
+        e = p ** (2 * m)
+        sign = -1 if m % 2 else 1
+        scale = p ** (M - m)
+        for j in range(1, min(D, e) + 1):
+            c = comb(e, j) % q
+            if c == 0:
+                continue
+            zpow = field.pow(field.zeta(), twist_exp * (e - j) % order)
+            term = field.scalar(sign * scale * c, zpow, q)
+            coeffs[j] = field.add(coeffs[j], term, q)
+    series = TruncSeries(field, tuple(coeffs), M, prec).canonical()
+    hl = HondaLog(series=series, twist=n + 1, terms=M, tail_floor=M + 1 - lg)
+    rep = honda_type_report(hl)
+    if not (rep["congruence_ok"] and rep["derivative_integral"]):
+        raise ArithmeticError(f"Honda-type check failed: {rep}")
+    return hl
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (3, 4), (5, 1), (5, 2), (5, 4)])
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("D", [1, 10, 30])
+def test_honda_log_matches_reference(p, d, n, D):
+    fd = build_unramified(p, d, 16)
+    got, ref = honda_log(fd, n, D, tail_target=4), reference_honda_log(fd, n, D, 4)
+    assert (got.series.coeffs, got.series.den, got.series.prec) == \
+        (ref.series.coeffs, ref.series.den, ref.series.prec)
+    assert (got.twist, got.terms, got.tail_floor) == (ref.twist, ref.terms, ref.tail_floor)
 
 
 def test_linear_coefficient_golden_value():

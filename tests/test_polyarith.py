@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from normtower import curve, honda, polyarith, series
 from normtower.groupring import GroupRing
 from normtower.lambda_modules import grp_mul, grp_reduce
 from normtower.polyarith import (
@@ -104,7 +105,8 @@ def test_mul_blocked_path_for_unequal_lengths(a, b):
 @settings(deadline=None, max_examples=100)
 @given(st.integers(1, 4), st.data())
 def test_mul_vec_matches_schoolbook(d, data):
-    rows = st.lists(st.lists(ints, min_size=d, max_size=d), max_size=6)
+    row = st.one_of(st.just([0] * d), st.lists(ints, min_size=d, max_size=d))
+    rows = st.lists(row, max_size=10)
     a, b = data.draw(rows), data.draw(rows)
     expect = [[0] * (2 * d - 1) for _ in range(len(a) + len(b) - 1 if a and b else 0)]
     for i, x in enumerate(a):
@@ -112,6 +114,82 @@ def test_mul_vec_matches_schoolbook(d, data):
             for k, c in enumerate(ref_mul(x, y)):
                 expect[i + j][k] += c
     assert mul_vec(a, b, d) == expect
+
+
+def reference_mul_vec(a, b, d):
+    """A verbatim copy of mul_vec as it was when it packed every row."""
+    if not a or not b:
+        return []
+    w = 2 * d - 1
+    pad = [0] * (d - 1)
+
+    def spread(rows):
+        flat = []
+        for r in rows:
+            flat += r
+            flat += pad
+        return flat
+
+    c = mul(spread(a), spread(b))
+    return [c[i:i + w] for i in range(0, (len(a) + len(b) - 1) * w, w)]
+
+
+def vec_operand(data, d, n, shape, stride):
+    """n rows of length d: dense, nonzero only in rows offset + k stride
+    (some of those may be zero too), one nonzero row, or all zero."""
+    bits = data.draw(st.sampled_from([8, 70, 3000]))
+    row = st.lists(st.integers(-(2**bits), 2**bits), min_size=d, max_size=d)
+    zero = [0] * d
+    if shape == "dense":
+        return [data.draw(row) for _ in range(n)]
+    if shape == "zero" or n == 0:
+        return [zero] * n
+    if shape == "single":
+        at = data.draw(st.integers(0, n - 1))
+        return [data.draw(row) if i == at else zero for i in range(n)]
+    offset = data.draw(st.integers(0, stride - 1))
+    return [data.draw(st.one_of(row, st.just(zero))) if i % stride == offset else zero
+            for i in range(n)]
+
+
+shapes = st.sampled_from(["dense", "strided", "strided", "single", "zero"])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 4), shapes, shapes, st.integers(2, 6), st.integers(2, 6), st.data())
+def test_mul_vec_matches_the_packing_of_every_row(d, shape_a, shape_b, sa, sb, data):
+    na = data.draw(st.integers(0, 40))
+    nb = na if data.draw(st.booleans()) else data.draw(st.integers(0, 40))
+    a, b = vec_operand(data, d, na, shape_a, sa), vec_operand(data, d, nb, shape_b, sb)
+    assert mul_vec(a, b, d) == reference_mul_vec(a, b, d)
+
+
+@pytest.mark.parametrize("sa,sb", [(2, 3), (3, 2), (4, 6), (6, 4)])
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 4), st.data())
+def test_mul_vec_with_strides_that_do_not_divide(sa, sb, d, data):
+    n, m = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    a, b = vec_operand(data, d, n, "strided", sa), vec_operand(data, d, m, "strided", sb)
+    assert mul_vec(a, b, d) == reference_mul_vec(a, b, d)
+
+
+def test_mul_vec_packs_only_the_classes_with_nonzero_rows(monkeypatch):
+    """Two operands nonzero only in degrees 1 mod 4 take one product of the
+    compressed rows; dense times stride 4 takes one per class."""
+    lengths = []   # the rows packed into each Kronecker product, 3 slots a row at d = 2
+    real = polyarith.mul
+    monkeypatch.setattr(polyarith, "mul",
+                        lambda a, b: lengths.append((len(a) // 3, len(b) // 3)) or real(a, b))
+    sparse = [[i, 1] if i % 4 == 1 else [0, 0] for i in range(40)]
+    dense = [[i, 1] for i in range(40)]
+    assert mul_vec(sparse, sparse, 2) == reference_mul_vec(sparse, sparse, 2)
+    assert lengths == [(10, 10)]
+    lengths.clear()
+    assert mul_vec(dense, sparse, 2) == reference_mul_vec(dense, sparse, 2)
+    assert lengths == [(10, 10)] * 4
+    lengths.clear()
+    assert mul_vec(dense, dense, 2) == reference_mul_vec(dense, dense, 2)
+    assert lengths == [(40, 40)]
 
 
 @settings(deadline=None, max_examples=150)
@@ -266,3 +344,32 @@ def test_grp_mul_and_reduce(p, d, data):
     comps = [ref_rem([c[k] for c in f], cap_ints) for k in range(d)]
     expect_red = tuple(zip(*comps)) if len(cap_ints) > 1 else ((0,) * d,)
     assert grp_reduce(f, cap) == expect_red
+
+
+def _series_cache_clear():
+    for f in (curve.formal_exp, honda.honda_log, honda.honda_exp):
+        f.cache_clear()
+
+
+@pytest.fixture
+def fresh_series_caches():
+    _series_cache_clear()
+    yield
+    _series_cache_clear()
+
+
+def _bundle_digits(d):
+    b = honda.series_bundle(curve.curve_from_preset("ss3", 3), d, 0, 30, 6)
+    parts = (b.curve_log, b.curve_exp, b.honda.series, b.honda_exp_series, b.forward,
+             b.backward, b.curve_exp.compose(b.curve_log))
+    return [(s.coeffs, s.den, s.prec) for s in parts], b.report
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_series_bundle_is_bit_identical_to_packing_every_row(d, fresh_series_caches, monkeypatch):
+    """The full_grid bundles, whose curve log and exp live in degrees 1 mod 4,
+    come out the same whether series products skip the zero rows or not."""
+    got = _bundle_digits(d)
+    _series_cache_clear()
+    monkeypatch.setattr(series, "mul_vec", reference_mul_vec)
+    assert _bundle_digits(d) == got
