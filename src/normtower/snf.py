@@ -19,10 +19,17 @@ the first entry, in row-major order, of minimal valuation e in the trailing
 block; its unit part is normalized away and the rows below it are cleared.
 Elementary operations never lower the minimal valuation of the trailing
 block, so the pivot search is incremental: e is kept from one pivot to the
-next, the pivot is the first entry not divisible by p^(e+1), and e is raised
-only when there is none. After the rows below the pivot are cleared, the
+next and raised only when no entry of valuation e is left. A flag per row,
+`hot`, marks the rows with an entry of valuation e in the trailing columns:
+the pivot is the first such entry of the first hot row. A row that is not hot
+stays so under the row operations (its multiplier is divisible by p), and a
+row that is not updated has a zero in the pivot column, so `hot` is
+recomputed only for the rows just updated, and in full when e rises. The
+lattices are sparse, so the work follows the nonzero entries: only the rows
+with a nonzero multiplier are cleared (in A and U), only in the columns where
+the pivot row is nonzero. After the rows below the pivot are cleared, the
 column operations can change only the pivot row, so they reduce to setting
-it to zero.
+it to zero, and V is updated only in the columns with a nonzero multiplier.
 
 The core has two entries:
 - `smith_normal_form` records the row operations in U and the column
@@ -166,45 +173,56 @@ def _eliminate(A: np.ndarray, p: int, N: int,
     entries in [0, p^N) and A's dtype: U ends as R @ U and V as V @ C, where R
     and C are the row and column operations. Without V the column operations
     are skipped: they would change only the pivot row, which no later pivot
-    reads, so A is left diagonal only when V is given."""
+    reads, so A is left diagonal only when V is given.
+
+    For r >= s, hot[r] says whether row r has an entry of valuation e in the
+    columns s: (the module docstring says why it is updated row by row). The
+    rows below the pivot are cleared only where their multiplier is nonzero,
+    and there only in the columns where the pivot row is nonzero; when every
+    row has a nonzero multiplier they are taken as one slice."""
     q = p**N
     m, n = A.shape
     divisors: list[int] = []
     e, pe = 0, 1
+    hot = (A % p).any(axis=1)
     for s in range(min(m, n)):
-        while e < N:
-            hit = (A[s:, s:] % (pe * p)).ravel() != 0
-            k = int(hit.argmax())
-            if hit[k]:
-                break
+        i = s + int(hot[s:].argmax())
+        while not hot[i] and e < N:
             e, pe = e + 1, pe * p
-        else:  # the trailing block is zero at precision
+            hot[s:] = (A[s:, s:] % (pe * p)).any(axis=1)
+            i = s + int(hot[s:].argmax())
+        if e == N:  # the trailing block is zero at precision
             break
-        i, j = divmod(k, n - s)
-        i, j = i + s, j + s
+        j = s + int((A[i, s:] % (pe * p)).nonzero()[0][0])
         if i != s:
-            A[[s, i], s:] = A[[i, s], s:]
+            A[s, s:], A[i, s:] = A[i, s:], A[s, s:].copy()
+            hot[i] = hot[s]
             if U is not None:
-                U[[s, i]] = U[[i, s]]
+                U[s], U[i] = U[i], U[s].copy()
         if j != s:
-            A[s:, [s, j]] = A[s:, [j, s]]
+            A[s:, s], A[s:, j] = A[s:, j], A[s:, s].copy()
             if V is not None:
-                V[:, [s, j]] = V[:, [j, s]]
+                V[:, s], V[:, j] = V[:, j], V[:, s].copy()
         uinv = pow(int(A[s, s]) // pe, -1, q)
         A[s, s:] = A[s, s:] * uinv % q
         if U is not None:
             U[s] = U[s] * uinv % q
         # entries below/right share valuation >= e, so they divide exactly
-        c = A[s + 1:, s] // pe
-        if c.any():
-            A[s + 1:, s:] = (A[s + 1:, s:] - np.outer(c, A[s, s:])) % q
+        k = A[s + 1:, s].nonzero()[0]
+        rows = slice(s + 1, None) if k.size == m - s - 1 else s + 1 + k
+        c = A[rows, s] // pe
+        if c.size:
+            cols = s + A[s, s:].nonzero()[0]
+            blk = (rows if isinstance(rows, slice) else rows[:, None], cols)
+            A[blk] = (A[blk] - c[:, None] * A[s, cols]) % q
+            hot[rows] = (A[rows, s + 1:] % (pe * p)).any(axis=1)
             if U is not None:
-                U[s + 1:] = (U[s + 1:] - np.outer(c, U[s])) % q
+                U[rows] = (U[rows] - c[:, None] * U[s]) % q
         if V is not None:
-            c = A[s, s + 1:] // pe
-            if c.any():
-                V[:, s + 1:] = (V[:, s + 1:] - np.outer(V[:, s], c)) % q
-                A[s, s + 1:] = 0
+            cols = s + 1 + A[s, s + 1:].nonzero()[0]
+            if cols.size:
+                V[:, cols] = (V[:, cols] - V[:, s, None] * (A[s, cols] // pe)) % q
+                A[s, cols] = 0
         divisors.append(e)
     return divisors + [N] * (min(m, n) - len(divisors))
 

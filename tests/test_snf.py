@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normtower import snf
+from normtower.lattice import _common_den, expected_norm_rank, norm_subgroup_lattice
 from normtower.padic import PrecisionExhausted
 from normtower.snf import (
     MARGIN,
@@ -180,14 +181,85 @@ def _reference_snf(A, p: int, N: int, dt) -> SnfResult:
     return SnfResult(p=p, N=N, divisors=divisors, U=U, V=V, shape=(m, n), _diag=A)
 
 
+def _reference_eliminate(A: np.ndarray, p: int, N: int,
+                         U: np.ndarray | None = None, V: np.ndarray | None = None) -> list[int]:
+    """The core before the hot-row pivot search and the sparse updates, which
+    made a full pass over the trailing block for every pivot. Verbatim."""
+    q = p**N
+    m, n = A.shape
+    divisors: list[int] = []
+    e, pe = 0, 1
+    for s in range(min(m, n)):
+        while e < N:
+            hit = (A[s:, s:] % (pe * p)).ravel() != 0
+            k = int(hit.argmax())
+            if hit[k]:
+                break
+            e, pe = e + 1, pe * p
+        else:  # the trailing block is zero at precision
+            break
+        i, j = divmod(k, n - s)
+        i, j = i + s, j + s
+        if i != s:
+            A[[s, i], s:] = A[[i, s], s:]
+            if U is not None:
+                U[[s, i]] = U[[i, s]]
+        if j != s:
+            A[s:, [s, j]] = A[s:, [j, s]]
+            if V is not None:
+                V[:, [s, j]] = V[:, [j, s]]
+        uinv = pow(int(A[s, s]) // pe, -1, q)
+        A[s, s:] = A[s, s:] * uinv % q
+        if U is not None:
+            U[s] = U[s] * uinv % q
+        # entries below/right share valuation >= e, so they divide exactly
+        c = A[s + 1:, s] // pe
+        if c.any():
+            A[s + 1:, s:] = (A[s + 1:, s:] - np.outer(c, A[s, s:])) % q
+            if U is not None:
+                U[s + 1:] = (U[s + 1:] - np.outer(c, U[s])) % q
+        if V is not None:
+            c = A[s, s + 1:] // pe
+            if c.any():
+                V[:, s + 1:] = (V[:, s + 1:] - np.outer(V[:, s], c)) % q
+                A[s, s + 1:] = 0
+        divisors.append(e)
+    return divisors + [N] * (min(m, n) - len(divisors))
+
+
+def _twinned(fn, *args):
+    """(outcome of fn(*args), number of eliminations it ran), every
+    elimination checked bit for bit (divisors, A, U, V and their dtypes)
+    against `_reference_eliminate` run on copies of the same operands."""
+    real, checked = snf._eliminate, []
+
+    def twin(A, p, N, U=None, V=None):
+        copies = [None if X is None else X.copy() for X in (A, U, V)]
+        want = _reference_eliminate(copies[0], p, N, copies[1], copies[2])
+        got = real(A, p, N, U, V)
+        assert got == want
+        for X, Y in zip((A, U, V), copies):
+            assert (X is None) == (Y is None)
+            assert X is None or (X.dtype == Y.dtype and np.array_equal(X, Y))
+        checked.append(A.shape)
+        return got
+
+    with mock.patch.object(snf, "_eliminate", twin):
+        return _outcome(fn, *args), len(checked)
+
+
+SNF_KINDS = ("random", "no_cols", "row", "col", "deficient", "margin_edge", "sparse")
+
+
 @st.composite
-def snf_case(draw, N_values=st.integers(1, 8)):
-    """(p, N, A): random, edge-shaped, rank-deficient and margin-edge matrices."""
+def snf_case(draw, N_values=st.integers(1, 8), kinds=st.sampled_from(SNF_KINDS)):
+    """(p, N, A): random, edge-shaped, rank-deficient, margin-edge and sparse
+    matrices."""
     p = draw(st.sampled_from([3, 5]))
     N = draw(N_values)
     q = p**N
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "no_cols", "row", "col", "deficient", "margin_edge"]))
+    kind = draw(kinds)
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     if kind == "no_cols":
         n = 0
@@ -211,7 +283,30 @@ def snf_case(draw, N_values=st.integers(1, 8)):
         units[units % p == 0] -= 1
         A = p**k * units * draw_ints(0, 2, (m, n))
         A[0, 0] = p**k * units[0, 0]
+    elif kind == "sparse":
+        A = _sparse(rng, p, N, int(rng.integers(1, 41)), int(rng.integers(1, 81)))
     return p, N, (A % q).astype(np.int64)
+
+
+def _sparse(rng, p: int, N: int, m: int, n: int):
+    """A Galois-orbit-like m x n matrix: about 10% of its entries nonzero, of
+    mixed valuation, with whole zero rows and zero columns, and rank-deficient
+    (a product through r < min(m, n)) half the time."""
+    q = p**N
+
+    def sparse_ints(size, density):
+        mixed = rng.integers(0, q, size=size).astype(object) * \
+            p ** rng.integers(0, N + 1, size=size).astype(object)
+        return mixed * (rng.random(size) < density)
+
+    if min(m, n) > 1 and rng.random() < 0.5:
+        r = int(rng.integers(0, min(m, n)))
+        A = sparse_ints((m, r), 0.3) @ sparse_ints((r, n), 0.1) % q
+    else:
+        A = sparse_ints((m, n), 0.1)
+    A[rng.random(m) < 0.2] = 0
+    A[:, rng.random(n) < 0.2] = 0
+    return A
 
 
 def _check_against_reference(p, N, A, dt):
@@ -254,6 +349,42 @@ def test_core_matches_reference_object_precision(case):
     _check_against_reference(p, N, A, object)
 
 
+@settings(deadline=None, max_examples=200)
+@given(snf_case(kinds=st.just("sparse")), st.sampled_from([np.int64, object]),
+       st.integers(0, 2**32 - 1))
+def test_every_entry_point_matches_the_verbatim_core(case, dt, seed):
+    p, N, A = case
+    q = p**N
+    rng = np.random.default_rng(seed)
+    n = A.shape[1]
+    h = n // 2
+    W = rng.integers(0, q, size=(rng.integers(0, 6), n))
+    with mock.patch.object(snf, "_dtype_for", lambda q, dim: dt):
+        _check_against_reference(p, N, A, dt)
+        for fn, *args in (
+            (smith_divisors, A, p, N),
+            (smith_normal_form, A, p, N),
+            (span_contains_all, A[:, :h], A[:, h:], p, N),
+            (span_contains_all, A, (A @ rng.integers(0, q, size=(n, 3))) % q, p, N),
+            (kernel_image, A, W, p, N, False),
+            (kernel_image, A, W, p, N, True),
+            (span_intersection, A[:, :h], A[:, h:], p, N),
+        ):
+            assert _twinned(fn, *args)[1] == 1
+
+
+def test_shipped_lattices_match_the_verbatim_core(tower_3_4):
+    # the 216 x 432 C(m_3) lattice of p = 3, d = 4, N = 6, and the
+    # intersection of the exact sequence at n = 3: the sizes the verifier runs
+    t = tower_3_4
+    Cn = norm_subgroup_lattice(t, 3)
+    A, B = _common_den(Cn, norm_subgroup_lattice(t, 2).embed(3))
+    assert Cn.mat.shape == (216, 432)
+    assert _twinned(Cn.rank) == (expected_norm_rank(3, 4, 3, None), 1)
+    inter, checked = _twinned(span_intersection, A.mat, B.mat, t.p, t.N)
+    assert checked == 1 and inter.shape[0] == 216
+
+
 def test_quotient_invariants_empty_relations():
     assert quotient_invariants(5, np.zeros((5, 0), dtype=np.int64), 3, 6) == (5, [], False)
 
@@ -286,6 +417,32 @@ def test_dtype_guard_at_the_dimension_boundary():
     below = as_matrix([q - 1] * (dim - 1), q)
     assert below.dtype == np.int64
     assert int((below @ below.T)[0, 0]) == (dim - 1) * (q - 1) ** 2
+
+
+def test_sparse_paths_keep_their_dtype_at_the_entry_bound():
+    # at q = 3^15, just under _INT64_SAFE, the gathered and scattered blocks
+    # hold products near q^2: int64 must neither wrap nor turn into object
+    p, N = 3, 15
+    q = p**N
+    assert q < snf._INT64_SAFE
+    rng = np.random.default_rng(315)
+    A = (_sparse(rng, p, N, 30, 60) % q).astype(np.int64)
+    B = (A[:, :20] @ rng.integers(0, q, size=(20, 4)).astype(object) % q).astype(np.int64)
+    W = rng.integers(0, q, size=(5, 60))
+    runs = {}
+    for dt in (np.int64, object):
+        with mock.patch.object(snf, "_dtype_for", lambda q, dim: dt):
+            div, res = smith_divisors(A, p, N), smith_normal_form(A, p, N)
+            mats = [res.U, res.V, res._diag, kernel_image(A, W, p, N, tolerant=True),
+                    span_intersection(A[:, :30], A[:, 30:], p, N)]
+            assert all(M.dtype == dt for M in mats)
+            runs[dt] = (div.divisors, res.divisors, [M.tolist() for M in mats],
+                        _outcome(kernel_image, A, W, p, N),
+                        span_contains_all(A, B, p, N), span_contains_all(A, W[:, :30].T, p, N))
+    assert runs[np.int64][:3] == runs[object][:3]
+    strict = [runs[dt][3] for dt in (np.int64, object)]
+    assert all(isinstance(K, type) for K in strict) or np.array_equal(*strict)
+    assert runs[np.int64][4:] == runs[object][4:] and runs[object][4]
 
 
 # ---------------------------------------------------------------------------
