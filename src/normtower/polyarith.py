@@ -2,17 +2,18 @@
 substitution, the reduction rules the rings of normtower need, one extended
 gcd over F_p, and the inverse of a unit of (Z/q)[x]/(m) for a monic m.
 
-A polynomial is a sequence of ints, lowest degree first. `mul` evaluates
-both factors at 2^k for a slot width k wide enough to hold every product
-coefficient, multiplies the two big ints once, and reads the coefficients
-back out of the slots (Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", J. Symb. Comput. 2009). Slots are whole
-bytes, so packing and unpacking go through int.to_bytes / int.from_bytes in
-linear time. Coefficients are signed: a factor is packed with every slot
-biased by half its range and the biases are taken off as one integer, and
-the product's slots are read back as balanced digits. The longer factor is
-cut into blocks as long as the shorter one, which bounds the size of the
-transient big ints.
+A polynomial is a sequence of ints, lowest degree first. `mul` packs both
+factors in slots of W = 8s bits, wide enough for every product coefficient,
+and reads the product's coefficients back out of the slots. Packing and
+unpacking go through int.to_bytes / int.from_bytes in linear time. A factor
+is packed with every slot biased by half its range and the biases are taken
+off as one integer; the product's slots are read back as balanced digits.
+The longer factor is cut into blocks as long as the shorter one, which
+bounds the transient big ints. Each block is one big-int product below a
+packed shorter factor of _MULTIPOINT_BYTES (the measured crossover), and
+from there on five products of a quarter of the size, by evaluation at four
+points (Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symb. Comput. 2009; see `mul`).
 
 `mul_vec` multiplies polynomials whose coefficients are themselves
 length-d coefficient vectors (elements of O_k, of Z[F]/(F^d - 1), ...): each
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 from math import gcd
 
+_MULTIPOINT_BYTES = 2048  # the shorter factor's packed size from which mul evaluates at four points
+
 
 def _pack(a, s: int, half: int) -> int:
     """sum a_i 2^(8 s i), for |a_i| < half = 2^(8s-1): each slot is packed
@@ -43,8 +46,41 @@ def _pack(a, s: int, half: int) -> int:
     return int.from_bytes(raw, "little") - bias
 
 
+def _unpack(x: int, out, slots: range, s: int, half: int) -> None:
+    """Adds x's s-byte slots to out[slots] as balanced digits: a slot >= half borrows one."""
+    raw = memoryview(x.to_bytes(len(slots) * s, "little", signed=True))
+    base, borrow = 2 * half, 0
+    for i, k in zip(slots, range(0, len(raw), s)):
+        c = int.from_bytes(raw[k:k + s], "little") + borrow
+        borrow = c >= half
+        out[i] += c - base if borrow else c
+
+
+def _evaluate(a, s: int, half: int) -> tuple[int, int, int, int]:
+    """A(y), A(-y) and the real and imaginary parts of A(iy), y = 2^(2s), from
+    the terms y^r P_r(y^4), the class P_r = a[r::4] packed at y^4 = 2^(8s)."""
+    p0, p1, p2, p3 = (_pack(a[r::4], s, half) << 2 * s * r for r in range(4))
+    return p0 + p1 + p2 + p3, p0 - p1 + p2 - p3, p0 - p2, p1 - p3
+
+
+def _classes(ay, am, ar, ai, by, bm, br, bi, t: int) -> tuple[int, int, int, int]:
+    """H_0, ..., H_3 at y^4 = 2^(4t), where H = A B = sum x^r H_r(x^4), from
+    the evaluations of A and B at y = 2^t: five products and exact shifts."""
+    hp, hm = ay * by, am * bm
+    even, odd = (hp + hm) >> 1, (hp - hm) >> (t + 1)  # H0 + y^2 H2, H1 + y^2 H3
+    del hp, hm
+    k = br * (ar + ai)  # Gauss's three products: H(iy) = re + i y im
+    re, im = k - ai * (br + bi), (k + ar * (bi - br)) >> t
+    del k
+    return (even + re) >> 1, (odd + im) >> 1, (even - re) >> (2 * t + 1), (odd - im) >> (2 * t + 1)
+
+
 def mul(a, b) -> list[int]:
-    """The product of two polynomials over Z."""
+    """The product of two polynomials over Z. From the crossover on, a block's
+    product H is evaluated at y, -y and iy, y^4 = 2^W, with the classes mod 4
+    of both factors packed in the same slots: five products, Gauss's three for
+    H(iy), about 0.55 of one under Karatsuba. The slots and bound are the same
+    and every division that recovers the classes of H is an exact shift."""
     if not a or not b:
         return []
     if len(a) < len(b):
@@ -55,19 +91,16 @@ def mul(a, b) -> list[int]:
     if not bound:
         return out
     s = (bound.bit_length() + 8) // 8  # bytes per slot, so that bound < 2^(8s-1)
-    half, base = 1 << (8 * s - 1), 1 << (8 * s)
-    packed_b = _pack(b, s, half)
+    half, multipoint = 1 << (8 * s - 1), s * n >= _MULTIPOINT_BYTES
+    packed_b = _evaluate(b, s, half) if multipoint else _pack(b, s, half)
     for j in range(0, len(a), n):
         block = a[j:j + n]
-        m = len(block) + n - 1
-        # the product's slots hold signed values, so read them as balanced
-        # digits: a slot at or above half borrows one from the next slot
-        raw = memoryview((_pack(block, s, half) * packed_b).to_bytes(m * s, "little", signed=True))
-        borrow = 0
-        for i, k in enumerate(range(0, m * s, s), j):
-            c = int.from_bytes(raw[k:k + s], "little") + borrow
-            borrow = c >= half
-            out[i] += c - base if borrow else c
+        slots = range(j, j + len(block) + n - 1)
+        if multipoint:
+            for r, h in enumerate(_classes(*_evaluate(block, s, half), *packed_b, 2 * s)):
+                _unpack(h, out, slots[r::4], s, half)
+        else:
+            _unpack(_pack(block, s, half) * packed_b, out, slots, s, half)
     return out
 
 

@@ -134,7 +134,8 @@ class FieldDesc:
     def reduce(self, c, q: int | None = None):
         """Coordinates of sum c_i zeta^i (any length) mod the minimal polynomial and q."""
         q = q or self.q
-        return tuple(x % q for x in rem_monic(c, self.modulus))
+        c = rem_monic(c, self.modulus) if len(c) > self.d else c
+        return tuple(x % q for x in c) + (0,) * (self.d - len(c))
 
     def pow(self, a, e: int):
         return tuple(_polypow_mod(a, e, self.modulus, self.q))

@@ -1,12 +1,14 @@
 """Differential tests: the Kronecker kernel and every product routed through
 it against schoolbook references kept in this file."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normtower import curve, honda, polyarith, series
-from normtower.groupring import GroupRing
+from normtower import curve, honda, polyarith, series, unramified
+from normtower.groupring import GroupRing, omega_family, poly_trim
 from normtower.lambda_modules import grp_mul, grp_reduce
 from normtower.polyarith import (
     divmod_monic,
@@ -100,6 +102,118 @@ def test_mul_with_3000_bit_coefficients(a, b):
 def test_mul_blocked_path_for_unequal_lengths(a, b):
     assert mul(a, b) == ref_mul(a, b)
     assert mul(b, a) == ref_mul(a, b)
+
+
+def _reference_mul(a, b) -> list[int]:
+    """A verbatim copy of mul as it was when every block was one big-int product."""
+    _pack = polyarith._pack
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(b)
+    out = [0] * (len(a) + n - 1)
+    bound = max(map(abs, a)) * max(map(abs, b)) * n
+    if not bound:
+        return out
+    s = (bound.bit_length() + 8) // 8  # bytes per slot, so that bound < 2^(8s-1)
+    half, base = 1 << (8 * s - 1), 1 << (8 * s)
+    packed_b = _pack(b, s, half)
+    for j in range(0, len(a), n):
+        block = a[j:j + n]
+        m = len(block) + n - 1
+        # the product's slots hold signed values, so read them as balanced
+        # digits: a slot at or above half borrows one from the next slot
+        raw = memoryview((_pack(block, s, half) * packed_b).to_bytes(m * s, "little", signed=True))
+        borrow = 0
+        for i, k in enumerate(range(0, m * s, s), j):
+            c = int.from_bytes(raw[k:k + s], "little") + borrow
+            borrow = c >= half
+            out[i] += c - base if borrow else c
+    return out
+
+
+def _spy_evaluate(monkeypatch):
+    """The lengths of the factors and blocks that mul evaluates at four points."""
+    lengths, real = [], polyarith._evaluate
+    monkeypatch.setattr(polyarith, "_evaluate",
+                        lambda a, s, half: lengths.append(len(a)) or real(a, s, half))
+    return lengths
+
+
+def classed_poly(data, n, bits):
+    """n signed coefficients, nonzero in every class mod 4, only in the even
+    or the odd degrees, or only in one class."""
+    r = data.draw(st.integers(0, 3))
+    keep = data.draw(st.sampled_from([lambda i: True, lambda i: i % 2 == 0,
+                                      lambda i: i % 2 == 1, lambda i: i % 4 == r]))
+    top = 2**bits - 1
+    coeff = st.one_of(st.integers(-top, top), st.sampled_from([top, -top]))
+    return [data.draw(coeff) if keep(i) else 0 for i in range(n)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([1, 8, 63, 70, 500]), st.data())
+def test_multipoint_matches_one_product_per_block(bits, data):
+    """With the crossover at 0, every product is evaluated at y, -y and iy:
+    factors of 0 to 13 coefficients, so classes are empty and n < 4, and
+    longer ones whose last block is short."""
+    na = data.draw(st.integers(0, 13))
+    nb = data.draw(st.one_of(st.integers(0, 13), st.integers(14, 40)))
+    a, b = classed_poly(data, na, bits), classed_poly(data, nb, bits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyarith, "_MULTIPOINT_BYTES", 0)
+        got, swapped = mul(a, b), mul(b, a)
+    assert got == swapped == _reference_mul(a, b)
+
+
+def test_multipoint_at_the_slot_boundary(monkeypatch):
+    """7 * 31 * 151 = 2^15 - 1: the full overlaps fill their slots to half - 1,
+    of both signs when the factors alternate; the edge cases of the single
+    product too."""
+    monkeypatch.setattr(polyarith, "_MULTIPOINT_BYTES", 0)
+    for n in range(1, 30):
+        for sign in (1, -1):
+            a, b = [31 * sign**i for i in range(n)], [151 * sign**i for i in range(7)]
+            got = mul(a, b)
+            assert got == _reference_mul(a, b) == ref_mul(a, b)
+            assert n < 7 or max(map(abs, got)) == 2**15 - 1
+    test_mul_edge_cases()
+
+
+def test_shipped_products_take_the_multipoint_path(monkeypatch):
+    """The n = 1, D = 60 compositions multiply 61 coefficients of 3263 bits:
+    they must be evaluated at four points (a mis-set crossover shows here),
+    and agree with one product."""
+    lengths = _spy_evaluate(monkeypatch)
+    rng = random.Random(61)
+    a, b = ([rng.randint(-(2**3263), 2**3263) for _ in range(61)] for _ in range(2))
+    assert mul(a, b) == _reference_mul(a, b)
+    assert lengths == [61, 61]
+
+
+def test_omega_identity_product_matches_one_product_per_block(monkeypatch):
+    """omega_4 = omega-tilde_4^- * omega_4^+ at p = 5: 105 by 522 coefficients,
+    five blocks, the last one short."""
+    fam = omega_family(5, 4)
+    lengths = _spy_evaluate(monkeypatch)
+    got = mul(fam.omega_tilde_minus, fam.omega_plus)
+    assert lengths == [105, 105, 105, 105, 105, 102]
+    assert got == _reference_mul(fam.omega_tilde_minus, fam.omega_plus)
+    assert poly_trim(got) == poly_trim(fam.omega)
+
+
+@pytest.mark.parametrize("side", [-1, 0])
+def test_mul_on_each_side_of_the_crossover(side, monkeypatch):
+    """16 coefficients at 2^x, x = 4s - 3, make a bound of 8s - 1 bits, so
+    slots of s bytes: s * 16 one byte-slot below the crossover, or at it."""
+    s = -(-polyarith._MULTIPOINT_BYTES // 16) + side
+    x = 4 * s - 3
+    a = [(-1) ** i * 2**x for i in range(16)]
+    b = [2**x] + [3 * i - 20 for i in range(15)]
+    lengths = _spy_evaluate(monkeypatch)
+    assert mul(a, b) == _reference_mul(a, b) == ref_mul(a, b)
+    assert lengths == ([16, 16] if side == 0 else [])
 
 
 @settings(deadline=None, max_examples=100)
@@ -275,6 +389,22 @@ def test_field_mul(p, d, data):
     a, b = coords(data, d, fd.q), coords(data, d, fd.q)
     q = p ** data.draw(st.integers(1, 6))
     assert fd.mul(a, b, q) == ref_field_mul(fd, a, b, q)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_field_reduce_divides_only_rows_longer_than_d(d, monkeypatch):
+    """Rows of 1 to 2d - 1 signed coordinates, and zero rows, reduce as
+    through rem_monic; only those longer than d are divided."""
+    fd = build_unramified(3, d, 20)
+    rng = random.Random(d)
+    rows = [[rng.randint(-(3**40), 3**40) for _ in range(k)] for k in range(1, 2 * d)]
+    rows += [[0] * k for k in range(1, 2 * d)]
+    divided, real = [], unramified.rem_monic
+    monkeypatch.setattr(unramified, "rem_monic", lambda c, m: divided.append(len(c)) or real(c, m))
+    for q in (None, 3**5):
+        expect = [tuple(x % (q or fd.q) for x in real(c, fd.modulus)) for c in rows]
+        assert [fd.reduce(c, q) for c in rows] == expect
+    assert len(divided) == 4 * (d - 1) and all(k > d for k in divided)
 
 
 @pytest.mark.parametrize("p,d", FIELDS)
