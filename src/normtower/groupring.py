@@ -3,7 +3,7 @@ cyclotomic polynomial families omega_n / omega_n^{+-}, the alternating
 p-power sums q_n, and character idempotents for the tame quotient.
 
 Group-ring elements are coefficient tuples indexed by powers of F (the
-Frobenius); a product is a polyarith product folded mod F^d - 1.
+Frobenius); a product is a polyarith product reduced by the modulus F^d - 1.
 Integer polynomials (omega family) are plain coefficient lists over Z,
 lowest degree first - those identities are exact, no precision involved.
 """
@@ -16,13 +16,19 @@ from functools import cache
 import numpy as np
 
 from .padic import ZpContext, primitive_root
-from .polyarith import fold_cyclic, inv_mod, mul
+from .polyarith import inv_mod, mul, rem_monic
 from .snf import kernel_basis, span_contains_all
 
 
 # ---------------------------------------------------------------------------
 # group ring
 # ---------------------------------------------------------------------------
+
+@cache
+def cyclic_modulus(d: int) -> tuple[int, ...]:
+    """F^d - 1, lowest degree first."""
+    return (-1,) + (0,) * (d - 1) + (1,)
+
 
 @dataclass(frozen=True)
 class GroupRing:
@@ -33,6 +39,10 @@ class GroupRing:
     @property
     def q(self) -> int:
         return self.p**self.N
+
+    @property
+    def modulus(self) -> tuple[int, ...]:
+        return cyclic_modulus(self.d)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.d
@@ -50,7 +60,7 @@ class GroupRing:
         return tuple((x + y) % self.q for x, y in zip(a, b))
 
     def mul(self, a, b):
-        return tuple(x % self.q for x in fold_cyclic(mul(a, b), self.d))
+        return tuple(x % self.q for x in rem_monic(mul(a, b), self.modulus))
 
     def is_zero(self, a) -> bool:
         return all(x % self.q == 0 for x in a)
@@ -80,7 +90,7 @@ def is_unit(ring: GroupRing, a) -> tuple[bool, tuple[int, ...] | None]:
     """Unit test in Z_p[F]/(F^d - 1): unit iff unit mod p; the inverse is
     Newton-lifted (`polyarith.inv_mod`)."""
     try:
-        x = tuple(inv_mod(a, [-1] + [0] * (ring.d - 1) + [1], ring.p, ring.q))
+        x = tuple(inv_mod(a, ring.modulus, ring.p, ring.q))
     except ZeroDivisionError:
         return False, None
     assert ring.mul(a, x) == ring.one(), "unit inversion failed to converge"
@@ -92,8 +102,7 @@ def annihilator(ring: GroupRing, a) -> tuple[np.ndarray, int]:
 
     The strict kernel raises on a margin-ambiguous divisor, so its width is
     d - rank(M)."""
-    M = ring.mult_matrix(a) % ring.q
-    K = kernel_basis(M, ring.p, ring.N)
+    K = kernel_basis(ring.mult_matrix(a), ring.p, ring.N)
     return K, K.shape[1]
 
 

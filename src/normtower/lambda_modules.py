@@ -25,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .groupring import GroupRing, delta_of, omega_family, phi_plus_phi_inv, q_values
+from .groupring import GroupRing, cyclic_modulus, delta_of, omega_family, phi_plus_phi_inv, q_values
 from .padic import PrecisionExhausted
-from .polyarith import fold_cyclic, mul_vec, rem_monic
+from .polyarith import mul_vec, rem_monic
 from .snf import (
     MARGIN,
     as_matrix,
@@ -98,7 +98,8 @@ def grp_neg(f):
 
 def grp_mul(f, g):
     d = len(f[0])
-    return tuple(tuple(fold_cyclic(c, d)) for c in mul_vec(f, g, d))
+    m = cyclic_modulus(d)
+    return tuple(tuple(rem_monic(c, m)) for c in mul_vec(f, g, d))
 
 def grp_reduce(f, cap):
     """Remainder of f modulo a monic cap polynomial with scalar coefficients,
@@ -409,7 +410,7 @@ def _invariant_structure_at(lo: FlatModule, hi: FlatModule,
                             tolerant: bool) -> tuple[int, list[int]]:
     """(rank, torsion) of the image of ker(X on M/X^(W+1) M) in M/X^W M, for
     the flat models hi of M/X^(W+1) M and lo of M/X^W M."""
-    p, N, q = hi.p, hi.N, hi.q
+    p, N = hi.p, hi.N
     if hi.dim == 0:
         return 0, []
     # M/X^(W+1) M -> M/X^W M drops the top X-layer of each generator: the
@@ -417,7 +418,7 @@ def _invariant_structure_at(lo: FlatModule, hi: FlatModule,
     rows = [hi.offsets[i] + a * hi.caps_deg[i] + b for i in range(hi.pres.gens)
             for a in range(hi.pres.d) for b in range(lo.caps_deg[i])]
     # preimage of the relation span under X, inside the high model, taken to lo
-    stacked = stack_cols((hi.X % q), hi.relmat) if hi.relmat.size else (hi.X % q)
+    stacked = stack_cols(hi.X, hi.relmat) if hi.relmat.size else hi.X
     top = np.eye(hi.dim, stacked.shape[1], dtype=np.int64)[rows]
     K_lo = kernel_image(stacked, top, p, N, tolerant)
     if hi.relmat.size:

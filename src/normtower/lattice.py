@@ -159,13 +159,11 @@ def expected_plusminus_rank(p: int, d: int, n: int, sign: str,
                             trivial_chi: bool | None) -> int:
     """Closed-form Z_p-rank of the plus/minus subgroup's chi-component."""
     _, qp, qm = q_values(p, n)
-    if sign == "+":
-        per = {True: d * qp, False: d * qp}
-    else:
-        per = {True: d * (qm + 1), False: d * qm}
-    if trivial_chi is None:
-        return per[True] + (p - 2) * per[False] if p > 2 else per[True]
-    return per[trivial_chi]
+    if sign == "+":  # the same rank at every character
+        return d * qp * (p - 1 if trivial_chi is None else 1)
+    if trivial_chi is None:  # the trivial character and the p - 2 others
+        return d * (qm + 1) + (p - 2) * d * qm
+    return d * (qm + 1) if trivial_chi else d * qm
 
 
 def maximal_ideal_lattice(t: TowerDesc, n: int) -> Lattice:

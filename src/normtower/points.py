@@ -83,6 +83,13 @@ class RelationRecord:
     ok: bool
 
 
+def _relation_record(n: int, relation: str, diff: TowerElt) -> RelationRecord:
+    """The record of LHS + RHS = diff: its residual valuation against N - den."""
+    resid = diff.residual_valuation()
+    return RelationRecord(n=n, relation=relation, residual_valuation=resid,
+                          floor=diff.effective_prec, ok=resid >= diff.effective_prec)
+
+
 def verify_trace_relations(t: TowerDesc, n_max: int | None = None) -> list[RelationRecord]:
     """Check Tr_{n/n-1} log d_n = -log d_{n-2} (n >= 1) and
     Tr_{0/-1} log d_0 = -(phi + phi^-1) log d_-1, in log coordinates.
@@ -91,18 +98,9 @@ def verify_trace_relations(t: TowerDesc, n_max: int | None = None) -> list[Relat
     precision floor N - den it must meet.
     """
     n_max = t.n_max if n_max is None else n_max
-    out = []
-
-    log_d0 = point_log(t, 0)
-    lhs = log_d0.trace_to(-1)
+    lhs = point_log(t, 0).trace_to(-1)
     rhs = apply_phi_plus_phi_inv(point_log(t, -1))
-    diff = lhs + rhs
-    out.append(RelationRecord(
-        n=0, relation="Tr_{0/-1} log d_0 + (phi+phi^-1) log d_-1",
-        residual_valuation=diff.residual_valuation(),
-        floor=diff.effective_prec,
-        ok=diff.residual_valuation() >= diff.effective_prec,
-    ))
+    out = [_relation_record(0, "Tr_{0/-1} log d_0 + (phi+phi^-1) log d_-1", lhs + rhs)]
 
     for n in range(1, n_max + 1):
         dn = point_log(t, n)
@@ -110,13 +108,7 @@ def verify_trace_relations(t: TowerDesc, n_max: int | None = None) -> list[Relat
         lhs = dn.trace_to(n - 1)
         if lower.level < n - 1:
             lower = lower.embed(n - 1)
-        diff = lhs + lower
-        out.append(RelationRecord(
-            n=n, relation="Tr_{n/n-1} log d_n + log d_{n-2}",
-            residual_valuation=diff.residual_valuation(),
-            floor=diff.effective_prec,
-            ok=diff.residual_valuation() >= diff.effective_prec,
-        ))
+        out.append(_relation_record(n, "Tr_{n/n-1} log d_n + log d_{n-2}", lhs + lower))
     return out
 
 

@@ -1,6 +1,6 @@
 """Exact coefficient arithmetic: polynomial products over Z by Kronecker
-substitution, the reduction rules the rings of normtower need, one extended
-gcd over F_p, and the inverse of a unit of (Z/q)[x]/(m) for a monic m.
+substitution, the two reduction rules the rings of normtower need, one
+extended gcd over F_p, and the inverse of a unit of (Z/q)[x]/(m) for a monic m.
 
 A polynomial is a sequence of ints, lowest degree first. `mul` packs both
 factors in slots of W = 8s bits, wide enough for every product coefficient,
@@ -20,10 +20,13 @@ length-d coefficient vectors (elements of O_k, of Z[F]/(F^d - 1), ...): each
 vector is laid out in 2d - 1 slots, so the inner products cannot overlap,
 and the result holds the unreduced inner products. When one operand is
 nonzero only in rows f + k s, s > 1, just those rows are packed, against
-each class of the other mod s that holds a nonzero row. The callers then
-apply their ring's reduction rule: `rem_monic` (a monic modulus), `fold_cyclic`
-(x^d - 1), `fold` (a table of rewrites of high powers, such as the
-cyclotomic relation of the tower) and `truncate` (series precision).
+each class of the other mod s that holds a nonzero row.
+
+There are two reduction rules. Every ring is a quotient by a monic modulus
+and reduces by `rem_monic`: O_k by the minimal polynomial of zeta
+(`FieldDesc.modulus`), the tower level k_n by Phi_{p^(n+1)}
+(`TowerDesc.modulus`) and the group ring Z_p[F]/(F^d - 1) by F^d - 1
+(`GroupRing.modulus`). Series cut at their precision by `truncate`.
 
 `inv_mod` inverts a unit of (Z/q)[x]/(m), q a power of p: `xgcd_fp` gives
 the inverse mod p, and Newton steps x <- x(2 - a x) lift it, each doubling
@@ -167,26 +170,6 @@ def divmod_monic(a, m) -> tuple[list[int], list[int]]:
 def rem_monic(a, m) -> list[int]:
     """a mod the monic m over Z, with exactly deg(m) coefficients."""
     return divmod_monic(a, m)[1]
-
-
-def fold_cyclic(a, d: int) -> list[int]:
-    """a mod x^d - 1."""
-    out = truncate(a, d)
-    for i in range(d, len(a)):
-        out[i % d] += a[i]
-    return out
-
-
-def fold(a, n: int, rewrite) -> list[int]:
-    """a reduced below degree n, where rewrite(e) = ((i, c), ...) with i < n
-    expresses x^e = sum c x^i for every e >= n."""
-    out = truncate(a, n)
-    for e in range(n, len(a)):
-        c = a[e]
-        if c:
-            for i, s in rewrite(e):
-                out[i] += s * c
-    return out
 
 
 def truncate(a, n: int) -> list[int]:

@@ -278,7 +278,7 @@ def kernel_image(A, W, p: int, N: int, tolerant: bool = False) -> np.ndarray:
 def span_intersection(A: np.ndarray, B: np.ndarray, p: int, N: int) -> np.ndarray:
     """Columns spanning col-span(A) ∩ col-span(B): A x for the kernel vectors
     (x, y) of [A | -B] (strict margin rule), the kernel image under [A | 0]."""
-    return kernel_image(stack_cols(A, (-B) % p**N), stack_cols(A, np.zeros_like(B)), p, N)
+    return kernel_image(stack_cols(A, -B), stack_cols(A, np.zeros_like(B)), p, N)
 
 
 def span_contains_all(A, B, p: int, N: int) -> bool:
@@ -324,5 +324,4 @@ def stack_cols(*mats) -> np.ndarray:
     mats = [m for m in mats if m is not None and m.size]
     if not mats:
         raise ValueError("nothing to stack")
-    dt = object if any(m.dtype == object for m in mats) else np.int64
-    return np.hstack([m.astype(dt) for m in mats])
+    return np.hstack(mats)

@@ -2,8 +2,13 @@
 
 Level n is represented as O_k[eta]/Phi_{p^(n+1)}(eta) in the power basis
 1, eta, ..., eta^(L-1) with L = (p-1)p^n (L = 1 at level -1, where k_{-1} = k).
-The compatible root system is implicit: zeta_{p^j} at level n is eta^(p^(n+1-j)),
-so zeta_{p^(j+1)}^p = zeta_{p^j} holds exactly by exponent bookkeeping.
+The modulus of level n, `TowerDesc.modulus(n)`, is Phi_{p^(n+1)} =
+sum_{i<p} x^(i p^n), and x - 1 at level -1; a product is reduced by it with
+`polyarith.rem_monic`. The compatible root system is implicit: zeta_{p^j} at
+level n is eta^(p^(n+1-j)), so zeta_{p^(j+1)}^p = zeta_{p^j} holds exactly by
+exponent bookkeeping. The Galois action eta -> eta^u permutes the powers
+eta^e, e < p^(n+1), and rewrites those with e >= L in closed form:
+eta^e = -sum_{i<p-1} eta^(i p^n + e - L).
 
 A TowerElt carries a denominator exponent: it represents p^(-den) * (integral
 coords), with coords stored mod p^prec, so its effective precision is
@@ -20,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .padic import ZpContext, primitive_root
-from .polyarith import fold, mul_vec
+from .polyarith import mul_vec, rem_monic
 from .unramified import FieldDesc, build_unramified
 
 
@@ -58,29 +63,26 @@ class TowerDesc:
     # -- basis reduction -----------------------------------------------------
 
     @lru_cache(maxsize=None)
-    def _reduce_exp(self, n: int, e: int) -> tuple[tuple[int, int], ...]:
-        """eta^e as a signed sum of basis powers, via Phi_{p^(n+1)}(eta) = 0."""
-        L = self.level_dim(n)
-        if e < L:
-            return ((e, 1),)
-        # eta^(L + r) = - sum_{i=0..p-2} eta^(i p^n + r)
-        r = e - L
+    def modulus(self, n: int) -> tuple[int, ...]:
+        """The monic modulus of level n over O_k: Phi_{p^(n+1)} =
+        sum_{i<p} x^(i p^n), and x - 1 at level -1."""
+        if n == -1:
+            return (-1, 1)
         pn = self.p**n
-        acc: dict[int, int] = {}
-        for i in range(self.p - 1):
-            for idx, sgn in self._reduce_exp(n, i * pn + r):
-                acc[idx] = acc.get(idx, 0) - sgn
-        return tuple(sorted((k, v) for k, v in acc.items() if v))
+        return tuple(int(e % pn == 0) for e in range(self.level_dim(n) + 1))
 
     @lru_cache(maxsize=None)
     def _galois_table(self, n: int, u: int):
-        """Index scatter (dst, src, coeff) for eta^j -> eta^(j u mod p^(n+1))."""
+        """Index scatter (dst, src, coeff) for eta^j -> eta^(j u mod p^(n+1)).
+        For L <= e < p^(n+1), eta^e = -sum_{i<p-1} eta^(i p^n + e - L), each
+        exponent below L since e - L < p^n."""
         L = self.level_dim(n)
-        mod = self.p ** (n + 1) if n >= 0 else 1
+        mod, pn = (self.p ** (n + 1), self.p**n) if n >= 0 else (1, 1)
         dst, src, cf = [], [], []
         for j in range(L):
-            e = (j * u) % mod if n >= 0 else 0
-            for idx, sgn in self._reduce_exp(n, e):
+            e = j * u % mod
+            terms = [(e, 1)] if e < L else [(i * pn + e - L, -1) for i in range(self.p - 1)]
+            for idx, sgn in terms:
                 dst.append(idx)
                 src.append(j)
                 cf.append(sgn)
@@ -172,21 +174,20 @@ class TowerElt:
         assert self.level == other.level, "level mismatch"
         den = max(self.den, other.den)
         prec = min(self.prec + den - self.den, other.prec + den - other.den)
-        q = self.p**prec
-        a = (self.coords.astype(object) * self.p ** (den - self.den)) % q
-        b = (other.coords.astype(object) * self.p ** (den - other.den)) % q
+        a = self.coords.astype(object) * self.p ** (den - self.den)
+        b = other.coords.astype(object) * self.p ** (den - other.den)
         return a, b, den, prec
 
     def __add__(self, other: "TowerElt") -> "TowerElt":
         a, b, den, prec = self._aligned(other)
-        return TowerElt(self.tower, self.level, (a + b) % self.p**prec, den, prec)
+        return TowerElt(self.tower, self.level, a + b, den, prec)
 
     def __sub__(self, other: "TowerElt") -> "TowerElt":
         a, b, den, prec = self._aligned(other)
-        return TowerElt(self.tower, self.level, (a - b) % self.p**prec, den, prec)
+        return TowerElt(self.tower, self.level, a - b, den, prec)
 
     def __neg__(self) -> "TowerElt":
-        return replace(self, coords=(-self.coords) % self._qq())
+        return replace(self, coords=-self.coords)
 
     def __mul__(self, other: "TowerElt") -> "TowerElt":
         assert self.level == other.level
@@ -194,15 +195,14 @@ class TowerElt:
         t = self.tower
         prec = min(self.prec, other.prec)
         conv = mul_vec(self.coords.tolist(), other.coords.tolist(), t.d)
-        # eta-powers past the basis via Phi_{p^(n+1)}, one zeta-power at a time,
-        # then zeta-powers past the basis via zeta's modulus, one eta-power at a time
-        L = t.level_dim(n)
-        cols = [fold(c, L, lambda e: t._reduce_exp(n, e)) for c in zip(*conv)]
+        # eta-powers past the basis by Phi_{p^(n+1)}, one zeta-power at a time,
+        # then zeta-powers past the basis by zeta's modulus, one eta-power at a time
+        cols = [rem_monic(c, t.modulus(n)) for c in zip(*conv)]
         out = np.array([t.field.reduce(row, self.p**prec) for row in zip(*cols)], dtype=object)
         return TowerElt(t, n, out, self.den + other.den, prec)
 
     def scale_int(self, c: int) -> "TowerElt":
-        return replace(self, coords=(self.coords.astype(object) * c) % self._qq())
+        return replace(self, coords=self.coords.astype(object) * c)
 
     def scale_field(self, a) -> "TowerElt":
         """Multiply by an O_k scalar (coefficientwise field multiplication)."""
@@ -213,7 +213,7 @@ class TowerElt:
             row = tuple(int(x) for x in self.coords[i])
             if any(row):
                 out[i] = t.field.mul(a, row, q)
-        return replace(self, coords=out % q)
+        return replace(self, coords=out)
 
     def div_p(self, k: int = 1) -> "TowerElt":
         return replace(self, den=self.den + k)
@@ -223,7 +223,9 @@ class TowerElt:
         x = self
         while x.den > 0:
             if not x.coords.any():
-                return replace(x, den=0)  # zero at precision: den is moot
+                # p^-den times a zero known mod p^prec is known mod p^(prec - den)
+                k = min(x.den, x.prec)
+                return replace(x, den=x.den - k, prec=x.prec - k)
             if (x.coords % x.p == 0).all():
                 x = TowerElt(x.tower, x.level, x.coords // x.p, x.den - 1, x.prec - 1)
             else:
@@ -249,16 +251,15 @@ class TowerElt:
         n = self.level
         if n >= 0 and math.gcd(u, t.p) != 1:
             raise ValueError("Galois exponent must be a unit mod p")
-        q = self._qq()
         c = self.coords
         if f % t.d:
-            c = (c @ t.frob_matrix(f).T) % q
+            c = c @ t.frob_matrix(f).T
         if n == -1:
             return replace(self, coords=c)
         dst, src, cf = t._galois_table(n, u % t.p ** (n + 1))
         out = np.zeros_like(c, dtype=object)
         np.add.at(out, dst, cf[:, None] * c[src])
-        return replace(self, coords=out % q)
+        return replace(self, coords=out)
 
     # -- level moves ------------------------------------------------------------
 

@@ -12,8 +12,6 @@ from normtower.groupring import GroupRing, omega_family, poly_trim
 from normtower.lambda_modules import grp_mul, grp_reduce
 from normtower.polyarith import (
     divmod_monic,
-    fold,
-    fold_cyclic,
     inv_mod,
     mul,
     mul_vec,
@@ -319,18 +317,19 @@ def test_monic_reduction(a, low):
 
 @settings(deadline=None, max_examples=100)
 @given(polys, st.integers(1, 6))
-def test_cyclic_fold(a, d):
-    assert fold_cyclic(a, d) == ref_rem(a, [-1] + [0] * (d - 1) + [1])
+def test_group_ring_modulus_reduces_as_the_cyclic_fold(a, d):
+    ring = GroupRing(d, 3, 4)
+    assert list(ring.modulus) == [-1] + [0] * (d - 1) + [1]
+    folded = [0] * d
+    for i, c in enumerate(a):
+        folded[i % d] += c
+    assert rem_monic(a, ring.modulus) == folded
 
 
-@pytest.mark.parametrize("p,n", [(3, 0), (3, 2), (5, 1)])
-def test_fold_by_the_tower_rewrite_table_is_reduction_mod_phi(p, n):
-    t = build_tower(p, 1, n, 4)
-    L = t.level_dim(n)
-    rng = np.random.default_rng(p + n)
-    for _ in range(5):
-        a = [int(x) for x in rng.integers(-50, 50, size=2 * L - 1)]
-        assert fold(a, L, lambda e: t._reduce_exp(n, e)) == ref_rem(a, phi_coeffs(p, n))
+@pytest.mark.parametrize("p,n", [(3, -1), (3, 0), (3, 2), (5, 1), (7, 1)])
+def test_tower_modulus_is_phi(p, n):
+    t = build_tower(p, 1, max(n, 0), 4)
+    assert list(t.modulus(n)) == ([-1, 1] if n == -1 else phi_coeffs(p, n))
 
 
 def test_truncate_cuts_and_pads():

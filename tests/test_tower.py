@@ -1,8 +1,13 @@
+from functools import cache
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from normtower.padic import factorize, primitive_root
+from normtower.polyarith import mul_vec, truncate
 from normtower.tower import (
+    TowerElt,
     build_tower,
     check_g_iterate,
     tower_eta,
@@ -114,6 +119,14 @@ def test_denominator_tracking(tower_3_2):
     assert z.den == 0
 
 
+def test_canonical_zero_strips_only_the_digits_it_has(tower_3_2):
+    """p^-2 times a zero known mod p^6 is a zero known to 4 digits."""
+    z = tower_zero(tower_3_2, 1, prec=6).div_p(2).canonical()
+    assert (z.den, z.prec, z.effective_prec) == (0, 4, 4)
+    w = tower_zero(tower_3_2, 1, prec=3).div_p(5).canonical()
+    assert (w.den, w.prec, w.effective_prec) == (2, 0, -2)
+
+
 # The enumerations of Gal(k_n/k_m), the tame lift and the two primitive-root
 # searches that TowerDesc and padic.primitive_root replaced, kept verbatim
 # (names prefixed) as references. tests/test_lattice.py uses them too.
@@ -220,3 +233,140 @@ def test_embed_index_is_the_p_power_grid(tower_3_2):
             idx = t.embed_index(m, n)
             assert idx.tolist() == [j * t.p ** (n - m) for j in range(t.level_dim(m))]
             assert not idx.flags.writeable
+
+
+# The rewrite table and the fold that reduced tower products before
+# TowerDesc.modulus and polyarith.rem_monic, kept verbatim (names prefixed,
+# the table a function of the tower) as references.
+
+@cache
+def reference_reduce_exp(t, n: int, e: int) -> tuple[tuple[int, int], ...]:
+    """eta^e as a signed sum of basis powers, via Phi_{p^(n+1)}(eta) = 0."""
+    L = t.level_dim(n)
+    if e < L:
+        return ((e, 1),)
+    # eta^(L + r) = - sum_{i=0..p-2} eta^(i p^n + r)
+    r = e - L
+    pn = t.p**n
+    acc: dict[int, int] = {}
+    for i in range(t.p - 1):
+        for idx, sgn in reference_reduce_exp(t, n, i * pn + r):
+            acc[idx] = acc.get(idx, 0) - sgn
+    return tuple(sorted((k, v) for k, v in acc.items() if v))
+
+
+def reference_fold(a, n: int, rewrite) -> list[int]:
+    """a reduced below degree n, where rewrite(e) = ((i, c), ...) with i < n
+    expresses x^e = sum c x^i for every e >= n."""
+    out = truncate(a, n)
+    for e in range(n, len(a)):
+        c = a[e]
+        if c:
+            for i, s in rewrite(e):
+                out[i] += s * c
+    return out
+
+
+def reference_galois_table(t, n: int, u: int):
+    """Index scatter (dst, src, coeff) for eta^j -> eta^(j u mod p^(n+1))."""
+    L = t.level_dim(n)
+    mod = t.p ** (n + 1) if n >= 0 else 1
+    dst, src, cf = [], [], []
+    for j in range(L):
+        e = (j * u) % mod if n >= 0 else 0
+        for idx, sgn in reference_reduce_exp(t, n, e):
+            dst.append(idx)
+            src.append(j)
+            cf.append(sgn)
+    return dst, src, cf
+
+
+def reference_mul(x, y):
+    """TowerElt.__mul__ through the rewrite table."""
+    assert x.level == y.level
+    n = x.level
+    t = x.tower
+    prec = min(x.prec, y.prec)
+    conv = mul_vec(x.coords.tolist(), y.coords.tolist(), t.d)
+    # eta-powers past the basis via Phi_{p^(n+1)}, one zeta-power at a time,
+    # then zeta-powers past the basis via zeta's modulus, one eta-power at a time
+    L = t.level_dim(n)
+    cols = [reference_fold(c, L, lambda e: reference_reduce_exp(t, n, e)) for c in zip(*conv)]
+    out = np.array([t.field.reduce(row, x.p**prec) for row in zip(*cols)], dtype=object)
+    return TowerElt(t, n, out, x.den + y.den, prec)
+
+
+def _elements(t, n: int, rng):
+    """Dense, all-(q - 1), p-grid-sparse and zero elements of level n, at
+    several den and prec."""
+    L, q = t.level_dim(n), t.q
+    dense = rng.integers(0, 1 << 62, size=(L, t.d)).astype(object) % q
+    top = np.full((L, t.d), q - 1, dtype=object)
+    grid = dense.copy()
+    grid[np.arange(L) % t.p != 0] = 0
+    zero = np.zeros((L, t.d), dtype=object)
+    return [TowerElt(t, n, dense), TowerElt(t, n, top, 1, t.N - 1),
+            TowerElt(t, n, grid, 2), TowerElt(t, n, zero)]
+
+
+@cache
+def _tower(p: int, d: int, n_max: int):
+    return build_tower(p, d, n_max, 6 if p == 3 else 4)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_mul_matches_the_rewrite_table(p, d):
+    t = _tower(p, d, 3)
+    rng = np.random.default_rng(10 * p + d)
+    for n in range(-1, 4):
+        xs = _elements(t, n, rng)
+        for x in xs:
+            for y in xs:
+                got, expect = x * y, reference_mul(x, y)
+                assert (got.den, got.prec) == (expect.den, expect.prec)
+                assert got.coords.tolist() == expect.coords.tolist()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_galois_table_matches_the_rewrite_table(p):
+    t = _tower(p, 1, 2)
+    for n in range(-1, 3):
+        for u in t.galois_units(n, -1):
+            table = [a.tolist() for a in t._galois_table(n, u)]
+            assert table == list(reference_galois_table(t, n, u))
+
+
+TOWERS = [(3, 1, 2), (3, 2, 2), (5, 2, 1)]
+
+
+def _draw_elt(data, t, n: int) -> TowerElt:
+    den = data.draw(st.integers(0, 3))
+    prec = data.draw(st.integers(1, t.N))
+    big = st.integers(-(t.p ** (2 * t.N)), t.p ** (2 * t.N))
+    coords = [[data.draw(st.one_of(big, st.just(0))) for _ in range(t.d)]
+              for _ in range(t.level_dim(n))]
+    return TowerElt(t, n, np.array(coords, dtype=object), den, prec)
+
+
+def _assert_reduced(x: TowerElt):
+    assert x.coords.dtype == object
+    assert all(type(c) is int and 0 <= c < x.p**x.prec for c in x.coords.ravel())
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_every_operation_returns_reduced_object_coordinates(data):
+    p, d, n_max = data.draw(st.sampled_from(TOWERS))
+    t = _tower(p, d, n_max)
+    n = data.draw(st.integers(-1, n_max))
+    x, y = _draw_elt(data, t, n), _draw_elt(data, t, n)
+    c = data.draw(st.integers(-(p**10), p**10))
+    a = tuple(data.draw(st.integers(0, t.q - 1)) for _ in range(d))
+    u = data.draw(st.sampled_from(t.galois_units(n, -1)))
+    f = data.draw(st.integers(1, 2 * d)) * data.draw(st.sampled_from([1, -1]))
+    m_up = data.draw(st.integers(n, n_max))
+    m_down = data.draw(st.integers(-1, n))
+    for z in (x, x + y, x - y, -x, x * y, x.scale_int(c), x.scale_field(a),
+              x.galois(u, f), x.embed(m_up), x.trace_to(m_down), x.canonical()):
+        _assert_reduced(z)
