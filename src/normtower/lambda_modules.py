@@ -7,7 +7,9 @@ computation is flattened to a Z_p-matrix and run through Smith normal form.
 Flattening requires a pure monic-in-X cap relation per generator (natively,
 through an omega-coinvariant quotient, or an internal X^W truncation); the
 X-action on the capped ambient is then exact and relation submodules are
-closed off under it.
+closed off under it. X and the Frobenius F act on the flat basis as index
+maps, O(dim) per column: X shifts each (generator, F-power) block up one
+X-degree and folds its top coordinate back by the cap, and F rotates blocks.
 
 Invariants of the X-kernel use X-power truncations: the image of
 ker(X on M/X^(W+1) M) inside M/X^W M equals the image of ker(X on M) once W
@@ -227,7 +229,6 @@ class FlatModule:
     caps_deg: list[int]
     dim: int
     X: np.ndarray
-    F: np.ndarray
     relmat: np.ndarray       # canonical generating set of the relation span
 
     @property
@@ -241,84 +242,71 @@ class FlatModule:
 
 def _flatten_vector(fm: FlatModule, rel) -> np.ndarray:
     """One relation vector reduced mod caps and laid out on the flat basis."""
-    pres = fm.pres
-    d = pres.d
-    caps = pres.cap_map()
+    caps, d = fm.pres.cap_map(), fm.pres.d
     out = np.zeros(fm.dim, dtype=object)
     for i, poly in enumerate(rel):
-        B = fm.caps_deg[i]
-        if B == 0:
-            continue
-        red = grp_reduce(poly, caps[i])
-        for b in range(min(len(red), B)):
-            coeff = red[b]
-            for a in range(d):
-                if coeff[a]:
-                    out[fm.offsets[i] + a * B + b] += coeff[a]
+        o, B = fm.offsets[i], fm.caps_deg[i]
+        if B:  # the remainder mod the cap has exactly B coefficients
+            red = grp_reduce(poly, caps[i])
+            out[o:o + d * B] = [c[a] for a in range(d) for c in red]
     return out % fm.q
 
 
 def flatten(pres: Presentation, N: int) -> FlatModule:
-    """Build the capped ambient with its X / F matrices and the relation span
-    (closed under the ring action; closure is certified by a no-growth check)."""
-    d = pres.d
-    p = pres.p
-    q = p**N
+    """Build the capped ambient with its X matrix and the relation span
+    (closed under the ring action; closure is certified by a no-growth check).
+
+    X and F act on the flat basis (i, a, b) as index maps, each O(dim) per
+    column: X sends (i, a, b) to (i, a, b + 1) below the cap degree B_i and
+    folds (i, a, B_i - 1) back by the cap, and F rotates the F-powers a."""
+    d, p, q = pres.d, pres.p, pres.p**N
     caps = pres.cap_map()
     missing = [i for i in range(pres.gens) if i not in caps]
     if missing:
         raise NotZpFinite(f"generators {missing} carry no monic-in-X cap relation")
     caps_deg = [grp_deg(caps[i]) for i in range(pres.gens)]
-    offsets = []
-    dim = 0
-    for i in range(pres.gens):
-        offsets.append(dim)
-        dim += d * caps_deg[i]
-    X = np.zeros((dim, dim), dtype=object)
-    F = np.zeros((dim, dim), dtype=object)
-    for i in range(pres.gens):
-        B = caps_deg[i]
-        cap = caps[i]
+    offsets = [d * sum(caps_deg[:i]) for i in range(pres.gens)]
+    dim = d * sum(caps_deg)
+    # row k of X M is row below[k] of M (the zero row dim at degree 0) minus
+    # fold[k] times row top[k], the block's degree B - 1 row; row k of F M is
+    # row perm[k] of M, the same (i, b) at F-power a - 1, and F^e M is M[rot[:, e]]
+    below, top, fold, perm = [], [], [], []
+    for i, B in enumerate(caps_deg):
         for a in range(d):
-            base = offsets[i] + a * B
-            F_target = offsets[i] + ((a + 1) % d) * B
-            for b in range(B):
-                F[F_target + b, base + b] = 1
-                if b + 1 < B:
-                    X[base + b + 1, base + b] = 1
-                else:
-                    # X * X^(B-1) g_i = -sum cap[k] X^k g_i (scalar cap coeffs)
-                    for k in range(B):
-                        c = cap[k][0]
-                        if c:
-                            X[base + k, base + B - 1] -= c
-    X %= q
-    F %= q
-    fm = FlatModule(pres=pres, N=N, offsets=offsets, caps_deg=caps_deg,
-                    dim=dim, X=X, F=F, relmat=np.zeros((dim, 0), dtype=object))
+            base, prev = offsets[i] + a * B, offsets[i] + (a - 1) % d * B
+            below += [base + b - 1 if b else dim for b in range(B)]
+            top += [base + B - 1] * B
+            fold += [caps[i][b][0] % q for b in range(B)]
+            perm += range(prev, prev + B)
+    below, top, perm = (np.array(ix, dtype=np.intp) for ix in (below, top, perm))
+    fold = np.array(fold, dtype=object).reshape(-1, 1)
+    rot = [np.arange(dim)]
+    for _ in range(d - 1):
+        rot.append(rot[-1][perm])
+    rot = np.stack(rot, axis=1)
+
+    def x_map(M: np.ndarray) -> np.ndarray:
+        M_ext = np.vstack((M, np.zeros((1, M.shape[1]), dtype=M.dtype)))
+        return (M_ext[below] - fold * M[top]) % q
+
+    fm = FlatModule(pres=pres, N=N, offsets=offsets, caps_deg=caps_deg, dim=dim,
+                    X=x_map(np.eye(dim, dtype=object)),
+                    relmat=np.zeros((dim, 0), dtype=object))
     if dim == 0:
         return fm
-    base_cols = [_flatten_vector(fm, rel) for rel in pres.rels]
-    base_cols = [c for c in base_cols if c.any()]
+    base_cols = [c for c in (_flatten_vector(fm, rel) for rel in pres.rels) if c.any()]
     if not base_cols:
         return fm
     # X-translates up to the minimal-polynomial bound of the block-diagonal
-    # X-action (sum of distinct cap degrees), F-translates over the full cycle
+    # X-action (sum of distinct cap degrees), F-translates over the full cycle;
+    # the columns run over the vectors, and for each vector over its F-powers
     b_max = sum({tuple(map(tuple, caps[i])): caps_deg[i]
                  for i in range(pres.gens) if caps_deg[i] > 0}.values()) + 1
-    cols = []
-    cur = [np.array(c, dtype=object) for c in base_cols]
+    cur, blocks = np.array(base_cols, dtype=object).T, []
     for _ in range(b_max):
-        nxt = []
-        for v in cur:
-            w = v
-            for a in range(d):
-                cols.append(w)
-                if a + 1 < d:
-                    w = (F @ w) % q
-            nxt.append((X @ v) % q)
-        cur = nxt
-    W = as_matrix(np.array(cols, dtype=object).T, q)
+        blocks.append(cur[rot].transpose(0, 2, 1).reshape(dim, -1))
+        cur = x_map(cur)
+    W = as_matrix(np.hstack(blocks), q)
     # a small generating set of the same span: the columns of W V with a
     # divisor below N (U W V = diag(p^e), V unimodular); their divisors are
     # the finite divisors of W
@@ -326,7 +314,7 @@ def flatten(pres: Presentation, N: int) -> FlatModule:
     finite = [e for e in res.divisors if e < N]
     Wc = (W @ res.V[:, :len(finite)]) % q
     # closure certificate: one more X- and F-batch must not grow the span
-    grown = stack_cols(Wc, (X @ Wc) % q, (F @ Wc) % q)
+    grown = stack_cols(Wc, x_map(Wc), Wc[perm])
     if finite != [e for e in smith_divisors(grown, p, N).divisors if e < N]:
         raise ArithmeticError("relation span not closed within the translate bound")
     fm.relmat = Wc

@@ -6,14 +6,15 @@ A polynomial is a sequence of ints, lowest degree first. `mul` packs both
 factors in slots of W = 8s bits, wide enough for every product coefficient,
 and reads the product's coefficients back out of the slots. Packing and
 unpacking go through int.to_bytes / int.from_bytes in linear time. A factor
-is packed with every slot biased by half its range and the biases are taken
-off as one integer; the product's slots are read back as balanced digits.
+is packed as one two's-complement integer, each slot taking the borrow of
+the slot below; the product's slots are read back as balanced digits.
 The longer factor is cut into blocks as long as the shorter one, which
 bounds the transient big ints. Each block is one big-int product below a
-packed shorter factor of _MULTIPOINT_BYTES (the measured crossover), and
-from there on five products of a quarter of the size, by evaluation at four
-points (Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", J. Symb. Comput. 2009; see `mul`).
+packed shorter factor of _MULTIPOINT_BYTES (the measured crossover) or of
+fewer than _MULTIPOINT_COEFFS coefficients, and otherwise five products of a
+quarter of the size, by evaluation at four points (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", J. Symb.
+Comput. 2009; see `mul`).
 
 `mul_vec` multiplies polynomials whose coefficients are themselves
 length-d coefficient vectors (elements of O_k, of Z[F]/(F^d - 1), ...): each
@@ -39,14 +40,22 @@ from __future__ import annotations
 from math import gcd
 
 _MULTIPOINT_BYTES = 2048  # the shorter factor's packed size from which mul evaluates at four points
+_MULTIPOINT_COEFFS = 6  # and its coefficient count: below it the classes hold one or two each
 
 
-def _pack(a, s: int, half: int) -> int:
-    """sum a_i 2^(8 s i), for |a_i| < half = 2^(8s-1): each slot is packed
-    biased by half, and the biases are taken off again as one integer."""
-    raw = b"".join((x + half).to_bytes(s, "little") for x in a)
-    bias = int.from_bytes((b"\x00" * (s - 1) + b"\x80") * len(a), "little")
-    return int.from_bytes(raw, "little") - bias
+def _pack(a, s: int) -> int:
+    """sum a_i 2^(8 s i), for |a_i| < 2^(8s-1), read as one two's-complement
+    integer: each slot holds a_i less the borrow of the slot below it, which
+    is one when that slot went negative, so no bias is taken off and at most
+    two values of the packed size are live at once."""
+    slots, borrow = [], 0
+    for x in a:
+        x -= borrow
+        borrow = x < 0
+        slots.append(x.to_bytes(s, "little", signed=True))
+    raw = b"".join(slots)
+    del slots
+    return int.from_bytes(raw, "little", signed=True)
 
 
 def _unpack(x: int, out, slots: range, s: int, half: int) -> None:
@@ -59,10 +68,10 @@ def _unpack(x: int, out, slots: range, s: int, half: int) -> None:
         out[i] += c - base if borrow else c
 
 
-def _evaluate(a, s: int, half: int) -> tuple[int, int, int, int]:
+def _evaluate(a, s: int) -> tuple[int, int, int, int]:
     """A(y), A(-y) and the real and imaginary parts of A(iy), y = 2^(2s), from
     the terms y^r P_r(y^4), the class P_r = a[r::4] packed at y^4 = 2^(8s)."""
-    p0, p1, p2, p3 = (_pack(a[r::4], s, half) << 2 * s * r for r in range(4))
+    p0, p1, p2, p3 = (_pack(a[r::4], s) << 2 * s * r for r in range(4))
     return p0 + p1 + p2 + p3, p0 - p1 + p2 - p3, p0 - p2, p1 - p3
 
 
@@ -94,16 +103,17 @@ def mul(a, b) -> list[int]:
     if not bound:
         return out
     s = (bound.bit_length() + 8) // 8  # bytes per slot, so that bound < 2^(8s-1)
-    half, multipoint = 1 << (8 * s - 1), s * n >= _MULTIPOINT_BYTES
-    packed_b = _evaluate(b, s, half) if multipoint else _pack(b, s, half)
+    half = 1 << (8 * s - 1)
+    multipoint = s * n >= _MULTIPOINT_BYTES and n >= _MULTIPOINT_COEFFS
+    packed_b = _evaluate(b, s) if multipoint else _pack(b, s)
     for j in range(0, len(a), n):
         block = a[j:j + n]
         slots = range(j, j + len(block) + n - 1)
         if multipoint:
-            for r, h in enumerate(_classes(*_evaluate(block, s, half), *packed_b, 2 * s)):
+            for r, h in enumerate(_classes(*_evaluate(block, s), *packed_b, 2 * s)):
                 _unpack(h, out, slots[r::4], s, half)
         else:
-            _unpack(_pack(block, s, half) * packed_b, out, slots, s, half)
+            _unpack(_pack(block, s) * packed_b, out, slots, s, half)
     return out
 
 

@@ -17,6 +17,10 @@
 - The modules below the lattices (BELOW_SNF) import nothing from snf, not
   even inside a function: their arithmetic is polynomial arithmetic, and the
   Smith normal form belongs to the lattice and module layers above them.
+- No `@` (or dot, matmul) product in lambda_modules takes a flat X or F (a
+  name or an attribute called X or F, subscripted or not) as an operand:
+  flatten applies them as index maps, O(dim) per column, not as dense
+  matrices.
 
 Each allowlist only shrinks: a listed name that becomes read fails until it
 leaves the list.
@@ -232,3 +236,45 @@ def test_detects_an_snf_import():
         "f.py": "from normtower.snf import _dtype_for\n",
     }
     assert snf_importers(sources) == ["a.py", "b.py", "c.py", "e.py", "f.py"]
+
+
+def flat_action_products(source: str) -> list[int]:
+    """The lines of the `@`, `@=`, dot and matmul products with an operand
+    named X or F, or an attribute X or F, subscripted or not."""
+    def is_action(node) -> bool:
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return (isinstance(node, ast.Name) and node.id in ("X", "F")
+                or isinstance(node, ast.Attribute) and node.attr in ("X", "F"))
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
+            operands = (node.target, node.value)
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) in ("dot", "matmul"):
+            operands = [*node.args, getattr(node.func, "value", None)]
+        else:
+            continue
+        if any(map(is_action, operands)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_lambda_modules_takes_no_dense_product_with_x_or_f():
+    assert flat_action_products(SOURCES["lambda_modules.py"]) == []
+
+
+def test_detects_a_dense_product_with_x_or_f():
+    src = ("w = (F @ w) % q\n"
+           "v = X @ v\n"
+           "y = fm.X @ Wc\n"
+           "z = hi.F[rows] @ v\n"
+           "Wc = W @ res.V[:, :r]\n"
+           "u = A @ X_lo + M[perm]\n"
+           "M @= X\n"
+           "k = np.dot(X, v) + np.matmul(v, fm.F) + np.add(X, v)\n"
+           "j = M.dot(v) + hi.X.dot(v)\n")
+    assert flat_action_products(src) == [1, 2, 3, 4, 7, 8, 8, 9]

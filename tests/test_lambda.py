@@ -1,8 +1,10 @@
 import random
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_acceptance import _hand_modules
 from test_groupring import reference_omega_family
 
@@ -26,6 +28,8 @@ from normtower.lambda_modules import (
     grp_X,
     grp_deg,
     grp_from_intpoly,
+    grp_mul,
+    grp_reduce,
     invariant_structure,
     kernel_freeness_property,
     module_report,
@@ -43,6 +47,7 @@ from normtower.snf import (
     kernel_basis,
     quotient_invariants,
     smith_divisors,
+    smith_normal_form,
     stack_cols,
 )
 
@@ -433,3 +438,188 @@ def test_kernel_readers_match_reference_on_hand_and_harness_modules(Nx):
                 for _ in range(3)]
     for pres in modules:
         _assert_readers_match_reference(pres, Nx)
+
+
+# ---------------------------------------------------------------------------
+# differential test: flatten applying X and F as index maps, against the
+# dense object-matrix products it replaced (verbatim copies, with the module
+# type and the relation layout it used)
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ReferenceFlatModule:
+    pres: Presentation
+    N: int
+    offsets: list[int]       # per generator; basis (i, a, b) -> offsets[i] + a*B_i + b
+    caps_deg: list[int]
+    dim: int
+    X: np.ndarray
+    F: np.ndarray
+    relmat: np.ndarray       # canonical generating set of the relation span
+
+    @property
+    def p(self) -> int:
+        return self.pres.p
+
+    @property
+    def q(self) -> int:
+        return self.p**self.N
+
+
+def reference_flatten_vector(fm: ReferenceFlatModule, rel) -> np.ndarray:
+    """One relation vector reduced mod caps and laid out on the flat basis."""
+    pres = fm.pres
+    d = pres.d
+    caps = pres.cap_map()
+    out = np.zeros(fm.dim, dtype=object)
+    for i, poly in enumerate(rel):
+        B = fm.caps_deg[i]
+        if B == 0:
+            continue
+        red = grp_reduce(poly, caps[i])
+        for b in range(min(len(red), B)):
+            coeff = red[b]
+            for a in range(d):
+                if coeff[a]:
+                    out[fm.offsets[i] + a * B + b] += coeff[a]
+    return out % fm.q
+
+
+def reference_flatten(pres: Presentation, N: int) -> ReferenceFlatModule:
+    """Build the capped ambient with its X / F matrices and the relation span
+    (closed under the ring action; closure is certified by a no-growth check)."""
+    d = pres.d
+    p = pres.p
+    q = p**N
+    caps = pres.cap_map()
+    missing = [i for i in range(pres.gens) if i not in caps]
+    if missing:
+        raise NotZpFinite(f"generators {missing} carry no monic-in-X cap relation")
+    caps_deg = [grp_deg(caps[i]) for i in range(pres.gens)]
+    offsets = []
+    dim = 0
+    for i in range(pres.gens):
+        offsets.append(dim)
+        dim += d * caps_deg[i]
+    X = np.zeros((dim, dim), dtype=object)
+    F = np.zeros((dim, dim), dtype=object)
+    for i in range(pres.gens):
+        B = caps_deg[i]
+        cap = caps[i]
+        for a in range(d):
+            base = offsets[i] + a * B
+            F_target = offsets[i] + ((a + 1) % d) * B
+            for b in range(B):
+                F[F_target + b, base + b] = 1
+                if b + 1 < B:
+                    X[base + b + 1, base + b] = 1
+                else:
+                    # X * X^(B-1) g_i = -sum cap[k] X^k g_i (scalar cap coeffs)
+                    for k in range(B):
+                        c = cap[k][0]
+                        if c:
+                            X[base + k, base + B - 1] -= c
+    X %= q
+    F %= q
+    fm = ReferenceFlatModule(pres=pres, N=N, offsets=offsets, caps_deg=caps_deg,
+                             dim=dim, X=X, F=F, relmat=np.zeros((dim, 0), dtype=object))
+    if dim == 0:
+        return fm
+    base_cols = [reference_flatten_vector(fm, rel) for rel in pres.rels]
+    base_cols = [c for c in base_cols if c.any()]
+    if not base_cols:
+        return fm
+    # X-translates up to the minimal-polynomial bound of the block-diagonal
+    # X-action (sum of distinct cap degrees), F-translates over the full cycle
+    b_max = sum({tuple(map(tuple, caps[i])): caps_deg[i]
+                 for i in range(pres.gens) if caps_deg[i] > 0}.values()) + 1
+    cols = []
+    cur = [np.array(c, dtype=object) for c in base_cols]
+    for _ in range(b_max):
+        nxt = []
+        for v in cur:
+            w = v
+            for a in range(d):
+                cols.append(w)
+                if a + 1 < d:
+                    w = (F @ w) % q
+            nxt.append((X @ v) % q)
+        cur = nxt
+    W = as_matrix(np.array(cols, dtype=object).T, q)
+    # a small generating set of the same span: the columns of W V with a
+    # divisor below N (U W V = diag(p^e), V unimodular); their divisors are
+    # the finite divisors of W
+    res = smith_normal_form(W, p, N)
+    finite = [e for e in res.divisors if e < N]
+    Wc = (W @ res.V[:, :len(finite)]) % q
+    # closure certificate: one more X- and F-batch must not grow the span
+    grown = stack_cols(Wc, (X @ Wc) % q, (F @ Wc) % q)
+    if finite != [e for e in smith_divisors(grown, p, N).divisors if e < N]:
+        raise ArithmeticError("relation span not closed within the translate bound")
+    fm.relmat = Wc
+    return fm
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def _assert_flatten_matches_reference(pres: Presentation, N: int):
+    try:
+        want = reference_flatten(pres, N)
+    except (NotZpFinite, ArithmeticError) as e:
+        with pytest.raises(type(e)):
+            flatten(pres, N)
+        return
+    got = flatten(pres, N)
+    assert (got.dim, got.offsets, got.caps_deg) == (want.dim, want.offsets, want.caps_deg)
+    assert _same_array(got.X, want.X)
+    assert _same_array(got.relmat, want.relmat)
+    assert all(type(x) is int for x in got.X.flat)
+
+
+def _scalar_poly(coeffs, d):
+    return tuple((int(c),) + (0,) * (d - 1) for c in coeffs)
+
+
+@st.composite
+def capped_presentations(draw):
+    """Random presentations with several generators, each capped by a monic
+    scalar polynomial of degree 0, 1 or more (coefficients possibly past q),
+    and relations with group-ring coefficients, some of them multiples of a
+    cap, which vanish once reduced."""
+    p = draw(st.sampled_from([3, 5]))
+    d = draw(st.sampled_from([1, 2, 4]))
+    gens = draw(st.integers(1, 3))
+    coeff = st.integers(-p**3, p**3) | st.sampled_from([0, 0, p, -p**9])
+    caps = []
+    for _ in range(gens):
+        B = draw(st.sampled_from([0, 1, 1, 2, 3]))
+        caps.append(_scalar_poly(draw(st.lists(coeff, min_size=B, max_size=B)) + [1], d))
+    grp_poly = st.lists(st.tuples(*[coeff] * d), min_size=1, max_size=4)
+    rels = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = tuple(draw(grp_poly) for _ in range(gens))
+        if draw(st.sampled_from([False, False, True])):  # zero on the flat basis
+            row = tuple(grp_mul(f, caps[i]) for i, f in enumerate(row))
+        rels.append(row)
+    return Presentation(p=p, d=d, gens=gens, rels=tuple(rels),
+                        caps=tuple(enumerate(caps))), draw(st.sampled_from([2, 5, 8, 20]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(capped_presentations())
+def test_flatten_matches_reference_on_random_presentations(case):
+    _assert_flatten_matches_reference(*case)
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (3, 4), (5, 1), (5, 2), (5, 4)])
+def test_flatten_matches_reference_on_shipped_presentations(p, d):
+    for n in (0, 1, 2):
+        for trivial in (True, False):
+            for present in (present_plus, present_minus):
+                pres = present(p, d, n, trivial)
+                for Nx in (3, N):
+                    _assert_flatten_matches_reference(x_truncated(pres, n + 3), Nx)
+                    _assert_flatten_matches_reference(coinvariants(pres, max(n - 1, 0)), Nx)
+                    _assert_flatten_matches_reference(pres, Nx)

@@ -2,6 +2,7 @@
 it against schoolbook references kept in this file."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,9 +103,16 @@ def test_mul_blocked_path_for_unequal_lengths(a, b):
     assert mul(b, a) == ref_mul(a, b)
 
 
+def _reference_pack(a, s: int, half: int) -> int:
+    """A verbatim copy of _pack as it was when every slot was biased by half."""
+    raw = b"".join((x + half).to_bytes(s, "little") for x in a)
+    bias = int.from_bytes((b"\x00" * (s - 1) + b"\x80") * len(a), "little")
+    return int.from_bytes(raw, "little") - bias
+
+
 def _reference_mul(a, b) -> list[int]:
     """A verbatim copy of mul as it was when every block was one big-int product."""
-    _pack = polyarith._pack
+    _pack = _reference_pack
     if not a or not b:
         return []
     if len(a) < len(b):
@@ -131,11 +139,38 @@ def _reference_mul(a, b) -> list[int]:
     return out
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 40), st.data())
+def test_pack_matches_the_biased_pack(s, data):
+    """Two's complement with a borrow per slot packs the same integer as
+    biasing every slot by half: all signs, and slots at +-(half - 1)."""
+    half = 1 << (8 * s - 1)
+    edge = st.sampled_from([0, 1, -1, half - 1, 1 - half])
+    a = data.draw(st.lists(st.integers(1 - half, half - 1) | edge, max_size=30))
+    assert polyarith._pack(a, s) == _reference_pack(a, s, half)
+
+
+def test_pack_holds_at_most_two_packed_sizes():
+    """61 coefficients of 3263 bits, as the shipped compositions pack: the
+    biased pack peaked at 4.2 times the packed size."""
+    rng = random.Random(61)
+    a = [rng.randint(-(2**3263), 2**3263) for _ in range(61)]
+    s = 817
+    tracemalloc.start()
+    try:
+        packed = polyarith._pack(a, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert packed == _reference_pack(a, s, 1 << (8 * s - 1))
+    assert peak < 2.5 * s * len(a)
+
+
 def _spy_evaluate(monkeypatch):
     """The lengths of the factors and blocks that mul evaluates at four points."""
     lengths, real = [], polyarith._evaluate
     monkeypatch.setattr(polyarith, "_evaluate",
-                        lambda a, s, half: lengths.append(len(a)) or real(a, s, half))
+                        lambda a, s: lengths.append(len(a)) or real(a, s))
     return lengths
 
 
@@ -161,6 +196,7 @@ def test_multipoint_matches_one_product_per_block(bits, data):
     a, b = classed_poly(data, na, bits), classed_poly(data, nb, bits)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polyarith, "_MULTIPOINT_BYTES", 0)
+        mp.setattr(polyarith, "_MULTIPOINT_COEFFS", 0)
         got, swapped = mul(a, b), mul(b, a)
     assert got == swapped == _reference_mul(a, b)
 
@@ -170,6 +206,7 @@ def test_multipoint_at_the_slot_boundary(monkeypatch):
     of both signs when the factors alternate; the edge cases of the single
     product too."""
     monkeypatch.setattr(polyarith, "_MULTIPOINT_BYTES", 0)
+    monkeypatch.setattr(polyarith, "_MULTIPOINT_COEFFS", 0)
     for n in range(1, 30):
         for sign in (1, -1):
             a, b = [31 * sign**i for i in range(n)], [151 * sign**i for i in range(7)]
@@ -212,6 +249,24 @@ def test_mul_on_each_side_of_the_crossover(side, monkeypatch):
     lengths = _spy_evaluate(monkeypatch)
     assert mul(a, b) == _reference_mul(a, b) == ref_mul(a, b)
     assert lengths == ([16, 16] if side == 0 else [])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("kb", [2, 8])
+def test_short_factors_take_one_product_past_the_crossover(n, kb, monkeypatch):
+    """A shorter factor of 4 or 5 coefficients, whose classes mod 4 hold one
+    or two of them, is one product past the byte crossover, where the
+    four-point path was slower (for 5, from 2 to 4 KB); one of 6 is
+    evaluated at four points."""
+    rng = random.Random(n * kb)
+    bits = 4 * kb * 1024 // n
+    a = [rng.randint(-(2**bits), 2**bits) for _ in range(3 * n)]
+    b = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
+    s = (max(map(abs, a)) * max(map(abs, b)) * n).bit_length() // 8 + 1
+    assert s * n >= kb * 1024 >= polyarith._MULTIPOINT_BYTES
+    lengths = _spy_evaluate(monkeypatch)
+    assert mul(a, b) == _reference_mul(a, b)
+    assert lengths == ([n] * 4 if n == 6 else [])
 
 
 @settings(deadline=None, max_examples=100)
@@ -445,6 +500,34 @@ def test_series_mul(p, d, data):
     got = a * b
     assert got.coeffs == tuple(expect)
     assert (got.den, got.prec) == (3, min(pa, pb))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 4]), st.data())
+def test_strided_series_product_matches_reducing_every_row(stride, data):
+    """At d = 2, series nonzero only in degrees f + k stride (the curve log
+    and exp live in degrees 1 mod 4) multiply to rows that are zero off a
+    stride: reduce sees only the nonzero rows, and the product is
+    bit-identical to reducing every row."""
+    fd, prec = build_unramified(3, 2, 20), data.draw(st.integers(1, 20))
+    q = 3**prec
+
+    def strided():
+        f, deg = data.draw(st.integers(0, stride - 1)), data.draw(st.integers(0, 40))
+        return TruncSeries(fd, tuple(coords(data, 2, q) if i % stride == f else fd.zero()
+                                     for i in range(deg + 1)), 0, prec)
+
+    a, b = strided(), strided()
+    deg = min(a.deg, b.deg)
+    rows = mul_vec(a.coeffs[:deg + 1], b.coeffs[:deg + 1], 2)[:deg + 1]
+    expect = tuple(fd.reduce(c, q) for c in rows)
+    reduced, real = [], unramified.FieldDesc.reduce
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unramified.FieldDesc, "reduce",
+                   lambda self, c, q=None: reduced.append(c) or real(self, c, q))
+        got = a * b
+    assert got.coeffs == expect
+    assert reduced == [c for c in rows if any(c)]
 
 
 @pytest.mark.parametrize("p,d", FIELDS)
