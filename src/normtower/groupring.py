@@ -24,12 +24,6 @@ from .snf import kernel_basis, span_contains_all
 # group ring
 # ---------------------------------------------------------------------------
 
-@cache
-def cyclic_modulus(d: int) -> tuple[int, ...]:
-    """F^d - 1, lowest degree first."""
-    return (-1,) + (0,) * (d - 1) + (1,)
-
-
 @dataclass(frozen=True)
 class GroupRing:
     d: int
@@ -42,7 +36,8 @@ class GroupRing:
 
     @property
     def modulus(self) -> tuple[int, ...]:
-        return cyclic_modulus(self.d)
+        """F^d - 1, lowest degree first."""
+        return (-1,) + (0,) * (self.d - 1) + (1,)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.d

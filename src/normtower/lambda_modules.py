@@ -4,7 +4,10 @@ finite-submodule predicates.
 
 Presentations carry exact integer data; precision enters only when a
 computation is flattened to a Z_p-matrix and run through Smith normal form.
-Flattening requires a pure monic-in-X cap relation per generator (natively,
+A polynomial over the group ring Z[F]/(F^d - 1) is stored F-major, as the
+d-tuple of its F-components, each an integer polynomial in X: the order of
+the flat basis (generator, F-power, X-degree). A cap is a monic integer
+polynomial. Flattening requires such a cap per generator (natively,
 through an omega-coinvariant quotient, or an internal X^W truncation); the
 X-action on the capped ambient is then exact and relation submodules are
 closed off under it. X and the Frobenius F act on the flat basis as index
@@ -24,12 +27,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 
 import numpy as np
 
-from .groupring import GroupRing, cyclic_modulus, delta_of, omega_family, phi_plus_phi_inv, q_values
+from .groupring import GroupRing, delta_of, omega_family, phi_plus_phi_inv, q_values
 from .padic import PrecisionExhausted
-from .polyarith import mul_vec, rem_monic
+from .polyarith import mul, rem_monic
 from .snf import (
     MARGIN,
     as_matrix,
@@ -50,69 +54,37 @@ class NotZpFinite(ValueError):
 # ---------------------------------------------------------------------------
 # polynomials over the group ring, exact integer coefficients
 # ---------------------------------------------------------------------------
-# A GRPoly is a tuple of group-ring elements (int tuples of length d), lowest
-# X-degree first. Scalars embed as (c, 0, ..., 0).
+# An element of Z[F]/(F^d - 1)[X] is the d-tuple of its F-components: entry a
+# is the integer polynomial in X multiplying F^a, a tuple lowest degree first
+# with no trailing zeros (the zero polynomial is ()).
 
-def grp_zero(d: int):
-    return ((0,) * d,)
+def _trim(c) -> tuple:
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
 
-def grp_const(d: int, c) -> tuple:
-    if isinstance(c, int):
-        return ((c,) + (0,) * (d - 1),)
-    return (tuple(c),)
+def lift(d: int, f) -> tuple:
+    """The integer polynomial f as a scalar of Z[F]/(F^d - 1)[X]."""
+    return (_trim(f),) + ((),) * (d - 1)
 
-def grp_from_intpoly(d: int, coeffs) -> tuple:
-    return tuple((int(c),) + (0,) * (d - 1) for c in coeffs) or grp_zero(d)
+def lam_deg(f) -> int:
+    return max(map(len, f)) - 1  # -1 for the zero polynomial
 
-def grp_X(d: int, k: int = 1) -> tuple:
-    return tuple((0,) * d for _ in range(k)) + ((1,) + (0,) * (d - 1),)
+def lam_add(f, g, sign: int = 1) -> tuple:
+    """f + sign * g."""
+    return tuple(_trim(x + sign * y for x, y in zip_longest(u, v, fillvalue=0))
+                 for u, v in zip(f, g))
 
-def grp_deg(f: tuple) -> int:
-    for j in range(len(f) - 1, -1, -1):
-        if any(f[j]):
-            return j
-    return -1  # zero polynomial
-
-def grp_trim(f: tuple) -> tuple:
-    dg = grp_deg(f)
-    return f[: dg + 1] if dg >= 0 else (f[0][:0] + (0,) * len(f[0]),)
-
-def _gr_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-def _gr_neg(a):
-    return tuple(-x for x in a)
-
-def _gr_rot(a, k, d):
-    """F^k * a: rotate the F-power coordinates."""
-    return tuple(a[(i - k) % d] for i in range(d))
-
-def grp_add(f, g):
-    d = len(f[0])
-    n = max(len(f), len(g))
-    zf = ((0,) * d,)
-    fx = f + zf * (n - len(f))
-    gx = g + zf * (n - len(g))
-    return tuple(_gr_add(a, b) for a, b in zip(fx, gx))
-
-def grp_neg(f):
-    return tuple(_gr_neg(a) for a in f)
-
-def grp_mul(f, g):
-    d = len(f[0])
-    m = cyclic_modulus(d)
-    return tuple(tuple(rem_monic(c, m)) for c in mul_vec(f, g, d))
-
-def grp_reduce(f, cap):
-    """Remainder of f modulo a monic cap polynomial with scalar coefficients,
-    one F-component at a time."""
-    d = len(f[0])
-    B = grp_deg(cap)
-    assert B >= 0 and not any(any(c[1:]) for c in cap), "cap must have scalar coefficients"
-    if B == 0:
-        return ((0,) * d,)
-    m = [c[0] for c in cap[: B + 1]]
-    return tuple(zip(*(rem_monic([c[a] for c in f], m) for a in range(d))))
+def lam_mul(f, g) -> tuple:
+    """f * g: the components at F^a and F^b multiply into F^((a + b) mod d)."""
+    d = len(f)
+    out = [()] * d
+    for a, u in enumerate(f):
+        for b, v in enumerate(g):
+            c = (a + b) % d
+            out[c] = tuple(x + y for x, y in zip_longest(out[c], mul(u, v), fillvalue=0))
+    return tuple(map(_trim, out))
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +98,8 @@ class Presentation:
     p: int
     d: int
     gens: int
-    rels: tuple[tuple, ...]        # each relation: tuple of GRPolys, length gens
-    caps: tuple = ()               # optional dict-like ((gen_index, cap_poly), ...)
+    rels: tuple[tuple, ...]        # each relation: one group-ring polynomial per generator
+    caps: tuple = ()               # dict-like ((gen_index, monic int tuple), ...)
 
     def cap_map(self) -> dict:
         return dict(self.caps)
@@ -144,20 +116,19 @@ def quotient_presentation(p: int, d: int, polys) -> Presentation:
     """R/(f) (+) R/(g) (+) ... for scalar integer polynomials; monic ones cap."""
     rels = []
     caps = []
+    z = lift(d, ())
     for i, f in enumerate(polys):
-        grp = grp_from_intpoly(d, f)
-        row = tuple(grp if j == i else grp_zero(d) for j in range(len(polys)))
-        rels.append(row)
-        dg = grp_deg(grp)
-        if dg >= 0 and grp[dg] == (1,) + (0,) * (d - 1):
-            caps.append((i, grp))
+        f = _trim(f)
+        rels.append(tuple(lift(d, f) if j == i else z for j in range(len(polys))))
+        if f[-1:] == (1,):
+            caps.append((i, f))
     return Presentation(p=p, d=d, gens=len(polys), rels=tuple(rels), caps=tuple(caps))
 
 
 def direct_sum(a: Presentation, b: Presentation) -> Presentation:
     assert a.p == b.p and a.d == b.d
     d = a.d
-    z = grp_zero(d)
+    z = lift(d, ())
     rels = [row + (z,) * b.gens for row in a.rels]
     rels += [(z,) * a.gens + row for row in b.rels]
     caps = list(a.caps) + [(i + a.gens, c) for i, c in b.caps]
@@ -178,13 +149,12 @@ def present_plus(p: int, d: int, n: int, trivial_chi: bool) -> Presentation:
         return quotient_presentation(p, d, [list(fam.omega_plus)])
     ring = GroupRing(d=d, p=p, N=1)
     phi2 = phi_plus_phi_inv(ring)
-    z = grp_zero(d)
-    r1 = (grp_from_intpoly(d, fam.omega_tilde_plus), grp_neg(grp_const(d, phi2)))
-    r2 = (z, grp_X(d))
-    cap1 = grp_from_intpoly(d, fam.omega_plus)
-    r_cap = (cap1, z)
+    z, x = lift(d, ()), (0, 1)
+    r1 = (lift(d, fam.omega_tilde_plus), tuple(_trim((-c,)) for c in phi2))
+    r2 = (z, lift(d, x))
+    r_cap = (lift(d, fam.omega_plus), z)
     return Presentation(p=p, d=d, gens=2, rels=(r1, r2, r_cap),
-                        caps=((0, cap1), (1, grp_X(d))))
+                        caps=((0, fam.omega_plus), (1, x)))
 
 
 def present_minus(p: int, d: int, n: int, trivial_chi: bool) -> Presentation:
@@ -195,23 +165,23 @@ def present_minus(p: int, d: int, n: int, trivial_chi: bool) -> Presentation:
 
 def coinvariants(pres: Presentation, n: int) -> Presentation:
     """Quotient by omega_n: append omega_n * e_i (monic caps for everything)."""
-    return _quotient_by(pres, grp_from_intpoly(pres.d, omega_family(pres.p, n).omega))
+    return _quotient_by(pres, omega_family(pres.p, n).omega)
 
 
 def x_truncated(pres: Presentation, W: int) -> Presentation:
     """Quotient by X^W: the finite-level model used for X-kernel invariants."""
-    return _quotient_by(pres, grp_X(pres.d, W))
+    return _quotient_by(pres, (0,) * W + (1,))
 
 
 def _quotient_by(pres: Presentation, f: tuple) -> Presentation:
-    """M / f M for a monic scalar polynomial f: the relation f * e_i for each
+    """M / f M for a monic integer polynomial f: the relation f * e_i for each
     generator, and f caps every generator whose cap is missing or longer."""
-    z = grp_zero(pres.d)
+    z, rel = lift(pres.d, ()), lift(pres.d, f)
     extra = []
     caps = pres.cap_map()
     for i in range(pres.gens):
-        extra.append(tuple(f if j == i else z for j in range(pres.gens)))
-        if i not in caps or grp_deg(caps[i]) > grp_deg(f):
+        extra.append(tuple(rel if j == i else z for j in range(pres.gens)))
+        if i not in caps or len(caps[i]) > len(f):
             caps[i] = f
     return Presentation(p=pres.p, d=pres.d, gens=pres.gens,
                         rels=pres.rels + tuple(extra), caps=tuple(caps.items()))
@@ -242,13 +212,13 @@ class FlatModule:
 
 def _flatten_vector(fm: FlatModule, rel) -> np.ndarray:
     """One relation vector reduced mod caps and laid out on the flat basis."""
-    caps, d = fm.pres.cap_map(), fm.pres.d
+    caps = fm.pres.cap_map()
     out = np.zeros(fm.dim, dtype=object)
     for i, poly in enumerate(rel):
         o, B = fm.offsets[i], fm.caps_deg[i]
         if B:  # the remainder mod the cap has exactly B coefficients
-            red = grp_reduce(poly, caps[i])
-            out[o:o + d * B] = [c[a] for a in range(d) for c in red]
+            for a, c in enumerate(poly):
+                out[o + a * B:o + (a + 1) * B] = rem_monic(c, caps[i])
     return out % fm.q
 
 
@@ -261,10 +231,10 @@ def flatten(pres: Presentation, N: int) -> FlatModule:
     folds (i, a, B_i - 1) back by the cap, and F rotates the F-powers a."""
     d, p, q = pres.d, pres.p, pres.p**N
     caps = pres.cap_map()
-    missing = [i for i in range(pres.gens) if i not in caps]
-    if missing:
-        raise NotZpFinite(f"generators {missing} carry no monic-in-X cap relation")
-    caps_deg = [grp_deg(caps[i]) for i in range(pres.gens)]
+    uncapped = [i for i in range(pres.gens) if caps.get(i, ())[-1:] != (1,)]
+    if uncapped:
+        raise NotZpFinite(f"generators {uncapped} carry no monic-in-X cap relation")
+    caps_deg = [len(caps[i]) - 1 for i in range(pres.gens)]
     offsets = [d * sum(caps_deg[:i]) for i in range(pres.gens)]
     dim = d * sum(caps_deg)
     # row k of X M is row below[k] of M (the zero row dim at degree 0) minus
@@ -276,7 +246,7 @@ def flatten(pres: Presentation, N: int) -> FlatModule:
             base, prev = offsets[i] + a * B, offsets[i] + (a - 1) % d * B
             below += [base + b - 1 if b else dim for b in range(B)]
             top += [base + B - 1] * B
-            fold += [caps[i][b][0] % q for b in range(B)]
+            fold += [c % q for c in caps[i][:B]]
             perm += range(prev, prev + B)
     below, top, perm = (np.array(ix, dtype=np.intp) for ix in (below, top, perm))
     fold = np.array(fold, dtype=object).reshape(-1, 1)
@@ -300,8 +270,7 @@ def flatten(pres: Presentation, N: int) -> FlatModule:
     # X-translates up to the minimal-polynomial bound of the block-diagonal
     # X-action (sum of distinct cap degrees), F-translates over the full cycle;
     # the columns run over the vectors, and for each vector over its F-powers
-    b_max = sum({tuple(map(tuple, caps[i])): caps_deg[i]
-                 for i in range(pres.gens) if caps_deg[i] > 0}.values()) + 1
+    b_max = sum({caps[i]: caps_deg[i] for i in range(pres.gens) if caps_deg[i] > 0}.values()) + 1
     cur, blocks = np.array(base_cols, dtype=object).T, []
     for _ in range(b_max):
         blocks.append(cur[rot].transpose(0, 2, 1).reshape(dim, -1))
@@ -376,8 +345,8 @@ def invariant_structure(pres: Presentation, N: int,
     the answer from windows (W, W + 1) must agree with the one from
     (W - 1, W). Each window is flattened once and carried to the next pair."""
     caps = pres.cap_map()
-    native = [grp_deg(c) for c in caps.values()]
-    reldeg = max((grp_deg(c) for r in pres.rels for c in r), default=0)
+    native = [len(c) - 1 for c in caps.values()]
+    reldeg = max((lam_deg(c) for r in pres.rels for c in r), default=0)
     # keep W small and independent of N: the truncation-window torsion has
     # divisors bounded in terms of W and the relation data alone, so a margin
     # collision is escaped by raising N (the caller's retry), never by W
@@ -540,7 +509,7 @@ def supplementary_structure_check(d: int, trivial_chi: bool, p: int, N: int,
         results[f"coinv_rank_n{n}"] = r
         ok &= r == d * p**n + delta
     inv_rank, inv_tors = invariant_structure(cand, N)
-    coin_rank, coin_tors = coinvariant_structure(cand, N)
+    _, coin_tors = coinvariant_structure(cand, N)
     results.update({
         "x_torsion_rank": inv_rank,
         "x_torsion_torsion": inv_tors,
@@ -560,54 +529,50 @@ def supplementary_structure_check(d: int, trivial_chi: bool, p: int, N: int,
 # randomized instance harness for the kernel / cokernel lemmas
 # ---------------------------------------------------------------------------
 
-def _matvec_grp(T, v, d):
-    """Matrix of GRPolys times vector of GRPolys."""
+def _matvec(T, v, d):
+    """Matrix of group-ring polynomials times a vector of them."""
     out = []
     for row in T:
-        acc = grp_zero(d)
+        acc = lift(d, ())
         for a, b in zip(row, v):
-            acc = grp_add(acc, grp_mul(a, b))
-        out.append(grp_trim(acc))
+            acc = lam_add(acc, lam_mul(a, b))
+        out.append(acc)
     return tuple(out)
 
 
-def _matmul_grp(A, B, d):
-    return tuple(zip(*(_matvec_grp(A, col, d) for col in zip(*B))))
-
-
-def _identity_grp(n, d):
-    one = grp_const(d, 1)
-    z = grp_zero(d)
+def _identity(n, d):
+    one, z = lift(d, (1,)), lift(d, ())
     return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
 
 
 def _random_poly(rng, d, max_deg, p):
-    coeffs = []
-    for _ in range(rng.randrange(max_deg + 1) + 1):
-        c = [rng.randrange(-p, p + 1) for _ in range(d)]
-        coeffs.append(tuple(c))
-    return grp_trim(tuple(coeffs)) if any(any(c) for c in coeffs) else grp_zero(d)
+    rows = [[rng.randrange(-p, p + 1) for _ in range(d)]
+            for _ in range(rng.randrange(max_deg + 1) + 1)]  # X-degree by X-degree
+    return tuple(map(_trim, zip(*rows)))
 
 
 def _random_unimodular(rng, n, d, p, ops: int, max_deg: int):
-    """U and U^{-1} as GRPoly matrices: product of transvections and sign flips."""
-    U = [list(r) for r in _identity_grp(n, d)]
-    Uinv = [list(r) for r in _identity_grp(n, d)]
+    """U and U^{-1} as group-ring polynomial matrices: product of
+    transvections and sign flips."""
+    z = lift(d, ())
+    U = [list(r) for r in _identity(n, d)]
+    Uinv = [list(r) for r in _identity(n, d)]
     for _ in range(ops):
         if n >= 2 and rng.random() < 0.8:
             i, j = rng.sample(range(n), 2)
             f = _random_poly(rng, d, max_deg, p)
             # U <- E U (row_i += f row_j); Uinv <- Uinv E^{-1} (col_j -= f col_i)
-            U[i] = [grp_trim(grp_add(U[i][k], grp_mul(f, U[j][k]))) for k in range(n)]
+            U[i] = [lam_add(U[i][k], lam_mul(f, U[j][k])) for k in range(n)]
             for k in range(n):
-                Uinv[k][j] = grp_trim(grp_add(Uinv[k][j], grp_neg(grp_mul(f, Uinv[k][i]))))
+                Uinv[k][j] = lam_add(Uinv[k][j], lam_mul(f, Uinv[k][i]), -1)
         else:
             i = rng.randrange(n)
-            U[i] = [grp_neg(c) for c in U[i]]
+            U[i] = [lam_add(z, c, -1) for c in U[i]]
             for k in range(n):
-                Uinv[k][i] = grp_neg(Uinv[k][i])
-    prod = _matmul_grp(tuple(map(tuple, U)), tuple(map(tuple, Uinv)), d)
-    assert prod == _identity_grp(n, d), "unimodular bookkeeping broke"
+                Uinv[k][i] = lam_add(z, Uinv[k][i], -1)
+    # the columns of U U^{-1} are those of the (symmetric) identity
+    assert [_matvec(U, col, d) for col in zip(*Uinv)] == list(_identity(n, d)), \
+        "unimodular bookkeeping broke"
     return tuple(map(tuple, U)), tuple(map(tuple, Uinv))
 
 
@@ -645,20 +610,20 @@ def _kernel_instance(rng, p, d, N) -> dict:
     gN = targetN.gens
     extra = rng.randrange(1, 3)
     r = gN + extra
-    U, Uinv = _random_unimodular(rng, gN, d, p, ops=rng.randrange(2, 6),
+    _, Uinv = _random_unimodular(rng, gN, d, p, ops=rng.randrange(2, 6),
                                  max_deg=max(1, _DEG_BOUND // 3))
     Q = tuple(tuple(_random_poly(rng, d, _DEG_BOUND // 2, p) for _ in range(extra))
               for _ in range(gN))
-    z = grp_zero(d)
+    z, one = lift(d, ()), lift(d, (1,))
     kgens = []
     for w in targetN.rels:  # vectors in R^gN
-        v1 = _matvec_grp(Uinv, w, d)
+        v1 = _matvec(Uinv, w, d)
         kgens.append(tuple(v1) + (z,) * extra)
     for j in range(extra):
         qcol = tuple(Q[i][j] for i in range(gN))
-        v1 = _matvec_grp(Uinv, qcol, d)
-        kgens.append(tuple(grp_neg(c) for c in v1)
-                     + tuple(grp_const(d, 1) if t == j else z for t in range(extra)))
+        v1 = _matvec(Uinv, qcol, d)
+        kgens.append(tuple(lam_add(z, c, -1) for c in v1)
+                     + tuple(one if t == j else z for t in range(extra)))
     # the safe-module filter: verified submodule-free (ker X torsion-free)
     inv_rank, inv_tors = invariant_structure(targetN, N)
     filter_ok = not inv_tors
@@ -666,10 +631,9 @@ def _kernel_instance(rng, p, d, N) -> dict:
     q = p**N
     cols = []
     for k in kgens:
-        for a in range(d):
-            rot = []
-            for comp in k:
-                rot.extend(_gr_rot(comp[0], a, d))
+        const = [[c[0] if c else 0 for c in comp] for comp in k]
+        for a in range(d):  # F^a k: F-power b moves to b + a
+            rot = [e[(b - a) % d] for e in const for b in range(d)]
             cols.append(np.array(rot, dtype=object) % q)
     img = as_matrix(np.array(cols, dtype=object).T, q)
     res = smith_divisors(img, p, N)
@@ -695,7 +659,6 @@ def _cokernel_instance(rng, p, d, N) -> dict:
     r = rng.randrange(1, s)
     G = tuple(tuple(_random_poly(rng, d, _DEG_BOUND // 2, p) for _ in range(r))
               for _ in range(targetN.gens))
-    z = grp_zero(d)
     extra_rels = []
     for j in range(r):
         extra_rels.append(tuple(G[i][j] for i in range(targetN.gens)))

@@ -93,7 +93,7 @@ def local_point_direct(bundle: SeriesBundle, n: int, target: int) -> LocalPoint:
         raise InsufficientDegree("series route diverges for n > 1 (valuation below radius)")
     assert n == bundle.n, "bundle was built for a different twist level"
     field = bundle.field
-    p, d = field.p, field.d
+    p = field.p
     D = bundle.D
     e_ram = (p - 1) * p**n if n >= 0 else 1
     vmin = Fraction(1, e_ram)

@@ -180,11 +180,11 @@ def _hand_modules():
         return quotient_presentation(3, 1, polys)
 
     def finite_line():
-        from normtower.lambda_modules import Presentation, grp_X, grp_from_intpoly
+        from normtower.lambda_modules import Presentation, lift
 
         return Presentation(p=3, d=1, gens=1,
-                            rels=((grp_from_intpoly(1, [3]),), (grp_X(1),)),
-                            caps=((0, grp_X(1)),))
+                            rels=((lift(1, (3,)),), (lift(1, (0, 1)),)),
+                            caps=((0, (0, 1)),))
 
     free = free_presentation
     return [

@@ -13,6 +13,9 @@
 - Every public method of a module-level class is read as an attribute
   somewhere under src/normtower. UNREAD_METHODS lists the methods that only
   tests reach.
+- Every name a function assigns is read somewhere in that function, nested
+  functions and comprehensions included. A value kept on purpose unread goes
+  to a name with a leading underscore, such as `_`.
 
 - The modules below the lattices (BELOW_SNF) import nothing from snf, not
   even inside a function: their arithmetic is polynomial arithmetic, and the
@@ -111,6 +114,50 @@ def test_detects_an_unread_private_name():
         "b.py": "from . import a\nprint(a._helper(), a._A)\n",
     }
     assert unread_private_names(sources) == [("a.py", "_B"), ("a.py", "_check_x")]
+
+
+def unread_locals(source: str) -> list[tuple[int, str, str]]:
+    """(line, function, name) for each name a function stores and never reads
+    (loads or deletes), unless it starts with an underscore or the function
+    declares it global or nonlocal."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(fn))
+        kept = {n for node in nodes if isinstance(node, (ast.Global, ast.Nonlocal))
+                for n in node.names}
+        kept |= {n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        found |= {(n.lineno, fn.name, n.id) for n in nodes
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                  and not n.id.startswith("_") and n.id not in kept}
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_locals_are_read(path):
+    assert unread_locals(path.read_text()) == []
+
+
+def test_detects_an_unread_local():
+    src = ("def f(a):\n"
+           "    x, y = a\n"                 # y unread
+           "    z = 0\n"                    # z unread
+           "    _, w = a\n"
+           "    total = 0\n"
+           "    total += x\n"               # total only stored
+           "    for i, v in enumerate(w):\n"  # i unread
+           "        pass\n"
+           "    def g():\n"
+           "        nonlocal v\n"
+           "        v = 1\n"
+           "        return [k for k in w]\n"
+           "    tmp = g()\n"
+           "    del tmp\n"
+           "    return x\n"
+           "counter = 0\n")
+    assert unread_locals(src) == [(2, "f", "y"), (3, "f", "z"), (5, "f", "total"),
+                                  (6, "f", "total"), (7, "f", "i")]
 
 
 UNREAD_VERIFIERS = {

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import dataclass
 from functools import cache
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_acceptance import _hand_modules
 from test_groupring import reference_omega_family
+from test_polyarith import ref_cyclic
 
 from normtower import lambda_modules
 from normtower.groupring import q_values
@@ -16,7 +18,9 @@ from normtower.lambda_modules import (
     Presentation,
     _drop_null_columns,
     _invariant_structure_at,
+    _random_poly,
     _random_safe_module,
+    _random_unimodular,
     _subquotient_structure,
     closed_form_coinvariant_torsion,
     coinvariant_rank_law,
@@ -25,13 +29,11 @@ from normtower.lambda_modules import (
     flatten,
     free_presentation,
     freeness_test,
-    grp_X,
-    grp_deg,
-    grp_from_intpoly,
-    grp_mul,
-    grp_reduce,
     invariant_structure,
     kernel_freeness_property,
+    lam_deg,
+    lam_mul,
+    lift,
     module_report,
     present_minus,
     present_plus,
@@ -41,6 +43,7 @@ from normtower.lambda_modules import (
     x_truncated,
 )
 from normtower.padic import PrecisionExhausted
+from normtower.polyarith import mul_vec, rem_monic
 from normtower.snf import (
     PRECISION_BUMP,
     as_matrix,
@@ -60,8 +63,8 @@ def L(polys, p=3):
 
 def line_killed_by_p_and_X(p=3):
     return Presentation(p=p, d=1, gens=1,
-                        rels=((grp_from_intpoly(1, [p]),), (grp_X(1),)),
-                        caps=((0, grp_X(1)),))
+                        rels=((lift(1, (p,)),), (lift(1, (0, 1)),)),
+                        caps=((0, (0, 1)),))
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (3, 4), (5, 2)])
@@ -111,12 +114,25 @@ def test_module_report_requires_caps():
         module_report(free_presentation(3, 1, 1), N)
 
 
+@pytest.mark.parametrize("gens,caps,rels,named", [
+    (1, ((0, (0, 3)),), (), "[0]"),
+    (1, ((0, (0, 3)),), ((lift(1, (1, 1)),),), "[0]"),
+    (2, ((0, (0, 1)), (1, (0, 3))), ((lift(1, (1,)), lift(1, (1, 1))),), "[1]"),
+], ids=["3X alone", "3X with a relation", "second generator"])
+def test_flatten_rejects_a_cap_that_is_not_monic(gens, caps, rels, named):
+    """Z_3[X]/(3X) is not Z_p-finite: its cap is refused up front, naming
+    the generator, whether or not a relation is reduced by it."""
+    pres = Presentation(p=3, d=1, gens=gens, rels=rels, caps=caps)
+    with pytest.raises(NotZpFinite, match=re.escape(named)):
+        module_report(pres, N)
+
+
 @pytest.mark.parametrize("k,raises", [(N - 3, False), (N - 2, True), (N - 1, True)])
 def test_module_report_margin(k, raises):
     """Z_p / p^k killed by X: a divisor inside the margin [N - 2, N) raises."""
     pres = Presentation(p=3, d=1, gens=1,
-                        rels=((grp_from_intpoly(1, [3**k]),), (grp_X(1),)),
-                        caps=((0, grp_X(1)),))
+                        rels=((lift(1, (3**k,)),), (lift(1, (0, 1)),)),
+                        caps=((0, (0, 1)),))
     if raises:
         with pytest.raises(PrecisionExhausted):
             module_report(pres, N)
@@ -401,8 +417,8 @@ def _outcome(fn, *args):
 
 def _window_pairs(pres: Presentation, N: int, pairs: int = 2):
     """The first flat window pairs (lo, hi) that invariant_structure walks."""
-    native = [grp_deg(c) for c in pres.cap_map().values()]
-    reldeg = max((grp_deg(c) for r in pres.rels for c in r), default=0)
+    native = [len(c) - 1 for c in pres.cap_map().values()]
+    reldeg = max((lam_deg(c) for r in pres.rels for c in r), default=0)
     W = max(native + [reldeg, 2]) + 2
     fms = [flatten(x_truncated(pres, W + k), N) for k in range(pairs + 1)]
     return list(zip(fms, fms[1:]))
@@ -441,6 +457,210 @@ def test_kernel_readers_match_reference_on_hand_and_harness_modules(Nx):
 
 
 # ---------------------------------------------------------------------------
+# the X-major layout group-ring polynomials had before they were stored
+# F-major: verbatim copies of its helpers and of the harness generators drawn
+# in it (renamed), and converters between the two layouts
+# ---------------------------------------------------------------------------
+
+def _x_major(f):
+    """f as a tuple of d-tuples, lowest X-degree first, at least one of them."""
+    return tuple(tuple(c[j] if j < len(c) else 0 for c in f)
+                 for j in range(max(*map(len, f), 1)))
+
+
+def _f_major(f):
+    """f as the tuple of its F-components, each without trailing zeros."""
+    out = []
+    for c in zip(*f):
+        c = list(c)
+        while c and not c[-1]:
+            c.pop()
+        out.append(tuple(c))
+    return tuple(out)
+
+
+def _x_major_caps(pres: Presentation) -> dict:
+    return {i: _x_major(lift(pres.d, c)) for i, c in pres.caps}
+
+
+def xmajor_zero(d: int):
+    return ((0,) * d,)
+
+
+def xmajor_const(d: int, c) -> tuple:
+    if isinstance(c, int):
+        return ((c,) + (0,) * (d - 1),)
+    return (tuple(c),)
+
+
+def xmajor_deg(f: tuple) -> int:
+    for j in range(len(f) - 1, -1, -1):
+        if any(f[j]):
+            return j
+    return -1  # zero polynomial
+
+
+def xmajor_trim(f: tuple) -> tuple:
+    dg = xmajor_deg(f)
+    return f[: dg + 1] if dg >= 0 else (f[0][:0] + (0,) * len(f[0]),)
+
+
+def _elt_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _elt_neg(a):
+    return tuple(-x for x in a)
+
+
+def xmajor_add(f, g):
+    d = len(f[0])
+    n = max(len(f), len(g))
+    zf = ((0,) * d,)
+    fx = f + zf * (n - len(f))
+    gx = g + zf * (n - len(g))
+    return tuple(_elt_add(a, b) for a, b in zip(fx, gx))
+
+
+def xmajor_neg(f):
+    return tuple(_elt_neg(a) for a in f)
+
+
+def xmajor_mul(f, g):
+    d = len(f[0])
+    m = (-1,) + (0,) * (d - 1) + (1,)  # F^d - 1
+    return tuple(tuple(rem_monic(c, m)) for c in mul_vec(f, g, d))
+
+
+def xmajor_reduce(f, cap):
+    """Remainder of f modulo a monic cap polynomial with scalar coefficients,
+    one F-component at a time."""
+    d = len(f[0])
+    B = xmajor_deg(cap)
+    assert B >= 0 and not any(any(c[1:]) for c in cap), "cap must have scalar coefficients"
+    if B == 0:
+        return ((0,) * d,)
+    m = [c[0] for c in cap[: B + 1]]
+    return tuple(zip(*(rem_monic([c[a] for c in f], m) for a in range(d))))
+
+
+def xmajor_matvec(T, v, d):
+    """Matrix of GRPolys times vector of GRPolys."""
+    out = []
+    for row in T:
+        acc = xmajor_zero(d)
+        for a, b in zip(row, v):
+            acc = xmajor_add(acc, xmajor_mul(a, b))
+        out.append(xmajor_trim(acc))
+    return tuple(out)
+
+
+def xmajor_matmul(A, B, d):
+    return tuple(zip(*(xmajor_matvec(A, col, d) for col in zip(*B))))
+
+
+def xmajor_identity(n, d):
+    one = xmajor_const(d, 1)
+    z = xmajor_zero(d)
+    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
+
+
+def reference_random_poly(rng, d, max_deg, p):
+    coeffs = []
+    for _ in range(rng.randrange(max_deg + 1) + 1):
+        c = [rng.randrange(-p, p + 1) for _ in range(d)]
+        coeffs.append(tuple(c))
+    return xmajor_trim(tuple(coeffs)) if any(any(c) for c in coeffs) else xmajor_zero(d)
+
+
+def reference_random_unimodular(rng, n, d, p, ops: int, max_deg: int):
+    """U and U^{-1} as GRPoly matrices: product of transvections and sign flips."""
+    U = [list(r) for r in xmajor_identity(n, d)]
+    Uinv = [list(r) for r in xmajor_identity(n, d)]
+    for _ in range(ops):
+        if n >= 2 and rng.random() < 0.8:
+            i, j = rng.sample(range(n), 2)
+            f = reference_random_poly(rng, d, max_deg, p)
+            # U <- E U (row_i += f row_j); Uinv <- Uinv E^{-1} (col_j -= f col_i)
+            U[i] = [xmajor_trim(xmajor_add(U[i][k], xmajor_mul(f, U[j][k]))) for k in range(n)]
+            for k in range(n):
+                Uinv[k][j] = xmajor_trim(xmajor_add(Uinv[k][j], xmajor_neg(xmajor_mul(f, Uinv[k][i]))))
+        else:
+            i = rng.randrange(n)
+            U[i] = [xmajor_neg(c) for c in U[i]]
+            for k in range(n):
+                Uinv[k][i] = xmajor_neg(Uinv[k][i])
+    prod = xmajor_matmul(tuple(map(tuple, U)), tuple(map(tuple, Uinv)), d)
+    assert prod == xmajor_identity(n, d), "unimodular bookkeeping broke"
+    return tuple(map(tuple, U)), tuple(map(tuple, Uinv))
+
+
+@pytest.mark.parametrize("p,d", [(p, d) for p in (3, 5) for d in (1, 2, 4)])
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_lam_mul_matches_schoolbook(p, d, data):
+    elt = st.tuples(*[st.integers(-p, p)] * d)
+    f = tuple(data.draw(st.lists(elt, min_size=1, max_size=6)))
+    g = tuple(data.draw(st.lists(elt, min_size=1, max_size=6)))
+    expect = [[0] * d for _ in range(len(f) + len(g) - 1)]
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            expect[i + j] = [u + v for u, v in zip(expect[i + j], ref_cyclic(x, y, d))]
+    assert lam_mul(_f_major(f), _f_major(g)) == _f_major(expect)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_random_draws_are_the_x_major_draws_transposed(p):
+    """The harness generators draw what the X-major ones drew, transposed,
+    and leave the rng in the same state."""
+    for seed in range(8):
+        for d in (1, 2, 4):
+            new, old = random.Random(seed), random.Random(seed)
+            for max_deg in (0, 1, 3):
+                assert _x_major(_random_poly(new, d, max_deg, p)) == \
+                    reference_random_poly(old, d, max_deg, p)
+            for n in (1, 2, 3):
+                got = _random_unimodular(new, n, d, p, ops=5, max_deg=2)
+                want = reference_random_unimodular(old, n, d, p, ops=5, max_deg=2)
+                assert [[list(map(_x_major, row)) for row in M] for M in got] == \
+                    [[list(row) for row in M] for M in want]
+            assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_harness_instances_match_the_x_major_stream(p, monkeypatch):
+    """kernel_freeness_property meets the same instances, with the same
+    outcomes and rng states, when its generators are the X-major ones with
+    their draws transposed."""
+    seen = []
+
+    def recording(instance):
+        def spy(rng, *args):
+            out = instance(rng, *args)
+            seen.append((instance.__name__, args, out, rng.getstate()))
+            return out
+        return spy
+
+    for name in ("_kernel_instance", "_cokernel_instance"):
+        monkeypatch.setattr(lambda_modules, name, recording(getattr(lambda_modules, name)))
+
+    def run():
+        seen.clear()
+        reps = [kernel_freeness_property(12, seed, N=10, p=p) for seed in (1, 7, 202608, 20260810)]
+        return reps, list(seen)
+
+    new = run()
+    assert len(new[1]) >= 48
+    monkeypatch.setattr(lambda_modules, "_random_poly",
+                        lambda *args: _f_major(reference_random_poly(*args)))
+    monkeypatch.setattr(
+        lambda_modules, "_random_unimodular",
+        lambda *args, **kw: tuple(tuple(tuple(map(_f_major, row)) for row in M)
+                                  for M in reference_random_unimodular(*args, **kw)))
+    assert run() == new
+
+
+# ---------------------------------------------------------------------------
 # differential test: flatten applying X and F as index maps, against the
 # dense object-matrix products it replaced (verbatim copies, with the module
 # type and the relation layout it used)
@@ -470,13 +690,13 @@ def reference_flatten_vector(fm: ReferenceFlatModule, rel) -> np.ndarray:
     """One relation vector reduced mod caps and laid out on the flat basis."""
     pres = fm.pres
     d = pres.d
-    caps = pres.cap_map()
+    caps = _x_major_caps(pres)
     out = np.zeros(fm.dim, dtype=object)
     for i, poly in enumerate(rel):
         B = fm.caps_deg[i]
         if B == 0:
             continue
-        red = grp_reduce(poly, caps[i])
+        red = xmajor_reduce(_x_major(poly), caps[i])
         for b in range(min(len(red), B)):
             coeff = red[b]
             for a in range(d):
@@ -491,11 +711,11 @@ def reference_flatten(pres: Presentation, N: int) -> ReferenceFlatModule:
     d = pres.d
     p = pres.p
     q = p**N
-    caps = pres.cap_map()
+    caps = _x_major_caps(pres)
     missing = [i for i in range(pres.gens) if i not in caps]
     if missing:
         raise NotZpFinite(f"generators {missing} carry no monic-in-X cap relation")
-    caps_deg = [grp_deg(caps[i]) for i in range(pres.gens)]
+    caps_deg = [xmajor_deg(caps[i]) for i in range(pres.gens)]
     offsets = []
     dim = 0
     for i in range(pres.gens):
@@ -578,10 +798,6 @@ def _assert_flatten_matches_reference(pres: Presentation, N: int):
     assert all(type(x) is int for x in got.X.flat)
 
 
-def _scalar_poly(coeffs, d):
-    return tuple((int(c),) + (0,) * (d - 1) for c in coeffs)
-
-
 @st.composite
 def capped_presentations(draw):
     """Random presentations with several generators, each capped by a monic
@@ -595,13 +811,13 @@ def capped_presentations(draw):
     caps = []
     for _ in range(gens):
         B = draw(st.sampled_from([0, 1, 1, 2, 3]))
-        caps.append(_scalar_poly(draw(st.lists(coeff, min_size=B, max_size=B)) + [1], d))
-    grp_poly = st.lists(st.tuples(*[coeff] * d), min_size=1, max_size=4)
+        caps.append(tuple(draw(st.lists(coeff, min_size=B, max_size=B)) + [1]))
+    poly = st.lists(st.tuples(*[coeff] * d), min_size=1, max_size=4).map(_f_major)
     rels = []
     for _ in range(draw(st.integers(1, 4))):
-        row = tuple(draw(grp_poly) for _ in range(gens))
+        row = tuple(draw(poly) for _ in range(gens))
         if draw(st.sampled_from([False, False, True])):  # zero on the flat basis
-            row = tuple(grp_mul(f, caps[i]) for i, f in enumerate(row))
+            row = tuple(lam_mul(f, lift(d, caps[i])) for i, f in enumerate(row))
         rels.append(row)
     return Presentation(p=p, d=d, gens=gens, rels=tuple(rels),
                         caps=tuple(enumerate(caps))), draw(st.sampled_from([2, 5, 8, 20]))

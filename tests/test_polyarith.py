@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from normtower import curve, honda, polyarith, series, unramified
 from normtower.groupring import GroupRing, omega_family, poly_trim
-from normtower.lambda_modules import grp_mul, grp_reduce
 from normtower.polyarith import (
     divmod_monic,
     inv_mod,
@@ -537,25 +536,6 @@ def test_group_ring_mul(p, d, data):
     ring = GroupRing(d, p, 5)
     a, b = coords(data, d, ring.q), coords(data, d, ring.q)
     assert ring.mul(a, b) == tuple(x % ring.q for x in ref_cyclic(a, b, d))
-
-
-@pytest.mark.parametrize("p,d", FIELDS)
-@settings(deadline=None, max_examples=20)
-@given(data=st.data())
-def test_grp_mul_and_reduce(p, d, data):
-    elt = st.tuples(*[st.integers(-p, p)] * d)
-    f = tuple(data.draw(st.lists(elt, min_size=1, max_size=6)))
-    g = tuple(data.draw(st.lists(elt, min_size=1, max_size=6)))
-    expect = [[0] * d for _ in range(len(f) + len(g) - 1)]
-    for i, x in enumerate(f):
-        for j, y in enumerate(g):
-            expect[i + j] = [u + v for u, v in zip(expect[i + j], ref_cyclic(x, y, d))]
-    assert grp_mul(f, g) == tuple(map(tuple, expect))
-    cap_ints = data.draw(st.lists(st.integers(-p, p), max_size=4)) + [1]
-    cap = tuple((c,) + (0,) * (d - 1) for c in cap_ints)
-    comps = [ref_rem([c[k] for c in f], cap_ints) for k in range(d)]
-    expect_red = tuple(zip(*comps)) if len(cap_ints) > 1 else ((0,) * d,)
-    assert grp_reduce(f, cap) == expect_red
 
 
 def _series_cache_clear():
