@@ -95,7 +95,7 @@ def is_unit(ring: GroupRing, a) -> tuple[bool, tuple[int, ...] | None]:
 def annihilator(ring: GroupRing, a) -> tuple[np.ndarray, int]:
     """(generator matrix, Z_p-rank) of Ann(a) = ker(mult-by-a), via SNF.
 
-    The strict kernel raises on a margin-ambiguous divisor, so its width is
+    The kernel raises on a margin-ambiguous divisor, so its width is
     d - rank(M)."""
     K = kernel_basis(ring.mult_matrix(a), ring.p, ring.N)
     return K, K.shape[1]

@@ -19,8 +19,10 @@ ker(X on M/X^(W+1) M) inside M/X^W M equals the image of ker(X on M) once W
 passes the X-torsion exponent, and the map from ker(X on M) is injective
 there; agreement across two consecutive W certifies the answer.
 
-Precision follows the policy stated in `snf`: strict decisions raise inside
-the margin, tolerant ones are certified by agreement on the precision ladder.
+Precision follows the policy stated in `snf`: every decision raises inside
+the margin, and the X-kernel invariants decide at the precision their kernel
+vectors carry, which `kernel_image` returns. The freeness predicates are
+certified by agreement at two consecutive rungs of the precision ladder.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .groupring import GroupRing, delta_of, omega_family, phi_plus_phi_inv, q_values
+from .groupring import delta_of, omega_family, q_values
 from .padic import PrecisionExhausted
 from .polyarith import mul, rem_monic
 from .snf import (
@@ -147,10 +149,10 @@ def present_plus(p: int, d: int, n: int, trivial_chi: bool) -> Presentation:
     fam = omega_family(p, n)
     if not trivial_chi:
         return quotient_presentation(p, d, [list(fam.omega_plus)])
-    ring = GroupRing(d=d, p=p, N=1)
-    phi2 = phi_plus_phi_inv(ring)
     z, x = lift(d, ()), (0, 1)
-    r1 = (lift(d, fam.omega_tilde_plus), tuple(_trim((-c,)) for c in phi2))
+    F = [tuple((1,) if b == a % d else () for b in range(d)) for a in (1, -1)]
+    minus_phi2 = lam_add(lam_add(z, F[0], -1), F[1], -1)  # -(phi + phi^-1)
+    r1 = (lift(d, fam.omega_tilde_plus), minus_phi2)
     r2 = (z, lift(d, x))
     r_cap = (lift(d, fam.omega_plus), z)
     return Presentation(p=p, d=d, gens=2, rels=(r1, r2, r_cap),
@@ -290,16 +292,11 @@ def flatten(pres: Presentation, N: int) -> FlatModule:
     return fm
 
 
-def module_report(pres: Presentation, N: int, tolerant: bool = False) -> dict:
+def module_report(pres: Presentation, N: int) -> dict:
     """Z_p-rank and torsion divisors of the capped quotient, margin-checked."""
     fm = flatten(pres, N)
-    if fm.dim == 0:
-        return {"rank": 0, "torsion": [], "dim": 0, "ambiguous": False}
-    rank, torsion, ambiguous = quotient_invariants(fm.dim, fm.relmat, fm.p, N)
-    if ambiguous and not tolerant:
-        raise PrecisionExhausted("module invariants inside precision margin")
-    return {"rank": rank, "torsion": torsion, "dim": fm.dim,
-            "ambiguous": ambiguous}
+    rank, torsion = quotient_invariants(fm.dim, fm.relmat, fm.p, N)
+    return {"rank": rank, "torsion": torsion, "dim": fm.dim}
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +313,10 @@ def _drop_null_columns(M: np.ndarray, p: int, N: int) -> np.ndarray:
     return M[:, keep] if keep else M[:, :0]
 
 
-def _subquotient_structure(K: np.ndarray, R: np.ndarray, p: int, N: int,
-                           tolerant: bool = False) -> tuple[int, list[int]]:
-    """Structure of the Z_p-module generated by K's columns inside Z^D / span(R).
-
-    Tolerant mode clamps margin-ambiguous decisions to zero-at-precision; it is
-    only used inside computations that certify by agreement across two N."""
+def _subquotient_structure(K: np.ndarray, R: np.ndarray, p: int,
+                           N: int) -> tuple[int, list[int]]:
+    """Structure of the Z_p-module generated by K's columns inside Z^D / span(R),
+    for K and R known mod p^N; it is decided at the precision of the kernel."""
     K = _drop_null_columns(as_matrix(K, p**N), p, N)
     R = _drop_null_columns(as_matrix(R, p**N), p, N) if R.size else R
     t = K.shape[1]
@@ -329,18 +324,14 @@ def _subquotient_structure(K: np.ndarray, R: np.ndarray, p: int, N: int,
         return 0, []
     stacked = stack_cols(K, R) if R.size else K
     # the K-coordinates of the kernel vectors: the top t rows of a kernel basis
-    C = kernel_image(stacked, np.eye(t, stacked.shape[1], dtype=np.int64), p, N, tolerant)
-    rank, torsion, ambiguous = quotient_invariants(t, C, p, N)
-    if ambiguous and not tolerant:
-        raise PrecisionExhausted("subquotient structure inside precision margin")
-    return rank, torsion
+    C, Nc = kernel_image(stacked, np.eye(t, stacked.shape[1], dtype=np.int64), p, N)
+    return quotient_invariants(t, C, p, Nc)
 
 
 _WINDOWS = 4  # truncation windows W0, ..., W0 + 3 tried for agreement
 
 
-def invariant_structure(pres: Presentation, N: int,
-                        tolerant: bool = False) -> tuple[int, list[int]]:
+def invariant_structure(pres: Presentation, N: int) -> tuple[int, list[int]]:
     """(rank, torsion) of ker(X on M), via stabilized X-power truncations:
     the answer from windows (W, W + 1) must agree with the one from
     (W - 1, W). Each window is flattened once and carried to the next pair."""
@@ -356,17 +347,17 @@ def invariant_structure(pres: Presentation, N: int,
     for _ in range(_WINDOWS):
         W += 1
         hi = flatten(x_truncated(pres, W), N)
-        cur = _invariant_structure_at(lo, hi, tolerant)
+        cur = _invariant_structure_at(lo, hi)
         if cur == prev:
             return cur
         prev, lo = cur, hi
     raise PrecisionExhausted(f"X-kernel invariants did not stabilize by W={W}")
 
 
-def _invariant_structure_at(lo: FlatModule, hi: FlatModule,
-                            tolerant: bool) -> tuple[int, list[int]]:
+def _invariant_structure_at(lo: FlatModule, hi: FlatModule) -> tuple[int, list[int]]:
     """(rank, torsion) of the image of ker(X on M/X^(W+1) M) in M/X^W M, for
-    the flat models hi of M/X^(W+1) M and lo of M/X^W M."""
+    the flat models hi of M/X^(W+1) M and lo of M/X^W M, decided at the
+    precision the kernel vectors carry."""
     p, N = hi.p, hi.N
     if hi.dim == 0:
         return 0, []
@@ -377,16 +368,15 @@ def _invariant_structure_at(lo: FlatModule, hi: FlatModule,
     # preimage of the relation span under X, inside the high model, taken to lo
     stacked = stack_cols(hi.X, hi.relmat) if hi.relmat.size else hi.X
     top = np.eye(hi.dim, stacked.shape[1], dtype=np.int64)[rows]
-    K_lo = kernel_image(stacked, top, p, N, tolerant)
+    K_lo, Nk = kernel_image(stacked, top, p, N)
     if hi.relmat.size:
         K_lo = stack_cols(K_lo, hi.relmat[rows])  # the span of relations always maps in
-    return _subquotient_structure(K_lo, lo.relmat, p, N, tolerant)
+    return _subquotient_structure(K_lo, lo.relmat, p, Nk)
 
 
-def coinvariant_structure(pres: Presentation, N: int,
-                          tolerant: bool = False) -> tuple[int, list[int]]:
+def coinvariant_structure(pres: Presentation, N: int) -> tuple[int, list[int]]:
     """(rank, torsion) of M/XM."""
-    rep = module_report(x_truncated(pres, 1), N, tolerant=tolerant)
+    rep = module_report(x_truncated(pres, 1), N)
     return rep["rank"], rep["torsion"]
 
 
@@ -395,9 +385,9 @@ def freeness_test(pres: Presentation, N: int) -> dict:
     M/XM is Z_p-free; M has no nontrivial finite submodule iff ker(X) is
     Z_p-free.
 
-    Margin-ambiguous internals are clamped tolerantly; the ladder from N is
-    walked one rung at a time, and the answer is certified at the first two
-    consecutive rungs that agree, as `certified_at`."""
+    The ladder from N is walked one rung at a time. A rung with a decision
+    inside the margin raises and is passed over, and the answer is certified
+    at the first two consecutive rungs that agree, as `certified_at`."""
     last = PrecisionExhausted("freeness ladder exhausted")
     prev = None
     for Nk in precision_ladder(N):
@@ -416,8 +406,8 @@ def freeness_test(pres: Presentation, N: int) -> dict:
 
 
 def _freeness_once(pres: Presentation, N: int) -> dict:
-    inv_rank, inv_tors = invariant_structure(pres, N, tolerant=True)
-    coin_rank, coin_tors = coinvariant_structure(pres, N, tolerant=True)
+    inv_rank, inv_tors = invariant_structure(pres, N)
+    coin_rank, coin_tors = coinvariant_structure(pres, N)
     return {
         "invariants": (inv_rank, inv_tors),
         "coinvariants": (coin_rank, coin_tors),
@@ -636,10 +626,7 @@ def _kernel_instance(rng, p, d, N) -> dict:
             rot = [e[(b - a) % d] for e in const for b in range(d)]
             cols.append(np.array(rot, dtype=object) % q)
     img = as_matrix(np.array(cols, dtype=object).T, q)
-    res = smith_divisors(img, p, N)
-    if res.ambiguous():
-        raise PrecisionExhausted("kernel image rank inside precision margin")
-    rio = res.rank()
+    rio = smith_divisors(img, p, N).rank()
     expected_rank = d * (r - s)
     ok = filter_ok and (inv_rank + rio == expected_rank)
     return {"kind": "kernel", "ok": ok,

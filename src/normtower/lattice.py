@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .groupring import CharIdempotent, q_values
-from .padic import PrecisionExhausted
 from .points import point_log, plusminus_point_log
 from .snf import (
     as_matrix,
@@ -47,10 +46,7 @@ class Lattice:
         return self.tower.N
 
     def rank(self) -> int:
-        res = smith_divisors(self.mat, self.p, self.N)
-        if res.ambiguous():
-            raise PrecisionExhausted("lattice rank inside precision margin")
-        return res.rank()
+        return smith_divisors(self.mat, self.p, self.N).rank()
 
     def divisor_valuations(self) -> list[int]:
         return smith_divisors(self.mat, self.p, self.N).divisors

@@ -60,18 +60,8 @@ def point_log(t: TowerDesc, n: int) -> TowerElt:
 def plusminus_point_log(t: TowerDesc, n: int, sign: str) -> TowerElt:
     """log of the signed point: sign-adjusted copy of d_n or d_(n-1)."""
     assert sign in ("+", "-") and n >= 0
-    if sign == "+":
-        if n % 2 == 0:
-            s, base = (-1) ** ((n + 2) // 2), n
-        else:
-            s, base = (-1) ** ((n + 1) // 2), n - 1
-    else:
-        if n % 2 == 1:
-            s, base = (-1) ** ((n + 1) // 2), n
-        else:
-            s, base = (-1) ** (n // 2), n - 1
-    x = point_log(t, base)
-    return x.scale_int(s)
+    base = n if (n % 2 == 0) == (sign == "+") else n - 1
+    return point_log(t, base).scale_int((-1) ** ((base + 2) // 2))
 
 
 @dataclass(frozen=True)

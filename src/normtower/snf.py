@@ -4,13 +4,17 @@ Z_p at finite precision is the local ring Z/p^N: every matrix is equivalent
 to diag(p^e1, ..., p^er, 0, ...) with e1 <= e2 <= ... .
 
 Precision policy (stated here once, for the whole package). Every decision
-made at finite precision is one of two kinds. A strict decision reads SNF
-divisors outside the margin: e < N - MARGIN is nonzero, e = N is zero at
-precision, and a divisor in [N - MARGIN, N) raises PrecisionExhausted; it
-is rerun at the next rung of the ladder N, N + PRECISION_BUMP, ... of
-PRECISION_RUNGS rungs (`at_rising_precision`), and the last rung's error is
-final. A tolerant decision clamps margin divisors to zero at precision and is
-certified only when it agrees at two consecutive rungs of the same ladder.
+made at finite precision reads SNF divisors outside the margin: e < N - MARGIN
+is nonzero, e = N is zero at precision, and a divisor in [N - MARGIN, N)
+raises PrecisionExhausted; it is rerun at the next rung of the ladder N,
+N + PRECISION_BUMP, ... of PRECISION_RUNGS rungs (`at_rising_precision`), and
+the last rung's error is final. N is the precision the operand carries. A
+kernel vector computed mod p^N is known only mod p^(N - e), e the largest
+finite divisor of its matrix, so `kernel_image` returns N - e with its
+columns, and the X-kernel invariants of `lambda_modules` decide on them
+there. The one reader that still decides at N is `span_intersection`, whose
+columns `check_exact_sequence` compares at N. The freeness predicates are
+certified, besides, by agreement at two consecutive rungs of the ladder.
 Module checks work at no less than MODULE_PRECISION, the randomized harness
 at no less than HARNESS_PRECISION.
 
@@ -128,10 +132,10 @@ class SnfResult:
         return self.p**self.N
 
     def rank(self) -> int:
-        return sum(1 for e in self.divisors if e < self.N - MARGIN)
-
-    def ambiguous(self) -> bool:
-        return any(self.N - MARGIN <= e < self.N for e in self.divisors)
+        """Number of nonzero divisors; raises on a divisor inside the margin."""
+        if any(self.N - MARGIN <= e < self.N for e in self.divisors):
+            raise PrecisionExhausted("rank decision inside precision margin")
+        return sum(1 for e in self.divisors if e < self.N)
 
     def torsion(self) -> list[int]:
         """Nontrivial finite elementary-divisor valuations (0 < e < N - MARGIN)."""
@@ -244,41 +248,42 @@ def smith_divisors(A, p: int, N: int) -> SnfResult:
                      shape=A.shape)
 
 
-def _kernel_columns(divisors: list[int], n: int, N: int, tolerant: bool) -> list[int]:
-    """The columns past the rank after elimination, margin-aware: strict mode
-    raises on a divisor inside [N - MARGIN, N), tolerant mode clamps it to
-    zero at precision."""
-    if not tolerant and any(N - MARGIN <= e < N for e in divisors):
+def _kernel_columns(divisors: list[int], n: int, N: int) -> list[int]:
+    """The columns past the rank after elimination; raises on a divisor
+    inside [N - MARGIN, N)."""
+    if any(N - MARGIN <= e < N for e in divisors):
         raise PrecisionExhausted("kernel decision inside precision margin")
-    return [j for j in range(n) if j >= len(divisors) or divisors[j] >= N - MARGIN]
+    return [j for j in range(n) if j >= len(divisors) or divisors[j] == N]
 
 
-def kernel_basis(A, p: int, N: int, tolerant: bool = False) -> np.ndarray:
+def kernel_basis(A, p: int, N: int) -> np.ndarray:
     """Columns spanning the Z_p-kernel of A (margin-aware).
 
     Diagonal valuations below N - MARGIN are genuinely nonzero, so over the
-    domain Z_p they contribute nothing to the kernel; columns of V past the
-    rank are exact kernel vectors mod p^N. A divisor inside [N - MARGIN, N)
-    is an ambiguous decision: strict mode raises, tolerant mode clamps it to
-    zero-at-precision (callers then certify by agreement across two N)."""
+    domain Z_p they contribute nothing to the kernel; the columns of V past
+    the rank are killed by A mod p^N. A divisor inside [N - MARGIN, N) raises."""
     res = smith_normal_form(A, p, N)
-    return res.V[:, _kernel_columns(res.divisors, res.shape[1], N, tolerant)]
+    return res.V[:, _kernel_columns(res.divisors, res.shape[1], N)]
 
 
-def kernel_image(A, W, p: int, N: int, tolerant: bool = False) -> np.ndarray:
-    """W @ kernel_basis(A) mod p^N (same margin rule), for W with A's column
-    count: W rides along as V, so it ends as W @ V without V being built."""
+def kernel_image(A, W, p: int, N: int) -> tuple[np.ndarray, int]:
+    """(W @ kernel_basis(A) mod p^N, the precision its columns carry), for W
+    with A's column count: W rides along as V, so it ends as W @ V without V
+    being built. A kernel vector mod p^N is one of Z_p only mod p^(N - e), e
+    the largest finite divisor of A, so the precision returned is N - e."""
     q = p**N
     A = as_matrix(A, q)
     W = as_matrix(W, q).astype(A.dtype, copy=False)
     divisors = _eliminate(A, p, N, V=W)
-    return W[:, _kernel_columns(divisors, A.shape[1], N, tolerant)]
+    cols = _kernel_columns(divisors, A.shape[1], N)
+    return W[:, cols], N - max((e for e in divisors if e < N), default=0)
 
 
 def span_intersection(A: np.ndarray, B: np.ndarray, p: int, N: int) -> np.ndarray:
     """Columns spanning col-span(A) ∩ col-span(B): A x for the kernel vectors
-    (x, y) of [A | -B] (strict margin rule), the kernel image under [A | 0]."""
-    return kernel_image(stack_cols(A, -B), stack_cols(A, np.zeros_like(B)), p, N)
+    (x, y) of [A | -B], the kernel image under [A | 0], read at N (not at the
+    precision the kernel vectors carry)."""
+    return kernel_image(stack_cols(A, -B), stack_cols(A, np.zeros_like(B)), p, N)[0]
 
 
 def span_contains_all(A, B, p: int, N: int) -> bool:
@@ -311,13 +316,12 @@ def spans_equal(A, B, p: int, N: int) -> bool:
     return span_contains_all(A, B, p, N) and span_contains_all(B, A, p, N)
 
 
-def quotient_invariants(D_ambient: int, W, p: int, N: int) -> tuple[int, list[int], bool]:
-    """(free rank, torsion divisor valuations, ambiguous) of
-    Z_p^D / column-span(W)."""
+def quotient_invariants(D_ambient: int, W, p: int, N: int) -> tuple[int, list[int]]:
+    """(free rank, torsion divisor valuations) of Z_p^D / column-span(W)."""
     if W.shape[1] == 0:
-        return D_ambient, [], False
+        return D_ambient, []
     res = smith_divisors(W, p, N)
-    return D_ambient - res.rank(), res.torsion(), res.ambiguous()
+    return D_ambient - res.rank(), res.torsion()
 
 
 def stack_cols(*mats) -> np.ndarray:

@@ -105,9 +105,7 @@ class FieldDesc:
         return (c % (q or self.q),) + (0,) * (self.d - 1)
 
     def zeta(self) -> tuple[int, ...]:
-        if self.d == 1:
-            return (self.modulus[0] and (-self.modulus[0]) % self.q,)
-        return (0, 1) + (0,) * (self.d - 2)
+        return self.reduce((0, 1))
 
     def add(self, a, b, q: int | None = None):
         q = q or self.q

@@ -315,8 +315,7 @@ def _check_against_reference(p, N, A, dt):
     div = smith_divisors(A, p, N)
     assert div.divisors == ref.divisors
     assert div.U is None and div.V is None
-    assert (div.rank(), div.ambiguous(), div.torsion()) == \
-        (ref.rank(), ref.ambiguous(), ref.torsion())
+    assert (_outcome(div.rank), div.torsion()) == (_outcome(ref.rank), ref.torsion())
     res = smith_normal_form(A, p, N)
     assert res.divisors == ref.divisors
     for got, want in ((res.U, ref.U), (res.V, ref.V), (res._diag, ref._diag)):
@@ -366,8 +365,7 @@ def test_every_entry_point_matches_the_verbatim_core(case, dt, seed):
             (smith_normal_form, A, p, N),
             (span_contains_all, A[:, :h], A[:, h:], p, N),
             (span_contains_all, A, (A @ rng.integers(0, q, size=(n, 3))) % q, p, N),
-            (kernel_image, A, W, p, N, False),
-            (kernel_image, A, W, p, N, True),
+            (kernel_image, A, W, p, N),
             (span_intersection, A[:, :h], A[:, h:], p, N),
         ):
             assert _twinned(fn, *args)[1] == 1
@@ -386,13 +384,16 @@ def test_shipped_lattices_match_the_verbatim_core(tower_3_4):
 
 
 def test_quotient_invariants_empty_relations():
-    assert quotient_invariants(5, np.zeros((5, 0), dtype=np.int64), 3, 6) == (5, [], False)
+    assert quotient_invariants(5, np.zeros((5, 0), dtype=np.int64), 3, 6) == (5, [])
 
 
 def test_quotient_invariants():
-    W = np.array([[3, 0, 0], [0, 3**3, 0], [0, 0, 3**5], [0, 0, 0]])
-    # 3^5 sits inside the margin at N = 6: ambiguous, counted as zero
-    assert quotient_invariants(4, W, 3, 6) == (2, [1, 3], True)
+    W = np.array([[3, 0, 0], [0, 3**3, 0], [0, 0, 0], [0, 0, 0]])
+    assert quotient_invariants(4, W, 3, 6) == (2, [1, 3])
+    # 3^5 sits inside the margin at N = 6: the rank decision raises
+    W[2, 2] = 3**5
+    with pytest.raises(PrecisionExhausted):
+        quotient_invariants(4, W, 3, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +434,12 @@ def test_sparse_paths_keep_their_dtype_at_the_entry_bound():
     for dt in (np.int64, object):
         with mock.patch.object(snf, "_dtype_for", lambda q, dim: dt):
             div, res = smith_divisors(A, p, N), smith_normal_form(A, p, N)
-            mats = [res.U, res.V, res._diag, kernel_image(A, W, p, N, tolerant=True),
-                    span_intersection(A[:, :30], A[:, 30:], p, N)]
+            K, Nk = kernel_image(A, W, p, N)
+            mats = [res.U, res.V, res._diag, K, span_intersection(A[:, :30], A[:, 30:], p, N)]
             assert all(M.dtype == dt for M in mats)
-            runs[dt] = (div.divisors, res.divisors, [M.tolist() for M in mats],
-                        _outcome(kernel_image, A, W, p, N),
+            runs[dt] = (div.divisors, res.divisors, [M.tolist() for M in mats], Nk,
                         span_contains_all(A, B, p, N), span_contains_all(A, W[:, :30].T, p, N))
-    assert runs[np.int64][:3] == runs[object][:3]
-    strict = [runs[dt][3] for dt in (np.int64, object)]
-    assert all(isinstance(K, type) for K in strict) or np.array_equal(*strict)
+    assert runs[np.int64][:4] == runs[object][:4]
     assert runs[np.int64][4:] == runs[object][4:] and runs[object][4]
 
 
@@ -558,16 +556,18 @@ def test_intersection_matches_reference(case, dt):
         assert np.array_equal(got, want)
 
 
-def reference_kernel_image(A, W, p: int, N: int, tolerant: bool = False) -> np.ndarray:
-    """The product the kernel-block readers took: W times a kernel basis of A."""
+def reference_kernel_image(A, W, p: int, N: int) -> tuple[np.ndarray, int]:
+    """The product the kernel-block readers took, W times a kernel basis of A,
+    with N less the largest finite divisor of A."""
     q = p**N
-    return (W @ kernel_basis(A, p, N, tolerant=tolerant)) % q
+    K = (W @ kernel_basis(A, p, N)) % q
+    return K, N - max((e for e in smith_divisors(A, p, N).divisors if e < N), default=0)
 
 
 @settings(deadline=None, max_examples=300)
-@given(operand_pair(), st.sampled_from([np.int64, object]), st.booleans(),
+@given(operand_pair(), st.sampled_from([np.int64, object]),
        st.integers(0, 4), st.integers(0, 2**32 - 1))
-def test_kernel_image_matches_reference(case, dt, tolerant, k, seed):
+def test_kernel_image_matches_reference(case, dt, k, seed):
     p, N, A, B = case
     q = p**N
     rng = np.random.default_rng(seed)
@@ -578,23 +578,26 @@ def test_kernel_image_matches_reference(case, dt, tolerant, k, seed):
             for W in (rng.integers(0, q, size=(k, n)).astype(object),
                       np.eye(min(k, n), n, dtype=np.int64)):
                 Mc, Wc = M.copy(), W.copy()
-                got = _outcome(kernel_image, M, W, p, N, tolerant)
-                want = _outcome(reference_kernel_image, M, W, p, N, tolerant)
+                got = _outcome(kernel_image, M, W, p, N)
+                want = _outcome(reference_kernel_image, M, W, p, N)
                 assert np.array_equal(M, Mc) and np.array_equal(W, Wc)  # operands untouched
                 if isinstance(want, type):
                     assert got is want
                     continue
+                (got, got_N), (want, want_N) = got, want
                 assert got.dtype == dt and got.shape == want.shape
                 assert np.array_equal(got.astype(object), want.astype(object))
+                assert got_N == want_N
 
 
 def test_kernel_image_margin_rules():
-    # a divisor at N - 1: strict raises, tolerant clamps it into the kernel
-    A = np.array([[3**4, 0], [0, 1]])
-    W = np.array([[1, 0], [0, 1], [1, 1]])
+    W = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
+    # a divisor at N - 1 raises
     with pytest.raises(PrecisionExhausted):
-        kernel_image(A, W, 3, 5)
-    assert kernel_image(A, W, 3, 5, tolerant=True).tolist() == [[1], [0], [1]]
+        kernel_image(np.array([[3**4, 0, 0], [0, 1, 0]]), W, 3, 5)
+    # a divisor at N - 3 is nonzero; the kernel column is known mod 3^(5 - 2)
+    K, Nk = kernel_image(np.array([[3**2, 0, 0], [0, 1, 0]]), W, 3, 5)
+    assert (K.tolist(), Nk) == ([[0], [0], [1]], 3)
 
 
 def test_membership_rejects_mismatched_rows():
