@@ -26,11 +26,8 @@ from .groupring import idempotents
 from .lambda_modules import (
     closed_form_coinvariant_torsion,
     coinvariant_rank_law,
-    coinvariants,
+    coinvariant_torsion,
     kernel_freeness_property,
-    module_report,
-    present_minus,
-    present_plus,
     supplementary_structure_check,
 )
 from .lattice import (
@@ -45,7 +42,7 @@ from .lattice import (
 from .padic import PrecisionExhausted
 from .points import verify_trace_relations
 from .series import TruncSeries
-from .snf import HARNESS_PRECISION, MODULE_PRECISION
+from .snf import HARNESS_PRECISION, MODULE_PRECISION, at_rising_precision
 from .tower import build_tower
 
 SCHEMA_VERSION = 1
@@ -242,12 +239,10 @@ def _check_torsion(cfg: CampaignConfig):
             cfg.p_list, cfg.d_list, range(0, min(cfg.n_max, 2) + 1), (2, 4), "+-",
             _CHARACTERS):
         m = n + gap
-        present = present_plus if sign == "+" else present_minus
-        rep = module_report(coinvariants(present(p, d, m, triv), n), N)
+        got = at_rising_precision(lambda Nk: coinvariant_torsion(p, d, m, n, sign, triv, Nk), N)
         cf = sorted(closed_form_coinvariant_torsion(p, d, m, n, sign, triv))
         yield Record(p=p, d=d, n=n, chi=label, sign=sign, check="torsion",
-                     expected=str(cf), measured=str(rep["torsion"]),
-                     ok=rep["torsion"] == cf,
+                     expected=str(cf), measured=str(got), ok=got == cf,
                      rule=f"m={m}: cyclotomic factors above level n collapse to p")
 
 
@@ -257,12 +252,14 @@ def _check_lambda(cfg: CampaignConfig):
         for d in cfg.d_list:
             for sign, (triv, label), n in product("+-", _CHARACTERS,
                                                   range(0, min(cfg.n_max, 2) + 1)):
-                rep = coinvariant_rank_law(p, d, n, triv, sign, N)
+                rep = at_rising_precision(
+                    lambda Nk: coinvariant_rank_law(p, d, n, triv, sign, Nk), N)
                 yield Record(p=p, d=d, n=n, chi=label, sign=sign,
                              check="coinvariant_rank",
                              expected=str(rep["expected"]), measured=str(rep["total"]),
                              ok=rep["ok"], rule="d p^n + delta (plus) / d p^n (minus)")
-            rep = supplementary_structure_check(d, True, p, N, "+")
+            rep = at_rising_precision(
+                lambda Nk: supplementary_structure_check(d, True, p, Nk, "+"), N)
             yield Record(p=p, d=d, n="0-2", chi="triv", sign="+", check="structure_candidate",
                          expected="consistent at all tested levels", measured=str(rep["ok"]),
                          ok=rep["ok"], rule="free rank d plus delta X-killed lines")

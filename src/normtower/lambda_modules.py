@@ -451,17 +451,22 @@ def closed_form_coinvariant_torsion(p: int, d: int, m: int, n: int, sign: str,
     return [c] * mult
 
 
+_PRESENT = {"+": present_plus, "-": present_minus}
+
+
+def coinvariant_torsion(p: int, d: int, m: int, n: int, sign: str, trivial_chi: bool,
+                        N: int) -> list[int]:
+    """The torsion of present_{sign}(m, chi)/omega_n, as `module_report` reads it."""
+    return module_report(coinvariants(_PRESENT[sign](p, d, m, trivial_chi), n), N)["torsion"]
+
+
 def coinvariant_rank_law(p: int, d: int, n: int, trivial_chi: bool, sign: str,
                          N: int) -> dict:
     """Assemble the level-n coinvariant rank of the dual tower module:
     rank of the level-n subgroup plus the stabilized torsion corank, checked
     against d p^n + delta (plus side) or d p^n (minus side)."""
-    present = present_plus if sign == "+" else present_minus
-    rank_n = module_report(present(p, d, n, trivial_chi), N)["rank"]
-    tors = []
-    for m in (n + 2, n + 4):
-        rep = module_report(coinvariants(present(p, d, m, trivial_chi), n), N)
-        tors.append(rep["torsion"])
+    rank_n = module_report(_PRESENT[sign](p, d, n, trivial_chi), N)["rank"]
+    tors = [coinvariant_torsion(p, d, m, n, sign, trivial_chi, N) for m in (n + 2, n + 4)]
     counts_stable = len(tors[0]) == len(tors[1])
     growth_ok = tors[1] == [e + 1 for e in tors[0]]
     corank = len(tors[0])
@@ -587,14 +592,16 @@ def _random_safe_module(rng, p, d):
 
 
 def _kernel_instance(rng, p, d, N) -> dict:
-    """One surjection from a free module onto a safe module, with closed-form
-    kernel generators.
+    """One surjection from a free module Lambda^r onto a safe module, with
+    closed-form kernel generators.
 
     The kernel K sits in 0 -> ker(X on N) -> K/XK -> image(K in Z_p[G]^r) -> 0
     (snake sequence for X acting on 0 -> K -> free -> N -> 0, and the image is
     a submodule of a free Z_p-module, so the sequence splits). K has no
     X-torsion a priori inside the free module, so the freeness conclusion
     reduces to: ker(X on N) torsion-free and ranks summing to d(r - s).
+    The image's rank is d r less the Z_p-rank of the X-coinvariants of
+    Lambda^r / K, which `coinvariant_structure` reads through `module_report`.
     """
     targetN, s = _random_safe_module(rng, p, d)
     gN = targetN.gens
@@ -617,16 +624,7 @@ def _kernel_instance(rng, p, d, N) -> dict:
     # the safe-module filter: verified submodule-free (ker X torsion-free)
     inv_rank, inv_tors = invariant_structure(targetN, N)
     filter_ok = not inv_tors
-    # image of K in the X-coinvariants of the free module: constant coefficients
-    q = p**N
-    cols = []
-    for k in kgens:
-        const = [[c[0] if c else 0 for c in comp] for comp in k]
-        for a in range(d):  # F^a k: F-power b moves to b + a
-            rot = [e[(b - a) % d] for e in const for b in range(d)]
-            cols.append(np.array(rot, dtype=object) % q)
-    img = as_matrix(np.array(cols, dtype=object).T, q)
-    rio = smith_divisors(img, p, N).rank()
+    rio = d * r - coinvariant_structure(Presentation(p, d, r, tuple(kgens)), N)[0]
     expected_rank = d * (r - s)
     ok = filter_ok and (inv_rank + rio == expected_rank)
     return {"kind": "kernel", "ok": ok,

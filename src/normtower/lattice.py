@@ -118,18 +118,20 @@ def galois_span(t: TowerDesc, gens: list[TowerElt], n: int,
 # the lattices of the theory
 # ---------------------------------------------------------------------------
 
+def _point_log_span(t: TowerDesc, n: int, lower: int, chi) -> Lattice:
+    """The span of the level-n point log and, for n >= 0, the level-`lower` one."""
+    gens = [point_log(t, n)] + ([point_log(t, lower)] if n >= 0 else [])
+    return galois_span(t, gens, n, chi)
+
+
 def norm_subgroup_lattice(t: TowerDesc, n: int, chi=None) -> Lattice:
     """C(m_n): the span of the level-n and level-(-1) point logs (log route)."""
-    if n == -1:
-        return galois_span(t, [point_log(t, -1)], -1, chi)
-    return galois_span(t, [point_log(t, n), point_log(t, -1)], n, chi)
+    return _point_log_span(t, n, -1, chi)
 
 
 def curve_group_lattice(t: TowerDesc, n: int, chi=None) -> Lattice:
     """The log image of the full group at level n: span of log d_n, log d_(n-1)."""
-    if n == -1:
-        return galois_span(t, [point_log(t, -1)], -1, chi)
-    return galois_span(t, [point_log(t, n), point_log(t, n - 1)], n, chi)
+    return _point_log_span(t, n, n - 1, chi)
 
 
 def plusminus_lattice(t: TowerDesc, n: int, sign: str, chi=None) -> Lattice:

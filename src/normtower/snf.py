@@ -6,17 +6,17 @@ to diag(p^e1, ..., p^er, 0, ...) with e1 <= e2 <= ... .
 Precision policy (stated here once, for the whole package). Every decision
 made at finite precision reads SNF divisors outside the margin: e < N - MARGIN
 is nonzero, e = N is zero at precision, and a divisor in [N - MARGIN, N)
-raises PrecisionExhausted; it is rerun at the next rung of the ladder N,
-N + PRECISION_BUMP, ... of PRECISION_RUNGS rungs (`at_rising_precision`), and
-the last rung's error is final. N is the precision the operand carries. A
-kernel vector computed mod p^N is known only mod p^(N - e), e the largest
-finite divisor of its matrix, so `kernel_image` returns N - e with its
-columns, and the X-kernel invariants of `lambda_modules` decide on them
-there. The one reader that still decides at N is `span_intersection`, whose
-columns `check_exact_sequence` compares at N. The freeness predicates are
-certified, besides, by agreement at two consecutive rungs of the ladder.
-Module checks work at no less than MODULE_PRECISION, the randomized harness
-at no less than HARNESS_PRECISION.
+raises PrecisionExhausted, and the record is rerun at the next rung of the
+ladder N, N + PRECISION_BUMP, ... (PRECISION_RUNGS rungs; the last rung's
+error is final). Lattice records climb through `lattice.with_precision_retry`,
+module records through `at_rising_precision` from MODULE_PRECISION, harness
+instances one by one from HARNESS_PRECISION, and `freeness_test` by its
+certificate: an answer agreed at two consecutive rungs. N is the precision
+the operand carries. A kernel vector computed mod p^N is known only mod
+p^(N - e), e the largest finite divisor of its matrix, so `kernel_image`
+returns N - e with its columns, and the X-kernel invariants of
+`lambda_modules` decide on them there. The one reader that still decides at
+N is `span_intersection`, whose columns `check_exact_sequence` compares at N.
 
 One elimination core, `_eliminate`, computes the form in place. Each pivot is
 the first entry, in row-major order, of minimal valuation e in the trailing

@@ -316,14 +316,11 @@ class TowerElt:
 
 
 def tower_zero(t: TowerDesc, n: int, prec: int | None = None) -> TowerElt:
-    return TowerElt(t, n, np.zeros((t.level_dim(n), t.d), dtype=object),
-                    0, prec if prec is not None else t.N)
+    return tower_scalar(t, n, t.field.zero(), prec)
 
 
 def tower_one(t: TowerDesc, n: int, prec: int | None = None) -> TowerElt:
-    c = np.zeros((t.level_dim(n), t.d), dtype=object)
-    c[0] = t.field.one()
-    return TowerElt(t, n, c, 0, prec if prec is not None else t.N)
+    return tower_scalar(t, n, t.field.one(), prec)
 
 
 def tower_eta(t: TowerDesc, n: int) -> TowerElt:

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from normtower import cli, honda
+from normtower import cli, honda, lambda_modules
 from normtower.cli import CampaignConfig, ConfigError, main
 from normtower.padic import PrecisionExhausted
+from normtower.snf import MODULE_PRECISION
 
 
 def write_cfg(tmp_path: Path, doc: dict) -> Path:
@@ -266,3 +268,32 @@ def test_record_runtimes_sum_to_the_campaign_clock(monkeypatch):
 def test_every_check_runs_through_the_runner():
     assert cli.ALL_CHECKS == ("trace", "ranks", "cyclicity", "torsion", "lambda", "series")
     assert set(cli.CHECKS) == {"ap_gate", *cli.ALL_CHECKS}
+
+
+def test_module_records_climb_the_precision_ladder(monkeypatch):
+    """A margin collision in every module_report at the module floor is rerun
+    at the next rung: the torsion and lambda records equal those of the run
+    without it."""
+    cfg = CampaignConfig.from_json({**BASE, "n_max": 0, "lambda_trials": 4,
+                                    "checks": ["torsion", "lambda"]})
+    assert max(cfg.precision, MODULE_PRECISION) == MODULE_PRECISION
+
+    def rows(records):
+        return [(r.row(), r.rule) for r in records]
+
+    want = rows(cli.run_campaign(cfg))
+    report, collisions = lambda_modules.module_report, []
+
+    def colliding(pres, N):
+        if N == MODULE_PRECISION:
+            collisions.append(N)
+            raise PrecisionExhausted("forced margin collision")
+        return report(pres, N)
+
+    holders = [m for name, m in sys.modules.items()
+               if name.startswith("normtower.") and hasattr(m, "module_report")]
+    for module in holders:
+        monkeypatch.setattr(module, "module_report", colliding)
+    assert len(want) == 15
+    assert rows(cli.run_campaign(cfg)) == want
+    assert collisions

@@ -10,6 +10,10 @@
   src/normtower or exported from normtower.__all__. UNREAD_VERIFIERS lists the
   verifiers that only tests, scripts or perfbench reach: each is to be
   promoted into the campaign or deleted.
+- Every name in normtower.__all__ is read somewhere under src/normtower
+  outside __init__.py. UNREAD_EXPORTS lists the exported names that only
+  tests, scripts or perfbench reach: each is to be promoted into the
+  campaign or deleted, as UNREAD_VERIFIERS are.
 - Every public method of a module-level class is read as an attribute
   somewhere under src/normtower. UNREAD_METHODS lists the methods that only
   tests reach.
@@ -204,6 +208,43 @@ def test_detects_an_unread_public_name():
         "b.py": "from . import a\nclass Helper:\n    pass\nprint(a.orphan)\n",
     }
     assert unread_public_names(sources) == [("b.py", "Helper")]
+
+
+UNREAD_EXPORTS = {
+    "check_g_iterate",
+    "formal_group_law",
+    "is_unit",
+    "local_point_direct",
+    "uniformizer_generates_quotient",
+}
+
+
+def unread_exports(sources: dict[str, str]) -> list[str]:
+    """The names in __all__ that no module but __init__.py reads."""
+    trees = {module: ast.parse(src) for module, src in sources.items()
+             if module != "__init__.py"}
+    return sorted(_exported(sources) - _read_names(trees))
+
+
+def test_exported_names_are_read():
+    unread = unread_exports(SOURCES)
+    assert [n for n in unread if n not in UNREAD_EXPORTS] == []
+    # an allowlisted export that is now read leaves the list
+    assert unread == sorted(UNREAD_EXPORTS)
+
+
+def test_detects_an_unread_export():
+    sources = {
+        "__init__.py": ("from .a import Shape, area, run, scale\n"
+                        "__all__ = ['Shape', 'area', 'run', 'scale']\nprint(area)\n"),
+        "a.py": ("class Shape:\n    pass\n"
+                 "def area(s):\n    return 0\n"
+                 "def scale(s):\n    return s\n"
+                 "def run():\n    return Shape()\n"),
+        "b.py": "from . import a\nprint(a.run)\n",
+    }
+    # area is read only in __init__.py, scale nowhere
+    assert unread_exports(sources) == ["area", "scale"]
 
 
 UNREAD_METHODS = {
