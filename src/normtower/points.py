@@ -27,15 +27,18 @@ from .tower import (
 def epsilon_log(t: TowerDesc, n: int) -> TowerElt:
     """eps_n as a base-field element: alternating sum of p^i Frobenius twists.
 
-    Terms with i > N vanish mod p^N; valuation is exactly 1.
+    Terms with i > N vanish mod p^N; valuation is exactly 1. Frobenius has
+    order d, so the signed weights p^i are summed per class of the exponent
+    mod d and zeta is twisted once per class.
     """
     assert n >= -1
     fd = t.field
-    acc = fd.zero()
+    weights = [0] * fd.d
     for i in range(1, t.N + 1):
-        term = fd.frob(fd.zeta(), -(n + 1 + 2 * i))
-        term = fd.scalar(pow(t.p, i), term)
-        acc = fd.add(acc, term) if i % 2 == 1 else fd.sub(acc, term)
+        weights[-(n + 1 + 2 * i) % fd.d] += (-1) ** (i - 1) * t.p**i
+    acc = fd.zero()
+    for k, c in enumerate(weights):
+        acc = fd.add(acc, fd.scalar(c, fd.frob(fd.zeta(), k)))
     return tower_scalar(t, -1, acc)
 
 

@@ -16,6 +16,16 @@ quarter of the size, by evaluation at four points (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", J. Symb.
 Comput. 2009; see `mul`).
 
+The third regime starts at a longer factor of _DECIMAL_BYTES packed (128 KB)
+and a shorter one of _DECIMAL_COEFFS coefficients (64): the same
+substitution in base 10^w, w digits per slot. Each factor or block is packed
+as one exact decimal.Decimal, libmpdec multiplies it (by number-theoretic
+transform at these sizes) in a private context that traps every rounding,
+and the product's slots are read back as balanced digits. Its blocks are as
+long as the shorter factor and at least _DECIMAL_BLOCK_BYTES packed (128 KB).
+Only the two largest products of omega_family(5, 5) reach it;
+scripts/sweep_decimal_mul.py measures the crossover and the block rule.
+
 `mul_vec` multiplies polynomials whose coefficients are themselves
 length-d coefficient vectors (elements of O_k, of Z[F]/(F^d - 1), ...): each
 vector is laid out in 2d - 1 slots, so the inner products cannot overlap,
@@ -37,10 +47,19 @@ and the group ring Z_p[F]/(F^d - 1) (m = x^d - 1).
 
 from __future__ import annotations
 
+import decimal
+import sys
 from math import gcd
 
 _MULTIPOINT_BYTES = 2048  # the shorter factor's packed size from which mul evaluates at four points
 _MULTIPOINT_COEFFS = 6  # and its coefficient count: below it the classes hold one or two each
+_DECIMAL_BYTES = 1 << 17  # the longer factor's packed size from which mul multiplies in libmpdec
+_DECIMAL_COEFFS = 64  # and the shorter factor's coefficient count: below it the conversions cost more
+_DECIMAL_BLOCK_BYTES = 1 << 17  # the least packed size of a block of the longer factor there
+
+# Exact arithmetic in libmpdec: any rounding or invalid operation raises.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
 
 
 def _pack(a, s: int) -> int:
@@ -87,12 +106,75 @@ def _classes(ay, am, ar, ai, by, bm, br, bi, t: int) -> tuple[int, int, int, int
     return (even + re) >> 1, (odd + im) >> 1, (even - re) >> (2 * t + 1), (odd - im) >> (2 * t + 1)
 
 
+def _pack_decimal(a, w: int) -> decimal.Decimal:
+    """sum a_i 10^(w i) as one exact Decimal, by halves: each sum shifts the
+    upper half by its exponent, and libmpdec carries the signs."""
+    packed = [_EXACT.create_decimal(x) for x in a]
+    shift = w
+    while len(packed) > 1:
+        pairs = zip(packed[::2], packed[1::2])
+        packed = [_EXACT.add(lo, _EXACT.scaleb(hi, shift)) for lo, hi in pairs] + packed[len(packed) & ~1:]
+        shift *= 2
+    return packed[0]
+
+
+def _read_digits(digits: str) -> int:
+    """int(digits) in pieces of 640 digits, which int(str) takes under any
+    str-digit limit (sys.int_info.str_digits_check_threshold)."""
+    x = 0
+    for k in range(0, len(digits), 640):
+        piece = digits[k:k + 640]
+        x = x * 10 ** len(piece) + int(piece)
+    return x
+
+
+def _digits(x: decimal.Decimal, m: int) -> str:
+    """The digits of x, or of its ten's complement 10^m + x when x is negative
+    (or -0), as _unpack reads two's complement."""
+    if x.is_signed():
+        x = _EXACT.add(x, _EXACT.scaleb(1, m))
+    return str(x)
+
+
+def _unpack_decimal(digits: str, out, slots: range, w: int, half: int) -> None:
+    """Adds the w-digit slots of the last len(slots) * w digits of a digit
+    string, zeros where it is shorter, to out[slots] as balanced digits, as
+    _unpack does. Slots wider than the interpreter's str-digit limit are read
+    in pieces; the limit is not touched."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    read = int if not limit or w <= limit else _read_digits
+    base, borrow = 2 * half, 0
+    for i, k in zip(slots, range(len(digits), len(digits) - len(slots) * w, -w)):
+        c = (read(digits[max(k - w, 0):k]) if k > 0 else 0) + borrow
+        borrow = c >= half
+        out[i] += c - base if borrow else c
+
+
+def _mul_decimal(a, b, bound: int, s: int, out) -> None:
+    """Kronecker substitution at 10^w: each block of a and b packed as one
+    Decimal, one libmpdec product (a number-theoretic transform at these
+    sizes) per block, read back from slots of w digits. Each product is freed
+    once _digits returns, before its digits are read, and no digit string
+    outlives its block."""
+    w = (bound.bit_length() + 1) * 30103 // 100000 + 1  # 10^w > 2^(bits + 1) > 2 bound
+    half = 5 * 10 ** (w - 1)
+    n = len(b)
+    step = max(n, _DECIMAL_BLOCK_BYTES // s)
+    packed_b = _pack_decimal(b, w)
+    for j in range(0, len(a), step):
+        block = a[j:j + step]
+        slots = range(j, j + len(block) + n - 1)
+        _unpack_decimal(_digits(_EXACT.multiply(_pack_decimal(block, w), packed_b), len(slots) * w),
+                        out, slots, w, half)
+
+
 def mul(a, b) -> list[int]:
     """The product of two polynomials over Z. From the crossover on, a block's
     product H is evaluated at y, -y and iy, y^4 = 2^W, with the classes mod 4
     of both factors packed in the same slots: five products, Gauss's three for
     H(iy), about 0.55 of one under Karatsuba. The slots and bound are the same
-    and every division that recovers the classes of H is an exact shift."""
+    and every division that recovers the classes of H is an exact shift.
+    From the decimal crossover on, the whole product goes to _mul_decimal."""
     if not a or not b:
         return []
     if len(a) < len(b):
@@ -103,6 +185,9 @@ def mul(a, b) -> list[int]:
     if not bound:
         return out
     s = (bound.bit_length() + 8) // 8  # bytes per slot, so that bound < 2^(8s-1)
+    if s * len(a) >= _DECIMAL_BYTES and n >= _DECIMAL_COEFFS:
+        _mul_decimal(a, b, bound, s, out)
+        return out
     half = 1 << (8 * s - 1)
     multipoint = s * n >= _MULTIPOINT_BYTES and n >= _MULTIPOINT_COEFFS
     packed_b = _evaluate(b, s) if multipoint else _pack(b, s)

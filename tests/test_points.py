@@ -29,6 +29,29 @@ def test_epsilon_geometric_series_d1():
     assert int(e.coords[0][0]) == geom * zeta % q
 
 
+def _verbatim_epsilon_log(t, n):
+    """epsilon_log as it was when it summed one Frobenius twist per power of p."""
+    fd = t.field
+    acc = fd.zero()
+    for i in range(1, t.N + 1):
+        term = fd.frob(fd.zeta(), -(n + 1 + 2 * i))
+        term = fd.scalar(pow(t.p, i), term)
+        acc = fd.add(acc, term) if i % 2 == 1 else fd.sub(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_epsilon_log_sums_one_twist_per_class(p, d):
+    """One twist per class of the exponent mod d is bit-identical to the
+    sum of N twists, at every level."""
+    t = build_tower(p, d, 3, 7)
+    for n in range(-1, 4):
+        e = epsilon_log(t, n)
+        assert (e.level, e.den, e.prec) == (-1, 0, t.N)
+        assert e.coords.tolist() == [list(_verbatim_epsilon_log(t, n))]
+
+
 def test_point_log_shapes(tower_3_2):
     t = tower_3_2
     assert point_log(t, -1).level == -1

@@ -1,7 +1,9 @@
 """Differential tests: the Kronecker kernel and every product routed through
 it against schoolbook references kept in this file."""
 
+import decimal
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -266,6 +268,159 @@ def test_short_factors_take_one_product_past_the_crossover(n, kb, monkeypatch):
     lengths = _spy_evaluate(monkeypatch)
     assert mul(a, b) == _reference_mul(a, b)
     assert lengths == ([n] * 4 if n == 6 else [])
+
+
+# -- the libmpdec regime --------------------------------------------------------
+
+
+def test_decimal_is_the_c_implementation():
+    """The libmpdec regime would be exact on the pure-Python decimal as well,
+    but far slower: a fallback must fail here, not quietly slow p = 5."""
+    import _decimal
+
+    assert decimal.Decimal is _decimal.Decimal
+
+
+def _spy_decimal(monkeypatch):
+    """The lengths of the factors that mul multiplies in libmpdec, longer first."""
+    shapes, real = [], polyarith._mul_decimal
+    monkeypatch.setattr(polyarith, "_mul_decimal",
+                        lambda a, b, *rest: shapes.append((len(a), len(b))) or real(a, b, *rest))
+    return shapes
+
+
+def _decimal_everywhere(mp, block_bytes: int = 0):
+    mp.setattr(polyarith, "_DECIMAL_BYTES", 0)
+    mp.setattr(polyarith, "_DECIMAL_COEFFS", 0)
+    mp.setattr(polyarith, "_DECIMAL_BLOCK_BYTES", block_bytes)
+
+
+def _packed_bytes(a, b) -> int:
+    """The longer factor's packed size in bytes, as mul computes it."""
+    n = min(len(a), len(b))
+    return ((max(map(abs, a)) * max(map(abs, b)) * n).bit_length() // 8 + 1) * max(len(a), len(b))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([1, 8, 63, 70, 500, 3000]), st.sampled_from([0, 64, 1 << 20]), st.data())
+def test_decimal_matches_one_product_per_block(bits, block_bytes, data):
+    """With the crossover at 0, every product is multiplied in libmpdec:
+    signed, zero and all-zero factors of 0 to 13 coefficients, single
+    coefficients, and longer factors whose last block is short (blocks as
+    long as the shorter factor, of 64 bytes or of the whole factor), in both
+    argument orders."""
+    top = 2**bits - 1
+    coeff = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 0]))
+
+    def poly(lengths):
+        n = data.draw(lengths)
+        return data.draw(st.one_of(st.just([0] * n), st.lists(coeff, min_size=n, max_size=n)))
+
+    a = poly(st.integers(0, 13))
+    b = poly(st.one_of(st.integers(0, 13), st.integers(14, 40)))
+    with pytest.MonkeyPatch.context() as mp:
+        _decimal_everywhere(mp, block_bytes)
+        shapes = _spy_decimal(mp)
+        got, swapped = mul(a, b), mul(b, a)
+    assert got == swapped == _reference_mul(a, b)
+    assert len(shapes) == (2 if any(a) and any(b) else 0)
+
+
+def test_decimal_at_the_slot_boundary(monkeypatch):
+    """7 * 31 * 151 = 2^15 - 1 with alternating signs, as the int regimes are
+    tested; and slots of 28 digits filled to 0.99 of half = 5 * 10^27 by
+    +-(2^92 - 1), of both signs in every pattern of five."""
+    _decimal_everywhere(monkeypatch)
+    for n in range(1, 30):
+        for sign in (1, -1):
+            a, b = [31 * sign**i for i in range(n)], [151 * sign**i for i in range(7)]
+            got = mul(a, b)
+            assert got == mul(b, a) == _reference_mul(a, b) == ref_mul(a, b)
+            assert n < 7 or max(map(abs, got)) == 2**15 - 1
+    top = 2**92 - 1
+    for signs in range(32):
+        a = [top * (-1) ** (signs >> i & 1) for i in range(5)]
+        for b in ([1], [-1]):
+            assert mul(a, b) == mul(b, a) == [x * b[0] for x in a]
+    test_mul_edge_cases()
+
+
+def test_omega_products_match_the_int_path(monkeypatch):
+    """Both products of omega_family(5, 5) past the crossover, the build
+    omega-tilde_5^- = omega-tilde_4^- * Phi_5(1+X) and the identity
+    omega_5 = omega-tilde_5^- * omega_5^+, are multiplied in libmpdec and
+    agree bit for bit with the int regimes."""
+    fam4, fam5 = omega_family(5, 4), omega_family(5, 5)
+    products = [(fam4.omega_tilde_minus, fam5.phis[-1]), (fam5.omega_tilde_minus, fam5.omega_plus)]
+    shapes = _spy_decimal(monkeypatch)
+    got = [mul(a, b) for a, b in products]
+    assert shapes == [(2501, 105), (2605, 522)]
+    monkeypatch.setattr(polyarith, "_DECIMAL_BYTES", 1 << 62)
+    assert got == [mul(a, b) for a, b in products]
+    assert tuple(got[0]) == fam5.omega_tilde_minus
+    assert poly_trim(got[1]) == poly_trim(fam5.omega)
+
+
+@pytest.mark.parametrize("la, n, bits", [(61, 61, 3263), (548, 183, 360)])
+def test_workload_products_stay_off_the_decimal_path(la, n, bits, monkeypatch):
+    """The largest products of point_series (the D = 60 compositions, 61 by
+    61 coefficients of 3263 bits) and of full_grid (548 by 183, slots of 92
+    bytes) lie below the crossover, about 49 KB packed against 128 KB."""
+    rng = random.Random(la)
+    a = [rng.randint(-(2**bits), 2**bits) for _ in range(la)]
+    b = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
+    assert 40 << 10 < _packed_bytes(a, b) < polyarith._DECIMAL_BYTES
+    shapes = _spy_decimal(monkeypatch)
+    assert mul(a, b) == _reference_mul(a, b)
+    assert shapes == []
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_short_factors_stay_on_the_int_path_past_the_decimal_crossover(n, monkeypatch):
+    """Past 128 KB of packed longer factor, a shorter factor of fewer than 64
+    coefficients stays on the int path, where its blocks are cheaper than
+    the decimal conversions; one of 64 goes to libmpdec."""
+    rng = random.Random(n)
+    a = [rng.randint(-(2**300), 2**300) for _ in range(2048)]
+    b = [rng.randint(-(2**300), 2**300) for _ in range(n)]
+    assert _packed_bytes(a, b) >= polyarith._DECIMAL_BYTES
+    shapes = _spy_decimal(monkeypatch)
+    assert mul(a, b) == _reference_mul(a, b)
+    assert shapes == ([] if n < polyarith._DECIMAL_COEFFS else [(2048, n)])
+
+
+def test_wide_slots_are_read_past_the_str_digit_limit(monkeypatch):
+    """300 coefficients of 15,000 bits make slots of about 9,000 digits, past
+    the default limit of 4,300 digits on int(str): mul reads them in pieces
+    and leaves the interpreter's limit as it was."""
+    str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = str_digits()
+    rng = random.Random(15000)
+    a, b = ([rng.randint(-(2**15000), 2**15000) for _ in range(300)] for _ in range(2))
+    shapes = _spy_decimal(monkeypatch)
+    assert mul(a, b) == _reference_mul(a, b)
+    assert shapes == [(300, 300)]
+    assert str_digits() == limit
+    digits = "".join(str(rng.randrange(10**9)).zfill(9) for _ in range(1200))
+    assert polyarith._read_digits(digits) == int(decimal.Decimal(digits))
+
+
+def test_decimal_path_holds_at_most_four_packed_sizes(monkeypatch):
+    """The identity product of omega_family(5, 5), 2605 by 522 coefficients
+    of about 2600 bits (1 MB packed), in blocks of 522: the transforms of
+    libmpdec, allocated through PyMem and so seen by tracemalloc, and the
+    product's coefficients peak at 3.5 packed sizes."""
+    fam = omega_family(5, 5)
+    a, b = fam.omega_tilde_minus, fam.omega_plus
+    shapes = _spy_decimal(monkeypatch)
+    tracemalloc.start()
+    try:
+        mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shapes == [(2605, 522)]
+    assert peak < 4 * _packed_bytes(a, b)
 
 
 @settings(deadline=None, max_examples=100)
