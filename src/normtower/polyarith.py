@@ -1,6 +1,7 @@
 """Exact coefficient arithmetic: polynomial products over Z by Kronecker
-substitution, the two reduction rules the rings of normtower need, one
-extended gcd over F_p, and the inverse of a unit of (Z/q)[x]/(m) for a monic m.
+substitution or by residues mod word-size primes, the two reduction rules
+the rings of normtower need, one extended gcd over F_p, and the inverse of
+a unit of (Z/q)[x]/(m) for a monic m.
 
 A polynomial is a sequence of ints, lowest degree first. `mul` packs both
 factors in slots of W = 8s bits, wide enough for every product coefficient,
@@ -9,22 +10,45 @@ unpacking go through int.to_bytes / int.from_bytes in linear time. A factor
 is packed as one two's-complement integer, each slot taking the borrow of
 the slot below; the product's slots are read back as balanced digits.
 The longer factor is cut into blocks as long as the shorter one, which
-bounds the transient big ints. Each block is one big-int product below a
-packed shorter factor of _MULTIPOINT_BYTES (the measured crossover) or of
-fewer than _MULTIPOINT_COEFFS coefficients, and otherwise five products of a
-quarter of the size, by evaluation at four points (Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution", J. Symb.
-Comput. 2009; see `mul`).
+bounds the transient big ints, and each block is one big-int product.
 
-The third regime starts at a longer factor of _DECIMAL_BYTES packed (128 KB)
-and a shorter one of _DECIMAL_COEFFS coefficients (64): the same
+From the residue crossover on, `mul` works by residues instead
+(multi-modular multiplication; Brent and Zimmermann, "Modern Computer
+Arithmetic", 2010, ch. 2). The crossover is measured: a sparser factor of at
+least _RESIDUE_COEFFS nonzero coefficients (7), slots of at least
+_RESIDUE_SLOT bytes (64), and those nonzero coefficients at least
+_RESIDUE_BYTES packed (4 KB). Both factors are reduced mod k primes p_i
+below 2^26 whose product M exceeds 2 bound, the residues are convolved per
+prime over the sparser factor's nonzero coefficients, and each product
+coefficient is rebuilt by the CRT and lifted to (-M/2, M/2), as _unpack
+reads a slot. Three integer bounds make it exact:
+
+- residues: the 16-bit limbs of |a_j| times a table of 2^(16 l) mod p_i, a
+  float64 matrix product whose partial sums stay below
+  L (2^16 - 1)(p_i - 1) < 2^53 for L <= _MAX_LIMBS = 2048 limbs;
+- convolution: int64 sums of products of at most (p - 1)^2, reduced mod p
+  every _CONV_CHUNK = 2048 terms, so below 2^63;
+- CRT: c @ limbs(M / p_i), a float64 matrix product whose partial sums stay
+  below k (p - 1)(2^16 - 1) < 2^53 for k <= _MAX_PRIMES = 2048 primes,
+  then one big-int % M per coefficient.
+
+A product outside those bounds takes one product per block. A float64 sum
+of integers below 2^53 is exact in any order, so the BLAS may block and
+reorder the products as it likes; the products run in blocks of at most
+_BLOCK_BYTES (128 KB, the glibc mmap threshold), which keeps the BLAS's
+packing and the transients small. The primes, one table of limb powers
+(grown on demand) and the CRT tables of four prime counts are built on
+first use.
+
+The libmpdec regime starts at a longer factor of _DECIMAL_BYTES packed
+(128 KB) and a shorter one of _DECIMAL_COEFFS coefficients (64): the same
 substitution in base 10^w, w digits per slot. Each factor or block is packed
 as one exact decimal.Decimal, libmpdec multiplies it (by number-theoretic
 transform at these sizes) in a private context that traps every rounding,
 and the product's slots are read back as balanced digits. Its blocks are as
 long as the shorter factor and at least _DECIMAL_BLOCK_BYTES packed (128 KB).
-Only the two largest products of omega_family(5, 5) reach it;
-scripts/sweep_decimal_mul.py measures the crossover and the block rule.
+Only the two largest products of omega_family(5, 5) reach it.
+scripts/sweep_mul.py measures both crossovers and the block rule.
 
 `mul_vec` multiplies polynomials whose coefficients are themselves
 length-d coefficient vectors (elements of O_k, of Z[F]/(F^d - 1), ...): each
@@ -49,13 +73,23 @@ from __future__ import annotations
 
 import decimal
 import sys
-from math import gcd
+from functools import cache, lru_cache
+from math import gcd, prod
 
-_MULTIPOINT_BYTES = 2048  # the shorter factor's packed size from which mul evaluates at four points
-_MULTIPOINT_COEFFS = 6  # and its coefficient count: below it the classes hold one or two each
+import numpy as np
+
+_RESIDUE_BYTES = 4096  # the sparser factor's nonzero coefficients packed, from which mul takes residues
+_RESIDUE_COEFFS = 7  # and their count: below it one product is cheaper at every slot size
+_RESIDUE_SLOT = 64  # and the bytes per slot: below it one product is cheaper at every length
 _DECIMAL_BYTES = 1 << 17  # the longer factor's packed size from which mul multiplies in libmpdec
 _DECIMAL_COEFFS = 64  # and the shorter factor's coefficient count: below it the conversions cost more
 _DECIMAL_BLOCK_BYTES = 1 << 17  # the least packed size of a block of the longer factor there
+
+# The residue regime's exactness bounds: 16-bit limbs and primes below 2^26.
+_MAX_LIMBS = 2048  # L (2^16 - 1)(2^26 - 1) < 2^53: a residue's float64 partial sums are exact
+_MAX_PRIMES = 2048  # k (2^26 - 1)(2^16 - 1) < 2^53: so are the CRT's
+_CONV_CHUNK = (1 << 63) // (1 << 26) ** 2  # terms between reductions: p + 2048 (p - 1)^2 < 2^63
+_BLOCK_BYTES = 1 << 17  # the most a float64 or int64 block of the regime holds: the glibc mmap threshold
 
 # Exact arithmetic in libmpdec: any rounding or invalid operation raises.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
@@ -87,23 +121,153 @@ def _unpack(x: int, out, slots: range, s: int, half: int) -> None:
         out[i] += c - base if borrow else c
 
 
-def _evaluate(a, s: int) -> tuple[int, int, int, int]:
-    """A(y), A(-y) and the real and imaginary parts of A(iy), y = 2^(2s), from
-    the terms y^r P_r(y^4), the class P_r = a[r::4] packed at y^4 = 2^(8s)."""
-    p0, p1, p2, p3 = (_pack(a[r::4], s) << 2 * s * r for r in range(4))
-    return p0 + p1 + p2 + p3, p0 - p1 + p2 - p3, p0 - p2, p1 - p3
+@cache
+def _primes() -> np.ndarray:
+    """The _MAX_PRIMES largest primes below 2^26, descending, as int64: a
+    sieve of [2^26 - 2^16, 2^26) by the primes below 2^13 (91^2 > 2^13)."""
+    lo = (1 << 26) - (1 << 16)
+    small = np.ones(1 << 13, dtype=bool)
+    small[:2] = False
+    for q in range(2, 91):
+        if small[q]:
+            small[q * q::q] = False
+    keep = np.ones(1 << 16, dtype=bool)
+    for q in np.flatnonzero(small).tolist():
+        keep[-lo % q::q] = False
+    return lo + np.flatnonzero(keep)[::-1][:_MAX_PRIMES]
 
 
-def _classes(ay, am, ar, ai, by, bm, br, bi, t: int) -> tuple[int, int, int, int]:
-    """H_0, ..., H_3 at y^4 = 2^(4t), where H = A B = sum x^r H_r(x^4), from
-    the evaluations of A and B at y = 2^t: five products and exact shifts."""
-    hp, hm = ay * by, am * bm
-    even, odd = (hp + hm) >> 1, (hp - hm) >> (t + 1)  # H0 + y^2 H2, H1 + y^2 H3
-    del hp, hm
-    k = br * (ar + ai)  # Gauss's three products: H(iy) = re + i y im
-    re, im = k - ai * (br + bi), (k + ar * (bi - br)) >> t
-    del k
-    return (even + re) >> 1, (odd + im) >> 1, (even - re) >> (2 * t + 1), (odd - im) >> (2 * t + 1)
+def _prime_count(bound: int) -> int:
+    """A count k of primes whose product M exceeds 2 bound: each prime
+    exceeds 2^26 - 2^16, so k <= 2048 of them exceed 2^(26k - 3). k is
+    rounded up to a multiple of 2^(bits(k) - 4), at most one eighth more,
+    so that eight CRT tables serve each doubling of the bound."""
+    k = -(-(bound.bit_length() + 4) // 26)
+    step = 1 << max(k.bit_length() - 4, 0)
+    return -(-k // step) * step
+
+
+_powers = np.ones((1, 0), dtype=np.int32)  # 2^(16 l) mod p_i, grown by _power_table
+
+
+def _power_table(limbs: int, k: int) -> np.ndarray:
+    """2^(16 l) mod p_i for l < limbs and the first k primes, as int32: one
+    table, grown to the most limbs and primes asked for and never cut."""
+    global _powers
+    rows, cols = _powers.shape
+    if rows < limbs or cols < k:
+        rows, cols = max(rows, limbs), max(cols, k)
+        p, row = _primes()[:cols], np.ones(cols, dtype=np.int64)
+        table = np.empty((rows, cols), dtype=np.int32)
+        for i in range(rows):
+            table[i] = row
+            row = (row << 16) % p
+        _powers = table
+    return _powers[:limbs, :k]
+
+
+@lru_cache(maxsize=4)
+def _crt_table(k: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(M, w, Q) for the first k primes: M their product, w_i the inverse of
+    M/p_i mod p_i (int64), and row i of Q the 16-bit limbs of M/p_i (uint16).
+    Q has a multiple of four columns, the last four zero, so that a sum of
+    its rows times residues below 2^26 fills at most the slot of its columns."""
+    primes = _primes()[:k].tolist()
+    m = prod(primes)
+    cofactors = [m // p for p in primes]
+    w = np.array([pow(c % p, -1, p) for c, p in zip(cofactors, primes)], dtype=np.int64)
+    cols = 4 * (-(-m.bit_length() // 64) + 1)
+    raw = b"".join(c.to_bytes(2 * cols, "little") for c in cofactors)
+    return m, w, np.frombuffer(raw, dtype="<u2").reshape(k, cols)
+
+
+def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in float64 for integer matrices whose every partial sum is an
+    integer below 2^53, so that it is exact in any summation order; in
+    blocks of the inner dimension that hold b's converted rows within
+    _BLOCK_BYTES, so that the BLAS packs little. Callers pass blocks of a's
+    rows within the same size."""
+    inner = max(1, _BLOCK_BYTES // (8 * b.shape[1]))
+    a = a.astype(np.float64)
+    acc = a[:, :inner] @ b[:inner].astype(np.float64)
+    for j in range(inner, b.shape[0], inner):
+        acc += a[:, j:j + inner] @ b[j:j + inner].astype(np.float64)
+    return acc
+
+
+def _residues(a, top: int, powers: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a_i mod p_j with the sign of a_i, |r| < p_j, as int32: the 16-bit limbs
+    of |a_i| times the limb powers mod p_j, at most L (2^16 - 1)(p_j - 1)."""
+    n = -(-top.bit_length() // 16)
+    raw = b"".join(abs(x).to_bytes(2 * n, "little") for x in a)
+    limbs = np.frombuffer(raw, dtype="<u2").reshape(len(a), n)
+    r = np.empty((len(a), len(p)), dtype=np.int32)
+    step = max(1, _BLOCK_BYTES // (8 * max(n, len(p))))
+    for i in range(0, len(a), step):
+        np.remainder(_exact_product(limbs[i:i + step], powers[:n]).astype(np.int64), p,
+                     out=r[i:i + step], casting="unsafe")
+    neg = [x < 0 for x in a]
+    r[neg] = -r[neg]
+    return r
+
+
+def _convolve(ra: np.ndarray, rb: np.ndarray, weights: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """weights sum_j ra[t - j] rb[j] mod p, column by column, as int32 in
+    [0, p): int64 sums of products of at most (p - 1)^2, one row of rb at a
+    time and only its nonzero rows, reduced every _CONV_CHUNK of them, in
+    equal blocks of primes whose sums fit in _BLOCK_BYTES."""
+    la, rows = len(ra), np.flatnonzero(rb.any(axis=1)).tolist()
+    out = np.empty((la + len(rb) - 1, len(p)), dtype=np.int32)
+    blocks = -(-8 * len(out) * len(p) // _BLOCK_BYTES)
+    step = -(-len(p) // blocks)
+    for s in range(0, len(p), step):
+        q = p[s:s + step]
+        x, y = ra[:, s:s + step].astype(np.int64), rb[:, s:s + step] * weights[s:s + step] % q
+        acc = np.zeros((len(out), len(q)), dtype=np.int64)
+        term = np.empty_like(x)
+        for done, j in enumerate(rows, 1):
+            np.multiply(x, y[j], out=term)
+            acc[j:j + la] += term
+            if done % _CONV_CHUNK == 0:
+                acc %= q
+        np.remainder(acc, q, out=out[:, s:s + step], casting="unsafe")
+        del x, y, acc, term  # one block's arrays live at a time
+    return out
+
+
+def _mul_residues(a, b, top_a: int, top_b: int, bound: int, out) -> None:
+    """Writes a b into out by residues: both factors mod k primes below 2^26
+    with M > 2 bound, convolved per prime in int64, and each coefficient
+    rebuilt by the CRT as c @ limbs(M/p_i), a float64 product of at most
+    k (p - 1)(2^16 - 1), one % M, and the lift to (-M/2, M/2)."""
+    k = _prime_count(bound)
+    m, weights, cofactors = _crt_table(k)
+    assert 2 * bound < m
+    p = _primes()[:k]
+    powers = _power_table(-(-max(top_a, top_b).bit_length() // 16), k)
+    # the convolution runs over the nonzero rows of b, which carries the CRT weights
+    c = _convolve(_residues(a, top_a, powers, p), _residues(b, top_b, powers, p), weights, p)
+    step = max(1, _BLOCK_BYTES // (8 * cofactors.shape[1]))
+    for i in range(0, len(c), step):
+        out[i:i + step] = _crt_lift(_exact_product(c[i:i + step], cofactors), m)
+
+
+def _crt_lift(v: np.ndarray, m: int) -> list[int]:
+    """The rows of v, sums over 16-bit limb columns (row t is
+    sum_l v[t, l] 2^(16 l)), each mod m and lifted to (-m/2, m/2). Every
+    entry is below 2^53, so every fourth 64-bit word of v reads as one
+    integer, whose slots of v.shape[1] limbs each hold one row."""
+    width, half = 2 * v.shape[1], m >> 1
+    words = v.astype(np.uint64).ravel()
+    x = sum(int.from_bytes(words[g::4].tobytes(), "little") << 16 * g for g in range(4))
+    del words
+    raw = memoryview(x.to_bytes(len(v) * width, "little"))
+    del x
+    rows = []
+    for j in range(0, len(raw), width):
+        y = int.from_bytes(raw[j:j + width], "little") % m
+        rows.append(y - m if y > half else y)
+    return rows
 
 
 def _pack_decimal(a, w: int) -> decimal.Decimal:
@@ -169,36 +333,39 @@ def _mul_decimal(a, b, bound: int, s: int, out) -> None:
 
 
 def mul(a, b) -> list[int]:
-    """The product of two polynomials over Z. From the crossover on, a block's
-    product H is evaluated at y, -y and iy, y^4 = 2^W, with the classes mod 4
-    of both factors packed in the same slots: five products, Gauss's three for
-    H(iy), about 0.55 of one under Karatsuba. The slots and bound are the same
-    and every division that recovers the classes of H is an exact shift.
-    From the decimal crossover on, the whole product goes to _mul_decimal."""
+    """The product of two polynomials over Z: in libmpdec from the decimal
+    crossover on; by residues from the residue crossover on, with the
+    sparser factor's nonzero coefficients driving the convolution, when the
+    limbs and primes it needs are inside the float64 bounds; and otherwise
+    one big-int product per block of the longer factor."""
     if not a or not b:
         return []
     if len(a) < len(b):
         a, b = b, a
     n = len(b)
     out = [0] * (len(a) + n - 1)
-    bound = max(map(abs, a)) * max(map(abs, b)) * n
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    bound = top_a * top_b * n
     if not bound:
         return out
     s = (bound.bit_length() + 8) // 8  # bytes per slot, so that bound < 2^(8s-1)
     if s * len(a) >= _DECIMAL_BYTES and n >= _DECIMAL_COEFFS:
         _mul_decimal(a, b, bound, s, out)
         return out
+    if s >= _RESIDUE_SLOT and n >= _RESIDUE_COEFFS and s * n >= _RESIDUE_BYTES:
+        za, zb = sum(map(bool, a)), sum(map(bool, b))
+        nonzero = min(za, zb)
+        if (nonzero >= _RESIDUE_COEFFS and s * nonzero >= _RESIDUE_BYTES
+                and max(top_a, top_b).bit_length() <= 16 * _MAX_LIMBS and _prime_count(bound) <= _MAX_PRIMES):
+            if za < zb:
+                a, b, top_a, top_b = b, a, top_b, top_a
+            _mul_residues(a, b, top_a, top_b, bound, out)
+            return out
     half = 1 << (8 * s - 1)
-    multipoint = s * n >= _MULTIPOINT_BYTES and n >= _MULTIPOINT_COEFFS
-    packed_b = _evaluate(b, s) if multipoint else _pack(b, s)
+    packed_b = _pack(b, s)
     for j in range(0, len(a), n):
         block = a[j:j + n]
-        slots = range(j, j + len(block) + n - 1)
-        if multipoint:
-            for r, h in enumerate(_classes(*_evaluate(block, s), *packed_b, 2 * s)):
-                _unpack(h, out, slots[r::4], s, half)
-        else:
-            _unpack(_pack(block, s) * packed_b, out, slots, s, half)
+        _unpack(_pack(block, s) * packed_b, out, range(j, j + len(block) + n - 1), s, half)
     return out
 
 

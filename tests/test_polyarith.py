@@ -5,6 +5,7 @@ import decimal
 import random
 import sys
 import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
@@ -167,74 +168,155 @@ def test_pack_holds_at_most_two_packed_sizes():
     assert peak < 2.5 * s * len(a)
 
 
-def _spy_evaluate(monkeypatch):
-    """The lengths of the factors and blocks that mul evaluates at four points."""
-    lengths, real = [], polyarith._evaluate
-    monkeypatch.setattr(polyarith, "_evaluate",
-                        lambda a, s: lengths.append(len(a)) or real(a, s))
-    return lengths
+def _spy_residues(monkeypatch):
+    """The lengths of the factors that mul multiplies by residues, the one
+    whose nonzero rows drive the convolution second."""
+    shapes, real = [], polyarith._mul_residues
+    monkeypatch.setattr(polyarith, "_mul_residues",
+                        lambda a, b, *rest: shapes.append((len(a), len(b))) or real(a, b, *rest))
+    return shapes
 
 
-def classed_poly(data, n, bits):
-    """n signed coefficients, nonzero in every class mod 4, only in the even
-    or the odd degrees, or only in one class."""
-    r = data.draw(st.integers(0, 3))
-    keep = data.draw(st.sampled_from([lambda i: True, lambda i: i % 2 == 0,
-                                      lambda i: i % 2 == 1, lambda i: i % 4 == r]))
-    top = 2**bits - 1
-    coeff = st.one_of(st.integers(-top, top), st.sampled_from([top, -top]))
-    return [data.draw(coeff) if keep(i) else 0 for i in range(n)]
+def _residues_everywhere(mp):
+    mp.setattr(polyarith, "_RESIDUE_BYTES", 0)
+    mp.setattr(polyarith, "_RESIDUE_COEFFS", 0)
+    mp.setattr(polyarith, "_RESIDUE_SLOT", 0)
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.sampled_from([1, 8, 63, 70, 500]), st.data())
-def test_multipoint_matches_one_product_per_block(bits, data):
-    """With the crossover at 0, every product is evaluated at y, -y and iy:
-    factors of 0 to 13 coefficients, so classes are empty and n < 4, and
-    longer ones whose last block is short."""
-    na = data.draw(st.integers(0, 13))
-    nb = data.draw(st.one_of(st.integers(0, 13), st.integers(14, 40)))
-    a, b = classed_poly(data, na, bits), classed_poly(data, nb, bits)
+@given(st.sampled_from([1, 8, 16, 63, 70, 500, 3000]), st.sampled_from([1 << 17, 512, 8]), st.data())
+def test_residues_match_one_product_per_block(bits, block_bytes, data):
+    """With the crossover at 0, every product is multiplied by residues:
+    signed, zero and all-zero factors of 0 to 13 coefficients, single
+    coefficients, longer factors of 14 to 40, sparse factors, and every
+    16-bit limb at 0xFFFF (+-(2^16l - 1)), in both argument orders; with
+    blocks of 128 KB, of a few rows and primes (a short last block), or of
+    one."""
+    top = 2**bits - 1
+    full = 2 ** (-(-bits // 16) * 16) - 1
+    coeff = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 0, full, -full]))
+
+    def poly(lengths):
+        n = data.draw(lengths)
+        return data.draw(st.one_of(st.just([0] * n), st.lists(coeff, min_size=n, max_size=n),
+                                   st.lists(st.sampled_from([0, 0, 0, full, -full]), min_size=n, max_size=n)))
+
+    a = poly(st.integers(0, 13))
+    b = poly(st.one_of(st.integers(0, 13), st.integers(14, 40)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyarith, "_MULTIPOINT_BYTES", 0)
-        mp.setattr(polyarith, "_MULTIPOINT_COEFFS", 0)
+        _residues_everywhere(mp)
+        mp.setattr(polyarith, "_BLOCK_BYTES", block_bytes)
+        shapes = _spy_residues(mp)
         got, swapped = mul(a, b), mul(b, a)
     assert got == swapped == _reference_mul(a, b)
+    assert len(shapes) == (2 if any(a) and any(b) else 0)
 
 
-def test_multipoint_at_the_slot_boundary(monkeypatch):
+def test_residues_at_the_slot_boundary(monkeypatch):
     """7 * 31 * 151 = 2^15 - 1: the full overlaps fill their slots to half - 1,
     of both signs when the factors alternate; the edge cases of the single
     product too."""
-    monkeypatch.setattr(polyarith, "_MULTIPOINT_BYTES", 0)
-    monkeypatch.setattr(polyarith, "_MULTIPOINT_COEFFS", 0)
+    _residues_everywhere(monkeypatch)
     for n in range(1, 30):
         for sign in (1, -1):
             a, b = [31 * sign**i for i in range(n)], [151 * sign**i for i in range(7)]
             got = mul(a, b)
-            assert got == _reference_mul(a, b) == ref_mul(a, b)
+            assert got == mul(b, a) == _reference_mul(a, b) == ref_mul(a, b)
             assert n < 7 or max(map(abs, got)) == 2**15 - 1
     test_mul_edge_cases()
 
 
-def test_shipped_products_take_the_multipoint_path(monkeypatch):
+@pytest.mark.parametrize("k", [1, 2, 4, 7])
+def test_residues_lift_a_bound_just_below_half_the_modulus(k, monkeypatch):
+    """With exactly the k primes whose product M first exceeds 2 bound, the
+    coefficients +-(M - 1)/2, and their sums, lift to the right sign."""
+    _residues_everywhere(monkeypatch)
+    monkeypatch.setattr(polyarith, "_prime_count", lambda bound: k)
+    m = prod(polyarith._primes()[:k].tolist())
+    x = (m - 1) // 2
+    shapes = _spy_residues(monkeypatch)
+    for a, b in (([x], [1]), ([-x], [1]), ([x, -x, x], [1]), ([1, -1], [x // 2, x // 2]),
+                 ([x - 1, 1 - x], [-1])):
+        assert max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)) * 2 < m
+        assert mul(a, b) == mul(b, a) == ref_mul(a, b)
+    assert len(shapes) == 10
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_convolution_reduces_every_chunk(chunk, monkeypatch):
+    """A sparser factor with more nonzero coefficients than the int64
+    accumulation chunk, the chunk made small."""
+    _residues_everywhere(monkeypatch)
+    monkeypatch.setattr(polyarith, "_CONV_CHUNK", chunk)
+    rng = random.Random(chunk)
+    a = [rng.randint(-(2**200), 2**200) for _ in range(23)]
+    b = [rng.choice([0, rng.randint(-(2**200), 2**200)]) for _ in range(17)]
+    assert mul(a, b) == mul(b, a) == ref_mul(a, b)
+
+
+def test_sparser_factor_longer_than_the_chunk(monkeypatch):
+    """2100 nonzero coefficients, past the real chunk of 2048."""
+    _residues_everywhere(monkeypatch)
+    rng = random.Random(2100)
+    a, b = ([rng.randint(-(2**100), 2**100) for _ in range(2100)] for _ in range(2))
+    shapes = _spy_residues(monkeypatch)
+    assert mul(a, b) == _reference_mul(a, b)
+    assert shapes == [(2100, 2100)] and polyarith._CONV_CHUNK == 2048
+
+
+def test_limbs_past_the_float_exact_limit_take_one_product(monkeypatch):
+    """2048 limbs of 16 bits is the most whose float64 residue sums stay
+    exact: a coefficient of 2^32768 - 1 is multiplied by residues, one of
+    2^32768 takes one product."""
+    monkeypatch.setattr(polyarith, "_powers", polyarith._powers)  # the grown table goes with the test
+    _residues_everywhere(monkeypatch)
+    shapes = _spy_residues(monkeypatch)
+    try:
+        for top, taken in ((2**32768 - 1, 1), (2**32768, 0)):
+            a, b = [top, 3, -top], [5, -7]
+            assert mul(a, b) == ref_mul(a, b)
+            assert len(shapes) == taken
+            shapes.clear()
+    finally:
+        polyarith._crt_table.cache_clear()
+
+
+def test_shipped_products_take_the_residue_path(monkeypatch):
     """The n = 1, D = 60 compositions multiply 61 coefficients of 3263 bits:
-    they must be evaluated at four points (a mis-set crossover shows here),
+    they must be multiplied by residues (a mis-set crossover shows here),
     and agree with one product."""
-    lengths = _spy_evaluate(monkeypatch)
+    shapes = _spy_residues(monkeypatch)
     rng = random.Random(61)
     a, b = ([rng.randint(-(2**3263), 2**3263) for _ in range(61)] for _ in range(2))
     assert mul(a, b) == _reference_mul(a, b)
-    assert lengths == [61, 61]
+    assert shapes == [(61, 61)]
+
+
+def test_residue_path_holds_at_most_fifteen_packed_sizes():
+    """61 by 61 coefficients of 3263 bits (slots of 817 bytes, 49.8 KB
+    packed), the tables built: the residues of both factors, the product's
+    coefficients and at most one block of each stage at a time peak at 14
+    packed sizes."""
+    rng = random.Random(62)
+    a, b = ([rng.randint(-(2**3263), 2**3263) for _ in range(61)] for _ in range(2))
+    expect = mul(a, b)
+    tracemalloc.start()
+    try:
+        got = mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expect == _reference_mul(a, b)
+    assert peak < 15 * 817 * 61
 
 
 def test_omega_identity_product_matches_one_product_per_block(monkeypatch):
-    """omega_4 = omega-tilde_4^- * omega_4^+ at p = 5: 105 by 522 coefficients,
-    five blocks, the last one short."""
+    """omega_4 = omega-tilde_4^- * omega_4^+ at p = 5: 522 by 105 coefficients
+    in slots of 79 bytes, multiplied by residues."""
     fam = omega_family(5, 4)
-    lengths = _spy_evaluate(monkeypatch)
+    shapes = _spy_residues(monkeypatch)
     got = mul(fam.omega_tilde_minus, fam.omega_plus)
-    assert lengths == [105, 105, 105, 105, 105, 102]
+    assert shapes == [(522, 105)]
     assert got == _reference_mul(fam.omega_tilde_minus, fam.omega_plus)
     assert poly_trim(got) == poly_trim(fam.omega)
 
@@ -243,31 +325,46 @@ def test_omega_identity_product_matches_one_product_per_block(monkeypatch):
 def test_mul_on_each_side_of_the_crossover(side, monkeypatch):
     """16 coefficients at 2^x, x = 4s - 3, make a bound of 8s - 1 bits, so
     slots of s bytes: s * 16 one byte-slot below the crossover, or at it."""
-    s = -(-polyarith._MULTIPOINT_BYTES // 16) + side
+    s = -(-polyarith._RESIDUE_BYTES // 16) + side
     x = 4 * s - 3
     a = [(-1) ** i * 2**x for i in range(16)]
     b = [2**x] + [3 * i - 20 for i in range(15)]
-    lengths = _spy_evaluate(monkeypatch)
+    shapes = _spy_residues(monkeypatch)
     assert mul(a, b) == _reference_mul(a, b) == ref_mul(a, b)
-    assert lengths == ([16, 16] if side == 0 else [])
+    assert shapes == ([(16, 16)] if side == 0 else [])
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 @pytest.mark.parametrize("kb", [2, 8])
 def test_short_factors_take_one_product_past_the_crossover(n, kb, monkeypatch):
-    """A shorter factor of 4 or 5 coefficients, whose classes mod 4 hold one
-    or two of them, is one product past the byte crossover, where the
-    four-point path was slower (for 5, from 2 to 4 KB); one of 6 is
-    evaluated at four points."""
+    """A shorter factor of 4 to 6 coefficients, or a sparser factor of 6
+    nonzero ones, is one product at 2 and 8 times the byte crossover, where
+    the residues are slower; 7 are multiplied by residues."""
     rng = random.Random(n * kb)
-    bits = 4 * kb * 1024 // n
+    bits = 4 * kb * polyarith._RESIDUE_BYTES // n
     a = [rng.randint(-(2**bits), 2**bits) for _ in range(3 * n)]
     b = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
     s = (max(map(abs, a)) * max(map(abs, b)) * n).bit_length() // 8 + 1
-    assert s * n >= kb * 1024 >= polyarith._MULTIPOINT_BYTES
-    lengths = _spy_evaluate(monkeypatch)
+    assert s * n >= kb * polyarith._RESIDUE_BYTES and s >= polyarith._RESIDUE_SLOT
+    shapes = _spy_residues(monkeypatch)
     assert mul(a, b) == _reference_mul(a, b)
-    assert lengths == ([n] * 4 if n == 6 else [])
+    sparse = [x if i % 2 else 0 for i, x in enumerate(a + a)][:12]
+    assert mul(sparse, a) == _reference_mul(sparse, a)
+    assert shapes == ([(3 * n, n)] if n == 7 else [])
+
+
+def test_small_slots_take_one_product_at_every_length(monkeypatch):
+    """Slots of 63 bytes stay on one product even with 512 coefficients
+    (32 KB packed); 64 bytes go to residues."""
+    rng = random.Random(64)
+    for s, taken in ((63, []), (64, [(512, 512)])):
+        bits = (8 * s - 1 - 10) // 2   # bound = top^2 * 512 < 2^(8s - 1)
+        a, b = ([rng.randint(2 ** (bits - 1), 2**bits) for _ in range(512)] for _ in range(2))
+        assert (max(a) * max(b) * 512).bit_length() // 8 + 1 == s
+        shapes = _spy_residues(monkeypatch)
+        assert mul(a, b) == _reference_mul(a, b)
+        assert shapes == taken
+        monkeypatch.undo()
 
 
 # -- the libmpdec regime --------------------------------------------------------
@@ -279,6 +376,63 @@ def test_decimal_is_the_c_implementation():
     import _decimal
 
     assert decimal.Decimal is _decimal.Decimal
+
+
+def test_float64_products_are_exact_at_the_bounds():
+    """The residue regime's float64 matrix products at their largest
+    operands: 2048 limbs of 0xFFFF against residues p - 1, and 2048 residues
+    p - 1 against limbs of 0xFFFF, each entry 2048 (2^16 - 1)(p - 1) < 2^53,
+    summed as Python ints. A BLAS that rounds fails here, not in a table."""
+    p = int(polyarith._primes()[0])
+    assert polyarith._MAX_LIMBS * 0xFFFF * (p - 1) < 2**53
+    assert polyarith._MAX_PRIMES * 0xFFFF * (p - 1) < 2**53
+    limbs = np.full((70, polyarith._MAX_LIMBS), 0xFFFF, dtype=np.uint16)
+    residues = np.full((polyarith._MAX_LIMBS, 40), p - 1, dtype=np.int32)
+    residues[::3] = p - 2   # not every partial sum a round number
+    expect = [sum(0xFFFF * int(r) for r in residues[:, 0])] * 40
+    rows = polyarith._exact_product(limbs, residues)
+    assert rows.shape == (70, 40) and all(list(map(int, row)) == expect for row in rows)
+    crt = polyarith._exact_product(residues.T.copy(), limbs.T.copy())
+    assert crt.shape == (40, 70) and {int(x) for x in crt.ravel()} == {expect[0]}
+
+
+def _is_prime(q: int) -> bool:
+    """Miller-Rabin with the bases 2, 3, 5 and 7, exact below 3.2 * 10^9."""
+    d, r = q - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_primes_and_prime_counts_meet_the_bounds():
+    """The primes are distinct primes below 2^26; the int64 convolution's
+    chunk stays below 2^63; and at every bound bit length the regime
+    admits, the primes _prime_count picks multiply past 2 bound, at most an
+    eighth more of them than needed."""
+    primes = polyarith._primes().tolist()
+    assert len(primes) == polyarith._MAX_PRIMES == len(set(primes))
+    assert primes == sorted(primes, reverse=True) and primes[0] < 2**26
+    assert all(_is_prime(q) for q in primes)
+    assert (primes[0] - 1) + polyarith._CONV_CHUNK * (primes[0] - 1) ** 2 < 2**63
+    product, widths = 1, [1]   # widths[k]: bits of the product of the first k primes
+    for q in primes:
+        product *= q
+        widths.append(product.bit_length())
+    bits = 1   # a bound below 2^bits; a product of bits + 2 bits exceeds twice it
+    while (k := polyarith._prime_count((1 << bits) - 1)) <= polyarith._MAX_PRIMES:
+        assert widths[k] >= bits + 2 and k <= 1.125 * -(-(bits + 4) // 26)
+        bits += 1
+    assert bits == 26 * polyarith._MAX_PRIMES - 3
 
 
 def _spy_decimal(monkeypatch):
