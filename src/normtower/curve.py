@@ -81,7 +81,7 @@ def curve_from_preset(name: str, p: int) -> CurveParams:
 # ---------------------------------------------------------------------------
 
 def _zmul(a: list[int], b: list[int], D: int) -> list[int]:
-    return truncate(mul(a, b), D + 1)
+    return truncate(mul(a, b, D + 1), D + 1)
 
 
 def _zinv(u: list[int], D: int, times=_zmul) -> list[int]:
@@ -221,8 +221,8 @@ def _bmul(a: list[int], b: list[int], D: int) -> list[int]:
     def rows(s):
         return [truncate(s[k:k + n], n) for k in range(0, n * n, n)]
 
-    prod = mul_vec(rows(a), rows(b), n)
-    return [c if i + j <= D else 0 for i, r in enumerate(prod[:n]) for j, c in enumerate(r[:n])]
+    prod = mul_vec(rows(a), rows(b), n, n)
+    return [c if i + j <= D else 0 for i, r in enumerate(prod) for j, c in enumerate(r[:n])]
 
 
 @lru_cache(maxsize=None)

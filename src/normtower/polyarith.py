@@ -50,12 +50,28 @@ long as the shorter factor and at least _DECIMAL_BLOCK_BYTES packed (128 KB).
 Only the two largest products of omega_family(5, 5) reach it.
 scripts/sweep_mul.py measures both crossovers and the block rule.
 
+`mul(a, b, keep)` returns only the first keep coefficients, as a series
+product keeps degrees up to deg of 2 deg + 1; only the first keep
+coefficients of each factor reach them. The bound n top_a top_b, the slot
+width and the prime count are those of the whole product, and each kept
+coefficient is one of its coefficients, bit for bit. The one-product regime
+multiplies only the blocks that start below keep and reads only the slots
+below it: the product mod 2^(8 s m), read as two's complement, gives the
+low m slots the same bytes and borrows as the whole product, and the
+borrow out of the last slot read belongs to a slot not read. The residue
+regime reduces the first keep coefficients of each factor, convolves keep
+rows (a nonzero row j < keep of the sparser factor adds its first keep - j
+products) and rebuilds only those. libmpdec multiplies the whole product,
+which is cut; no truncated product of the workloads reaches it.
+
 `mul_vec` multiplies polynomials whose coefficients are themselves
 length-d coefficient vectors (elements of O_k, of Z[F]/(F^d - 1), ...): each
 vector is laid out in 2d - 1 slots, so the inner products cannot overlap,
 and the result holds the unreduced inner products. When one operand is
 nonzero only in rows f + k s, s > 1, just those rows are packed, against
-each class of the other mod s that holds a nonzero row.
+each class of the other mod s that holds a nonzero row. `mul_vec(a, b, d,
+rows)` keeps the first `rows` rows: rows * (2d - 1) coefficients of the
+spread product, and of class r of a strided one ceil((rows - r - f)/s).
 
 There are two reduction rules. Every ring is a quotient by a monic modulus
 and reduces by `rem_monic`: O_k by the minimal polynomial of zeta
@@ -112,8 +128,14 @@ def _pack(a, s: int) -> int:
 
 
 def _unpack(x: int, out, slots: range, s: int, half: int) -> None:
-    """Adds x's s-byte slots to out[slots] as balanced digits: a slot >= half borrows one."""
-    raw = memoryview(x.to_bytes(len(slots) * s, "little", signed=True))
+    """Adds x's low len(slots) s-byte slots to out[slots] as balanced digits:
+    a slot >= half borrows one. x is read mod 2^(8 s len(slots)) as two's
+    complement; a truncated product, wider than the slots read, is masked to
+    them first, which leaves their bytes and borrows as they are."""
+    size = len(slots) * s
+    if x.bit_length() >= 8 * size:
+        x &= (1 << 8 * size) - 1
+    raw = memoryview(x.to_bytes(size, "little", signed=x < 0))
     base, borrow = 2 * half, 0
     for i, k in zip(slots, range(0, len(raw), s)):
         c = int.from_bytes(raw[k:k + s], "little") + borrow
@@ -211,13 +233,14 @@ def _residues(a, top: int, powers: np.ndarray, p: np.ndarray) -> np.ndarray:
     return r
 
 
-def _convolve(ra: np.ndarray, rb: np.ndarray, weights: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """weights sum_j ra[t - j] rb[j] mod p, column by column, as int32 in
-    [0, p): int64 sums of products of at most (p - 1)^2, one row of rb at a
-    time and only its nonzero rows, reduced every _CONV_CHUNK of them, in
-    equal blocks of primes whose sums fit in _BLOCK_BYTES."""
-    la, rows = len(ra), np.flatnonzero(rb.any(axis=1)).tolist()
-    out = np.empty((la + len(rb) - 1, len(p)), dtype=np.int32)
+def _convolve(ra: np.ndarray, rb: np.ndarray, weights: np.ndarray, p: np.ndarray, keep: int) -> np.ndarray:
+    """Rows t < keep of weights sum_j ra[t - j] rb[j] mod p, column by
+    column, as int32 in [0, p): int64 sums of products of at most (p - 1)^2,
+    one row of rb at a time and only its nonzero rows j < keep, each adding
+    its first keep - j products, reduced every _CONV_CHUNK rows, in equal
+    blocks of primes whose sums fit in _BLOCK_BYTES."""
+    la, rows = len(ra), np.flatnonzero(rb[:keep].any(axis=1)).tolist()
+    out = np.empty((keep, len(p)), dtype=np.int32)
     blocks = -(-8 * len(out) * len(p) // _BLOCK_BYTES)
     step = -(-len(p) // blocks)
     for s in range(0, len(p), step):
@@ -226,8 +249,9 @@ def _convolve(ra: np.ndarray, rb: np.ndarray, weights: np.ndarray, p: np.ndarray
         acc = np.zeros((len(out), len(q)), dtype=np.int64)
         term = np.empty_like(x)
         for done, j in enumerate(rows, 1):
-            np.multiply(x, y[j], out=term)
-            acc[j:j + la] += term
+            m = min(la, keep - j)
+            np.multiply(x[:m], y[j], out=term[:m])
+            acc[j:j + m] += term[:m]
             if done % _CONV_CHUNK == 0:
                 acc %= q
         np.remainder(acc, q, out=out[:, s:s + step], casting="unsafe")
@@ -236,17 +260,19 @@ def _convolve(ra: np.ndarray, rb: np.ndarray, weights: np.ndarray, p: np.ndarray
 
 
 def _mul_residues(a, b, top_a: int, top_b: int, bound: int, out) -> None:
-    """Writes a b into out by residues: both factors mod k primes below 2^26
-    with M > 2 bound, convolved per prime in int64, and each coefficient
-    rebuilt by the CRT as c @ limbs(M/p_i), a float64 product of at most
-    k (p - 1)(2^16 - 1), one % M, and the lift to (-M/2, M/2)."""
+    """Writes the first keep = len(out) coefficients of a b into out by
+    residues: both factors mod k primes below 2^26 with M > 2 bound,
+    convolved per prime in int64 into keep rows, and each of those rebuilt
+    by the CRT as c @ limbs(M/p_i), a float64 product of at most
+    k (p - 1)(2^16 - 1), one % M, and the lift to (-M/2, M/2). mul passes
+    a and b already cut to their first keep coefficients."""
     k = _prime_count(bound)
     m, weights, cofactors = _crt_table(k)
     assert 2 * bound < m
     p = _primes()[:k]
     powers = _power_table(-(-max(top_a, top_b).bit_length() // 16), k)
     # the convolution runs over the nonzero rows of b, which carries the CRT weights
-    c = _convolve(_residues(a, top_a, powers, p), _residues(b, top_b, powers, p), weights, p)
+    c = _convolve(_residues(a, top_a, powers, p), _residues(b, top_b, powers, p), weights, p, len(out))
     step = max(1, _BLOCK_BYTES // (8 * cofactors.shape[1]))
     for i in range(0, len(c), step):
         out[i:i + step] = _crt_lift(_exact_product(c[i:i + step], cofactors), m)
@@ -332,26 +358,32 @@ def _mul_decimal(a, b, bound: int, s: int, out) -> None:
                         out, slots, w, half)
 
 
-def mul(a, b) -> list[int]:
-    """The product of two polynomials over Z: in libmpdec from the decimal
-    crossover on; by residues from the residue crossover on, with the
-    sparser factor's nonzero coefficients driving the convolution, when the
-    limbs and primes it needs are inside the float64 bounds; and otherwise
-    one big-int product per block of the longer factor."""
+def mul(a, b, keep: int | None = None) -> list[int]:
+    """The product of two polynomials over Z, or its first keep coefficients:
+    in libmpdec from the decimal crossover on; by residues from the residue
+    crossover on, with the sparser factor's nonzero coefficients driving the
+    convolution, when the limbs and primes it needs are inside the float64
+    bounds; and otherwise one big-int product per block of the longer
+    factor."""
     if not a or not b:
         return []
     if len(a) < len(b):
         a, b = b, a
     n = len(b)
-    out = [0] * (len(a) + n - 1)
+    full = len(a) + n - 1
+    keep = full if keep is None else min(keep, full)
     top_a, top_b = max(map(abs, a)), max(map(abs, b))
     bound = top_a * top_b * n
-    if not bound:
-        return out
+    if not bound or not keep:
+        return [0] * keep
     s = (bound.bit_length() + 8) // 8  # bytes per slot, so that bound < 2^(8s-1)
     if s * len(a) >= _DECIMAL_BYTES and n >= _DECIMAL_COEFFS:
+        out = [0] * full
         _mul_decimal(a, b, bound, s, out)
+        del out[keep:]
         return out
+    out = [0] * keep
+    a, b = a[:keep], b[:keep]  # no later coefficient reaches the first keep
     if s >= _RESIDUE_SLOT and n >= _RESIDUE_COEFFS and s * n >= _RESIDUE_BYTES:
         za, zb = sum(map(bool, a)), sum(map(bool, b))
         nonzero = min(za, zb)
@@ -365,7 +397,7 @@ def mul(a, b) -> list[int]:
     packed_b = _pack(b, s)
     for j in range(0, len(a), n):
         block = a[j:j + n]
-        _unpack(_pack(block, s) * packed_b, out, range(j, j + len(block) + n - 1), s, half)
+        _unpack(_pack(block, s) * packed_b, out, range(j, min(j + len(block) + len(b) - 1, keep)), s, half)
     return out
 
 
@@ -381,35 +413,37 @@ def _stride(rows) -> tuple[int, int]:
     return f, s
 
 
-def mul_vec(a, b, d: int) -> list[list[int]]:
-    """The product of polynomials with length-d vector coefficients; entry e
-    of the result is the unreduced length-(2d - 1) product of the inner
-    polynomials summed over i + j = e."""
+def mul_vec(a, b, d: int, rows: int | None = None) -> list[list[int]]:
+    """The product of polynomials with length-d vector coefficients, or its
+    first `rows` entries; entry e of the result is the unreduced
+    length-(2d - 1) product of the inner polynomials summed over i + j = e."""
     if not a or not b:
         return []
     w = 2 * d - 1
+    rows = len(a) + len(b) - 1 if rows is None else min(rows, len(a) + len(b) - 1)
     (fa, sa), (f, s) = _stride(a), _stride(b)
     if max(sa, s) > 1:
         if sa > s:
             a, b, f, s = b, a, fa, sa
         # b lives in rows f + k s: pair each class of a mod s with b[f::s]
-        out = [[0] * w for _ in range(len(a) + len(b) - 1)]
+        out = [[0] * w for _ in range(rows)]
         for r in range(s):
-            if any(map(any, a[r::s])):
-                for k, row in enumerate(mul_vec(a[r::s], b[f::s], d)):
+            kept = -(-(rows - r - f) // s)  # the rows r + f + k s below rows
+            if kept > 0 and any(map(any, a[r::s])):
+                for k, row in enumerate(mul_vec(a[r::s], b[f::s], d, kept)):
                     out[r + f + k * s] = row
         return out
     pad = [0] * (d - 1)
 
-    def spread(rows):
+    def spread(vectors):
         flat = []
-        for r in rows:
-            flat += r
+        for v in vectors:
+            flat += v
             flat += pad
         return flat
 
-    c = mul(spread(a), spread(b))
-    return [c[i:i + w] for i in range(0, (len(a) + len(b) - 1) * w, w)]
+    c = mul(spread(a), spread(b), rows * w)
+    return [c[i:i + w] for i in range(0, rows * w, w)]
 
 
 def divmod_monic(a, m) -> tuple[list[int], list[int]]:

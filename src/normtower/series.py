@@ -121,9 +121,9 @@ class TruncSeries:
         deg = min(self.deg, other.deg)
         prec = min(self.prec, other.prec)
         q = self.field.p**prec
-        conv = mul_vec(self.coeffs[: deg + 1], other.coeffs[: deg + 1], self.field.d)
+        conv = mul_vec(self.coeffs[: deg + 1], other.coeffs[: deg + 1], self.field.d, deg + 1)
         zero = self.field.zero()  # the rows off a strided product's stride are zero
-        out = tuple(self.field.reduce(c, q) if any(c) else zero for c in conv[: deg + 1])
+        out = tuple(self.field.reduce(c, q) if any(c) else zero for c in conv)
         return TruncSeries(self.field, out, self.den + other.den, prec)
 
     def scale_int(self, c: int) -> "TruncSeries":

@@ -252,16 +252,22 @@ def test_convolution_reduces_every_chunk(chunk, monkeypatch):
     a = [rng.randint(-(2**200), 2**200) for _ in range(23)]
     b = [rng.choice([0, rng.randint(-(2**200), 2**200)]) for _ in range(17)]
     assert mul(a, b) == mul(b, a) == ref_mul(a, b)
+    for keep in (1, 9, 17, 30, 39):   # cut inside the sparser factor, past it, and whole
+        assert mul(a, b, keep) == mul(b, a, keep) == ref_mul(a, b)[:keep]
 
 
 def test_sparser_factor_longer_than_the_chunk(monkeypatch):
-    """2100 nonzero coefficients, past the real chunk of 2048."""
+    """2100 nonzero coefficients, past the real chunk of 2048, whole and cut
+    before and after the last row of the sparser factor."""
     _residues_everywhere(monkeypatch)
     rng = random.Random(2100)
     a, b = ([rng.randint(-(2**100), 2**100) for _ in range(2100)] for _ in range(2))
     shapes = _spy_residues(monkeypatch)
-    assert mul(a, b) == _reference_mul(a, b)
+    full = mul(a, b)
+    assert full == _reference_mul(a, b)
     assert shapes == [(2100, 2100)] and polyarith._CONV_CHUNK == 2048
+    for keep in (2049, 2101):
+        assert mul(a, b, keep) == full[:keep]
 
 
 def test_limbs_past_the_float_exact_limit_take_one_product(monkeypatch):
@@ -591,8 +597,9 @@ def test_mul_vec_matches_schoolbook(d, data):
     assert mul_vec(a, b, d) == expect
 
 
-def reference_mul_vec(a, b, d):
-    """A verbatim copy of mul_vec as it was when it packed every row."""
+def reference_mul_vec(a, b, d, rows=None):
+    """A verbatim copy of mul_vec as it was when it packed every row, its
+    full product cut to the first `rows` entries."""
     if not a or not b:
         return []
     w = 2 * d - 1
@@ -606,7 +613,7 @@ def reference_mul_vec(a, b, d):
         return flat
 
     c = mul(spread(a), spread(b))
-    return [c[i:i + w] for i in range(0, (len(a) + len(b) - 1) * w, w)]
+    return [c[i:i + w] for i in range(0, (len(a) + len(b) - 1) * w, w)][:rows]
 
 
 def vec_operand(data, d, n, shape, stride):
@@ -654,7 +661,7 @@ def test_mul_vec_packs_only_the_classes_with_nonzero_rows(monkeypatch):
     lengths = []   # the rows packed into each Kronecker product, 3 slots a row at d = 2
     real = polyarith.mul
     monkeypatch.setattr(polyarith, "mul",
-                        lambda a, b: lengths.append((len(a) // 3, len(b) // 3)) or real(a, b))
+                        lambda a, b, keep=None: lengths.append((len(a) // 3, len(b) // 3)) or real(a, b, keep))
     sparse = [[i, 1] if i % 4 == 1 else [0, 0] for i in range(40)]
     dense = [[i, 1] for i in range(40)]
     assert mul_vec(sparse, sparse, 2) == reference_mul_vec(sparse, sparse, 2)
@@ -665,6 +672,114 @@ def test_mul_vec_packs_only_the_classes_with_nonzero_rows(monkeypatch):
     lengths.clear()
     assert mul_vec(dense, dense, 2) == reference_mul_vec(dense, dense, 2)
     assert lengths == [(40, 40)]
+
+
+# -- truncated products --------------------------------------------------------
+
+REGIMES = ("one", "residue", "decimal")
+
+
+def _one_regime(mp, regime):
+    """mul forced onto one regime, the crossovers of the others moved out of the way."""
+    never = 1 << 62
+    for name in ("_RESIDUE_BYTES", "_RESIDUE_COEFFS", "_RESIDUE_SLOT"):
+        mp.setattr(polyarith, name, 0 if regime == "residue" else never)
+    for name in ("_DECIMAL_BYTES", "_DECIMAL_COEFFS"):
+        mp.setattr(polyarith, name, 0 if regime == "decimal" else never)
+
+
+def _keeps(data, full):
+    """1, a length up to the full one, the full length, or a length past it."""
+    return data.draw(st.one_of(st.just(1), st.integers(1, full), st.just(full),
+                               st.integers(full + 1, full + 5)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(REGIMES), st.sampled_from([1, 70, 3000]), st.data())
+def test_truncated_mul_is_the_full_product_cut(regime, bits, data):
+    """mul(a, b, keep) == mul(a, b)[:keep] in each regime: signed, zero and
+    extreme coefficients, sparse factors, and factors of unequal lengths
+    (so that keep falls before, inside and past the shorter one), in both
+    argument orders."""
+    top = 2**bits - 1
+    coeff = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 0]))
+    sparse = st.sampled_from([0, 0, 0, top, -top])
+    a = data.draw(st.lists(coeff, min_size=1, max_size=13))
+    b = data.draw(st.one_of(st.lists(coeff, min_size=1, max_size=13), st.lists(sparse, min_size=14, max_size=40)))
+    keep = _keeps(data, len(a) + len(b) - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        _one_regime(mp, regime)
+        full = mul(a, b)
+        got, swapped = mul(a, b, keep), mul(b, a, keep)
+    assert full == ref_mul(a, b)
+    assert got == swapped == full[:keep]
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_truncation_at_the_slot_boundary(regime, monkeypatch):
+    """7 * 31 * 151 = 2^15 - 1 with alternating signs: the slot below the
+    cut and the one above it fill to +-(half - 1), so the last slot read
+    borrows from, or lends to, one that is not read; at every keep."""
+    _one_regime(monkeypatch, regime)
+    for n in range(1, 20):
+        for sign in (1, -1):
+            a, b = [31 * sign**i for i in range(n)], [-151 * sign**i for i in range(7)]
+            full = ref_mul(a, b)
+            for keep in range(1, len(full) + 2):
+                assert mul(a, b, keep) == mul(b, a, keep) == full[:keep]
+
+
+def test_truncated_one_product_packs_only_the_blocks_below_keep(monkeypatch):
+    """A longer factor of three blocks with keep inside the first: one block
+    is packed and multiplied, and only the kept slots are read."""
+    _one_regime(monkeypatch, "one")
+    rng = random.Random(3)
+    a = [rng.randint(-(2**90), 2**90) for _ in range(30)]
+    b = [rng.randint(-(2**90), 2**90) for _ in range(10)]
+    read, real = [], polyarith._unpack
+    monkeypatch.setattr(polyarith, "_unpack", lambda x, out, slots, *rest: read.append(slots) or real(x, out, slots, *rest))
+    assert mul(a, b, 7) == ref_mul(a, b)[:7]
+    assert read == [range(0, 7)]
+    read.clear()
+    assert mul(a, b, 15) == ref_mul(a, b)[:15]
+    assert read == [range(0, 15), range(10, 15)]
+
+
+def test_truncated_point_series_product_convolves_and_lifts_61_rows(monkeypatch):
+    """The D = 60 compositions' product, 61 by 61 coefficients of 3263 bits
+    kept to degree 60, convolves and rebuilds 61 rows, not 121."""
+    rng = random.Random(61)
+    a, b = ([rng.randint(-(2**3263), 2**3263) for _ in range(61)] for _ in range(2))
+    full = mul(a, b)
+    convolved, lifted = [], []
+    real_convolve, real_lift = polyarith._convolve, polyarith._crt_lift
+
+    def convolve(*args):
+        c = real_convolve(*args)
+        convolved.append(len(c))
+        return c
+
+    monkeypatch.setattr(polyarith, "_convolve", convolve)
+    monkeypatch.setattr(polyarith, "_crt_lift", lambda v, m: lifted.append(len(v)) or real_lift(v, m))
+    assert mul(a, b, 61) == full[:61]
+    assert convolved == [61] and sum(lifted) == 61
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(REGIMES), st.integers(1, 3), shapes, shapes, st.sampled_from([2, 3, 4]),
+       st.sampled_from([2, 3, 4]), st.data())
+def test_truncated_mul_vec_is_the_full_product_cut(regime, d, shape_a, shape_b, sa, sb, data):
+    """mul_vec(a, b, d, rows) == mul_vec(a, b, d)[:rows] for dense, strided
+    (strides 2, 3 and 4), single-row and zero operands, in each regime; and
+    both agree with packing every row."""
+    a = vec_operand(data, d, data.draw(st.integers(1, 30)), shape_a, sa)
+    b = vec_operand(data, d, data.draw(st.integers(1, 30)), shape_b, sb)
+    rows = _keeps(data, len(a) + len(b) - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        _one_regime(mp, regime)
+        full = mul_vec(a, b, d)
+        got = mul_vec(a, b, d, rows)
+    assert got == full[:rows] == reference_mul_vec(a, b, d, rows)
 
 
 @settings(deadline=None, max_examples=150)
