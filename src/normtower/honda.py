@@ -30,10 +30,6 @@ class HondaLog:
     terms: int            # number of g-iterate terms summed
     tail_floor: int       # valuation floor of the omitted tail
 
-    @property
-    def field(self) -> FieldDesc:
-        return self.series.field
-
 
 @lru_cache(maxsize=None)
 def honda_log(field: FieldDesc, n: int, D: int, tail_target: int) -> HondaLog:

@@ -48,9 +48,6 @@ class Lattice:
     def rank(self) -> int:
         return smith_divisors(self.mat, self.p, self.N).rank()
 
-    def divisor_valuations(self) -> list[int]:
-        return smith_divisors(self.mat, self.p, self.N).divisors
-
     def equals(self, other: "Lattice") -> bool:
         a, b = _common_den(self, other)
         return spans_equal(a.mat, b.mat, self.p, self.N)
@@ -253,21 +250,6 @@ def generation_check(t: TowerDesc, n: int) -> bool:
     top = galois_span(t, [point_log(t, n)], n, None)
     lower = curve_group_lattice(t, n - 1, None).embed(n)
     return _stack(top, lower).equals(curve_group_lattice(t, n, None))
-
-
-def log_image_vs_maximal_ideal(t: TowerDesc, n: int) -> dict:
-    """Divisor bookkeeping comparing the log-image lattice with m_n itself
-    (reported, never assumed equal: denominators enter from level 2 on)."""
-    li = curve_group_lattice(t, n, None)
-    mi = maximal_ideal_lattice(t, n)
-    a, b = _common_den(li, mi)
-    return {
-        "n": n,
-        "den": a.den,
-        "log_lattice_divisors": sum(v for v in a.divisor_valuations() if v < t.N),
-        "max_ideal_divisors": sum(v for v in b.divisor_valuations() if v < t.N),
-        "equal": a.equals(b),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,16 @@ Scalars are plain Python ints reduced into [0, p^N); a ZpContext carries
 (p, N) and provides the operations that need context. All arithmetic is
 exact mod p^N and the precision exponent N never changes silently: an
 element whose residue vanishes is "zero at precision N", not exact zero.
+
+The p-adic content of a set of coordinates, the least valuation among them,
+is read in one place, `content_val`: one gcd and one capped valuation. The
+series, tower and field layers read it to strip common factors of p once;
+each keeps its own branch for a set that is zero at its precision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -60,6 +66,12 @@ def val_int(a: int, p: int, cap: int) -> int:
         a //= p
         v += 1
     return v
+
+
+def content_val(values, p: int, cap: int) -> int:
+    """The least p-adic valuation among the integers `values` (of their gcd),
+    capped at `cap`: cap when every value is 0 or there are none."""
+    return val_int(math.gcd(*values), p, cap)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,22 @@ is prec - den; operations propagate both conservatively and canonical() strips
 common p-powers (lowering den and prec together, effective precision
 unchanged). Nothing ever silently divides: division by p is a den bump, and
 exact coefficient division only happens in canonical().
+
+canonical() reads the p-adic content of every coordinate at once
+(`padic.content_val`, capped at den) and divides by that power of p once.
+Its zero branch, for a series whose stored coordinates are all 0, sets den
+to 0 at the same prec; that claims den more digits than the series has, and
+the fix (strip min(den, prec), as `TowerElt.canonical` does) waits on the
+full_grid series cells that depend on it (ROADMAP item 2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
+from .padic import content_val
 from .polyarith import mul_vec
 from .unramified import FieldDesc
 
@@ -77,18 +86,15 @@ class TruncSeries:
         return replace(self, coeffs=self.coeffs + extra)
 
     def canonical(self) -> "TruncSeries":
-        x = self
-        p = x.p
-        while x.den > 0:
-            if all(all(v % p == 0 for v in c) for c in x.coeffs):
-                if all(all(v == 0 for v in c) for c in x.coeffs):
-                    return replace(x, den=0)
-                nq = p ** (x.prec - 1)
-                co = tuple(tuple(v // p % nq for v in c) for c in x.coeffs)
-                x = TruncSeries(x.field, co, x.den - 1, x.prec - 1)
-            else:
-                break
-        return x
+        """Strip the common p-power of the coordinates, at most den of them."""
+        k = content_val(chain.from_iterable(self.coeffs), self.p, self.den)
+        if not k:
+            return self
+        if not any(map(any, self.coeffs)):
+            return replace(self, den=0)  # keeps prec; item 2b of ROADMAP fixes it
+        pk = self.p**k
+        co = tuple(tuple(v // pk for v in c) for c in self.coeffs)
+        return TruncSeries(self.field, co, self.den - k, self.prec - k)
 
     def coeff_val(self, j: int) -> float:
         """p-valuation of the j-th (true, de-denominated) coefficient."""
@@ -113,10 +119,6 @@ class TruncSeries:
         co = tuple(self.field.sub(x, y, q) for x, y in zip(a, b))
         return TruncSeries(self.field, co, den, prec)
 
-    def __neg__(self) -> "TruncSeries":
-        q = self._q()
-        return replace(self, coeffs=tuple(self.field.neg(c, q) for c in self.coeffs))
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         deg = min(self.deg, other.deg)
         prec = min(self.prec, other.prec)
@@ -133,9 +135,6 @@ class TruncSeries:
     def scale_field(self, a) -> "TruncSeries":
         q = self._q()
         return replace(self, coeffs=tuple(self.field.mul(a, x, q) for x in self.coeffs))
-
-    def div_p(self, k: int = 1) -> "TruncSeries":
-        return replace(self, den=self.den + k)
 
     def derivative(self) -> "TruncSeries":
         q = self._q()

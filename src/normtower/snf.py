@@ -127,10 +127,6 @@ class SnfResult:
     shape: tuple[int, int]
     _diag: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def q(self) -> int:
-        return self.p**self.N
-
     def rank(self) -> int:
         """Number of nonzero divisors; raises on a divisor inside the margin."""
         if any(self.N - MARGIN <= e < self.N for e in self.divisors):

@@ -14,6 +14,12 @@ A TowerElt carries a denominator exponent: it represents p^(-den) * (integral
 coords), with coords stored mod p^prec, so its effective precision is
 prec - den. Division by p is total; equality checks report the residual
 valuation against that floor.
+
+`canonical` and `residual_valuation` read the p-adic content of the coords in
+one pass (`padic.content_val`, capped at den and at prec). The zero branch
+lives in each: a zero canonical strips min(den, prec) digits, since p^-den
+times a zero known mod p^prec is known mod p^(prec - den), and a zero has
+residual valuation +inf.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .padic import ZpContext, primitive_root
+from .padic import ZpContext, content_val, primitive_root
 from .polyarith import mul_vec, rem_monic
 from .unramified import FieldDesc, build_unramified
 
@@ -220,17 +226,13 @@ class TowerElt:
 
     def canonical(self) -> "TowerElt":
         """Strip common p factors into the denominator (minimal den form)."""
-        x = self
-        while x.den > 0:
-            if not x.coords.any():
-                # p^-den times a zero known mod p^prec is known mod p^(prec - den)
-                k = min(x.den, x.prec)
-                return replace(x, den=x.den - k, prec=x.prec - k)
-            if (x.coords % x.p == 0).all():
-                x = TowerElt(x.tower, x.level, x.coords // x.p, x.den - 1, x.prec - 1)
-            else:
-                break
-        return x
+        # coords below p^prec have content below prec unless they are all zero,
+        # and p^-den times a zero known mod p^prec is known mod p^(prec - den)
+        k = content_val(self.coords.flat, self.p, min(self.den, self.prec))
+        if not k:
+            return self
+        return TowerElt(self.tower, self.level, self.coords // self.p**k,
+                        self.den - k, self.prec - k)
 
     def power(self, e: int) -> "TowerElt":
         t = self.tower
@@ -298,13 +300,7 @@ class TowerElt:
         """min coordinate valuation minus den; +inf when zero at precision."""
         if not self.coords.any():
             return math.inf
-        p = self.p
-        v = 0
-        c = self.coords
-        while v < self.prec and (c % p == 0).all():
-            c = c // p
-            v += 1
-        return v - self.den
+        return content_val(self.coords.flat, self.p, self.prec) - self.den
 
     def vector(self, den: int | None = None) -> np.ndarray:
         """Flatten to an ambient Z_p-vector, scaled to the requested den."""

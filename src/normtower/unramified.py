@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .padic import ZpContext, factorize, is_prime, primitive_root, val_int
+from .padic import ZpContext, content_val, factorize, is_prime, primitive_root
 from .polyarith import inv_mod, mul, mul_vec, rem_monic
 
 
@@ -115,10 +115,6 @@ class FieldDesc:
         q = q or self.q
         return tuple((x - y) % q for x, y in zip(a, b))
 
-    def neg(self, a, q: int | None = None):
-        q = q or self.q
-        return tuple((-x) % q for x in a)
-
     def scalar(self, c: int, a, q: int | None = None):
         q = q or self.q
         return tuple((c * x) % q for x in a)
@@ -155,8 +151,7 @@ class FieldDesc:
 
     def val(self, a, cap: int | None = None) -> int:
         """min p-adic valuation over coordinates, capped (cap = zero at precision)."""
-        cap = cap if cap is not None else self.N
-        return min((val_int(x, self.p, cap) for x in a), default=cap)
+        return content_val(a, self.p, self.N if cap is None else cap)
 
     def is_zero(self, a) -> bool:
         return all(x % self.q == 0 for x in a)

@@ -28,6 +28,9 @@
   name or an attribute called X or F, subscripted or not) as an operand:
   flatten applies them as index maps, O(dim) per column, not as dense
   matrices.
+- Outside padic.py, no `while` loop floor-divides by a name or an attribute
+  called p: the p-adic content of a set of coordinates is read in one pass
+  by `padic.content_val`, not stripped one factor of p at a time.
 
 Each allowlist only shrinks: a listed name that becomes read fails until it
 leaves the list.
@@ -167,7 +170,6 @@ def test_detects_an_unread_local():
 UNREAD_VERIFIERS = {
     "annihilator_matches_closed_form",
     "generation_check",
-    "log_image_vs_maximal_ideal",
     "point_log_congruent_to_uniformizer",
     "torsion_probe",
 }
@@ -366,3 +368,40 @@ def test_detects_a_dense_product_with_x_or_f():
            "k = np.dot(X, v) + np.matmul(v, fm.F) + np.add(X, v)\n"
            "j = M.dot(v) + hi.X.dot(v)\n")
     assert flat_action_products(src) == [1, 2, 3, 4, 7, 8, 8, 9]
+
+
+def p_stripping_loops(source: str) -> list[int]:
+    """The lines of the `while` loops that floor-divide (`//` or `//=`) by a
+    name or an attribute called p, in their test or their body."""
+    def by_p(node) -> bool:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv):
+            divisor = node.right
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.FloorDiv):
+            divisor = node.value
+        else:
+            return False
+        return (isinstance(divisor, ast.Name) and divisor.id == "p"
+                or isinstance(divisor, ast.Attribute) and divisor.attr == "p")
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.While) and any(map(by_p, ast.walk(node))))
+
+
+@pytest.mark.parametrize("module", sorted(set(SOURCES) - {"padic.py"}))
+def test_no_loop_strips_p_outside_padic(module):
+    assert p_stripping_loops(SOURCES[module]) == []
+
+
+def test_detects_a_p_stripping_loop():
+    src = ("while x.den > 0:\n"
+           "    co = [v // p % nq for v in co]\n"
+           "while (c % p == 0).all():\n"
+           "    c = c // x.p\n"
+           "while a % p == 0:\n"
+           "    a //= p\n"
+           "while n % f == 0:\n"
+           "    n //= f\n"
+           "while k:\n"
+           "    k = k // p2 + p // 2\n"
+           "y = q // p\n")
+    assert p_stripping_loops(src) == [1, 3, 5]

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from normtower.padic import ZpContext, floor_log, val_int
+from normtower.padic import ZpContext, content_val, floor_log, val_int
 
 
 def test_context_rejects_bad_primes():
@@ -55,3 +55,50 @@ def test_valuation_cap():
     assert val_int(0, 3, 5) == 5
     assert val_int(9, 3, 5) == 2
     assert val_int(3**7, 3, 5) == 5
+
+
+def test_content_val_edges():
+    assert content_val([], 3, 5) == 5
+    assert content_val([0, 0, 0], 3, 5) == 5
+    assert content_val([-9, 27], 3, 5) == 2
+    assert content_val([0, -18, 0], 3, 5) == 2
+    assert content_val([3**7, 0, 3**9], 3, 5) == 5  # the cap below the valuation
+    assert content_val([3**7], 3, 0) == 0
+    assert content_val([], 3, 0) == 0
+
+
+@given(st.sampled_from([3, 5, 7]), st.lists(st.integers(-(10**30), 10**30)),
+       st.integers(0, 12), st.integers(0, 70))
+def test_content_val_is_the_least_capped_valuation(p, values, j, cap):
+    values = [v * p**j for v in values]
+    assert content_val(values, p, cap) == min((val_int(v, p, cap) for v in values), default=cap)
+
+
+# The coordinate sets the content rule reads: p^-den times integral
+# coordinates stored in [0, p^prec). test_series_curve, test_tower and
+# test_unramified draw them to test canonical(), residual_valuation() and
+# FieldDesc.val() against the loops they replaced.
+
+@st.composite
+def precision_shapes(draw):
+    """(p, d, prec, den): p in {3, 5, 7}, d in 1..4, prec in 1..40, den in 0..prec + 3."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    prec = draw(st.integers(1, 40))
+    return p, draw(st.integers(1, 4)), prec, draw(st.integers(0, prec + 3))
+
+
+@st.composite
+def coordinate_grids(draw, p: int, rows: int, d: int, prec: int):
+    """rows x d coordinates in [0, p^prec): a forced content p^j, a single
+    nonzero coordinate, or all zero."""
+    q = p**prec
+    grid = [[0] * d for _ in range(rows)]
+    kind = draw(st.sampled_from(["content", "single", "zero"]))
+    if kind == "content":
+        j = draw(st.integers(0, prec))
+        grid = [[draw(st.integers(0, q - 1)) * p**j % q for _ in range(d)] for _ in range(rows)]
+    elif kind == "single":
+        j = draw(st.integers(0, prec - 1))
+        grid[draw(st.integers(0, rows - 1))][draw(st.integers(0, d - 1))] = \
+            draw(st.integers(1, p ** (prec - j) - 1)) * p**j
+    return grid

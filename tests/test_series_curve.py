@@ -1,7 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_padic import coordinate_grids, precision_shapes
+from test_polyarith import _bundle_digits, _series_cache_clear, fresh_series_caches  # noqa: F401
 
+from normtower import series
 from normtower.curve import (
     CURVE_PRESETS,
     CurveParams,
@@ -247,3 +252,41 @@ def test_formal_log_matches_reference(name, p):
             for D in (0, 1, 10, 30, 60):
                 assert _log_outcome(formal_log, curve, field, D, prec) == \
                     _log_outcome(reference_formal_log, curve, field, D, prec)
+
+
+def reference_canonical(x: TruncSeries) -> TruncSeries:
+    """TruncSeries.canonical as it was, one factor of p per pass, kept
+    verbatim as the reference for the one-pass content rule."""
+    p = x.p
+    while x.den > 0:
+        if all(all(v % p == 0 for v in c) for c in x.coeffs):
+            if all(all(v == 0 for v in c) for c in x.coeffs):
+                return replace(x, den=0)
+            nq = p ** (x.prec - 1)
+            co = tuple(tuple(v // p % nq for v in c) for c in x.coeffs)
+            x = TruncSeries(x.field, co, x.den - 1, x.prec - 1)
+        else:
+            break
+    return x
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_canonical_matches_the_stripping_loop(data):
+    p, d, prec, den = data.draw(precision_shapes())
+    rows = data.draw(st.integers(1, 6))
+    co = tuple(map(tuple, data.draw(coordinate_grids(p, rows, d, prec))))
+    s = TruncSeries(build_unramified(p, d, 4), co, den, prec)
+    got, want = s.canonical(), reference_canonical(s)
+    assert (got.coeffs, got.den, got.prec) == (want.coeffs, want.den, want.prec)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_series_bundle_is_bit_identical_under_the_stripping_loop(d, fresh_series_caches,
+                                                                 monkeypatch):
+    """Every series of the full_grid bundles, and their report, come out the
+    same under the one-pass canonical() and the loop it replaced."""
+    got = _bundle_digits(d)
+    _series_cache_clear()
+    monkeypatch.setattr(series.TruncSeries, "canonical", reference_canonical)
+    assert _bundle_digits(d) == got

@@ -1,8 +1,11 @@
+import math
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_padic import coordinate_grids, precision_shapes
 
 from normtower.padic import factorize, primitive_root
 from normtower.polyarith import mul_vec, truncate
@@ -125,6 +128,49 @@ def test_canonical_zero_strips_only_the_digits_it_has(tower_3_2):
     assert (z.den, z.prec, z.effective_prec) == (0, 4, 4)
     w = tower_zero(tower_3_2, 1, prec=3).div_p(5).canonical()
     assert (w.den, w.prec, w.effective_prec) == (2, 0, -2)
+
+
+def reference_canonical(x: TowerElt) -> TowerElt:
+    """TowerElt.canonical as it was, one factor of p per pass (verbatim)."""
+    while x.den > 0:
+        if not x.coords.any():
+            # p^-den times a zero known mod p^prec is known mod p^(prec - den)
+            k = min(x.den, x.prec)
+            return replace(x, den=x.den - k, prec=x.prec - k)
+        if (x.coords % x.p == 0).all():
+            x = TowerElt(x.tower, x.level, x.coords // x.p, x.den - 1, x.prec - 1)
+        else:
+            break
+    return x
+
+
+def reference_residual_valuation(x: TowerElt) -> float:
+    """TowerElt.residual_valuation as it was (verbatim)."""
+    if not x.coords.any():
+        return math.inf
+    p = x.p
+    v = 0
+    c = x.coords
+    while v < x.prec and (c % p == 0).all():
+        c = c // p
+        v += 1
+    return v - x.den
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_content_readers_match_the_stripping_loops(data):
+    """canonical() and residual_valuation() against the loops they replaced,
+    at level -1 and level 0 of towers over p in {3, 5, 7}, d in 1..4."""
+    p, d, prec, den = data.draw(precision_shapes())
+    t = _tower(p, d, 0)
+    n = data.draw(st.sampled_from([-1, 0]))
+    grid = data.draw(coordinate_grids(p, t.level_dim(n), d, prec))
+    x = TowerElt(t, n, np.array(grid, dtype=object), den, prec)
+    got, want = x.canonical(), reference_canonical(x)
+    assert (got.coords.dtype, got.coords.tolist(), got.den, got.prec) == \
+        (want.coords.dtype, want.coords.tolist(), want.den, want.prec)
+    assert x.residual_valuation() == reference_residual_valuation(x)
 
 
 # The enumerations of Gal(k_n/k_m), the tame lift and the two primitive-root

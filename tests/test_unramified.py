@@ -2,8 +2,9 @@ from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_padic import coordinate_grids, precision_shapes
 
-from normtower.padic import ZpContext, factorize, primitive_root
+from normtower.padic import ZpContext, factorize, primitive_root, val_int
 from normtower.polyarith import xgcd_fp
 from normtower.unramified import (
     FieldDesc,
@@ -115,6 +116,17 @@ def test_valuation_multiplicative_below_precision(data):
     vx, vy = fd.val(x), fd.val(y)
     if vx + vy < fd.N:
         assert fd.val(fd.mul(x, y)) == vx + vy
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_val_matches_the_least_coordinate_valuation(data):
+    """FieldDesc.val against the minimum over coordinates it replaced."""
+    p, d, prec, cap = data.draw(precision_shapes())
+    fd = build_unramified(p, d, 4)
+    (a,) = data.draw(coordinate_grids(p, 1, d, prec))
+    assert fd.val(a, cap) == min((val_int(x, p, cap) for x in a), default=cap)
+    assert fd.val(a) == min(val_int(x, p, fd.N) for x in a)
 
 
 # The Newton inverse of O_k against Gauss-Jordan elimination of the matrix of
