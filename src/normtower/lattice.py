@@ -5,7 +5,20 @@ sequence, cyclicity, and the maximal-ideal generation lemma.
 A Lattice is a coordinate matrix (ambient dimension x generators) at a common
 denominator exponent; ranks come from Smith normal form with the precision
 margin, and an ambiguous decision is rerun up the precision ladder of
-`snf.at_rising_precision` before giving up.
+`snf.at_rising_precision` before giving up. Row j*d + k of the matrix is the
+k-th O_k coordinate of eta^j.
+
+`galois_span` builds an orbit matrix from the generators' (L, d) coordinate
+arrays, with no TowerElt per group element: each generator is scaled to the
+common den and reduced mod p^min(prec, N), as `TowerElt.vector` does; one
+product with the stacked Frobenius matrices gives frob^a of every generator,
+a < d; one np.add.at through `TowerDesc.orbit_scatter` applies every unit u
+of the group at once; and the block is reduced again. Its columns run over
+the generators, then the units u in `galois_units` order, then a, the order
+in which a loop of `TowerElt.galois(u, a)` calls would list them. The
+arithmetic is int64 when `snf.as_matrix` would give the matrix that dtype
+(the products stay below 2^63 under its bound) and exact Python ints
+otherwise, so the matrix has the dtype `as_matrix` would give it.
 """
 
 from __future__ import annotations
@@ -18,6 +31,7 @@ import numpy as np
 from .groupring import CharIdempotent, q_values
 from .points import point_log, plusminus_point_log
 from .snf import (
+    _dtype_for,
     as_matrix,
     at_rising_precision,
     smith_divisors,
@@ -72,8 +86,8 @@ def _common_den(a: Lattice, b: Lattice) -> tuple[Lattice, Lattice]:
 
 def lattice_from_elements(t: TowerDesc, level: int, elems: list[TowerElt]) -> Lattice:
     den = max((e.den for e in elems), default=0)
-    cols = [e.vector(den) for e in elems]
-    mat = as_matrix(np.array(cols, dtype=object).T, t.q)
+    cols = np.array([e.vector(den) for e in elems], dtype=object)
+    mat = as_matrix(cols.reshape(len(elems), t.ambient_dim(level)).T, t.q)
     return Lattice(t, level, den, mat)
 
 
@@ -90,25 +104,30 @@ def apply_idempotent(x: TowerElt, eps: CharIdempotent) -> TowerElt:
     return out
 
 
-def galois_orbit(x: TowerElt, n: int, include_tame: bool) -> list[TowerElt]:
-    """sigma(x) for sigma over Frobenius x wild (x tame, optionally) parts of
-    the level-n Galois group."""
-    t = x.tower
-    units = t.galois_units(n, -1 if include_tame else min(n, 0))
-    y = x.embed(n)
-    return [y.galois(u, a) for u in units for a in range(t.d)]
-
-
 def galois_span(t: TowerDesc, gens: list[TowerElt], n: int,
                 chi: CharIdempotent | None = None) -> Lattice:
-    """Z_p-span of the G_n-orbit of the generators (chi-projected when given)."""
-    elems: list[TowerElt] = []
-    for gen in gens:
-        y = gen.embed(n)
-        if chi is not None:
-            y = apply_idempotent(y, chi)
-        elems.extend(galois_orbit(y, n, include_tame=(chi is None)))
-    return lattice_from_elements(t, n, elems)
+    """Z_p-span of the G_n-orbit of the generators (chi-projected when given):
+    the column of (generator g, unit u, Frobenius power a) is sigma_u frob^a(g)."""
+    ys = [gen.embed(n) for gen in gens]
+    if chi is not None:
+        ys = [apply_idempotent(y, chi) for y in ys]
+    m = -1 if chi is None else min(n, 0)  # the tame units act only without chi
+    p, d, L, G, U = t.p, t.d, t.level_dim(n), len(ys), len(t.galois_units(n, m))
+    den = max((y.den for y in ys), default=0)
+    dtype = _dtype_for(t.q, max(L * d, G * U * d))
+    # each generator scaled to den and reduced mod p^min(prec, N), as TowerElt.vector
+    qs = [p ** min(y.prec, t.N) for y in ys]
+    c = np.zeros((G, 1, L, d), dtype=dtype)
+    for g, (y, q) in enumerate(zip(ys, qs)):
+        c[g, 0] = y.coords.astype(object) * p ** (den - y.den) % q
+    q = np.array(qs, dtype=dtype)[:, None, None]  # over the trailing axes (g, k, a)
+    frob = np.stack([t.frob_matrix(a).T for a in range(d)]).astype(dtype)
+    rows = (c @ frob).transpose(2, 0, 3, 1) % q  # [j, g, k, a]: coord k of frob^a(g) at eta^j
+    dst, src, cf = t.orbit_scatter(n, m)
+    out = np.zeros((L * U, G, d, d), dtype=dtype)
+    np.add.at(out, dst, rows[src] * cf[:, None, None, None])
+    mat = (out % q).reshape(L, U, G, d, d).transpose(0, 3, 2, 1, 4).reshape(L * d, -1)
+    return Lattice(t, n, den, mat)
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,17 @@ class TowerDesc:
                 dst.append(idx)
                 src.append(j)
                 cf.append(sgn)
-        return (np.array(dst, dtype=np.int64),
-                np.array(src, dtype=np.int64),
-                np.array(cf, dtype=np.int64))
+        return tuple(_read_only(np.array(a, dtype=np.int64)) for a in (dst, src, cf))
+
+    @lru_cache(maxsize=None)
+    def orbit_scatter(self, n: int, m: int):
+        """The scatters of `_galois_table` for every unit of galois_units(n, m),
+        concatenated: (dst * U + s, src, coeff) for the s-th of the U units, so
+        that one np.add.at applies all of Gal(k_n/k_m) at once."""
+        units = self.galois_units(n, m)
+        dst, src, cf = zip(*(self._galois_table(n, u % self.p ** (n + 1)) for u in units))
+        dst = [a * len(units) + s for s, a in enumerate(dst)]
+        return tuple(_read_only(np.concatenate(a)) for a in (dst, src, cf))
 
     @lru_cache(maxsize=None)
     def frob_matrix(self, k: int) -> np.ndarray:
@@ -102,7 +110,7 @@ class TowerDesc:
         cols = self.field.frob_cols[k]
         M = np.array([[cols[i][j] for i in range(self.d)] for j in range(self.d)],
                      dtype=object)
-        return M  # M[j, i] = j-th coord of frob(e_i); apply as coords @ M.T
+        return _read_only(M)  # M[j, i] = j-th coord of frob(e_i); apply as coords @ M.T
 
     @lru_cache(maxsize=None)
     def tame_units(self, n: int) -> tuple[int, ...]:
@@ -133,9 +141,14 @@ class TowerDesc:
     def embed_index(self, m: int, n: int) -> np.ndarray:
         """The rows of k_n that k_m lands on: eta_m^j = eta_n^(j p^(n-m))."""
         assert -1 <= m <= n
-        idx = np.arange(self.level_dim(m)) * self.p ** (n - m)
-        idx.setflags(write=False)
-        return idx
+        return _read_only(np.arange(self.level_dim(m)) * self.p ** (n - m))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """The array, made read-only: the caches above share it between every
+    value-equal tower, so one write would corrupt each later reader."""
+    a.setflags(write=False)
+    return a
 
 
 def build_tower(p: int, d: int, n_max: int, N: int) -> TowerDesc:

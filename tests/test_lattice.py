@@ -1,5 +1,8 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_snf import reference_span_intersection
 from test_tower import (
     reference_delta_exponent,
@@ -11,12 +14,12 @@ from normtower.groupring import idempotents
 from normtower.lattice import (
     Lattice,
     _common_den,
+    apply_idempotent,
     check_exact_sequence,
     curve_group_lattice,
     cyclicity_check,
     expected_norm_rank,
     expected_plusminus_rank,
-    galois_orbit,
     galois_span,
     generation_check,
     lattice_from_elements,
@@ -249,22 +252,77 @@ def _same_matrix(a: np.ndarray, b: np.ndarray) -> bool:
 ORBIT_GRID = [(3, 1, 6, 3), (3, 2, 6, 3), (3, 4, 6, 3), (5, 2, 4, 1)]
 
 
+def reference_galois_span(t, gens: list[TowerElt], n: int, chi) -> Lattice:
+    """The span galois_span builds, one TowerElt per group element: the orbit
+    of each chi-projected generator, tame units included when chi is None."""
+    elems = []
+    for gen in gens:
+        y = gen.embed(n) if chi is None else apply_idempotent(gen.embed(n), chi)
+        elems += reference_galois_orbit(y, n, chi is None)
+    return lattice_from_elements(t, n, elems)
+
+
+def _same_lattice(a: Lattice, b: Lattice) -> bool:
+    """Same level, den, dtype and entries, and the same Python type for each entry."""
+    return ((a.level, a.den) == (b.level, b.den) and _same_matrix(a.mat, b.mat)
+            and [type(v) for v in a.mat.flat] == [type(v) for v in b.mat.flat])
+
+
 @pytest.mark.parametrize("p,d,N,nmax", ORBIT_GRID)
 def test_galois_orbit_matches_reference(p, d, N, nmax):
+    """galois_span of the point logs, with the tame units (chi None) and
+    without them (each chi), against the reference orbit."""
     t = build_tower(p, d, nmax, N)
     for n in range(-1, nmax + 1):
         for x in (point_log(t, n), point_log(t, -1)):
-            for tame in (True, False):
-                got = galois_orbit(x, n, tame)
-                want = reference_galois_orbit(x, n, tame)
-                assert len(got) == len(want)
-                for a, b in zip(got, want):
-                    assert (a.level, a.den, a.prec) == (b.level, b.den, b.prec)
-                    assert _same_matrix(a.coords, b.coords)
-            if n >= 0:
-                span = galois_span(t, [x], n, None)
-                ref = lattice_from_elements(t, n, reference_galois_orbit(x, n, True))
-                assert span.den == ref.den and _same_matrix(span.mat, ref.mat)
+            for chi in (None, *idempotents(p, N)):
+                assert _same_lattice(galois_span(t, [x], n, chi),
+                                     reference_galois_span(t, [x], n, chi))
+
+
+@cache
+def _orbit_tower(p: int, d: int, N: int):
+    return build_tower(p, d, 2 if p == 3 else 1, N)
+
+
+@st.composite
+def orbit_cases(draw):
+    """A tower at N = 6 (int64 lattices) or N = 16 (3^16 > 2^25: object), a
+    level n, chi None or an idempotent, and 1-3 generators at levels -1..n
+    with den 0..3, prec N-2..N and coordinates in [0, p^prec)."""
+    p, d = draw(st.sampled_from([(3, 1), (3, 2), (3, 4), (5, 2)]))
+    N = draw(st.sampled_from([6, 16]))
+    t = _orbit_tower(p, d, N)
+    n = draw(st.integers(-1, t.n_max))
+    chi = draw(st.sampled_from([None, *idempotents(p, N)]))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        level = draw(st.integers(-1, n))
+        prec = draw(st.integers(N - 2, N))
+        size = t.level_dim(level) * d
+        flat = draw(st.lists(st.integers(0, p**prec - 1), min_size=size, max_size=size))
+        coords = np.array(flat, dtype=object).reshape(t.level_dim(level), d)
+        gens.append(TowerElt(t, level, coords, draw(st.integers(0, 3)), prec))
+    return t, gens, n, chi
+
+
+@settings(deadline=None, max_examples=150)
+@given(orbit_cases())
+def test_galois_span_matches_the_reference_path(case):
+    t, gens, n, chi = case
+    got = galois_span(t, gens, n, chi)
+    assert _same_lattice(got, reference_galois_span(t, gens, n, chi))
+    assert got.mat.dtype == (np.int64 if t.N == 6 else object)
+
+
+@pytest.mark.parametrize("chi", [None, EPS3[1]])
+def test_empty_lattice_has_the_ambient_shape(chi):
+    t = build_tower(3, 2, 2, 6)
+    for lat in (lattice_from_elements(t, 1, []), galois_span(t, [], 1, chi)):
+        assert lat.mat.shape == (t.ambient_dim(1), 0)
+        assert lat.rank() == 0
+        up = lat.embed(2)
+        assert up.mat.shape == (t.ambient_dim(2), 0) and up.rank() == 0
 
 
 @pytest.mark.parametrize("p,d,N,nmax", ORBIT_GRID)

@@ -10,6 +10,7 @@ from test_padic import coordinate_grids, precision_shapes
 from normtower.padic import factorize, primitive_root
 from normtower.polyarith import mul_vec, truncate
 from normtower.tower import (
+    TowerDesc,
     TowerElt,
     build_tower,
     check_g_iterate,
@@ -254,7 +255,7 @@ def test_galois_units_enumerate_each_group_once(p, d, nmax):
 
 @pytest.mark.parametrize("p,d,nmax", GROUP_GRID)
 def test_galois_units_order_is_the_orbit_order(p, d, nmax):
-    """Tame outer, wild inner: the order the orbit loops of galois_orbit used."""
+    """Tame outer, wild inner: the order of lattice.galois_span's orbit columns."""
     t = build_tower(p, d, nmax, 4)
     g = reference_delta_generator(p)
     for n in range(nmax + 1):
@@ -279,6 +280,38 @@ def test_embed_index_is_the_p_power_grid(tower_3_2):
             idx = t.embed_index(m, n)
             assert idx.tolist() == [j * t.p ** (n - m) for j in range(t.level_dim(m))]
             assert not idx.flags.writeable
+
+
+def _cached_calls(t):
+    """Arguments for each lru-cached TowerDesc method, over levels -1..2."""
+    levels = range(-1, 3)
+    pairs = [(m, n) for n in levels for m in range(-1, n + 1)]
+    return {
+        "modulus": [(n,) for n in levels],
+        "_galois_table": [(n, u % t.p ** (n + 1)) for n in levels for u in t.galois_units(n, -1)],
+        "orbit_scatter": [(n, m) for m, n in pairs],
+        "frob_matrix": [(k,) for k in range(-1, t.d + 1)],
+        "tame_units": [(n,) for n in levels],
+        "galois_units": [(n, m) for m, n in pairs],
+        "embed_index": pairs,
+    }
+
+
+def test_cached_tower_arrays_are_read_only(tower_3_2):
+    """The caches share each array between every value-equal tower, so every
+    array a cached method returns, alone or in a tuple, is read-only."""
+    t = tower_3_2
+    calls = _cached_calls(t)
+    assert {name for name, f in vars(TowerDesc).items() if hasattr(f, "cache_info")} == set(calls)
+    with_arrays = set()
+    for name, args in calls.items():
+        for a in args:
+            out = getattr(t, name)(*a)
+            for arr in (out,) if isinstance(out, np.ndarray) else out:
+                if isinstance(arr, np.ndarray):
+                    with_arrays.add(name)
+                    assert not arr.flags.writeable, (name, a)
+    assert with_arrays == {"_galois_table", "orbit_scatter", "frob_matrix", "embed_index"}
 
 
 # The rewrite table and the fold that reduced tower products before
