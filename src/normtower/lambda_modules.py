@@ -38,13 +38,15 @@ from .padic import PrecisionExhausted
 from .polyarith import mul, rem_monic
 from .snf import (
     MARGIN,
+    SnfResult,
+    _dtype_for,
+    _eliminate,
     as_matrix,
     at_rising_precision,
     kernel_image,
     precision_ladder,
     quotient_invariants,
-    smith_divisors,
-    smith_normal_form,
+    smith_normal_form,  # noqa: F401  (perfbench's tracer test looks it up here)
     stack_cols,
 )
 
@@ -202,6 +204,7 @@ class FlatModule:
     dim: int
     X: np.ndarray
     relmat: np.ndarray       # canonical generating set of the relation span
+    divisors: list[int]      # the finite divisor valuations of relmat and of the span
 
     @property
     def p(self) -> int:
@@ -213,7 +216,8 @@ class FlatModule:
 
 
 def _flatten_vector(fm: FlatModule, rel) -> np.ndarray:
-    """One relation vector reduced mod caps and laid out on the flat basis."""
+    """One relation vector reduced mod caps and laid out on the flat basis,
+    in the dtype of fm.X."""
     caps = fm.pres.cap_map()
     out = np.zeros(fm.dim, dtype=object)
     for i, poly in enumerate(rel):
@@ -221,16 +225,34 @@ def _flatten_vector(fm: FlatModule, rel) -> np.ndarray:
         if B:  # the remainder mod the cap has exactly B coefficients
             for a, c in enumerate(poly):
                 out[o + a * B:o + (a + 1) * B] = rem_monic(c, caps[i])
-    return out % fm.q
+    return (out % fm.q).astype(fm.X.dtype)
+
+
+def _translate_bound(caps: dict, caps_deg: list[int]) -> int:
+    """The number of X-translates flatten takes of each relation vector: the
+    minimal-polynomial bound of the block-diagonal X-action (the sum of the
+    distinct cap degrees), plus one."""
+    return sum({caps[i]: B for i, B in enumerate(caps_deg) if B > 0}.values()) + 1
 
 
 def flatten(pres: Presentation, N: int) -> FlatModule:
-    """Build the capped ambient with its X matrix and the relation span
-    (closed under the ring action; closure is certified by a no-growth check).
+    """Build the capped ambient with its X matrix and the relation span,
+    certified closed under the ring action.
 
     X and F act on the flat basis (i, a, b) as index maps, each O(dim) per
-    column: X sends (i, a, b) to (i, a, b + 1) below the cap degree B_i and
-    folds (i, a, B_i - 1) back by the cap, and F rotates the F-powers a."""
+    column, in the dtype `as_matrix` gives a dim-square matrix: X sends
+    (i, a, b) to (i, a, b + 1) below the cap degree B_i and folds
+    (i, a, B_i - 1) back by the cap, and F rotates the F-powers a.
+
+    W, the translates X^k F^a v of the relation vectors v for k below the
+    translate bound b and a < d, is eliminated once. W rides as V and ends
+    as W C, C the column operations; its first r columns, r the number of
+    finite divisors, are the relation basis. F permutes W's columns and X
+    maps each translate block onto the next, so the span is closed iff every
+    X^b v lies in it: the X^b v ride as U and end as R X^b v, R the row
+    operations, whose row i must be divisible by p^e_i (zero past the finite
+    divisors). This is exact mod p^N, with no margin; a span that is not
+    closed raises ArithmeticError."""
     d, p, q = pres.d, pres.p, pres.p**N
     caps = pres.cap_map()
     uncapped = [i for i in range(pres.gens) if caps.get(i, ())[-1:] != (1,)]
@@ -239,6 +261,7 @@ def flatten(pres: Presentation, N: int) -> FlatModule:
     caps_deg = [len(caps[i]) - 1 for i in range(pres.gens)]
     offsets = [d * sum(caps_deg[:i]) for i in range(pres.gens)]
     dim = d * sum(caps_deg)
+    dtype = _dtype_for(q, dim)
     # row k of X M is row below[k] of M (the zero row dim at degree 0) minus
     # fold[k] times row top[k], the block's degree B - 1 row; row k of F M is
     # row perm[k] of M, the same (i, b) at F-power a - 1, and F^e M is M[rot[:, e]]
@@ -251,7 +274,7 @@ def flatten(pres: Presentation, N: int) -> FlatModule:
             fold += [c % q for c in caps[i][:B]]
             perm += range(prev, prev + B)
     below, top, perm = (np.array(ix, dtype=np.intp) for ix in (below, top, perm))
-    fold = np.array(fold, dtype=object).reshape(-1, 1)
+    fold = np.array(fold, dtype=dtype).reshape(-1, 1)
     rot = [np.arange(dim)]
     for _ in range(d - 1):
         rot.append(rot[-1][perm])
@@ -262,41 +285,36 @@ def flatten(pres: Presentation, N: int) -> FlatModule:
         return (M_ext[below] - fold * M[top]) % q
 
     fm = FlatModule(pres=pres, N=N, offsets=offsets, caps_deg=caps_deg, dim=dim,
-                    X=x_map(np.eye(dim, dtype=object)),
-                    relmat=np.zeros((dim, 0), dtype=object))
+                    X=x_map(np.eye(dim, dtype=dtype)),
+                    relmat=np.zeros((dim, 0), dtype=dtype), divisors=[])
     if dim == 0:
         return fm
     base_cols = [c for c in (_flatten_vector(fm, rel) for rel in pres.rels) if c.any()]
     if not base_cols:
         return fm
-    # X-translates up to the minimal-polynomial bound of the block-diagonal
-    # X-action (sum of distinct cap degrees), F-translates over the full cycle;
-    # the columns run over the vectors, and for each vector over its F-powers
-    b_max = sum({caps[i]: caps_deg[i] for i in range(pres.gens) if caps_deg[i] > 0}.values()) + 1
-    cur, blocks = np.array(base_cols, dtype=object).T, []
-    for _ in range(b_max):
+    # the columns run over the X-powers, then the vectors, then their F-powers
+    cur, blocks = np.array(base_cols).T, []
+    for _ in range(_translate_bound(caps, caps_deg)):
         blocks.append(cur[rot].transpose(0, 2, 1).reshape(dim, -1))
         cur = x_map(cur)
     W = as_matrix(np.hstack(blocks), q)
-    # a small generating set of the same span: the columns of W V with a
-    # divisor below N (U W V = diag(p^e), V unimodular); their divisors are
-    # the finite divisors of W
-    res = smith_normal_form(W, p, N)
-    finite = [e for e in res.divisors if e < N]
-    Wc = (W @ res.V[:, :len(finite)]) % q
-    # closure certificate: one more X- and F-batch must not grow the span
-    grown = stack_cols(Wc, x_map(Wc), Wc[perm])
-    if finite != [e for e in smith_divisors(grown, p, N).divisors if e < N]:
+    basis, nxt = W.copy(), cur.astype(W.dtype, copy=False)
+    divisors = _eliminate(W, p, N, U=nxt, V=basis)
+    finite = [e for e in divisors if e < N]
+    pe = [p**e for e in finite] + [q] * (dim - len(finite))
+    if (nxt % np.array(pe, dtype=W.dtype).reshape(-1, 1)).any():
         raise ArithmeticError("relation span not closed within the translate bound")
-    fm.relmat = Wc
+    fm.relmat, fm.divisors = basis[:, :len(finite)].astype(dtype), finite
     return fm
 
 
 def module_report(pres: Presentation, N: int) -> dict:
-    """Z_p-rank and torsion divisors of the capped quotient, margin-checked."""
+    """Z_p-rank and torsion divisors of the capped quotient, margin-checked:
+    read from the divisors flatten found, with no second elimination."""
     fm = flatten(pres, N)
-    rank, torsion = quotient_invariants(fm.dim, fm.relmat, fm.p, N)
-    return {"rank": rank, "torsion": torsion, "dim": fm.dim}
+    res = SnfResult(p=fm.p, N=N, divisors=fm.divisors, U=None, V=None,
+                    shape=fm.relmat.shape)
+    return {"rank": fm.dim - res.rank(), "torsion": res.torsion(), "dim": fm.dim}
 
 
 # ---------------------------------------------------------------------------

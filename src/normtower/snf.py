@@ -50,16 +50,21 @@ neither U nor V is built and no transform product is taken:
   column operations turn it into W @ V, whose kernel columns are W applied to
   a kernel basis of A. `span_intersection` eliminates [A | -B] with [A | 0]
   as W; the X-kernel invariants of `lambda_modules` read the top block of a
-  kernel with W = [I_t | 0] (or a row selection of it).
+  kernel with W = [I_t | 0] (or a row selection of it);
+- `lambda_modules.flatten` carries both through the one elimination of its
+  translate matrix W: W itself rides as V, so the first r columns of W @ V
+  are its relation basis, r the number of finite divisors, and the next
+  X-translates of its relation vectors ride as U, so that U @ them
+  certifies the span closed.
 `kernel_basis` builds both transforms, for callers that read the whole
 kernel.
 
-Who reads the transforms: no program code reads U. V is read by
-`kernel_basis` (its kernel columns, for `groupring.annihilator`) and by the
-relation basis of `lambda_modules.flatten` (W V[:, :r]); `SnfResult.certify`
-reads both, for the tests. No module below the lattices imports this one:
-O_k, the tower and the series layers are built and inverted by the
-polynomial arithmetic of `polyarith`.
+Who reads the transforms: no program code reads U, and V is read only by
+`kernel_basis` (its kernel columns, for `groupring.annihilator`, which only
+tests reach), so program code reaches `smith_normal_form` only through
+`kernel_basis`. `SnfResult.certify` reads both, for the tests. No module
+below the lattices imports this one: O_k, the tower and the series layers
+are built and inverted by the polynomial arithmetic of `polyarith`.
 
 Matrices are numpy arrays, dtype int64 when p^N and the matrix dimension are
 small enough that no product of two reduced matrices can overflow, otherwise

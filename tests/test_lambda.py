@@ -2,6 +2,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from normtower.lambda_modules import (
     NotZpFinite,
     Presentation,
     _drop_null_columns,
+    _flatten_vector,
     _invariant_structure_at,
     _kernel_instance,
     _matvec,
@@ -53,6 +55,7 @@ from normtower.snf import (
     MARGIN,
     PRECISION_BUMP,
     as_matrix,
+    quotient_invariants,
     smith_divisors,
     smith_normal_form,
     stack_cols,
@@ -251,22 +254,33 @@ SPAN_CASES = [c[:2] for c in FREENESS_CASES] + [
 
 @pytest.mark.parametrize("name,builder", SPAN_CASES, ids=[c[0] for c in SPAN_CASES])
 def test_relmat_divisors_are_those_of_the_span(name, builder, monkeypatch):
-    """The relation basis flatten keeps has, as its finite divisors, exactly
-    the finite divisors of the full translate matrix W."""
-    snfs = []
-    snf_of = lambda_modules.smith_normal_form
+    """flatten eliminates once when a relation survives the caps, and
+    module_report eliminates nothing more. The relation basis flatten keeps
+    has, as its finite divisors, exactly the finite divisors of the full
+    translate matrix W, and those are the divisors flatten keeps."""
+    eliminated = []
+    eliminate = snf._eliminate
 
-    def spy(A, p, Nx):
-        res = snf_of(A, p, Nx)
-        snfs.append(res)
-        return res
+    def spy(A, p, Nx, U=None, V=None):
+        divisors = eliminate(A, p, Nx, U, V)
+        eliminated.append(divisors)
+        return divisors
 
-    monkeypatch.setattr(lambda_modules, "smith_normal_form", spy)
+    monkeypatch.setattr(lambda_modules, "_eliminate", spy)
+    monkeypatch.setattr(snf, "_eliminate", spy)
     for pres in (x_truncated(builder(), 4), coinvariants(builder(), 1)):
-        snfs.clear()
+        eliminated.clear()
         fm = flatten(pres, N)
-        assert len(snfs) <= 1  # none when no relation survives the caps
-        want = [e for res in snfs for e in res.divisors if e < N]
+        survives = fm.relmat.shape[1] > 0
+        assert len(eliminated) == survives  # none when no relation survives the caps
+        want = [e for divisors in eliminated for e in divisors if e < N]
+        assert fm.divisors == want
+        eliminated.clear()
+        module_report(pres, N)
+        assert len(eliminated) == survives  # flatten's elimination alone
+        eliminated.clear()
+        reference_flatten(pres, N)  # its first elimination, if any, is that of W
+        assert [e for divisors in eliminated[:1] for e in divisors if e < N] == want
         assert [e for e in smith_divisors(fm.relmat, 3, N).divisors if e < N] == want
         assert fm.relmat.shape[1] == len(want)
 
@@ -893,8 +907,8 @@ def reference_flatten(pres: Presentation, N: int) -> ReferenceFlatModule:
     return fm
 
 
-def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+def _same_values(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a, b)
 
 
 def _assert_flatten_matches_reference(pres: Presentation, N: int):
@@ -906,9 +920,15 @@ def _assert_flatten_matches_reference(pres: Presentation, N: int):
         return
     got = flatten(pres, N)
     assert (got.dim, got.offsets, got.caps_deg) == (want.dim, want.offsets, want.caps_deg)
-    assert _same_array(got.X, want.X)
-    assert _same_array(got.relmat, want.relmat)
-    assert all(type(x) is int for x in got.X.flat)
+    assert _same_values(got.X, want.X)
+    assert _same_values(got.relmat, want.relmat)
+    # the dtype as_matrix gives: int64 below _INT64_SAFE, exact ints above
+    q = pres.p**N
+    assert got.X.dtype == got.relmat.dtype == as_matrix(got.X, q).dtype
+    assert got.relmat.dtype == as_matrix(got.relmat, q).dtype
+    if got.X.dtype == object:
+        assert all(type(x) is int for x in got.X.flat)
+        assert all(type(x) is int for x in got.relmat.flat)
 
 
 @st.composite
@@ -952,6 +972,144 @@ def test_flatten_matches_reference_on_shipped_presentations(p, d):
                     _assert_flatten_matches_reference(x_truncated(pres, n + 3), Nx)
                     _assert_flatten_matches_reference(coinvariants(pres, max(n - 1, 0)), Nx)
                     _assert_flatten_matches_reference(pres, Nx)
+
+
+@pytest.mark.parametrize("Nx,dtype", [(10, np.int64), (14, object)])
+def test_flatten_works_in_the_dtype_of_as_matrix(Nx, dtype):
+    """At p = 5, N = 10 is below _INT64_SAFE and N = 14 (the harness's second
+    freeness rung) above it: X and the relation basis come out int64 and
+    exact ints, with the values of the reference."""
+    for n in (0, 1, 2):
+        for present in (present_plus, present_minus):
+            pres = present(5, 2, n, True)
+            for model in (pres, x_truncated(pres, n + 3), coinvariants(pres, max(n - 1, 0))):
+                assert flatten(model, Nx).X.dtype == dtype
+                _assert_flatten_matches_reference(model, Nx)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the closure certificate read off flatten's one
+# elimination, against the divisor comparison of a second elimination of
+# [Wc | X Wc | F Wc] that it replaced, with the translate bound forced to 1
+# so that many spans are not closed
+# ---------------------------------------------------------------------------
+
+def divisor_comparison_flatten(pres: Presentation, N: int) -> np.ndarray:
+    """The relation basis of flatten as it was before the closure certificate
+    rode its elimination: verbatim, comments aside, but that it reads the
+    translate bound from `_translate_bound`, fills the module's `divisors`
+    field with a placeholder and returns the relation basis alone."""
+    d, p, q = pres.d, pres.p, pres.p**N
+    caps = pres.cap_map()
+    uncapped = [i for i in range(pres.gens) if caps.get(i, ())[-1:] != (1,)]
+    if uncapped:
+        raise NotZpFinite(f"generators {uncapped} carry no monic-in-X cap relation")
+    caps_deg = [len(caps[i]) - 1 for i in range(pres.gens)]
+    offsets = [d * sum(caps_deg[:i]) for i in range(pres.gens)]
+    dim = d * sum(caps_deg)
+    below, top, fold, perm = [], [], [], []
+    for i, B in enumerate(caps_deg):
+        for a in range(d):
+            base, prev = offsets[i] + a * B, offsets[i] + (a - 1) % d * B
+            below += [base + b - 1 if b else dim for b in range(B)]
+            top += [base + B - 1] * B
+            fold += [c % q for c in caps[i][:B]]
+            perm += range(prev, prev + B)
+    below, top, perm = (np.array(ix, dtype=np.intp) for ix in (below, top, perm))
+    fold = np.array(fold, dtype=object).reshape(-1, 1)
+    rot = [np.arange(dim)]
+    for _ in range(d - 1):
+        rot.append(rot[-1][perm])
+    rot = np.stack(rot, axis=1)
+
+    def x_map(M: np.ndarray) -> np.ndarray:
+        M_ext = np.vstack((M, np.zeros((1, M.shape[1]), dtype=M.dtype)))
+        return (M_ext[below] - fold * M[top]) % q
+
+    fm = FlatModule(pres=pres, N=N, offsets=offsets, caps_deg=caps_deg, dim=dim,
+                    X=x_map(np.eye(dim, dtype=object)),
+                    relmat=np.zeros((dim, 0), dtype=object), divisors=[])
+    if dim == 0:
+        return fm.relmat
+    base_cols = [c for c in (_flatten_vector(fm, rel) for rel in pres.rels) if c.any()]
+    if not base_cols:
+        return fm.relmat
+    b_max = lambda_modules._translate_bound(caps, caps_deg)
+    cur, blocks = np.array(base_cols, dtype=object).T, []
+    for _ in range(b_max):
+        blocks.append(cur[rot].transpose(0, 2, 1).reshape(dim, -1))
+        cur = x_map(cur)
+    W = as_matrix(np.hstack(blocks), q)
+    res = smith_normal_form(W, p, N)
+    finite = [e for e in res.divisors if e < N]
+    Wc = (W @ res.V[:, :len(finite)]) % q
+    # closure certificate: one more X- and F-batch must not grow the span
+    grown = stack_cols(Wc, x_map(Wc), Wc[perm])
+    if finite != [e for e in smith_divisors(grown, p, N).divisors if e < N]:
+        raise ArithmeticError("relation span not closed within the translate bound")
+    return Wc
+
+
+def _closure_outcome(fn, pres: Presentation, N: int):
+    """The relation basis fn builds at translate bound 1, or ArithmeticError."""
+    with mock.patch.object(lambda_modules, "_translate_bound", lambda caps, caps_deg: 1):
+        try:
+            return fn(pres, N)
+        except ArithmeticError:
+            return ArithmeticError
+
+
+def _assert_certificate_matches_the_divisor_comparison(pres: Presentation, N: int) -> bool:
+    """Both raise, or neither does and the relation bases agree; True if
+    both raised."""
+    want = _closure_outcome(divisor_comparison_flatten, pres, N)
+    got = _closure_outcome(lambda *args: flatten(*args).relmat, pres, N)
+    if want is ArithmeticError or got is ArithmeticError:
+        assert got is want
+        return True
+    assert _same_values(got, want)
+    return False
+
+
+@settings(deadline=None, max_examples=150)
+@given(capped_presentations(), st.sampled_from([3, 6, 10, 14]))
+def test_closure_certificate_matches_the_divisor_comparison(case, Nx):
+    _assert_certificate_matches_the_divisor_comparison(case[0], Nx)
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 2), (5, 4)])
+def test_closure_certificate_matches_on_shipped_presentations(p, d):
+    raised = []
+    for n in (0, 1, 2):
+        for trivial in (True, False):
+            for present in (present_plus, present_minus):
+                pres = present(p, d, n, trivial)
+                for model in (pres, x_truncated(pres, n + 3), coinvariants(pres, max(n - 1, 0))):
+                    for Nx in (3, 6, 10, 14):
+                        raised.append(
+                            _assert_certificate_matches_the_divisor_comparison(model, Nx))
+    assert any(raised) and not all(raised)  # both outcomes are exercised
+
+
+@settings(deadline=None, max_examples=150)
+@given(capped_presentations(), st.sampled_from([2, 3, 4, 8]))
+def test_module_report_reads_the_divisors_of_the_relation_basis(case, Nx):
+    """module_report's rank and torsion, read from flatten's divisors, are
+    quotient_invariants of the relation basis, and it raises inside the
+    margin exactly where they do."""
+    pres = case[0]
+    try:
+        fm = flatten(pres, Nx)
+    except ArithmeticError:  # a span not closed: module_report raises too
+        with pytest.raises(ArithmeticError):
+            module_report(pres, Nx)
+        return
+    rep = _outcome(module_report, pres, Nx)
+    want = _outcome(quotient_invariants, fm.dim, fm.relmat, fm.p, Nx)
+    if want is PrecisionExhausted:
+        assert rep is PrecisionExhausted
+    else:
+        assert rep == {"rank": want[0], "torsion": want[1], "dim": fm.dim}
 
 
 # ---------------------------------------------------------------------------
