@@ -1,5 +1,6 @@
-"""Sweep of polyarith.mul's three size regimes: one big-int product per
-block, residues mod word-size primes, and libmpdec.
+"""Sweep of polyarith.mul's two size regimes, one big-int product per block
+and residues mod word-size primes, and of the residue regime's two
+convolutions, direct and by FFT.
 
   PYTHONPATH=src python scripts/sweep_mul.py [repeats]
 
@@ -13,13 +14,15 @@ crossovers of the others out of the way.
    then longer factors in small slots; then the same tables for products
    truncated to their first n coefficients, as the series products keep
    deg + 1 of 2 deg + 1.
-2. The residue -> libmpdec boundary. First the length crossover: every
-   product that building omega_family(5, 5), (3, 8) and (7, 4) sends to
-   libmpdec, the residue time (and the one-product time, below 1 MB packed)
-   over the libmpdec time. Then the two largest products of omega_family(5, 5) (the
-   identity omega_5 = omega-tilde_5^- * omega_5^+ and the build of
-   omega-tilde_5^-) under each regime and the libmpdec block rule, with the
-   tracemalloc peak over the packed size of the longer factor.
+2. The FFT crossover. First the convolutions alone: random residues of `la`
+   rows against `rows` nonzero rows, mod 32 and 128 primes, the FFT time
+   over the direct time. Then every residue product that building
+   omega_family(5, 5), (3, 7) and (7, 4) makes, and the largest series
+   shapes of the workloads: the whole product by FFT over the whole product
+   convolved directly, and the convolution the shipped crossover takes.
+   Last, the tracemalloc peak of the identity omega_5 = omega-tilde_5^- *
+   omega_5^+ under each convolution, over the packed size of the longer
+   factor.
 3. The shipped shapes: the largest products of point_series and full_grid,
    random signed coefficients of the same lengths and sizes; the full_grid
    d = 2 product has every third coefficient zero, as mul_vec spreads it.
@@ -38,23 +41,24 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 
+import numpy as np
+
 from normtower import polyarith
-from normtower.groupring import cyclotomic_phi, omega_family
+from normtower.groupring import omega_family
 
 NEVER = 1 << 62
-CROSSOVERS = ("_RESIDUE_BYTES", "_RESIDUE_COEFFS", "_RESIDUE_SLOT", "_DECIMAL_BYTES",
-              "_DECIMAL_COEFFS", "_DECIMAL_BLOCK_BYTES")
+CROSSOVERS = ("_RESIDUE_BYTES", "_RESIDUE_COEFFS", "_RESIDUE_SLOT", "_FFT_ROWS")
 
 
 @contextmanager
-def regime(name: str, block_bytes: int = polyarith._DECIMAL_BLOCK_BYTES):
+def regime(name: str):
     """mul forced onto one regime: "one" (one product per block), "residue"
-    or "decimal" (libmpdec, with the given least block size)."""
+    (residues, convolved as the shipped crossover picks), "direct" or "fft"
+    (residues, every convolution direct or by FFT)."""
     saved = {c: getattr(polyarith, c) for c in CROSSOVERS}
-    polyarith._RESIDUE_BYTES = polyarith._RESIDUE_COEFFS = polyarith._RESIDUE_SLOT = (
-        0 if name == "residue" else NEVER)
-    polyarith._DECIMAL_BYTES = polyarith._DECIMAL_COEFFS = 0 if name == "decimal" else NEVER
-    polyarith._DECIMAL_BLOCK_BYTES = block_bytes
+    polyarith._RESIDUE_BYTES = polyarith._RESIDUE_COEFFS = polyarith._RESIDUE_SLOT = NEVER if name == "one" else 0
+    if name in ("direct", "fft"):
+        polyarith._FFT_ROWS = NEVER if name == "direct" else 0
     try:
         yield
     finally:
@@ -62,8 +66,8 @@ def regime(name: str, block_bytes: int = polyarith._DECIMAL_BLOCK_BYTES):
             setattr(polyarith, c, v)
 
 
-def seconds(a, b, name: str, block_bytes: int = polyarith._DECIMAL_BLOCK_BYTES, keep=None) -> float:
-    with regime(name, block_bytes):
+def seconds(a, b, name: str, keep=None) -> float:
+    with regime(name):
         t = time.perf_counter()
         polyarith.mul(a, b, keep)
         return time.perf_counter() - t
@@ -108,53 +112,86 @@ def crossover(repeats: int, truncated: bool) -> None:
     table((128, 256, 512), (16, 32, 48, 64, 96))
 
 
-def omega_products() -> list[tuple[int, list[int], list[int]]]:
-    """(p, a, b) for each product that building omega_family(5, 5), (3, 8)
-    and (7, 4) sends to libmpdec; these families must not be built before."""
-    caught, real = [], polyarith._mul_decimal
+def convolution_seconds(convolve, args) -> float:
+    t = time.perf_counter()
+    convolve(*args)
+    return time.perf_counter() - t
+
+
+def convolution_crossover(repeats: int) -> None:
+    rng = np.random.default_rng(26)
+    rows = (32, 48, 64, 80, 96, 112, 128, 192, 256)
+    for k in (32, 128):
+        p = polyarith._primes()[:k]
+        weights = rng.integers(1, p)
+        print(f"fft / direct convolution, {k} primes, la rows against `rows` nonzero rows")
+        print("la    " + "".join(f"{r:<7}" for r in rows))
+        for la in (64, 128, 256, 512, 1024, 2048, 4096):
+            cells = []
+            for lb in rows:
+                if lb > la:
+                    cells.append("-      ")
+                    continue
+                ra, rb = (rng.integers(-p + 1, p, size=(n, k)).astype(np.int32) for n in (la, lb))
+                args = (ra, rb, weights, p, la + lb - 1)
+                fft, direct = polyarith._fft_convolve, polyarith._convolve
+                fft(*args)  # the transform plans made first
+                cell = statistics.median(convolution_seconds(fft, args) / convolution_seconds(direct, args)
+                                         for _ in range(repeats))
+                cells.append(f"{cell:<7.2f}")
+            print(f"{la:<6}" + "".join(cells))
+
+
+def omega_products() -> list[tuple[str, list[int], list[int]]]:
+    """(label, a, b) for each residue product that building omega_family(5, 5),
+    (3, 7) and (7, 4) makes; these families must not be built before."""
+    caught, real = [], polyarith._mul_residues
 
     def spy(a, b, *rest):
         caught.append((a, b))
         return real(a, b, *rest)
 
     found = []
-    polyarith._mul_decimal = spy
+    polyarith._mul_residues = spy
     try:
-        for p, n in ((5, 5), (3, 8), (7, 4)):
+        for p, n in ((5, 5), (3, 7), (7, 4)):
             omega_family(p, n)
-            found += [(p, a, b) for a, b in caught]
+            found += [(f"omega({p}, {n})", a, b) for a, b in caught]
             caught.clear()
     finally:
-        polyarith._mul_decimal = real
+        polyarith._mul_residues = real
     return found
 
 
-def length_crossover(repeats: int) -> None:
-    print("p  la    n     s     residue/decimal  one/decimal")
-    for p, a, b in omega_products():
-        s = slot_bytes(a, b)
-        one = f"{ratio(a, b, 'one', 'decimal', repeats):.2f}" if s * len(a) < 1 << 20 else "-"
-        print(f"{p:<2} {len(a):<5} {len(b):<5} {s:<5} {ratio(a, b, 'residue', 'decimal', repeats):<16.2f} {one}")
-
-
-def decimal_boundary(repeats: int) -> None:
-    fam = omega_family(5, 4)
-    phi = cyclotomic_phi(5, 5)
-    tm = polyarith.mul(fam.omega_tilde_minus, phi)
-    products = {"identity": (tm, (0,) + fam.omega_tilde_plus),
-                "build": (phi, fam.omega_tilde_minus)}
-    print("product   regime     block_kb  seconds  peak/packed")
-    for name, (a, b) in products.items():
-        size = slot_bytes(a, b) * max(len(a), len(b))
-        for kind, kb in (("one", 0), ("residue", 0), *(("decimal", kb) for kb in (0, 128, 256, NEVER >> 10))):
-            t = statistics.median(seconds(a, b, kind, kb << 10) for _ in range(repeats))
-            with regime(kind, kb << 10):
-                tracemalloc.start()
-                polyarith.mul(a, b)
-                peak = tracemalloc.get_traced_memory()[1]
-                tracemalloc.stop()
-            label = "whole" if kb == NEVER >> 10 else kb if kind == "decimal" else "-"
-            print(f"{name:<9} {kind:<10} {label:<9} {t:.3f}    {peak / size:.2f}")
+def fft_crossover(repeats: int) -> None:
+    rng = random.Random(26)
+    shapes = [("point_series D=60", factor(rng, 61, 3263), factor(rng, 61, 3263)),
+              ("full_grid d=2 class", factor(rng, 93, 938), factor(rng, 93, 938, 2))]
+    print("product              la    n     rows  k     fft/direct  taken")
+    for label, a, b in omega_products() + shapes:
+        taken = []
+        real = polyarith._fft_convolve
+        polyarith._fft_convolve = lambda *args: taken.append(1) or real(*args)
+        try:
+            polyarith.mul(a, b)
+        finally:
+            polyarith._fft_convolve = real
+        k = polyarith._prime_count(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+        rows = min(sum(map(bool, a)), sum(map(bool, b)))
+        print(f"{label:<20} {max(len(a), len(b)):<5} {min(len(a), len(b)):<5} {rows:<5} {k:<5} "
+              f"{ratio(a, b, 'fft', 'direct', repeats):<11.2f} {'fft' if taken else 'direct'}")
+    fam = omega_family(5, 5)
+    a, b = fam.omega_tilde_minus, fam.omega_plus
+    size = slot_bytes(a, b) * len(a)
+    print("omega(5, 5) identity  convolution  seconds  peak/packed")
+    for kind in ("direct", "fft"):
+        t = statistics.median(seconds(a, b, kind) for _ in range(repeats))
+        with regime(kind):
+            tracemalloc.start()
+            polyarith.mul(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        print(f"                      {kind:<12} {t:.3f}    {peak / size:.2f}")
 
 
 def shipped(repeats: int) -> None:
@@ -184,6 +221,6 @@ if __name__ == "__main__":
     reps = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     crossover(reps, truncated=False)
     crossover(reps, truncated=True)
-    length_crossover(reps)
-    decimal_boundary(reps)
+    convolution_crossover(reps)
+    fft_crossover(reps)
     shipped(reps)

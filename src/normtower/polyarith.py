@@ -19,36 +19,41 @@ least _RESIDUE_COEFFS nonzero coefficients (7), slots of at least
 _RESIDUE_SLOT bytes (64), and those nonzero coefficients at least
 _RESIDUE_BYTES packed (4 KB). Both factors are reduced mod k primes p_i
 below 2^26 whose product M exceeds 2 bound, the residues are convolved per
-prime over the sparser factor's nonzero coefficients, and each product
-coefficient is rebuilt by the CRT and lifted to (-M/2, M/2), as _unpack
-reads a slot. Three integer bounds make it exact:
+prime, and each product coefficient is rebuilt by the CRT and lifted to
+(-M/2, M/2), as _unpack reads a slot. The convolution is direct over the
+sparser factor's nonzero coefficients, or by FFT from _FFT_ROWS (96) of
+them on. Four bounds make it exact:
 
 - residues: the 16-bit limbs of |a_j| times a table of 2^(16 l) mod p_i, a
   float64 matrix product whose partial sums stay below
   L (2^16 - 1)(p_i - 1) < 2^53 for L <= _MAX_LIMBS = 2048 limbs;
-- convolution: int64 sums of products of at most (p - 1)^2, reduced mod p
-  every _CONV_CHUNK = 2048 terms, so below 2^63;
+- direct convolution: int64 sums of products of at most (p - 1)^2, reduced
+  mod p every _CONV_CHUNK = 2048 terms, so below 2^63;
+- FFT convolution: each residue split into two 13-bit limbs, and three
+  float64 convolutions of la by lb limbs (lo lo, lo hi + hi lo, hi hi) by
+  real transforms of 2^n >= la + lb - 1 points, each sum rounded to the
+  nearest integer. Percival's bound (Math. Comp. 72, 2003, with the complex
+  product's error sqrt(5) 2^-53 of Brent, Percival and Zimmermann, Math.
+  Comp. 76, 2007) puts every error below
+  2 (2^13 - 1)^2 sqrt(la lb) ((1 + 2^-53)^(3n+4) (1 + sqrt(5) 2^-53)^(3n+4)
+  (1 + 2^-50)^(3n+3) - 1), with roots of unity within 2^-50
+  (_fft_error_bound). The FFT is taken only where that is below 1/2, so
+  every rounded sum is exact. The bound reads 0.008 at the largest product
+  of the workloads (2605 by 522); at la = lb it admits up to 55,022 limbs,
+  and longer products convolve directly;
 - CRT: c @ limbs(M / p_i), a float64 matrix product whose partial sums stay
   below k (p - 1)(2^16 - 1) < 2^53 for k <= _MAX_PRIMES = 2048 primes,
   then one big-int % M per coefficient.
 
-A product outside those bounds takes one product per block. A float64 sum
-of integers below 2^53 is exact in any order, so the BLAS may block and
-reorder the products as it likes; the products run in blocks of at most
-_BLOCK_BYTES (128 KB, the glibc mmap threshold), which keeps the BLAS's
-packing and the transients small. The primes, one table of limb powers
-(grown on demand) and the CRT tables of four prime counts are built on
-first use.
-
-The libmpdec regime starts at a longer factor of _DECIMAL_BYTES packed
-(128 KB) and a shorter one of _DECIMAL_COEFFS coefficients (64): the same
-substitution in base 10^w, w digits per slot. Each factor or block is packed
-as one exact decimal.Decimal, libmpdec multiplies it (by number-theoretic
-transform at these sizes) in a private context that traps every rounding,
-and the product's slots are read back as balanced digits. Its blocks are as
-long as the shorter factor and at least _DECIMAL_BLOCK_BYTES packed (128 KB).
-Only the two largest products of omega_family(5, 5) reach it.
-scripts/sweep_mul.py measures both crossovers and the block rule.
+A product outside the float64 bounds of the residues and the CRT takes one
+product per block. A float64 sum of integers below 2^53 is exact in any
+order, so the BLAS may block and reorder the products as it likes; the
+products run in blocks of at most _BLOCK_BYTES (128 KB, the glibc mmap
+threshold), which keeps the BLAS's packing and the transients small, and
+the FFT runs over blocks of primes whose spectra fit in it. The primes, one
+table of limb powers (grown on demand) and the CRT tables of four prime
+counts are built on first use. scripts/sweep_mul.py measures the
+crossovers.
 
 `mul(a, b, keep)` returns only the first keep coefficients, as a series
 product keeps degrees up to deg of 2 deg + 1; only the first keep
@@ -61,8 +66,8 @@ low m slots the same bytes and borrows as the whole product, and the
 borrow out of the last slot read belongs to a slot not read. The residue
 regime reduces the first keep coefficients of each factor, convolves keep
 rows (a nonzero row j < keep of the sparser factor adds its first keep - j
-products) and rebuilds only those. libmpdec multiplies the whole product,
-which is cut; no truncated product of the workloads reaches it.
+products, or by FFT takes the whole product's first keep rows) and
+rebuilds only those.
 
 `mul_vec` multiplies polynomials whose coefficients are themselves
 length-d coefficient vectors (elements of O_k, of Z[F]/(F^d - 1), ...): each
@@ -87,29 +92,23 @@ and the group ring Z_p[F]/(F^d - 1) (m = x^d - 1).
 
 from __future__ import annotations
 
-import decimal
-import sys
 from functools import cache, lru_cache
-from math import gcd, prod
+from math import expm1, gcd, log1p, prod
 
 import numpy as np
 
 _RESIDUE_BYTES = 4096  # the sparser factor's nonzero coefficients packed, from which mul takes residues
 _RESIDUE_COEFFS = 7  # and their count: below it one product is cheaper at every slot size
 _RESIDUE_SLOT = 64  # and the bytes per slot: below it one product is cheaper at every length
-_DECIMAL_BYTES = 1 << 17  # the longer factor's packed size from which mul multiplies in libmpdec
-_DECIMAL_COEFFS = 64  # and the shorter factor's coefficient count: below it the conversions cost more
-_DECIMAL_BLOCK_BYTES = 1 << 17  # the least packed size of a block of the longer factor there
+_FFT_ROWS = 96  # the sparser factor's nonzero rows from which its residues are convolved by FFT
 
 # The residue regime's exactness bounds: 16-bit limbs and primes below 2^26.
 _MAX_LIMBS = 2048  # L (2^16 - 1)(2^26 - 1) < 2^53: a residue's float64 partial sums are exact
 _MAX_PRIMES = 2048  # k (2^26 - 1)(2^16 - 1) < 2^53: so are the CRT's
 _CONV_CHUNK = (1 << 63) // (1 << 26) ** 2  # terms between reductions: p + 2048 (p - 1)^2 < 2^63
 _BLOCK_BYTES = 1 << 17  # the most a float64 or int64 block of the regime holds: the glibc mmap threshold
-
-# Exact arithmetic in libmpdec: any rounding or invalid operation raises.
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-                         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
+_LIMB_BITS = 13  # the FFT splits a residue below 2^26 into two limbs below 2^13
+_ROOT_ERROR = 2.0**-50  # the error allowed the FFT's roots of unity, 8 eps
 
 
 def _pack(a, s: int) -> int:
@@ -219,15 +218,15 @@ def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _residues(a, top: int, powers: np.ndarray, p: np.ndarray) -> np.ndarray:
     """a_i mod p_j with the sign of a_i, |r| < p_j, as int32: the 16-bit limbs
-    of |a_i| times the limb powers mod p_j, at most L (2^16 - 1)(p_j - 1)."""
+    of |a_i| times the limb powers mod p_j, at most L (2^16 - 1)(p_j - 1).
+    The limbs are laid out one block of rows at a time."""
     n = -(-top.bit_length() // 16)
-    raw = b"".join(abs(x).to_bytes(2 * n, "little") for x in a)
-    limbs = np.frombuffer(raw, dtype="<u2").reshape(len(a), n)
     r = np.empty((len(a), len(p)), dtype=np.int32)
     step = max(1, _BLOCK_BYTES // (8 * max(n, len(p))))
     for i in range(0, len(a), step):
-        np.remainder(_exact_product(limbs[i:i + step], powers[:n]).astype(np.int64), p,
-                     out=r[i:i + step], casting="unsafe")
+        raw = b"".join(abs(x).to_bytes(2 * n, "little") for x in a[i:i + step])
+        limbs = np.frombuffer(raw, dtype="<u2").reshape(-1, n)
+        np.remainder(_exact_product(limbs, powers[:n]).astype(np.int64), p, out=r[i:i + step], casting="unsafe")
     neg = [x < 0 for x in a]
     r[neg] = -r[neg]
     return r
@@ -259,10 +258,54 @@ def _convolve(ra: np.ndarray, rb: np.ndarray, weights: np.ndarray, p: np.ndarray
     return out
 
 
+def _fft_error_bound(la: int, lb: int) -> float:
+    """A bound on the largest error of the float64 convolutions that
+    _fft_convolve takes of la by lb limbs below 2^13, by Percival's theorem
+    (Math. Comp. 72, 2003, Thm. 5.1; the sqrt(5) eps of a complex product is
+    Brent, Percival and Zimmermann's, Math. Comp. 76, 2007): |x| |y|
+    ((1 + eps)^(3n) (1 + sqrt(5) eps)^(3n + 1) (1 + beta)^(3n) - 1) for a
+    transform of 2^n points, Euclidean norms |x| <= (2^13 - 1) sqrt(la) and
+    |y| <= (2^13 - 1) sqrt(lb), eps = 2^-53 and roots of unity within
+    beta = _ROOT_ERROR. n is taken one above the log2 of the transform
+    length, a margin for the real transforms' arrangement; the middle
+    convolution, a sum of two, takes twice the bound and one more rounding.
+    Below 1/2, rounding gives every sum exactly."""
+    eps, n = 2.0**-53, (la + lb - 2).bit_length() + 1
+    growth = expm1((3 * n + 1) * log1p(eps) + (3 * n + 1) * log1p(5**0.5 * eps) + 3 * n * log1p(_ROOT_ERROR))
+    return 2 * ((1 << _LIMB_BITS) - 1) ** 2 * (la * lb) ** 0.5 * growth
+
+
+def _fft_convolve(ra: np.ndarray, rb: np.ndarray, weights: np.ndarray, p: np.ndarray, keep: int) -> np.ndarray:
+    """_convolve by float64 FFT: each residue, taken to [0, p), is lo + 2^13 hi
+    with both limbs below 2^13; real transforms of 2^n >= len(ra) + len(rb) - 1
+    points, so that no product wraps onto a kept row, give the convolutions
+    lo lo, lo hi + hi lo and hi hi, each rounded (exact while
+    _fft_error_bound < 1/2) and reduced mod p, then recombined as
+    lo lo + 2^13 mid + 2^26 (hi hi mod p) mod p in int64: each sum has at
+    most min(len(ra), len(rb)) < 2^16 terms (the bound admits no more), so
+    the total stays below 2^63. The primes run in blocks whose four spectra
+    fit in _BLOCK_BYTES."""
+    assert _fft_error_bound(len(ra), len(rb)) < 0.5
+    size = 1 << (len(ra) + len(rb) - 2).bit_length()
+    mask = (1 << _LIMB_BITS) - 1
+    out = np.empty((keep, len(p)), dtype=np.int32)
+    step = max(1, _BLOCK_BYTES // (32 * size))
+    for s in range(0, len(p), step):
+        q = p[s:s + step, None]
+        x, y = ra[:, s:s + step].T % q, rb[:, s:s + step].T * weights[s:s + step, None] % q
+        xl, xh, yl, yh = (np.fft.rfft(v, size) for v in (x & mask, x >> _LIMB_BITS, y & mask, y >> _LIMB_BITS))
+        del x, y
+        lo, mid, hi = (np.rint(np.fft.irfft(f, size)[:, :keep]).astype(np.int64)
+                       for f in (xl * yl, xl * yh + xh * yl, xh * yh))
+        out[:, s:s + step] = ((lo + (mid << _LIMB_BITS) + (hi % q << 2 * _LIMB_BITS)) % q).T
+    return out
+
+
 def _mul_residues(a, b, top_a: int, top_b: int, bound: int, out) -> None:
     """Writes the first keep = len(out) coefficients of a b into out by
     residues: both factors mod k primes below 2^26 with M > 2 bound,
-    convolved per prime in int64 into keep rows, and each of those rebuilt
+    convolved per prime into keep rows, directly in int64 or from
+    _FFT_ROWS nonzero rows of b on by FFT, and each of those rebuilt
     by the CRT as c @ limbs(M/p_i), a float64 product of at most
     k (p - 1)(2^16 - 1), one % M, and the lift to (-M/2, M/2). mul passes
     a and b already cut to their first keep coefficients."""
@@ -272,7 +315,9 @@ def _mul_residues(a, b, top_a: int, top_b: int, bound: int, out) -> None:
     p = _primes()[:k]
     powers = _power_table(-(-max(top_a, top_b).bit_length() // 16), k)
     # the convolution runs over the nonzero rows of b, which carries the CRT weights
-    c = _convolve(_residues(a, top_a, powers, p), _residues(b, top_b, powers, p), weights, p, len(out))
+    fft = sum(map(bool, b)) >= _FFT_ROWS and _fft_error_bound(len(a), len(b)) < 0.5
+    c = (_fft_convolve if fft else _convolve)(_residues(a, top_a, powers, p), _residues(b, top_b, powers, p),
+                                              weights, p, len(out))
     step = max(1, _BLOCK_BYTES // (8 * cofactors.shape[1]))
     for i in range(0, len(c), step):
         out[i:i + step] = _crt_lift(_exact_product(c[i:i + step], cofactors), m)
@@ -282,7 +327,9 @@ def _crt_lift(v: np.ndarray, m: int) -> list[int]:
     """The rows of v, sums over 16-bit limb columns (row t is
     sum_l v[t, l] 2^(16 l)), each mod m and lifted to (-m/2, m/2). Every
     entry is below 2^53, so every fourth 64-bit word of v reads as one
-    integer, whose slots of v.shape[1] limbs each hold one row."""
+    integer, whose slots of v.shape[1] limbs each hold one row. A remainder
+    mod m, and its difference with m, keep an allocation of m's size, so
+    each row is negated once more into an int of its own size."""
     width, half = 2 * v.shape[1], m >> 1
     words = v.astype(np.uint64).ravel()
     x = sum(int.from_bytes(words[g::4].tobytes(), "little") << 16 * g for g in range(4))
@@ -292,79 +339,16 @@ def _crt_lift(v: np.ndarray, m: int) -> list[int]:
     rows = []
     for j in range(0, len(raw), width):
         y = int.from_bytes(raw[j:j + width], "little") % m
-        rows.append(y - m if y > half else y)
+        rows.append(-(m - y) if y > half else -(-y))
     return rows
-
-
-def _pack_decimal(a, w: int) -> decimal.Decimal:
-    """sum a_i 10^(w i) as one exact Decimal, by halves: each sum shifts the
-    upper half by its exponent, and libmpdec carries the signs."""
-    packed = [_EXACT.create_decimal(x) for x in a]
-    shift = w
-    while len(packed) > 1:
-        pairs = zip(packed[::2], packed[1::2])
-        packed = [_EXACT.add(lo, _EXACT.scaleb(hi, shift)) for lo, hi in pairs] + packed[len(packed) & ~1:]
-        shift *= 2
-    return packed[0]
-
-
-def _read_digits(digits: str) -> int:
-    """int(digits) in pieces of 640 digits, which int(str) takes under any
-    str-digit limit (sys.int_info.str_digits_check_threshold)."""
-    x = 0
-    for k in range(0, len(digits), 640):
-        piece = digits[k:k + 640]
-        x = x * 10 ** len(piece) + int(piece)
-    return x
-
-
-def _digits(x: decimal.Decimal, m: int) -> str:
-    """The digits of x, or of its ten's complement 10^m + x when x is negative
-    (or -0), as _unpack reads two's complement."""
-    if x.is_signed():
-        x = _EXACT.add(x, _EXACT.scaleb(1, m))
-    return str(x)
-
-
-def _unpack_decimal(digits: str, out, slots: range, w: int, half: int) -> None:
-    """Adds the w-digit slots of the last len(slots) * w digits of a digit
-    string, zeros where it is shorter, to out[slots] as balanced digits, as
-    _unpack does. Slots wider than the interpreter's str-digit limit are read
-    in pieces; the limit is not touched."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    read = int if not limit or w <= limit else _read_digits
-    base, borrow = 2 * half, 0
-    for i, k in zip(slots, range(len(digits), len(digits) - len(slots) * w, -w)):
-        c = (read(digits[max(k - w, 0):k]) if k > 0 else 0) + borrow
-        borrow = c >= half
-        out[i] += c - base if borrow else c
-
-
-def _mul_decimal(a, b, bound: int, s: int, out) -> None:
-    """Kronecker substitution at 10^w: each block of a and b packed as one
-    Decimal, one libmpdec product (a number-theoretic transform at these
-    sizes) per block, read back from slots of w digits. Each product is freed
-    once _digits returns, before its digits are read, and no digit string
-    outlives its block."""
-    w = (bound.bit_length() + 1) * 30103 // 100000 + 1  # 10^w > 2^(bits + 1) > 2 bound
-    half = 5 * 10 ** (w - 1)
-    n = len(b)
-    step = max(n, _DECIMAL_BLOCK_BYTES // s)
-    packed_b = _pack_decimal(b, w)
-    for j in range(0, len(a), step):
-        block = a[j:j + step]
-        slots = range(j, j + len(block) + n - 1)
-        _unpack_decimal(_digits(_EXACT.multiply(_pack_decimal(block, w), packed_b), len(slots) * w),
-                        out, slots, w, half)
 
 
 def mul(a, b, keep: int | None = None) -> list[int]:
     """The product of two polynomials over Z, or its first keep coefficients:
-    in libmpdec from the decimal crossover on; by residues from the residue
-    crossover on, with the sparser factor's nonzero coefficients driving the
-    convolution, when the limbs and primes it needs are inside the float64
-    bounds; and otherwise one big-int product per block of the longer
-    factor."""
+    by residues from the residue crossover on, with the sparser factor's
+    nonzero coefficients driving the convolution, when the limbs and primes
+    it needs are inside the float64 bounds; and otherwise one big-int product
+    per block of the longer factor."""
     if not a or not b:
         return []
     if len(a) < len(b):
@@ -377,11 +361,6 @@ def mul(a, b, keep: int | None = None) -> list[int]:
     if not bound or not keep:
         return [0] * keep
     s = (bound.bit_length() + 8) // 8  # bytes per slot, so that bound < 2^(8s-1)
-    if s * len(a) >= _DECIMAL_BYTES and n >= _DECIMAL_COEFFS:
-        out = [0] * full
-        _mul_decimal(a, b, bound, s, out)
-        del out[keep:]
-        return out
     out = [0] * keep
     a, b = a[:keep], b[:keep]  # no later coefficient reaches the first keep
     if s >= _RESIDUE_SLOT and n >= _RESIDUE_COEFFS and s * n >= _RESIDUE_BYTES:

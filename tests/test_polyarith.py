@@ -1,7 +1,6 @@
 """Differential tests: the Kronecker kernel and every product routed through
 it against schoolbook references kept in this file."""
 
-import decimal
 import random
 import sys
 import tracemalloc
@@ -373,15 +372,7 @@ def test_small_slots_take_one_product_at_every_length(monkeypatch):
         monkeypatch.undo()
 
 
-# -- the libmpdec regime --------------------------------------------------------
-
-
-def test_decimal_is_the_c_implementation():
-    """The libmpdec regime would be exact on the pure-Python decimal as well,
-    but far slower: a fallback must fail here, not quietly slow p = 5."""
-    import _decimal
-
-    assert decimal.Decimal is _decimal.Decimal
+# -- the FFT convolution --------------------------------------------------------
 
 
 def test_float64_products_are_exact_at_the_bounds():
@@ -441,18 +432,18 @@ def test_primes_and_prime_counts_meet_the_bounds():
     assert bits == 26 * polyarith._MAX_PRIMES - 3
 
 
-def _spy_decimal(monkeypatch):
-    """The lengths of the factors that mul multiplies in libmpdec, longer first."""
-    shapes, real = [], polyarith._mul_decimal
-    monkeypatch.setattr(polyarith, "_mul_decimal",
-                        lambda a, b, *rest: shapes.append((len(a), len(b))) or real(a, b, *rest))
+def _spy_fft(monkeypatch):
+    """The lengths of the residue arrays that mul convolves by FFT, the one
+    whose nonzero rows were counted second."""
+    shapes, real = [], polyarith._fft_convolve
+    monkeypatch.setattr(polyarith, "_fft_convolve",
+                        lambda ra, rb, *rest: shapes.append((len(ra), len(rb))) or real(ra, rb, *rest))
     return shapes
 
 
-def _decimal_everywhere(mp, block_bytes: int = 0):
-    mp.setattr(polyarith, "_DECIMAL_BYTES", 0)
-    mp.setattr(polyarith, "_DECIMAL_COEFFS", 0)
-    mp.setattr(polyarith, "_DECIMAL_BLOCK_BYTES", block_bytes)
+def _fft_everywhere(mp):
+    _residues_everywhere(mp)
+    mp.setattr(polyarith, "_FFT_ROWS", 0)
 
 
 def _packed_bytes(a, b) -> int:
@@ -461,118 +452,143 @@ def _packed_bytes(a, b) -> int:
     return ((max(map(abs, a)) * max(map(abs, b)) * n).bit_length() // 8 + 1) * max(len(a), len(b))
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.sampled_from([1, 8, 63, 70, 500, 3000]), st.sampled_from([0, 64, 1 << 20]), st.data())
-def test_decimal_matches_one_product_per_block(bits, block_bytes, data):
-    """With the crossover at 0, every product is multiplied in libmpdec:
-    signed, zero and all-zero factors of 0 to 13 coefficients, single
-    coefficients, and longer factors whose last block is short (blocks as
-    long as the shorter factor, of 64 bytes or of the whole factor), in both
-    argument orders."""
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 6), st.integers(1, 300), st.integers(1, 60), st.data())
+def test_fft_convolution_matches_the_direct_loop(k, la, lb, data):
+    """_fft_convolve against _convolve on k random primes: signed residues,
+    zero rows, rows at +-(p - 1) (both limbs near 2^13), CRT weights up to
+    p - 1, and every keep from one row to the whole product."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    primes = polyarith._primes()
+    p = primes[np.sort(rng.choice(len(primes), k, replace=False))]
+    edge, zero = data.draw(st.sampled_from([0, 0.5, 1])), data.draw(st.sampled_from([0, 0.3, 0.9]))
+
+    def residues(n):
+        r = np.where(rng.random((n, 1)) < edge, p - 1, rng.integers(0, p, size=(n, k)))
+        r[rng.random(n) < zero] = 0
+        return np.where(rng.random((n, k)) < 0.5, -r, r).astype(np.int32)
+
+    ra, rb = residues(la), residues(lb)
+    weights = rng.integers(0, p)
+    keep = data.draw(st.integers(1, la + lb - 1))
+    got = polyarith._fft_convolve(ra, rb, weights, p, keep)
+    assert got.dtype == np.int32 and np.array_equal(got, polyarith._convolve(ra, rb, weights, p, keep))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([16, 63, 500, 3000]), st.data())
+def test_fft_matches_one_product_per_block(bits, data):
+    """With every crossover at 0, every residue product is convolved by FFT:
+    signed, zero, sparse and all-zero factors of 0 to 40 coefficients, every
+    16-bit limb at 0xFFFF, in both argument orders, whole and truncated."""
     top = 2**bits - 1
-    coeff = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 0]))
+    full = 2 ** (-(-bits // 16) * 16) - 1
+    coeff = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 0, full, -full]))
 
     def poly(lengths):
         n = data.draw(lengths)
-        return data.draw(st.one_of(st.just([0] * n), st.lists(coeff, min_size=n, max_size=n)))
+        return data.draw(st.one_of(st.just([0] * n), st.lists(coeff, min_size=n, max_size=n),
+                                   st.lists(st.sampled_from([0, 0, 0, full, -full]), min_size=n, max_size=n)))
 
     a = poly(st.integers(0, 13))
     b = poly(st.one_of(st.integers(0, 13), st.integers(14, 40)))
+    keep = data.draw(st.integers(1, max(len(a) + len(b) - 1, 1)))
     with pytest.MonkeyPatch.context() as mp:
-        _decimal_everywhere(mp, block_bytes)
-        shapes = _spy_decimal(mp)
-        got, swapped = mul(a, b), mul(b, a)
-    assert got == swapped == _reference_mul(a, b)
-    assert len(shapes) == (2 if any(a) and any(b) else 0)
+        _fft_everywhere(mp)
+        shapes = _spy_fft(mp)
+        got, swapped, cut = mul(a, b), mul(b, a), mul(b, a, keep)
+    expect = _reference_mul(a, b)
+    assert got == swapped == expect and cut == expect[:keep]
+    assert len(shapes) == (3 if any(a) and any(b) else 0)
 
 
-def test_decimal_at_the_slot_boundary(monkeypatch):
-    """7 * 31 * 151 = 2^15 - 1 with alternating signs, as the int regimes are
-    tested; and slots of 28 digits filled to 0.99 of half = 5 * 10^27 by
-    +-(2^92 - 1), of both signs in every pattern of five."""
-    _decimal_everywhere(monkeypatch)
-    for n in range(1, 30):
-        for sign in (1, -1):
-            a, b = [31 * sign**i for i in range(n)], [151 * sign**i for i in range(7)]
-            got = mul(a, b)
-            assert got == mul(b, a) == _reference_mul(a, b) == ref_mul(a, b)
-            assert n < 7 or max(map(abs, got)) == 2**15 - 1
-    top = 2**92 - 1
-    for signs in range(32):
-        a = [top * (-1) ** (signs >> i & 1) for i in range(5)]
-        for b in ([1], [-1]):
-            assert mul(a, b) == mul(b, a) == [x * b[0] for x in a]
-    test_mul_edge_cases()
+def test_fft_roots_of_unity_are_within_the_assumed_error():
+    """_fft_error_bound takes the transform's roots of unity within 2^-50 of
+    the exact ones. The real transform of e_1 reads them out; against cos
+    and sin in long double they are within about 2.3 * 2^-53, at every
+    length up to the longest that the bound admits."""
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    for n in range(1, 18):
+        e = np.zeros(1 << n)
+        e[1] = 1
+        angle = 2 * pi * np.arange((1 << (n - 1)) + 1, dtype=np.longdouble) / (1 << n)
+        roots = np.fft.rfft(e)
+        assert np.hypot(roots.real - np.cos(angle), roots.imag + np.sin(angle)).max() < polyarith._ROOT_ERROR
+
+
+def test_fft_is_exact_at_the_longest_admitted_length(monkeypatch):
+    """Two arrays of the longest equal length whose error bound stays below
+    1/2 (55,022 rows, transforms of 2^17 points): residues in
+    [p - 2^13, p), so that the high limb is 2^13 - 1 or 2^13 - 2 and the
+    low one at random, against rows at p - 1. Each row t of the product is
+    (p - 1) times the sum of a window of the first array, read from its
+    prefix sums. One row more is refused, and a refused product convolves
+    directly."""
+    bound, lo = polyarith._fft_error_bound, 55022
+    assert bound(lo, lo) < 0.5 <= bound(lo + 1, lo + 1)   # the bound grows with both lengths
+    assert 1 << 16 < 2 * lo - 1 <= 1 << 17
+    p = polyarith._primes()[:2]
+    rng = np.random.default_rng(55022)
+    ra = (p - 1 - rng.integers(0, 1 << 13, size=(lo, 2))).astype(np.int32)
+    rb = np.tile(p - 1, (lo, 1)).astype(np.int32)
+    got = polyarith._fft_convolve(ra, rb, np.ones(2, dtype=np.int64), p, 2 * lo - 1)
+    prefix = np.vstack([np.zeros((1, 2), dtype=np.int64), np.cumsum(ra, axis=0, dtype=np.int64)])
+    t = np.arange(2 * lo - 1)
+    window = prefix[np.minimum(t, lo - 1) + 1] - prefix[np.maximum(t - lo + 1, 0)]
+    assert np.array_equal(got, -window % p)   # (p - 1) = -1 mod p
+    refused = np.zeros((lo + 1, 2), dtype=np.int32)
+    with pytest.raises(AssertionError):
+        polyarith._fft_convolve(refused, refused, np.ones(2, dtype=np.int64), p, 1)
+    _fft_everywhere(monkeypatch)
+    monkeypatch.setattr(polyarith, "_fft_error_bound", lambda la, lb: 0.5)
+    shapes, direct = _spy_fft(monkeypatch), _spy_residues(monkeypatch)
+    a, b = [2**100 - 1] * 30, [1 - 2**100] * 20
+    assert mul(a, b) == ref_mul(a, b)
+    assert shapes == [] and direct == [(30, 20)]
 
 
 def test_omega_products_match_the_int_path(monkeypatch):
-    """Both products of omega_family(5, 5) past the crossover, the build
+    """Both products of omega_family(5, 5), the build
     omega-tilde_5^- = omega-tilde_4^- * Phi_5(1+X) and the identity
-    omega_5 = omega-tilde_5^- * omega_5^+, are multiplied in libmpdec and
-    agree bit for bit with the int regimes."""
-    fam4, fam5 = omega_family(5, 4), omega_family(5, 5)
-    products = [(fam4.omega_tilde_minus, fam5.phis[-1]), (fam5.omega_tilde_minus, fam5.omega_plus)]
-    shapes = _spy_decimal(monkeypatch)
+    omega_5 = omega-tilde_5^- * omega_5^+, and the p = 3 identity that
+    full_grid builds, omega_6 = omega-tilde_6^- * omega_6^+ (548 by 183), are
+    convolved by FFT and agree bit for bit with the direct loop."""
+    fam4, fam5, fam6 = omega_family(5, 4), omega_family(5, 5), omega_family(3, 6)
+    products = [(fam4.omega_tilde_minus, fam5.phis[-1]), (fam5.omega_tilde_minus, fam5.omega_plus),
+                (fam6.omega_tilde_minus, fam6.omega_plus)]
+    shapes = _spy_fft(monkeypatch)
     got = [mul(a, b) for a, b in products]
-    assert shapes == [(2501, 105), (2605, 522)]
-    monkeypatch.setattr(polyarith, "_DECIMAL_BYTES", 1 << 62)
+    assert shapes == [(2501, 105), (2605, 522), (548, 183)]
+    monkeypatch.setattr(polyarith, "_FFT_ROWS", 1 << 62)
     assert got == [mul(a, b) for a, b in products]
     assert tuple(got[0]) == fam5.omega_tilde_minus
-    assert poly_trim(got[1]) == poly_trim(fam5.omega)
+    assert poly_trim(got[1]) == poly_trim(fam5.omega) and poly_trim(got[2]) == poly_trim(fam6.omega)
 
 
-@pytest.mark.parametrize("la, n, bits", [(61, 61, 3263), (548, 183, 360)])
-def test_workload_products_stay_off_the_decimal_path(la, n, bits, monkeypatch):
-    """The largest products of point_series (the D = 60 compositions, 61 by
-    61 coefficients of 3263 bits) and of full_grid (548 by 183, slots of 92
-    bytes) lie below the crossover, about 49 KB packed against 128 KB."""
+@pytest.mark.parametrize("la, n, every, bits", [(61, 61, 1, 3263), (93, 93, 2, 938)])
+def test_workload_products_stay_on_the_direct_loop(la, n, every, bits, monkeypatch):
+    """The largest series products of point_series (the D = 60 compositions,
+    61 by 61 coefficients of 3263 bits) and of full_grid (93 by 93 at d = 2,
+    at most 46 nonzero rows, 72 primes) are convolved directly: their
+    sparser factor has fewer nonzero coefficients than the FFT crossover."""
     rng = random.Random(la)
     a = [rng.randint(-(2**bits), 2**bits) for _ in range(la)]
-    b = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
-    assert 40 << 10 < _packed_bytes(a, b) < polyarith._DECIMAL_BYTES
-    shapes = _spy_decimal(monkeypatch)
+    b = [rng.randint(-(2**bits), 2**bits) if i % every == 0 else 0 for i in range(n)]
+    assert sum(map(bool, b)) < polyarith._FFT_ROWS
+    shapes, residues = _spy_fft(monkeypatch), _spy_residues(monkeypatch)
     assert mul(a, b) == _reference_mul(a, b)
-    assert shapes == []
+    assert shapes == [] and residues == [(la, n)]
 
 
-@pytest.mark.parametrize("n", [63, 64])
-def test_short_factors_stay_on_the_int_path_past_the_decimal_crossover(n, monkeypatch):
-    """Past 128 KB of packed longer factor, a shorter factor of fewer than 64
-    coefficients stays on the int path, where its blocks are cheaper than
-    the decimal conversions; one of 64 goes to libmpdec."""
-    rng = random.Random(n)
-    a = [rng.randint(-(2**300), 2**300) for _ in range(2048)]
-    b = [rng.randint(-(2**300), 2**300) for _ in range(n)]
-    assert _packed_bytes(a, b) >= polyarith._DECIMAL_BYTES
-    shapes = _spy_decimal(monkeypatch)
-    assert mul(a, b) == _reference_mul(a, b)
-    assert shapes == ([] if n < polyarith._DECIMAL_COEFFS else [(2048, n)])
-
-
-def test_wide_slots_are_read_past_the_str_digit_limit(monkeypatch):
-    """300 coefficients of 15,000 bits make slots of about 9,000 digits, past
-    the default limit of 4,300 digits on int(str): mul reads them in pieces
-    and leaves the interpreter's limit as it was."""
-    str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-    limit = str_digits()
-    rng = random.Random(15000)
-    a, b = ([rng.randint(-(2**15000), 2**15000) for _ in range(300)] for _ in range(2))
-    shapes = _spy_decimal(monkeypatch)
-    assert mul(a, b) == _reference_mul(a, b)
-    assert shapes == [(300, 300)]
-    assert str_digits() == limit
-    digits = "".join(str(rng.randrange(10**9)).zfill(9) for _ in range(1200))
-    assert polyarith._read_digits(digits) == int(decimal.Decimal(digits))
-
-
-def test_decimal_path_holds_at_most_four_packed_sizes(monkeypatch):
+def test_fft_path_holds_at_most_four_packed_sizes(monkeypatch):
     """The identity product of omega_family(5, 5), 2605 by 522 coefficients
-    of about 2600 bits (1 MB packed), in blocks of 522: the transforms of
-    libmpdec, allocated through PyMem and so seen by tracemalloc, and the
-    product's coefficients peak at 3.5 packed sizes."""
+    of about 2600 bits (1 MB packed), by FFT: the residues of both factors,
+    the convolved rows, one block of transforms and the product's
+    coefficients peak at 3.6 packed sizes."""
     fam = omega_family(5, 5)
     a, b = fam.omega_tilde_minus, fam.omega_plus
-    shapes = _spy_decimal(monkeypatch)
+    mul(a, b)   # the tables built
+    shapes = _spy_fft(monkeypatch)
     tracemalloc.start()
     try:
         mul(a, b)
@@ -581,6 +597,27 @@ def test_decimal_path_holds_at_most_four_packed_sizes(monkeypatch):
         tracemalloc.stop()
     assert shapes == [(2605, 522)]
     assert peak < 4 * _packed_bytes(a, b)
+
+
+def test_lifted_coefficients_are_allocated_at_their_own_size():
+    """The build of omega-tilde_5^- by residues, its 2605 coefficients held by
+    the omega families for the life of the process: a remainder mod M, and
+    M less it, keep an allocation of M's size (388 B a coefficient here
+    against 280 B). sys.getsizeof counts only the digits in use, so the
+    allocation is read by tracemalloc, and held to the getsizeof of each
+    value rebuilt by int.from_bytes, within one 30-bit digit."""
+    a, b = omega_family(5, 4).omega_tilde_minus, omega_family(5, 5).phis[-1]
+    mul(a, b)   # the tables built
+    tracemalloc.start()
+    try:
+        got = mul(a, b)
+        held = tracemalloc.get_traced_memory()[0] - sys.getsizeof(got)
+    finally:
+        tracemalloc.stop()
+    rebuilt = [int.from_bytes(x.to_bytes(-(-(x.bit_length() + 1) // 8), "little", signed=True), "little",
+                              signed=True) for x in got]
+    assert rebuilt == got
+    assert held <= sum(map(sys.getsizeof, rebuilt)) + 4 * len(got)
 
 
 @settings(deadline=None, max_examples=100)
@@ -676,16 +713,16 @@ def test_mul_vec_packs_only_the_classes_with_nonzero_rows(monkeypatch):
 
 # -- truncated products --------------------------------------------------------
 
-REGIMES = ("one", "residue", "decimal")
+REGIMES = ("one", "residue", "fft")
 
 
 def _one_regime(mp, regime):
-    """mul forced onto one regime, the crossovers of the others moved out of the way."""
+    """mul forced onto one regime, the crossovers of the others moved out of
+    the way: "residue" convolves its residues directly, "fft" by FFT."""
     never = 1 << 62
     for name in ("_RESIDUE_BYTES", "_RESIDUE_COEFFS", "_RESIDUE_SLOT"):
-        mp.setattr(polyarith, name, 0 if regime == "residue" else never)
-    for name in ("_DECIMAL_BYTES", "_DECIMAL_COEFFS"):
-        mp.setattr(polyarith, name, 0 if regime == "decimal" else never)
+        mp.setattr(polyarith, name, never if regime == "one" else 0)
+    mp.setattr(polyarith, "_FFT_ROWS", 0 if regime == "fft" else never)
 
 
 def _keeps(data, full):
