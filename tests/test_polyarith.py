@@ -580,6 +580,22 @@ def test_workload_products_stay_on_the_direct_loop(la, n, every, bits, monkeypat
     assert shapes == [] and residues == [(la, n)]
 
 
+@pytest.mark.parametrize("la, n, bits", [(548, 183, 360)])
+def test_workload_products_stay_off_the_decimal_path(la, n, bits, monkeypatch):
+    """The largest product of full_grid, 548 by 183 coefficients of 360 bits
+    (about 49 KB packed), which lay below the crossover of the removed
+    libmpdec regime: every product stays off a decimal path now, and this
+    one is convolved by FFT and comes out exact."""
+    rng = random.Random(la)
+    a = [rng.randint(-(2**bits), 2**bits) for _ in range(la)]
+    b = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
+    assert 40 << 10 < _packed_bytes(a, b) < 128 << 10
+    assert not hasattr(polyarith, "decimal")
+    shapes = _spy_fft(monkeypatch)
+    assert mul(a, b) == _reference_mul(a, b)
+    assert shapes == [(la, n)]
+
+
 def test_fft_path_holds_at_most_four_packed_sizes(monkeypatch):
     """The identity product of omega_family(5, 5), 2605 by 522 coefficients
     of about 2600 bits (1 MB packed), by FFT: the residues of both factors,
