@@ -30,6 +30,11 @@ crossovers of the others out of the way.
    truncated to the coefficients their callers keep (deg + 1 rows): the
    residue time over the one-product time, both truncated, and the
    truncated residue time over the full one.
+4. The lift mod q: the series shapes of the workloads, random signed
+   coefficients of the stored size, truncated to deg + 1 rows as the series
+   products keep them, q the power of 3 their field holds. The product mod
+   q by the explicit CRT against the exact product followed by % q, in
+   milliseconds and as the median of their ratio.
 """
 
 from __future__ import annotations
@@ -217,6 +222,35 @@ def shipped(repeats: int) -> None:
               f"{'residue' if taken else 'one':<9} {ratio(a, b, 'residue', 'one', repeats):<12.2f} {cut}")
 
 
+def mod_seconds(a, b, keep: int, q: int, explicit: bool) -> float:
+    t = time.perf_counter()
+    if explicit:
+        polyarith.mul(a, b, keep, q)
+    else:
+        [c % q for c in polyarith.mul(a, b, keep)]
+    return time.perf_counter() - t
+
+
+def mod_lift(repeats: int) -> None:
+    rng = random.Random(27)
+    shapes = [("point_series D=60", 61, 3263, 2059, 0), ("point_series D=40", 41, 1553, 980, 0),
+              ("full_grid d=2 spread", 93, 938, 592, 3)]
+    print("shape                  n    bits  q      taken    exact+%q ms  mod ms  mod/exact")
+    for name, n, bits, e, zero_every in shapes:
+        a, b, q = factor(rng, n, bits, zero_every), factor(rng, n, bits, zero_every), 3**e
+        taken = []
+        real = polyarith._mul_residues
+        polyarith._mul_residues = lambda *args: taken.append(1) or real(*args)
+        try:
+            assert polyarith.mul(a, b, n, q) == [c % q for c in polyarith.mul(a, b, n)]
+        finally:
+            polyarith._mul_residues = real
+        pairs = [(mod_seconds(a, b, n, q, False), mod_seconds(a, b, n, q, True)) for _ in range(repeats)]
+        exact, mod = (statistics.median(t) * 1e3 for t in zip(*pairs))
+        print(f"{name:<22} {n:<4} {bits:<5} 3^{e:<4} {'residue' if taken else 'one':<8} {exact:<12.2f} "
+              f"{mod:<7.2f} {statistics.median(m / x for x, m in pairs):.2f}")
+
+
 if __name__ == "__main__":
     reps = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     crossover(reps, truncated=False)
@@ -224,3 +258,4 @@ if __name__ == "__main__":
     convolution_crossover(reps)
     fft_crossover(reps)
     shipped(reps)
+    mod_lift(reps)

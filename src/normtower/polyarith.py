@@ -20,9 +20,10 @@ _RESIDUE_SLOT bytes (64), and those nonzero coefficients at least
 _RESIDUE_BYTES packed (4 KB). Both factors are reduced mod k primes p_i
 below 2^26 whose product M exceeds 2 bound, the residues are convolved per
 prime, and each product coefficient is rebuilt by the CRT and lifted to
-(-M/2, M/2), as _unpack reads a slot. The convolution is direct over the
-sparser factor's nonzero coefficients, or by FFT from _FFT_ROWS (96) of
-them on. Four bounds make it exact:
+(-M/2, M/2), as _unpack reads a slot; or, for a product mod `mod`, M
+exceeds 4 bound and each is rebuilt mod `mod` by the explicit CRT. The
+convolution is direct over the sparser factor's nonzero coefficients, or by
+FFT from _FFT_ROWS (96) of them on. Five bounds make it exact:
 
 - residues: the 16-bit limbs of |a_j| times a table of 2^(16 l) mod p_i, a
   float64 matrix product whose partial sums stay below
@@ -41,9 +42,20 @@ them on. Four bounds make it exact:
   every rounded sum is exact. The bound reads 0.008 at the largest product
   of the workloads (2605 by 522); at la = lb it admits up to 55,022 limbs,
   and longer products convolve directly;
-- CRT: c @ limbs(M / p_i), a float64 matrix product whose partial sums stay
+- CRT: x @ limbs(M / p_i), x_i the convolved residues times the CRT
+  weights w_i in [0, p_i), a float64 matrix product whose partial sums stay
   below k (p - 1)(2^16 - 1) < 2^53 for k <= _MAX_PRIMES = 2048 primes,
-  then one big-int % M per coefficient.
+  then one big-int % M per coefficient;
+- explicit CRT, for `mod` (Montgomery and Silverman, Math. Comp. 54, 1990;
+  Bernstein, "Multidigit modular multiplication with the explicit Chinese
+  remainder theorem", 1995): c = sum x_i M/p_i - t M, t an integer, so
+  c mod `mod` = [x, t] @ limbs((M/p_i) mod `mod`, -M mod `mod`) mod `mod`.
+  The primes are taken with M > 4 bound, so |c|/M < 1/4 and
+  sum x_i/p_i = t + c/M lies within 1/4 of t. That sum, x @ (1/p_i) in
+  float64, has an error below (k^2 + 2k) 2^-53 < 2^-28 in any summation
+  order, so t = rint(x @ (1/p_i)) is exact, and t <= k. The matrix product's
+  partial sums stay below k p (2^16 - 1) < 2^53; its rows are below
+  k 2^26 mod, so the one % mod per coefficient has a quotient below 2^37.
 
 A product outside the float64 bounds of the residues and the CRT takes one
 product per block. A float64 sum of integers below 2^53 is exact in any
@@ -51,9 +63,9 @@ order, so the BLAS may block and reorder the products as it likes; the
 products run in blocks of at most _BLOCK_BYTES (128 KB, the glibc mmap
 threshold), which keeps the BLAS's packing and the transients small, and
 the FFT runs over blocks of primes whose spectra fit in it. The primes, one
-table of limb powers (grown on demand) and the CRT tables of four prime
-counts are built on first use. scripts/sweep_mul.py measures the
-crossovers.
+table of limb powers (grown on demand) and the CRT tables of the last
+_CRT_TABLES (8) pairs of a prime count and a modulus are built on first
+use. scripts/sweep_mul.py measures the crossovers and the lift mod `mod`.
 
 `mul(a, b, keep)` returns only the first keep coefficients, as a series
 product keeps degrees up to deg of 2 deg + 1; only the first keep
@@ -67,7 +79,10 @@ borrow out of the last slot read belongs to a slot not read. The residue
 regime reduces the first keep coefficients of each factor, convolves keep
 rows (a nonzero row j < keep of the sparser factor adds its first keep - j
 products, or by FFT takes the whole product's first keep rows) and
-rebuilds only those.
+rebuilds only those. `mul(a, b, keep, mod)` returns them mod `mod`, in
+[0, mod): the residue regime rebuilds them by the explicit CRT, from a table
+half as wide as M's when `mod` is half M's size, and the one-product regime
+reduces its output.
 
 `mul_vec` multiplies polynomials whose coefficients are themselves
 length-d coefficient vectors (elements of O_k, of Z[F]/(F^d - 1), ...): each
@@ -109,6 +124,7 @@ _CONV_CHUNK = (1 << 63) // (1 << 26) ** 2  # terms between reductions: p + 2048 
 _BLOCK_BYTES = 1 << 17  # the most a float64 or int64 block of the regime holds: the glibc mmap threshold
 _LIMB_BITS = 13  # the FFT splits a residue below 2^26 into two limbs below 2^13
 _ROOT_ERROR = 2.0**-50  # the error allowed the FFT's roots of unity, 8 eps
+_CRT_TABLES = 8  # CRT tables kept: a series bundle's products take few (prime count, modulus) pairs
 
 
 def _pack(a, s: int) -> int:
@@ -187,19 +203,23 @@ def _power_table(limbs: int, k: int) -> np.ndarray:
     return _powers[:limbs, :k]
 
 
-@lru_cache(maxsize=4)
-def _crt_table(k: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(M, w, Q) for the first k primes: M their product, w_i the inverse of
-    M/p_i mod p_i (int64), and row i of Q the 16-bit limbs of M/p_i (uint16).
-    Q has a multiple of four columns, the last four zero, so that a sum of
-    its rows times residues below 2^26 fills at most the slot of its columns."""
+@lru_cache(maxsize=_CRT_TABLES)
+def _crt_table(k: int, mod: int | None = None) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(M, w, r, Q) for the first k primes: M their product, w_i the inverse
+    of M/p_i mod p_i (int64), r_i the float64 1/p_i, and row i of Q the
+    16-bit limbs (uint16) of M/p_i; or, given mod, of (M/p_i) mod `mod`, with
+    one last row of -M mod `mod`. Q has a multiple of four columns, the last
+    four zero, so that a sum of its rows times residues below 2^26 fills at
+    most the slot of its columns."""
     primes = _primes()[:k].tolist()
     m = prod(primes)
     cofactors = [m // p for p in primes]
     w = np.array([pow(c % p, -1, p) for c, p in zip(cofactors, primes)], dtype=np.int64)
-    cols = 4 * (-(-m.bit_length() // 64) + 1)
+    if mod is not None:
+        cofactors = [c % mod for c in cofactors] + [-m % mod]
+    cols = 4 * (-(-max(cofactors).bit_length() // 64) + 1)
     raw = b"".join(c.to_bytes(2 * cols, "little") for c in cofactors)
-    return m, w, np.frombuffer(raw, dtype="<u2").reshape(k, cols)
+    return m, w, 1 / _primes()[:k], np.frombuffer(raw, dtype="<u2").reshape(len(cofactors), cols)
 
 
 def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -301,35 +321,42 @@ def _fft_convolve(ra: np.ndarray, rb: np.ndarray, weights: np.ndarray, p: np.nda
     return out
 
 
-def _mul_residues(a, b, top_a: int, top_b: int, bound: int, out) -> None:
+def _mul_residues(a, b, top_a: int, top_b: int, bound: int, out, mod: int | None = None) -> None:
     """Writes the first keep = len(out) coefficients of a b into out by
     residues: both factors mod k primes below 2^26 with M > 2 bound,
-    convolved per prime into keep rows, directly in int64 or from
+    convolved per prime into keep rows x, directly in int64 or from
     _FFT_ROWS nonzero rows of b on by FFT, and each of those rebuilt
-    by the CRT as c @ limbs(M/p_i), a float64 product of at most
-    k (p - 1)(2^16 - 1), one % M, and the lift to (-M/2, M/2). mul passes
-    a and b already cut to their first keep coefficients."""
-    k = _prime_count(bound)
-    m, weights, cofactors = _crt_table(k)
-    assert 2 * bound < m
+    by the CRT as x @ limbs(M/p_i), a float64 product of at most
+    k (p - 1)(2^16 - 1), one % M, and the lift to (-M/2, M/2). Given mod,
+    M > 4 bound, and each row is rebuilt mod `mod` by the explicit CRT:
+    c = sum x_i M/p_i - t M with t = rint(sum x_i / p_i), so
+    [x, t] @ limbs((M/p_i) mod `mod`, -M mod `mod`) and one % mod, the
+    product's partial sums at most k p (2^16 - 1), as t <= k. mul passes a
+    and b already cut to their first keep coefficients."""
+    k = _prime_count(bound if mod is None else 2 * bound)
+    m, weights, recips, cofactors = _crt_table(k, mod)
+    assert (2 if mod is None else 4) * bound < m
     p = _primes()[:k]
     powers = _power_table(-(-max(top_a, top_b).bit_length() // 16), k)
     # the convolution runs over the nonzero rows of b, which carries the CRT weights
     fft = sum(map(bool, b)) >= _FFT_ROWS and _fft_error_bound(len(a), len(b)) < 0.5
     c = (_fft_convolve if fft else _convolve)(_residues(a, top_a, powers, p), _residues(b, top_b, powers, p),
                                               weights, p, len(out))
+    if mod is not None:
+        c = np.column_stack((c, np.rint(c @ recips)))
     step = max(1, _BLOCK_BYTES // (8 * cofactors.shape[1]))
     for i in range(0, len(c), step):
-        out[i:i + step] = _crt_lift(_exact_product(c[i:i + step], cofactors), m)
+        out[i:i + step] = _crt_lift(_exact_product(c[i:i + step], cofactors), m, mod)
 
 
-def _crt_lift(v: np.ndarray, m: int) -> list[int]:
+def _crt_lift(v: np.ndarray, m: int, mod: int | None = None) -> list[int]:
     """The rows of v, sums over 16-bit limb columns (row t is
-    sum_l v[t, l] 2^(16 l)), each mod m and lifted to (-m/2, m/2). Every
-    entry is below 2^53, so every fourth 64-bit word of v reads as one
-    integer, whose slots of v.shape[1] limbs each hold one row. A remainder
-    mod m, and its difference with m, keep an allocation of m's size, so
-    each row is negated once more into an int of its own size."""
+    sum_l v[t, l] 2^(16 l)), each mod m and lifted to (-m/2, m/2), or, given
+    mod, each mod `mod`, in [0, mod). Every entry is below 2^53, so every
+    fourth 64-bit word of v reads as one integer, whose slots of v.shape[1]
+    limbs each hold one row. A remainder mod m, and its difference with m,
+    keep an allocation of m's size, so each row is negated once more into an
+    int of its own size."""
     width, half = 2 * v.shape[1], m >> 1
     words = v.astype(np.uint64).ravel()
     x = sum(int.from_bytes(words[g::4].tobytes(), "little") << 16 * g for g in range(4))
@@ -338,17 +365,22 @@ def _crt_lift(v: np.ndarray, m: int) -> list[int]:
     del x
     rows = []
     for j in range(0, len(raw), width):
-        y = int.from_bytes(raw[j:j + width], "little") % m
-        rows.append(-(m - y) if y > half else -(-y))
+        y = int.from_bytes(raw[j:j + width], "little")
+        if mod is None:
+            y %= m
+            rows.append(-(m - y) if y > half else -(-y))
+        else:
+            rows.append(y % mod)
     return rows
 
 
-def mul(a, b, keep: int | None = None) -> list[int]:
-    """The product of two polynomials over Z, or its first keep coefficients:
-    by residues from the residue crossover on, with the sparser factor's
-    nonzero coefficients driving the convolution, when the limbs and primes
-    it needs are inside the float64 bounds; and otherwise one big-int product
-    per block of the longer factor."""
+def mul(a, b, keep: int | None = None, mod: int | None = None) -> list[int]:
+    """The product of two polynomials over Z, or its first keep coefficients,
+    or those mod `mod`, in [0, mod): by residues from the residue crossover
+    on, with the sparser factor's nonzero coefficients driving the
+    convolution, when the limbs and primes it needs are inside the float64
+    bounds; and otherwise one big-int product per block of the longer
+    factor."""
     if not a or not b:
         return []
     if len(a) < len(b):
@@ -367,17 +399,18 @@ def mul(a, b, keep: int | None = None) -> list[int]:
         za, zb = sum(map(bool, a)), sum(map(bool, b))
         nonzero = min(za, zb)
         if (nonzero >= _RESIDUE_COEFFS and s * nonzero >= _RESIDUE_BYTES
-                and max(top_a, top_b).bit_length() <= 16 * _MAX_LIMBS and _prime_count(bound) <= _MAX_PRIMES):
+                and max(top_a, top_b).bit_length() <= 16 * _MAX_LIMBS
+                and _prime_count(bound if mod is None else 2 * bound) <= _MAX_PRIMES):
             if za < zb:
                 a, b, top_a, top_b = b, a, top_b, top_a
-            _mul_residues(a, b, top_a, top_b, bound, out)
+            _mul_residues(a, b, top_a, top_b, bound, out, mod)
             return out
     half = 1 << (8 * s - 1)
     packed_b = _pack(b, s)
     for j in range(0, len(a), n):
         block = a[j:j + n]
         _unpack(_pack(block, s) * packed_b, out, range(j, min(j + len(block) + len(b) - 1, keep)), s, half)
-    return out
+    return out if mod is None else [c % mod for c in out]
 
 
 def _stride(rows) -> tuple[int, int]:
@@ -392,10 +425,11 @@ def _stride(rows) -> tuple[int, int]:
     return f, s
 
 
-def mul_vec(a, b, d: int, rows: int | None = None) -> list[list[int]]:
+def mul_vec(a, b, d: int, rows: int | None = None, mod: int | None = None) -> list[list[int]]:
     """The product of polynomials with length-d vector coefficients, or its
-    first `rows` entries; entry e of the result is the unreduced
-    length-(2d - 1) product of the inner polynomials summed over i + j = e."""
+    first `rows` entries, or those mod `mod`; entry e of the result is the
+    unreduced length-(2d - 1) product of the inner polynomials summed over
+    i + j = e."""
     if not a or not b:
         return []
     w = 2 * d - 1
@@ -409,7 +443,7 @@ def mul_vec(a, b, d: int, rows: int | None = None) -> list[list[int]]:
         for r in range(s):
             kept = -(-(rows - r - f) // s)  # the rows r + f + k s below rows
             if kept > 0 and any(map(any, a[r::s])):
-                for k, row in enumerate(mul_vec(a[r::s], b[f::s], d, kept)):
+                for k, row in enumerate(mul_vec(a[r::s], b[f::s], d, kept, mod)):
                     out[r + f + k * s] = row
         return out
     pad = [0] * (d - 1)
@@ -421,7 +455,7 @@ def mul_vec(a, b, d: int, rows: int | None = None) -> list[list[int]]:
             flat += pad
         return flat
 
-    c = mul(spread(a), spread(b), rows * w)
+    c = mul(spread(a), spread(b), rows * w, mod)
     return [c[i:i + w] for i in range(0, rows * w, w)]
 
 

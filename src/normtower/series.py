@@ -7,6 +7,12 @@ common p-powers (lowering den and prec together, effective precision
 unchanged). Nothing ever silently divides: division by p is a den bump, and
 exact coefficient division only happens in canonical().
 
+A product's coefficient rows come back from `polyarith.mul_vec` already
+reduced mod max(p^prec, the field's q), a power of p that p^prec divides
+and the same for every product of a field, so that the CRT tables of its
+explicit-CRT lift are built once per field; each row is then reduced by the
+minimal polynomial and p^prec.
+
 canonical() reads the p-adic content of every coordinate at once
 (`padic.content_val`, capped at den) and divides by that power of p once.
 Its zero branch, for a series whose stored coordinates are all 0, sets den
@@ -123,7 +129,8 @@ class TruncSeries:
         deg = min(self.deg, other.deg)
         prec = min(self.prec, other.prec)
         q = self.field.p**prec
-        conv = mul_vec(self.coeffs[: deg + 1], other.coeffs[: deg + 1], self.field.d, deg + 1)
+        # mod a power of p that q divides, the same for every product of the field
+        conv = mul_vec(self.coeffs[: deg + 1], other.coeffs[: deg + 1], self.field.d, deg + 1, max(q, self.field.q))
         zero = self.field.zero()  # the rows off a strided product's stride are zero
         out = tuple(self.field.reduce(c, q) if any(c) else zero for c in conv)
         return TruncSeries(self.field, out, self.den + other.den, prec)

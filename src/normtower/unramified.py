@@ -168,6 +168,22 @@ class FieldDesc:
         return tuple(x // pk for x in a)
 
 
+def _teichmuller_root(x: list[int], lift: list[int], p: int, q: int) -> list[int]:
+    """The root z = x (mod p) of f(z) = z^(p^d) - z in (Z/q)[x]/(lift), for
+    x a unit mod p: Newton steps z <- z - f(z)/f'(z), f'(z) = p^d z^(p^d - 1)
+    - 1 a unit inverted by `inv_mod`, each doubling the p-adic precision."""
+    e = p ** (len(lift) - 1)
+    z, pk = x, p  # x^(p^d) = x in the residue field
+    while pk < q:
+        pk = min(pk * pk, q)
+        u = _polypow_mod(z, e - 1, lift, pk)
+        f = [a - b for a, b in zip(_polymul_mod(u, z, lift, pk), z)]
+        df = inv_mod([e * u[0] - 1] + [e * c for c in u[1:]], lift, p, pk)
+        z = [(a - b) % pk for a, b in zip(z, _polymul_mod(f, df, lift, pk))]
+    assert _polypow_mod(z, e, lift, q) == z, "Teichmuller lift did not stabilize"
+    return z
+
+
 @lru_cache(maxsize=None)
 def build_unramified(p: int, d: int, N: int) -> FieldDesc:
     """Construct O_k = Z_p[zeta] with zeta a Teichmuller generator, exact mod p^N.
@@ -195,16 +211,10 @@ def build_unramified(p: int, d: int, N: int) -> FieldDesc:
         return fd
 
     hbar = _find_primitive_poly(p, d)
-    # any monic lift presents the unramified extension; Teichmuller-stabilize x
+    # any monic lift presents the unramified extension; Teichmuller-lift x
     lift = [c % q for c in hbar]
     x = [0, 1] + [0] * (d - 2)
-    zeta_x = x
-    for _ in range(N + 2):
-        nxt = _polypow_mod(zeta_x, p**d, lift, q)
-        if nxt == zeta_x:
-            break
-        zeta_x = nxt
-    assert _polypow_mod(zeta_x, p**d, lift, q) == zeta_x, "Teichmuller lift did not stabilize"
+    zeta_x = _teichmuller_root(x, lift, p, q)
 
     # the minimal polynomial of zeta: the product of X - zeta^(p^k) over the
     # d Frobenius conjugates of zeta, computed in (Z/q)[x]/(lift), where its

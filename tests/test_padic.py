@@ -29,6 +29,30 @@ def test_teichmuller_examples():
     assert ZpContext(7, 3).teichmuller(6) == 7**3 - 1   # -1 lifts itself
 
 
+def _iterated_teichmuller(p, N, a):
+    """The lift as it was taken by iterating x -> x^p until it stabilized."""
+    q = p**N
+    x = a % q
+    for _ in range(N + 1):
+        nx = pow(x, p, q)
+        if nx == x:
+            break
+        x = nx
+    assert pow(x, p, q) == x
+    return x
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 64, 300])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_teichmuller_newton_matches_the_iteration(p, N):
+    """Every unit residue, and each lifted by a multiple of p, gives the root
+    that iterating x -> x^p gave."""
+    zp = ZpContext(p, N)
+    for a in range(1, p):
+        for start in (a, a + p * (7**N + 1), a - p**N):
+            assert zp.teichmuller(start) == _iterated_teichmuller(p, N, start)
+
+
 def test_teichmuller_rejects_nonunit():
     with pytest.raises(ZeroDivisionError):
         ZpContext(5, 3).teichmuller(10)

@@ -4,13 +4,13 @@ it against schoolbook references kept in this file."""
 import random
 import sys
 import tracemalloc
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normtower import curve, honda, polyarith, series, unramified
+from normtower import curve, honda, localpoints, polyarith, series, unramified
 from normtower.groupring import GroupRing, omega_family, poly_trim
 from normtower.polyarith import (
     divmod_monic,
@@ -650,9 +650,10 @@ def test_mul_vec_matches_schoolbook(d, data):
     assert mul_vec(a, b, d) == expect
 
 
-def reference_mul_vec(a, b, d, rows=None):
+def reference_mul_vec(a, b, d, rows=None, mod=None):
     """A verbatim copy of mul_vec as it was when it packed every row, its
-    full product cut to the first `rows` entries."""
+    full product cut to the first `rows` entries, and those reduced mod
+    `mod` after the exact product."""
     if not a or not b:
         return []
     w = 2 * d - 1
@@ -666,7 +667,8 @@ def reference_mul_vec(a, b, d, rows=None):
         return flat
 
     c = mul(spread(a), spread(b))
-    return [c[i:i + w] for i in range(0, (len(a) + len(b) - 1) * w, w)][:rows]
+    out = [c[i:i + w] for i in range(0, (len(a) + len(b) - 1) * w, w)][:rows]
+    return out if mod is None else [[x % mod for x in r] for r in out]
 
 
 def vec_operand(data, d, n, shape, stride):
@@ -714,7 +716,7 @@ def test_mul_vec_packs_only_the_classes_with_nonzero_rows(monkeypatch):
     lengths = []   # the rows packed into each Kronecker product, 3 slots a row at d = 2
     real = polyarith.mul
     monkeypatch.setattr(polyarith, "mul",
-                        lambda a, b, keep=None: lengths.append((len(a) // 3, len(b) // 3)) or real(a, b, keep))
+                        lambda a, b, *rest: lengths.append((len(a) // 3, len(b) // 3)) or real(a, b, *rest))
     sparse = [[i, 1] if i % 4 == 1 else [0, 0] for i in range(40)]
     dense = [[i, 1] for i in range(40)]
     assert mul_vec(sparse, sparse, 2) == reference_mul_vec(sparse, sparse, 2)
@@ -813,7 +815,7 @@ def test_truncated_point_series_product_convolves_and_lifts_61_rows(monkeypatch)
         return c
 
     monkeypatch.setattr(polyarith, "_convolve", convolve)
-    monkeypatch.setattr(polyarith, "_crt_lift", lambda v, m: lifted.append(len(v)) or real_lift(v, m))
+    monkeypatch.setattr(polyarith, "_crt_lift", lambda v, *rest: lifted.append(len(v)) or real_lift(v, *rest))
     assert mul(a, b, 61) == full[:61]
     assert convolved == [61] and sum(lifted) == 61
 
@@ -833,6 +835,94 @@ def test_truncated_mul_vec_is_the_full_product_cut(regime, d, shape_a, shape_b, 
         full = mul_vec(a, b, d)
         got = mul_vec(a, b, d, rows)
     assert got == full[:rows] == reference_mul_vec(a, b, d, rows)
+
+
+# -- products mod a modulus ------------------------------------------------------
+
+
+def _moduli(bound):
+    """1, p^N, a modulus that is no prime power, or one past the coefficient
+    bound, so that negative coefficients wrap."""
+    return st.one_of(st.just(1), st.builds(pow, st.sampled_from([3, 5, 7]), st.integers(1, 400)),
+                     st.builds(lambda e: 6 * 5**e, st.integers(0, 300)), st.integers(bound + 1, 2 * bound + 2))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(REGIMES), st.sampled_from([1, 70, 3000]), st.data())
+def test_mul_mod_is_the_exact_product_reduced(regime, bits, data):
+    """mul(a, b, keep, mod) == [c % mod for c in mul(a, b, keep)] in each
+    regime: signed, zero and extreme coefficients, sparse and all-zero
+    factors, every keep, in both argument orders."""
+    top = 2**bits - 1
+    coeff = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 0]))
+    a = data.draw(st.one_of(st.lists(coeff, min_size=1, max_size=13), st.lists(st.just(0), min_size=1, max_size=5)))
+    b = data.draw(st.one_of(st.lists(coeff, min_size=1, max_size=13),
+                            st.lists(st.sampled_from([0, 0, 0, top, -top]), min_size=14, max_size=40)))
+    keep = _keeps(data, len(a) + len(b) - 1)
+    mod = data.draw(_moduli(top * top * min(len(a), len(b))))
+    with pytest.MonkeyPatch.context() as mp:
+        _one_regime(mp, regime)
+        exact = mul(a, b, keep)
+        got, swapped = mul(a, b, keep, mod), mul(b, a, keep, mod)
+    assert exact == ref_mul(a, b)[:keep]
+    assert got == swapped == [c % mod for c in exact]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(REGIMES), st.sampled_from([1, 2, 4]), shapes, shapes, st.sampled_from([2, 3, 4]),
+       st.sampled_from([2, 3, 4]), st.data())
+def test_mul_vec_mod_is_the_exact_product_reduced(regime, d, shape_a, shape_b, sa, sb, data):
+    """mul_vec(a, b, d, rows, mod) against the exact product of every row
+    packed, reduced mod `mod` after it: dense, strided, single-row and zero
+    operands, in each regime."""
+    a = vec_operand(data, d, data.draw(st.integers(1, 30)), shape_a, sa)
+    b = vec_operand(data, d, data.draw(st.integers(1, 30)), shape_b, sb)
+    rows = _keeps(data, len(a) + len(b) - 1)
+    mod = data.draw(_moduli(2**6000 * d * min(len(a), len(b))))
+    with pytest.MonkeyPatch.context() as mp:
+        _one_regime(mp, regime)
+        got = mul_vec(a, b, d, rows, mod)
+    assert got == reference_mul_vec(a, b, d, rows, mod)
+
+
+def _fewest_primes(bound):
+    """The fewest primes whose product M exceeds 2 bound: _prime_count
+    without its rounding up."""
+    m = 1
+    for k, p in enumerate(polyarith._primes().tolist()):
+        if m > 2 * bound:
+            return k
+        m *= p
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 7])
+def test_mul_mod_at_the_explicit_crt_margin(k, monkeypatch):
+    """Products whose largest coefficient is +-bound, with bound below
+    M_k / 2 and above M_k / 4, M_k the product of the first k primes: factors
+    of +-top with n top^2 = bound, and the single coefficients
+    +-(M_k - 1) / 2 times +-1. The mod path takes the fewest primes with
+    M > 4 bound, k + 1, so that sum x_i / p_i lies within 1/4 of an
+    integer. With the k primes of the exact path it lies within 2^-28 of a
+    half at +-(M_k - 1) / 2, where rint may take either side."""
+    _residues_everywhere(monkeypatch)
+    monkeypatch.setattr(polyarith, "_prime_count", _fewest_primes)
+    counts, real = [], polyarith._crt_table
+    monkeypatch.setattr(polyarith, "_crt_table", lambda k, mod=None: counts.append((k, mod)) or real(k, mod))
+    m = prod(polyarith._primes()[:k].tolist())
+    x = (m - 1) // 2
+    cases = [([x], [1]), ([-x], [1]), ([x], [-1]), ([x, -x, x], [1]), ([x - 1, 1 - x], [-1])]
+    for n in (1, 3, 7):
+        top = isqrt(x // n)
+        cases += [([top] * n, [top] * n), ([top] * n, [-top] * n),
+                  ([(-1) ** i * top for i in range(n)], [(-1) ** (i + 1) * top for i in range(n)])]
+    for a, b in cases:
+        exact = ref_mul(a, b)
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        assert max(map(abs, exact)) == bound and 4 * bound > m > 2 * bound
+        for mod in (3**400, 6 * 5**100, m, 2 * bound + 1):
+            counts.clear()
+            assert mul(a, b, None, mod) == mul(b, a, None, mod) == [c % mod for c in exact]
+            assert counts == [(k + 1, mod)] * 2
 
 
 @settings(deadline=None, max_examples=150)
@@ -983,8 +1073,8 @@ def test_series_mul(p, d, data):
 def test_strided_series_product_matches_reducing_every_row(stride, data):
     """At d = 2, series nonzero only in degrees f + k stride (the curve log
     and exp live in degrees 1 mod 4) multiply to rows that are zero off a
-    stride: reduce sees only the nonzero rows, and the product is
-    bit-identical to reducing every row."""
+    stride: reduce sees only the rows nonzero mod the field's q, taken mod
+    it, and the product is bit-identical to reducing every exact row."""
     fd, prec = build_unramified(3, 2, 20), data.draw(st.integers(1, 20))
     q = 3**prec
 
@@ -1003,6 +1093,7 @@ def test_strided_series_product_matches_reducing_every_row(stride, data):
                    lambda self, c, q=None: reduced.append(c) or real(self, c, q))
         got = a * b
     assert got.coeffs == expect
+    rows = [[x % fd.q for x in c] for c in rows]   # q divides fd.q
     assert reduced == [c for c in rows if any(c)]
 
 
@@ -1027,18 +1118,42 @@ def fresh_series_caches():
     _series_cache_clear()
 
 
-def _bundle_digits(d):
-    b = honda.series_bundle(curve.curve_from_preset("ss3", 3), d, 0, 30, 6)
+def _bundle_digits(d, D=30, target=6):
+    b = honda.series_bundle(curve.curve_from_preset("ss3", 3), d, 0, D, target)
     parts = (b.curve_log, b.curve_exp, b.honda.series, b.honda_exp_series, b.forward,
              b.backward, b.curve_exp.compose(b.curve_log))
-    return [(s.coeffs, s.den, s.prec) for s in parts], b.report
+    return [(s.coeffs, s.den, s.prec) for s in parts], b.report, b
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_series_bundle_is_bit_identical_to_packing_every_row(d, fresh_series_caches, monkeypatch):
     """The full_grid bundles, whose curve log and exp live in degrees 1 mod 4,
     come out the same whether series products skip the zero rows or not."""
-    got = _bundle_digits(d)
+    got = _bundle_digits(d)[:2]
     _series_cache_clear()
     monkeypatch.setattr(series, "mul_vec", reference_mul_vec)
-    assert _bundle_digits(d) == got
+    assert _bundle_digits(d)[:2] == got
+
+
+def _point_series_digits():
+    """The point_series benchmark's first case: the bundle at d = 1, n = 0,
+    D = 40 to 4 digits, its local point to 3 digits and a torsion probe."""
+    digits, report, b = _bundle_digits(1, 40, 4)
+    lp = localpoints.local_point_direct(b, 0, 3)
+    point = [(x.coords.tolist(), x.den, x.prec) for x in (lp.log_value, lp.param_value)]
+    return digits, report, point, lp.effective_prec, lp.report, localpoints.torsion_probe(b, 0, trials=4, seed=7)
+
+
+def test_point_series_bundle_is_bit_identical_to_reducing_the_exact_product(fresh_series_caches, monkeypatch):
+    """Series products taken mod the field's q by the explicit CRT give the
+    same bundle, local point and probe as the exact products of every row,
+    each reduced after it."""
+    mods = []
+    real = polyarith._mul_residues
+    monkeypatch.setattr(polyarith, "_mul_residues",
+                        lambda *args: mods.append(args[-1]) or real(*args))
+    got = _point_series_digits()
+    assert any(m is not None for m in mods)   # the products reach the residue regime mod q
+    _series_cache_clear()
+    monkeypatch.setattr(series, "mul_vec", reference_mul_vec)
+    assert _point_series_digits() == got

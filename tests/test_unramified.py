@@ -13,6 +13,7 @@ from normtower.unramified import (
     _find_primitive_poly,
     _polymul_mod,
     _polypow_mod,
+    _teichmuller_root,
     build_unramified,
 )
 
@@ -284,6 +285,22 @@ def test_order_test_implies_irreducible(p, d):
     for ell in factorize(order):
         phi = phi // ell * (ell - 1)
     assert len(passing) == phi // d
+
+
+@pytest.mark.parametrize("p, d, N", [(3, 2, 1), (3, 2, 2), (3, 2, 592), (3, 4, 200), (5, 2, 300), (7, 3, 50)])
+def test_teichmuller_root_matches_the_iteration(p, d, N):
+    """The Newton lift of x against raising it to the p^d until it is fixed,
+    as `reference_build_unramified` does, up to the full_grid's N = 592."""
+    q = p**N
+    lift = [c % q for c in _find_primitive_poly(p, d)]
+    x = [0, 1] + [0] * (d - 2)
+    z = x
+    for _ in range(N + 2):
+        nxt = _polypow_mod(z, p**d, lift, q)
+        if nxt == z:
+            break
+        z = nxt
+    assert _teichmuller_root(x, lift, p, q) == z
 
 
 @pytest.mark.parametrize("p, d", FIELD_GRID)
