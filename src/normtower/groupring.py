@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .padic import ZpContext, primitive_root
-from .polyarith import inv_mod, mul, rem_monic
+from .polyarith import inv_mod, mul, mul_mod, teichmuller
 from .snf import kernel_basis, span_contains_all
 
 
@@ -55,7 +55,7 @@ class GroupRing:
         return tuple((x + y) % self.q for x, y in zip(a, b))
 
     def mul(self, a, b):
-        return tuple(x % self.q for x in rem_monic(mul(a, b), self.modulus))
+        return tuple(mul_mod(a, b, self.modulus, self.q))
 
     def is_zero(self, a) -> bool:
         return all(x % self.q == 0 for x in a)
@@ -263,7 +263,7 @@ def idempotents(p: int, N: int) -> list[CharIdempotent]:
     """All p-1 character idempotents; orthogonality and completeness verified."""
     zp = ZpContext(p, N)
     q = zp.q
-    tg = zp.teichmuller(primitive_root(p))  # chi_1(generator)
+    tg = teichmuller([primitive_root(p)], [0, 1], p, q)[0]  # chi_1(generator)
     inv_pm1 = zp.inv((p - 1) % q)
     out = []
     for j in range(p - 1):

@@ -96,20 +96,6 @@ class ZpContext:
             raise ZeroDivisionError(f"{a} is not a unit mod {self.p}^{self.N}")
         return pow(a, -1, self.q)
 
-    def teichmuller(self, a: int) -> int:
-        """The unique x = a (mod p) with x^(p-1) = 1 (mod p^N): the root of
-        f(x) = x^p - x over a, lifted by Newton steps x <- x - f(x)/f'(x),
-        f'(x) = p x^(p-1) - 1 a unit, each doubling the p-adic precision."""
-        a %= self.q
-        if a % self.p == 0:
-            raise ZeroDivisionError("Teichmuller lift needs a unit residue")
-        x, pk = a, self.p  # a is a root of f mod p
-        while pk < self.q:
-            pk = min(pk * pk, self.q)
-            x = (x - (pow(x, self.p, pk) - x) * pow(self.p * pow(x, self.p - 1, pk) - 1, -1, pk)) % pk
-        assert pow(x, self.p, self.q) == x, "Teichmuller iteration did not stabilize"
-        return x
-
 
 def floor_log(x: int, base: int) -> int:
     """The largest k with base^k <= x (0 when x < base), in exact integers."""

@@ -1,7 +1,7 @@
 """Exact coefficient arithmetic: polynomial products over Z by Kronecker
 substitution or by residues mod word-size primes, the two reduction rules
-the rings of normtower need, one extended gcd over F_p, and the inverse of
-a unit of (Z/q)[x]/(m) for a monic m.
+the rings of normtower need, one extended gcd over F_p, and the arithmetic
+of (Z/q)[x]/(m) for a monic m.
 
 A polynomial is a sequence of ints, lowest degree first. `mul` packs both
 factors in slots of W = 8s bits, wide enough for every product coefficient,
@@ -99,10 +99,15 @@ and reduces by `rem_monic`: O_k by the minimal polynomial of zeta
 (`TowerDesc.modulus`) and the group ring Z_p[F]/(F^d - 1) by F^d - 1
 (`GroupRing.modulus`). Series cut at their precision by `truncate`.
 
-`inv_mod` inverts a unit of (Z/q)[x]/(m), q a power of p: `xgcd_fp` gives
-the inverse mod p, and Newton steps x <- x(2 - a x) lift it, each doubling
-the p-adic precision. It serves both O_k (m the minimal polynomial of zeta)
-and the group ring Z_p[F]/(F^d - 1) (m = x^d - 1).
+The quotient rings (Z/q)[x]/(m), m monic, have their arithmetic here
+once: `mul_mod` multiplies and reduces by m and q, and `pow_mod` raises to
+a power by squaring. For q a power of p, `inv_mod` inverts a unit (the
+inverse mod p by `xgcd_fp`, lifted by Newton steps x <- x(2 - a x)), and
+`teichmuller` takes the root of z^(p^deg m) = z over a unit by Newton
+steps; each step doubles the p-adic precision. They serve O_k (m the
+minimal polynomial of zeta, or a lift of its residue polynomial while zeta
+is built), the group ring Z_p[F]/(F^d - 1) (m = x^d - 1) and Z/q itself
+(m = x), where `teichmuller` lifts a residue.
 """
 
 from __future__ import annotations
@@ -517,6 +522,23 @@ def xgcd_fp(a, b, p: int) -> tuple[list[int], list[int], list[int]]:
     return tuple(trim([x * inv for x in u]) for u in (r0, s0, t0))
 
 
+def mul_mod(a, b, m, q: int) -> list[int]:
+    """The product a b in (Z/q)[x]/(m), m monic: deg(m) coefficients in [0, q)."""
+    return [c % q for c in rem_monic(mul(a, b), m)]
+
+
+def pow_mod(a, e: int, m, q: int) -> list[int]:
+    """a^e in (Z/q)[x]/(m), m monic and e >= 0, by repeated squaring."""
+    out = truncate([1 % q], len(m) - 1)
+    while e:
+        if e & 1:
+            out = mul_mod(out, a, m, q)
+        e >>= 1
+        if e:
+            a = mul_mod(a, a, m, q)
+    return out
+
+
 def inv_mod(a, m, p: int, q: int) -> list[int]:
     """The inverse of a in (Z/q)[x]/(m), for m monic and q a power of p,
     reduced mod q with deg(m) coefficients. ZeroDivisionError when a is not
@@ -528,6 +550,23 @@ def inv_mod(a, m, p: int, q: int) -> list[int]:
     pk = p
     while pk < q:
         pk = min(pk * pk, q)
-        ax = rem_monic(mul(a, x), m)
-        x = [c % pk for c in rem_monic(mul(x, [2 - ax[0]] + [-c for c in ax[1:]]), m)]
+        ax = mul_mod(a, x, m, pk)
+        x = mul_mod(x, [2 - ax[0]] + [-c for c in ax[1:]], m, pk)
     return [c % q for c in truncate(x, n)]
+
+
+def teichmuller(a, m, p: int, q: int) -> list[int]:
+    """The Teichmuller lift of a in (Z/q)[x]/(m), m monic of degree n and q
+    a power of p, for a a unit mod p: the root z = a (mod p) of
+    f(z) = z^e - z, e = p^n, with deg(m) coefficients in [0, q). The root
+    has z^(e - 1) = 1, so f'(z) = e - 1 there and Newton's step is
+    z <- z - f(z)/(e - 1), each doubling the p-adic precision. At m = x it
+    is the lift of the residue a in Z/q."""
+    e = p ** (len(m) - 1)
+    z, pk = [c % q for c in rem_monic(a, m)], p  # z^e = z holds mod p
+    while pk < q:
+        pk = min(pk * pk, q)
+        w = pow(e - 1, -1, pk)
+        z = [(c - (y - c) * w) % pk for c, y in zip(z, pow_mod(z, e, m, pk))]
+    assert pow_mod(z, e, m, q) == z, "Teichmuller lift did not stabilize"
+    return z

@@ -30,8 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .padic import ZpContext, content_val, primitive_root
-from .polyarith import mul_vec, rem_monic
+from .padic import content_val, primitive_root
+from .polyarith import mul_vec, rem_monic, teichmuller
 from .unramified import FieldDesc, build_unramified
 
 
@@ -119,9 +119,9 @@ class TowerDesc:
         trivially on k_(-1), so there every one of them is 1."""
         if n == -1:
             return (1,) * (self.p - 1)
-        zp = ZpContext(self.p, n + 1)
-        g = primitive_root(self.p)
-        return tuple(zp.teichmuller(pow(g, k, self.p)) for k in range(self.p - 1))
+        g, q = primitive_root(self.p), self.p ** (n + 1)
+        return tuple(teichmuller([pow(g, k, self.p)], [0, 1], self.p, q)[0]
+                     for k in range(self.p - 1))
 
     @lru_cache(maxsize=None)
     def galois_units(self, n: int, m: int) -> tuple[int, ...]:

@@ -1,18 +1,20 @@
 """The unramified extension O_k of Z_p of degree d, in a Teichmuller power basis.
 
-The basis generator zeta is a lift of a multiplicative generator of the
-residue field, normalized so that zeta^(p^d - 1) = 1 holds exactly mod p^N.
-Frobenius is then literally zeta -> zeta^p, a ring automorphism of order d.
+The basis generator zeta is the Teichmuller lift (`polyarith.teichmuller`)
+of the class of x in (Z/p^N)[x]/(lift), for a monic lift of a residue
+polynomial h whose root generates F_{p^d}^*: x - g for the smallest
+primitive root g at d = 1, else the first such h (`_find_primitive_poly`).
+Then zeta^(p^d - 1) = 1 holds exactly mod p^N, and Frobenius is literally
+zeta -> zeta^p, a ring automorphism of order d.
 
 The minimal polynomial of zeta is the product of X - zeta^(p^k) over its d
-Frobenius conjugates, multiplied out in (Z/p^N)[x]/(lift) for the lift of
-the residue polynomial that zeta was found in.
+Frobenius conjugates, multiplied out in (Z/p^N)[x]/(lift).
 
 Elements are coordinate tuples of length d in the basis 1, zeta, ..., zeta^(d-1);
 FieldDesc methods work on these raw tuples (the series and tower layers call
-them directly). Everything is polynomial arithmetic modulo the minimal
-polynomial: products and powers go through the polyarith kernel, and
-inverses through its Newton inverse `inv_mod`.
+them directly). Everything is arithmetic in (Z/q)[x]/(minimal polynomial):
+products, powers and inverses are polyarith's `mul_mod`, `pow_mod` and
+`inv_mod`.
 """
 
 from __future__ import annotations
@@ -20,41 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .padic import ZpContext, content_val, factorize, is_prime, primitive_root
-from .polyarith import inv_mod, mul, mul_vec, rem_monic
+from .padic import content_val, factorize, is_prime, primitive_root
+from .polyarith import inv_mod, mul_mod, mul_vec, pow_mod, rem_monic, teichmuller
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over Z/q, modulus monic
-# ---------------------------------------------------------------------------
-
-def _polymul_mod(a: list[int], b: list[int], modulus: list[int], q: int) -> list[int]:
-    return [c % q for c in rem_monic(mul(a, b), modulus)]
-
-
-def _polypow_mod(a: list[int], e: int, modulus: list[int], q: int) -> list[int]:
-    d = len(modulus) - 1
-    out = [1 % q] + [0] * (d - 1)
-    base = list(a)
-    while e:
-        if e & 1:
-            out = _polymul_mod(out, base, modulus, q)
-        base = _polymul_mod(base, base, modulus, q)
-        e >>= 1
-    return out
-
-
-def _element_order_is(h: list[int], p: int, order: int) -> bool:
-    """Does x have multiplicative order `order` in F_p[x]/(h)?"""
-    d = len(h) - 1
-    x = ([0, 1] + [0] * (d - 2)) if d >= 2 else [(-h[0]) % p]
-    one = [1] + [0] * (d - 1)
-    if _polypow_mod(x, order, h, p) != one:
+def _element_order_is(m: list[int], q: int, order: int) -> bool:
+    """Does the class of x have multiplicative order `order` in (Z/q)[x]/(m)?"""
+    one = [1 % q] + [0] * (len(m) - 2)
+    if pow_mod([0, 1], order, m, q) != one:
         return False
-    for ell in factorize(order):
-        if _polypow_mod(x, order // ell, h, p) == one:
-            return False
-    return True
+    return all(pow_mod([0, 1], order // ell, m, q) != one for ell in factorize(order))
 
 
 @cache
@@ -123,7 +100,7 @@ class FieldDesc:
         q = q or self.q
         if self.d == 1:
             return ((a[0] * b[0]) % q,)
-        return self.reduce(mul(a, b), q)
+        return tuple(mul_mod(a, b, self.modulus, q))
 
     def reduce(self, c, q: int | None = None):
         """Coordinates of sum c_i zeta^i (any length) mod the minimal polynomial and q."""
@@ -132,7 +109,7 @@ class FieldDesc:
         return tuple(x % q for x in c) + (0,) * (self.d - len(c))
 
     def pow(self, a, e: int):
-        return tuple(_polypow_mod(a, e, self.modulus, self.q))
+        return tuple(pow_mod(a, e, self.modulus, self.q))
 
     def frob(self, a, k: int, q: int | None = None):
         """Frobenius^k, k any integer (reduced mod d)."""
@@ -168,22 +145,6 @@ class FieldDesc:
         return tuple(x // pk for x in a)
 
 
-def _teichmuller_root(x: list[int], lift: list[int], p: int, q: int) -> list[int]:
-    """The root z = x (mod p) of f(z) = z^(p^d) - z in (Z/q)[x]/(lift), for
-    x a unit mod p: Newton steps z <- z - f(z)/f'(z), f'(z) = p^d z^(p^d - 1)
-    - 1 a unit inverted by `inv_mod`, each doubling the p-adic precision."""
-    e = p ** (len(lift) - 1)
-    z, pk = x, p  # x^(p^d) = x in the residue field
-    while pk < q:
-        pk = min(pk * pk, q)
-        u = _polypow_mod(z, e - 1, lift, pk)
-        f = [a - b for a, b in zip(_polymul_mod(u, z, lift, pk), z)]
-        df = inv_mod([e * u[0] - 1] + [e * c for c in u[1:]], lift, p, pk)
-        z = [(a - b) % pk for a, b in zip(z, _polymul_mod(f, df, lift, pk))]
-    assert _polypow_mod(z, e, lift, q) == z, "Teichmuller lift did not stabilize"
-    return z
-
-
 @lru_cache(maxsize=None)
 def build_unramified(p: int, d: int, N: int) -> FieldDesc:
     """Construct O_k = Z_p[zeta] with zeta a Teichmuller generator, exact mod p^N.
@@ -198,23 +159,11 @@ def build_unramified(p: int, d: int, N: int) -> FieldDesc:
     if d < 1 or N < 1:
         raise ValueError("need d >= 1 and N >= 1")
     q = p**N
-    zp = ZpContext(p, N)
-
-    if d == 1:
-        zeta0 = zp.teichmuller(primitive_root(p))
-        fd = FieldDesc(
-            p=p, d=1, N=N, q=q,
-            modulus=((-zeta0) % q, 1),
-            frob_cols=(((1,),),),
-        )
-        _check_field(fd)
-        return fd
-
-    hbar = _find_primitive_poly(p, d)
-    # any monic lift presents the unramified extension; Teichmuller-lift x
+    # the residue field F_p[x]/(hbar); any monic lift presents the unramified
+    # extension, and zeta is the Teichmuller lift of the class of x
+    hbar = ((-primitive_root(p)) % p, 1) if d == 1 else _find_primitive_poly(p, d)
     lift = [c % q for c in hbar]
-    x = [0, 1] + [0] * (d - 2)
-    zeta_x = _teichmuller_root(x, lift, p, q)
+    zeta_x = teichmuller([0, 1], lift, p, q)
 
     # the minimal polynomial of zeta: the product of X - zeta^(p^k) over the
     # d Frobenius conjugates of zeta, computed in (Z/q)[x]/(lift), where its
@@ -222,7 +171,7 @@ def build_unramified(p: int, d: int, N: int) -> FieldDesc:
     one = [1] + [0] * (d - 1)
     poly = [one]
     for k in range(d):
-        conj = _polypow_mod(zeta_x, p**k, lift, q)
+        conj = pow_mod(zeta_x, p**k, lift, q)
         poly = [[c % q for c in rem_monic(v, lift)]
                 for v in mul_vec(poly, [[-c for c in conj], one], d)]
     assert not any(c for v in poly for c in v[1:]), "minimal polynomial is not over Z/q"
@@ -231,7 +180,7 @@ def build_unramified(p: int, d: int, N: int) -> FieldDesc:
     # Frobenius matrices: phi^k sends zeta^i to zeta^(p^k * i), a power of x
     # modulo the minimal polynomial of zeta
     frob_all = tuple(
-        tuple(tuple(_polypow_mod(x, p**k * i % (p**d - 1), modulus, q)) for i in range(d))
+        tuple(tuple(pow_mod([0, 1], p**k * i % (p**d - 1), modulus, q)) for i in range(d))
         for k in range(d))
     fd = FieldDesc(p=p, d=d, N=N, q=q, modulus=modulus, frob_cols=frob_all)
     _check_field(fd)
@@ -240,9 +189,7 @@ def build_unramified(p: int, d: int, N: int) -> FieldDesc:
 
 def _check_field(fd: FieldDesc) -> None:
     z = fd.zeta()
-    assert fd.pow(z, fd.p**fd.d - 1) == fd.one(), "generator is not a (p^d-1)-th root of unity"
-    # order is exactly p^d - 1: no collapse to a proper subfield
-    for ell in factorize(fd.p**fd.d - 1):
-        assert fd.pow(z, (fd.p**fd.d - 1) // ell) != fd.one()
+    # order exactly p^d - 1: a (p^d - 1)-th root of unity in no proper subfield
+    assert _element_order_is(fd.modulus, fd.q, fd.p**fd.d - 1), "generator has the wrong order"
     assert fd.frob(z, 1) == fd.pow(z, fd.p), "Frobenius does not act as zeta -> zeta^p"
     assert fd.frob(z, fd.d) == z, "Frobenius order wrong"

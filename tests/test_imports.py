@@ -31,6 +31,10 @@
 - Outside padic.py, no `while` loop floor-divides by a name or an attribute
   called p: the p-adic content of a set of coordinates is read in one pass
   by `padic.content_val`, not stripped one factor of p at a time.
+- Outside polyarith.py, no `rem_monic(...)` or `.reduce(...)` call takes a
+  `mul(...)` call as its first argument, and no function whose name contains
+  teichmuller is defined: products, powers and Teichmuller lifts in
+  (Z/q)[x]/(m) are polyarith's `mul_mod`, `pow_mod` and `teichmuller`.
 
 Each allowlist only shrinks: a listed name that becomes read fails until it
 leaves the list.
@@ -405,3 +409,46 @@ def test_detects_a_p_stripping_loop():
            "    k = k // p2 + p // 2\n"
            "y = q // p\n")
     assert p_stripping_loops(src) == [1, 3, 5]
+
+
+def quotient_ring_copies(source: str) -> list[int]:
+    """The lines of the `rem_monic(...)` and `.reduce(...)` calls whose first
+    argument is a `mul(...)` call (a name or an attribute called mul), and of
+    the functions whose name contains teichmuller."""
+    def called(node, names) -> bool:
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id in names
+            or isinstance(node.func, ast.Attribute) and node.func.attr in names)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and "teichmuller" in node.name.lower():
+            found.append(node.lineno)
+        elif (called(node, ("rem_monic",)) or isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute) and node.func.attr == "reduce") \
+                and node.args and called(node.args[0], ("mul",)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(set(SOURCES) - {"polyarith.py"}))
+def test_quotient_ring_arithmetic_lives_in_polyarith(module):
+    assert quotient_ring_copies(SOURCES[module]) == []
+
+
+def test_detects_a_quotient_ring_copy():
+    src = ("c = [x % q for x in rem_monic(mul(a, b), m)]\n"
+           "c = polyarith.rem_monic(polyarith.mul(a, b), m)\n"
+           "c = self.reduce(mul(a, b), q)\n"
+           "c = rem_monic(mul_vec(a, b, d), m)\n"
+           "c = self.reduce(c, q)\n"
+           "c = reduce(mul(a, b), q)\n"
+           "c = rem_monic(c, mul(a, b))\n"
+           "def _teichmuller_root(x, m, p, q):\n"
+           "    return x\n"
+           "class ZpContext:\n"
+           "    def teichmuller(self, a):\n"
+           "        return a\n"
+           "def lift(a):\n"
+           "    return teichmuller([a], [0, 1], 3, 9)\n")
+    assert quotient_ring_copies(src) == [1, 2, 3, 8, 11]

@@ -9,6 +9,7 @@ from math import isqrt, prod
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_padic import _iterated_teichmuller
 
 from normtower import curve, honda, localpoints, polyarith, series, unramified
 from normtower.groupring import GroupRing, omega_family, poly_trim
@@ -16,8 +17,11 @@ from normtower.polyarith import (
     divmod_monic,
     inv_mod,
     mul,
+    mul_mod,
     mul_vec,
+    pow_mod,
     rem_monic,
+    teichmuller,
     truncate,
     xgcd_fp,
 )
@@ -990,6 +994,60 @@ def test_inverse_mod_a_monic(p, N, a, m):
     x = inv_mod(a, m, p, q)
     assert len(x) == len(m) - 1 and all(0 <= c < q for c in x)
     assert [c % q for c in ref_rem(ref_mul(a, x), m)] == [1 % q] + [0] * (len(m) - 2)
+
+
+# -- the arithmetic of (Z/q)[x]/(m) --------------------------------------------
+
+
+def _quotient_ring(data):
+    """(m, q): m monic of degree 1..6 with signed coefficients, and q = p,
+    p^N or a modulus that is no prime power."""
+    m = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6)) + [1]
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    q = data.draw(st.one_of(st.just(p), st.builds(pow, st.just(p), st.integers(2, 300)),
+                            st.builds(lambda e: 6 * 5**e, st.integers(0, 60))))
+    return m, q
+
+
+def _ring_factors(data):
+    """Signed, zero, short and long factors, up to 3000-bit coefficients."""
+    top = 2 ** data.draw(st.sampled_from([1, 70, 3000])) - 1
+    coeff = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 0]))
+    return data.draw(st.one_of(st.lists(coeff, max_size=14), st.lists(st.just(0), min_size=1, max_size=4)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_ring_product_is_the_exact_product_reduced(data):
+    """mul_mod(a, b, m, q) is rem_monic of the exact product, then % q."""
+    m, q = _quotient_ring(data)
+    a, b = _ring_factors(data), _ring_factors(data)
+    assert mul_mod(a, b, m, q) == [c % q for c in rem_monic(ref_mul(a, b), m)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 40), st.data())
+def test_ring_power_is_repeated_products(e, data):
+    """pow_mod(a, e, m, q) against e products by the schoolbook, from 1."""
+    m, q = _quotient_ring(data)
+    a = _ring_factors(data)
+    want = truncate([1 % q], len(m) - 1)
+    for _ in range(e):
+        want = [c % q for c in rem_monic(ref_mul(want, a), m)]
+    assert pow_mod(a, e, m, q) == want
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from([3, 5, 7]), st.sampled_from([1, 2, 7, 64, 300]),
+       st.one_of(st.just(0), st.integers(-10**30, 10**30)), st.integers(-10**30, 10**30),
+       st.integers(-10**30, 10**30))
+def test_teichmuller_at_degree_one_is_the_iterated_power(p, N, c, a1, t):
+    """In (Z/q)[x]/(x - c), the lift of the class of a1 x + a0, whose value
+    is u + p t for each unit residue u, against x -> x^p iterated on that
+    value: starts of any size and sign, m = x included."""
+    q = p**N
+    for u in range(1, p):
+        assert teichmuller([u + p * t - a1 * c, a1], [-c, 1], p, q) == [_iterated_teichmuller(p, N, u + p * t)]
 
 
 # -- the rewritten ring products ----------------------------------------------

@@ -2,18 +2,17 @@ from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_padic import coordinate_grids, precision_shapes
+from test_padic import _iterated_teichmuller, coordinate_grids, precision_shapes
 
-from normtower.padic import ZpContext, factorize, primitive_root, val_int
-from normtower.polyarith import xgcd_fp
+from normtower.groupring import idempotents
+from normtower.padic import factorize, primitive_root, val_int
+from normtower.polyarith import mul_mod, pow_mod, teichmuller, xgcd_fp
+from normtower.tower import build_tower
 from normtower.unramified import (
     FieldDesc,
     _check_field,
     _element_order_is,
     _find_primitive_poly,
-    _polymul_mod,
-    _polypow_mod,
-    _teichmuller_root,
     build_unramified,
 )
 
@@ -182,7 +181,7 @@ def reference_is_irreducible_fp(h: list[int], p: int) -> bool:
     xpoly = [0, 1] + [0] * (d - 2)
     powers = [list(xpoly)]
     for _ in range(d):
-        powers.append(_polypow_mod(powers[-1], p, h, p))
+        powers.append(pow_mod(powers[-1], p, h, p))
     if powers[d] != xpoly:
         return False
     for ell in factorize(d):
@@ -213,10 +212,10 @@ def reference_find_primitive_poly(p: int, d: int) -> list[int]:
 
 def reference_build_unramified(p: int, d: int, N: int) -> FieldDesc:
     q = p**N
-    zp = ZpContext(p, N)
 
     if d == 1:
-        zeta0 = zp.teichmuller(primitive_root(p))
+        # a scalar lift of its own: the iteration x -> x^p
+        zeta0 = _iterated_teichmuller(p, N, primitive_root(p))
         fd = FieldDesc(
             p=p, d=1, N=N, q=q,
             modulus=((-zeta0) % q, 1),
@@ -230,15 +229,15 @@ def reference_build_unramified(p: int, d: int, N: int) -> FieldDesc:
     x = [0, 1] + [0] * (d - 2)
     zeta_x = x
     for _ in range(N + 2):
-        nxt = _polypow_mod(zeta_x, p**d, lift, q)
+        nxt = pow_mod(zeta_x, p**d, lift, q)
         if nxt == zeta_x:
             break
         zeta_x = nxt
-    assert _polypow_mod(zeta_x, p**d, lift, q) == zeta_x, "Teichmuller lift did not stabilize"
+    assert pow_mod(zeta_x, p**d, lift, q) == zeta_x, "Teichmuller lift did not stabilize"
 
     pows = [[1] + [0] * (d - 1)]
     for _ in range(d):
-        pows.append(_polymul_mod(pows[-1], zeta_x, lift, q))
+        pows.append(mul_mod(pows[-1], zeta_x, lift, q))
     C = [[pows[j][i] for j in range(d)] for i in range(d)]
     Cinv = _mat_inv_modq(C, p, q)
 
@@ -253,7 +252,7 @@ def reference_build_unramified(p: int, d: int, N: int) -> FieldDesc:
         cols = []
         for i in range(d):
             e = (p**k * i) % (p**d - 1)
-            img_x = [1] + [0] * (d - 1) if i == 0 else _polypow_mod(zeta_x, e, lift, q)
+            img_x = [1] + [0] * (d - 1) if i == 0 else pow_mod(zeta_x, e, lift, q)
             cols.append(to_zeta_basis(img_x))
         frob_all.append(tuple(cols))
     fd = FieldDesc(p=p, d=d, N=N, q=q, modulus=modulus, frob_cols=tuple(frob_all))
@@ -296,11 +295,11 @@ def test_teichmuller_root_matches_the_iteration(p, d, N):
     x = [0, 1] + [0] * (d - 2)
     z = x
     for _ in range(N + 2):
-        nxt = _polypow_mod(z, p**d, lift, q)
+        nxt = pow_mod(z, p**d, lift, q)
         if nxt == z:
             break
         z = nxt
-    assert _teichmuller_root(x, lift, p, q) == z
+    assert teichmuller(x, lift, p, q) == z
 
 
 @pytest.mark.parametrize("p, d", FIELD_GRID)
@@ -310,9 +309,29 @@ def test_field_matches_reference_construction(p, d, monkeypatch):
     # their own above
     monkeypatch.setitem(globals(), "reference_find_primitive_poly",
                         cache(reference_find_primitive_poly))
-    for N in (1, 2, 6, 20, 64):
+    # at d = 1 also the precisions of full_grid's series check and of
+    # point_series
+    for N in (1, 2, 6, 20, 64) + ((592, 980, 2059) if d == 1 else ()):
         fd = build_unramified(p, d, N)
         ref = reference_build_unramified(p, d, N)
         assert (fd.modulus, fd.frob_cols, fd.q) == (ref.modulus, ref.frob_cols, ref.q)
         for a in (fd.zeta(), fd.add(fd.one(), fd.scalar(p, fd.zeta()))):  # units
             assert fd.inv(a) == ref.inv(a)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_scalar_lifts_match_the_iteration(p):
+    """The tame units of the tower and the character idempotents, both built
+    on Teichmuller lifts in Z/p^N, against the iteration x -> x^p."""
+    g = primitive_root(p)
+    t = build_tower(p, 1, 3, 4)
+    for n in range(4):
+        assert t.tame_units(n) == tuple(
+            _iterated_teichmuller(p, n + 1, pow(g, k, p)) for k in range(p - 1))
+    for N in (1, 2, 5, 30):
+        q = p**N
+        tg, inv = _iterated_teichmuller(p, N, g), pow(p - 1, -1, q)
+        # e_j = (1/(p - 1)) sum_k chi_j(g^k) F^(-k), chi_j(g) = tg^j
+        want = [tuple(pow(tg, j * (-i % (p - 1)), q) * inv % q for i in range(p - 1))
+                for j in range(p - 1)]
+        assert [e.coeffs for e in idempotents(p, N)] == want
