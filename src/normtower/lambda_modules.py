@@ -592,10 +592,12 @@ def _random_unimodular(rng, n, d, p, ops: int, max_deg: int):
 _MAX_FREE = 2     # free rank of a random safe module: 1 or 2
 _D_MAX = 2        # group-ring degree d of a harness instance: 1 or 2
 _DEG_BOUND = 6    # X-degree budget of the random maps
-_SAFE_TORSION_POLYS = {
-    3: [[0, 1], [0, 0, 1], [-3, 1], [3, 3, 1]],
-    5: [[0, 1], [0, 0, 1], [-5, 1]],
-}
+
+
+def _safe_torsion_polys(p: int) -> list[list[int]]:
+    """Distinguished f, so that Lambda/(f) is Z_p-free with no finite submodule:
+    X, X^2 and X - p at every odd p, and X^2 + 3X + 3 at p = 3."""
+    return [[0, 1], [0, 0, 1], [-p, 1]] + ([[3, 3, 1]] if p == 3 else [])
 
 
 def _random_safe_module(rng, p, d):
@@ -604,7 +606,7 @@ def _random_safe_module(rng, p, d):
     s = rng.randrange(1, _MAX_FREE + 1)
     pres = free_presentation(p, d, s)
     for _ in range(rng.randrange(3)):
-        f = rng.choice(_SAFE_TORSION_POLYS[p])
+        f = rng.choice(_safe_torsion_polys(p))
         pres = direct_sum(pres, quotient_presentation(p, d, [f]))
     return pres, s
 

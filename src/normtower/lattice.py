@@ -11,9 +11,9 @@ k-th O_k coordinate of eta^j.
 `galois_span` builds an orbit matrix from the generators' (L, d) coordinate
 arrays, with no TowerElt per group element: each generator is scaled to the
 common den and reduced mod p^min(prec, N), as `TowerElt.vector` does; one
-product with the stacked Frobenius matrices gives frob^a of every generator,
-a < d; one np.add.at through `TowerDesc.orbit_scatter` applies every unit u
-of the group at once; and the block is reduced again. Its columns run over
+product with the stacked `FieldDesc.frob_matrix` gives frob^a of every
+generator, a < d; one `TowerDesc.act` applies every unit u of the group at
+once; and the block is reduced again. Its columns run over
 the generators, then the units u in `galois_units` order, then a, the order
 in which a loop of `TowerElt.galois(u, a)` calls would list them. The
 arithmetic is int64 when `snf.as_matrix` would give the matrix that dtype
@@ -97,11 +97,10 @@ def lattice_from_elements(t: TowerDesc, level: int, elems: list[TowerElt]) -> La
 
 def apply_idempotent(x: TowerElt, eps: CharIdempotent) -> TowerElt:
     """eps_chi * x, eps.coeffs[k] weighting the k-th tame unit of the tower."""
-    out = None
-    for u, coeff in zip(x.tower.tame_units(x.level), eps.coeffs):
-        term = x.galois(u, 0).scale_int(coeff)
-        out = term if out is None else out + term
-    return out
+    t = x.tower
+    ys = t.act(x.coords, x.level, t.tame_units(x.level))
+    coords = (ys * np.array(eps.coeffs, dtype=object)[:, None]).sum(axis=1)
+    return TowerElt(t, x.level, coords, x.den, x.prec)
 
 
 def galois_span(t: TowerDesc, gens: list[TowerElt], n: int,
@@ -112,7 +111,8 @@ def galois_span(t: TowerDesc, gens: list[TowerElt], n: int,
     if chi is not None:
         ys = [apply_idempotent(y, chi) for y in ys]
     m = -1 if chi is None else min(n, 0)  # the tame units act only without chi
-    p, d, L, G, U = t.p, t.d, t.level_dim(n), len(ys), len(t.galois_units(n, m))
+    units = t.galois_units(n, m)
+    p, d, L, G, U = t.p, t.d, t.level_dim(n), len(ys), len(units)
     den = max((y.den for y in ys), default=0)
     dtype = _dtype_for(t.q, max(L * d, G * U * d))
     # each generator scaled to den and reduced mod p^min(prec, N), as TowerElt.vector
@@ -121,12 +121,10 @@ def galois_span(t: TowerDesc, gens: list[TowerElt], n: int,
     for g, (y, q) in enumerate(zip(ys, qs)):
         c[g, 0] = y.coords.astype(object) * p ** (den - y.den) % q
     q = np.array(qs, dtype=dtype)[:, None, None]  # over the trailing axes (g, k, a)
-    frob = np.stack([t.frob_matrix(a).T for a in range(d)]).astype(dtype)
+    frob = np.stack([t.field.frob_matrix(a).T for a in range(d)]).astype(dtype)
     rows = (c @ frob).transpose(2, 0, 3, 1) % q  # [j, g, k, a]: coord k of frob^a(g) at eta^j
-    dst, src, cf = t.orbit_scatter(n, m)
-    out = np.zeros((L * U, G, d, d), dtype=dtype)
-    np.add.at(out, dst, rows[src] * cf[:, None, None, None])
-    mat = (out % q).reshape(L, U, G, d, d).transpose(0, 3, 2, 1, 4).reshape(L * d, -1)
+    out = t.act(rows, n, units) % q  # [j, u, g, k, a]
+    mat = out.transpose(0, 3, 2, 1, 4).reshape(L * d, -1)
     return Lattice(t, n, den, mat)
 
 

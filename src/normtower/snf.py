@@ -15,8 +15,12 @@ certificate: an answer agreed at two consecutive rungs. N is the precision
 the operand carries. A kernel vector computed mod p^N is known only mod
 p^(N - e), e the largest finite divisor of its matrix, so `kernel_image`
 returns N - e with its columns, and the X-kernel invariants of
-`lambda_modules` decide on them there. The one reader that still decides at
-N is `span_intersection`, whose columns `check_exact_sequence` compares at N.
+`lambda_modules` decide on them there. Two readers still decide at N:
+- `span_intersection`, whose columns `check_exact_sequence` compares at N
+  (ROADMAP item 13);
+- `kernel_basis`, whose kernel columns `groupring.annihilator` returns and
+  `annihilator_matches_closed_form` tests for membership at N, a path only
+  tests reach (ROADMAP item 16).
 
 One elimination core, `_eliminate`, computes the form in place. Each pivot is
 the first entry, in row-major order, of minimal valuation e in the trailing

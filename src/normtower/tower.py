@@ -10,6 +10,11 @@ exponent bookkeeping. The Galois action eta -> eta^u permutes the powers
 eta^e, e < p^(n+1), and rewrites those with e >= L in closed form:
 eta^e = -sum_{i<p-1} eta^(i p^n + e - L).
 
+The action is written once: `TowerDesc.act` applies the cached scatter
+`galois_scatter(n, units)` of any tuple of units to a level-n coordinate
+array in one np.add.at. Automorphisms, traces, character projections and
+orbit lattices all call it; Frobenius is the one `FieldDesc.frob_matrix`.
+
 A TowerElt carries a denominator exponent: it represents p^(-den) * (integral
 coords), with coords stored mod p^prec, so its effective precision is
 prec - den. Division by p is total; equality checks report the residual
@@ -78,39 +83,31 @@ class TowerDesc:
         return tuple(int(e % pn == 0) for e in range(self.level_dim(n) + 1))
 
     @lru_cache(maxsize=None)
-    def _galois_table(self, n: int, u: int):
-        """Index scatter (dst, src, coeff) for eta^j -> eta^(j u mod p^(n+1)).
+    def galois_scatter(self, n: int, units: tuple[int, ...]):
+        """Index scatter (dst, src, coeff) of eta^j -> eta^(j u mod p^(n+1)) for
+        the s-th unit u of `units`, landing on row e * U + s for U = len(units).
         For L <= e < p^(n+1), eta^e = -sum_{i<p-1} eta^(i p^n + e - L), each
-        exponent below L since e - L < p^n."""
-        L = self.level_dim(n)
-        mod, pn = (self.p ** (n + 1), self.p**n) if n >= 0 else (1, 1)
-        dst, src, cf = [], [], []
-        for j in range(L):
-            e = j * u % mod
-            terms = [(e, 1)] if e < L else [(i * pn + e - L, -1) for i in range(self.p - 1)]
-            for idx, sgn in terms:
-                dst.append(idx)
-                src.append(j)
-                cf.append(sgn)
-        return tuple(_read_only(np.array(a, dtype=np.int64)) for a in (dst, src, cf))
+        exponent below L since e - L < p^n. At level -1 the modulus is 1 and
+        every unit acts as the identity."""
+        L, U = self.level_dim(n), len(units)
+        mod, pn = self.p ** (n + 1), self.p ** max(n, 0)
+        entries = []
+        for s, u in enumerate(units):
+            for j in range(L):
+                e = j * u % mod
+                terms = [(e, 1)] if e < L else [(i * pn + e - L, -1) for i in range(self.p - 1)]
+                entries += [(idx * U + s, j, sgn) for idx, sgn in terms]
+        return tuple(_read_only(np.array(a, dtype=np.int64)) for a in zip(*entries))
 
-    @lru_cache(maxsize=None)
-    def orbit_scatter(self, n: int, m: int):
-        """The scatters of `_galois_table` for every unit of galois_units(n, m),
-        concatenated: (dst * U + s, src, coeff) for the s-th of the U units, so
-        that one np.add.at applies all of Gal(k_n/k_m) at once."""
-        units = self.galois_units(n, m)
-        dst, src, cf = zip(*(self._galois_table(n, u % self.p ** (n + 1)) for u in units))
-        dst = [a * len(units) + s for s, a in enumerate(dst)]
-        return tuple(_read_only(np.concatenate(a)) for a in (dst, src, cf))
-
-    @lru_cache(maxsize=None)
-    def frob_matrix(self, k: int) -> np.ndarray:
-        k %= self.d
-        cols = self.field.frob_cols[k]
-        M = np.array([[cols[i][j] for i in range(self.d)] for j in range(self.d)],
-                     dtype=object)
-        return _read_only(M)  # M[j, i] = j-th coord of frob(e_i); apply as coords @ M.T
+    def act(self, c: np.ndarray, n: int, units: tuple[int, ...]) -> np.ndarray:
+        """sigma_u(c) for each u of `units`, c a level-n coordinate array of
+        shape (L, ...), stacked (L, U, ...) in the order of `units`: one
+        np.add.at through `galois_scatter`, in c's dtype and unreduced."""
+        dst, src, cf = self.galois_scatter(n, units)
+        L, U = self.level_dim(n), len(units)
+        out = np.zeros((L * U,) + c.shape[1:], dtype=c.dtype)
+        np.add.at(out, dst, c[src] * cf.reshape((-1,) + (1,) * (c.ndim - 1)))
+        return out.reshape((L, U) + c.shape[1:])
 
     @lru_cache(maxsize=None)
     def tame_units(self, n: int) -> tuple[int, ...]:
@@ -268,13 +265,8 @@ class TowerElt:
             raise ValueError("Galois exponent must be a unit mod p")
         c = self.coords
         if f % t.d:
-            c = c @ t.frob_matrix(f).T
-        if n == -1:
-            return replace(self, coords=c)
-        dst, src, cf = t._galois_table(n, u % t.p ** (n + 1))
-        out = np.zeros_like(c, dtype=object)
-        np.add.at(out, dst, cf[:, None] * c[src])
-        return replace(self, coords=out)
+            c = c @ t.field.frob_matrix(f).T
+        return replace(self, coords=t.act(c, n, (u % t.p ** (n + 1),))[:, 0])
 
     # -- level moves ------------------------------------------------------------
 
@@ -293,15 +285,10 @@ class TowerElt:
         n = self.level
         if m == n:
             return self
-        q = self._qq()
-        acc = np.zeros_like(self.coords, dtype=object)
-        for u in t.galois_units(n, m):
-            acc = (acc + self.galois(u).coords) % q
+        acc = t.act(self.coords, n, t.galois_units(n, m)).sum(axis=1) % self._qq()
         # the support must sit on the rows that k_m lands on
         idx = t.embed_index(m, n)
-        off_grid = np.ones(acc.shape[0], dtype=bool)
-        off_grid[idx] = False
-        assert not (acc[off_grid] % q).any(), "trace image has off-grid coordinates"
+        assert not np.delete(acc, idx, axis=0).any(), "trace image has off-grid coordinates"
         return TowerElt(t, m, acc[idx], self.den, self.prec)
 
     # -- diagnostics ------------------------------------------------------------

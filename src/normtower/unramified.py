@@ -14,13 +14,16 @@ Elements are coordinate tuples of length d in the basis 1, zeta, ..., zeta^(d-1)
 FieldDesc methods work on these raw tuples (the series and tower layers call
 them directly). Everything is arithmetic in (Z/q)[x]/(minimal polynomial):
 products, powers and inverses are polyarith's `mul_mod`, `pow_mod` and
-`inv_mod`.
+`inv_mod`. Frobenius^k is one read-only matrix, `FieldDesc.frob_matrix(k)`,
+read by `frob`, `TowerElt.galois` and `lattice.galois_span`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
+
+import numpy as np
 
 from .padic import content_val, factorize, is_prime, primitive_root
 from .polyarith import inv_mod, mul_mod, mul_vec, pow_mod, rem_monic, teichmuller
@@ -114,17 +117,18 @@ class FieldDesc:
     def frob(self, a, k: int, q: int | None = None):
         """Frobenius^k, k any integer (reduced mod d)."""
         q = q or self.q
-        k %= self.d
-        if k == 0:
+        if k % self.d == 0:
             return tuple(x % q for x in a)
-        cols = self.frob_cols[k]
-        out = [0] * self.d
-        for i, ai in enumerate(a):
-            if ai:
-                col = cols[i]
-                for j in range(self.d):
-                    out[j] = (out[j] + ai * col[j]) % q
-        return tuple(out)
+        return tuple(self.frob_matrix(k) @ np.array(a, dtype=object) % q)
+
+    @lru_cache(maxsize=None)
+    def frob_matrix(self, k: int) -> np.ndarray:
+        """The matrix of Frobenius^k, k any integer (reduced mod d), read-only:
+        entry (j, i) is the j-th coordinate of frob^k(zeta^i), so frob^k acts
+        on a coordinate vector as M @ a and on rows of coordinates as c @ M.T."""
+        M = np.array(self.frob_cols[k % self.d], dtype=object).T
+        M.setflags(write=False)
+        return M
 
     def val(self, a, cap: int | None = None) -> int:
         """min p-adic valuation over coordinates, capped (cap = zero at precision)."""

@@ -201,6 +201,18 @@ def test_report_json_structure(tmp_path):
     assert {"expected", "measured", "ok", "rule", "runtime"} <= rec.keys()
 
 
+def test_lambda_campaign_runs_at_p7(tmp_path):
+    """The lambda checks, the randomized kernel_freeness harness included,
+    at a prime past 3 and 5."""
+    out = tmp_path / "rep"
+    cfg = write_cfg(tmp_path, {**BASE, "p": [7], "n_max": 0, "checks": ["lambda"],
+                               "lambda_trials": 2})
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    records = json.loads((out / "report.json").read_text())["records"]
+    assert "kernel_freeness" in {r["check"] for r in records}
+    assert all(r["ok"] for r in records)
+
+
 def test_ap_gate_blocks_bad_curve(tmp_path):
     # an ordinary curve at p = 5 fails construction (good reduction but a_p != 0
     # passes CurveParams and must be caught by the gate)

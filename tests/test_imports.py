@@ -35,6 +35,10 @@
   `mul(...)` call as its first argument, and no function whose name contains
   teichmuller is defined: products, powers and Teichmuller lifts in
   (Z/q)[x]/(m) are polyarith's `mul_mod`, `pow_mod` and `teichmuller`.
+- `np.add.at` (any `add.at(...)` call) is called once, in tower.py: the
+  Galois action on coordinate arrays is the one scatter of `TowerDesc.act`.
+- No module but unramified.py reads `frob_cols`, as a name or an attribute:
+  Frobenius on coordinates is the one matrix `FieldDesc.frob_matrix`.
 
 Each allowlist only shrinks: a listed name that becomes read fails until it
 leaves the list.
@@ -452,3 +456,50 @@ def test_detects_a_quotient_ring_copy():
            "def lift(a):\n"
            "    return teichmuller([a], [0, 1], 3, 9)\n")
     assert quotient_ring_copies(src) == [1, 2, 3, 8, 11]
+
+
+def scatter_adds(source: str) -> list[int]:
+    """The lines of the `add.at(...)` calls (an attribute `at` of an attribute
+    `add`, such as np.add.at)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "at" and isinstance(node.func.value, ast.Attribute)
+                  and node.func.value.attr == "add")
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_the_galois_scatter_lives_in_tower(module):
+    assert len(scatter_adds(SOURCES[module])) == int(module == "tower.py")
+
+
+def test_detects_a_scatter_add():
+    src = ("np.add.at(out, dst, v)\n"
+           "numpy.add.at(out, idx, 1)\n"
+           "np.add(a, b)\n"
+           "np.subtract.at(out, idx, v)\n"
+           "at(out, idx)\n"
+           "out = np.add.reduce(rows) + np.add.at(acc, i, rows)\n")
+    assert scatter_adds(src) == [1, 2, 6]
+
+
+def frob_cols_reads(source: str) -> list[int]:
+    """The lines that read frob_cols, as an attribute or a loaded name."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "frob_cols"
+                  or isinstance(node, ast.Name) and node.id == "frob_cols"
+                  and isinstance(node.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("module", sorted(set(SOURCES) - {"unramified.py"}))
+def test_frobenius_matrix_lives_in_unramified(module):
+    assert frob_cols_reads(SOURCES[module]) == []
+
+
+def test_detects_a_frob_cols_read():
+    src = ("cols = fd.frob_cols[k]\n"
+           "FieldDesc(p=p, frob_cols=frob_all)\n"
+           "M = np.array(self.field.frob_cols)\n"
+           "frob_cols = 1\n"
+           "print(frob_cols)\n"
+           "frob = fd.frob_matrix(k)\n")
+    assert frob_cols_reads(src) == [1, 3, 5]

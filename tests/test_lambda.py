@@ -333,6 +333,13 @@ def test_kernel_freeness_property_small():
     assert rep["trials"] == 24
 
 
+def test_kernel_freeness_property_runs_at_p7():
+    """The safe torsion blocks exist at every odd p, not only at 3 and 5."""
+    rep = kernel_freeness_property(6, seed=7, N=10, p=7)
+    assert rep["ok"], rep["counterexamples"]
+    assert rep["trials"] == 6
+
+
 def test_minus_side_has_no_finite_submodule():
     # the minus local condition at every finite level: the presentation is a
     # Z_p-free module, so its X-kernel is torsion-free at each level

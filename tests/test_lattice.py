@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_snf import reference_span_intersection
 from test_tower import (
+    reference_apply_idempotent,
     reference_delta_exponent,
     reference_delta_generator,
+    reference_galois,
     reference_gamma_exponent,
 )
 
@@ -14,7 +16,6 @@ from normtower.groupring import idempotents
 from normtower.lattice import (
     Lattice,
     _common_den,
-    apply_idempotent,
     check_exact_sequence,
     curve_group_lattice,
     cyclicity_check,
@@ -211,7 +212,8 @@ def test_retry_gives_up_after_the_last_rung():
 
 # The Galois orbit and the lattice embedding that TowerDesc.galois_units and
 # Lattice.embed replaced, kept verbatim (names prefixed; the TowerDesc methods
-# they called are the reference functions of tests/test_tower.py).
+# they called, and the one-unit-at-a-time Galois action and character
+# projection, are the reference functions of tests/test_tower.py).
 
 def reference_galois_orbit(x: TowerElt, n: int, include_tame: bool) -> list[TowerElt]:
     """sigma(x) for sigma over Frobenius x wild (x tame, optionally) parts of
@@ -226,11 +228,11 @@ def reference_galois_orbit(x: TowerElt, n: int, include_tame: bool) -> list[Towe
     out = []
     wild_count = t.p**n if n >= 0 else 1
     for tu in tame_us:
-        y = x.galois(tu, 0) if n >= 0 else x
+        y = reference_galois(x, tu, 0) if n >= 0 else x
         for _ in range(wild_count):
             for a in range(t.d):
-                out.append(y.galois(1, a) if a else y)
-            y = y.galois(gamma_u, 0)
+                out.append(reference_galois(y, 1, a) if a else y)
+            y = reference_galois(y, gamma_u, 0)
     return out
 
 
@@ -257,7 +259,7 @@ def reference_galois_span(t, gens: list[TowerElt], n: int, chi) -> Lattice:
     of each chi-projected generator, tame units included when chi is None."""
     elems = []
     for gen in gens:
-        y = gen.embed(n) if chi is None else apply_idempotent(gen.embed(n), chi)
+        y = gen.embed(n) if chi is None else reference_apply_idempotent(gen.embed(n), chi)
         elems += reference_galois_orbit(y, n, chi is None)
     return lattice_from_elements(t, n, elems)
 

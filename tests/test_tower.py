@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_padic import coordinate_grids, precision_shapes
 
+from normtower.groupring import idempotents
+from normtower.lattice import apply_idempotent
 from normtower.padic import factorize, primitive_root
 from normtower.polyarith import mul_vec, truncate
 from normtower.tower import (
@@ -20,7 +22,7 @@ from normtower.tower import (
     tower_zero,
     uniformizer,
 )
-from normtower.unramified import _element_order_is
+from normtower.unramified import FieldDesc, _element_order_is
 
 
 def test_cyclotomic_relation_holds(tower_3_2):
@@ -282,27 +284,38 @@ def test_embed_index_is_the_p_power_grid(tower_3_2):
             assert not idx.flags.writeable
 
 
+def _unit_tuples(t, n: int) -> list[tuple[int, ...]]:
+    """Every tuple of units the program hands TowerDesc.act at level n: one
+    unit reduced mod p^(n+1) (TowerElt.galois), Gal(k_n/k_m) for each m
+    (trace_to, galois_span) and the tame units (apply_idempotent)."""
+    singles = [(u % t.p ** (n + 1),) for u in t.galois_units(n, -1)]
+    return singles + [t.galois_units(n, m) for m in range(-1, n + 1)] + [t.tame_units(n)]
+
+
 def _cached_calls(t):
     """Arguments for each lru-cached TowerDesc method, over levels -1..2."""
     levels = range(-1, 3)
     pairs = [(m, n) for n in levels for m in range(-1, n + 1)]
     return {
         "modulus": [(n,) for n in levels],
-        "_galois_table": [(n, u % t.p ** (n + 1)) for n in levels for u in t.galois_units(n, -1)],
-        "orbit_scatter": [(n, m) for m, n in pairs],
-        "frob_matrix": [(k,) for k in range(-1, t.d + 1)],
+        "galois_scatter": [(n, units) for n in levels for units in _unit_tuples(t, n)],
         "tame_units": [(n,) for n in levels],
         "galois_units": [(n, m) for m, n in pairs],
         "embed_index": pairs,
     }
 
 
+def _cached_methods(cls) -> set[str]:
+    return {name for name, f in vars(cls).items() if hasattr(f, "cache_info")}
+
+
 def test_cached_tower_arrays_are_read_only(tower_3_2):
-    """The caches share each array between every value-equal tower, so every
-    array a cached method returns, alone or in a tuple, is read-only."""
+    """The caches share each array between every value-equal tower (and every
+    reader of one field), so every array a cached method of TowerDesc or
+    FieldDesc returns, alone or in a tuple, is read-only."""
     t = tower_3_2
     calls = _cached_calls(t)
-    assert {name for name, f in vars(TowerDesc).items() if hasattr(f, "cache_info")} == set(calls)
+    assert _cached_methods(TowerDesc) == set(calls)
     with_arrays = set()
     for name, args in calls.items():
         for a in args:
@@ -311,7 +324,10 @@ def test_cached_tower_arrays_are_read_only(tower_3_2):
                 if isinstance(arr, np.ndarray):
                     with_arrays.add(name)
                     assert not arr.flags.writeable, (name, a)
-    assert with_arrays == {"_galois_table", "orbit_scatter", "frob_matrix", "embed_index"}
+    assert with_arrays == {"galois_scatter", "embed_index"}
+    assert _cached_methods(FieldDesc) == {"frob_matrix"}
+    for k in range(-1, t.d + 2):
+        assert not t.field.frob_matrix(k).flags.writeable, k
 
 
 # The rewrite table and the fold that reduced tower products before
@@ -358,6 +374,85 @@ def reference_galois_table(t, n: int, u: int):
             src.append(j)
             cf.append(sgn)
     return dst, src, cf
+
+
+def reference_act(t, c: np.ndarray, n: int, units) -> np.ndarray:
+    """TowerDesc.act one unit at a time through the rewrite table."""
+    out = np.zeros((t.level_dim(n), len(units)) + c.shape[1:], dtype=c.dtype)
+    for s, u in enumerate(units):
+        for dst, src, cf in zip(*reference_galois_table(t, n, u)):
+            out[dst, s] += cf * c[src]
+    return out
+
+
+# Frobenius as FieldDesc.frob and TowerDesc.frob_matrix computed it, and the
+# Galois action, trace and character projection that walked one unit at a
+# time, kept verbatim (names prefixed, the unit table the rewrite table above)
+# as references. tests/test_lattice.py uses them too.
+
+def reference_frob(fd, a, k: int, q: int | None = None):
+    """Frobenius^k, k any integer (reduced mod d)."""
+    q = q or fd.q
+    k %= fd.d
+    if k == 0:
+        return tuple(x % q for x in a)
+    cols = fd.frob_cols[k]
+    out = [0] * fd.d
+    for i, ai in enumerate(a):
+        if ai:
+            col = cols[i]
+            for j in range(fd.d):
+                out[j] = (out[j] + ai * col[j]) % q
+    return tuple(out)
+
+
+def reference_frob_matrix(t, k: int) -> np.ndarray:
+    k %= t.d
+    cols = t.field.frob_cols[k]
+    return np.array([[cols[i][j] for i in range(t.d)] for j in range(t.d)], dtype=object)
+
+
+def reference_galois(x: TowerElt, u: int, f: int = 0) -> TowerElt:
+    """eta -> eta^u on the cyclotomic part, Frobenius^f on coefficients."""
+    t = x.tower
+    n = x.level
+    c = x.coords
+    if f % t.d:
+        c = c @ reference_frob_matrix(t, f).T
+    if n == -1:
+        return replace(x, coords=c)
+    dst, src, cf = (np.array(a, dtype=np.int64)
+                    for a in reference_galois_table(t, n, u % t.p ** (n + 1)))
+    out = np.zeros_like(c, dtype=object)
+    np.add.at(out, dst, cf[:, None] * c[src])
+    return replace(x, coords=out)
+
+
+def reference_trace_to(x: TowerElt, m: int) -> TowerElt:
+    """Sum over Gal(k_level / k_m); lands exactly in k_m."""
+    t = x.tower
+    n = x.level
+    if m == n:
+        return x
+    q = x.p**x.prec
+    acc = np.zeros_like(x.coords, dtype=object)
+    for u in reference_trace_units(t, n, m):
+        acc = (acc + reference_galois(x, u).coords) % q
+    # the support must sit on the rows that k_m lands on
+    idx = t.embed_index(m, n)
+    off_grid = np.ones(acc.shape[0], dtype=bool)
+    off_grid[idx] = False
+    assert not (acc[off_grid] % q).any(), "trace image has off-grid coordinates"
+    return TowerElt(t, m, acc[idx], x.den, x.prec)
+
+
+def reference_apply_idempotent(x: TowerElt, eps) -> TowerElt:
+    """eps_chi * x, eps.coeffs[k] weighting the k-th tame unit of the tower."""
+    out = None
+    for u, coeff in zip(x.tower.tame_units(x.level), eps.coeffs):
+        term = reference_galois(x, u, 0).scale_int(coeff)
+        out = term if out is None else out + term
+    return out
 
 
 def reference_mul(x, y):
@@ -412,7 +507,7 @@ def test_galois_table_matches_the_rewrite_table(p):
     t = _tower(p, 1, 2)
     for n in range(-1, 3):
         for u in t.galois_units(n, -1):
-            table = [a.tolist() for a in t._galois_table(n, u)]
+            table = [a.tolist() for a in t.galois_scatter(n, (u,))]
             assert table == list(reference_galois_table(t, n, u))
 
 
@@ -449,3 +544,75 @@ def test_every_operation_returns_reduced_object_coordinates(data):
     for z in (x, x + y, x - y, -x, x * y, x.scale_int(c), x.scale_field(a),
               x.galois(u, f), x.embed(m_up), x.trace_to(m_down), x.canonical()):
         _assert_reduced(z)
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape and entries, and the same Python type for each entry."""
+    return (a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist()
+            and [type(v) for v in a.flat] == [type(v) for v in b.flat])
+
+
+def _same_elt(x: TowerElt, y: TowerElt) -> bool:
+    return (x.level, x.den, x.prec) == (y.level, y.den, y.prec) and _same_array(x.coords, y.coords)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_act_matches_the_per_unit_tables(data):
+    """act on object and int64 arrays of trailing shape (d,) or (G, d, d), for
+    every tuple of units the program passes, against one unit at a time."""
+    p, d, n_max = data.draw(st.sampled_from(TOWERS))
+    t = _tower(p, d, n_max)
+    n = data.draw(st.integers(-1, n_max))
+    units = data.draw(st.sampled_from(_unit_tuples(t, n)))
+    trailing = data.draw(st.sampled_from([(d,), (data.draw(st.integers(1, 3)), d, d)]))
+    dtype = data.draw(st.sampled_from([object, np.int64]))
+    shape = (t.level_dim(n),) + trailing
+    flat = data.draw(st.lists(st.integers(-t.q, t.q), min_size=math.prod(shape),
+                              max_size=math.prod(shape)))
+    c = np.array(flat, dtype=dtype).reshape(shape)
+    got = t.act(c, n, units)
+    assert got.dtype == c.dtype
+    assert _same_array(got, reference_act(t, c, n, units))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_trace_to_matches_the_sum_over_units(data):
+    p, d, n_max = data.draw(st.sampled_from(TOWERS))
+    t = _tower(p, d, n_max)
+    n = data.draw(st.integers(-1, n_max))
+    m = data.draw(st.integers(-1, n))
+    x = _draw_elt(data, t, n)
+    assert _same_elt(x.trace_to(m), reference_trace_to(x, m))
+
+
+@pytest.mark.parametrize("p,d,n_max", [(3, 1, 2), (3, 2, 2), (5, 2, 2)])
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_apply_idempotent_matches_the_sum_over_tame_units(p, d, n_max, data):
+    """Every character at levels -1..2; at level -1 every tame unit is 1, so
+    the projection is (sum of the weights) * x."""
+    t = _tower(p, d, n_max)
+    for n in range(-1, 3):
+        x = _draw_elt(data, t, n)
+        for eps in idempotents(p, t.N):
+            got = apply_idempotent(x, eps)
+            assert _same_elt(got, reference_apply_idempotent(x, eps))
+            if n == -1:
+                assert _same_elt(got, x.scale_int(sum(eps.coeffs)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_frob_matches_the_loop_over_frob_cols(data):
+    """FieldDesc.frob for k in -1..d+1, with and without an explicit modulus,
+    against the loop over frob_cols it replaced."""
+    p, d, prec, _ = data.draw(precision_shapes())
+    fd = _tower(p, d, 0).field
+    a = tuple(data.draw(st.integers(-(fd.q**2), fd.q**2)) for _ in range(d))
+    q = data.draw(st.sampled_from([None, p ** min(prec, fd.N)]))
+    for k in range(-1, d + 2):
+        got = fd.frob(a, k, q)
+        assert got == reference_frob(fd, a, k, q)
+        assert all(type(v) is int for v in got)
