@@ -13,7 +13,6 @@ from .groupring import (
     GroupRing,
     annihilator,
     delta_of,
-    idempotents,
     is_unit,
     omega_family,
     phi_plus_phi_inv,
@@ -51,7 +50,7 @@ from .unramified import FieldDesc, build_unramified
 __all__ = [
     "CurveParams", "curve_from_preset", "formal_exp",
     "formal_group_law", "formal_log", "multiplication_by_p_series",
-    "GroupRing", "annihilator", "delta_of", "idempotents", "is_unit",
+    "GroupRing", "annihilator", "delta_of", "is_unit",
     "omega_family", "phi_plus_phi_inv", "q_values",
     "HondaLog", "honda_exp", "honda_log", "series_bundle",
     "NotZpFinite", "Presentation", "coinvariant_rank_law", "coinvariants",

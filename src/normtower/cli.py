@@ -22,7 +22,6 @@ from time import perf_counter
 
 from . import honda
 from .curve import CurveParams, curve_from_preset
-from .groupring import idempotents
 from .lambda_modules import (
     closed_form_coinvariant_torsion,
     coinvariant_rank_law,
@@ -42,7 +41,7 @@ from .lattice import (
 from .padic import PrecisionExhausted
 from .points import verify_trace_relations
 from .series import TruncSeries
-from .snf import HARNESS_PRECISION, MODULE_PRECISION, at_rising_precision
+from .snf import HARNESS_PRECISION, MARGIN, MODULE_PRECISION, at_rising_precision
 from .tower import build_tower
 
 SCHEMA_VERSION = 1
@@ -52,6 +51,13 @@ CSV_COLUMNS = ("p", "d", "n", "chi", "sign", "check", "expected", "measured",
 
 class ConfigError(ValueError):
     pass
+
+
+def _integer(name: str, value) -> int:
+    """value, when it is a JSON integer (a bool is not one)."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass
@@ -70,14 +76,18 @@ class CampaignConfig:
     def from_json(doc: dict, checks_override=None, seed_override=None,
                   out_override=None) -> "CampaignConfig":
         try:
-            p_list = [int(x) for x in doc["p"]]
-            d_list = [int(x) for x in doc["d"]]
+            for name in ("p", "d"):
+                if not isinstance(doc[name], list):
+                    raise ConfigError(f"{name} must be a list of integers, got {doc[name]!r}")
+            p_list = [_integer("p", x) for x in doc["p"]]
+            d_list = [_integer("d", x) for x in doc["d"]]
             if not p_list or not d_list:
                 raise ConfigError("empty p or d list")
-            n_max = int(doc.get("n_max", 2))
-            precision = int(doc.get("precision", 6))
-            lambda_trials = int(doc.get("lambda_trials", 40))
-            for name, value, low in (("precision", precision, 1), ("d", min(d_list), 1),
+            n_max = _integer("n_max", doc.get("n_max", 2))
+            precision = _integer("precision", doc.get("precision", 6))
+            lambda_trials = _integer("lambda_trials", doc.get("lambda_trials", 40))
+            # at N <= MARGIN every nonzero divisor lies inside the margin
+            for name, value, low in (("precision", precision, MARGIN + 1), ("d", min(d_list), 1),
                                      ("n_max", n_max, 0), ("lambda_trials", lambda_trials, 1)):
                 if value < low:
                     raise ConfigError(f"{name} must be >= {low}, got {value}")
@@ -176,18 +186,17 @@ def _check_trace(cfg: CampaignConfig):
                              ok=rec.ok, rule=rec.relation)
 
 
-def _chi_variants(p: int, N: int):
-    eps = idempotents(p, N)
-    return [("full", None), ("triv", eps[0])] + [("nontriv", e) for e in eps[1:2]]
+# the rank records' characters: the whole module, then indices of
+# `TowerDesc.idempotents`, which each tower builds at its own precision
+_RANK_CHARACTERS = (("full", None), ("triv", 0), ("nontriv", 1))
 
 
 def _check_ranks(cfg: CampaignConfig):
     for p in cfg.p_list:
-        chis = _chi_variants(p, cfg.precision)
         for d in cfg.d_list:
             for n in range(-1, cfg.n_max + 1):
-                for label, chi in chis:
-                    exp = expected_norm_rank(p, d, n, None if chi is None else chi.trivial)
+                for label, chi in _RANK_CHARACTERS:
+                    exp = expected_norm_rank(p, d, n, None if chi is None else chi == 0)
                     got = with_precision_retry(
                         p, d, max(n, 0), cfg.precision,
                         lambda tw: norm_subgroup_lattice(tw, n, chi).rank())
@@ -197,9 +206,9 @@ def _check_ranks(cfg: CampaignConfig):
                 if n < 0:
                     continue
                 for sign in "+-":
-                    for label, chi in chis:
+                    for label, chi in _RANK_CHARACTERS:
                         exp = expected_plusminus_rank(p, d, n, sign,
-                                                      None if chi is None else chi.trivial)
+                                                      None if chi is None else chi == 0)
                         got = with_precision_retry(
                             p, d, n, cfg.precision,
                             lambda tw: plusminus_lattice(tw, n, sign, chi).rank())

@@ -139,6 +139,7 @@ def _unit_series_data(curve: CurveParams, D: int) -> tuple[list[int], list[int]]
     return U, Uprime
 
 
+@lru_cache(maxsize=None)
 def formal_log(curve: CurveParams, field: FieldDesc, D: int, prec: int) -> TruncSeries:
     """log(t) = t + ... with log'(0) = 1; denominator v_p(m) at degree m.
 
@@ -183,8 +184,8 @@ def composition_work_precision(p: int, D: int, target: int) -> int:
     return target + D * D // 2 + 4 * D + 16
 
 
-@lru_cache(maxsize=None)
 def formal_exp(curve: CurveParams, field: FieldDesc, D: int, prec: int) -> TruncSeries:
+    """The reversion of `formal_log`, whose cache holds the log it inverts."""
     return formal_log(curve, field, D, prec).reversion()
 
 

@@ -1,6 +1,7 @@
 """The group ring Z_p[F]/(F^d - 1) for the unramified Galois group, the
-cyclotomic polynomial families omega_n / omega_n^{+-}, the alternating
-p-power sums q_n, and character idempotents for the tame quotient.
+cyclotomic polynomial families omega_n / omega_n^{+-}, and the alternating
+p-power sums q_n. The character idempotents of the tame quotient Delta are
+the tower's (`TowerDesc.idempotents`), built at the tower's own precision.
 
 Group-ring elements are coefficient tuples indexed by powers of F (the
 Frobenius); a product is a polyarith product reduced by the modulus F^d - 1.
@@ -15,8 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .padic import ZpContext, primitive_root
-from .polyarith import inv_mod, mul, mul_mod, teichmuller
+from .polyarith import inv_mod, mul, mul_mod
 from .snf import kernel_basis, span_contains_all
 
 
@@ -234,61 +234,6 @@ def q_values(p: int, n: int) -> tuple[int, int, int]:
     qm = q(n) if n % 2 == 1 else q(n - 1)
     assert qp + qm == p**n, "q_n^+ + q_n^- != p^n"
     return qn, qp, qm
-
-
-# ---------------------------------------------------------------------------
-# character idempotents for the tame quotient (cyclic of order p-1)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CharIdempotent:
-    """eps_chi = (1/(p-1)) sum_sigma chi(sigma) sigma^{-1} in Z_p[Delta].
-
-    Delta is enumerated as powers of a fixed generator; chi_j sends the
-    generator to the j-th power of the Teichmuller lift of its residue.
-    coeffs[k] is the coefficient of generator^k.
-    """
-
-    j: int
-    p: int
-    N: int
-    coeffs: tuple[int, ...]
-
-    @property
-    def trivial(self) -> bool:
-        return self.j == 0
-
-
-def idempotents(p: int, N: int) -> list[CharIdempotent]:
-    """All p-1 character idempotents; orthogonality and completeness verified."""
-    zp = ZpContext(p, N)
-    q = zp.q
-    tg = teichmuller([primitive_root(p)], [0, 1], p, q)[0]  # chi_1(generator)
-    inv_pm1 = zp.inv((p - 1) % q)
-    out = []
-    for j in range(p - 1):
-        coeffs = [0] * (p - 1)
-        for k in range(p - 1):
-            # chi_j(g^k) * (g^k)^{-1}: inverse of generator^k is generator^{p-1-k}
-            chi_val = pow(tg, (j * k) % (p - 1), q)
-            coeffs[(p - 1 - k) % (p - 1)] = (coeffs[(p - 1 - k) % (p - 1)] + chi_val) % q
-        out.append(CharIdempotent(j=j, p=p, N=N,
-                                  coeffs=tuple(c * inv_pm1 % q for c in coeffs)))
-    _check_idempotents(out, GroupRing(p - 1, p, N))
-    return out
-
-
-def _check_idempotents(eps: list[CharIdempotent], ring: GroupRing) -> None:
-    """Orthogonality and completeness in Z_p[Delta], Delta cyclic of order p - 1."""
-    total = ring.zero()
-    for e in eps:
-        assert ring.mul(e.coeffs, e.coeffs) == e.coeffs, "idempotent not idempotent"
-        total = ring.add(total, e.coeffs)
-    assert total == ring.one(), "idempotents do not sum to 1"
-    for a in eps:
-        for b in eps:
-            if a.j != b.j:
-                assert ring.is_zero(ring.mul(a.coeffs, b.coeffs)), "idempotents not orthogonal"
 
 
 def delta_of(d: int, chi_trivial: bool) -> int:

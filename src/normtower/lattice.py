@@ -8,6 +8,10 @@ margin, and an ambiguous decision is rerun up the precision ladder of
 `snf.at_rising_precision` before giving up. Row j*d + k of the matrix is the
 k-th O_k coordinate of eta^j.
 
+A character chi is an index into `TowerDesc.idempotents` (0 the trivial
+one, None the whole module); `apply_idempotent` reads the weights from the
+element's own tower, so they carry that tower's precision.
+
 `galois_span` builds an orbit matrix from the generators' (L, d) coordinate
 arrays, with no TowerElt per group element: each generator is scaled to the
 common den and reduced mod p^min(prec, N), as `TowerElt.vector` does; one
@@ -28,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .groupring import CharIdempotent, q_values
+from .groupring import q_values
 from .points import point_log, plusminus_point_log
 from .snf import (
     _dtype_for,
@@ -95,17 +99,19 @@ def lattice_from_elements(t: TowerDesc, level: int, elems: list[TowerElt]) -> La
 # character projection and Galois orbits
 # ---------------------------------------------------------------------------
 
-def apply_idempotent(x: TowerElt, eps: CharIdempotent) -> TowerElt:
-    """eps_chi * x, eps.coeffs[k] weighting the k-th tame unit of the tower."""
+def apply_idempotent(x: TowerElt, chi: int) -> TowerElt:
+    """eps_chi * x for the chi-th idempotent of x's tower, at that tower's
+    precision, entry k weighting the k-th tame unit."""
     t = x.tower
     ys = t.act(x.coords, x.level, t.tame_units(x.level))
-    coords = (ys * np.array(eps.coeffs, dtype=object)[:, None]).sum(axis=1)
+    coords = (ys * np.array(t.idempotents()[chi], dtype=object)[:, None]).sum(axis=1)
     return TowerElt(t, x.level, coords, x.den, x.prec)
 
 
 def galois_span(t: TowerDesc, gens: list[TowerElt], n: int,
-                chi: CharIdempotent | None = None) -> Lattice:
-    """Z_p-span of the G_n-orbit of the generators (chi-projected when given):
+                chi: int | None = None) -> Lattice:
+    """Z_p-span of the G_n-orbit of the generators (projected to the chi-th
+    character when chi is an index of `TowerDesc.idempotents`, 0 trivial):
     the column of (generator g, unit u, Frobenius power a) is sigma_u frob^a(g)."""
     ys = [gen.embed(n) for gen in gens]
     if chi is not None:
@@ -132,23 +138,23 @@ def galois_span(t: TowerDesc, gens: list[TowerElt], n: int,
 # the lattices of the theory
 # ---------------------------------------------------------------------------
 
-def _point_log_span(t: TowerDesc, n: int, lower: int, chi) -> Lattice:
+def _point_log_span(t: TowerDesc, n: int, lower: int, chi: int | None) -> Lattice:
     """The span of the level-n point log and, for n >= 0, the level-`lower` one."""
     gens = [point_log(t, n)] + ([point_log(t, lower)] if n >= 0 else [])
     return galois_span(t, gens, n, chi)
 
 
-def norm_subgroup_lattice(t: TowerDesc, n: int, chi=None) -> Lattice:
+def norm_subgroup_lattice(t: TowerDesc, n: int, chi: int | None = None) -> Lattice:
     """C(m_n): the span of the level-n and level-(-1) point logs (log route)."""
     return _point_log_span(t, n, -1, chi)
 
 
-def curve_group_lattice(t: TowerDesc, n: int, chi=None) -> Lattice:
+def curve_group_lattice(t: TowerDesc, n: int, chi: int | None = None) -> Lattice:
     """The log image of the full group at level n: span of log d_n, log d_(n-1)."""
     return _point_log_span(t, n, n - 1, chi)
 
 
-def plusminus_lattice(t: TowerDesc, n: int, sign: str, chi=None) -> Lattice:
+def plusminus_lattice(t: TowerDesc, n: int, sign: str, chi: int | None = None) -> Lattice:
     """The plus/minus subgroup at level n: span of the signed points."""
     assert n >= 0
     gens = [plusminus_point_log(t, n, sign), plusminus_point_log(t, 0, "-")]
@@ -215,7 +221,7 @@ def _stack(a: Lattice, b: Lattice) -> Lattice:
     return Lattice(a.tower, a.level, a2.den, stack_cols(a2.mat, b2.mat))
 
 
-def check_exact_sequence(t: TowerDesc, n: int, chi=None) -> dict:
+def check_exact_sequence(t: TowerDesc, n: int, chi: int | None = None) -> dict:
     """0 -> (level -1 group) -> C_n (+) C_(n-1) -> (full level-n group) -> 0,
     verified as: intersection = the level -1 lattice, sum = the full lattice,
     and rank additivity."""

@@ -3,6 +3,11 @@ epsilon [+] pi_n is evaluated through the twisted exponential and pushed along
 the integral isomorphism to the curve's formal group, then cross-checked
 against the closed-form logarithm.
 
+The preimage of epsilon under the twisted log is exp(epsilon), evaluated by
+the one series evaluator `eval_series_at_tower` at level -1; it must be
+integral, and the log must take it back to epsilon to target + 4 digits, or
+the construction raises PrecisionExhausted.
+
 Convergence limits this route to n <= 1: the twisted exponential converges on
 valuations above 1/(p^2-1), and v(pi_n) = 1/((p-1)p^n) clears that exactly for
 p^n < p + 1. Effective precision is computed from measured denominator
@@ -45,34 +50,6 @@ def eval_series_at_tower(s: TruncSeries, x: TowerElt, vmin: Fraction) -> tuple[T
     return acc.div_p(s.den) if s.den else acc, tail_floor
 
 
-def solve_log_preimage(hl_series: TruncSeries, field, target_elt, target_floor: int):
-    """Newton solve log(t) = target for t in the maximal ideal of O_k
-    (valuation >= 1, so the series converge comfortably)."""
-    q = field.p**hl_series.prec
-    t = tuple(target_elt)
-    deriv = hl_series.derivative().canonical()
-    assert deriv.den == 0
-    for _ in range(hl_series.prec.bit_length() + 4):
-        val, den, _ = hl_series.evaluate_field(t, 1)
-        # residual = log(t) - target, true value p^-den*(val) - target
-        resid = field.sub(val, field.scalar(field.p**den, target_elt, q), q)
-        if field.val(resid, cap=target_floor + den) >= target_floor + den:
-            break
-        dval, dden, _ = deriv.evaluate_field(t, 1)
-        assert dden == 0
-        dinv = field.inv(dval, q)
-        step = field.mul(resid, dinv, q)
-        pd = field.p**den
-        assert all(v % pd == 0 for v in step), "Newton step lost integrality"
-        step = tuple(v // pd for v in step)
-        t = field.sub(t, step, q)
-    val, den, _ = hl_series.evaluate_field(t, 1)
-    resid = field.sub(val, field.scalar(field.p**den, target_elt, q), q)
-    if field.val(resid, cap=target_floor + den) < target_floor + den:
-        raise PrecisionExhausted("Newton solve for the log preimage did not converge")
-    return t
-
-
 @dataclass(frozen=True)
 class LocalPoint:
     level: int
@@ -106,11 +83,15 @@ def local_point_direct(bundle: SeriesBundle, n: int, target: int) -> LocalPoint:
     tower = TowerDesc(field, max(n, 0))
     eps = epsilon_log(tower, n)
 
-    # preimage of epsilon under the twisted log lives in the maximal ideal
-    eps_coeff = tuple(int(v) for v in eps.coords[0])
-    pre = solve_log_preimage(bundle.honda.series, field, eps_coeff,
-                             target_floor=target + 4)
-    assert field.val(pre, cap=2) >= 1, "preimage not in the maximal ideal"
+    # the preimage of epsilon under the twisted log is exp(epsilon), integral
+    # and in the maximal ideal, and the log takes it back to epsilon
+    pre = eval_series_at_tower(bundle.honda_exp_series, eps, 1)[0].canonical()
+    if pre.den:
+        raise PrecisionExhausted("the twisted exp of epsilon is not integral")
+    back = eval_series_at_tower(bundle.honda.series, pre, 1)[0] - eps
+    if min(back.residual_valuation(), back.effective_prec) < target + 4:
+        raise PrecisionExhausted("the twisted log of exp(epsilon) misses epsilon")
+    assert pre.residual_valuation() >= 1, "preimage not in the maximal ideal"
 
     # parameter of the group-law sum: exp_twisted at the sum of logarithms
     S = point_log(tower, n)

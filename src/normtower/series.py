@@ -13,6 +13,9 @@ and the same for every product of a field, so that the CRT tables of its
 explicit-CRT lift are built once per field; each row is then reduced by the
 minimal polynomial and p^prec.
 
+A series is evaluated at a point of the tower, O_k included as level -1,
+by `localpoints.eval_series_at_tower` only.
+
 canonical() reads the p-adic content of every coordinate at once
 (`padic.content_val`, capped at den) and divides by that power of p once.
 Its zero branch, for a series whose stored coordinates are all 0, sets den
@@ -213,18 +216,3 @@ class TruncSeries:
             E = (Ek - delta * Q).canonical().pad(deg)
             good = good2
         return E.truncate(deg)
-
-    def evaluate_field(self, x, x_val: int):
-        """Evaluate at an O_k element x with v_p(x) >= x_val > 0.
-
-        Returns (value coords, den, effective precision), where the truncation
-        tail contributes valuation >= (deg+1) * v(x) - den.
-        """
-        q = self._q()
-        acc = self.field.zero()
-        for j in range(self.deg, -1, -1):
-            acc = self.field.mul(acc, x, q)
-            acc = self.field.add(acc, self.coeffs[j], q)
-        tail = (self.deg + 1) * x_val - self.den
-        eff = min(self.prec - self.den, tail)
-        return acc, self.den, eff

@@ -15,6 +15,12 @@ The action is written once: `TowerDesc.act` applies the cached scatter
 array in one np.add.at. Automorphisms, traces, character projections and
 orbit lattices all call it; Frobenius is the one `FieldDesc.frob_matrix`.
 
+Delta = Gal(k_0/k) is enumerated once, as the powers of g = primitive_root(p)
+in `tame_units`, and its characters are the tower's: `idempotents()` holds
+the weights of the p - 1 character idempotents on that enumeration at the
+tower's precision N. A character is an index into it, so a lattice rebuilt
+on a higher rung of the precision ladder projects at that rung's N.
+
 A TowerElt carries a denominator exponent: it represents p^(-den) * (integral
 coords), with coords stored mod p^prec, so its effective precision is
 prec - den. Division by p is total; equality checks report the residual
@@ -36,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .padic import content_val, primitive_root
-from .polyarith import mul_vec, rem_monic, teichmuller
+from .polyarith import mul_mod, mul_vec, rem_monic, teichmuller
 from .unramified import FieldDesc, build_unramified
 
 
@@ -119,6 +125,28 @@ class TowerDesc:
         g, q = primitive_root(self.p), self.p ** (n + 1)
         return tuple(teichmuller([pow(g, k, self.p)], [0, 1], self.p, q)[0]
                      for k in range(self.p - 1))
+
+    @lru_cache(maxsize=None)
+    def idempotents(self) -> tuple[tuple[int, ...], ...]:
+        """The weights of the p - 1 character idempotents of Z_p[Delta] mod
+        p^N, N the tower's precision: eps_j = (1/(p-1)) sum_k chi_j(g^k) (g^k)^-1
+        with chi_j(g) the j-th power of the Teichmuller lift of g, so entry k,
+        which weights `tame_units(n)[k]`, is chi_j(g^-k) / (p - 1). Idempotence,
+        orthogonality and completeness are asserted in (Z/p^N)[x]/(x^(p-1) - 1),
+        x standing for g."""
+        p, q, r = self.p, self.q, self.p - 1
+        tg = teichmuller([primitive_root(p)], [0, 1], p, q)[0]
+        inv = pow(r, -1, q)
+        eps = tuple(tuple(pow(tg, -j * k % r, q) * inv % q for k in range(r))
+                    for j in range(r))
+        m = (-1,) + (0,) * (r - 1) + (1,)
+        for i, a in enumerate(eps):
+            for j, b in enumerate(eps):
+                assert tuple(mul_mod(a, b, m, q)) == (a if i == j else (0,) * r), \
+                    "idempotents not idempotent or not orthogonal"
+        assert [sum(c) % q for c in zip(*eps)] == [1] + [0] * (r - 1), \
+            "idempotents do not sum to 1"
+        return eps
 
     @lru_cache(maxsize=None)
     def galois_units(self, n: int, m: int) -> tuple[int, ...]:

@@ -47,6 +47,10 @@ def test_config_rejects_empty_d():
     {"n_max": -3},
     {"n_max": -3, "checks": ["ranks"]},
     {"lambda_trials": 0},
+    {"precision": 1},
+    {"precision": 2},
+    {"p": "35"},
+    {"d": [1.5]},
 ])
 def test_config_rejects_out_of_range_values(tmp_path, capsys, override):
     with pytest.raises(ConfigError):
@@ -211,6 +215,16 @@ def test_lambda_campaign_runs_at_p7(tmp_path):
     records = json.loads((out / "report.json").read_text())["records"]
     assert "kernel_freeness" in {r["check"] for r in records}
     assert all(r["ok"] for r in records)
+
+
+def test_character_ranks_that_climb_pass(tmp_path):
+    """At precision 4 the nontrivial-character ranks of n = 2 climb the
+    precision ladder; each rung projects with its own tower's idempotents."""
+    out = tmp_path / "rep"
+    cfg = write_cfg(tmp_path, {**BASE, "n_max": 2, "checks": ["ranks"]})
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    records = json.loads((out / "report.json").read_text())["records"]
+    assert len(records) == 34 and all(r["ok"] for r in records)
 
 
 def test_ap_gate_blocks_bad_curve(tmp_path):

@@ -13,7 +13,6 @@ from normtower.groupring import (
     annihilator_matches_closed_form,
     cyclotomic_phi,
     delta_of,
-    idempotents,
     is_unit,
     omega_family,
     one_plus_x_pow,
@@ -215,13 +214,6 @@ def test_phi_cyclotomic_value_at_zero():
     for p in (3, 5):
         for m in (1, 2, 3):
             assert cyclotomic_phi(p, m)[0] == p
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_idempotents(p):
-    eps = idempotents(p, 3)
-    assert len(eps) == p - 1  # orthogonality/completeness asserted internally
-    assert eps[0].trivial
 
 
 def test_delta_law():

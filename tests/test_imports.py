@@ -39,6 +39,10 @@
   Galois action on coordinate arrays is the one scatter of `TowerDesc.act`.
 - No module but unramified.py reads `frob_cols`, as a name or an attribute:
   Frobenius on coordinates is the one matrix `FieldDesc.frob_matrix`.
+- Outside padic.py, no module but tower.py and unramified.py reads
+  `primitive_root`, as a name or an attribute: Delta is enumerated once, by
+  `TowerDesc.tame_units`, and its characters are `TowerDesc.idempotents` on
+  that enumeration (unramified.py takes x - g as its degree-1 modulus).
 
 Each allowlist only shrinks: a listed name that becomes read fails until it
 leaves the list.
@@ -503,3 +507,26 @@ def test_detects_a_frob_cols_read():
            "print(frob_cols)\n"
            "frob = fd.frob_matrix(k)\n")
     assert frob_cols_reads(src) == [1, 3, 5]
+
+
+def primitive_root_reads(source: str) -> list[int]:
+    """The lines that read primitive_root, as an attribute or a loaded name."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "primitive_root"
+                  or isinstance(node, ast.Name) and node.id == "primitive_root"
+                  and isinstance(node.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("module", sorted(set(SOURCES) - {"padic.py", "tower.py", "unramified.py"}))
+def test_delta_is_enumerated_in_tower(module):
+    assert primitive_root_reads(SOURCES[module]) == []
+
+
+def test_detects_a_primitive_root_read():
+    src = ("from .padic import primitive_root\n"
+           "g = primitive_root(p)\n"
+           "tg = teichmuller([padic.primitive_root(p)], [0, 1], p, q)[0]\n"
+           "primitive_root = 2\n"
+           "root = primitive_roots[p]\n"
+           "gens = map(primitive_root, primes)\n")
+    assert primitive_root_reads(src) == [2, 3, 6]

@@ -12,7 +12,6 @@ from test_tower import (
     reference_gamma_exponent,
 )
 
-from normtower.groupring import idempotents
 from normtower.lattice import (
     Lattice,
     _common_den,
@@ -45,7 +44,7 @@ from normtower.snf import (
 from normtower.tower import TowerElt, build_tower
 
 
-EPS3 = idempotents(3, 6)
+EPS3 = (0, 1)  # the trivial character of p = 3 and the other one
 
 
 def test_base_level_lattice(tower_3_2):
@@ -92,7 +91,7 @@ def test_exact_sequence_all_chi(tower_3_2, tower_3_4):
             for chi in (None, EPS3[0], EPS3[1]):
                 rep = check_exact_sequence(t, n, chi)
                 assert rep["ok"], rep
-                expected_base = t.d if chi is None or chi.trivial else 0
+                expected_base = t.d if chi is None or chi == 0 else 0
                 assert rep["rank_intersection"] == expected_base
 
 
@@ -145,9 +144,8 @@ def test_generation_property(tower_3_2, tower_3_4):
 
 def test_p5_rank_table(tower_5_2):
     t = tower_5_2
-    eps5 = idempotents(5, 4)
     for n in (-1, 0, 1):
-        for chi, triv in ((None, None), (eps5[0], True), (eps5[2], False)):
+        for chi, triv in ((None, None), (0, True), (2, False)):
             got = norm_subgroup_lattice(t, n, chi).rank()
             assert got == expected_norm_rank(5, 2, n, triv)
 
@@ -196,6 +194,19 @@ def test_retry_climbs_the_ladder():
 
     assert with_precision_retry(3, 1, 0, 5, fn) == 5 + 2 * PRECISION_BUMP
     assert seen == [5, 5 + PRECISION_BUMP, 5 + 2 * PRECISION_BUMP]
+
+
+def test_a_character_rank_projects_at_the_precision_of_its_rung():
+    """The chi = 1 rank of C(m_2) at p = 3, d = 1 is ambiguous at N = 4 and
+    decided at N = 8, with the idempotent known to that rung's precision."""
+    seen = []
+
+    def rank(tw):
+        seen.append(tw.N)
+        return norm_subgroup_lattice(tw, 2, 1).rank()
+
+    assert with_precision_retry(3, 1, 2, 4, rank) == expected_norm_rank(3, 1, 2, False) == 7
+    assert seen == [4, 4 + PRECISION_BUMP]
 
 
 def test_retry_gives_up_after_the_last_rung():
@@ -277,7 +288,7 @@ def test_galois_orbit_matches_reference(p, d, N, nmax):
     t = build_tower(p, d, nmax, N)
     for n in range(-1, nmax + 1):
         for x in (point_log(t, n), point_log(t, -1)):
-            for chi in (None, *idempotents(p, N)):
+            for chi in (None, *range(p - 1)):
                 assert _same_lattice(galois_span(t, [x], n, chi),
                                      reference_galois_span(t, [x], n, chi))
 
@@ -290,13 +301,13 @@ def _orbit_tower(p: int, d: int, N: int):
 @st.composite
 def orbit_cases(draw):
     """A tower at N = 6 (int64 lattices) or N = 16 (3^16 > 2^25: object), a
-    level n, chi None or an idempotent, and 1-3 generators at levels -1..n
+    level n, chi None or a character index, and 1-3 generators at levels -1..n
     with den 0..3, prec N-2..N and coordinates in [0, p^prec)."""
     p, d = draw(st.sampled_from([(3, 1), (3, 2), (3, 4), (5, 2)]))
     N = draw(st.sampled_from([6, 16]))
     t = _orbit_tower(p, d, N)
     n = draw(st.integers(-1, t.n_max))
-    chi = draw(st.sampled_from([None, *idempotents(p, N)]))
+    chi = draw(st.sampled_from([None, *range(p - 1)]))
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         level = draw(st.integers(-1, n))
@@ -317,7 +328,7 @@ def test_galois_span_matches_the_reference_path(case):
     assert got.mat.dtype == (np.int64 if t.N == 6 else object)
 
 
-@pytest.mark.parametrize("chi", [None, EPS3[1]])
+@pytest.mark.parametrize("chi", [None, EPS3[1]], ids=["None", "chi1"])
 def test_empty_lattice_has_the_ambient_shape(chi):
     t = build_tower(3, 2, 2, 6)
     for lat in (lattice_from_elements(t, 1, []), galois_span(t, [], 1, chi)):
@@ -397,7 +408,7 @@ def test_exact_sequence_matches_reference(p, d, N, nmax):
     shape, column order), for every level and character."""
     t = build_tower(p, d, nmax, N)
     for n in range(0, nmax + 1):
-        for chi in (None, *idempotents(p, N)):
+        for chi in (None, *range(p - 1)):
             assert check_exact_sequence(t, n, chi) == reference_check_exact_sequence(t, n, chi)
             A, B = _common_den(norm_subgroup_lattice(t, n, chi),
                                norm_subgroup_lattice(t, n - 1, chi).embed(n))

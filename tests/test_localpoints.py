@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from normtower import localpoints
 from normtower.curve import curve_from_preset
 from normtower.honda import series_bundle
 from normtower.localpoints import (
@@ -7,7 +10,8 @@ from normtower.localpoints import (
     eval_series_at_tower,
     local_point_direct,
 )
-from normtower.points import point_log
+from normtower.padic import PrecisionExhausted
+from normtower.points import epsilon_log, point_log
 from normtower.tower import TowerDesc, build_tower
 
 
@@ -83,3 +87,84 @@ def test_torsion_probe_uses_the_bundle_precision(monkeypatch):
     for n in (0, -1):
         rep = torsion_probe(b, n, trials=3, seed=7)
         assert rep["ok"], rep
+
+
+# The O_k Newton solve for the log preimage of epsilon and the field-element
+# evaluator it read, which the evaluation of the twisted exp at epsilon
+# replaced, kept verbatim (names prefixed; the evaluator a function of the
+# series) as references.
+
+def reference_evaluate_field(self, x, x_val: int):
+    """Evaluate at an O_k element x with v_p(x) >= x_val > 0.
+
+    Returns (value coords, den, effective precision), where the truncation
+    tail contributes valuation >= (deg+1) * v(x) - den.
+    """
+    q = self._q()
+    acc = self.field.zero()
+    for j in range(self.deg, -1, -1):
+        acc = self.field.mul(acc, x, q)
+        acc = self.field.add(acc, self.coeffs[j], q)
+    tail = (self.deg + 1) * x_val - self.den
+    eff = min(self.prec - self.den, tail)
+    return acc, self.den, eff
+
+
+def reference_solve_log_preimage(hl_series, field, target_elt, target_floor: int):
+    """Newton solve log(t) = target for t in the maximal ideal of O_k
+    (valuation >= 1, so the series converge comfortably)."""
+    q = field.p**hl_series.prec
+    t = tuple(target_elt)
+    deriv = hl_series.derivative().canonical()
+    assert deriv.den == 0
+    for _ in range(hl_series.prec.bit_length() + 4):
+        val, den, _ = reference_evaluate_field(hl_series, t, 1)
+        # residual = log(t) - target, true value p^-den*(val) - target
+        resid = field.sub(val, field.scalar(field.p**den, target_elt, q), q)
+        if field.val(resid, cap=target_floor + den) >= target_floor + den:
+            break
+        dval, dden, _ = reference_evaluate_field(deriv, t, 1)
+        assert dden == 0
+        dinv = field.inv(dval, q)
+        step = field.mul(resid, dinv, q)
+        pd = field.p**den
+        assert all(v % pd == 0 for v in step), "Newton step lost integrality"
+        step = tuple(v // pd for v in step)
+        t = field.sub(t, step, q)
+    val, den, _ = reference_evaluate_field(hl_series, t, 1)
+    resid = field.sub(val, field.scalar(field.p**den, target_elt, q), q)
+    if field.val(resid, cap=target_floor + den) < target_floor + den:
+        raise PrecisionExhausted("Newton solve for the log preimage did not converge")
+    return t
+
+
+@pytest.mark.parametrize("d,n,D,target", [(1, 0, 40, 4), (1, 1, 60, 1), (2, 0, 30, 4)])
+def test_preimage_is_the_newton_solution(d, n, D, target, monkeypatch):
+    """The preimage local_point_direct takes, exp(epsilon), agrees with the
+    Newton solve of log(t) = epsilon mod p^(target + 4)."""
+    b = series_bundle(SS3, d, n, D, target)
+    seen = []
+
+    def spy(s, x, vmin):
+        out = eval_series_at_tower(s, x, vmin)
+        if s is b.honda_exp_series and x.level == -1:
+            seen.append(out[0].canonical())
+        return out
+
+    monkeypatch.setattr(localpoints, "eval_series_at_tower", spy)
+    local_point_direct(b, n, target)
+    [pre] = seen
+    eps = epsilon_log(TowerDesc(b.field, max(n, 0)), n)
+    want = reference_solve_log_preimage(b.honda.series, b.field,
+                                        tuple(int(v) for v in eps.coords[0]), target + 4)
+    q = 3 ** (target + 4)
+    assert pre.den == 0
+    assert [int(v) % q for v in pre.coords[0]] == [v % q for v in want]
+
+
+def test_a_short_exp_gives_no_preimage(bundle_n0):
+    """Cut to degree 1, the twisted exp of epsilon is too far from the log
+    preimage (residual valuation 3 < target + 4), and the point is refused."""
+    b = replace(bundle_n0, honda_exp_series=bundle_n0.honda_exp_series.truncate(1))
+    with pytest.raises(PrecisionExhausted):
+        local_point_direct(b, 0, 3)

@@ -1165,7 +1165,7 @@ def test_group_ring_mul(p, d, data):
 
 
 def _series_cache_clear():
-    for f in (curve.formal_exp, honda.honda_log, honda.honda_exp):
+    for f in (curve.formal_log, honda.honda_log, honda.honda_exp):
         f.cache_clear()
 
 

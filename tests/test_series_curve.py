@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from test_padic import coordinate_grids, precision_shapes
 from test_polyarith import _bundle_digits, _series_cache_clear, fresh_series_caches  # noqa: F401
 
-from normtower import series
+from normtower import curve, honda, series
 from normtower.curve import (
     CURVE_PRESETS,
     CurveParams,
@@ -290,3 +290,21 @@ def test_series_bundle_is_bit_identical_under_the_stripping_loop(d, fresh_series
     _series_cache_clear()
     monkeypatch.setattr(series.TruncSeries, "canonical", reference_canonical)
     assert _bundle_digits(d) == got
+
+
+@pytest.mark.parametrize("attempts", [1, 2])
+def test_series_bundle_builds_one_curve_log_per_attempt(attempts, fresh_series_caches,
+                                                        monkeypatch):
+    """formal_exp inverts the cached formal_log of its attempt, so the curve's
+    unit series is built once per attempt; a start too tight for (n=0, D=40,
+    target=4) makes the bundle double its working precision once."""
+    calls = []
+    real = curve._unit_series_data
+    monkeypatch.setattr(curve, "_unit_series_data", lambda *a: calls.append(a) or real(*a))
+    if attempts == 2:
+        monkeypatch.setattr(honda, "composition_work_precision",
+                            lambda p, D, target: target + 3 * D + 16)
+    b = honda.series_bundle(SS3, 1, 0, 40, 4)
+    start = composition_work_precision(3, 40, 4) if attempts == 1 else 4 + 3 * 40 + 16
+    assert b.field.N == start * 2 ** (attempts - 1)
+    assert len(calls) == attempts

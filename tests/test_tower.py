@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_padic import coordinate_grids, precision_shapes
 
-from normtower.groupring import idempotents
+from normtower.groupring import GroupRing
 from normtower.lattice import apply_idempotent
-from normtower.padic import factorize, primitive_root
-from normtower.polyarith import mul_vec, truncate
+from normtower.padic import ZpContext, factorize, primitive_root
+from normtower.polyarith import mul_vec, teichmuller, truncate
 from normtower.tower import (
     TowerDesc,
     TowerElt,
@@ -222,6 +222,74 @@ def reference_trace_units(t, n: int, m: int) -> list[int]:
     return units
 
 
+# The character idempotents that TowerDesc.idempotents replaced, built in the
+# group ring at a precision the caller passed, kept verbatim (names prefixed,
+# the builder cached) as the reference. tests/test_lattice.py projects with
+# them too.
+
+@dataclass(frozen=True)
+class ReferenceCharIdempotent:
+    """eps_chi = (1/(p-1)) sum_sigma chi(sigma) sigma^{-1} in Z_p[Delta].
+
+    Delta is enumerated as powers of a fixed generator; chi_j sends the
+    generator to the j-th power of the Teichmuller lift of its residue.
+    coeffs[k] is the coefficient of generator^k.
+    """
+
+    j: int
+    p: int
+    N: int
+    coeffs: tuple[int, ...]
+
+    @property
+    def trivial(self) -> bool:
+        return self.j == 0
+
+
+@cache
+def reference_idempotents(p: int, N: int) -> list[ReferenceCharIdempotent]:
+    """All p-1 character idempotents; orthogonality and completeness verified."""
+    zp = ZpContext(p, N)
+    q = zp.q
+    tg = teichmuller([primitive_root(p)], [0, 1], p, q)[0]  # chi_1(generator)
+    inv_pm1 = zp.inv((p - 1) % q)
+    out = []
+    for j in range(p - 1):
+        coeffs = [0] * (p - 1)
+        for k in range(p - 1):
+            # chi_j(g^k) * (g^k)^{-1}: inverse of generator^k is generator^{p-1-k}
+            chi_val = pow(tg, (j * k) % (p - 1), q)
+            coeffs[(p - 1 - k) % (p - 1)] = (coeffs[(p - 1 - k) % (p - 1)] + chi_val) % q
+        out.append(ReferenceCharIdempotent(j=j, p=p, N=N,
+                                           coeffs=tuple(c * inv_pm1 % q for c in coeffs)))
+    reference_check_idempotents(out, GroupRing(p - 1, p, N))
+    return out
+
+
+def reference_check_idempotents(eps: list[ReferenceCharIdempotent], ring: GroupRing) -> None:
+    """Orthogonality and completeness in Z_p[Delta], Delta cyclic of order p - 1."""
+    total = ring.zero()
+    for e in eps:
+        assert ring.mul(e.coeffs, e.coeffs) == e.coeffs, "idempotent not idempotent"
+        total = ring.add(total, e.coeffs)
+    assert total == ring.one(), "idempotents do not sum to 1"
+    for a in eps:
+        for b in eps:
+            if a.j != b.j:
+                assert ring.is_zero(ring.mul(a.coeffs, b.coeffs)), "idempotents not orthogonal"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_idempotents(p):
+    """The tower's idempotents at its own precision N are the group ring's at
+    N, index 0 the trivial character (equal weights 1/(p - 1)); orthogonality
+    and completeness are asserted on construction."""
+    for N in (1, 2, 6, 30):
+        eps = build_tower(p, 1, 0, N).idempotents()
+        assert eps == tuple(e.coeffs for e in reference_idempotents(p, N))
+        assert eps[0] == (pow(p - 1, -1, p**N),) * (p - 1)
+
+
 GROUP_GRID = [(3, 1, 3), (3, 2, 3), (3, 4, 3), (5, 2, 1), (7, 1, 2)]
 
 
@@ -300,6 +368,7 @@ def _cached_calls(t):
         "modulus": [(n,) for n in levels],
         "galois_scatter": [(n, units) for n in levels for units in _unit_tuples(t, n)],
         "tame_units": [(n,) for n in levels],
+        "idempotents": [()],
         "galois_units": [(n, m) for m, n in pairs],
         "embed_index": pairs,
     }
@@ -446,8 +515,9 @@ def reference_trace_to(x: TowerElt, m: int) -> TowerElt:
     return TowerElt(t, m, acc[idx], x.den, x.prec)
 
 
-def reference_apply_idempotent(x: TowerElt, eps) -> TowerElt:
+def reference_apply_idempotent(x: TowerElt, chi: int) -> TowerElt:
     """eps_chi * x, eps.coeffs[k] weighting the k-th tame unit of the tower."""
+    eps = reference_idempotents(x.p, x.tower.N)[chi]
     out = None
     for u, coeff in zip(x.tower.tame_units(x.level), eps.coeffs):
         term = reference_galois(x, u, 0).scale_int(coeff)
@@ -596,11 +666,11 @@ def test_apply_idempotent_matches_the_sum_over_tame_units(p, d, n_max, data):
     t = _tower(p, d, n_max)
     for n in range(-1, 3):
         x = _draw_elt(data, t, n)
-        for eps in idempotents(p, t.N):
-            got = apply_idempotent(x, eps)
-            assert _same_elt(got, reference_apply_idempotent(x, eps))
+        for chi in range(p - 1):
+            got = apply_idempotent(x, chi)
+            assert _same_elt(got, reference_apply_idempotent(x, chi))
             if n == -1:
-                assert _same_elt(got, x.scale_int(sum(eps.coeffs)))
+                assert _same_elt(got, x.scale_int(sum(t.idempotents()[chi])))
 
 
 @settings(deadline=None, max_examples=150)
