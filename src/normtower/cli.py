@@ -41,7 +41,14 @@ from .lattice import (
 from .padic import PrecisionExhausted
 from .points import verify_trace_relations
 from .series import TruncSeries
-from .snf import HARNESS_PRECISION, MARGIN, MODULE_PRECISION, at_rising_precision
+from .snf import (
+    HARNESS_PRECISION,
+    MARGIN,
+    MODULE_PRECISION,
+    OMEGA_PRECISION,
+    at_rising_precision,
+    precision_ladder,
+)
 from .tower import build_tower
 
 SCHEMA_VERSION = 1
@@ -91,6 +98,13 @@ class CampaignConfig:
                                      ("n_max", n_max, 0), ("lambda_trials", lambda_trials, 1)):
                 if value < low:
                     raise ConfigError(f"{name} must be >= {low}, got {value}")
+            # the deepest flatten: the harness ladder from max(precision,
+            # HARNESS_PRECISION), each rung running freeness_test's own ladder,
+            # must stay within the omega families' p^OMEGA_PRECISION
+            deepest = precision_ladder(precision_ladder(max(precision, HARNESS_PRECISION))[-1])[-1]
+            if deepest > OMEGA_PRECISION:
+                raise ConfigError(f"precision must be <= {precision - deepest + OMEGA_PRECISION}, "
+                                  f"got {precision}")
             curves = {}
             spec = doc.get("curve", "ss3")
             for p in p_list:
@@ -99,7 +113,8 @@ class CampaignConfig:
                 elif isinstance(spec, dict) and all(k.isdigit() for k in spec):
                     curves[p] = curve_from_preset(spec[str(p)], p)
                 elif isinstance(spec, dict):
-                    curves[p] = CurveParams(p=p, **{k: int(v) for k, v in spec.items()})
+                    curves[p] = CurveParams(p=p, **{k: _integer(f"curve {k}", v)
+                                                    for k, v in spec.items()})
                 else:
                     raise ConfigError(f"bad curve spec {spec!r}")
             checks = checks_override or doc.get("checks", ["all"])
@@ -114,7 +129,7 @@ class CampaignConfig:
             return CampaignConfig(
                 p_list=p_list, d_list=d_list, n_max=n_max, precision=precision,
                 curves=curves, checks=checks,
-                seed=int(seed_override if seed_override is not None else doc.get("seed", 0)),
+                seed=_integer("seed", doc.get("seed", 0) if seed_override is None else seed_override),
                 out=str(out_override or doc.get("out", "reports")),
                 lambda_trials=lambda_trials,
             )

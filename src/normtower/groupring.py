@@ -5,8 +5,10 @@ the tower's (`TowerDesc.idempotents`), built at the tower's own precision.
 
 Group-ring elements are coefficient tuples indexed by powers of F (the
 Frobenius); a product is a polyarith product reduced by the modulus F^d - 1.
-Integer polynomials (omega family) are plain coefficient lists over Z,
-lowest degree first - those identities are exact, no precision involved.
+The omega family is kept mod p^K, K = `snf.OMEGA_PRECISION`, as coefficient
+tuples in [0, p^K), lowest degree first: its readers flatten it mod p^N for
+N <= K, and a remainder by a monic cap commutes with reduction mod p^K. The
+binomial rows it is built from are exact integers.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from .polyarith import inv_mod, mul, mul_mod
-from .snf import kernel_basis, span_contains_all
+from .snf import OMEGA_PRECISION, kernel_basis, span_contains_all
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +119,11 @@ def annihilator_matches_closed_form(ring: GroupRing) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials: omega family (exact over Z)
+# integer polynomials: omega family (mod p^K)
 # ---------------------------------------------------------------------------
 
-def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    return mul(a, b)
+def poly_mul(a: list[int], b: list[int], mod: int | None = None) -> list[int]:
+    return mul(a, b, mod=mod)
 
 
 def poly_trim(a: list[int]) -> list[int]:
@@ -176,9 +178,10 @@ class OmegaFamily:
 
 
 def omega_family(p: int, n: int) -> OmegaFamily:
-    """omega_n and its plus/minus factorizations; the identity
-    omega_n = omega-tilde_n^- * omega_n^+ is asserted exactly over Z, and the
-    degrees deg omega_n^+ = q_n^+, deg omega_n^- = q_n^- + 1 independently.
+    """omega_n and its plus/minus factorizations mod p^K, K = OMEGA_PRECISION;
+    the identity omega_n = omega-tilde_n^- * omega_n^+ is asserted mod p^K, and
+    the degrees deg omega_n^+ = q_n^+, deg omega_n^- = q_n^- + 1 independently
+    (every factor is monic, so reduction keeps its degree).
 
     Each (p, n) is built once per process and the same frozen family is
     returned to every caller."""
@@ -189,22 +192,23 @@ def omega_family(p: int, n: int) -> OmegaFamily:
 
 @cache
 def _omega_family(p: int, n: int) -> OmegaFamily:
-    """Level n from level n - 1: one more Phi_n(1+X), multiplied into
-    omega-tilde^+ for even n and omega-tilde^- for odd n; omega_n^(+/-) is
-    X * omega-tilde_n^(+/-)."""
+    """Level n from level n - 1, mod q = p^K: one more Phi_n(1+X), multiplied
+    into omega-tilde^+ for even n and omega-tilde^- for odd n; omega_n^(+/-)
+    is X * omega-tilde_n^(+/-)."""
+    q = p**OMEGA_PRECISION
     if n == 0:
         phis, tp, tm = (), (1,), (1,)
     else:
         prev = _omega_family(p, n - 1)
-        phi = tuple(cyclotomic_phi(p, n))
+        phi = tuple(c % q for c in cyclotomic_phi(p, n))
         phis, tp, tm = prev.phis + (phi,), prev.omega_tilde_plus, prev.omega_tilde_minus
         if n % 2 == 0:
-            tp = tuple(poly_mul(tp, phi))
+            tp = tuple(poly_mul(tp, phi, mod=q))
         else:
-            tm = tuple(poly_mul(tm, phi))
+            tm = tuple(poly_mul(tm, phi, mod=q))
     op, om = (0,) + tp, (0,) + tm
-    w = omega_n(p, n)
-    assert poly_trim(poly_mul(tm, op)) == poly_trim(w), "omega_n != tilde_minus * plus"
+    w = [c % q for c in omega_n(p, n)]
+    assert poly_trim(poly_mul(tm, op, mod=q)) == poly_trim(w), "omega_n != tilde_minus * plus mod p^K"
     _, qp, qm = q_values(p, n)
     assert (len(poly_trim(op)) - 1, len(poly_trim(om)) - 1) == (qp, qm + 1), \
         "deg omega_n^+ != q_n^+ or deg omega_n^- != q_n^- + 1"

@@ -2,8 +2,10 @@
 X = gamma - 1), their Z_p-structure at finite level, and the freeness /
 finite-submodule predicates.
 
-Presentations carry exact integer data; precision enters only when a
-computation is flattened to a Z_p-matrix and run through Smith normal form.
+Presentations carry integer data, exact except for the omega families,
+which come mod p^K (K = `snf.OMEGA_PRECISION`); precision enters when a
+computation is flattened to a Z_p-matrix mod p^N, N <= K, and run through
+Smith normal form.
 A polynomial over the group ring Z[F]/(F^d - 1) is stored F-major, as the
 d-tuple of its F-components, each an integer polynomial in X: the order of
 the flat basis (generator, F-power, X-degree). A cap is a monic integer
@@ -38,6 +40,7 @@ from .padic import PrecisionExhausted
 from .polyarith import mul, rem_monic
 from .snf import (
     MARGIN,
+    OMEGA_PRECISION,
     SnfResult,
     _dtype_for,
     _eliminate,
@@ -252,7 +255,10 @@ def flatten(pres: Presentation, N: int) -> FlatModule:
     X^b v lies in it: the X^b v ride as U and end as R X^b v, R the row
     operations, whose row i must be divisible by p^e_i (zero past the finite
     divisors). This is exact mod p^N, with no margin; a span that is not
-    closed raises ArithmeticError."""
+    closed raises ArithmeticError. An N above OMEGA_PRECISION raises
+    ValueError: the omega families are known only mod p^OMEGA_PRECISION."""
+    if N > OMEGA_PRECISION:
+        raise ValueError(f"flatten at N = {N} > OMEGA_PRECISION = {OMEGA_PRECISION}")
     d, p, q = pres.d, pres.p, pres.p**N
     caps = pres.cap_map()
     uncapped = [i for i in range(pres.gens) if caps.get(i, ())[-1:] != (1,)]

@@ -22,26 +22,14 @@ below 2^26 whose product M exceeds 2 bound, the residues are convolved per
 prime, and each product coefficient is rebuilt by the CRT and lifted to
 (-M/2, M/2), as _unpack reads a slot; or, for a product mod `mod`, M
 exceeds 4 bound and each is rebuilt mod `mod` by the explicit CRT. The
-convolution is direct over the sparser factor's nonzero coefficients, or by
-FFT from _FFT_ROWS (96) of them on. Five bounds make it exact:
+convolution is direct over the sparser factor's nonzero coefficients. Four
+bounds make it exact:
 
 - residues: the 16-bit limbs of |a_j| times a table of 2^(16 l) mod p_i, a
   float64 matrix product whose partial sums stay below
   L (2^16 - 1)(p_i - 1) < 2^53 for L <= _MAX_LIMBS = 2048 limbs;
 - direct convolution: int64 sums of products of at most (p - 1)^2, reduced
   mod p every _CONV_CHUNK = 2048 terms, so below 2^63;
-- FFT convolution: each residue split into two 13-bit limbs, and three
-  float64 convolutions of la by lb limbs (lo lo, lo hi + hi lo, hi hi) by
-  real transforms of 2^n >= la + lb - 1 points, each sum rounded to the
-  nearest integer. Percival's bound (Math. Comp. 72, 2003, with the complex
-  product's error sqrt(5) 2^-53 of Brent, Percival and Zimmermann, Math.
-  Comp. 76, 2007) puts every error below
-  2 (2^13 - 1)^2 sqrt(la lb) ((1 + 2^-53)^(3n+4) (1 + sqrt(5) 2^-53)^(3n+4)
-  (1 + 2^-50)^(3n+3) - 1), with roots of unity within 2^-50
-  (_fft_error_bound). The FFT is taken only where that is below 1/2, so
-  every rounded sum is exact. The bound reads 0.008 at the largest product
-  of the workloads (2605 by 522); at la = lb it admits up to 55,022 limbs,
-  and longer products convolve directly;
 - CRT: x @ limbs(M / p_i), x_i the convolved residues times the CRT
   weights w_i in [0, p_i), a float64 matrix product whose partial sums stay
   below k (p - 1)(2^16 - 1) < 2^53 for k <= _MAX_PRIMES = 2048 primes,
@@ -61,11 +49,11 @@ A product outside the float64 bounds of the residues and the CRT takes one
 product per block. A float64 sum of integers below 2^53 is exact in any
 order, so the BLAS may block and reorder the products as it likes; the
 products run in blocks of at most _BLOCK_BYTES (128 KB, the glibc mmap
-threshold), which keeps the BLAS's packing and the transients small, and
-the FFT runs over blocks of primes whose spectra fit in it. The primes, one
-table of limb powers (grown on demand) and the CRT tables of the last
-_CRT_TABLES (8) pairs of a prime count and a modulus are built on first
-use. scripts/sweep_mul.py measures the crossovers and the lift mod `mod`.
+threshold), which keeps the BLAS's packing and the transients small. The
+primes, one table of limb powers (grown on demand) and the CRT tables of
+the last _CRT_TABLES (8) pairs of a prime count and a modulus are built on
+first use. scripts/sweep_mul.py measures the crossovers and the lift mod
+`mod`.
 
 `mul(a, b, keep)` returns only the first keep coefficients, as a series
 product keeps degrees up to deg of 2 deg + 1; only the first keep
@@ -78,11 +66,10 @@ low m slots the same bytes and borrows as the whole product, and the
 borrow out of the last slot read belongs to a slot not read. The residue
 regime reduces the first keep coefficients of each factor, convolves keep
 rows (a nonzero row j < keep of the sparser factor adds its first keep - j
-products, or by FFT takes the whole product's first keep rows) and
-rebuilds only those. `mul(a, b, keep, mod)` returns them mod `mod`, in
-[0, mod): the residue regime rebuilds them by the explicit CRT, from a table
-half as wide as M's when `mod` is half M's size, and the one-product regime
-reduces its output.
+products) and rebuilds only those. `mul(a, b, keep, mod)` returns them mod
+`mod`, in [0, mod): the residue regime rebuilds them by the explicit CRT,
+from a table half as wide as M's when `mod` is half M's size, and the
+one-product regime reduces its output.
 
 `mul_vec` multiplies polynomials whose coefficients are themselves
 length-d coefficient vectors (elements of O_k, of Z[F]/(F^d - 1), ...): each
@@ -113,22 +100,19 @@ is built), the group ring Z_p[F]/(F^d - 1) (m = x^d - 1) and Z/q itself
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from math import expm1, gcd, log1p, prod
+from math import gcd, prod
 
 import numpy as np
 
 _RESIDUE_BYTES = 4096  # the sparser factor's nonzero coefficients packed, from which mul takes residues
 _RESIDUE_COEFFS = 7  # and their count: below it one product is cheaper at every slot size
 _RESIDUE_SLOT = 64  # and the bytes per slot: below it one product is cheaper at every length
-_FFT_ROWS = 96  # the sparser factor's nonzero rows from which its residues are convolved by FFT
 
 # The residue regime's exactness bounds: 16-bit limbs and primes below 2^26.
 _MAX_LIMBS = 2048  # L (2^16 - 1)(2^26 - 1) < 2^53: a residue's float64 partial sums are exact
 _MAX_PRIMES = 2048  # k (2^26 - 1)(2^16 - 1) < 2^53: so are the CRT's
 _CONV_CHUNK = (1 << 63) // (1 << 26) ** 2  # terms between reductions: p + 2048 (p - 1)^2 < 2^63
 _BLOCK_BYTES = 1 << 17  # the most a float64 or int64 block of the regime holds: the glibc mmap threshold
-_LIMB_BITS = 13  # the FFT splits a residue below 2^26 into two limbs below 2^13
-_ROOT_ERROR = 2.0**-50  # the error allowed the FFT's roots of unity, 8 eps
 _CRT_TABLES = 8  # CRT tables kept: a series bundle's products take few (prime count, modulus) pairs
 
 
@@ -283,70 +267,24 @@ def _convolve(ra: np.ndarray, rb: np.ndarray, weights: np.ndarray, p: np.ndarray
     return out
 
 
-def _fft_error_bound(la: int, lb: int) -> float:
-    """A bound on the largest error of the float64 convolutions that
-    _fft_convolve takes of la by lb limbs below 2^13, by Percival's theorem
-    (Math. Comp. 72, 2003, Thm. 5.1; the sqrt(5) eps of a complex product is
-    Brent, Percival and Zimmermann's, Math. Comp. 76, 2007): |x| |y|
-    ((1 + eps)^(3n) (1 + sqrt(5) eps)^(3n + 1) (1 + beta)^(3n) - 1) for a
-    transform of 2^n points, Euclidean norms |x| <= (2^13 - 1) sqrt(la) and
-    |y| <= (2^13 - 1) sqrt(lb), eps = 2^-53 and roots of unity within
-    beta = _ROOT_ERROR. n is taken one above the log2 of the transform
-    length, a margin for the real transforms' arrangement; the middle
-    convolution, a sum of two, takes twice the bound and one more rounding.
-    Below 1/2, rounding gives every sum exactly."""
-    eps, n = 2.0**-53, (la + lb - 2).bit_length() + 1
-    growth = expm1((3 * n + 1) * log1p(eps) + (3 * n + 1) * log1p(5**0.5 * eps) + 3 * n * log1p(_ROOT_ERROR))
-    return 2 * ((1 << _LIMB_BITS) - 1) ** 2 * (la * lb) ** 0.5 * growth
-
-
-def _fft_convolve(ra: np.ndarray, rb: np.ndarray, weights: np.ndarray, p: np.ndarray, keep: int) -> np.ndarray:
-    """_convolve by float64 FFT: each residue, taken to [0, p), is lo + 2^13 hi
-    with both limbs below 2^13; real transforms of 2^n >= len(ra) + len(rb) - 1
-    points, so that no product wraps onto a kept row, give the convolutions
-    lo lo, lo hi + hi lo and hi hi, each rounded (exact while
-    _fft_error_bound < 1/2) and reduced mod p, then recombined as
-    lo lo + 2^13 mid + 2^26 (hi hi mod p) mod p in int64: each sum has at
-    most min(len(ra), len(rb)) < 2^16 terms (the bound admits no more), so
-    the total stays below 2^63. The primes run in blocks whose four spectra
-    fit in _BLOCK_BYTES."""
-    assert _fft_error_bound(len(ra), len(rb)) < 0.5
-    size = 1 << (len(ra) + len(rb) - 2).bit_length()
-    mask = (1 << _LIMB_BITS) - 1
-    out = np.empty((keep, len(p)), dtype=np.int32)
-    step = max(1, _BLOCK_BYTES // (32 * size))
-    for s in range(0, len(p), step):
-        q = p[s:s + step, None]
-        x, y = ra[:, s:s + step].T % q, rb[:, s:s + step].T * weights[s:s + step, None] % q
-        xl, xh, yl, yh = (np.fft.rfft(v, size) for v in (x & mask, x >> _LIMB_BITS, y & mask, y >> _LIMB_BITS))
-        del x, y
-        lo, mid, hi = (np.rint(np.fft.irfft(f, size)[:, :keep]).astype(np.int64)
-                       for f in (xl * yl, xl * yh + xh * yl, xh * yh))
-        out[:, s:s + step] = ((lo + (mid << _LIMB_BITS) + (hi % q << 2 * _LIMB_BITS)) % q).T
-    return out
-
-
 def _mul_residues(a, b, top_a: int, top_b: int, bound: int, out, mod: int | None = None) -> None:
     """Writes the first keep = len(out) coefficients of a b into out by
     residues: both factors mod k primes below 2^26 with M > 2 bound,
-    convolved per prime into keep rows x, directly in int64 or from
-    _FFT_ROWS nonzero rows of b on by FFT, and each of those rebuilt
-    by the CRT as x @ limbs(M/p_i), a float64 product of at most
-    k (p - 1)(2^16 - 1), one % M, and the lift to (-M/2, M/2). Given mod,
-    M > 4 bound, and each row is rebuilt mod `mod` by the explicit CRT:
-    c = sum x_i M/p_i - t M with t = rint(sum x_i / p_i), so
-    [x, t] @ limbs((M/p_i) mod `mod`, -M mod `mod`) and one % mod, the
-    product's partial sums at most k p (2^16 - 1), as t <= k. mul passes a
-    and b already cut to their first keep coefficients."""
+    convolved per prime in int64 into keep rows x, each rebuilt by the CRT
+    as x @ limbs(M/p_i), a float64 product of at most k (p - 1)(2^16 - 1),
+    one % M, and the lift to (-M/2, M/2). Given mod, M > 4 bound, and each
+    row is rebuilt mod `mod` by the explicit CRT: c = sum x_i M/p_i - t M
+    with t = rint(sum x_i / p_i), so [x, t] @ limbs((M/p_i) mod `mod`,
+    -M mod `mod`) and one % mod, the product's partial sums at most
+    k p (2^16 - 1), as t <= k. mul passes a and b already cut to their
+    first keep coefficients."""
     k = _prime_count(bound if mod is None else 2 * bound)
     m, weights, recips, cofactors = _crt_table(k, mod)
     assert (2 if mod is None else 4) * bound < m
     p = _primes()[:k]
     powers = _power_table(-(-max(top_a, top_b).bit_length() // 16), k)
     # the convolution runs over the nonzero rows of b, which carries the CRT weights
-    fft = sum(map(bool, b)) >= _FFT_ROWS and _fft_error_bound(len(a), len(b)) < 0.5
-    c = (_fft_convolve if fft else _convolve)(_residues(a, top_a, powers, p), _residues(b, top_b, powers, p),
-                                              weights, p, len(out))
+    c = _convolve(_residues(a, top_a, powers, p), _residues(b, top_b, powers, p), weights, p, len(out))
     if mod is not None:
         c = np.column_stack((c, np.rint(c @ recips)))
     step = max(1, _BLOCK_BYTES // (8 * cofactors.shape[1]))

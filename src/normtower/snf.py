@@ -12,10 +12,15 @@ error is final). Lattice records climb through `lattice.with_precision_retry`,
 module records through `at_rising_precision` from MODULE_PRECISION, harness
 instances one by one from HARNESS_PRECISION, and `freeness_test` by its
 certificate: an answer agreed at two consecutive rungs. N is the precision
-the operand carries. A kernel vector computed mod p^N is known only mod
-p^(N - e), e the largest finite divisor of its matrix, so `kernel_image`
-returns N - e with its columns, and the X-kernel invariants of
-`lambda_modules` decide on them there. Two readers still decide at N:
+the operand carries. The omega families that the module presentations read
+are built mod p^K, K = OMEGA_PRECISION, which serves every reader at N <= K:
+a remainder by a monic cap commutes with reduction mod p^K. So `flatten`
+raises for N > K, and the CLI refuses a precision whose deepest ladder (the
+harness ladder, each rung climbing `freeness_test`'s own) would pass K. A
+kernel vector computed mod p^N is known only mod p^(N - e), e the largest
+finite divisor of its matrix, so `kernel_image` returns N - e with its
+columns, and the X-kernel invariants of `lambda_modules` decide on them
+there. Two readers still decide at N:
 - `span_intersection`, whose columns `check_exact_sequence` compares at N
   (ROADMAP item 13);
 - `kernel_basis`, whose kernel columns `groupring.annihilator` returns and
@@ -89,6 +94,7 @@ PRECISION_BUMP = 4
 PRECISION_RUNGS = 4
 MODULE_PRECISION = 8
 HARNESS_PRECISION = 10
+OMEGA_PRECISION = 64  # K: the omega families are built mod p^K, and no module is flattened above it
 _INT64_SAFE = 1 << 25  # int64 only below this p^N, whatever the dimension
 
 

@@ -8,7 +8,7 @@ import pytest
 from normtower import cli, honda, lambda_modules
 from normtower.cli import CampaignConfig, ConfigError, main
 from normtower.padic import PrecisionExhausted
-from normtower.snf import MODULE_PRECISION
+from normtower.snf import MODULE_PRECISION, OMEGA_PRECISION, PRECISION_BUMP, PRECISION_RUNGS
 
 
 def write_cfg(tmp_path: Path, doc: dict) -> Path:
@@ -25,6 +25,10 @@ BASE = {
     "curve": "ss3",
     "checks": ["trace"],
 }
+
+# the highest precision a config may ask for: its harness ladder, each rung
+# running freeness_test's own ladder, tops out at OMEGA_PRECISION
+CEILING = OMEGA_PRECISION - 2 * PRECISION_BUMP * (PRECISION_RUNGS - 1)
 
 
 def test_config_parsing_and_overrides():
@@ -51,6 +55,11 @@ def test_config_rejects_empty_d():
     {"precision": 2},
     {"p": "35"},
     {"d": [1.5]},
+    {"seed": 7.9},
+    {"seed": True},
+    {"seed": "12"},
+    {"curve": {"a4": -1.7}},
+    {"precision": CEILING + 1},
 ])
 def test_config_rejects_out_of_range_values(tmp_path, capsys, override):
     with pytest.raises(ConfigError):
@@ -59,6 +68,11 @@ def test_config_rejects_out_of_range_values(tmp_path, capsys, override):
     assert main(["verify", "--config", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+def test_config_accepts_the_precision_ceiling_and_an_integer_seed():
+    cfg = CampaignConfig.from_json({**BASE, "precision": CEILING, "seed": 12})
+    assert cfg.precision == CEILING == 40 and cfg.seed == 12
 
 
 def test_config_rejects_unknown_check():

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from math import comb
 
 import pytest
@@ -21,11 +21,14 @@ from normtower.groupring import (
     poly_trim,
     q_values,
 )
+from normtower.snf import OMEGA_PRECISION
 
 
 # The from-scratch construction that the memoised, level-by-level build
-# replaced, kept verbatim (names prefixed) as the reference. tests/test_lambda.py
-# builds presentations with it too.
+# replaced, kept verbatim (names prefixed) as the reference: exact over Z. The
+# library keeps the families mod p^K, so they are compared with it reduced
+# (`reduced_reference_omega_family`), as tests/test_lambda.py builds
+# presentations with it.
 
 def reference_one_plus_x_pow(e: int) -> list[int]:
     """(1 + X)^e as integer coefficients."""
@@ -78,6 +81,20 @@ def reference_omega_family(p: int, n: int) -> OmegaFamily:
         omega_plus=tuple(op),
         omega_minus=tuple(om),
     )
+
+
+def reduced_reference_omega_family(p: int, n: int) -> OmegaFamily:
+    """reference_omega_family(p, n), its exact identities asserted over Z,
+    with every polynomial then reduced mod p^K, as omega_family keeps them."""
+    ref, q = reference_omega_family(p, n), p**OMEGA_PRECISION
+
+    def red(f):
+        return tuple(c % q for c in f)
+
+    return replace(ref, omega=red(ref.omega), phis=tuple(map(red, ref.phis)),
+                   omega_tilde_plus=red(ref.omega_tilde_plus),
+                   omega_tilde_minus=red(ref.omega_tilde_minus),
+                   omega_plus=red(ref.omega_plus), omega_minus=red(ref.omega_minus))
 
 
 def test_phi_plus_inv_small_d():
@@ -252,10 +269,12 @@ def test_binomial_rows_match_comb(e):
     assert one_plus_x_pow(e) == [comb(e, k) for k in range(e + 1)]
 
 
-@pytest.mark.parametrize("p,n_top", [(3, 6), (5, 4), (7, 3), (11, 2)])
+@pytest.mark.parametrize("p,n_top", [(3, 6), (5, 5), (7, 3), (11, 2)])
 def test_omega_family_matches_reference(p, n_top):
+    """The families mod p^K are the exact families reduced, at every (p, n)
+    the shipped configs build (n <= 6 at p = 3, n <= 5 at p = 5)."""
     for n in range(n_top + 1):
-        fam, ref = omega_family(p, n), reference_omega_family(p, n)
+        fam, ref = omega_family(p, n), reduced_reference_omega_family(p, n)
         for f in fields(OmegaFamily):
             assert getattr(fam, f.name) == getattr(ref, f.name), (p, n, f.name)
 
@@ -263,15 +282,17 @@ def test_omega_family_matches_reference(p, n_top):
 def test_omega_family_is_built_once_level_by_level(monkeypatch):
     products = []
 
-    def counting_mul(a, b):
-        products.append((len(a), len(b)))
-        return poly_mul(a, b)
+    def counting_mul(a, b, mod=None):
+        products.append((len(a), len(b), mod))
+        return poly_mul(a, b, mod=mod)
 
     groupring._omega_family.cache_clear()
     monkeypatch.setattr(groupring, "poly_mul", counting_mul)
     fam = omega_family(5, 3)
-    # levels 0..3: one identity product each, plus one tilde product per level >= 1
+    # levels 0..3: one identity product each, plus one tilde product per level >= 1,
+    # every one mod p^K
     assert len(products) == 4 + 3
+    assert {mod for *_, mod in products} == {5**OMEGA_PRECISION}
     products.clear()
     assert omega_family(5, 3) is fam and products == []
     top = omega_family(5, 4)

@@ -43,6 +43,9 @@
   `primitive_root`, as a name or an attribute: Delta is enumerated once, by
   `TowerDesc.tame_units`, and its characters are `TowerDesc.idempotents` on
   that enumeration (unramified.py takes x - g as its degree-1 modulus).
+- No module reaches numpy's FFT (`np.fft`, `numpy.fft`, or an import from
+  it): every convolution is exact integer arithmetic, and no product rests on
+  a rounding bound for floating-point transforms.
 
 Each allowlist only shrinks: a listed name that becomes read fails until it
 leaves the list.
@@ -530,3 +533,35 @@ def test_detects_a_primitive_root_read():
            "root = primitive_roots[p]\n"
            "gens = map(primitive_root, primes)\n")
     assert primitive_root_reads(src) == [2, 3, 6]
+
+
+def fft_uses(source: str) -> list[int]:
+    """The lines that reach numpy's FFT: an attribute called fft (np.fft.rfft,
+    numpy.fft), or an import of numpy.fft or of a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module == "numpy.fft" or node.module == "numpy" and any(a.name == "fft" for a in node.names)):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(a.name == "numpy.fft" for a in node.names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_no_module_calls_numpy_fft(module):
+    assert fft_uses(SOURCES[module]) == []
+
+
+def test_detects_an_fft_call():
+    src = ("x = np.fft.rfft(a, 8)\n"
+           "y = numpy.fft.irfft(f)\n"
+           "from numpy import fft\n"
+           "from numpy.fft import rfft\n"
+           "import numpy.fft as nf\n"
+           "z = fft_size(a) + np.convolve(a, b)\n"
+           "from numpy import linalg\n"
+           "fft = 1\n")
+    assert fft_uses(src) == [1, 2, 3, 4, 5]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_acceptance import _hand_modules
-from test_groupring import reference_omega_family
+from test_groupring import reduced_reference_omega_family, reference_omega_family
 from test_polyarith import ref_cyclic
 
 from normtower import lambda_modules, snf
@@ -363,8 +363,9 @@ def test_quotient_rank_bookkeeping():
 @pytest.mark.parametrize("p", [3, 5])
 def test_presentations_match_the_reference_family(p, monkeypatch):
     """present_plus, present_minus and their coinvariants are the same
-    presentations whether the omega families come from the memoised build or
-    from the from-scratch reference (cached here, so each (p, n) runs once)."""
+    presentations whether the omega families come from the memoised build
+    mod p^K or from the from-scratch exact reference reduced mod p^K (cached
+    here, so each (p, n) runs once)."""
     def build():
         out = {}
         for d in (1, 2, 4):
@@ -376,7 +377,7 @@ def test_presentations_match_the_reference_family(p, monkeypatch):
         return out
 
     new = build()
-    monkeypatch.setattr(lambda_modules, "omega_family", cache(reference_omega_family))
+    monkeypatch.setattr(lambda_modules, "omega_family", cache(reduced_reference_omega_family))
     ref = build()
     for key in new:
         assert new[key] == ref[key], key
@@ -992,6 +993,27 @@ def test_flatten_works_in_the_dtype_of_as_matrix(Nx, dtype):
             for model in (pres, x_truncated(pres, n + 3), coinvariants(pres, max(n - 1, 0))):
                 assert flatten(model, Nx).X.dtype == dtype
                 _assert_flatten_matches_reference(model, Nx)
+
+
+def test_flatten_stops_at_the_precision_of_the_omega_families(monkeypatch):
+    """The omega families are kept mod p^K, K = OMEGA_PRECISION. At N = K the
+    coinvariant quotients of the n = 6 presentations, whose exact families
+    have coefficients of about 725 bits, flatten as the exact families
+    flatten; at K + 1 flatten raises rather than read data it does not have."""
+    K = snf.OMEGA_PRECISION
+
+    def models():
+        return [coinvariants(present(3, 2, 6, trivial), n) for present in (present_plus, present_minus)
+                for trivial in (True, False) for n in (1, 2)]
+
+    got = [flatten(m, K) for m in models()]
+    monkeypatch.setattr(lambda_modules, "omega_family", reference_omega_family)
+    assert max(abs(c) for m in models() for rel in m.rels for f in rel for c in f[0]) > 3**K
+    for fm, exact in zip(got, (flatten(m, K) for m in models())):
+        assert fm.divisors == exact.divisors
+        assert np.array_equal(fm.X, exact.X) and np.array_equal(fm.relmat, exact.relmat)
+    with pytest.raises(ValueError, match="OMEGA_PRECISION"):
+        flatten(models()[0], K + 1)
 
 
 # ---------------------------------------------------------------------------

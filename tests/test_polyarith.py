@@ -9,10 +9,11 @@ from math import isqrt, prod
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_groupring import reference_cyclotomic_phi, reference_omega_family
 from test_padic import _iterated_teichmuller
 
 from normtower import curve, honda, localpoints, polyarith, series, unramified
-from normtower.groupring import GroupRing, omega_family, poly_trim
+from normtower.groupring import GroupRing, poly_trim
 from normtower.polyarith import (
     divmod_monic,
     inv_mod,
@@ -320,9 +321,9 @@ def test_residue_path_holds_at_most_fifteen_packed_sizes():
 
 
 def test_omega_identity_product_matches_one_product_per_block(monkeypatch):
-    """omega_4 = omega-tilde_4^- * omega_4^+ at p = 5: 522 by 105 coefficients
-    in slots of 79 bytes, multiplied by residues."""
-    fam = omega_family(5, 4)
+    """omega_4 = omega-tilde_4^- * omega_4^+ at p = 5, over Z: 522 by 105
+    coefficients in slots of 79 bytes, multiplied by residues."""
+    fam = reference_omega_family(5, 4)
     shapes = _spy_residues(monkeypatch)
     got = mul(fam.omega_tilde_minus, fam.omega_plus)
     assert shapes == [(522, 105)]
@@ -376,7 +377,7 @@ def test_small_slots_take_one_product_at_every_length(monkeypatch):
         monkeypatch.undo()
 
 
-# -- the FFT convolution --------------------------------------------------------
+# -- the float64 bounds ---------------------------------------------------------
 
 
 def test_float64_products_are_exact_at_the_bounds():
@@ -436,152 +437,24 @@ def test_primes_and_prime_counts_meet_the_bounds():
     assert bits == 26 * polyarith._MAX_PRIMES - 3
 
 
-def _spy_fft(monkeypatch):
-    """The lengths of the residue arrays that mul convolves by FFT, the one
-    whose nonzero rows were counted second."""
-    shapes, real = [], polyarith._fft_convolve
-    monkeypatch.setattr(polyarith, "_fft_convolve",
-                        lambda ra, rb, *rest: shapes.append((len(ra), len(rb))) or real(ra, rb, *rest))
-    return shapes
-
-
-def _fft_everywhere(mp):
-    _residues_everywhere(mp)
-    mp.setattr(polyarith, "_FFT_ROWS", 0)
-
-
 def _packed_bytes(a, b) -> int:
     """The longer factor's packed size in bytes, as mul computes it."""
     n = min(len(a), len(b))
     return ((max(map(abs, a)) * max(map(abs, b)) * n).bit_length() // 8 + 1) * max(len(a), len(b))
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.integers(1, 6), st.integers(1, 300), st.integers(1, 60), st.data())
-def test_fft_convolution_matches_the_direct_loop(k, la, lb, data):
-    """_fft_convolve against _convolve on k random primes: signed residues,
-    zero rows, rows at +-(p - 1) (both limbs near 2^13), CRT weights up to
-    p - 1, and every keep from one row to the whole product."""
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    primes = polyarith._primes()
-    p = primes[np.sort(rng.choice(len(primes), k, replace=False))]
-    edge, zero = data.draw(st.sampled_from([0, 0.5, 1])), data.draw(st.sampled_from([0, 0.3, 0.9]))
-
-    def residues(n):
-        r = np.where(rng.random((n, 1)) < edge, p - 1, rng.integers(0, p, size=(n, k)))
-        r[rng.random(n) < zero] = 0
-        return np.where(rng.random((n, k)) < 0.5, -r, r).astype(np.int32)
-
-    ra, rb = residues(la), residues(lb)
-    weights = rng.integers(0, p)
-    keep = data.draw(st.integers(1, la + lb - 1))
-    got = polyarith._fft_convolve(ra, rb, weights, p, keep)
-    assert got.dtype == np.int32 and np.array_equal(got, polyarith._convolve(ra, rb, weights, p, keep))
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.sampled_from([16, 63, 500, 3000]), st.data())
-def test_fft_matches_one_product_per_block(bits, data):
-    """With every crossover at 0, every residue product is convolved by FFT:
-    signed, zero, sparse and all-zero factors of 0 to 40 coefficients, every
-    16-bit limb at 0xFFFF, in both argument orders, whole and truncated."""
-    top = 2**bits - 1
-    full = 2 ** (-(-bits // 16) * 16) - 1
-    coeff = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 0, full, -full]))
-
-    def poly(lengths):
-        n = data.draw(lengths)
-        return data.draw(st.one_of(st.just([0] * n), st.lists(coeff, min_size=n, max_size=n),
-                                   st.lists(st.sampled_from([0, 0, 0, full, -full]), min_size=n, max_size=n)))
-
-    a = poly(st.integers(0, 13))
-    b = poly(st.one_of(st.integers(0, 13), st.integers(14, 40)))
-    keep = data.draw(st.integers(1, max(len(a) + len(b) - 1, 1)))
-    with pytest.MonkeyPatch.context() as mp:
-        _fft_everywhere(mp)
-        shapes = _spy_fft(mp)
-        got, swapped, cut = mul(a, b), mul(b, a), mul(b, a, keep)
-    expect = _reference_mul(a, b)
-    assert got == swapped == expect and cut == expect[:keep]
-    assert len(shapes) == (3 if any(a) and any(b) else 0)
-
-
-def test_fft_roots_of_unity_are_within_the_assumed_error():
-    """_fft_error_bound takes the transform's roots of unity within 2^-50 of
-    the exact ones. The real transform of e_1 reads them out; against cos
-    and sin in long double they are within about 2.3 * 2^-53, at every
-    length up to the longest that the bound admits."""
-    pi = np.longdouble("3.14159265358979323846264338327950288")
-    for n in range(1, 18):
-        e = np.zeros(1 << n)
-        e[1] = 1
-        angle = 2 * pi * np.arange((1 << (n - 1)) + 1, dtype=np.longdouble) / (1 << n)
-        roots = np.fft.rfft(e)
-        assert np.hypot(roots.real - np.cos(angle), roots.imag + np.sin(angle)).max() < polyarith._ROOT_ERROR
-
-
-def test_fft_is_exact_at_the_longest_admitted_length(monkeypatch):
-    """Two arrays of the longest equal length whose error bound stays below
-    1/2 (55,022 rows, transforms of 2^17 points): residues in
-    [p - 2^13, p), so that the high limb is 2^13 - 1 or 2^13 - 2 and the
-    low one at random, against rows at p - 1. Each row t of the product is
-    (p - 1) times the sum of a window of the first array, read from its
-    prefix sums. One row more is refused, and a refused product convolves
-    directly."""
-    bound, lo = polyarith._fft_error_bound, 55022
-    assert bound(lo, lo) < 0.5 <= bound(lo + 1, lo + 1)   # the bound grows with both lengths
-    assert 1 << 16 < 2 * lo - 1 <= 1 << 17
-    p = polyarith._primes()[:2]
-    rng = np.random.default_rng(55022)
-    ra = (p - 1 - rng.integers(0, 1 << 13, size=(lo, 2))).astype(np.int32)
-    rb = np.tile(p - 1, (lo, 1)).astype(np.int32)
-    got = polyarith._fft_convolve(ra, rb, np.ones(2, dtype=np.int64), p, 2 * lo - 1)
-    prefix = np.vstack([np.zeros((1, 2), dtype=np.int64), np.cumsum(ra, axis=0, dtype=np.int64)])
-    t = np.arange(2 * lo - 1)
-    window = prefix[np.minimum(t, lo - 1) + 1] - prefix[np.maximum(t - lo + 1, 0)]
-    assert np.array_equal(got, -window % p)   # (p - 1) = -1 mod p
-    refused = np.zeros((lo + 1, 2), dtype=np.int32)
-    with pytest.raises(AssertionError):
-        polyarith._fft_convolve(refused, refused, np.ones(2, dtype=np.int64), p, 1)
-    _fft_everywhere(monkeypatch)
-    monkeypatch.setattr(polyarith, "_fft_error_bound", lambda la, lb: 0.5)
-    shapes, direct = _spy_fft(monkeypatch), _spy_residues(monkeypatch)
-    a, b = [2**100 - 1] * 30, [1 - 2**100] * 20
-    assert mul(a, b) == ref_mul(a, b)
-    assert shapes == [] and direct == [(30, 20)]
-
-
-def test_omega_products_match_the_int_path(monkeypatch):
-    """Both products of omega_family(5, 5), the build
-    omega-tilde_5^- = omega-tilde_4^- * Phi_5(1+X) and the identity
-    omega_5 = omega-tilde_5^- * omega_5^+, and the p = 3 identity that
-    full_grid builds, omega_6 = omega-tilde_6^- * omega_6^+ (548 by 183), are
-    convolved by FFT and agree bit for bit with the direct loop."""
-    fam4, fam5, fam6 = omega_family(5, 4), omega_family(5, 5), omega_family(3, 6)
-    products = [(fam4.omega_tilde_minus, fam5.phis[-1]), (fam5.omega_tilde_minus, fam5.omega_plus),
-                (fam6.omega_tilde_minus, fam6.omega_plus)]
-    shapes = _spy_fft(monkeypatch)
-    got = [mul(a, b) for a, b in products]
-    assert shapes == [(2501, 105), (2605, 522), (548, 183)]
-    monkeypatch.setattr(polyarith, "_FFT_ROWS", 1 << 62)
-    assert got == [mul(a, b) for a, b in products]
-    assert tuple(got[0]) == fam5.omega_tilde_minus
-    assert poly_trim(got[1]) == poly_trim(fam5.omega) and poly_trim(got[2]) == poly_trim(fam6.omega)
-
-
 @pytest.mark.parametrize("la, n, every, bits", [(61, 61, 1, 3263), (93, 93, 2, 938)])
 def test_workload_products_stay_on_the_direct_loop(la, n, every, bits, monkeypatch):
     """The largest series products of point_series (the D = 60 compositions,
     61 by 61 coefficients of 3263 bits) and of full_grid (93 by 93 at d = 2,
-    at most 46 nonzero rows, 72 primes) are convolved directly: their
-    sparser factor has fewer nonzero coefficients than the FFT crossover."""
+    at most 46 nonzero rows, 72 primes) are multiplied by residues, their
+    convolution run directly over the sparser factor's nonzero rows."""
     rng = random.Random(la)
     a = [rng.randint(-(2**bits), 2**bits) for _ in range(la)]
     b = [rng.randint(-(2**bits), 2**bits) if i % every == 0 else 0 for i in range(n)]
-    assert sum(map(bool, b)) < polyarith._FFT_ROWS
-    shapes, residues = _spy_fft(monkeypatch), _spy_residues(monkeypatch)
+    residues = _spy_residues(monkeypatch)
     assert mul(a, b) == _reference_mul(a, b)
-    assert shapes == [] and residues == [(la, n)]
+    assert residues == [(la, n)]
 
 
 @pytest.mark.parametrize("la, n, bits", [(548, 183, 360)])
@@ -589,45 +462,27 @@ def test_workload_products_stay_off_the_decimal_path(la, n, bits, monkeypatch):
     """The largest product of full_grid, 548 by 183 coefficients of 360 bits
     (about 49 KB packed), which lay below the crossover of the removed
     libmpdec regime: every product stays off a decimal path now, and this
-    one is convolved by FFT and comes out exact."""
+    one is multiplied by residues, convolved directly, and comes out exact."""
     rng = random.Random(la)
     a = [rng.randint(-(2**bits), 2**bits) for _ in range(la)]
     b = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
     assert 40 << 10 < _packed_bytes(a, b) < 128 << 10
     assert not hasattr(polyarith, "decimal")
-    shapes = _spy_fft(monkeypatch)
+    shapes = _spy_residues(monkeypatch)
     assert mul(a, b) == _reference_mul(a, b)
     assert shapes == [(la, n)]
 
 
-def test_fft_path_holds_at_most_four_packed_sizes(monkeypatch):
-    """The identity product of omega_family(5, 5), 2605 by 522 coefficients
-    of about 2600 bits (1 MB packed), by FFT: the residues of both factors,
-    the convolved rows, one block of transforms and the product's
-    coefficients peak at 3.6 packed sizes."""
-    fam = omega_family(5, 5)
-    a, b = fam.omega_tilde_minus, fam.omega_plus
+def test_lifted_coefficients_are_allocated_at_their_own_size(monkeypatch):
+    """The exact build of omega-tilde_5^- over Z by residues, 2605
+    coefficients: a remainder mod M, and M less it, keep an allocation of
+    M's size (388 B a coefficient here against 280 B). sys.getsizeof counts
+    only the digits in use, so the allocation is read by tracemalloc, and
+    held to the getsizeof of each value rebuilt by int.from_bytes, within
+    one 30-bit digit."""
+    a, b = reference_omega_family(5, 4).omega_tilde_minus, reference_cyclotomic_phi(5, 5)
     mul(a, b)   # the tables built
-    shapes = _spy_fft(monkeypatch)
-    tracemalloc.start()
-    try:
-        mul(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert shapes == [(2605, 522)]
-    assert peak < 4 * _packed_bytes(a, b)
-
-
-def test_lifted_coefficients_are_allocated_at_their_own_size():
-    """The build of omega-tilde_5^- by residues, its 2605 coefficients held by
-    the omega families for the life of the process: a remainder mod M, and
-    M less it, keep an allocation of M's size (388 B a coefficient here
-    against 280 B). sys.getsizeof counts only the digits in use, so the
-    allocation is read by tracemalloc, and held to the getsizeof of each
-    value rebuilt by int.from_bytes, within one 30-bit digit."""
-    a, b = omega_family(5, 4).omega_tilde_minus, omega_family(5, 5).phis[-1]
-    mul(a, b)   # the tables built
+    shapes = _spy_residues(monkeypatch)
     tracemalloc.start()
     try:
         got = mul(a, b)
@@ -636,7 +491,7 @@ def test_lifted_coefficients_are_allocated_at_their_own_size():
         tracemalloc.stop()
     rebuilt = [int.from_bytes(x.to_bytes(-(-(x.bit_length() + 1) // 8), "little", signed=True), "little",
                               signed=True) for x in got]
-    assert rebuilt == got
+    assert rebuilt == got and shapes == [(2501, 105)]
     assert held <= sum(map(sys.getsizeof, rebuilt)) + 4 * len(got)
 
 
@@ -735,16 +590,15 @@ def test_mul_vec_packs_only_the_classes_with_nonzero_rows(monkeypatch):
 
 # -- truncated products --------------------------------------------------------
 
-REGIMES = ("one", "residue", "fft")
+REGIMES = ("one", "residue")
 
 
 def _one_regime(mp, regime):
-    """mul forced onto one regime, the crossovers of the others moved out of
-    the way: "residue" convolves its residues directly, "fft" by FFT."""
+    """mul forced onto one regime, the crossover of the other moved out of
+    the way."""
     never = 1 << 62
     for name in ("_RESIDUE_BYTES", "_RESIDUE_COEFFS", "_RESIDUE_SLOT"):
         mp.setattr(polyarith, name, never if regime == "one" else 0)
-    mp.setattr(polyarith, "_FFT_ROWS", 0 if regime == "fft" else never)
 
 
 def _keeps(data, full):
