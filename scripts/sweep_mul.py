@@ -25,6 +25,14 @@ crossover of the other out of the way.
    products keep them, q the power of 3 their field holds. The product mod
    q by the explicit CRT against the exact product followed by % q, in
    milliseconds and as the median of their ratio.
+4. The Horner loops: one `compose` (the curve exp of a shipped ss3 bundle
+   composed with its log) and one `eval_series_at_tower` (its twisted exp
+   at the uniformizer of level n), each with its fixed factor prepared once
+   and with products that prepare it at every step (`prepared` patched to
+   return the series or tower value itself). The bundles are the shipped
+   shapes: D = 30 at d = 1 and 2 (P = 592), D = 40 (P = 980) and D = 60
+   (P = 2059, level 1) at d = 1. Milliseconds, and the median of the
+   ratio of the prepared loop's time over the other's.
 """
 
 from __future__ import annotations
@@ -34,8 +42,12 @@ import statistics
 import sys
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
-from normtower import polyarith
+from normtower import honda, localpoints, polyarith
+from normtower.curve import curve_from_preset
+from normtower.series import TruncSeries
+from normtower.tower import TowerElt, build_tower, uniformizer
 
 NEVER = 1 << 62
 CROSSOVERS = ("_RESIDUE_BYTES", "_RESIDUE_COEFFS", "_RESIDUE_SLOT")
@@ -152,9 +164,41 @@ def mod_lift(repeats: int) -> None:
               f"{mod:<7.2f} {statistics.median(m / x for x, m in pairs):.2f}")
 
 
+def loop_seconds(run, prepared: bool) -> float:
+    """One run of the loop, its fixed factor prepared once, or prepared by
+    each product when `prepared` is False."""
+    saved = TruncSeries.prepared, TowerElt.prepared
+    if not prepared:
+        TruncSeries.prepared = TowerElt.prepared = lambda self: self
+    try:
+        t = time.perf_counter()
+        run()
+        return time.perf_counter() - t
+    finally:
+        TruncSeries.prepared, TowerElt.prepared = saved
+
+
+def horner_loops(repeats: int) -> None:
+    ss3 = curve_from_preset("ss3", 3)
+    cases = [(1, 0, 30, 6), (2, 0, 30, 6), (1, 0, 40, 4), (1, 1, 60, 3)]
+    print("loop                 d  D   P     per step ms  prepared ms  prepared/per step")
+    for d, n, D, target in cases:
+        b = honda.series_bundle(ss3, d, n, D, target)
+        t = build_tower(3, d, max(n, 0), b.field.N)
+        x, vmin = uniformizer(t, n), Fraction(1, 2 * 3**max(n, 0))
+        loops = [("compose exp(log)", lambda: b.curve_exp.compose(b.curve_log)),
+                 (f"eval at level {n}", lambda: localpoints.eval_series_at_tower(b.honda_exp_series, x, vmin))]
+        for name, run in loops:
+            pairs = [(loop_seconds(run, False), loop_seconds(run, True)) for _ in range(repeats)]
+            plain, prep = (statistics.median(t) * 1e3 for t in zip(*pairs))
+            print(f"{name:<20} {d:<2} {D:<3} {b.field.N:<5} {plain:<12.1f} {prep:<12.1f} "
+                  f"{statistics.median(q / p for p, q in pairs):.2f}")
+
+
 if __name__ == "__main__":
     reps = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     crossover(reps, truncated=False)
     crossover(reps, truncated=True)
     shipped(reps)
     mod_lift(reps)
+    horner_loops(reps)

@@ -37,11 +37,13 @@ class InsufficientDegree(ValueError):
 
 def eval_series_at_tower(s: TruncSeries, x: TowerElt, vmin: Fraction) -> tuple[TowerElt, int]:
     """Horner evaluation of an O_k-coefficient series at a tower element with
-    v_p(x) >= vmin > 0. Returns (value, tail_floor): omitted degrees contribute
-    valuation >= (deg+1) vmin - den."""
+    v_p(x) >= vmin > 0, x prepared once as the right factor of every step.
+    Returns (value, tail_floor): omitted degrees contribute valuation
+    >= (deg+1) vmin - den."""
     assert x.den == 0, "evaluate at integral arguments"
     t = x.tower
     acc = tower_zero(t, x.level, prec=min(s.prec, x.prec))
+    x = x.prepared()  # every step multiplies by x
     for j in range(s.deg, -1, -1):
         acc = acc * x
         if any(s.coeffs[j]):

@@ -10,7 +10,9 @@ unpacking go through int.to_bytes / int.from_bytes in linear time. A factor
 is packed as one two's-complement integer, each slot taking the borrow of
 the slot below; the product's slots are read back as balanced digits.
 The longer factor is cut into blocks as long as the shorter one, which
-bounds the transient big ints, and each block is one big-int product.
+bounds the transient big ints, and each block is one big-int product (a
+loop's prepared factor, below, is the one packed whole, so a shorter other
+factor is one block).
 
 From the residue crossover on, `mul` works by residues instead
 (multi-modular multiplication; Brent and Zimmermann, "Modern Computer
@@ -79,6 +81,19 @@ nonzero only in rows f + k s, s > 1, just those rows are packed, against
 each class of the other mod s that holds a nonzero row. `mul_vec(a, b, d,
 rows)` keeps the first `rows` rows: rows * (2d - 1) coefficients of the
 spread product, and of class r of a strided one ceil((rows - r - f)/s).
+
+A Horner loop multiplies by one fixed factor at every step, so it prepares
+that factor once: an `Operand` holds its rows, their stride split (f, s)
+and the spread layout of the rows it multiplies by, and, built on first use
+and kept in a memo by slot width, prime count and cut length, its packing
+and its residues, plain or times the CRT weights. `mul_vec(a, op, d, rows,
+mod)` multiplies by it as by the rows. Plain calls take the same path: a
+plain `mul` prepares its factor with no memo, and a plain `mul_vec`
+prepares an Operand for that call alone, whose memo serves the classes of
+a strided product. A prepared operand lives as long as its loop keeps it (`TruncSeries.compose`,
+a Newton step of `TruncSeries.reversion`, `eval_series_at_tower`): there is
+no module-level cache of operands, because a memo of residues kept across
+loops raised the peak memory of a point_series run by 5.5 MB.
 
 There are two reduction rules. Every ring is a quotient by a monic modulus
 and reduces by `rem_monic`: O_k by the minimal polynomial of zeta
@@ -241,19 +256,20 @@ def _residues(a, top: int, powers: np.ndarray, p: np.ndarray) -> np.ndarray:
     return r
 
 
-def _convolve(ra: np.ndarray, rb: np.ndarray, weights: np.ndarray, p: np.ndarray, keep: int) -> np.ndarray:
-    """Rows t < keep of weights sum_j ra[t - j] rb[j] mod p, column by
-    column, as int32 in [0, p): int64 sums of products of at most (p - 1)^2,
-    one row of rb at a time and only its nonzero rows j < keep, each adding
-    its first keep - j products, reduced every _CONV_CHUNK rows, in equal
-    blocks of primes whose sums fit in _BLOCK_BYTES."""
+def _convolve(ra: np.ndarray, rb: np.ndarray, p: np.ndarray, keep: int) -> np.ndarray:
+    """Rows t < keep of sum_j ra[t - j] rb[j] mod p, rb the residues of the
+    driving factor already times the CRT weights, column by column, as int32
+    in [0, p): int64 sums of products of at most (p - 1)^2, one row of rb at
+    a time and only its nonzero rows j < keep, each adding its first keep - j
+    products, reduced every _CONV_CHUNK rows, in equal blocks of primes whose
+    sums fit in _BLOCK_BYTES."""
     la, rows = len(ra), np.flatnonzero(rb[:keep].any(axis=1)).tolist()
     out = np.empty((keep, len(p)), dtype=np.int32)
     blocks = -(-8 * len(out) * len(p) // _BLOCK_BYTES)
     step = -(-len(p) // blocks)
     for s in range(0, len(p), step):
         q = p[s:s + step]
-        x, y = ra[:, s:s + step].astype(np.int64), rb[:, s:s + step] * weights[s:s + step] % q
+        x, y = ra[:, s:s + step].astype(np.int64), rb[:, s:s + step]
         acc = np.zeros((len(out), len(q)), dtype=np.int64)
         term = np.empty_like(x)
         for done, j in enumerate(rows, 1):
@@ -263,11 +279,52 @@ def _convolve(ra: np.ndarray, rb: np.ndarray, weights: np.ndarray, p: np.ndarray
             if done % _CONV_CHUNK == 0:
                 acc %= q
         np.remainder(acc, q, out=out[:, s:s + step], casting="unsafe")
-        del x, y, acc, term  # one block's arrays live at a time
+        del x, acc, term  # one block's arrays live at a time
     return out
 
 
-def _mul_residues(a, b, top_a: int, top_b: int, bound: int, out, mod: int | None = None) -> None:
+class _Factor:
+    """A factor of `mul`, cut to the coefficients a product keeps, with the
+    largest |coefficient| of the whole factor. A prepared factor (`Operand`)
+    carries a memo, shared by its cuts, that keeps what its products derive
+    from it, each built on first use: its packing per slot width and its
+    residues per prime count, plain or times the CRT weights. A factor of
+    one product has no memo, so nothing it derives outlives the product."""
+
+    __slots__ = ("c", "top", "memo")
+
+    def __init__(self, c, top: int | None = None, memo: dict | None = None):
+        self.c = c
+        self.top = max(map(abs, c), default=0) if top is None else top
+        self.memo = memo
+
+    def __len__(self) -> int:
+        return len(self.c)
+
+    def cut(self, m: int) -> "_Factor":
+        """The first m coefficients, sharing the memo."""
+        return self if m >= len(self.c) else _Factor(self.c[:m], self.top, self.memo)
+
+    def _kept(self, key, build):
+        if self.memo is None:
+            return build()
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
+
+    def packed(self, s: int) -> int:
+        return self._kept(("packed", s, len(self.c)), lambda: _pack(self.c, s))
+
+    def residues(self, powers: np.ndarray, p: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """The residues mod the primes p, as int32, or given the CRT weights,
+        the residues times them mod p, in [0, p)."""
+        def build():
+            r = _residues(self.c, self.top, powers, p)
+            return r if weights is None else (r * weights % p).astype(np.int32)
+        return self._kept(("residues", len(p), len(self.c), weights is not None), build)
+
+
+def _mul_residues(a: _Factor, b: _Factor, bound: int, out, mod: int | None = None) -> None:
     """Writes the first keep = len(out) coefficients of a b into out by
     residues: both factors mod k primes below 2^26 with M > 2 bound,
     convolved per prime in int64 into keep rows x, each rebuilt by the CRT
@@ -282,9 +339,9 @@ def _mul_residues(a, b, top_a: int, top_b: int, bound: int, out, mod: int | None
     m, weights, recips, cofactors = _crt_table(k, mod)
     assert (2 if mod is None else 4) * bound < m
     p = _primes()[:k]
-    powers = _power_table(-(-max(top_a, top_b).bit_length() // 16), k)
+    powers = _power_table(-(-max(a.top, b.top).bit_length() // 16), k)
     # the convolution runs over the nonzero rows of b, which carries the CRT weights
-    c = _convolve(_residues(a, top_a, powers, p), _residues(b, top_b, powers, p), weights, p, len(out))
+    c = _convolve(a.residues(powers, p), b.residues(powers, p, weights), p, len(out))
     if mod is not None:
         c = np.column_stack((c, np.rint(c @ recips)))
     step = max(1, _BLOCK_BYTES // (8 * cofactors.shape[1]))
@@ -322,36 +379,40 @@ def mul(a, b, keep: int | None = None, mod: int | None = None) -> list[int]:
     or those mod `mod`, in [0, mod): by residues from the residue crossover
     on, with the sparser factor's nonzero coefficients driving the
     convolution, when the limbs and primes it needs are inside the float64
-    bounds; and otherwise one big-int product per block of the longer
-    factor."""
+    bounds; and otherwise one big-int product per block of a, the blocks as
+    long as the shorter factor. b is a list, or the prepared factor of an
+    `Operand`, which mul_vec passes; a list b is prepared here, once the
+    longer factor is taken as a."""
+    if not isinstance(b, _Factor):
+        if len(a) < len(b):
+            a, b = b, a
+        b = _Factor(b)
     if not a or not b:
         return []
-    if len(a) < len(b):
-        a, b = b, a
-    n = len(b)
-    full = len(a) + n - 1
+    n = min(len(a), len(b))
+    full = len(a) + len(b) - 1
     keep = full if keep is None else min(keep, full)
-    top_a, top_b = max(map(abs, a)), max(map(abs, b))
-    bound = top_a * top_b * n
+    top_a = max(map(abs, a))
+    bound = top_a * b.top * n
     if not bound or not keep:
         return [0] * keep
     s = (bound.bit_length() + 8) // 8  # bytes per slot, so that bound < 2^(8s-1)
     out = [0] * keep
-    a, b = a[:keep], b[:keep]  # no later coefficient reaches the first keep
+    a, b = _Factor(a[:keep], top_a), b.cut(keep)  # no later coefficient reaches the first keep
     if s >= _RESIDUE_SLOT and n >= _RESIDUE_COEFFS and s * n >= _RESIDUE_BYTES:
-        za, zb = sum(map(bool, a)), sum(map(bool, b))
+        za, zb = sum(map(bool, a.c)), sum(map(bool, b.c))
         nonzero = min(za, zb)
         if (nonzero >= _RESIDUE_COEFFS and s * nonzero >= _RESIDUE_BYTES
-                and max(top_a, top_b).bit_length() <= 16 * _MAX_LIMBS
+                and max(top_a, b.top).bit_length() <= 16 * _MAX_LIMBS
                 and _prime_count(bound if mod is None else 2 * bound) <= _MAX_PRIMES):
             if za < zb:
-                a, b, top_a, top_b = b, a, top_b, top_a
-            _mul_residues(a, b, top_a, top_b, bound, out, mod)
+                a, b = b, a
+            _mul_residues(a, b, bound, out, mod)
             return out
     half = 1 << (8 * s - 1)
-    packed_b = _pack(b, s)
+    packed_b = b.packed(s)
     for j in range(0, len(a), n):
-        block = a[j:j + n]
+        block = a.c[j:j + n]
         _unpack(_pack(block, s) * packed_b, out, range(j, min(j + len(block) + len(b) - 1, keep)), s, half)
     return out if mod is None else [c % mod for c in out]
 
@@ -368,38 +429,67 @@ def _stride(rows) -> tuple[int, int]:
     return f, s
 
 
+def _spread(vectors, d: int) -> list[int]:
+    """Length-d vectors laid end to end, each padded to 2d - 1 slots."""
+    pad, flat = [0] * (d - 1), []
+    for v in vectors:
+        flat += v
+        flat += pad
+    return flat
+
+
+class Operand:
+    """The fixed right factor b of the mul_vec products of one loop, prepared
+    once: its rows, their stride split (f, s) and the spread layout of the
+    rows it multiplies by, b[f::s] when s > 1 and b otherwise, as a factor
+    of mul whose packings and residues are built on first use and kept for
+    the Operand's life."""
+
+    def __init__(self, rows, d: int):
+        self.rows, self.d = rows, d
+        self.first, self.stride = _stride(rows)
+        self._factor = None
+
+    def factor(self) -> _Factor:
+        if self._factor is None:
+            f, s = self.first, self.stride
+            self._factor = _Factor(_spread(self.rows[f::s] if s > 1 else self.rows, self.d), memo={})
+        return self._factor
+
+    def times(self, a, rows: int, mod: int | None) -> list[list[int]]:
+        """The first `rows` entries of a times the rows this factor
+        multiplies by, as one product of mul."""
+        w, factor = 2 * self.d - 1, self.factor()
+        rows = min(rows, len(a) + len(factor) // w - 1)
+        c = mul(_spread(a, self.d), factor, rows * w, mod)
+        return [c[i:i + w] for i in range(0, rows * w, w)]
+
+
 def mul_vec(a, b, d: int, rows: int | None = None, mod: int | None = None) -> list[list[int]]:
     """The product of polynomials with length-d vector coefficients, or its
     first `rows` entries, or those mod `mod`; entry e of the result is the
     unreduced length-(2d - 1) product of the inner polynomials summed over
-    i + j = e."""
-    if not a or not b:
+    i + j = e. b is a list of rows, prepared here, or an `Operand` of them
+    that a loop prepared once for all its products."""
+    if not isinstance(b, Operand):
+        b = Operand(b, d)
+    if not a or not b.rows:
         return []
     w = 2 * d - 1
-    rows = len(a) + len(b) - 1 if rows is None else min(rows, len(a) + len(b) - 1)
-    (fa, sa), (f, s) = _stride(a), _stride(b)
-    if max(sa, s) > 1:
-        if sa > s:
-            a, b, f, s = b, a, fa, sa
-        # b lives in rows f + k s: pair each class of a mod s with b[f::s]
-        out = [[0] * w for _ in range(rows)]
-        for r in range(s):
-            kept = -(-(rows - r - f) // s)  # the rows r + f + k s below rows
-            if kept > 0 and any(map(any, a[r::s])):
-                for k, row in enumerate(mul_vec(a[r::s], b[f::s], d, kept, mod)):
-                    out[r + f + k * s] = row
-        return out
-    pad = [0] * (d - 1)
-
-    def spread(vectors):
-        flat = []
-        for v in vectors:
-            flat += v
-            flat += pad
-        return flat
-
-    c = mul(spread(a), spread(b), rows * w, mod)
-    return [c[i:i + w] for i in range(0, rows * w, w)]
+    rows = len(a) + len(b.rows) - 1 if rows is None else min(rows, len(a) + len(b.rows) - 1)
+    if _stride(a)[1] > b.stride:  # a lives on the wider stride: its classes pair up instead
+        return mul_vec(b.rows, Operand(a, d), d, rows, mod)
+    if b.stride <= 1:
+        return b.times(a, rows, mod)
+    # b lives in rows f + k s: pair each class of a mod s with b[f::s]
+    f, s = b.first, b.stride
+    out = [[0] * w for _ in range(rows)]
+    for r in range(s):
+        kept = -(-(rows - r - f) // s)  # the rows r + f + k s below rows
+        if kept > 0 and any(map(any, a[r::s])):
+            for k, row in enumerate(b.times(a[r::s], kept, mod)):
+                out[r + f + k * s] = row
+    return out
 
 
 def divmod_monic(a, m) -> tuple[list[int], list[int]]:

@@ -13,6 +13,16 @@ and the same for every product of a field, so that the CRT tables of its
 explicit-CRT lift are built once per field; each row is then reduced by the
 minimal polynomial and p^prec.
 
+`compose` is Horner's rule, acc <- canonical(canonical(acc g) + f_j) from
+j = deg down, so every product is by the one inner series g: the loop
+prepares it once (`prepared`, a copy carrying a `polyarith.Operand` of its
+coefficients for as long as the loop holds it), and each Newton step of
+`reversion` prepares its iterate E_k once for both of its compositions,
+l'(E_k) and l(E_k). Stored coefficients lie in [0, p^prec), so the
+alignment of a sum keeps a side's coefficients as they are when its scale
+factor is 1 and the modulus is its own, and skips zero coefficients and
+zero addends: the constant f_j of a Horner step touches coefficient 0 only.
+
 A series is evaluated at a point of the tower, O_k included as level -1,
 by `localpoints.eval_series_at_tower` only.
 
@@ -31,7 +41,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 from .padic import content_val
-from .polyarith import mul_vec
+from .polyarith import Operand, mul_vec
 from .unramified import FieldDesc
 
 
@@ -41,6 +51,7 @@ class TruncSeries:
     coeffs: tuple[tuple[int, ...], ...]  # degree 0..deg
     den: int
     prec: int
+    _operand = None  # set on the copy that `prepared` makes, for the products of one loop
 
     @property
     def deg(self) -> int:
@@ -77,11 +88,24 @@ class TruncSeries:
         den = max(self.den, other.den)
         prec = min(self.prec + den - self.den, other.prec + den - other.den)
         q = self.field.p**prec
-        sa = self.p ** (den - self.den)
-        sb = self.p ** (den - other.den)
-        a = [tuple(x * sa % q for x in c) for c in self.coeffs]
-        b = [tuple(x * sb % q for x in c) for c in other.coeffs]
-        return a, b, den, prec, q
+        return self._scaled(den, prec, q), other._scaled(den, prec, q), den, prec, q
+
+    def _scaled(self, den: int, prec: int, q: int):
+        """The coefficients times p^(den - self.den) mod q = p^prec: as they
+        are when that factor is 1 and prec is the series' own, since they lie
+        in [0, p^prec) already, and the zero ones as they are."""
+        sc = self.p ** (den - self.den)
+        if sc == 1 and prec == self.prec:
+            return self.coeffs
+        return [tuple(x * sc % q for x in c) if any(c) else c for c in self.coeffs]
+
+    def prepared(self) -> "TruncSeries":
+        """A copy whose products as the right factor share one
+        `polyarith.Operand` of its coefficients, which lives as long as the
+        copy: a Horner loop prepares its fixed factor once."""
+        s = replace(self)
+        object.__setattr__(s, "_operand", Operand(self.coeffs, self.field.d))
+        return s
 
     def truncate(self, deg: int) -> "TruncSeries":
         if deg >= self.deg:
@@ -119,7 +143,8 @@ class TruncSeries:
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         deg = min(self.deg, other.deg)
         a, b, den, prec, q = self.truncate(deg)._align(other.truncate(deg))
-        co = tuple(self.field.add(x, y, q) for x, y in zip(a, b))
+        # both lie in [0, q): a zero addend leaves the other as it is
+        co = tuple(self.field.add(x, y, q) if any(y) else x for x, y in zip(a, b))
         return TruncSeries(self.field, co, den, prec)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
@@ -132,8 +157,9 @@ class TruncSeries:
         deg = min(self.deg, other.deg)
         prec = min(self.prec, other.prec)
         q = self.field.p**prec
+        b = other.coeffs[: deg + 1] if other._operand is None else other._operand  # mul_vec keeps deg + 1 rows
         # mod a power of p that q divides, the same for every product of the field
-        conv = mul_vec(self.coeffs[: deg + 1], other.coeffs[: deg + 1], self.field.d, deg + 1, max(q, self.field.q))
+        conv = mul_vec(self.coeffs[: deg + 1], b, self.field.d, deg + 1, max(q, self.field.q))
         zero = self.field.zero()  # the rows off a strided product's stride are zero
         out = tuple(self.field.reduce(c, q) if any(c) else zero for c in conv)
         return TruncSeries(self.field, out, self.den + other.den, prec)
@@ -166,17 +192,19 @@ class TruncSeries:
         return replace(self, coeffs=tuple(co))
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner); inner must have zero constant term."""
+        """self(inner) by Horner's rule; inner must have zero constant term and
+        is prepared once for the loop, unless the caller prepared it."""
         assert not any(inner.coeffs[0]), "inner series must vanish at 0"
         deg = min(self.deg, inner.deg)
         f = self.truncate(deg)
         g = inner.truncate(deg)
+        if g._operand is None:
+            g = g.prepared()
         acc = TruncSeries.zero(self.field, deg, max(f.prec, g.prec))
+        zeros = (self.field.zero(),) * deg
         for j in range(deg, -1, -1):
             acc = (acc * g).canonical()
-            cj = TruncSeries(self.field, (f.coeffs[j],) + tuple(self.field.zero() for _ in range(deg)),
-                             f.den, f.prec)
-            acc = (acc + cj).canonical()
+            acc = (acc + TruncSeries(self.field, (f.coeffs[j],) + zeros, f.den, f.prec)).canonical()
         return acc
 
     def reversion(self) -> "TruncSeries":
@@ -205,7 +233,7 @@ class TruncSeries:
         while good < deg:
             good2 = min(2 * good + 1, deg)
             lk = self.truncate(good2).pad(good2)
-            Ek = E.truncate(good2).pad(good2)
+            Ek = E.truncate(good2).pad(good2).prepared()  # for both compositions by it
             dT = lprime.truncate(good2).pad(good2).compose(Ek)
             Q = Q.truncate(good2).pad(good2)
             two_k = two.truncate(good2).pad(good2)

@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .padic import content_val, primitive_root
-from .polyarith import mul_mod, mul_vec, rem_monic, teichmuller
+from .polyarith import Operand, mul_mod, mul_vec, rem_monic, teichmuller
 from .unramified import FieldDesc, build_unramified
 
 
@@ -193,6 +193,7 @@ class TowerElt:
     coords: np.ndarray  # shape (L, d), reduced mod p^prec, read-only
     den: int = 0
     prec: int = -1  # stored modulus exponent; -1 means tower.N
+    _operand = None  # set on the copy that `prepared` makes, for the products of one loop
 
     def __post_init__(self):
         if self.prec == -1:
@@ -233,12 +234,21 @@ class TowerElt:
     def __neg__(self) -> "TowerElt":
         return replace(self, coords=-self.coords)
 
+    def prepared(self) -> "TowerElt":
+        """A copy whose products as the right factor share one
+        `polyarith.Operand` of its coords, which lives as long as the copy."""
+        x = replace(self)
+        object.__setattr__(x, "_operand", Operand(self.coords.tolist(), self.tower.d))
+        return x
+
     def __mul__(self, other: "TowerElt") -> "TowerElt":
         assert self.level == other.level
         n = self.level
         t = self.tower
         prec = min(self.prec, other.prec)
-        conv = mul_vec(self.coords.tolist(), other.coords.tolist(), t.d)
+        b = other.coords.tolist() if other._operand is None else other._operand
+        # mod a power of p that p^prec divides, as the reductions below are Z-linear
+        conv = mul_vec(self.coords.tolist(), b, t.d, None, max(self.p**prec, t.q))
         # eta-powers past the basis by Phi_{p^(n+1)}, one zeta-power at a time,
         # then zeta-powers past the basis by zeta's modulus, one eta-power at a time
         cols = [rem_monic(c, t.modulus(n)) for c in zip(*conv)]

@@ -106,10 +106,13 @@ class FieldDesc:
         return tuple(mul_mod(a, b, self.modulus, q))
 
     def reduce(self, c, q: int | None = None):
-        """Coordinates of sum c_i zeta^i (any length) mod the minimal polynomial and q."""
+        """Coordinates of sum c_i zeta^i (any length) mod the minimal polynomial
+        and q: a row no longer than d takes one % per coordinate."""
         q = q or self.q
+        if len(c) == self.d == 1:
+            return (c[0] % q,)
         c = rem_monic(c, self.modulus) if len(c) > self.d else c
-        return tuple(x % q for x in c) + (0,) * (self.d - len(c))
+        return tuple([x % q for x in c]) + (0,) * (self.d - len(c))
 
     def pow(self, a, e: int):
         return tuple(pow_mod(a, e, self.modulus, self.q))

@@ -46,6 +46,12 @@
 - No module reaches numpy's FFT (`np.fft`, `numpy.fft`, or an import from
   it): every convolution is exact integer arithmetic, and no product rests on
   a rounding bound for floating-point transforms.
+- The module-level state of polyarith is the limb-power table `_powers`
+  and the caches `_primes` and `_crt_table`, and nothing else: no
+  module-level or class-level name but a constant (upper case) is assigned,
+  `global` names none other, and no other function is cached. A prepared
+  operand lives for its loop only; a memo of residues across loops cost
+  point_series 5.5 MB of peak memory.
 
 Each allowlist only shrinks: a listed name that becomes read fails until it
 leaves the list.
@@ -565,3 +571,66 @@ def test_detects_an_fft_call():
            "from numpy import linalg\n"
            "fft = 1\n")
     assert fft_uses(src) == [1, 2, 3, 4, 5]
+
+
+def module_state(source: str) -> list[str]:
+    """The names of a module's lasting state: module-level and class-level
+    assignments to names that are not constants (upper case after leading
+    underscores) or dunders, names declared global, and functions decorated
+    with a cache (cache, lru_cache, cached_property, as names, attributes or
+    calls)."""
+    def constant(name: str) -> bool:
+        return name.lstrip("_").isupper() or name.startswith("__") and name.endswith("__")
+
+    def cached(dec) -> bool:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", "")
+        return name in ("cache", "lru_cache", "cached_property")
+
+    def assigned(body):
+        for node in body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not constant(name.id):
+                        yield name.id
+
+    tree = ast.parse(source)
+    found = set(assigned(tree.body))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            found.update(assigned(node.body))
+        elif isinstance(node, ast.Global):
+            found.update(node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(cached, node.decorator_list)):
+            found.add(node.name)
+    return sorted(found)
+
+
+def test_polyarith_keeps_no_module_cache_of_operands():
+    assert module_state(SOURCES["polyarith.py"]) == ["_crt_table", "_powers", "_primes"]
+
+
+def test_detects_module_state():
+    src = ("_LIMIT = 8\n"
+           "__all__ = ['f']\n"
+           "_memo = {}\n"
+           "counts: dict = {}\n"
+           "class Operand:\n"
+           "    __slots__ = ('rows',)\n"
+           "    _RESERVED = 2\n"
+           "    _seen = []\n"
+           "    @functools.cached_property\n"
+           "    def factor(self):\n"
+           "        return 1\n"
+           "@lru_cache(maxsize=8)\n"
+           "def table(k):\n"
+           "    global _last\n"
+           "    _last = k\n"
+           "    local = {}\n"
+           "    return local\n"
+           "@cache\n"
+           "def primes():\n"
+           "    return []\n")
+    assert module_state(src) == ["_last", "_memo", "_seen", "counts", "factor", "primes", "table"]

@@ -695,6 +695,36 @@ def test_truncated_mul_vec_is_the_full_product_cut(regime, d, shape_a, shape_b, 
     assert got == full[:rows] == reference_mul_vec(a, b, d, rows)
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(REGIMES), st.integers(1, 3), shapes, st.sampled_from([2, 3, 4]), st.data())
+def test_prepared_operand_products_match_the_packing_of_every_row(regime, d, shape_b, sb, data):
+    """One Operand multiplies several left factors, dense or strided, kept to
+    rows in any order, shorter cuts first or last, and mod a modulus or not:
+    every product is the plain one, whatever its memo holds from the last."""
+    b = vec_operand(data, d, data.draw(st.integers(1, 30)), shape_b, sb)
+    with pytest.MonkeyPatch.context() as mp:
+        _one_regime(mp, regime)
+        op = polyarith.Operand(b, d)
+        for _ in range(data.draw(st.integers(1, 4))):
+            a = vec_operand(data, d, data.draw(st.integers(1, 30)), data.draw(shapes), data.draw(st.sampled_from([2, 4])))
+            rows = _keeps(data, len(a) + len(b) - 1)
+            mod = data.draw(st.sampled_from([None, 3**20, 5**7]))
+            assert mul_vec(a, op, d, rows, mod) == reference_mul_vec(a, b, d, rows, mod)
+
+
+def test_prepared_operand_keeps_each_cut_apart(monkeypatch):
+    """A prepared factor cut short by one product and whole in the next, in
+    either regime: its memo keeps the packing and residues of each cut apart."""
+    rng = random.Random(20)
+    a, b = ([[rng.randint(-(2**300), 2**300)] for _ in range(20)] for _ in range(2))
+    for regime in REGIMES:
+        with pytest.MonkeyPatch.context() as mp:
+            _one_regime(mp, regime)
+            op = polyarith.Operand(b, 1)
+            for rows in (3, 39, 3, 10):
+                assert mul_vec(a, op, 1, rows) == reference_mul_vec(a, b, 1, rows)
+
+
 # -- products mod a modulus ------------------------------------------------------
 
 
@@ -1037,14 +1067,36 @@ def _bundle_digits(d, D=30, target=6):
     return [(s.coeffs, s.den, s.prec) for s in parts], b.report, b
 
 
+def _reference_series_products(monkeypatch):
+    """Every series product taken by reference_mul_vec, the rows of a
+    prepared right factor (polyarith.Operand) included: the counts of
+    TruncSeries.__mul__ calls and of the products the reference took."""
+    counts = {"mul": 0, "reference": 0}
+    real_mul = TruncSeries.__mul__
+
+    def reference(a, b, *rest):
+        counts["reference"] += 1
+        return reference_mul_vec(a, b.rows if isinstance(b, polyarith.Operand) else b, *rest)
+
+    def series_mul(self, other):
+        counts["mul"] += 1
+        return real_mul(self, other)
+
+    monkeypatch.setattr(series, "mul_vec", reference)
+    monkeypatch.setattr(TruncSeries, "__mul__", series_mul)
+    return counts
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_series_bundle_is_bit_identical_to_packing_every_row(d, fresh_series_caches, monkeypatch):
     """The full_grid bundles, whose curve log and exp live in degrees 1 mod 4,
-    come out the same whether series products skip the zero rows or not."""
+    come out the same whether series products skip the zero rows or not;
+    the reference reaches every series product."""
     got = _bundle_digits(d)[:2]
     _series_cache_clear()
-    monkeypatch.setattr(series, "mul_vec", reference_mul_vec)
+    counts = _reference_series_products(monkeypatch)
     assert _bundle_digits(d)[:2] == got
+    assert counts["reference"] == counts["mul"] > 0
 
 
 def _point_series_digits():
@@ -1067,5 +1119,6 @@ def test_point_series_bundle_is_bit_identical_to_reducing_the_exact_product(fres
     got = _point_series_digits()
     assert any(m is not None for m in mods)   # the products reach the residue regime mod q
     _series_cache_clear()
-    monkeypatch.setattr(series, "mul_vec", reference_mul_vec)
+    counts = _reference_series_products(monkeypatch)
     assert _point_series_digits() == got
+    assert counts["reference"] == counts["mul"] > 0
