@@ -1,11 +1,15 @@
-"""Sweep of polyarith.mul's two size regimes, one big-int product per block
-and residues mod word-size primes.
+"""Sweep of polyarith.mul's two size regimes for products mod q, one big-int
+product per block followed by % q, and residues mod word-size primes
+rebuilt mod q by the explicit CRT. Only a product mod q takes residues: a
+product over Z is one product per block at every size.
 
   PYTHONPATH=src python scripts/sweep_mul.py [repeats]
 
 Each cell is the median, over `repeats` alternating runs, of one regime's
 time over another's on the same factors, each regime forced by moving the
-crossover of the other out of the way.
+crossover of the other out of the way. Sections 1 and 2 take every product
+mod q, the power of 3 just above 2^bits for coefficients of `bits` bits, as
+a series product's field holds its coefficients below its q.
 
 1. The residue crossover: random signed factors of `n` coefficients, all
    nonzero, in slots of `s` bytes; the residue time over the one-product
@@ -20,11 +24,11 @@ crossover of the other out of the way.
    truncated to the coefficients their callers keep (deg + 1 rows): the
    residue time over the one-product time, both truncated, and the
    truncated residue time over the full one.
-3. The lift mod q: the series shapes of the workloads, random signed
+3. The rebuild mod q: the series shapes of the workloads, random signed
    coefficients of the stored size, truncated to deg + 1 rows as the series
    products keep them, q the power of 3 their field holds. The product mod
-   q by the explicit CRT against the exact product followed by % q, in
-   milliseconds and as the median of their ratio.
+   q by the explicit CRT against the exact product (one product per block)
+   followed by % q, in milliseconds and as the median of their ratio.
 4. The Horner loops: one `compose` (the curve exp of a shipped ss3 bundle
    composed with its log) and one `eval_series_at_tower` (its twisted exp
    at the uniformizer of level n), each with its fixed factor prepared once
@@ -37,6 +41,7 @@ crossover of the other out of the way.
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 import sys
@@ -66,19 +71,27 @@ def regime(name: str):
             setattr(polyarith, c, v)
 
 
-def seconds(a, b, name: str, keep=None) -> float:
+def seconds(a, b, name: str, q: int, keep=None) -> float:
     with regime(name):
         t = time.perf_counter()
-        polyarith.mul(a, b, keep)
+        polyarith.mul(a, b, keep, q)
         return time.perf_counter() - t
 
 
 def ratio(a, b, name: str, base: str, repeats: int, keep=None, base_keep=None) -> float:
     """The median of name's time over base's, the two run in turn, keeping
-    keep and base_keep coefficients (None: the whole product)."""
-    seconds(a, b, name)  # fill the residue tables first
-    return statistics.median(seconds(a, b, name, keep=keep) / seconds(a, b, base, keep=base_keep)
+    keep and base_keep coefficients (None: the whole product), mod the
+    power of 3 just above the factors' coefficients."""
+    q = modulus(a, b)
+    seconds(a, b, name, q)  # fill the residue tables first
+    return statistics.median(seconds(a, b, name, q, keep=keep) / seconds(a, b, base, q, keep=base_keep)
                              for _ in range(repeats))
+
+
+def modulus(a, b) -> int:
+    """The power of 3 just above 2^bits, bits those of the factors' largest
+    coefficient."""
+    return 3 ** math.ceil(max(map(abs, a + b)).bit_length() / math.log2(3))
 
 
 def factor(rng, n: int, bits: int, zero_every: int = 0) -> list[int]:
@@ -124,7 +137,7 @@ def shipped(repeats: int) -> None:
         real = polyarith._mul_residues
         polyarith._mul_residues = lambda *args: taken.append(1) or real(*args)
         try:
-            polyarith.mul(a, b)
+            polyarith.mul(a, b, None, modulus(a, b))
         finally:
             polyarith._mul_residues = real
         cut = "-"
@@ -148,7 +161,7 @@ def mod_lift(repeats: int) -> None:
     rng = random.Random(27)
     shapes = [("point_series D=60", 61, 3263, 2059, 0), ("point_series D=40", 41, 1553, 980, 0),
               ("full_grid d=2 spread", 93, 938, 592, 3)]
-    print("shape                  n    bits  q      taken    exact+%q ms  mod ms  mod/exact")
+    print("shape                  n    bits  q      taken    one+%q ms    mod ms  mod/one")
     for name, n, bits, e, zero_every in shapes:
         a, b, q = factor(rng, n, bits, zero_every), factor(rng, n, bits, zero_every), 3**e
         taken = []

@@ -40,7 +40,7 @@ from .lattice import (
     uniformizer_generates_quotient,
 )
 from .localpoints import InsufficientDegree, LocalPoint, local_point_direct
-from .padic import PrecisionExhausted, ZpContext
+from .padic import PrecisionExhausted
 from .points import epsilon_log, point_log, verify_trace_relations
 from .series import TruncSeries
 from .snf import SnfResult, smith_divisors, smith_normal_form
@@ -59,7 +59,7 @@ __all__ = [
     "Lattice", "check_exact_sequence", "cyclicity_check", "galois_span",
     "maximal_ideal_lattice", "uniformizer_generates_quotient",
     "InsufficientDegree", "LocalPoint", "local_point_direct",
-    "PrecisionExhausted", "ZpContext",
+    "PrecisionExhausted",
     "epsilon_log", "point_log", "verify_trace_relations",
     "TruncSeries", "SnfResult", "smith_divisors", "smith_normal_form",
     "TowerDesc", "TowerElt", "build_tower", "check_g_iterate", "uniformizer",

@@ -67,6 +67,14 @@ def _integer(name: str, value) -> int:
     return value
 
 
+def _distinct(name: str, values: list) -> list:
+    """values, when no entry repeats: a repeated one would run twice."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{name} repeats {repeated}")
+    return values
+
+
 @dataclass
 class CampaignConfig:
     p_list: list[int]
@@ -86,8 +94,8 @@ class CampaignConfig:
             for name in ("p", "d"):
                 if not isinstance(doc[name], list):
                     raise ConfigError(f"{name} must be a list of integers, got {doc[name]!r}")
-            p_list = [_integer("p", x) for x in doc["p"]]
-            d_list = [_integer("d", x) for x in doc["d"]]
+            p_list = _distinct("p", [_integer("p", x) for x in doc["p"]])
+            d_list = _distinct("d", [_integer("d", x) for x in doc["d"]])
             if not p_list or not d_list:
                 raise ConfigError("empty p or d list")
             n_max = _integer("n_max", doc.get("n_max", 2))
@@ -122,15 +130,18 @@ class CampaignConfig:
                     and all(isinstance(c, str) for c in checks)):
                 raise ConfigError(f"checks must be a non-empty list of check names, "
                                   f"got {checks!r}")
-            checks = list(ALL_CHECKS) if "all" in checks else list(checks)
+            checks = list(ALL_CHECKS) if "all" in _distinct("checks", checks) else list(checks)
             bad = [c for c in checks if c not in ALL_CHECKS]
             if bad:
                 raise ConfigError(f"unknown checks: {bad}")
+            out = doc.get("out", "reports") if out_override is None else out_override
+            if not (isinstance(out, str) and out):
+                raise ConfigError(f"out must be a non-empty path, got {out!r}")
             return CampaignConfig(
                 p_list=p_list, d_list=d_list, n_max=n_max, precision=precision,
                 curves=curves, checks=checks,
                 seed=_integer("seed", doc.get("seed", 0) if seed_override is None else seed_override),
-                out=str(out_override or doc.get("out", "reports")),
+                out=out,
                 lambda_trials=lambda_trials,
             )
         except ConfigError:

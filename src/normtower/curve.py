@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .padic import ZpContext, is_prime, val_int
+from .padic import is_prime, val_int
 from .polyarith import mul, mul_vec, truncate
 from .series import TruncSeries
 from .unramified import FieldDesc
@@ -157,18 +157,17 @@ def formal_log(curve: CurveParams, field: FieldDesc, D: int, prec: int) -> Trunc
     scale = pow(-2, -1, q)
 
     def times(a, b, deg):
-        return [c % q for c in _zmul(a, b, deg)]
+        return truncate(mul(a, b, deg + 1, q), deg + 1)
 
     P = times([scale * c % q for c in num], _zinv([scale * c % q for c in den], D, times), D)
     assert P[0] == 1 % q, "invariant differential not normalized"
     # integrate: coefficient of t^(m+1) is P_m / (m+1)
     den_exp = max(val_int(m + 1, p, prec) for m in range(D)) if D >= 1 else 0
-    zp = ZpContext(p, prec)
     co = [field.zero() for _ in range(D + 1)]
     for m in range(0, D):
         e = val_int(m + 1, p, prec)
         unit = (m + 1) // p**e
-        c = field.from_int(p ** (den_exp - e) * zp.inv(unit) * P[m], q)
+        c = field.from_int(p ** (den_exp - e) * pow(unit, -1, q) * P[m], q)
         co[m + 1] = c
     return TruncSeries(field, tuple(co), den_exp, prec).canonical()
 

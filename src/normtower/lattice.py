@@ -266,15 +266,6 @@ def cyclicity_check(t: TowerDesc, n: int) -> dict:
             "ok": member == expected}
 
 
-def generation_check(t: TowerDesc, n: int) -> bool:
-    """span(orbit of log d_n) + (level n-1 lattice) = (level n lattice):
-    the third requisition on the point system."""
-    assert n >= 0
-    top = galois_span(t, [point_log(t, n)], n, None)
-    lower = curve_group_lattice(t, n - 1, None).embed(n)
-    return _stack(top, lower).equals(curve_group_lattice(t, n, None))
-
-
 # ---------------------------------------------------------------------------
 # precision-stabilized execution
 # ---------------------------------------------------------------------------

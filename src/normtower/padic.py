@@ -1,9 +1,9 @@
 """Fixed-precision arithmetic in Z_p mod p^N.
 
-Scalars are plain Python ints reduced into [0, p^N); a ZpContext carries
-(p, N) and provides the operations that need context. All arithmetic is
-exact mod p^N and the precision exponent N never changes silently: an
-element whose residue vanishes is "zero at precision N", not exact zero.
+Scalars are plain Python ints reduced into [0, p^N), and a unit is
+inverted by pow(a, -1, p^N). All arithmetic is exact mod p^N and the
+precision exponent N never changes silently: an element whose residue
+vanishes is "zero at precision N", not exact zero.
 
 The p-adic content of a set of coordinates, the least valuation among them,
 is read in one place, `content_val`: one gcd and one capped valuation. The
@@ -14,7 +14,6 @@ each keeps its own branch for a set that is zero at its precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 
 class PrecisionExhausted(Exception):
@@ -72,29 +71,6 @@ def content_val(values, p: int, cap: int) -> int:
     """The least p-adic valuation among the integers `values` (of their gcd),
     capped at `cap`: cap when every value is 0 or there are none."""
     return val_int(math.gcd(*values), p, cap)
-
-
-@dataclass(frozen=True)
-class ZpContext:
-    p: int
-    N: int
-    q: int = field(init=False)
-
-    def __post_init__(self):
-        if self.p == 2:
-            raise ValueError("p = 2 is out of scope")
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.N < 1:
-            raise ValueError("precision exponent must be >= 1")
-        object.__setattr__(self, "q", self.p**self.N)
-
-    def inv(self, a: int) -> int:
-        """Inverse of a unit mod p^N."""
-        a %= self.q
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"{a} is not a unit mod {self.p}^{self.N}")
-        return pow(a, -1, self.q)
 
 
 def floor_log(x: int, base: int) -> int:

@@ -14,47 +14,46 @@ bounds the transient big ints, and each block is one big-int product (a
 loop's prepared factor, below, is the one packed whole, so a shorter other
 factor is one block).
 
-From the residue crossover on, `mul` works by residues instead
-(multi-modular multiplication; Brent and Zimmermann, "Modern Computer
-Arithmetic", 2010, ch. 2). The crossover is measured: a sparser factor of at
-least _RESIDUE_COEFFS nonzero coefficients (7), slots of at least
-_RESIDUE_SLOT bytes (64), and those nonzero coefficients at least
+From the residue crossover on, a product mod `mod` works by residues
+instead (multi-modular multiplication; Brent and Zimmermann, "Modern
+Computer Arithmetic", 2010, ch. 2). The crossover is measured: a sparser
+factor of at least _RESIDUE_COEFFS nonzero coefficients (7), slots of at
+least _RESIDUE_SLOT bytes (64), and those nonzero coefficients at least
 _RESIDUE_BYTES packed (4 KB). Both factors are reduced mod k primes p_i
-below 2^26 whose product M exceeds 2 bound, the residues are convolved per
-prime, and each product coefficient is rebuilt by the CRT and lifted to
-(-M/2, M/2), as _unpack reads a slot; or, for a product mod `mod`, M
-exceeds 4 bound and each is rebuilt mod `mod` by the explicit CRT. The
-convolution is direct over the sparser factor's nonzero coefficients. Four
-bounds make it exact:
+below 2^26 whose product M exceeds 4 bound, the residues are convolved per
+prime, and each product coefficient is rebuilt mod `mod` by the explicit
+CRT. The residue regime serves products mod `mod` only: a product over Z
+takes one product per block at every size, and every caller that wants its
+coefficients mod a power of p passes that modulus. The convolution is
+direct over the sparser factor's nonzero coefficients. Three bounds make it
+exact:
 
 - residues: the 16-bit limbs of |a_j| times a table of 2^(16 l) mod p_i, a
   float64 matrix product whose partial sums stay below
   L (2^16 - 1)(p_i - 1) < 2^53 for L <= _MAX_LIMBS = 2048 limbs;
 - direct convolution: int64 sums of products of at most (p - 1)^2, reduced
   mod p every _CONV_CHUNK = 2048 terms, so below 2^63;
-- CRT: x @ limbs(M / p_i), x_i the convolved residues times the CRT
-  weights w_i in [0, p_i), a float64 matrix product whose partial sums stay
-  below k (p - 1)(2^16 - 1) < 2^53 for k <= _MAX_PRIMES = 2048 primes,
-  then one big-int % M per coefficient;
-- explicit CRT, for `mod` (Montgomery and Silverman, Math. Comp. 54, 1990;
-  Bernstein, "Multidigit modular multiplication with the explicit Chinese
-  remainder theorem", 1995): c = sum x_i M/p_i - t M, t an integer, so
+- explicit CRT (Montgomery and Silverman, Math. Comp. 54, 1990; Bernstein,
+  "Multidigit modular multiplication with the explicit Chinese remainder
+  theorem", 1995): x_i the convolved residues times the CRT weights w_i in
+  [0, p_i), c = sum x_i M/p_i - t M, t an integer, so
   c mod `mod` = [x, t] @ limbs((M/p_i) mod `mod`, -M mod `mod`) mod `mod`.
   The primes are taken with M > 4 bound, so |c|/M < 1/4 and
   sum x_i/p_i = t + c/M lies within 1/4 of t. That sum, x @ (1/p_i) in
   float64, has an error below (k^2 + 2k) 2^-53 < 2^-28 in any summation
-  order, so t = rint(x @ (1/p_i)) is exact, and t <= k. The matrix product's
-  partial sums stay below k p (2^16 - 1) < 2^53; its rows are below
-  k 2^26 mod, so the one % mod per coefficient has a quotient below 2^37.
+  order for k <= _MAX_PRIMES = 2048 primes, so t = rint(x @ (1/p_i)) is
+  exact, and t <= k. The matrix product's partial sums stay below
+  k p (2^16 - 1) < 2^53; its rows are below k 2^26 mod, so the one % mod
+  per coefficient has a quotient below 2^37.
 
-A product outside the float64 bounds of the residues and the CRT takes one
-product per block. A float64 sum of integers below 2^53 is exact in any
-order, so the BLAS may block and reorder the products as it likes; the
-products run in blocks of at most _BLOCK_BYTES (128 KB, the glibc mmap
+A product outside the float64 bounds of the residues and the explicit CRT
+takes one product per block. A float64 sum of integers below 2^53 is exact
+in any order, so the BLAS may block and reorder the products as it likes;
+the products run in blocks of at most _BLOCK_BYTES (128 KB, the glibc mmap
 threshold), which keeps the BLAS's packing and the transients small. The
 primes, one table of limb powers (grown on demand) and the CRT tables of
 the last _CRT_TABLES (8) pairs of a prime count and a modulus are built on
-first use. scripts/sweep_mul.py measures the crossovers and the lift mod
+first use. scripts/sweep_mul.py measures the crossovers and the rebuild mod
 `mod`.
 
 `mul(a, b, keep)` returns only the first keep coefficients, as a series
@@ -68,10 +67,9 @@ low m slots the same bytes and borrows as the whole product, and the
 borrow out of the last slot read belongs to a slot not read. The residue
 regime reduces the first keep coefficients of each factor, convolves keep
 rows (a nonzero row j < keep of the sparser factor adds its first keep - j
-products) and rebuilds only those. `mul(a, b, keep, mod)` returns them mod
-`mod`, in [0, mod): the residue regime rebuilds them by the explicit CRT,
-from a table half as wide as M's when `mod` is half M's size, and the
-one-product regime reduces its output.
+products) and rebuilds only those, mod `mod`, from a table half as wide as
+M's when `mod` is half M's size. `mul(a, b, keep, mod)` returns them in
+[0, mod); the one-product regime reduces its output.
 
 `mul_vec` multiplies polynomials whose coefficients are themselves
 length-d coefficient vectors (elements of O_k, of Z[F]/(F^d - 1), ...): each
@@ -208,19 +206,17 @@ def _power_table(limbs: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_CRT_TABLES)
-def _crt_table(k: int, mod: int | None = None) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+def _crt_table(k: int, mod: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """(M, w, r, Q) for the first k primes: M their product, w_i the inverse
     of M/p_i mod p_i (int64), r_i the float64 1/p_i, and row i of Q the
-    16-bit limbs (uint16) of M/p_i; or, given mod, of (M/p_i) mod `mod`, with
-    one last row of -M mod `mod`. Q has a multiple of four columns, the last
-    four zero, so that a sum of its rows times residues below 2^26 fills at
-    most the slot of its columns."""
+    16-bit limbs (uint16) of (M/p_i) mod `mod`, with one last row of
+    -M mod `mod`. Q has a multiple of four columns, the last four zero, so
+    that a sum of its rows times residues below 2^26 fills at most the slot
+    of its columns."""
     primes = _primes()[:k].tolist()
     m = prod(primes)
-    cofactors = [m // p for p in primes]
-    w = np.array([pow(c % p, -1, p) for c, p in zip(cofactors, primes)], dtype=np.int64)
-    if mod is not None:
-        cofactors = [c % mod for c in cofactors] + [-m % mod]
+    w = np.array([pow(m // p % p, -1, p) for p in primes], dtype=np.int64)
+    cofactors = [m // p % mod for p in primes] + [-m % mod]
     cols = 4 * (-(-max(cofactors).bit_length() // 64) + 1)
     raw = b"".join(c.to_bytes(2 * cols, "little") for c in cofactors)
     return m, w, 1 / _primes()[:k], np.frombuffer(raw, dtype="<u2").reshape(len(cofactors), cols)
@@ -231,9 +227,9 @@ def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     integer below 2^53, so that it is exact in any summation order; in
     blocks of the inner dimension that hold b's converted rows within
     _BLOCK_BYTES, so that the BLAS packs little. Callers pass blocks of a's
-    rows within the same size."""
+    rows within the same size; a float64 a is read as it is, not copied."""
     inner = max(1, _BLOCK_BYTES // (8 * b.shape[1]))
-    a = a.astype(np.float64)
+    a = a.astype(np.float64, copy=False)
     acc = a[:, :inner] @ b[:inner].astype(np.float64)
     for j in range(inner, b.shape[0], inner):
         acc += a[:, j:j + inner] @ b[j:j + inner].astype(np.float64)
@@ -324,63 +320,50 @@ class _Factor:
         return self._kept(("residues", len(p), len(self.c), weights is not None), build)
 
 
-def _mul_residues(a: _Factor, b: _Factor, bound: int, out, mod: int | None = None) -> None:
-    """Writes the first keep = len(out) coefficients of a b into out by
-    residues: both factors mod k primes below 2^26 with M > 2 bound,
-    convolved per prime in int64 into keep rows x, each rebuilt by the CRT
-    as x @ limbs(M/p_i), a float64 product of at most k (p - 1)(2^16 - 1),
-    one % M, and the lift to (-M/2, M/2). Given mod, M > 4 bound, and each
-    row is rebuilt mod `mod` by the explicit CRT: c = sum x_i M/p_i - t M
-    with t = rint(sum x_i / p_i), so [x, t] @ limbs((M/p_i) mod `mod`,
+def _mul_residues(a: _Factor, b: _Factor, bound: int, out, mod: int) -> None:
+    """Writes the first keep = len(out) coefficients of a b mod `mod` into
+    out by residues: both factors mod k primes below 2^26 with M > 4 bound,
+    convolved per prime in int64 into keep rows x, each rebuilt mod `mod`
+    by the explicit CRT: c = sum x_i M/p_i - t M with
+    t = rint(sum x_i / p_i), so [x, t] @ limbs((M/p_i) mod `mod`,
     -M mod `mod`) and one % mod, the product's partial sums at most
     k p (2^16 - 1), as t <= k. mul passes a and b already cut to their
     first keep coefficients."""
-    k = _prime_count(bound if mod is None else 2 * bound)
+    k = _prime_count(2 * bound)
     m, weights, recips, cofactors = _crt_table(k, mod)
-    assert (2 if mod is None else 4) * bound < m
+    assert 4 * bound < m
     p = _primes()[:k]
     powers = _power_table(-(-max(a.top, b.top).bit_length() // 16), k)
     # the convolution runs over the nonzero rows of b, which carries the CRT weights
     c = _convolve(a.residues(powers, p), b.residues(powers, p, weights), p, len(out))
-    if mod is not None:
-        c = np.column_stack((c, np.rint(c @ recips)))
+    c = np.column_stack((c, np.rint(c @ recips)))
     step = max(1, _BLOCK_BYTES // (8 * cofactors.shape[1]))
     for i in range(0, len(c), step):
-        out[i:i + step] = _crt_lift(_exact_product(c[i:i + step], cofactors), m, mod)
+        out[i:i + step] = _crt_lift(_exact_product(c[i:i + step], cofactors), mod)
 
 
-def _crt_lift(v: np.ndarray, m: int, mod: int | None = None) -> list[int]:
+def _crt_lift(v: np.ndarray, mod: int) -> list[int]:
     """The rows of v, sums over 16-bit limb columns (row t is
-    sum_l v[t, l] 2^(16 l)), each mod m and lifted to (-m/2, m/2), or, given
-    mod, each mod `mod`, in [0, mod). Every entry is below 2^53, so every
-    fourth 64-bit word of v reads as one integer, whose slots of v.shape[1]
-    limbs each hold one row. A remainder mod m, and its difference with m,
-    keep an allocation of m's size, so each row is negated once more into an
-    int of its own size."""
-    width, half = 2 * v.shape[1], m >> 1
+    sum_l v[t, l] 2^(16 l)), each mod `mod`, in [0, mod). Every entry is
+    below 2^53, so every fourth 64-bit word of v reads as one integer, whose
+    slots of v.shape[1] limbs each hold one row."""
+    width = 2 * v.shape[1]
     words = v.astype(np.uint64).ravel()
     x = sum(int.from_bytes(words[g::4].tobytes(), "little") << 16 * g for g in range(4))
     del words
     raw = memoryview(x.to_bytes(len(v) * width, "little"))
     del x
-    rows = []
-    for j in range(0, len(raw), width):
-        y = int.from_bytes(raw[j:j + width], "little")
-        if mod is None:
-            y %= m
-            rows.append(-(m - y) if y > half else -(-y))
-        else:
-            rows.append(y % mod)
-    return rows
+    return [int.from_bytes(raw[j:j + width], "little") % mod for j in range(0, len(raw), width)]
 
 
 def mul(a, b, keep: int | None = None, mod: int | None = None) -> list[int]:
     """The product of two polynomials over Z, or its first keep coefficients,
-    or those mod `mod`, in [0, mod): by residues from the residue crossover
-    on, with the sparser factor's nonzero coefficients driving the
-    convolution, when the limbs and primes it needs are inside the float64
-    bounds; and otherwise one big-int product per block of a, the blocks as
-    long as the shorter factor. b is a list, or the prepared factor of an
+    or those mod `mod`, in [0, mod). A product mod `mod` is taken by
+    residues from the residue crossover on, with the sparser factor's
+    nonzero coefficients driving the convolution, when the limbs and primes
+    it needs are inside the float64 bounds; every other product is one
+    big-int product per block of a, the blocks as long as the shorter
+    factor. b is a list, or the prepared factor of an
     `Operand`, which mul_vec passes; a list b is prepared here, once the
     longer factor is taken as a."""
     if not isinstance(b, _Factor):
@@ -399,12 +382,12 @@ def mul(a, b, keep: int | None = None, mod: int | None = None) -> list[int]:
     s = (bound.bit_length() + 8) // 8  # bytes per slot, so that bound < 2^(8s-1)
     out = [0] * keep
     a, b = _Factor(a[:keep], top_a), b.cut(keep)  # no later coefficient reaches the first keep
-    if s >= _RESIDUE_SLOT and n >= _RESIDUE_COEFFS and s * n >= _RESIDUE_BYTES:
+    if mod is not None and s >= _RESIDUE_SLOT and n >= _RESIDUE_COEFFS and s * n >= _RESIDUE_BYTES:
         za, zb = sum(map(bool, a.c)), sum(map(bool, b.c))
         nonzero = min(za, zb)
         if (nonzero >= _RESIDUE_COEFFS and s * nonzero >= _RESIDUE_BYTES
                 and max(top_a, b.top).bit_length() <= 16 * _MAX_LIMBS
-                and _prime_count(bound if mod is None else 2 * bound) <= _MAX_PRIMES):
+                and _prime_count(2 * bound) <= _MAX_PRIMES):
             if za < zb:
                 a, b = b, a
             _mul_residues(a, b, bound, out, mod)
@@ -552,7 +535,7 @@ def xgcd_fp(a, b, p: int) -> tuple[list[int], list[int], list[int]]:
 
 def mul_mod(a, b, m, q: int) -> list[int]:
     """The product a b in (Z/q)[x]/(m), m monic: deg(m) coefficients in [0, q)."""
-    return [c % q for c in rem_monic(mul(a, b), m)]
+    return [c % q for c in rem_monic(mul(a, b, mod=q), m)]
 
 
 def pow_mod(a, e: int, m, q: int) -> list[int]:

@@ -71,7 +71,7 @@ kernel.
 Who reads the transforms: no program code reads U, and V is read only by
 `kernel_basis` (its kernel columns, for `groupring.annihilator`, which only
 tests reach), so program code reaches `smith_normal_form` only through
-`kernel_basis`. `SnfResult.certify` reads both, for the tests. No module
+`kernel_basis`; the tests check that both are unimodular. No module
 below the lattices imports this one: O_k, the tower and the series layers
 are built and inverted by the polynomial arithmetic of `polyarith`.
 
@@ -151,31 +151,6 @@ class SnfResult:
     def torsion(self) -> list[int]:
         """Nontrivial finite elementary-divisor valuations (0 < e < N - MARGIN)."""
         return sorted(e for e in self.divisors if 0 < e < self.N - MARGIN)
-
-    def certify(self) -> bool:
-        """Unimodularity witness: both transform determinants are p-adic units."""
-        return _det_is_unit(self.U, self.p) and _det_is_unit(self.V, self.p)
-
-
-def _det_is_unit(M: np.ndarray, p: int) -> bool:
-    A = (M % p).astype(np.int64)
-    n = A.shape[0]
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if A[r, c] % p:
-                piv = r
-                break
-        if piv is None:
-            return False
-        if piv != c:
-            A[[c, piv]] = A[[piv, c]]
-        inv = pow(int(A[c, c]), -1, p)
-        A[c] = A[c] * inv % p
-        for r in range(n):
-            if r != c and A[r, c]:
-                A[r] = (A[r] - A[r, c] * A[c]) % p
-    return True
 
 
 def _eliminate(A: np.ndarray, p: int, N: int,

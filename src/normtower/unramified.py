@@ -180,7 +180,7 @@ def build_unramified(p: int, d: int, N: int) -> FieldDesc:
     for k in range(d):
         conj = pow_mod(zeta_x, p**k, lift, q)
         poly = [[c % q for c in rem_monic(v, lift)]
-                for v in mul_vec(poly, [[-c for c in conj], one], d)]
+                for v in mul_vec(poly, [[-c for c in conj], one], d, mod=q)]
     assert not any(c for v in poly for c in v[1:]), "minimal polynomial is not over Z/q"
     modulus = tuple(v[0] for v in poly)
 

@@ -60,14 +60,35 @@ def test_config_rejects_empty_d():
     {"seed": "12"},
     {"curve": {"a4": -1.7}},
     {"precision": CEILING + 1},
+    {"out": None},
+    {"out": 5},
+    {"out": True},
+    {"out": ["a"]},
+    {"out": ""},
+    {"p": [3, 3]},
+    {"d": [1, 2, 1]},
+    {"checks": ["trace", "trace"]},
+    {"checks": ["all", "all"]},
 ])
-def test_config_rejects_out_of_range_values(tmp_path, capsys, override):
+def test_config_rejects_out_of_range_values(tmp_path, capsys, monkeypatch, override):
     with pytest.raises(ConfigError):
         CampaignConfig.from_json({**BASE, **override})
-    cfg = write_cfg(tmp_path, {**BASE, **override, "out": str(tmp_path / "rep")})
+    monkeypatch.chdir(tmp_path)   # an out read as "None", "5" or "." would land here
+    cfg = write_cfg(tmp_path, {**BASE, "out": str(tmp_path / "rep"), **override})
     assert main(["verify", "--config", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "rep").exists()
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_verify_rejects_an_empty_out_flag(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_campaign", lambda cfg: pytest.fail("campaign ran"))
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["verify", "--config", str(cfg), "--out", ""]) == 2
+    assert "config error: out must be a non-empty path" in capsys.readouterr().err
+    assert main(["verify", "--config", str(cfg), "--checks", "trace,trace"]) == 2
+    assert "config error: checks repeats ['trace']" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_config_accepts_the_precision_ceiling_and_an_integer_seed():

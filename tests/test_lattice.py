@@ -21,7 +21,6 @@ from normtower.lattice import (
     expected_norm_rank,
     expected_plusminus_rank,
     galois_span,
-    generation_check,
     lattice_from_elements,
     maximal_ideal_lattice,
     norm_subgroup_lattice,
@@ -134,12 +133,6 @@ def test_maximal_ideal_lattice_d1():
 def test_uniformizer_generates_quotient(tower_3_2):
     for n in (0, 1, 2):
         assert uniformizer_generates_quotient(tower_3_2, n)
-
-
-def test_generation_property(tower_3_2, tower_3_4):
-    for t in (tower_3_2, tower_3_4):
-        for n in (0, 1, 2):
-            assert generation_check(t, n)
 
 
 def test_p5_rank_table(tower_5_2):

@@ -1,17 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from normtower.padic import ZpContext, content_val, floor_log, val_int
+from normtower.padic import content_val, floor_log, val_int
 from normtower.polyarith import teichmuller
-
-
-def test_context_rejects_bad_primes():
-    with pytest.raises(ValueError):
-        ZpContext(2, 4)
-    with pytest.raises(ValueError):
-        ZpContext(9, 4)
-    with pytest.raises(ValueError):
-        ZpContext(5, 0)
 
 
 @pytest.mark.parametrize("b", [3, 5, 7])
@@ -72,8 +63,7 @@ def test_teichmuller_is_root_of_unity(p, N, a):
 def test_inverse_of_units(p, N, a):
     if a % p == 0:
         a += 1
-    zp = ZpContext(p, N)
-    assert a * zp.inv(a) % p**N == 1
+    assert a * pow(a, -1, p**N) % p**N == 1
 
 
 def test_valuation_cap():

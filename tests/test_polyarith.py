@@ -1,15 +1,15 @@
 """Differential tests: the Kronecker kernel and every product routed through
 it against schoolbook references kept in this file."""
 
+import inspect
 import random
-import sys
 import tracemalloc
 from math import isqrt, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_groupring import reference_cyclotomic_phi, reference_omega_family
+from test_groupring import reference_omega_family
 from test_padic import _iterated_teichmuller
 
 from normtower import curve, honda, localpoints, polyarith, series, unramified
@@ -190,12 +190,12 @@ def _residues_everywhere(mp):
 @settings(deadline=None, max_examples=300)
 @given(st.sampled_from([1, 8, 16, 63, 70, 500, 3000]), st.sampled_from([1 << 17, 512, 8]), st.data())
 def test_residues_match_one_product_per_block(bits, block_bytes, data):
-    """With the crossover at 0, every product is multiplied by residues:
-    signed, zero and all-zero factors of 0 to 13 coefficients, single
-    coefficients, longer factors of 14 to 40, sparse factors, and every
-    16-bit limb at 0xFFFF (+-(2^16l - 1)), in both argument orders; with
-    blocks of 128 KB, of a few rows and primes (a short last block), or of
-    one."""
+    """With the crossover at 0, every product mod a modulus is multiplied by
+    residues: signed, zero and all-zero factors of 0 to 13 coefficients,
+    single coefficients, longer factors of 14 to 40, sparse factors, and
+    every 16-bit limb at 0xFFFF (+-(2^16l - 1)), in both argument orders;
+    with blocks of 128 KB, of a few rows and primes (a short last block), or
+    of one."""
     top = 2**bits - 1
     full = 2 ** (-(-bits // 16) * 16) - 1
     coeff = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 0, full, -full]))
@@ -207,19 +207,20 @@ def test_residues_match_one_product_per_block(bits, block_bytes, data):
 
     a = poly(st.integers(0, 13))
     b = poly(st.one_of(st.integers(0, 13), st.integers(14, 40)))
+    mod = data.draw(_moduli(full * full * 40))
     with pytest.MonkeyPatch.context() as mp:
         _residues_everywhere(mp)
         mp.setattr(polyarith, "_BLOCK_BYTES", block_bytes)
         shapes = _spy_residues(mp)
-        got, swapped = mul(a, b), mul(b, a)
-    assert got == swapped == _reference_mul(a, b)
+        got, swapped = mul(a, b, None, mod), mul(b, a, None, mod)
+    assert got == swapped == [c % mod for c in _reference_mul(a, b)]
     assert len(shapes) == (2 if any(a) and any(b) else 0)
 
 
 def test_residues_at_the_slot_boundary(monkeypatch):
     """7 * 31 * 151 = 2^15 - 1: the full overlaps fill their slots to half - 1,
-    of both signs when the factors alternate; the edge cases of the single
-    product too."""
+    of both signs when the factors alternate, in the exact product, and mod
+    a modulus by residues; the edge cases of the single product too."""
     _residues_everywhere(monkeypatch)
     for n in range(1, 30):
         for sign in (1, -1):
@@ -227,64 +228,55 @@ def test_residues_at_the_slot_boundary(monkeypatch):
             got = mul(a, b)
             assert got == mul(b, a) == _reference_mul(a, b) == ref_mul(a, b)
             assert n < 7 or max(map(abs, got)) == 2**15 - 1
+            for mod in (3**20, 2**15 - 1, 2**15, 2**16 + 1):
+                assert mul(a, b, None, mod) == mul(b, a, None, mod) == [c % mod for c in got]
     test_mul_edge_cases()
-
-
-@pytest.mark.parametrize("k", [1, 2, 4, 7])
-def test_residues_lift_a_bound_just_below_half_the_modulus(k, monkeypatch):
-    """With exactly the k primes whose product M first exceeds 2 bound, the
-    coefficients +-(M - 1)/2, and their sums, lift to the right sign."""
-    _residues_everywhere(monkeypatch)
-    monkeypatch.setattr(polyarith, "_prime_count", lambda bound: k)
-    m = prod(polyarith._primes()[:k].tolist())
-    x = (m - 1) // 2
-    shapes = _spy_residues(monkeypatch)
-    for a, b in (([x], [1]), ([-x], [1]), ([x, -x, x], [1]), ([1, -1], [x // 2, x // 2]),
-                 ([x - 1, 1 - x], [-1])):
-        assert max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)) * 2 < m
-        assert mul(a, b) == mul(b, a) == ref_mul(a, b)
-    assert len(shapes) == 10
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 5])
 def test_convolution_reduces_every_chunk(chunk, monkeypatch):
     """A sparser factor with more nonzero coefficients than the int64
-    accumulation chunk, the chunk made small."""
+    accumulation chunk, the chunk made small, mod a modulus."""
     _residues_everywhere(monkeypatch)
     monkeypatch.setattr(polyarith, "_CONV_CHUNK", chunk)
     rng = random.Random(chunk)
     a = [rng.randint(-(2**200), 2**200) for _ in range(23)]
     b = [rng.choice([0, rng.randint(-(2**200), 2**200)]) for _ in range(17)]
-    assert mul(a, b) == mul(b, a) == ref_mul(a, b)
+    q = 3**300
+    shapes = _spy_residues(monkeypatch)
+    assert mul(a, b, None, q) == mul(b, a, None, q) == [c % q for c in ref_mul(a, b)]
     for keep in (1, 9, 17, 30, 39):   # cut inside the sparser factor, past it, and whole
-        assert mul(a, b, keep) == mul(b, a, keep) == ref_mul(a, b)[:keep]
+        assert mul(a, b, keep, q) == mul(b, a, keep, q) == [c % q for c in ref_mul(a, b)[:keep]]
+    assert len(shapes) == 12
 
 
 def test_sparser_factor_longer_than_the_chunk(monkeypatch):
-    """2100 nonzero coefficients, past the real chunk of 2048, whole and cut
-    before and after the last row of the sparser factor."""
+    """2100 nonzero coefficients, past the real chunk of 2048, mod a modulus,
+    whole and cut before and after the last row of the sparser factor."""
     _residues_everywhere(monkeypatch)
     rng = random.Random(2100)
     a, b = ([rng.randint(-(2**100), 2**100) for _ in range(2100)] for _ in range(2))
+    q = 3**70
     shapes = _spy_residues(monkeypatch)
-    full = mul(a, b)
-    assert full == _reference_mul(a, b)
+    full = mul(a, b, None, q)
+    assert full == [c % q for c in _reference_mul(a, b)]
     assert shapes == [(2100, 2100)] and polyarith._CONV_CHUNK == 2048
     for keep in (2049, 2101):
-        assert mul(a, b, keep) == full[:keep]
+        assert mul(a, b, keep, q) == full[:keep]
 
 
 def test_limbs_past_the_float_exact_limit_take_one_product(monkeypatch):
     """2048 limbs of 16 bits is the most whose float64 residue sums stay
-    exact: a coefficient of 2^32768 - 1 is multiplied by residues, one of
-    2^32768 takes one product."""
+    exact: a coefficient of 2^32768 - 1 is multiplied by residues mod q, one
+    of 2^32768 takes one product."""
     monkeypatch.setattr(polyarith, "_powers", polyarith._powers)  # the grown table goes with the test
     _residues_everywhere(monkeypatch)
     shapes = _spy_residues(monkeypatch)
+    q = 3**20000
     try:
         for top, taken in ((2**32768 - 1, 1), (2**32768, 0)):
             a, b = [top, 3, -top], [5, -7]
-            assert mul(a, b) == ref_mul(a, b)
+            assert mul(a, b, None, q) == [c % q for c in ref_mul(a, b)]
             assert len(shapes) == taken
             shapes.clear()
     finally:
@@ -292,43 +284,52 @@ def test_limbs_past_the_float_exact_limit_take_one_product(monkeypatch):
 
 
 def test_shipped_products_take_the_residue_path(monkeypatch):
-    """The n = 1, D = 60 compositions multiply 61 coefficients of 3263 bits:
-    they must be multiplied by residues (a mis-set crossover shows here),
-    and agree with one product."""
+    """The n = 1, D = 60 compositions multiply 61 coefficients of 3263 bits
+    mod 3^2059: they must be multiplied by residues (a mis-set crossover
+    shows here), and agree with one product reduced."""
     shapes = _spy_residues(monkeypatch)
     rng = random.Random(61)
     a, b = ([rng.randint(-(2**3263), 2**3263) for _ in range(61)] for _ in range(2))
-    assert mul(a, b) == _reference_mul(a, b)
+    q = 3**2059
+    assert mul(a, b, None, q) == [c % q for c in _reference_mul(a, b)]
     assert shapes == [(61, 61)]
 
 
-def test_residue_path_holds_at_most_fifteen_packed_sizes():
+def test_residue_path_holds_at_most_fifteen_packed_sizes(monkeypatch):
     """61 by 61 coefficients of 3263 bits (slots of 817 bytes, 49.8 KB
-    packed), the tables built: the residues of both factors, the product's
-    coefficients and at most one block of each stage at a time peak at 14
-    packed sizes."""
+    packed) mod 3^2059, the tables built: the residues of both factors, the
+    product's coefficients and at most one block of each stage at a time
+    peak at 14 packed sizes."""
     rng = random.Random(62)
     a, b = ([rng.randint(-(2**3263), 2**3263) for _ in range(61)] for _ in range(2))
-    expect = mul(a, b)
+    q = 3**2059
+    shapes = _spy_residues(monkeypatch)
+    expect = mul(a, b, None, q)
     tracemalloc.start()
     try:
-        got = mul(a, b)
+        got = mul(a, b, None, q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == expect == _reference_mul(a, b)
+    assert got == expect == [c % q for c in _reference_mul(a, b)]
+    assert shapes == [(61, 61)] * 2
     assert peak < 15 * 817 * 61
 
 
 def test_omega_identity_product_matches_one_product_per_block(monkeypatch):
-    """omega_4 = omega-tilde_4^- * omega_4^+ at p = 5, over Z: 522 by 105
-    coefficients in slots of 79 bytes, multiplied by residues."""
+    """omega_4 = omega-tilde_4^- * omega_4^+ at p = 5: over Z, one product
+    per block; mod 5^300, 522 by 105 coefficients in slots of 79 bytes,
+    multiplied by residues."""
     fam = reference_omega_family(5, 4)
+    q = 5**300
     shapes = _spy_residues(monkeypatch)
-    got = mul(fam.omega_tilde_minus, fam.omega_plus)
+    exact = mul(fam.omega_tilde_minus, fam.omega_plus)
+    assert shapes == []
+    got = mul(fam.omega_tilde_minus, fam.omega_plus, None, q)
     assert shapes == [(522, 105)]
-    assert got == _reference_mul(fam.omega_tilde_minus, fam.omega_plus)
-    assert poly_trim(got) == poly_trim(fam.omega)
+    assert exact == _reference_mul(fam.omega_tilde_minus, fam.omega_plus)
+    assert got == [c % q for c in exact]
+    assert poly_trim(exact) == poly_trim(fam.omega)
 
 
 @pytest.mark.parametrize("side", [-1, 0])
@@ -339,40 +340,63 @@ def test_mul_on_each_side_of_the_crossover(side, monkeypatch):
     x = 4 * s - 3
     a = [(-1) ** i * 2**x for i in range(16)]
     b = [2**x] + [3 * i - 20 for i in range(15)]
+    q = 3**x
     shapes = _spy_residues(monkeypatch)
-    assert mul(a, b) == _reference_mul(a, b) == ref_mul(a, b)
+    assert mul(a, b, None, q) == [c % q for c in _reference_mul(a, b)] == [c % q for c in ref_mul(a, b)]
     assert shapes == ([(16, 16)] if side == 0 else [])
+
+
+def test_only_products_mod_q_take_residues_past_the_crossover(monkeypatch):
+    """Past the crossover, 16 by 16 coefficients in slots of 1 KB: the exact
+    product is one big-int product per block and the product mod q is
+    taken by residues; both are the schoolbook product, the second reduced
+    mod q."""
+    rng = random.Random(16)
+    a, b = ([rng.randint(-(2**4000), 2**4000) for _ in range(16)] for _ in range(2))
+    q = 3**2600
+    packed, real_pack = [], polyarith._pack
+    monkeypatch.setattr(polyarith, "_pack", lambda c, s: packed.append(len(c)) or real_pack(c, s))
+    shapes = _spy_residues(monkeypatch)
+    exact = mul(a, b)
+    assert shapes == [] and packed == [16, 16]
+    packed.clear()
+    got = mul(a, b, None, q)
+    assert shapes == [(16, 16)] and packed == []
+    assert exact == ref_mul(a, b)
+    assert got == [c % q for c in exact]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 @pytest.mark.parametrize("kb", [2, 8])
 def test_short_factors_take_one_product_past_the_crossover(n, kb, monkeypatch):
-    """A shorter factor of 4 to 6 coefficients, or a sparser factor of 6
-    nonzero ones, is one product at 2 and 8 times the byte crossover, where
-    the residues are slower; 7 are multiplied by residues."""
+    """Mod a modulus, a shorter factor of 4 to 6 coefficients, or a sparser
+    factor of 6 nonzero ones, is one product at 2 and 8 times the byte
+    crossover, where the residues are slower; 7 are multiplied by residues."""
     rng = random.Random(n * kb)
     bits = 4 * kb * polyarith._RESIDUE_BYTES // n
     a = [rng.randint(-(2**bits), 2**bits) for _ in range(3 * n)]
     b = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
     s = (max(map(abs, a)) * max(map(abs, b)) * n).bit_length() // 8 + 1
     assert s * n >= kb * polyarith._RESIDUE_BYTES and s >= polyarith._RESIDUE_SLOT
+    q = 3**bits
     shapes = _spy_residues(monkeypatch)
-    assert mul(a, b) == _reference_mul(a, b)
+    assert mul(a, b, None, q) == [c % q for c in _reference_mul(a, b)]
     sparse = [x if i % 2 else 0 for i, x in enumerate(a + a)][:12]
-    assert mul(sparse, a) == _reference_mul(sparse, a)
+    assert mul(sparse, a, None, q) == [c % q for c in _reference_mul(sparse, a)]
     assert shapes == ([(3 * n, n)] if n == 7 else [])
 
 
 def test_small_slots_take_one_product_at_every_length(monkeypatch):
-    """Slots of 63 bytes stay on one product even with 512 coefficients
-    (32 KB packed); 64 bytes go to residues."""
+    """Mod a modulus, slots of 63 bytes stay on one product even with 512
+    coefficients (32 KB packed); 64 bytes go to residues."""
     rng = random.Random(64)
     for s, taken in ((63, []), (64, [(512, 512)])):
         bits = (8 * s - 1 - 10) // 2   # bound = top^2 * 512 < 2^(8s - 1)
         a, b = ([rng.randint(2 ** (bits - 1), 2**bits) for _ in range(512)] for _ in range(2))
         assert (max(a) * max(b) * 512).bit_length() // 8 + 1 == s
+        q = 3**bits
         shapes = _spy_residues(monkeypatch)
-        assert mul(a, b) == _reference_mul(a, b)
+        assert mul(a, b, None, q) == [c % q for c in _reference_mul(a, b)]
         assert shapes == taken
         monkeypatch.undo()
 
@@ -446,53 +470,34 @@ def _packed_bytes(a, b) -> int:
 @pytest.mark.parametrize("la, n, every, bits", [(61, 61, 1, 3263), (93, 93, 2, 938)])
 def test_workload_products_stay_on_the_direct_loop(la, n, every, bits, monkeypatch):
     """The largest series products of point_series (the D = 60 compositions,
-    61 by 61 coefficients of 3263 bits) and of full_grid (93 by 93 at d = 2,
-    at most 46 nonzero rows, 72 primes) are multiplied by residues, their
-    convolution run directly over the sparser factor's nonzero rows."""
+    61 by 61 coefficients of 3263 bits, mod 3^2059) and of full_grid (93 by
+    93 at d = 2, at most 46 nonzero rows, mod 3^592) are multiplied by
+    residues, their convolution run directly over the sparser factor's
+    nonzero rows."""
     rng = random.Random(la)
     a = [rng.randint(-(2**bits), 2**bits) for _ in range(la)]
     b = [rng.randint(-(2**bits), 2**bits) if i % every == 0 else 0 for i in range(n)]
+    q = 3 ** {3263: 2059, 938: 592}[bits]
     residues = _spy_residues(monkeypatch)
-    assert mul(a, b) == _reference_mul(a, b)
+    assert mul(a, b, None, q) == [c % q for c in _reference_mul(a, b)]
     assert residues == [(la, n)]
 
 
 @pytest.mark.parametrize("la, n, bits", [(548, 183, 360)])
 def test_workload_products_stay_off_the_decimal_path(la, n, bits, monkeypatch):
-    """The largest product of full_grid, 548 by 183 coefficients of 360 bits
-    (about 49 KB packed), which lay below the crossover of the removed
-    libmpdec regime: every product stays off a decimal path now, and this
-    one is multiplied by residues, convolved directly, and comes out exact."""
+    """A product of 548 by 183 coefficients of 360 bits (about 49 KB
+    packed), which lay below the crossover of the removed libmpdec regime:
+    every product stays off a decimal path now, and this one, mod 3^228, is
+    multiplied by residues, convolved directly, and comes out exact."""
     rng = random.Random(la)
     a = [rng.randint(-(2**bits), 2**bits) for _ in range(la)]
     b = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
     assert 40 << 10 < _packed_bytes(a, b) < 128 << 10
     assert not hasattr(polyarith, "decimal")
+    q = 3**228
     shapes = _spy_residues(monkeypatch)
-    assert mul(a, b) == _reference_mul(a, b)
+    assert mul(a, b, None, q) == [c % q for c in _reference_mul(a, b)]
     assert shapes == [(la, n)]
-
-
-def test_lifted_coefficients_are_allocated_at_their_own_size(monkeypatch):
-    """The exact build of omega-tilde_5^- over Z by residues, 2605
-    coefficients: a remainder mod M, and M less it, keep an allocation of
-    M's size (388 B a coefficient here against 280 B). sys.getsizeof counts
-    only the digits in use, so the allocation is read by tracemalloc, and
-    held to the getsizeof of each value rebuilt by int.from_bytes, within
-    one 30-bit digit."""
-    a, b = reference_omega_family(5, 4).omega_tilde_minus, reference_cyclotomic_phi(5, 5)
-    mul(a, b)   # the tables built
-    shapes = _spy_residues(monkeypatch)
-    tracemalloc.start()
-    try:
-        got = mul(a, b)
-        held = tracemalloc.get_traced_memory()[0] - sys.getsizeof(got)
-    finally:
-        tracemalloc.stop()
-    rebuilt = [int.from_bytes(x.to_bytes(-(-(x.bit_length() + 1) // 8), "little", signed=True), "little",
-                              signed=True) for x in got]
-    assert rebuilt == got and shapes == [(2501, 105)]
-    assert held <= sum(map(sys.getsizeof, rebuilt)) + 4 * len(got)
 
 
 @settings(deadline=None, max_examples=100)
@@ -601,6 +606,17 @@ def _one_regime(mp, regime):
         mp.setattr(polyarith, name, never if regime == "one" else 0)
 
 
+def _reduced(c, mod):
+    """c, or each coefficient of it mod `mod`."""
+    return c if mod is None else [x % mod for x in c]
+
+
+def _regime_moduli(regime, bound):
+    """The moduli a test of one regime draws: the residue regime serves only
+    products mod a modulus, the one-product regime also exact ones."""
+    return _moduli(bound) if regime == "residue" else st.one_of(st.none(), _moduli(bound))
+
+
 def _keeps(data, full):
     """1, a length up to the full one, the full length, or a length past it."""
     return data.draw(st.one_of(st.just(1), st.integers(1, full), st.just(full),
@@ -610,7 +626,8 @@ def _keeps(data, full):
 @settings(deadline=None, max_examples=300)
 @given(st.sampled_from(REGIMES), st.sampled_from([1, 70, 3000]), st.data())
 def test_truncated_mul_is_the_full_product_cut(regime, bits, data):
-    """mul(a, b, keep) == mul(a, b)[:keep] in each regime: signed, zero and
+    """mul(a, b, keep, mod) == mul(a, b, None, mod)[:keep] in each regime, mod
+    a modulus (or exactly, in the one-product regime): signed, zero and
     extreme coefficients, sparse factors, and factors of unequal lengths
     (so that keep falls before, inside and past the shorter one), in both
     argument orders."""
@@ -620,11 +637,12 @@ def test_truncated_mul_is_the_full_product_cut(regime, bits, data):
     a = data.draw(st.lists(coeff, min_size=1, max_size=13))
     b = data.draw(st.one_of(st.lists(coeff, min_size=1, max_size=13), st.lists(sparse, min_size=14, max_size=40)))
     keep = _keeps(data, len(a) + len(b) - 1)
+    mod = data.draw(_regime_moduli(regime, top * top * 13))
     with pytest.MonkeyPatch.context() as mp:
         _one_regime(mp, regime)
-        full = mul(a, b)
-        got, swapped = mul(a, b, keep), mul(b, a, keep)
-    assert full == ref_mul(a, b)
+        full = mul(a, b, None, mod)
+        got, swapped = mul(a, b, keep, mod), mul(b, a, keep, mod)
+    assert full == _reduced(ref_mul(a, b), mod)
     assert got == swapped == full[:keep]
 
 
@@ -632,14 +650,18 @@ def test_truncated_mul_is_the_full_product_cut(regime, bits, data):
 def test_truncation_at_the_slot_boundary(regime, monkeypatch):
     """7 * 31 * 151 = 2^15 - 1 with alternating signs: the slot below the
     cut and the one above it fill to +-(half - 1), so the last slot read
-    borrows from, or lends to, one that is not read; at every keep."""
+    borrows from, or lends to, one that is not read; at every keep, exactly
+    and mod a modulus in the one-product regime, mod one in the residue
+    regime."""
     _one_regime(monkeypatch, regime)
+    moduli = (3**20, 2**15 - 1) if regime == "residue" else (None, 3**20, 2**15 - 1)
     for n in range(1, 20):
         for sign in (1, -1):
             a, b = [31 * sign**i for i in range(n)], [-151 * sign**i for i in range(7)]
-            full = ref_mul(a, b)
-            for keep in range(1, len(full) + 2):
-                assert mul(a, b, keep) == mul(b, a, keep) == full[:keep]
+            for mod in moduli:
+                full = _reduced(ref_mul(a, b), mod)
+                for keep in range(1, len(full) + 2):
+                    assert mul(a, b, keep, mod) == mul(b, a, keep, mod) == full[:keep]
 
 
 def test_truncated_one_product_packs_only_the_blocks_below_keep(monkeypatch):
@@ -660,10 +682,11 @@ def test_truncated_one_product_packs_only_the_blocks_below_keep(monkeypatch):
 
 def test_truncated_point_series_product_convolves_and_lifts_61_rows(monkeypatch):
     """The D = 60 compositions' product, 61 by 61 coefficients of 3263 bits
-    kept to degree 60, convolves and rebuilds 61 rows, not 121."""
+    kept to degree 60 mod 3^2059, convolves and rebuilds 61 rows, not 121."""
     rng = random.Random(61)
     a, b = ([rng.randint(-(2**3263), 2**3263) for _ in range(61)] for _ in range(2))
-    full = mul(a, b)
+    q = 3**2059
+    full = mul(a, b, None, q)
     convolved, lifted = [], []
     real_convolve, real_lift = polyarith._convolve, polyarith._crt_lift
 
@@ -674,7 +697,7 @@ def test_truncated_point_series_product_convolves_and_lifts_61_rows(monkeypatch)
 
     monkeypatch.setattr(polyarith, "_convolve", convolve)
     monkeypatch.setattr(polyarith, "_crt_lift", lambda v, *rest: lifted.append(len(v)) or real_lift(v, *rest))
-    assert mul(a, b, 61) == full[:61]
+    assert mul(a, b, 61, q) == full[:61] == [c % q for c in ref_mul(a, b)[:61]]
     assert convolved == [61] and sum(lifted) == 61
 
 
@@ -682,25 +705,28 @@ def test_truncated_point_series_product_convolves_and_lifts_61_rows(monkeypatch)
 @given(st.sampled_from(REGIMES), st.integers(1, 3), shapes, shapes, st.sampled_from([2, 3, 4]),
        st.sampled_from([2, 3, 4]), st.data())
 def test_truncated_mul_vec_is_the_full_product_cut(regime, d, shape_a, shape_b, sa, sb, data):
-    """mul_vec(a, b, d, rows) == mul_vec(a, b, d)[:rows] for dense, strided
-    (strides 2, 3 and 4), single-row and zero operands, in each regime; and
+    """mul_vec(a, b, d, rows, mod) == mul_vec(a, b, d, None, mod)[:rows] for
+    dense, strided (strides 2, 3 and 4), single-row and zero operands, in
+    each regime, mod a modulus (or exactly, in the one-product regime); and
     both agree with packing every row."""
     a = vec_operand(data, d, data.draw(st.integers(1, 30)), shape_a, sa)
     b = vec_operand(data, d, data.draw(st.integers(1, 30)), shape_b, sb)
     rows = _keeps(data, len(a) + len(b) - 1)
+    mod = data.draw(_regime_moduli(regime, 2**6000 * d * 30))
     with pytest.MonkeyPatch.context() as mp:
         _one_regime(mp, regime)
-        full = mul_vec(a, b, d)
-        got = mul_vec(a, b, d, rows)
-    assert got == full[:rows] == reference_mul_vec(a, b, d, rows)
+        full = mul_vec(a, b, d, None, mod)
+        got = mul_vec(a, b, d, rows, mod)
+    assert got == full[:rows] == reference_mul_vec(a, b, d, rows, mod)
 
 
 @settings(deadline=None, max_examples=150)
 @given(st.sampled_from(REGIMES), st.integers(1, 3), shapes, st.sampled_from([2, 3, 4]), st.data())
 def test_prepared_operand_products_match_the_packing_of_every_row(regime, d, shape_b, sb, data):
     """One Operand multiplies several left factors, dense or strided, kept to
-    rows in any order, shorter cuts first or last, and mod a modulus or not:
-    every product is the plain one, whatever its memo holds from the last."""
+    rows in any order, shorter cuts first or last, and mod a modulus (or not,
+    in the one-product regime): every product is the plain one, whatever its
+    memo holds from the last."""
     b = vec_operand(data, d, data.draw(st.integers(1, 30)), shape_b, sb)
     with pytest.MonkeyPatch.context() as mp:
         _one_regime(mp, regime)
@@ -708,21 +734,23 @@ def test_prepared_operand_products_match_the_packing_of_every_row(regime, d, sha
         for _ in range(data.draw(st.integers(1, 4))):
             a = vec_operand(data, d, data.draw(st.integers(1, 30)), data.draw(shapes), data.draw(st.sampled_from([2, 4])))
             rows = _keeps(data, len(a) + len(b) - 1)
-            mod = data.draw(st.sampled_from([None, 3**20, 5**7]))
+            mod = data.draw(st.sampled_from([3**20, 5**7] + ([None] if regime == "one" else [])))
             assert mul_vec(a, op, d, rows, mod) == reference_mul_vec(a, b, d, rows, mod)
 
 
 def test_prepared_operand_keeps_each_cut_apart(monkeypatch):
     """A prepared factor cut short by one product and whole in the next, in
-    either regime: its memo keeps the packing and residues of each cut apart."""
+    either regime, exactly and mod q: its memo keeps the packing and
+    residues of each cut apart."""
     rng = random.Random(20)
     a, b = ([[rng.randint(-(2**300), 2**300)] for _ in range(20)] for _ in range(2))
     for regime in REGIMES:
-        with pytest.MonkeyPatch.context() as mp:
-            _one_regime(mp, regime)
-            op = polyarith.Operand(b, 1)
-            for rows in (3, 39, 3, 10):
-                assert mul_vec(a, op, 1, rows) == reference_mul_vec(a, b, 1, rows)
+        for mod in (None, 3**400):
+            with pytest.MonkeyPatch.context() as mp:
+                _one_regime(mp, regime)
+                op = polyarith.Operand(b, 1)
+                for rows in (3, 39, 3, 10):
+                    assert mul_vec(a, op, 1, rows, mod) == reference_mul_vec(a, b, 1, rows, mod)
 
 
 # -- products mod a modulus ------------------------------------------------------
@@ -790,12 +818,12 @@ def test_mul_mod_at_the_explicit_crt_margin(k, monkeypatch):
     of +-top with n top^2 = bound, and the single coefficients
     +-(M_k - 1) / 2 times +-1. The mod path takes the fewest primes with
     M > 4 bound, k + 1, so that sum x_i / p_i lies within 1/4 of an
-    integer. With the k primes of the exact path it lies within 2^-28 of a
-    half at +-(M_k - 1) / 2, where rint may take either side."""
+    integer. With only k primes it would lie within 2^-28 of a half at
+    +-(M_k - 1) / 2, where rint may take either side."""
     _residues_everywhere(monkeypatch)
     monkeypatch.setattr(polyarith, "_prime_count", _fewest_primes)
     counts, real = [], polyarith._crt_table
-    monkeypatch.setattr(polyarith, "_crt_table", lambda k, mod=None: counts.append((k, mod)) or real(k, mod))
+    monkeypatch.setattr(polyarith, "_crt_table", lambda k, mod: counts.append((k, mod)) or real(k, mod))
     m = prod(polyarith._primes()[:k].tolist())
     x = (m - 1) // 2
     cases = [([x], [1]), ([-x], [1]), ([x], [-1]), ([x, -x, x], [1]), ([x - 1, 1 - x], [-1])]
@@ -1039,6 +1067,52 @@ def test_strided_series_product_matches_reducing_every_row(stride, data):
     assert reduced == [c for c in rows if any(c)]
 
 
+def _spy_moduli(monkeypatch, module, name):
+    """The modulus each call of module.name (mul or mul_vec) passes, None for
+    an exact product."""
+    mods, real = [], getattr(module, name)
+    sig = inspect.signature(real)
+
+    def spy(*args, **kwargs):
+        mods.append(sig.bind(*args, **kwargs).arguments.get("mod"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return mods
+
+
+def test_ring_products_pass_their_modulus(monkeypatch):
+    """mul_mod, which serves O_k, the group ring and Z/q, passes q to mul;
+    so does the minimal-polynomial product of build_unramified to
+    mul_vec. No product of theirs is exact and reduced after."""
+    fd, ring = build_unramified(3, 2, 7), GroupRing(3, 5, 4)
+    mods = _spy_moduli(monkeypatch, polyarith, "mul")
+    m = [1, 0, 1]
+    assert mul_mod([1, 2, 3], [4, -5], m, 3**9) == [c % 3**9 for c in rem_monic(ref_mul([1, 2, 3], [4, -5]), m)]
+    fd.mul((1, 2), (3, 4))
+    ring.mul((1, 2, 3), (4, 5, 6))
+    assert mods == [3**9, fd.q, ring.q]
+    mods = _spy_moduli(monkeypatch, unramified, "mul_vec")
+    unramified.build_unramified.__wrapped__(5, 3, 6)   # past its cache
+    assert mods == [5**6] * 3
+
+
+def test_formal_log_takes_its_products_mod_q(monkeypatch):
+    """formal_log's Newton quotient and its last product pass q to mul, and
+    reach the residue regime mod q at the point_series shape (D = 40,
+    q = 3^980); only the exact integer series of the unit U are exact."""
+    ss3, fd = curve.curve_from_preset("ss3", 3), build_unramified(3, 1, 980)
+    q = 3**980
+    mods = _spy_moduli(monkeypatch, curve, "mul")
+    residues = []
+    real = polyarith._mul_residues
+    monkeypatch.setattr(polyarith, "_mul_residues", lambda *args: residues.append(args[-1]) or real(*args))
+    curve.formal_log.__wrapped__(ss3, fd, 40, 980)   # past its cache
+    assert mods.count(q) == 2 * (40).bit_length() + 1   # two products per Newton step, one last
+    assert set(mods) == {None, q}
+    assert residues and set(residues) == {q}
+
+
 @pytest.mark.parametrize("p,d", FIELDS)
 @settings(deadline=None, max_examples=20)
 @given(data=st.data())
@@ -1117,7 +1191,7 @@ def test_point_series_bundle_is_bit_identical_to_reducing_the_exact_product(fres
     monkeypatch.setattr(polyarith, "_mul_residues",
                         lambda *args: mods.append(args[-1]) or real(*args))
     got = _point_series_digits()
-    assert any(m is not None for m in mods)   # the products reach the residue regime mod q
+    assert mods and None not in mods   # the products reach the residue regime, each mod q
     _series_cache_clear()
     counts = _reference_series_products(monkeypatch)
     assert _point_series_digits() == got

@@ -19,7 +19,7 @@ from normtower.curve import (
     multiplication_by_p_series,
     w_expansion,
 )
-from normtower.padic import ZpContext, val_int
+from normtower.padic import val_int
 from normtower.series import TruncSeries
 from normtower.unramified import build_unramified
 
@@ -219,12 +219,11 @@ def reference_formal_log(curve, field, D: int, prec: int) -> TruncSeries:
     P = num_s * reference_inverse_unit(den_s)
     assert P.coeffs[0] == field.one(q), "invariant differential not normalized"
     den_exp = max(val_int(m + 1, p, prec) for m in range(D)) if D >= 1 else 0
-    zp = ZpContext(p, prec)
     co = [field.zero() for _ in range(D + 1)]
     for m in range(0, D):
         e = val_int(m + 1, p, prec)
         unit = (m + 1) // p**e
-        c = field.scalar(p ** (den_exp - e) * zp.inv(unit), P.coeffs[m], q)
+        c = field.scalar(p ** (den_exp - e) * pow(unit, -1, q), P.coeffs[m], q)
         co[m + 1] = c
     return TruncSeries(field, tuple(co), den_exp, prec).canonical()
 
@@ -235,10 +234,11 @@ LOG_CURVES = [(name, p) for name in ("ss3", "ss23") for p in (3, 5, 7, 11, 13)
 
 def _log_outcome(fn, *args):
     """(coeffs, den, prec) of the log, or the exception class it raised: a
-    degree m + 1 with v_p(m + 1) above prec has no unit part to invert."""
+    degree m + 1 with v_p(m + 1) above prec has no unit part to invert, and
+    pow(unit, -1, q) raises ValueError."""
     try:
         lg = fn(*args)
-    except ZeroDivisionError as e:
+    except ValueError as e:
         return type(e)
     return lg.coeffs, lg.den, lg.prec
 

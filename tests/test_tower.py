@@ -9,7 +9,7 @@ from test_padic import coordinate_grids, precision_shapes
 
 from normtower.groupring import GroupRing
 from normtower.lattice import apply_idempotent
-from normtower.padic import ZpContext, factorize, primitive_root
+from normtower.padic import factorize, primitive_root
 from normtower.polyarith import mul_vec, teichmuller, truncate
 from normtower.tower import (
     TowerDesc,
@@ -249,10 +249,9 @@ class ReferenceCharIdempotent:
 @cache
 def reference_idempotents(p: int, N: int) -> list[ReferenceCharIdempotent]:
     """All p-1 character idempotents; orthogonality and completeness verified."""
-    zp = ZpContext(p, N)
-    q = zp.q
+    q = p**N
     tg = teichmuller([primitive_root(p)], [0, 1], p, q)[0]  # chi_1(generator)
-    inv_pm1 = zp.inv((p - 1) % q)
+    inv_pm1 = pow(p - 1, -1, q)
     out = []
     for j in range(p - 1):
         coeffs = [0] * (p - 1)
