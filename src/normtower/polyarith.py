@@ -363,9 +363,9 @@ def mul(a, b, keep: int | None = None, mod: int | None = None) -> list[int]:
     nonzero coefficients driving the convolution, when the limbs and primes
     it needs are inside the float64 bounds; every other product is one
     big-int product per block of a, the blocks as long as the shorter
-    factor. b is a list, or the prepared factor of an
-    `Operand`, which mul_vec passes; a list b is prepared here, once the
-    longer factor is taken as a."""
+    factor. b is a list, or the prepared factor of an `Operand`, which
+    mul_vec passes; a list b is prepared here, once the longer factor is
+    taken as a."""
     if not isinstance(b, _Factor):
         if len(a) < len(b):
             a, b = b, a

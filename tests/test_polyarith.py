@@ -1087,8 +1087,8 @@ def test_ring_products_pass_their_modulus(monkeypatch):
     mul_vec. No product of theirs is exact and reduced after."""
     fd, ring = build_unramified(3, 2, 7), GroupRing(3, 5, 4)
     mods = _spy_moduli(monkeypatch, polyarith, "mul")
-    m = [1, 0, 1]
-    assert mul_mod([1, 2, 3], [4, -5], m, 3**9) == [c % 3**9 for c in rem_monic(ref_mul([1, 2, 3], [4, -5]), m)]
+    a, b, m = [1, 2, 3], [4, -5], [1, 0, 1]
+    assert mul_mod(a, b, m, 3**9) == [c % 3**9 for c in rem_monic(ref_mul(a, b), m)]
     fd.mul((1, 2), (3, 4))
     ring.mul((1, 2, 3), (4, 5, 6))
     assert mods == [3**9, fd.q, ring.q]
