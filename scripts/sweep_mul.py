@@ -33,10 +33,14 @@ a series product's field holds its coefficients below its q.
    composed with its log) and one `eval_series_at_tower` (its twisted exp
    at the uniformizer of level n), each with its fixed factor prepared once
    and with products that prepare it at every step (`prepared` patched to
-   return the series or tower value itself). The bundles are the shipped
-   shapes: D = 30 at d = 1 and 2 (P = 592), D = 40 (P = 980) and D = 60
-   (P = 2059, level 1) at d = 1. Milliseconds, and the median of the
-   ratio of the prepared loop's time over the other's.
+   return the series or tower value itself). Then the same evaluation by
+   Paterson-Stockmeyer, as shipped, against the Horner loop it replaced
+   (one tower product per degree, by x prepared once), which it must match
+   coordinate for coordinate, with the tower products each makes. The
+   bundles are the shipped shapes: D = 30 at d = 1 and 2 (P = 592), D = 40
+   (P = 980) and D = 60 (P = 2059, level 1) at d = 1, and D = 90 (level 1,
+   d = 1, P = 4429). Milliseconds, and the median of the ratio of the
+   prepared (Paterson-Stockmeyer) loop's time over the other's.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from fractions import Fraction
 from normtower import honda, localpoints, polyarith
 from normtower.curve import curve_from_preset
 from normtower.series import TruncSeries
-from normtower.tower import TowerElt, build_tower, uniformizer
+from normtower.tower import TowerElt, build_tower, tower_scalar, tower_zero, uniformizer
 
 NEVER = 1 << 62
 CROSSOVERS = ("_RESIDUE_BYTES", "_RESIDUE_COEFFS", "_RESIDUE_SLOT")
@@ -191,21 +195,58 @@ def loop_seconds(run, prepared: bool) -> float:
         TruncSeries.prepared, TowerElt.prepared = saved
 
 
+def horner_eval(s: TruncSeries, x: TowerElt) -> TowerElt:
+    """The value of s at x by the Horner loop that eval_series_at_tower
+    replaced: one tower product per degree, by x prepared once."""
+    t = x.tower
+    acc = tower_zero(t, x.level, prec=min(s.prec, x.prec))
+    x = x.prepared()
+    for j in range(s.deg, -1, -1):
+        acc = acc * x
+        if any(s.coeffs[j]):
+            acc = acc + tower_scalar(t, x.level, s.coeffs[j], prec=acc.prec)
+    return acc.div_p(s.den) if s.den else acc
+
+
+def tower_products(run) -> int:
+    """The TowerElt products one run makes."""
+    calls, real = [], TowerElt.__mul__
+    TowerElt.__mul__ = lambda a, b: calls.append(1) or real(a, b)
+    try:
+        run()
+    finally:
+        TowerElt.__mul__ = real
+    return len(calls)
+
+
 def horner_loops(repeats: int) -> None:
     ss3 = curve_from_preset("ss3", 3)
-    cases = [(1, 0, 30, 6), (2, 0, 30, 6), (1, 0, 40, 4), (1, 1, 60, 3)]
+    cases = [(1, 0, 30, 6), (2, 0, 30, 6), (1, 0, 40, 4), (1, 1, 60, 3), (1, 1, 90, 3)]
     print("loop                 d  D   P     per step ms  prepared ms  prepared/per step")
+    evals = []
     for d, n, D, target in cases:
         b = honda.series_bundle(ss3, d, n, D, target)
         t = build_tower(3, d, max(n, 0), b.field.N)
         x, vmin = uniformizer(t, n), Fraction(1, 2 * 3**max(n, 0))
+        evals.append((d, n, b, x, vmin))
         loops = [("compose exp(log)", lambda: b.curve_exp.compose(b.curve_log)),
                  (f"eval at level {n}", lambda: localpoints.eval_series_at_tower(b.honda_exp_series, x, vmin))]
         for name, run in loops:
             pairs = [(loop_seconds(run, False), loop_seconds(run, True)) for _ in range(repeats)]
             plain, prep = (statistics.median(t) * 1e3 for t in zip(*pairs))
-            print(f"{name:<20} {d:<2} {D:<3} {b.field.N:<5} {plain:<12.1f} {prep:<12.1f} "
+            print(f"{name:<20} {d:<2} {b.D:<3} {b.field.N:<5} {plain:<12.1f} {prep:<12.1f} "
                   f"{statistics.median(q / p for p, q in pairs):.2f}")
+    print("evaluation           d  D   P     Horner ms    P-S ms       P-S/Horner  tower products")
+    for d, n, b, x, vmin in evals:
+        s = b.honda_exp_series
+        new = lambda: localpoints.eval_series_at_tower(s, x, vmin)[0]
+        old = lambda: horner_eval(s, x)
+        assert new().coords.tolist() == old().coords.tolist(), "Paterson-Stockmeyer differs from Horner"
+        counts = f"{tower_products(old)} -> {tower_products(new)}"
+        pairs = [(loop_seconds(old, True), loop_seconds(new, True)) for _ in range(repeats)]
+        horner, ps = (statistics.median(t) * 1e3 for t in zip(*pairs))
+        print(f"eval at level {n:<6} {d:<2} {b.D:<3} {b.field.N:<5} {horner:<12.1f} {ps:<12.1f} "
+              f"{statistics.median(q / p for p, q in pairs):<11.2f} {counts}")
 
 
 if __name__ == "__main__":

@@ -23,10 +23,13 @@ _RESIDUE_BYTES packed (4 KB). Both factors are reduced mod k primes p_i
 below 2^26 whose product M exceeds 4 bound, the residues are convolved per
 prime, and each product coefficient is rebuilt mod `mod` by the explicit
 CRT. The residue regime serves products mod `mod` only: a product over Z
-takes one product per block at every size, and every caller that wants its
-coefficients mod a power of p passes that modulus. The convolution is
-direct over the sparser factor's nonzero coefficients. Three bounds make it
-exact:
+takes one product per block at every size. A caller that wants its
+coefficients mod a power of p passes that modulus; a ring product, which
+folds the product by a monic modulus and reduces after (`mul_mod`, the
+tower), passes the one `residue_modulus` gives, which is None when the
+sparser factor is too short to take residues, so that below the crossover
+each folded coefficient is reduced once. The convolution is direct over the
+sparser factor's nonzero coefficients. Three bounds make it exact:
 
 - residues: the 16-bit limbs of |a_j| times a table of 2^(16 l) mod p_i, a
   float64 matrix product whose partial sums stay below
@@ -80,18 +83,21 @@ each class of the other mod s that holds a nonzero row. `mul_vec(a, b, d,
 rows)` keeps the first `rows` rows: rows * (2d - 1) coefficients of the
 spread product, and of class r of a strided one ceil((rows - r - f)/s).
 
-A Horner loop multiplies by one fixed factor at every step, so it prepares
-that factor once: an `Operand` holds its rows, their stride split (f, s)
+A loop that multiplies by one fixed factor at every step prepares that
+factor once: an `Operand` holds its rows, their stride split (f, s)
 and the spread layout of the rows it multiplies by, and, built on first use
 and kept in a memo by slot width, prime count and cut length, its packing
 and its residues, plain or times the CRT weights. `mul_vec(a, op, d, rows,
 mod)` multiplies by it as by the rows. Plain calls take the same path: a
 plain `mul` prepares its factor with no memo, and a plain `mul_vec`
 prepares an Operand for that call alone, whose memo serves the classes of
-a strided product. A prepared operand lives as long as its loop keeps it (`TruncSeries.compose`,
-a Newton step of `TruncSeries.reversion`, `eval_series_at_tower`): there is
-no module-level cache of operands, because a memo of residues kept across
-loops raised the peak memory of a point_series run by 5.5 MB.
+a strided product. A prepared operand lives as long as its loop keeps it:
+the Horner loops of `TruncSeries.compose` and of a Newton step of
+`TruncSeries.reversion` prepare their inner series, and the
+Paterson-Stockmeyer evaluation `eval_series_at_tower` prepares two, x for
+its baby steps and x^k for its giant steps. There is no module-level cache
+of operands, because a memo of residues kept across loops raised the peak
+memory of a point_series run by 5.5 MB.
 
 There are two reduction rules. Every ring is a quotient by a monic modulus
 and reduces by `rem_monic`: O_k by the minimal polynomial of zeta
@@ -400,6 +406,16 @@ def mul(a, b, keep: int | None = None, mod: int | None = None) -> list[int]:
     return out if mod is None else [c % mod for c in out]
 
 
+def residue_modulus(nonzero: int, mod: int) -> int | None:
+    """`mod`, or None when a product's sparser factor has at most `nonzero`
+    nonzero coefficients, fewer than _RESIDUE_COEFFS, so that it cannot
+    take residues. A ring product, which folds the product by a monic
+    modulus and reduces after, passes this to mul or mul_vec: below the
+    crossover it multiplies exactly and reduces each folded coefficient
+    once, not every product coefficient before the fold as well."""
+    return mod if nonzero >= _RESIDUE_COEFFS else None
+
+
 def _stride(rows) -> tuple[int, int]:
     """(f, s): the first nonzero row and the gcd of the gaps between nonzero
     rows, 0 with at most one of them; the scan stops once s is 1."""
@@ -534,8 +550,10 @@ def xgcd_fp(a, b, p: int) -> tuple[list[int], list[int], list[int]]:
 
 
 def mul_mod(a, b, m, q: int) -> list[int]:
-    """The product a b in (Z/q)[x]/(m), m monic: deg(m) coefficients in [0, q)."""
-    return [c % q for c in rem_monic(mul(a, b, mod=q), m)]
+    """The product a b in (Z/q)[x]/(m), m monic: deg(m) coefficients in [0, q),
+    each reduced once, after the remainder by m."""
+    product = mul(a, b, mod=residue_modulus(min(len(a), len(b)), q))
+    return [c % q for c in rem_monic(product, m)]
 
 
 def pow_mod(a, e: int, m, q: int) -> list[int]:

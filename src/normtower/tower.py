@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .padic import content_val, primitive_root
-from .polyarith import Operand, mul_mod, mul_vec, rem_monic, teichmuller
+from .polyarith import Operand, mul_mod, mul_vec, rem_monic, residue_modulus, teichmuller
 from .unramified import FieldDesc, build_unramified
 
 
@@ -247,8 +247,11 @@ class TowerElt:
         t = self.tower
         prec = min(self.prec, other.prec)
         b = other.coords.tolist() if other._operand is None else other._operand
-        # mod a power of p that p^prec divides, as the reductions below are Z-linear
-        conv = mul_vec(self.coords.tolist(), b, t.d, None, max(self.p**prec, t.q))
+        # mod a power of p that p^prec divides, as the reductions below are
+        # Z-linear, where the product can take residues; else exactly, so
+        # that each coordinate is reduced once, after the remainders
+        mod = residue_modulus(self.coords.size, max(self.p**prec, t.q))
+        conv = mul_vec(self.coords.tolist(), b, t.d, None, mod)
         # eta-powers past the basis by Phi_{p^(n+1)}, one zeta-power at a time,
         # then zeta-powers past the basis by zeta's modulus, one eta-power at a time
         cols = [rem_monic(c, t.modulus(n)) for c in zip(*conv)]
@@ -370,6 +373,19 @@ def tower_scalar(t: TowerDesc, n: int, a, prec: int | None = None) -> TowerElt:
     c = np.zeros((t.level_dim(n), t.d), dtype=object)
     c[0] = tuple(a)
     return TowerElt(t, n, c, 0, prec if prec is not None else t.N)
+
+
+def tower_combination(t: TowerDesc, n: int, scalars, elts, prec: int) -> TowerElt:
+    """sum_j a_j y_j mod p^prec for O_k scalars a_j and level-n elements y_j
+    with den 0, by scalar operations only: at d = 1 one integer times each
+    coordinate, else `scale_field`, `FieldDesc.mul` on each nonzero row.
+    Zero scalars are skipped, and the sum is reduced once."""
+    out = np.zeros((t.level_dim(n), t.d), dtype=object)
+    for a, y in zip(scalars, elts):
+        if any(a):
+            assert y.den == 0
+            out += a[0] * y.coords if t.d == 1 else y.scale_field(a).coords
+    return TowerElt(t, n, out, 0, prec)
 
 
 # ---------------------------------------------------------------------------

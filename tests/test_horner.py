@@ -234,13 +234,35 @@ def test_reversion_matches_the_loop_of_plain_products(regime, shape, data):
     assert _stored_in_range(got)
 
 
-@settings(deadline=None, max_examples=80)
-@given(st.sampled_from(REGIMES), st.sampled_from([-1, 0, 1]), shapes, st.data())
-def test_tower_evaluation_matches_the_loop_of_exact_products(regime, level, shape, data):
+# degrees with D + 1 a perfect square (one full last block) or one above one
+# (a last block of one coefficient), and any degree up to 40
+degrees = st.one_of(st.sampled_from([k * k - 1 for k in range(1, 7)] + [k * k for k in range(1, 7)]),
+                    st.integers(0, 40))
+
+
+def _with_a_zero_block(data, s):
+    """s, or s with one of its evaluation blocks of k = ceil(sqrt(deg + 1))
+    coefficients set to zero."""
+    k = math.isqrt(s.deg) + 1
+    if data.draw(st.booleans()):
+        return s
+    i = data.draw(st.integers(0, s.deg // k))
+    co = list(s.coeffs)
+    co[i * k:(i + 1) * k] = [s.field.zero()] * len(co[i * k:(i + 1) * k])
+    return TruncSeries(s.field, tuple(co), s.den, s.prec)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(REGIMES), st.sampled_from([-1, 0, 1]), shapes, degrees, st.data())
+def test_tower_evaluation_matches_the_loop_of_exact_products(regime, level, shape, deg, data):
+    """Paterson-Stockmeyer against Horner's loop: several blocks, a partial
+    last block, D + 1 a square or one above one, a zero block, den > 0, d in
+    {1, 2} and levels -1, 0 and 1, with coordinates, den, prec and tail floor
+    equal."""
     fd = _field(data)
     p = fd.p
     t = build_tower(p, fd.d, max(level, 0), N)
-    s = _series(data, fd, data.draw(st.integers(0, 10)), shape)
+    s = _with_a_zero_block(data, _series(data, fd, deg, shape))
     prec = data.draw(st.integers(1, N))
     x = TowerElt(t, level, np.array([_element(data, fd, p**prec) for _ in range(t.level_dim(level))],
                                     dtype=object), 0, prec)
@@ -316,7 +338,28 @@ def test_each_loop_prepares_its_fixed_factor_once(monkeypatch):
     t = build_tower(3, 1, 1, 40)
     x = TowerElt(t, 1, np.array([[3 * rng.randrange(q)] for _ in range(6)], dtype=object))
     eval_series_at_tower(f, x, Fraction(1, 6))
-    assert made == [6]
+    assert made == [6, 6]   # x for the baby steps, x^k for the giant steps
+
+
+@pytest.mark.parametrize("D,products", [(0, 0), (1, 1), (2, 2), (3, 2), (8, 4), (9, 5), (40, 11),
+                                        (60, 14), (90, 18), (300, 33)])
+def test_evaluation_makes_the_paterson_stockmeyer_count_of_tower_products(D, products, monkeypatch):
+    """(k - 1) + (ceil((D + 1)/k) - 1) tower products for k = ceil(sqrt(D + 1)):
+    k - 1 baby steps and one giant step per block after the top one."""
+    k = math.isqrt(D) + 1
+    assert (k - 1) + (-(-(D + 1) // k) - 1) == products
+    fd = build_unramified(3, 1, 20)
+    rng = random.Random(D)
+    q = 3**20
+    s = TruncSeries(fd, tuple((rng.randrange(q),) for _ in range(D + 1)), 0, 20)
+    t = build_tower(3, 1, 1, 20)
+    x = TowerElt(t, 1, np.array([[3 * rng.randrange(q)] for _ in range(6)], dtype=object))
+    calls, real = [], TowerElt.__mul__
+    monkeypatch.setattr(TowerElt, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    got, _ = eval_series_at_tower(s, x, Fraction(1, 6))
+    assert len(calls) == products
+    monkeypatch.setattr(TowerElt, "__mul__", real)
+    assert got.coords.tolist() == reference_eval(s, x, Fraction(1, 6))[0].coords.tolist()
 
 
 def test_a_prepared_factor_of_higher_degree_multiplies_as_its_rows():
@@ -340,7 +383,9 @@ def test_a_prepared_factor_of_higher_degree_multiplies_as_its_rows():
 @settings(deadline=None, max_examples=15)
 @given(data=st.data())
 def test_tower_products_mod_q_match_the_exact_product(p, d, n, data):
-    """Tower products pass mod = max(p^prec, q) to mul_vec; with signed
+    """Tower products pass mod = max(p^prec, q) to mul_vec where they can
+    take residues (at least 7 coordinates), and multiply exactly below that,
+    each coordinate reduced once after the remainders; with signed
     coordinates in, and elements made by negation and subtraction, the
     product is the exact one reduced."""
     t = build_tower(p, d, n, 6)
@@ -357,7 +402,7 @@ def test_tower_products_mod_q_match_the_exact_product(p, d, n, data):
         mp.setattr(tower, "mul_vec", lambda a, b, dd, rows, mod: seen.append(mod) or real(a, b, dd, rows, mod))
         products = [(x * y, x, y), (-x * y, -x, y), ((x - y) * x, x - y, x)]
     prec = min(x.prec, y.prec)
-    assert seen[0] == max(p**prec, t.q)
+    assert seen[0] == (max(p**prec, t.q) if L * d >= 7 else None)
     for got, a, b in products:
         assert got.coords.tolist() == reference_tower_mul(a, b).coords.tolist()
         assert (got.den, got.prec) == (a.den + b.den, min(a.prec, b.prec))

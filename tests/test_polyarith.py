@@ -1082,16 +1082,20 @@ def _spy_moduli(monkeypatch, module, name):
 
 
 def test_ring_products_pass_their_modulus(monkeypatch):
-    """mul_mod, which serves O_k, the group ring and Z/q, passes q to mul;
-    so does the minimal-polynomial product of build_unramified to
-    mul_vec. No product of theirs is exact and reduced after."""
+    """mul_mod, which serves O_k, the group ring and Z/q, passes q to mul
+    where the product can take residues (factors of at least 7
+    coefficients); below that it multiplies exactly and reduces each
+    coefficient once, after the remainder by m. The minimal-polynomial
+    product of build_unramified passes q to mul_vec."""
     fd, ring = build_unramified(3, 2, 7), GroupRing(3, 5, 4)
     mods = _spy_moduli(monkeypatch, polyarith, "mul")
     a, b, m = [1, 2, 3], [4, -5], [1, 0, 1]
     assert mul_mod(a, b, m, 3**9) == [c % 3**9 for c in rem_monic(ref_mul(a, b), m)]
     fd.mul((1, 2), (3, 4))
     ring.mul((1, 2, 3), (4, 5, 6))
-    assert mods == [3**9, fd.q, ring.q]
+    a, b, m = list(range(-3, 5)), list(range(9, 2, -1)), [2, 0, 0, 0, 0, 0, 0, 0, 0, 1]
+    assert mul_mod(a, b, m, 3**9) == [c % 3**9 for c in rem_monic(ref_mul(a, b), m)]
+    assert mods == [None, None, None, 3**9]
     mods = _spy_moduli(monkeypatch, unramified, "mul_vec")
     unramified.build_unramified.__wrapped__(5, 3, 6)   # past its cache
     assert mods == [5**6] * 3
