@@ -9,15 +9,7 @@ from .curve import (
     formal_log,
     multiplication_by_p_series,
 )
-from .groupring import (
-    GroupRing,
-    annihilator,
-    delta_of,
-    is_unit,
-    omega_family,
-    phi_plus_phi_inv,
-    q_values,
-)
+from .groupring import delta_of, omega_family, q_values
 from .honda import HondaLog, honda_exp, honda_log, series_bundle
 from .lambda_modules import (
     NotZpFinite,
@@ -50,8 +42,7 @@ from .unramified import FieldDesc, build_unramified
 __all__ = [
     "CurveParams", "curve_from_preset", "formal_exp",
     "formal_group_law", "formal_log", "multiplication_by_p_series",
-    "GroupRing", "annihilator", "delta_of", "is_unit",
-    "omega_family", "phi_plus_phi_inv", "q_values",
+    "delta_of", "omega_family", "q_values",
     "HondaLog", "honda_exp", "honda_log", "series_bundle",
     "NotZpFinite", "Presentation", "coinvariant_rank_law", "coinvariants",
     "freeness_test", "kernel_freeness_property", "module_report",

@@ -1,14 +1,16 @@
-"""The group ring Z_p[F]/(F^d - 1) for the unramified Galois group, the
-cyclotomic polynomial families omega_n / omega_n^{+-}, and the alternating
-p-power sums q_n. The character idempotents of the tame quotient Delta are
-the tower's (`TowerDesc.idempotents`), built at the tower's own precision.
+"""The unit/annihilator dichotomy of F + F^-1 in the group ring
+Z_p[F]/(F^d - 1) of the unramified Galois group, the cyclotomic polynomial
+families omega_n / omega_n^{+-}, and the alternating p-power sums q_n. The
+character idempotents of the tame quotient Delta are the tower's
+(`TowerDesc.idempotents`), built at the tower's own precision.
 
-Group-ring elements are coefficient tuples indexed by powers of F (the
-Frobenius); a product is a polyarith product reduced by the modulus F^d - 1.
-The omega family is kept mod p^K, K = `snf.OMEGA_PRECISION`, as coefficient
-tuples in [0, p^K), lowest degree first: its readers flatten it mod p^N for
-N <= K, and a remainder by a monic cap commutes with reduction mod p^K. The
-binomial rows it is built from are exact integers.
+A group-ring element sum a_i F^i (F the Frobenius) is its coefficient list,
+and multiplication by it on the F-power basis is its circulant matrix: the
+dichotomy reads that matrix and nothing else. The omega family is kept mod
+p^K, K = `snf.OMEGA_PRECISION`, as coefficient tuples in [0, p^K), lowest
+degree first: its readers flatten it mod p^N for N <= K, and a remainder by a
+monic cap commutes with reduction mod p^K. The binomial rows it is built from
+are exact integers.
 """
 
 from __future__ import annotations
@@ -18,104 +20,41 @@ from functools import cache
 
 import numpy as np
 
-from .polyarith import inv_mod, mul, mul_mod
-from .snf import OMEGA_PRECISION, kernel_basis, span_contains_all
+from .polyarith import mul
+from .snf import OMEGA_PRECISION, kernel_basis, smith_divisors, spans_equal
 
 
 # ---------------------------------------------------------------------------
-# group ring
+# the unit/annihilator dichotomy of F + F^-1
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupRing:
-    d: int
-    p: int
-    N: int
-
-    @property
-    def q(self) -> int:
-        return self.p**self.N
-
-    @property
-    def modulus(self) -> tuple[int, ...]:
-        """F^d - 1, lowest degree first."""
-        return (-1,) + (0,) * (self.d - 1) + (1,)
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.d
-
-    def one(self) -> tuple[int, ...]:
-        return (1,) + (0,) * (self.d - 1)
-
-    def F(self, k: int = 1) -> tuple[int, ...]:
-        return tuple(int(i == k % self.d) for i in range(self.d))
-
-    def from_int(self, c: int) -> tuple[int, ...]:
-        return (c % self.q,) + (0,) * (self.d - 1)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.q for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        return tuple(mul_mod(a, b, self.modulus, self.q))
-
-    def is_zero(self, a) -> bool:
-        return all(x % self.q == 0 for x in a)
-
-    def mult_matrix(self, a) -> np.ndarray:
-        """d x d matrix of multiplication by a on the F-power basis."""
-        cols = [self.mul(a, self.F(i)) for i in range(self.d)]
-        return np.array(cols, dtype=object).T.astype(object)
+def circulant(a, q: int) -> np.ndarray:
+    """The d x d matrix, d = len(a), of multiplication by sum a_i F^i on the
+    F-power basis of (Z/q)[F]/(F^d - 1): column j is F^j a, a shifted
+    cyclically by j."""
+    d = len(a)
+    shift = (np.arange(d)[:, None] - np.arange(d)) % d
+    return np.array([c % q for c in a], dtype=object)[shift]
 
 
-def phi_plus_phi_inv(ring: GroupRing) -> tuple[int, ...]:
-    """F + F^(d-1); the element 2 when d = 1, 2F when d = 2."""
-    return ring.add(ring.F(1), ring.F(-1))
-
-
-def alternating_annihilator_generator(ring: GroupRing) -> tuple[int, ...]:
-    """1 - F^2 + F^4 - ... - F^(d-2), defined for d = 0 mod 4."""
-    if ring.d % 4 != 0:
-        raise ValueError("closed-form annihilator generator needs d = 0 mod 4")
-    out = [0] * ring.d
-    for i in range(ring.d // 2):
-        out[2 * i] = (1 if i % 2 == 0 else -1) % ring.q
-    return tuple(out)
-
-
-def is_unit(ring: GroupRing, a) -> tuple[bool, tuple[int, ...] | None]:
-    """Unit test in Z_p[F]/(F^d - 1): unit iff unit mod p; the inverse is
-    Newton-lifted (`polyarith.inv_mod`)."""
-    try:
-        x = tuple(inv_mod(a, ring.modulus, ring.p, ring.q))
-    except ZeroDivisionError:
-        return False, None
-    assert ring.mul(a, x) == ring.one(), "unit inversion failed to converge"
-    return True, x
-
-
-def annihilator(ring: GroupRing, a) -> tuple[np.ndarray, int]:
-    """(generator matrix, Z_p-rank) of Ann(a) = ker(mult-by-a), via SNF.
-
-    The kernel raises on a margin-ambiguous divisor, so its width is
-    d - rank(M)."""
-    K = kernel_basis(ring.mult_matrix(a), ring.p, ring.N)
-    return K, K.shape[1]
-
-
-def annihilator_matches_closed_form(ring: GroupRing) -> bool:
-    """Ann(F + F^-1) equals the span of the alternating generator when d = 0 mod 4
-    (and is zero otherwise), as a lattice statement."""
-    x = phi_plus_phi_inv(ring)
-    K, rank_ann = annihilator(ring, x)
-    if ring.d % 4 != 0:
-        return rank_ann == 0
-    if rank_ann != 2:
-        return False
-    alpha = alternating_annihilator_generator(ring)
-    span = np.array([ring.mul(ring.F(i), alpha) for i in range(ring.d)], dtype=object).T
-    return (span_contains_all(span, K, ring.p, ring.N)
-            and span_contains_all(K, span, ring.p, ring.N))
+def annihilator_matches_closed_form(p: int, d: int, N: int) -> dict:
+    """The dichotomy for F + F^-1 in Z_p[F]/(F^d - 1), decided at p^N on its
+    circulant C: it is a unit iff every SNF divisor of C is 0, and its
+    annihilator is the kernel of C. When d = 0 mod 4 that kernel has rank 2
+    and spans what the circulant of 1 - F^2 + F^4 - ... - F^(d-2) spans;
+    otherwise it is zero (and F + F^-1 a unit)."""
+    q = p**N
+    C = circulant([int(i == 1 % d) + int(i == -1 % d) for i in range(d)], q)  # F + F^-1
+    unit = all(e == 0 for e in smith_divisors(C, p, N).divisors)
+    K = kernel_basis(C, p, N)
+    rank = K.shape[1]
+    if d % 4 == 0:
+        alpha = [(-1) ** (i // 2) * (1 - i % 2) for i in range(d)]
+        closed_form = spans_equal(circulant(alpha, q), K, p, N)
+    else:
+        closed_form = rank == 0
+    return {"unit": unit, "annihilator_rank": rank, "closed_form": closed_form,
+            "ok": unit == (d % 4 != 0) and rank == (2 if d % 4 == 0 else 0) and closed_form}
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,8 @@ def torsion_probe(bundle: SeriesBundle, n: int, trials: int, seed: int) -> dict:
     found_torsion = []
     for k in range(trials):
         c = np.array([[rng.randrange(p**2) for _ in range(field.d)]
-                      for _ in range(tower.level_dim(max(n, 0)))], dtype=object)
-        rand = TowerElt(tower, max(n, 0), c, 0, field.N)
+                      for _ in range(tower.level_dim(n))], dtype=object)
+        rand = TowerElt(tower, n, c, 0, field.N)
         x = (pi * rand) if pi is not None else rand.scale_int(p)
         if x.is_zero():
             continue

@@ -102,8 +102,8 @@ memory of a point_series run by 5.5 MB.
 There are two reduction rules. Every ring is a quotient by a monic modulus
 and reduces by `rem_monic`: O_k by the minimal polynomial of zeta
 (`FieldDesc.modulus`), the tower level k_n by Phi_{p^(n+1)}
-(`TowerDesc.modulus`) and the group ring Z_p[F]/(F^d - 1) by F^d - 1
-(`GroupRing.modulus`). Series cut at their precision by `truncate`.
+(`TowerDesc.modulus`) and the group ring Z_p[Delta] of the tame quotient
+by x^(p-1) - 1. Series cut at their precision by `truncate`.
 
 The quotient rings (Z/q)[x]/(m), m monic, have their arithmetic here
 once: `mul_mod` multiplies and reduces by m and q, and `pow_mod` raises to
@@ -112,7 +112,8 @@ inverse mod p by `xgcd_fp`, lifted by Newton steps x <- x(2 - a x)), and
 `teichmuller` takes the root of z^(p^deg m) = z over a unit by Newton
 steps; each step doubles the p-adic precision. They serve O_k (m the
 minimal polynomial of zeta, or a lift of its residue polynomial while zeta
-is built), the group ring Z_p[F]/(F^d - 1) (m = x^d - 1) and Z/q itself
+is built), the group ring Z_p[Delta] (m = x^(p-1) - 1, where
+`TowerDesc.idempotents` checks its idempotents by `mul_mod`) and Z/q itself
 (m = x), where `teichmuller` lifts a residue.
 """
 

@@ -23,9 +23,9 @@ columns, and the X-kernel invariants of `lambda_modules` decide on them
 there. Two readers still decide at N:
 - `span_intersection`, whose columns `check_exact_sequence` compares at N
   (ROADMAP item 13);
-- `kernel_basis`, whose kernel columns `groupring.annihilator` returns and
-  `annihilator_matches_closed_form` tests for membership at N, a path only
-  tests reach (ROADMAP item 16).
+- `kernel_basis`, whose kernel columns `annihilator_matches_closed_form`
+  compares with a closed form at N, a path only tests reach (ROADMAP
+  item 16).
 
 One elimination core, `_eliminate`, computes the form in place. Each pivot is
 the first entry, in row-major order, of minimal valuation e in the trailing
@@ -69,9 +69,10 @@ neither U nor V is built and no transform product is taken:
 kernel.
 
 Who reads the transforms: no program code reads U, and V is read only by
-`kernel_basis` (its kernel columns, for `groupring.annihilator`, which only
-tests reach), so program code reaches `smith_normal_form` only through
-`kernel_basis`; the tests check that both are unimodular. No module
+`kernel_basis` (its kernel columns, for
+`groupring.annihilator_matches_closed_form`, which only tests reach), so
+program code reaches `smith_normal_form` only through `kernel_basis`; the
+tests check that both are unimodular. No module
 below the lattices imports this one: O_k, the tower and the series layers
 are built and inverted by the polynomial arithmetic of `polyarith`.
 
@@ -95,7 +96,6 @@ PRECISION_RUNGS = 4
 MODULE_PRECISION = 8
 HARNESS_PRECISION = 10
 OMEGA_PRECISION = 64  # K: the omega families are built mod p^K, and no module is flattened above it
-_INT64_SAFE = 1 << 25  # int64 only below this p^N, whatever the dimension
 
 
 def precision_ladder(N: int) -> range:
@@ -116,8 +116,13 @@ def at_rising_precision(fn: Callable[[int], object], N: int):
 
 def _dtype_for(q: int, dim: int):
     """int64 when a product of two matrices reduced mod q, with inner
-    dimension dim, stays exact: dim * (q - 1)^2 < 2^63."""
-    if q < _INT64_SAFE and dim * (q - 1) ** 2 < 1 << 63:
+    dimension dim, stays exact: dim * (q - 1)^2 < 2^63.
+
+    The bound also covers the entrywise updates, which sum nothing: each
+    int64 intermediate of `_eliminate`'s row and column operations and of
+    `lambda_modules.flatten`'s X map is a product of two reduced entries or
+    a reduced entry minus such a product, so its size is at most (q - 1)^2."""
+    if dim * (q - 1) ** 2 < 1 << 63:
         return np.int64
     return object
 

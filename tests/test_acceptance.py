@@ -9,14 +9,7 @@ import time
 import pytest
 
 from normtower.curve import curve_from_preset
-from normtower.groupring import (
-    GroupRing,
-    annihilator,
-    annihilator_matches_closed_form,
-    is_unit,
-    phi_plus_phi_inv,
-    q_values,
-)
+from normtower.groupring import annihilator_matches_closed_form, q_values
 from normtower.honda import honda_log, honda_type_report, series_bundle
 from normtower.lambda_modules import (
     closed_form_coinvariant_torsion,
@@ -41,6 +34,7 @@ from normtower.lattice import (
     with_precision_retry,
 )
 from normtower.points import verify_trace_relations
+from normtower.polyarith import inv_mod, mul_mod
 from normtower.series import TruncSeries
 from normtower.tower import build_tower
 from normtower.unramified import build_unramified
@@ -82,16 +76,15 @@ def test_criterion_3_unit_annihilator_dichotomy():
     t0 = time.time()
     for p in (3, 5, 7):
         for d in range(1, 17):
-            ring = GroupRing(d=d, p=p, N=5)
-            x = phi_plus_phi_inv(ring)
-            unit, inv = is_unit(ring, x)
-            assert unit == (d % 4 != 0), (p, d)
-            if unit:
-                assert ring.mul(x, inv) == ring.one()
-            _, rank = annihilator(ring, x)
-            assert rank == (2 if d % 4 == 0 else 0), (p, d)
-            if d % 4 == 0:
-                assert annihilator_matches_closed_form(ring), (p, d)
+            rep = annihilator_matches_closed_form(p, d, 5)
+            assert rep["unit"] == (d % 4 != 0), (p, d)
+            if rep["unit"]:  # certified by an inverse mod F^d - 1
+                q, m = p**5, [-1] + [0] * (d - 1) + [1]
+                x = [int(i == 1 % d) + int(i == -1 % d) for i in range(d)]  # F + F^-1
+                assert mul_mod(x, inv_mod(x, m, p, q), m, q) == [1] + [0] * (d - 1), (p, d)
+            assert rep["annihilator_rank"] == (2 if d % 4 == 0 else 0), (p, d)
+            assert rep["closed_form"], (p, d)
+            assert rep["ok"], (p, d)
     dt = time.time() - t0
     report(3, dt < 1.0, f"unit iff d != 0 mod 4, annihilator rank-2 closed form, "
                         f"d <= 16, p in 3,5,7 in {dt:.2f}s")

@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normtower import groupring
-from normtower.polyarith import xgcd_fp
+from normtower.polyarith import inv_mod, mul_mod
 from normtower.groupring import (
-    GroupRing,
     OmegaFamily,
-    annihilator,
     annihilator_matches_closed_form,
+    circulant,
     cyclotomic_phi,
     delta_of,
-    is_unit,
     omega_family,
     one_plus_x_pow,
-    phi_plus_phi_inv,
     poly_mul,
     poly_trim,
     q_values,
@@ -97,98 +94,66 @@ def reduced_reference_omega_family(p: int, n: int) -> OmegaFamily:
                    omega_plus=red(ref.omega_plus), omega_minus=red(ref.omega_minus))
 
 
-def test_phi_plus_inv_small_d():
-    assert phi_plus_phi_inv(GroupRing(1, 3, 4)) == (2,)
-    assert phi_plus_phi_inv(GroupRing(2, 3, 4)) == (0, 2)
-    assert phi_plus_phi_inv(GroupRing(4, 3, 4)) == (0, 1, 0, 1)
+def _cyclic(d: int) -> list[int]:
+    """F^d - 1, lowest degree first."""
+    return [-1] + [0] * (d - 1) + [1]
+
+
+def _f_power(d: int, j: int) -> list[int]:
+    return [int(i == j % d) for i in range(d)]
+
+
+def _phi_plus_phi_inv(d: int) -> list[int]:
+    """F + F^(d-1): 2 at d = 1, 2F at d = 2."""
+    return [int(i == 1 % d) + int(i == -1 % d) for i in range(d)]
+
+
+def test_phi_plus_inv_small_d(monkeypatch):
+    """The dichotomy reads the circulants of F + F^(d-1) (2 at d = 1, 2F at
+    d = 2) and, at d = 0 mod 4, of 1 - F^2 + ... - F^(d-2)."""
+    seen = []
+    real = groupring.circulant
+    monkeypatch.setattr(groupring, "circulant", lambda a, q: seen.append(tuple(a)) or real(a, q))
+    for d in (1, 2, 4, 8):
+        assert annihilator_matches_closed_form(3, d, 4)["ok"]
+    assert seen == [(2,), (0, 2), (0, 1, 0, 1), (1, 0, -1, 0),
+                    (0, 1, 0, 0, 0, 0, 0, 1), (1, 0, -1, 0, 1, 0, -1, 0)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_unit_annihilator_dichotomy_exhaustive(p):
+    q = p**5
     for d in range(1, 17):
-        ring = GroupRing(d=d, p=p, N=5)
-        x = phi_plus_phi_inv(ring)
-        unit, inv = is_unit(ring, x)
-        assert unit == (d % 4 != 0)
-        if unit:
-            assert ring.mul(x, inv) == ring.one()
-        _, rank = annihilator(ring, x)
-        assert rank == (2 if d % 4 == 0 else 0)
-        assert annihilator_matches_closed_form(ring)
+        rep = annihilator_matches_closed_form(p, d, 5)
+        assert rep["unit"] == (d % 4 != 0)
+        x = _phi_plus_phi_inv(d)
+        if rep["unit"]:
+            assert mul_mod(x, inv_mod(x, _cyclic(d), p, q), _cyclic(d), q) == _f_power(d, 0)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                inv_mod(x, _cyclic(d), p, q)
+        assert rep["annihilator_rank"] == (2 if d % 4 == 0 else 0)
+        assert rep["closed_form"] and rep["ok"]
 
 
 def test_zero_divisor_product_when_d_divisible_by_4():
-    from normtower.groupring import alternating_annihilator_generator
-
+    q = 5**4
     for d in (4, 8, 12):
-        ring = GroupRing(d=d, p=5, N=4)
-        prod = ring.mul(phi_plus_phi_inv(ring), alternating_annihilator_generator(ring))
-        assert ring.is_zero(prod)
+        x = _phi_plus_phi_inv(d)
+        alpha = [(1, 0, -1, 0)[i % 4] for i in range(d)]
+        assert mul_mod(x, alpha, _cyclic(d), q) == [0] * d
 
 
-def test_p_is_not_a_unit():
-    ring = GroupRing(d=3, p=3, N=4)
-    ok, _ = is_unit(ring, ring.from_int(3))
-    assert not ok
-
-
-# The unit test of Z_p[F]/(F^d - 1) before it shared the Newton inverse of
-# polyarith with O_k, kept verbatim as the reference; `GroupRing.sub` and
-# `GroupRing.scalar`, which only it read, are copied next to it.
-
-def _reference_sub(ring, a, b):
-    return tuple((x - y) % ring.q for x, y in zip(a, b))
-
-
-def _reference_scalar(ring, c, a):
-    return tuple((c * x) % ring.q for x in a)
-
-
-def reference_is_unit(ring: GroupRing, a):
-    """Unit test in Z_p[F]/(F^d - 1): unit iff unit mod p; Newton-lift the inverse."""
-    d = ring.d
-    g, u, _ = xgcd_fp(a, [-1] + [0] * (d - 1) + [1], ring.p)  # gcd with F^d - 1 over F_p
-    if len(g) != 1:
-        return False, None
-    x = tuple((u + [0] * d)[:d])
-    # Newton: x <- x(2 - a x)
-    for _ in range(ring.N.bit_length() + 1):
-        ax = ring.mul(a, x)
-        x = ring.mul(x, _reference_sub(ring, _reference_scalar(ring, 2, ring.one()), ax))
-    assert ring.mul(a, x) == ring.one(), "unit inversion failed to converge"
-    return True, x
-
-
-@st.composite
-def group_ring_elements(draw):
-    p = draw(st.sampled_from([3, 5, 7]))
-    d = draw(st.integers(1, 16))
-    ring = GroupRing(d=d, p=p, N=draw(st.integers(1, 10)))
-    a = tuple(draw(st.integers(0, ring.q - 1)) for _ in range(d))
-    kind = draw(st.sampled_from(["uniform", "small", "times F - 1", "times p", "plus p"]))
-    if kind == "small":  # entries mod p: zero divisors mod p are common
-        a = tuple(x % p for x in a)
-    elif kind == "times F - 1":  # never a unit: F - 1 divides F^d - 1
-        a = ring.mul(a, ring.add(ring.F(1), ring.from_int(-1)))
-    elif kind == "times p":
-        a = ring.mul(a, ring.from_int(p))
-    elif kind == "plus p":  # a unit u plus p times anything is a unit
-        u = ring.F(draw(st.integers(0, d - 1)))
-        a = ring.add(u, ring.mul(a, ring.from_int(p)))
-    return ring, a
-
-
-@settings(deadline=None, max_examples=400)
-@given(group_ring_elements())
-def test_is_unit_matches_reference(data):
-    ring, a = data
-    assert is_unit(ring, a) == reference_is_unit(ring, a)
-
-
-def test_annihilator_of_zero_is_full_ring():
-    ring = GroupRing(d=3, p=3, N=4)
-    _, rank = annihilator(ring, ring.zero())
-    assert rank == 3
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 16), st.data())
+def test_circulant_columns_are_the_products_by_f_powers(p, d, data):
+    """Column j of the circulant of a is a F^j mod F^d - 1, for any a."""
+    q = p**4
+    a = data.draw(st.lists(st.integers(-q, 2 * q), min_size=d, max_size=d))
+    C = circulant(a, q)
+    assert C.shape == (d, d)
+    for j in range(d):
+        assert C[:, j].tolist() == mul_mod(a, _f_power(d, j), _cyclic(d), q)
 
 
 def test_omega_family_p3():
@@ -246,12 +211,12 @@ def test_delta_law():
        st.lists(st.integers(0, 200), min_size=1, max_size=6),
        st.lists(st.integers(0, 200), min_size=1, max_size=6))
 def test_group_ring_commutative_associative(p, d, a_raw, b_raw):
-    ring = GroupRing(d=d, p=p, N=4)
-    a = tuple((a_raw * d)[:d])
-    b = tuple((b_raw * d)[:d])
-    assert ring.mul(a, b) == ring.mul(b, a)
-    c = ring.F(1)
-    assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
+    q, m = p**4, _cyclic(d)
+    a = (a_raw * d)[:d]
+    b = (b_raw * d)[:d]
+    assert mul_mod(a, b, m, q) == mul_mod(b, a, m, q)
+    c = _f_power(d, 1)
+    assert mul_mod(mul_mod(a, b, m, q), c, m, q) == mul_mod(a, mul_mod(b, c, m, q), m, q)
 
 
 def test_out_of_range_arguments_raise():

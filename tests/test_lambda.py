@@ -930,7 +930,7 @@ def _assert_flatten_matches_reference(pres: Presentation, N: int):
     assert (got.dim, got.offsets, got.caps_deg) == (want.dim, want.offsets, want.caps_deg)
     assert _same_values(got.X, want.X)
     assert _same_values(got.relmat, want.relmat)
-    # the dtype as_matrix gives: int64 below _INT64_SAFE, exact ints above
+    # the dtype as_matrix gives: int64 under its dimension-aware bound, exact ints past it
     q = pres.p**N
     assert got.X.dtype == got.relmat.dtype == as_matrix(got.X, q).dtype
     assert got.relmat.dtype == as_matrix(got.relmat, q).dtype
@@ -984,7 +984,7 @@ def test_flatten_matches_reference_on_shipped_presentations(p, d):
 
 @pytest.mark.parametrize("Nx,dtype", [(10, np.int64), (14, object)])
 def test_flatten_works_in_the_dtype_of_as_matrix(Nx, dtype):
-    """At p = 5, N = 10 is below _INT64_SAFE and N = 14 (the harness's second
+    """At p = 5, N = 10 is under the int64 bound and N = 14 (the harness's second
     freeness rung) above it: X and the relation basis come out int64 and
     exact ints, with the values of the reference."""
     for n in (0, 1, 2):

@@ -293,11 +293,11 @@ def _orbit_tower(p: int, d: int, N: int):
 
 @st.composite
 def orbit_cases(draw):
-    """A tower at N = 6 (int64 lattices) or N = 16 (3^16 > 2^25: object), a
-    level n, chi None or a character index, and 1-3 generators at levels -1..n
-    with den 0..3, prec N-2..N and coordinates in [0, p^prec)."""
+    """A tower at N = 6 (int64 lattices) or N = 20 ((3^20 - 1)^2 > 2^63:
+    object), a level n, chi None or a character index, and 1-3 generators at
+    levels -1..n with den 0..3, prec N-2..N and coordinates in [0, p^prec)."""
     p, d = draw(st.sampled_from([(3, 1), (3, 2), (3, 4), (5, 2)]))
-    N = draw(st.sampled_from([6, 16]))
+    N = draw(st.sampled_from([6, 20]))
     t = _orbit_tower(p, d, N)
     n = draw(st.integers(-1, t.n_max))
     chi = draw(st.sampled_from([None, *range(p - 1)]))
@@ -343,7 +343,7 @@ def test_lattice_embed_matches_round_trip(p, d, N, nmax):
                 assert _same_matrix(got.mat, want.mat)
 
 
-@pytest.mark.parametrize("N,dtype", [(6, np.int64), (16, object)])
+@pytest.mark.parametrize("N,dtype", [(6, np.int64), (20, object)])
 def test_lattice_embed_keeps_the_dtype_rule(N, dtype):
     """A random level-0 lattice on either side of the int64 bound of p^N."""
     t = build_tower(3, 2, 2, N)

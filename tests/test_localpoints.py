@@ -62,6 +62,18 @@ def test_torsion_probe(bundle_n0):
     assert rep["ok"], rep
 
 
+def test_torsion_probe_at_level_minus_one_evaluates_there(bundle_n0, monkeypatch):
+    """The n = -1 probe tests p O_k: each point is one row at level -1, not a
+    point of k_0."""
+    seen = []
+    real = localpoints.eval_series_at_tower
+    monkeypatch.setattr(localpoints, "eval_series_at_tower",
+                        lambda s, x, vmin: seen.append((x.level, x.coords.shape)) or real(s, x, vmin))
+    rep = localpoints.torsion_probe(bundle_n0, -1, trials=5, seed=3)
+    assert rep["ok"] and rep["level"] == -1
+    assert seen and set(seen) == {(-1, (1, bundle_n0.field.d))}
+
+
 def test_eval_tail_floor(bundle_n0):
     from fractions import Fraction
 

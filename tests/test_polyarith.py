@@ -13,7 +13,7 @@ from test_groupring import reference_omega_family
 from test_padic import _iterated_teichmuller
 
 from normtower import curve, honda, localpoints, polyarith, series, unramified
-from normtower.groupring import GroupRing, poly_trim
+from normtower.groupring import poly_trim
 from normtower.polyarith import (
     divmod_monic,
     inv_mod,
@@ -855,12 +855,10 @@ def test_monic_reduction(a, low):
 @settings(deadline=None, max_examples=100)
 @given(polys, st.integers(1, 6))
 def test_group_ring_modulus_reduces_as_the_cyclic_fold(a, d):
-    ring = GroupRing(d, 3, 4)
-    assert list(ring.modulus) == [-1] + [0] * (d - 1) + [1]
     folded = [0] * d
     for i, c in enumerate(a):
         folded[i % d] += c
-    assert rem_monic(a, ring.modulus) == folded
+    assert rem_monic(a, [-1] + [0] * (d - 1) + [1]) == folded
 
 
 @pytest.mark.parametrize("p,n", [(3, -1), (3, 0), (3, 2), (5, 1), (7, 1)])
@@ -1082,17 +1080,17 @@ def _spy_moduli(monkeypatch, module, name):
 
 
 def test_ring_products_pass_their_modulus(monkeypatch):
-    """mul_mod, which serves O_k, the group ring and Z/q, passes q to mul
-    where the product can take residues (factors of at least 7
+    """mul_mod, which serves O_k, the tower, the group ring and Z/q, passes
+    q to mul where the product can take residues (factors of at least 7
     coefficients); below that it multiplies exactly and reduces each
     coefficient once, after the remainder by m. The minimal-polynomial
     product of build_unramified passes q to mul_vec."""
-    fd, ring = build_unramified(3, 2, 7), GroupRing(3, 5, 4)
+    fd = build_unramified(3, 2, 7)
     mods = _spy_moduli(monkeypatch, polyarith, "mul")
     a, b, m = [1, 2, 3], [4, -5], [1, 0, 1]
     assert mul_mod(a, b, m, 3**9) == [c % 3**9 for c in rem_monic(ref_mul(a, b), m)]
     fd.mul((1, 2), (3, 4))
-    ring.mul((1, 2, 3), (4, 5, 6))
+    mul_mod((1, 2, 3), (4, 5, 6), [-1, 0, 0, 1], 5**4)   # in Z_5[F]/(F^3 - 1)
     a, b, m = list(range(-3, 5)), list(range(9, 2, -1)), [2, 0, 0, 0, 0, 0, 0, 0, 0, 1]
     assert mul_mod(a, b, m, 3**9) == [c % 3**9 for c in rem_monic(ref_mul(a, b), m)]
     assert mods == [None, None, None, 3**9]
@@ -1121,9 +1119,9 @@ def test_formal_log_takes_its_products_mod_q(monkeypatch):
 @settings(deadline=None, max_examples=20)
 @given(data=st.data())
 def test_group_ring_mul(p, d, data):
-    ring = GroupRing(d, p, 5)
-    a, b = coords(data, d, ring.q), coords(data, d, ring.q)
-    assert ring.mul(a, b) == tuple(x % ring.q for x in ref_cyclic(a, b, d))
+    q = p**5
+    a, b = coords(data, d, q), coords(data, d, q)
+    assert mul_mod(a, b, [-1] + [0] * (d - 1) + [1], q) == [x % q for x in ref_cyclic(a, b, d)]
 
 
 def _series_cache_clear():

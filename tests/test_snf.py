@@ -368,9 +368,9 @@ def test_core_matches_reference(case, dt):
 
 
 @settings(deadline=None, max_examples=40)
-@given(snf_case(N_values=st.just(16)))
+@given(snf_case(N_values=st.just(20)))
 def test_core_matches_reference_object_precision(case):
-    # 3^16 and 5^16 are past the int64 entry bound, so the entries pick object
+    # (3^20 - 1)^2 and (5^20 - 1)^2 pass 2^63, so even one entry picks object
     p, N, A = case
     assert _dtype_for(p**N, 1) is object
     _check_against_reference(p, N, A, object)
@@ -431,7 +431,7 @@ def test_quotient_invariants():
 def test_dtype_guard_at_the_dimension_boundary():
     p, N = 3, 15
     q = p**N
-    assert q < 1 << 25  # the entries alone would allow int64
+    assert _dtype_for(q, 1) is np.int64  # the entries alone allow int64
     dim = -(-(1 << 63) // (q - 1) ** 2)  # least dim with dim * (q-1)^2 >= 2^63
     assert _dtype_for(q, dim - 1) is np.int64
     assert _dtype_for(q, dim) is object
@@ -449,11 +449,12 @@ def test_dtype_guard_at_the_dimension_boundary():
 
 
 def test_sparse_paths_keep_their_dtype_at_the_entry_bound():
-    # at q = 3^15, just under _INT64_SAFE, the gathered and scattered blocks
-    # hold products near q^2: int64 must neither wrap nor turn into object
-    p, N = 3, 15
+    # at q = 3^18, where 60 (q - 1)^2 is just under 2^63, a 30 x 60 matrix
+    # is int64 and its gathered and scattered blocks hold products near q^2:
+    # int64 must neither wrap nor turn into object
+    p, N = 3, 18
     q = p**N
-    assert q < snf._INT64_SAFE
+    assert snf._dtype_for(q, 60) is np.int64 and snf._dtype_for(p * q, 60) is object
     rng = np.random.default_rng(315)
     A = (_sparse(rng, p, N, 30, 60) % q).astype(np.int64)
     B = (A[:, :20] @ rng.integers(0, q, size=(20, 4)).astype(object) % q).astype(np.int64)
