@@ -5,7 +5,6 @@ from .curve import (
     CurveParams,
     curve_from_preset,
     formal_exp,
-    formal_group_law,
     formal_log,
     multiplication_by_p_series,
 )
@@ -40,8 +39,8 @@ from .tower import TowerDesc, TowerElt, build_tower, check_g_iterate, uniformize
 from .unramified import FieldDesc, build_unramified
 
 __all__ = [
-    "CurveParams", "curve_from_preset", "formal_exp",
-    "formal_group_law", "formal_log", "multiplication_by_p_series",
+    "CurveParams", "curve_from_preset", "formal_exp", "formal_log",
+    "multiplication_by_p_series",
     "delta_of", "omega_family", "q_values",
     "HondaLog", "honda_exp", "honda_log", "series_bundle",
     "NotZpFinite", "Presentation", "coinvariant_rank_law", "coinvariants",

@@ -377,6 +377,9 @@ def write_report(records: list[Record], cfg: CampaignConfig, out_dir: Path) -> P
         "config": {
             "p": cfg.p_list, "d": cfg.d_list, "n_max": cfg.n_max,
             "precision": cfg.precision, "checks": cfg.checks, "seed": cfg.seed,
+            "lambda_trials": cfg.lambda_trials,
+            "curve": {str(p): {k: v for k, v in asdict(c).items() if k != "p"}
+                      for p, c in cfg.curves.items()},
         },
         "records": [asdict(r) for r in records],
         "all_pass": all(r.ok for r in records),

@@ -1,10 +1,10 @@
 """Weierstrass curves with supersingular reduction: the a_p = 0 gate, the
-formal group from the w-expansion, and its logarithm/exponential.
+w-expansion of the formal group, and its logarithm/exponential.
 
-The group law is constructed exactly over Z by the chord construction in
-(t, w)-coordinates, so its axioms are checked without any precision caveats;
-the logarithm comes from the invariant differential and carries explicit
-denominators (v_p(m) at degree m).
+The verifier reads the curve only through its formal logarithm. It comes
+from the invariant differential, written in v = w/t^3, and carries explicit
+denominators (v_p(m) at degree m). No group law is built here: the tests
+keep the exact chord construction over Z as the oracle for the logarithm.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .padic import is_prime, val_int
-from .polyarith import mul, mul_vec, truncate
+from .polyarith import mul, truncate
 from .series import TruncSeries
 from .unramified import FieldDesc
 
@@ -77,22 +77,21 @@ def curve_from_preset(name: str, p: int) -> CurveParams:
 
 
 # ---------------------------------------------------------------------------
-# w-expansion and univariate unit series (exact integers)
+# the w-expansion (exact integers) and the formal logarithm
 # ---------------------------------------------------------------------------
 
-def _zmul(a: list[int], b: list[int], D: int) -> list[int]:
-    return truncate(mul(a, b, D + 1), D + 1)
+def _zmul(a: list[int], b: list[int], D: int, q: int | None = None) -> list[int]:
+    """The product of integer series through degree D, mod q when q is given."""
+    return truncate(mul(a, b, D + 1, q), D + 1)
 
 
-def _zinv(u: list[int], D: int, times=_zmul) -> list[int]:
-    """1/u through degree D for an integer series with constant term 1, by
-    Newton steps g <- g (2 - u g), each doubling the correct degree; times is
-    the product truncated at degree D (univariate, or `_bmul` for bivariate
-    series)."""
+def _zinv(u: list[int], D: int, q: int) -> list[int]:
+    """1/u mod q through degree D for a series with constant term 1, by
+    Newton steps g <- g (2 - u g), each doubling the correct degree."""
     g, good = [1], 1
     while good <= D:
-        ug = times(u, g, D)
-        g = times(g, [2 - ug[0]] + [-c for c in ug[1:]], D)
+        ug = _zmul(u, g, D, q)
+        g = _zmul(g, [2 - ug[0]] + [-c for c in ug[1:]], D, q)
         good *= 2
     return g
 
@@ -131,35 +130,25 @@ def w_expansion(curve: CurveParams, D: int) -> tuple[int, ...]:
     return tuple(w)
 
 
-def _unit_series_data(curve: CurveParams, D: int) -> tuple[list[int], list[int]]:
-    """(U, U') with U = (w/t^3)^{-1} as exact-integer series through degree D."""
-    w = w_expansion(curve, D + 3)
-    U = _zinv(w[3: D + 4], D)  # w / t^3 has constant term 1
-    Uprime = [(j + 1) * U[j + 1] for j in range(D)] + [0]
-    return U, Uprime
-
-
 @lru_cache(maxsize=None)
 def formal_log(curve: CurveParams, field: FieldDesc, D: int, prec: int) -> TruncSeries:
     """log(t) = t + ... with log'(0) = 1; denominator v_p(m) at degree m.
 
-    Built from the invariant differential: with x = t^-2 U and y = -t^-3 U,
-    dx/dt / (2y + a1 x + a3) = (-2U + tU') / (-2U + a1 t U + a3 t^3); then
+    Built from the invariant differential dx / (2y + a1 x + a3) with
+    x = t/w, y = -1/w and v = w/t^3 = 1 + ...: its series in t is
+    P = (2v + t v') / (v (2 - a1 t - a3 t^3 v)), taken mod p^prec, and
     log = t + sum P_m t^(m+1)/(m+1).
     """
     p = field.p
     q = p**prec
-    U, Uprime = _unit_series_data(curve, D)
-    num = [-2 * U[j] + (Uprime[j - 1] if j >= 1 else 0) for j in range(D + 1)]
-    den = [-2 * U[j] + curve.a1 * (U[j - 1] if j >= 1 else 0)
-           + (curve.a3 if j == 3 else 0) for j in range(D + 1)]
-    # den has constant term -2: P = num/den = (num/-2) (den/-2)^-1 mod q
-    scale = pow(-2, -1, q)
-
-    def times(a, b, deg):
-        return truncate(mul(a, b, deg + 1, q), deg + 1)
-
-    P = times([scale * c % q for c in num], _zinv([scale * c % q for c in den], D, times), D)
+    half = pow(2, -1, q)
+    v = [c % q for c in w_expansion(curve, D + 3)[3:]]
+    # numerator 2v + t v' and denominator v (2 - a1 t - a3 t^3 v) both have
+    # constant term 2: halve both
+    num = [(j + 2) * c * half % q for j, c in enumerate(v)]
+    bracket = [2, -curve.a1, 0] + [-curve.a3 * c for c in v]
+    den = _zmul(v, [c * half % q for c in bracket[: D + 1]], D, q)
+    P = _zmul(num, _zinv(den, D, q), D, q)
     assert P[0] == 1 % q, "invariant differential not normalized"
     # integrate: coefficient of t^(m+1) is P_m / (m+1)
     den_exp = max(val_int(m + 1, p, prec) for m in range(D)) if D >= 1 else 0
@@ -195,65 +184,3 @@ def multiplication_by_p_series(lg: TruncSeries, ex: TruncSeries, target: int) ->
     assert mp.den == 0, "[p]-series failed integrality"
     assert mp.effective_prec >= target
     return mp
-
-
-# ---------------------------------------------------------------------------
-# the chord group law, exact over Z
-# ---------------------------------------------------------------------------
-
-def inversion_series(curve: CurveParams, D: int) -> tuple[int, ...]:
-    """i(t) = parameter of the group inverse: -t U (U - a1 t U - a3 t^3)^{-1}, exact."""
-    U, _ = _unit_series_data(curve, D)
-    den = [0] * (D + 1)
-    for j in range(D + 1):
-        den[j] = U[j] - curve.a1 * (U[j - 1] if j >= 1 else 0) \
-            - (curve.a3 if j == 3 else 0)
-    tU = [0] + [-U[j] for j in range(D)]
-    return tuple(_zmul(tU, _zinv(den, D), D))
-
-
-def _bmul(a: list[int], b: list[int], D: int) -> list[int]:
-    """Product of bivariate series through total degree D. A series is its
-    t1-rows of t2-coefficients, each row D + 1 long, laid end to end, so the
-    constant term comes first (as for a univariate series)."""
-    n = D + 1
-
-    def rows(s):
-        return [truncate(s[k:k + n], n) for k in range(0, n * n, n)]
-
-    prod = mul_vec(rows(a), rows(b), n, n)
-    return [c if i + j <= D else 0 for i, r in enumerate(prod) for j, c in enumerate(r[:n])]
-
-
-@lru_cache(maxsize=None)
-def formal_group_law(curve: CurveParams, D: int) -> tuple[tuple[int, ...], ...]:
-    """F(t1, t2) over Z, exact through total degree D, by the chord
-    construction: F[i][j] is the coefficient of t1^i t2^j (0 when i + j > D)."""
-    if D < 2:
-        raise ValueError("need degree >= 2")
-    n = D + 1
-    w = w_expansion(curve, D + 1)
-    t1, t2, w1 = [0] * (n * n), [0] * (n * n), [0] * (n * n)
-    t1[n] = t2[1] = 1
-    for k in range(D + 1):
-        w1[k * n] = w[k]
-    # the chord w = m t + c: m = (w(t2) - w(t1)) / (t2 - t1)
-    m = [0] * (n * n)
-    for k in range(1, D + 2):
-        for i in range(k):
-            m[i * n + k - 1 - i] += w[k]
-    c = [x - y for x, y in zip(w1, _bmul(t1, m, D))]
-    mm, mc = _bmul(m, m, D), _bmul(m, c, D)
-    mmm, mmc = _bmul(mm, m, D), _bmul(mm, c, D)
-    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    A = [a2 * x + a4 * y + a6 * z for x, y, z in zip(m, mm, mmm)]
-    A[0] += 1
-    B = [a1 * x + a2 * y + a3 * z + 2 * a4 * u + 3 * a6 * v
-         for x, y, z, u, v in zip(m, c, mm, mc, mmc)]
-    # the third point on the chord, t3 = -t1 - t2 - B / A; then F = i(t3) by Horner
-    t3 = [-x - y - z for x, y, z in zip(t1, t2, _bmul(B, _zinv(A, D, _bmul), D))]
-    F = [0] * (n * n)
-    for cj in reversed(inversion_series(curve, D)):
-        F = _bmul(F, t3, D)
-        F[0] += cj
-    return tuple(tuple(F[i * n:(i + 1) * n]) for i in range(n))

@@ -342,11 +342,11 @@ def _subquotient_structure(K: np.ndarray, R: np.ndarray, p: int,
     """Structure of the Z_p-module generated by K's columns inside Z^D / span(R),
     for K and R known mod p^N; it is decided at the precision of the kernel."""
     K = _drop_null_columns(as_matrix(K, p**N), p, N)
-    R = _drop_null_columns(as_matrix(R, p**N), p, N) if R.size else R
+    R = _drop_null_columns(as_matrix(R, p**N), p, N)
     t = K.shape[1]
     if t == 0:
         return 0, []
-    stacked = stack_cols(K, R) if R.size else K
+    stacked = stack_cols(K, R)
     # the K-coordinates of the kernel vectors: the top t rows of a kernel basis
     C, Nc = kernel_image(stacked, np.eye(t, stacked.shape[1], dtype=np.int64), p, N)
     return quotient_invariants(t, C, p, Nc)
@@ -390,11 +390,10 @@ def _invariant_structure_at(lo: FlatModule, hi: FlatModule) -> tuple[int, list[i
     rows = [hi.offsets[i] + a * hi.caps_deg[i] + b for i in range(hi.pres.gens)
             for a in range(hi.pres.d) for b in range(lo.caps_deg[i])]
     # preimage of the relation span under X, inside the high model, taken to lo
-    stacked = stack_cols(hi.X, hi.relmat) if hi.relmat.size else hi.X
+    stacked = stack_cols(hi.X, hi.relmat)
     top = np.eye(hi.dim, stacked.shape[1], dtype=np.int64)[rows]
     K_lo, Nk = kernel_image(stacked, top, p, N)
-    if hi.relmat.size:
-        K_lo = stack_cols(K_lo, hi.relmat[rows])  # the span of relations always maps in
+    K_lo = stack_cols(K_lo, hi.relmat[rows])  # the span of relations always maps in
     return _subquotient_structure(K_lo, lo.relmat, p, Nk)
 
 

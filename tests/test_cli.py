@@ -235,6 +235,9 @@ def test_report_json_structure(tmp_path):
     main(["verify", "--config", str(cfg), "--out", str(out)])
     doc = json.loads((out / "report.json").read_text())
     assert doc["all_pass"] is True
+    # the config names the run: the trial count and each prime's curve
+    assert doc["config"]["lambda_trials"] == 40
+    assert doc["config"]["curve"] == {"3": {"a1": 0, "a2": 0, "a3": 0, "a4": -1, "a6": 0}}
     rec = doc["records"][0]
     assert rec["check"] == "ap_gate"
     assert {"expected", "measured", "ok", "rule", "runtime"} <= rec.keys()

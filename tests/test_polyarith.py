@@ -1100,17 +1100,19 @@ def test_ring_products_pass_their_modulus(monkeypatch):
 
 
 def test_formal_log_takes_its_products_mod_q(monkeypatch):
-    """formal_log's Newton quotient and its last product pass q to mul, and
-    reach the residue regime mod q at the point_series shape (D = 40,
-    q = 3^980); only the exact integer series of the unit U are exact."""
+    """formal_log's denominator, Newton quotient and last product pass q to
+    mul, and reach the residue regime mod q at the point_series shape
+    (D = 40, q = 3^980); only the products of the w-expansion are exact."""
     ss3, fd = curve.curve_from_preset("ss3", 3), build_unramified(3, 1, 980)
     q = 3**980
     mods = _spy_moduli(monkeypatch, curve, "mul")
     residues = []
     real = polyarith._mul_residues
     monkeypatch.setattr(polyarith, "_mul_residues", lambda *args: residues.append(args[-1]) or real(*args))
+    curve.w_expansion.cache_clear()
     curve.formal_log.__wrapped__(ss3, fd, 40, 980)   # past its cache
-    assert mods.count(q) == 2 * (40).bit_length() + 1   # two products per Newton step, one last
+    # the denominator, two products per Newton step, the last
+    assert mods.count(q) == 1 + 2 * (40).bit_length() + 1
     assert set(mods) == {None, q}
     assert residues and set(residues) == {q}
 

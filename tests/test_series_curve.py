@@ -10,22 +10,23 @@ from normtower import curve, honda, series
 from normtower.curve import (
     CURVE_PRESETS,
     CurveParams,
-    _unit_series_data,
+    _zmul,
     composition_work_precision,
     curve_from_preset,
     formal_exp,
-    formal_group_law,
     formal_log,
     multiplication_by_p_series,
     w_expansion,
 )
 from normtower.padic import val_int
+from normtower.polyarith import mul_vec, truncate
 from normtower.series import TruncSeries
 from normtower.unramified import build_unramified
 
 
 SS3 = curve_from_preset("ss3", 3)
 SS23 = curve_from_preset("ss23", 5)
+ORACLE_CURVES = [SS3, SS23, CurveParams(p=5, a1=1, a2=1, a3=1, a6=1)]
 
 
 def test_point_counts_and_ap_gate():
@@ -64,20 +65,99 @@ def test_w_expansion_solves_weierstrass():
         assert rhs == w
 
 
+# ---------------------------------------------------------------------------
+# the chord group law, exact over Z: the oracle for the formal logarithm
+# ---------------------------------------------------------------------------
+
+def _inverse(u: list[int], D: int, times=_zmul) -> list[int]:
+    """1/u through degree D for an integer series with constant term 1, by
+    Newton steps g <- g (2 - u g); times is the product truncated at degree
+    D (univariate, or `_bmul` for bivariate series)."""
+    g, good = [1], 1
+    while good <= D:
+        ug = times(u, g, D)
+        g = times(g, [2 - ug[0]] + [-c for c in ug[1:]], D)
+        good *= 2
+    return g
+
+
+def inversion_series(curve: CurveParams, D: int) -> tuple[int, ...]:
+    """i(t), the parameter of the group inverse: -t / (1 - a1 t - a3 t^3 v)
+    with v = w/t^3, exact."""
+    v = w_expansion(curve, D + 3)[3:]
+    den = truncate([1, -curve.a1, 0] + [-curve.a3 * c for c in v], D + 1)
+    return tuple([0] + [-c for c in _inverse(den, D)[:D]])
+
+
+def _bmul(a: list[int], b: list[int], D: int) -> list[int]:
+    """Product of bivariate series through total degree D. A series is its
+    t1-rows of t2-coefficients, each row D + 1 long, laid end to end, so the
+    constant term comes first (as for a univariate series)."""
+    n = D + 1
+
+    def rows(s):
+        return [truncate(s[k:k + n], n) for k in range(0, n * n, n)]
+
+    prod = mul_vec(rows(a), rows(b), n, n)
+    return [c if i + j <= D else 0 for i, r in enumerate(prod) for j, c in enumerate(r[:n])]
+
+
+def formal_group_law(curve: CurveParams, D: int) -> tuple[tuple[int, ...], ...]:
+    """F(t1, t2) over Z, exact through total degree D, by the chord
+    construction: F[i][j] is the coefficient of t1^i t2^j (0 when i + j > D)."""
+    if D < 2:
+        raise ValueError("need degree >= 2")
+    n = D + 1
+    w = w_expansion(curve, D + 1)
+    t1, t2, w1 = [0] * (n * n), [0] * (n * n), [0] * (n * n)
+    t1[n] = t2[1] = 1
+    for k in range(D + 1):
+        w1[k * n] = w[k]
+    # the chord w = m t + c: m = (w(t2) - w(t1)) / (t2 - t1)
+    m = [0] * (n * n)
+    for k in range(1, D + 2):
+        for i in range(k):
+            m[i * n + k - 1 - i] += w[k]
+    c = [x - y for x, y in zip(w1, _bmul(t1, m, D))]
+    mm, mc = _bmul(m, m, D), _bmul(m, c, D)
+    mmm, mmc = _bmul(mm, m, D), _bmul(mm, c, D)
+    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+    A = [a2 * x + a4 * y + a6 * z for x, y, z in zip(m, mm, mmm)]
+    A[0] += 1
+    B = [a1 * x + a2 * y + a3 * z + 2 * a4 * u + 3 * a6 * v
+         for x, y, z, u, v in zip(m, c, mm, mc, mmc)]
+    # the third point on the chord, t3 = -t1 - t2 - B / A; then F = i(t3) by Horner
+    t3 = [-x - y - z for x, y, z in zip(t1, t2, _bmul(B, _inverse(A, D, _bmul), D))]
+    F = [0] * (n * n)
+    for cj in reversed(inversion_series(curve, D)):
+        F = _bmul(F, t3, D)
+        F[0] += cj
+    return tuple(tuple(F[i * n:(i + 1) * n]) for i in range(n))
+
+
 def test_formal_group_law_axioms():
     D = 8
-    F = formal_group_law(SS3, D)
-    assert len(F) == D + 1 and all(len(row) == D + 1 for row in F)
-    for i in range(D + 1):
-        assert F[i][0] == F[0][i] == (1 if i == 1 else 0)  # F(X, 0) = F(0, X) = X
+    for curve in ORACLE_CURVES:
+        F = formal_group_law(curve, D)
+        assert len(F) == D + 1 and all(len(row) == D + 1 for row in F)
+        for i in range(D + 1):
+            assert F[i][0] == F[0][i] == (1 if i == 1 else 0)  # F(X, 0) = F(0, X) = X
+            for j in range(D + 1):
+                assert F[i][j] == F[j][i]  # commutative
+                if i + j > D:
+                    assert F[i][j] == 0
+        # F(t, i(t)) = 0: sum over j of (sum over i of F[i][j] t^i) i(t)^j
+        inv = inversion_series(curve, D)
+        total, inv_pow = [0] * (D + 1), [1] + [0] * D
         for j in range(D + 1):
-            assert F[i][j] == F[j][i]  # commutative
-            if i + j > D:
-                assert F[i][j] == 0
+            total = [x + y for x, y in zip(total, _zmul([F[i][j] for i in range(D + 1)], inv_pow, D))]
+            inv_pow = _zmul(inv_pow, inv, D)
+        assert total == [0] * (D + 1)
 
 
-def _fraction_series_law(curve, D):
-    """Independent group-law oracle: exp(log X + log Y) over exact rationals."""
+def _rational_log(curve, D):
+    """The formal log over exact rationals, from U = (w/t^3)^{-1} and the
+    invariant differential (-2U + tU') / (-2U + a1 t U + a3 t^3)."""
     w = w_expansion(curve, D + 3)
     u = list(w[3: D + 4])
     U = [Fraction(0)] * (D + 1)
@@ -96,6 +176,12 @@ def _fraction_series_law(curve, D):
     log = [Fraction(0)] * (D + 1)
     for m in range(D):
         log[m + 1] = P[m] / (m + 1)
+    return log
+
+
+def _fraction_series_law(curve, D):
+    """Independent group-law oracle: exp(log X + log Y) over exact rationals."""
+    log = _rational_log(curve, D)
     exp = [Fraction(0)] * (D + 1)
     exp[1] = Fraction(1)
     for m in range(2, D + 1):
@@ -134,7 +220,7 @@ def _fraction_series_law(curve, D):
     return law
 
 
-@pytest.mark.parametrize("curve", [SS3, SS23, CurveParams(p=5, a1=1, a2=1, a3=1, a6=1)])
+@pytest.mark.parametrize("curve", ORACLE_CURVES)
 def test_group_law_matches_rational_oracle(curve):
     D = 6
     F = formal_group_law(curve, D)
@@ -144,6 +230,18 @@ def test_group_law_matches_rational_oracle(curve):
             v = oracle.get((i, j), 0)
             assert v.denominator == 1
             assert F[i][j] == v.numerator, ((i, j), F[i][j], v)
+
+
+@pytest.mark.parametrize("curve", ORACLE_CURVES)
+def test_formal_log_matches_rational_oracle(curve):
+    """The log the program uses is the chord law's: at D <= 8, formal_log is
+    the rational log, scaled by p^den and reduced mod p^prec."""
+    p, log = curve.p, _rational_log(curve, 8)
+    for D in range(9):
+        lg = formal_log(curve, build_unramified(p, 1, 20), D, 20)
+        q = p**lg.prec
+        want = [x * p**lg.den for x in log[:D + 1]]
+        assert [c for (c,) in lg.coeffs] == [x.numerator * pow(x.denominator, -1, q) % q for x in want]
 
 
 def test_exp_log_identity_degree30():
@@ -184,9 +282,9 @@ def test_multiplication_by_p_supersingular_shape():
 
 
 # ---------------------------------------------------------------------------
-# differential test: the invariant differential divided on the integer kernel
-# (`_zinv` mod p^prec) against the O_k-series Newton inverse it replaced
-# (verbatim copies)
+# differential test: the invariant differential in v = w/t^3, divided mod
+# p^prec, against the route through the exact unit U = 1/v and the O_k-series
+# Newton inverse it replaced (verbatim copies)
 # ---------------------------------------------------------------------------
 
 def reference_inverse_unit(self: TruncSeries) -> TruncSeries:
@@ -205,6 +303,14 @@ def reference_inverse_unit(self: TruncSeries) -> TruncSeries:
 def reference_from_int_coeffs(field, ints, prec: int) -> TruncSeries:
     q = field.p**prec
     return TruncSeries(field, tuple(field.from_int(c, q) for c in ints), 0, prec)
+
+
+def _unit_series_data(curve, D: int) -> tuple[list[int], list[int]]:
+    """(U, U') with U = (w/t^3)^{-1} as exact-integer series through degree D."""
+    w = w_expansion(curve, D + 3)
+    U = _inverse(list(w[3: D + 4]), D)  # w / t^3 has constant term 1
+    Uprime = [(j + 1) * U[j + 1] for j in range(D)] + [0]
+    return U, Uprime
 
 
 def reference_formal_log(curve, field, D: int, prec: int) -> TruncSeries:
@@ -296,11 +402,11 @@ def test_series_bundle_is_bit_identical_under_the_stripping_loop(d, fresh_series
 def test_series_bundle_builds_one_curve_log_per_attempt(attempts, fresh_series_caches,
                                                         monkeypatch):
     """formal_exp inverts the cached formal_log of its attempt, so the curve's
-    unit series is built once per attempt; a start too tight for (n=0, D=40,
+    w-expansion is read once per attempt; a start too tight for (n=0, D=40,
     target=4) makes the bundle double its working precision once."""
     calls = []
-    real = curve._unit_series_data
-    monkeypatch.setattr(curve, "_unit_series_data", lambda *a: calls.append(a) or real(*a))
+    real = curve.w_expansion
+    monkeypatch.setattr(curve, "w_expansion", lambda *a: calls.append(a) or real(*a))
     if attempts == 2:
         monkeypatch.setattr(honda, "composition_work_precision",
                             lambda p, D, target: target + 3 * D + 16)
