@@ -25,6 +25,11 @@ Precision follows the policy stated in `snf`: every decision raises inside
 the margin, and the X-kernel invariants decide at the precision their kernel
 vectors carry, which `kernel_image` returns. The freeness predicates are
 certified by agreement at two consecutive rungs of the precision ladder.
+
+Ranks that need no Z_p-structure are exact and take no precision: the
+Lambda-rank `rank_lambda` and the harness's kernel image are ranks over Q of
+integer matrices, the relation vectors and their F-translates evaluated at
+integer points X = x, eliminated fraction-free (`_bareiss_rank`).
 """
 
 from __future__ import annotations
@@ -330,11 +335,7 @@ def module_report(pres: Presentation, N: int) -> dict:
 def _drop_null_columns(M: np.ndarray, p: int, N: int) -> np.ndarray:
     """Drop columns that are zero at precision (content >= N - MARGIN): they
     generate or impose nothing resolvable at the margin."""
-    if M.size == 0:
-        return M
-    cut = p ** (N - MARGIN)
-    keep = [j for j in range(M.shape[1]) if (M[:, j] % cut).any()]
-    return M[:, keep] if keep else M[:, :0]
+    return M[:, (M % p ** (N - MARGIN)).any(axis=0)]
 
 
 def _subquotient_structure(K: np.ndarray, R: np.ndarray, p: int,
@@ -439,16 +440,57 @@ def _freeness_once(pres: Presentation, N: int) -> dict:
     }
 
 
-def rank_lambda(pres: Presentation, N: int) -> int:
-    """Lambda-rank from the coinvariant rank slope between levels 1 and 2."""
-    p = pres.p
-    r0 = module_report(coinvariants(pres, 1), N)["rank"]
-    r1 = module_report(coinvariants(pres, 2), N)["rank"]
-    num = r1 - r0
-    den = p**2 - p
-    if num % den:
-        raise ArithmeticError(f"coinvariant ranks {r0}, {r1} have non-integral slope")
-    return num // den
+def _bareiss_rank(rows: list[list[int]]) -> int:
+    """Rank over Q of integer vectors, by fraction-free elimination (Bareiss,
+    Math. Comp. 22, 1968): after each pivot every entry left is a minor of
+    the input, so each division by the previous pivot is exact."""
+    rows = [r for r in rows if any(r)]
+    rank, prev = 0, 1
+    for j in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top, a = rows[rank], rows[rank][j]
+        rows[rank + 1:] = [[(a * u - r[j] * t) // prev for u, t in zip(r, top)]
+                           for r in rows[rank + 1:]]
+        prev, rank = a, rank + 1
+    return rank
+
+
+def _rank_at(rels, d: int, x: int) -> int:
+    """Rank over Q of the relation vectors and their F-translates at X = x, on
+    the F-major basis (generator, F-power): F^a moves component b to a + b
+    mod d."""
+    cols = []
+    for rel in rels:
+        v = [[sum(c * x**k for k, c in enumerate(u)) for u in comp] for comp in rel]
+        cols += [[w[(b - a) % d] for w in v for b in range(d)] for a in range(d)]
+    return _bareiss_rank(cols)
+
+
+def rank_lambda(pres: Presentation) -> int:
+    """Lambda-rank g d - rank R of M, exact: R is the integer-polynomial
+    matrix of the relations and their F-translates, whose Lambda-span is the
+    relation module inside the Lambda-free Lambda[G]^g of rank g d, and its
+    rank is taken over Q(X). The caps are read as relations already in the
+    span, as every constructor here lists them among the relations.
+
+    No precision enters. R(x) has rank at most that of R at each integer x,
+    with equality off the roots of a nonzero minor of that size, whose degree
+    is at most delta, the sum of the columns' X-degrees. So R(1), R(2), ...
+    are eliminated until one reaches full rank; a smaller rank is certified
+    by delta + 1 points. Torsion at zeta_{p^2} - 1, which the coinvariant
+    rank slope between levels 1 and 2 counted as rank, does not count."""
+    d = pres.d
+    full = d * min(pres.gens, len(pres.rels))
+    delta = d * sum(max([0, *map(lam_deg, rel)]) for rel in pres.rels)
+    best = 0
+    for x in range(1, delta + 2):
+        best = max(best, _rank_at(pres.rels, d, x))
+        if best == full:
+            break
+    return d * pres.gens - best
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +667,8 @@ def _kernel_instance(rng, p, d, N) -> dict:
     a submodule of a free Z_p-module, so the sequence splits). K has no
     X-torsion a priori inside the free module, so the freeness conclusion
     reduces to: ker(X on N) torsion-free and ranks summing to d(r - s).
-    The image's rank is d r less the Z_p-rank of the X-coinvariants of
-    Lambda^r / K, which `coinvariant_structure` reads through `module_report`.
+    The image's rank is the rank over Q of the kernel generators' constant
+    terms with their F-translates, `_rank_at` at X = 0: exact, no flattening.
     """
     targetN, s = _random_safe_module(rng, p, d)
     gN = targetN.gens
@@ -649,7 +691,7 @@ def _kernel_instance(rng, p, d, N) -> dict:
     # the safe-module filter: verified submodule-free (ker X torsion-free)
     inv_rank, inv_tors = invariant_structure(targetN, N)
     filter_ok = not inv_tors
-    rio = d * r - coinvariant_structure(Presentation(p, d, r, tuple(kgens)), N)[0]
+    rio = _rank_at(kgens, d, 0)
     expected_rank = d * (r - s)
     ok = filter_ok and (inv_rank + rio == expected_rank)
     return {"kind": "kernel", "ok": ok,
@@ -660,8 +702,10 @@ def _kernel_instance(rng, p, d, N) -> dict:
 
 def _cokernel_instance(rng, p, d, N) -> dict:
     """One injection of a free module into a safe module; the cokernel must
-    have no nontrivial finite submodule. Injectivity is certified by the
-    Lambda-rank ledger; non-injective draws are resampled by the caller."""
+    have no nontrivial finite submodule. Injectivity is decided by the exact
+    Lambda-rank of the cokernel, (s - r) d iff the map is injective, as the
+    source Lambda[G]^r is torsion-free; a non-injective draw returns ok None,
+    and the caller counts it as resampled and draws again."""
     targetN, s = _random_safe_module(rng, p, d)
     if s < 2:
         targetN = direct_sum(targetN, free_presentation(p, d, 1))
@@ -673,10 +717,7 @@ def _cokernel_instance(rng, p, d, N) -> dict:
     for j in range(r):
         extra_rels.append(tuple(G[i][j] for i in range(targetN.gens)))
     coker = targetN.with_relations(extra_rels)
-    try:
-        got_rank = rank_lambda(coker, N)
-    except ArithmeticError:
-        return {"kind": "cokernel", "ok": None}  # resample
+    got_rank = rank_lambda(coker)
     if got_rank != (s - r) * d:
         return {"kind": "cokernel", "ok": None}  # not injective; resample
     rep = freeness_test(coker, N)
@@ -688,14 +729,15 @@ def kernel_freeness_property(trials: int, seed: int, N: int, p: int = 3) -> dict
     """Randomized harness: kernels of surjections onto safe modules come out
     free of the predicted rank, and cokernels of injections of free modules
     into safe modules carry no finite submodule. Counterexamples are returned
-    with their full data (none are expected).
+    with their full data (none are expected), and `resampled` counts the
+    cokernel draws skipped as non-injective.
 
     Window torsion and random coefficient content have N-independent
     divisors, so a margin collision is cleared by rerunning the instance up
     the precision ladder."""
     rng = random.Random(seed)
     counterexamples = []
-    ran = 0
+    ran = resampled = 0
     for stop, instance in ((trials // 2, _kernel_instance), (trials, _cokernel_instance)):
         while ran < stop:
             d = rng.randrange(1, _D_MAX + 1)
@@ -706,10 +748,11 @@ def kernel_freeness_property(trials: int, seed: int, N: int, p: int = 3) -> dict
                 return instance(rng, p, d, Nx)
 
             inst = at_rising_precision(mk, N)
-            if inst["ok"] is None:
-                continue  # a cokernel draw that is not injective: resample
+            if inst["ok"] is None:  # a cokernel draw that is not injective
+                resampled += 1
+                continue
             ran += 1
             if not inst["ok"]:
                 counterexamples.append(inst)
-    return {"trials": ran, "counterexamples": counterexamples,
-            "ok": not counterexamples}
+    return {"trials": ran, "resampled": resampled,
+            "counterexamples": counterexamples, "ok": not counterexamples}

@@ -155,7 +155,8 @@ def local_point_direct(bundle: SeriesBundle, n: int, target: int) -> LocalPoint:
 
 def torsion_probe(bundle: SeriesBundle, n: int, trials: int, seed: int) -> dict:
     """No p-torsion at the probed level: [p](t) != 0 for random t != 0 in the
-    maximal ideal (multiplication by p through the integral composites)."""
+    maximal ideal (multiplication by p through the integral composites).
+    A zero draw is skipped, so `probed` counts the points evaluated."""
     field = bundle.field
     p = field.p
     mp = multiplication_by_p_series(bundle.curve_log, bundle.curve_exp, bundle.target)
@@ -165,6 +166,7 @@ def torsion_probe(bundle: SeriesBundle, n: int, trials: int, seed: int) -> dict:
     rng = random.Random(seed)
     pi = uniformizer(tower, n) if n >= 0 else None
     found_torsion = []
+    probed = 0
     for k in range(trials):
         c = np.array([[rng.randrange(p**2) for _ in range(field.d)]
                       for _ in range(tower.level_dim(n))], dtype=object)
@@ -172,9 +174,10 @@ def torsion_probe(bundle: SeriesBundle, n: int, trials: int, seed: int) -> dict:
         x = (pi * rand) if pi is not None else rand.scale_int(p)
         if x.is_zero():
             continue
+        probed += 1
         y, tail = eval_series_at_tower(mp, x, vmin)
         yc = y.canonical()
         if yc.is_zero() or yc.residual_valuation() >= min(tail, yc.effective_prec):
             found_torsion.append(k)
-    return {"level": n, "trials": trials, "torsion_found": found_torsion,
+    return {"level": n, "trials": trials, "probed": probed, "torsion_found": found_torsion,
             "ok": not found_torsion}

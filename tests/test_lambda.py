@@ -1,6 +1,8 @@
+import math
 import random
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from unittest import mock
 
@@ -18,6 +20,7 @@ from normtower.lambda_modules import (
     FlatModule,
     NotZpFinite,
     Presentation,
+    _bareiss_rank,
     _drop_null_columns,
     _flatten_vector,
     _invariant_structure_at,
@@ -286,10 +289,10 @@ def test_relmat_divisors_are_those_of_the_span(name, builder, monkeypatch):
 
 
 def test_rank_lambda():
-    assert rank_lambda(free_presentation(3, 1, 3), N) == 3
-    assert rank_lambda(L([[0, 1]]), N) == 0
-    assert rank_lambda(direct_sum(free_presentation(3, 1, 2), L([[0, 0, 1]])), N) == 2
-    assert rank_lambda(free_presentation(3, 2, 1), N) == 2  # group-ring rank d
+    assert rank_lambda(free_presentation(3, 1, 3)) == 3
+    assert rank_lambda(L([[0, 1]])) == 0
+    assert rank_lambda(direct_sum(free_presentation(3, 1, 2), L([[0, 0, 1]]))) == 2
+    assert rank_lambda(free_presentation(3, 2, 1)) == 2  # group-ring rank d
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
@@ -355,9 +358,9 @@ def test_quotient_rank_bookkeeping():
     # leaves a free module of rank 2d - d = d. At the level of presentations:
     for d in (1, 2):
         ambient = free_presentation(3, d, 2)   # Lambda-rank 2d over Z_p[G]
-        assert rank_lambda(ambient, N) == 2 * d
+        assert rank_lambda(ambient) == 2 * d
         # subtracting the local-condition rank d leaves d
-        assert rank_lambda(ambient, N) - d * 1 == d
+        assert rank_lambda(ambient) - d * 1 == d
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -1223,3 +1226,239 @@ def test_coinvariant_corank_is_the_constant_term_image_rank(data):
     pres = Presentation(p=p, d=d, gens=r, rels=tuple(kgens))
     got = _outcome(lambda: d * r - coinvariant_structure(pres, Nx)[0])
     assert got == _outcome(reference_image_rank, kgens, p, d, Nx)
+
+
+# ---------------------------------------------------------------------------
+# differential test: rank_lambda as the rank of the relation matrix over Q(X),
+# against the coinvariant slope it replaced (reference_rank_lambda, verbatim),
+# and the harness's cokernel draws read through it (the old
+# _cokernel_instance, verbatim but for its name and reference_rank_lambda)
+# ---------------------------------------------------------------------------
+
+def reference_rank_lambda(pres: Presentation, N: int) -> int:
+    """Lambda-rank from the coinvariant rank slope between levels 1 and 2."""
+    p = pres.p
+    r0 = module_report(coinvariants(pres, 1), N)["rank"]
+    r1 = module_report(coinvariants(pres, 2), N)["rank"]
+    num = r1 - r0
+    den = p**2 - p
+    if num % den:
+        raise ArithmeticError(f"coinvariant ranks {r0}, {r1} have non-integral slope")
+    return num // den
+
+
+def reference_cokernel_instance(rng, p, d, N) -> dict:
+    targetN, s = _random_safe_module(rng, p, d)
+    if s < 2:
+        targetN = direct_sum(targetN, free_presentation(p, d, 1))
+        s += 1
+    r = rng.randrange(1, s)
+    G = tuple(tuple(_random_poly(rng, d, _DEG_BOUND // 2, p) for _ in range(r))
+              for _ in range(targetN.gens))
+    extra_rels = []
+    for j in range(r):
+        extra_rels.append(tuple(G[i][j] for i in range(targetN.gens)))
+    coker = targetN.with_relations(extra_rels)
+    try:
+        got_rank = reference_rank_lambda(coker, N)
+    except ArithmeticError:
+        return {"kind": "cokernel", "ok": None}  # resample
+    if got_rank != (s - r) * d:
+        return {"kind": "cokernel", "ok": None}  # not injective; resample
+    rep = freeness_test(coker, N)
+    return {"kind": "cokernel", "ok": rep["no_finite_submodule"],
+            "rank": got_rank, "pres": None if rep["no_finite_submodule"] else coker}
+
+
+def fraction_rank(rows) -> int:
+    """Rank over Q by Gaussian elimination on Fractions."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j] / rows[rank][j]
+            rows[i] = [u - f * t for u, t in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_bareiss_rank_matches_fraction_elimination(data):
+    """Products B C of random integer matrices with inner dimension k have
+    rank at most k, so deficient ranks and skipped pivot columns occur;
+    the entries run up to 10^12, so the minors reach hundreds of bits."""
+    m, n, k = (data.draw(st.integers(1, 7)) for _ in range(3))
+    entry = st.integers(-3, 3) | st.integers(-10**6, 10**6)
+    B = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    C = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    rows = [[sum(b * c for b, c in zip(row, col)) for col in zip(*C)] for row in B]
+    assert _bareiss_rank(rows) == fraction_rank(rows) <= min(m, n, k)
+    assert _bareiss_rank([]) == 0 and _bareiss_rank([[0] * n] * m) == 0
+
+
+def _phi9_at_one_plus_x() -> list[int]:
+    """Phi_9(1 + X) = (1 + X)^6 + (1 + X)^3 + 1, lowest degree first."""
+    return [math.comb(6, k) + math.comb(3, k) + (k == 0) for k in range(7)]
+
+
+def test_rank_lambda_is_exact_and_flattens_nothing(monkeypatch):
+    """rank_lambda takes no precision and runs no flatten and no elimination.
+    Lambda/(Phi_9(1 + X)) is torsion, yet its coinvariants gain p^2 - p
+    Z_p-rank from level 1 to level 2, so the slope counted it as rank 1.
+    A relation that vanishes at the first points is read at a later one."""
+    torsion = L([_phi9_at_one_plus_x()])
+    cases = [(torsion, 0), (direct_sum(free_presentation(3, 1, 1), torsion), 1),
+             (free_presentation(3, 1, 3), 3), (L([[0, 1]]), 0),
+             (direct_sum(free_presentation(3, 1, 2), L([[0, 0, 1]])), 2),
+             (free_presentation(3, 2, 1), 2), (present_plus(3, 2, 2, True), 0),
+             (L([[-1, 1]]), 0), (L([[2, -3, 1]]), 0)]  # X - 1, (X - 1)(X - 2): zero at X = 1, 2
+    assert [reference_rank_lambda(pres, N) for pres, _ in cases[:2]] == [1, 2]
+
+    def refuse(*args, **kw):
+        raise AssertionError("rank_lambda flattened or eliminated")
+
+    monkeypatch.setattr(lambda_modules, "flatten", refuse)
+    monkeypatch.setattr(lambda_modules, "_eliminate", refuse)
+    for pres, want in cases:
+        assert rank_lambda(pres) == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_rank_lambda_matches_the_coinvariant_slope_on_harness_draws(p, monkeypatch):
+    """Every cokernel draw of 25 seeds: the slope raises on none of them, and
+    each is injective, so none is resampled."""
+    seen = []
+    real = lambda_modules.rank_lambda
+    monkeypatch.setattr(lambda_modules, "rank_lambda", lambda pres: seen.append(pres) or real(pres))
+    for seed in range(25):
+        assert kernel_freeness_property(12, seed, N=10, p=p)["resampled"] == 0
+    assert len(seen) == 25 * 6
+    for pres in seen:
+        assert real(pres) == reference_rank_lambda(pres, 10)
+
+
+class _TopDraws:
+    """An rng whose draw from range(start, stop) is stop - 1: the cokernel
+    instance then maps Lambda[G]^(s - 1) into Lambda[G]^s."""
+
+    def randrange(self, start, stop):
+        return stop - 1
+
+
+def _forced_cokernel(monkeypatch, p, d, cols) -> tuple[dict, Presentation]:
+    """_cokernel_instance on the free target of rank len(cols) + 1, with the
+    given columns (one group-ring polynomial per target generator) as its map."""
+    s = len(cols) + 1
+    draws = iter([cols[j][i] for i in range(s) for j in range(len(cols))])
+    monkeypatch.setattr(lambda_modules, "_random_safe_module",
+                        lambda rng, p, d: (free_presentation(p, d, s), s))
+    monkeypatch.setattr(lambda_modules, "_random_poly", lambda *args: next(draws))
+    coker = free_presentation(p, d, s).with_relations(map(tuple, cols))
+    return lambda_modules._cokernel_instance(_TopDraws(), p, d, 10), coker
+
+
+def _one_minus_f(d: int) -> tuple:
+    F = tuple((1,) if b == 1 % d else () for b in range(d))
+    return lam_add(lift(d, (1,)), F, -1)
+
+
+@pytest.mark.parametrize("control", ["zero", "duplicate", "x_times", "one_minus_f"])
+def test_non_injective_cokernel_draws_are_resampled(control, monkeypatch):
+    """Four maps that are not injective lose rank, and the cokernel instance
+    resamples them; the injective control keeps full rank and is decided."""
+    p, d = 3, 2
+    z = lift(d, ())
+    c = [((1, 2), (0, -1)), ((0, 1), ()), ((-3,), (1, 0, 1))]
+    cols = {"zero": [[z, z]],
+            "duplicate": [c, c],
+            "x_times": [c, [lam_mul(lift(d, (0, 1)), f) for f in c]],
+            "one_minus_f": [[_one_minus_f(d), z]]}[control]
+    out, coker = _forced_cokernel(monkeypatch, p, d, cols)
+    assert out == {"kind": "cokernel", "ok": None}
+    assert rank_lambda(coker) == reference_rank_lambda(coker, N) > d
+    out, coker = _forced_cokernel(monkeypatch, p, d, [c[:2]])
+    assert out["ok"] is True and out["rank"] == rank_lambda(coker) == d
+
+
+@pytest.mark.parametrize("control", ["zero", "one_minus_f"])
+def test_harness_counts_its_resampled_draws(control, monkeypatch):
+    """The first cokernel draw at d = 2, forced non-injective, is counted as
+    resampled, and the harness still runs the trials it was asked for."""
+    real_coker = lambda_modules._cokernel_instance
+    forced = []
+
+    def first_forced(rng, p, d, Nx):
+        if forced or d != 2:
+            return real_coker(rng, p, d, Nx)
+        forced.append(d)
+        poly = lift(d, ()) if control == "zero" else _one_minus_f(d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lambda_modules, "_random_poly", lambda *args: poly)
+            return real_coker(rng, p, d, Nx)
+
+    monkeypatch.setattr(lambda_modules, "_cokernel_instance", first_forced)
+    rep = kernel_freeness_property(12, 20260810, N=10)
+    assert forced == [2]
+    assert rep["resampled"] >= 1 and rep["trials"] == 12 and rep["ok"]
+
+
+@pytest.mark.parametrize("p,trials", [(3, 60), (5, 40)])
+def test_harness_meets_the_instances_of_the_slope_route(p, trials, monkeypatch):
+    """At the shipped seed and trial counts, the reference instances (the
+    cokernel draws read by the slope, the kernel image by the constant-term
+    SNF) give the same outcomes and rng states, one instance at a time;
+    no cokernel draw is resampled."""
+    seen = []
+
+    def recording(instance):
+        def spy(rng, *args):
+            out = instance(rng, *args)
+            seen.append((out, rng.getstate()))
+            return out
+        return spy
+
+    def run(kernel, cokernel):
+        seen.clear()
+        monkeypatch.setattr(lambda_modules, "_kernel_instance", recording(kernel))
+        monkeypatch.setattr(lambda_modules, "_cokernel_instance", recording(cokernel))
+        return kernel_freeness_property(trials, 20260810, N=10, p=p), list(seen)
+
+    new = run(_kernel_instance, lambda_modules._cokernel_instance)
+    assert new[0]["ok"] and new[0]["trials"] == trials and new[0]["resampled"] == 0
+    assert len(new[1]) == trials
+    assert run(reference_kernel_instance, reference_cokernel_instance) == new
+
+
+def reference_drop_null_columns(M: np.ndarray, p: int, N: int) -> np.ndarray:
+    if M.size == 0:
+        return M
+    cut = p ** (N - MARGIN)
+    keep = [j for j in range(M.shape[1]) if (M[:, j] % cut).any()]
+    return M[:, keep] if keep else M[:, :0]
+
+
+@pytest.mark.parametrize("Nx,dtype", [(8, np.int64), (30, object)])
+def test_drop_null_columns_matches_the_column_loop(Nx, dtype):
+    """Columns of content exactly N - MARGIN go and those of content
+    N - MARGIN - 1 stay, on int64 and object matrices alike."""
+    p, rng, q = 3, random.Random(Nx), 3**Nx
+    cut = Nx - MARGIN
+    contents = [cut - 1, cut, 0, cut + 1, Nx, cut - 1, 1, cut]
+    cols = []
+    for e in contents:
+        col = [p**e * rng.randrange(q) for _ in range(5)]
+        col[rng.randrange(5)] = p**e * rng.choice([1, 2, 4, 5])  # content exactly e
+        cols.append(col)
+    M = as_matrix(np.array(cols, dtype=object).T, q)
+    assert M.dtype == dtype
+    got = _drop_null_columns(M, p, Nx)
+    want = reference_drop_null_columns(M, p, Nx)
+    assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+    assert np.array_equal(got, M[:, [j for j, e in enumerate(contents) if e < cut]])
+    for empty in (M[:, :0], M[:, [1, 3, 4, 7]]):
+        assert _drop_null_columns(empty, p, Nx).shape == (5, 0)

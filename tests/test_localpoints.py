@@ -1,4 +1,6 @@
+import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -72,6 +74,30 @@ def test_torsion_probe_at_level_minus_one_evaluates_there(bundle_n0, monkeypatch
     rep = localpoints.torsion_probe(bundle_n0, -1, trials=5, seed=3)
     assert rep["ok"] and rep["level"] == -1
     assert seen and set(seen) == {(-1, (1, bundle_n0.field.d))}
+
+
+def test_torsion_probe_counts_the_points_it_evaluates(bundle_n0, monkeypatch):
+    """A zero draw is skipped: of five trials at n = 0, the first drawn as
+    zero, four points are evaluated, and the report says so."""
+    field = bundle_n0.field
+    zeros = TowerDesc(field, 0).level_dim(0) * field.d  # the first draw's coefficients
+
+    class FirstDrawZero(random.Random):
+        def randrange(self, *args):
+            nonlocal zeros
+            if zeros:
+                zeros -= 1
+                return 0
+            return super().randrange(*args)
+
+    evaluated = []
+    real = localpoints.eval_series_at_tower
+    monkeypatch.setattr(localpoints, "random", SimpleNamespace(Random=FirstDrawZero))
+    monkeypatch.setattr(localpoints, "eval_series_at_tower",
+                        lambda s, x, vmin: evaluated.append(x) or real(s, x, vmin))
+    rep = localpoints.torsion_probe(bundle_n0, 0, trials=5, seed=20260810)
+    assert rep["ok"] and zeros == 0
+    assert (rep["trials"], rep["probed"]) == (5, 4) and len(evaluated) == 4
 
 
 def test_eval_tail_floor(bundle_n0):
